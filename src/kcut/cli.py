@@ -297,8 +297,9 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p = add("solve", _cmd_solve, help="minimum k-cut with enumeration")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--exact", action="store_true", default=False)
-    p.add_argument("--eps", help="use approximate packing with this epsilon")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", help="exact packing (default)")
+    mode.add_argument("--eps", help="use approximate packing with this epsilon")
     p.add_argument("--all", action="store_true", help="list every minimizer")
     p = add("enumerate", _cmd_enumerate, help="all alpha-approximate k-cuts")
     p.add_argument("--k", type=int, required=True)

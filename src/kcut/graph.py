@@ -135,10 +135,6 @@ def _check_partition(g: Graph, parts) -> None:
         raise ValueError("parts do not cover the vertex set")
 
 
-def singleton_partition(g: Graph) -> VertexPartition:
-    return partition_from_blocks(g, [[v] for v in range(g.n)])
-
-
 def cut_of_partition(g: Graph, p) -> CutResult:
     """Cut value of a partition; accepts a VertexPartition or raw blocks."""
     if not isinstance(p, VertexPartition):

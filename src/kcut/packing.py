@@ -138,7 +138,13 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
         raise ValueError("packing undefined without positive-capacity edges")
     eps = float(config.epsilon)
     m = work.m
-    threshold = m ** (1.0 / eps)
+    try:
+        threshold = m ** (1.0 / eps)
+    except OverflowError:
+        raise ValueError(
+            f"epsilon {config.epsilon} too small for {m} edges: "
+            "the stopping weight m**(1/eps) overflows a float"
+        ) from None
     cap_f = [float(e.cap) for e in work.edges]
     cap_q = [e.cap for e in work.edges]
     w = [1.0] * m

@@ -1,17 +1,27 @@
-"""Small self-contained simplex over exact rationals with Bland's rule.
+"""Exact two-phase simplex with Bland's rule on a fraction-free tableau.
 
-Solves  max c.x  subject to  A x (<=|=|>=) b,  x >= 0  on a dense tableau.
-Intended for desk-scale certified computations (oracles, restricted masters);
-no attempt at large-scale performance beyond skipping zero columns.
+Solves  max c.x  subject to  A x (<=|=|>=) b,  x >= 0.  Intended for
+desk-scale certified computations (oracles, restricted masters).
+
+Every tableau row, the objective rows included, is a list of Python ints
+over one positive denominator of its own, kept in lowest terms by a gcd
+after each update (the fraction-free elimination of Edmonds 1967 and
+Bareiss 1968, with per-row rather than common denominators).  A pivot
+touches only the rows whose entering-column entry is nonzero, so the
+sparsity of 0/1 constraint matrices survives.  The objective rows are
+pivoted with the rest, so reduced costs, the objective value and the duals
+are all read off the tableau.  The pivot sequence is that of the textbook
+rational tableau: first improving column (Bland), smallest ratio, ties to
+the smallest basic column index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LpInfeasible(Exception):
@@ -29,226 +39,219 @@ class LpResult:
     duals: list[Fraction]  # one multiplier per constraint row
 
 
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+
+
 def solve_lp(c, rows, senses, rhs, maximize=True) -> LpResult:
     """Solve max (or min) c.x s.t. rows[i] . x  senses[i]  rhs[i], x >= 0.
 
     ``rows`` are dense coefficient lists, ``senses`` entries are "<=", "=",
-    or ">=".  Bland's rule guarantees termination.  Duals are recovered from
-    the optimal basis by an exact linear solve; for a maximization, a "<="
-    row has dual >= 0 and a ">=" row has dual <= 0.
+    or ">="; coefficients are ints, Fractions or anything ``Fraction``
+    accepts.  Bland's rule guarantees termination.  The duals are
+    ``c_B B^-1`` for the optimal basis B, read from the slack and
+    artificial columns of the final objective row; for a maximization a
+    "<=" row has dual >= 0 and a ">=" row has dual <= 0, and a
+    minimization reverses both signs.  Raises ``LpInfeasible`` or
+    ``LpUnbounded``.
     """
     nvar = len(c)
     m = len(rows)
-    obj = [Fraction(x) for x in c]
-    if not maximize:
-        obj = [-x for x in obj]
 
-    # Normalize to b >= 0, flipping senses as needed.
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    # Integer rows with the right-hand side last, normalized to b >= 0.
+    tab: list[list[int]] = []
+    den: list[int] = []
     sense: list[str] = []
     flipped: list[bool] = []
     for i in range(m):
-        row = [Fraction(x) for x in rows[i]]
-        bi = Fraction(rhs[i])
         si = senses[i]
-        if si not in ("<=", "=", ">="):
+        if si not in _FLIP:
             raise ValueError(f"bad sense {si!r}")
-        if bi < 0:
-            row = [-x for x in row]
-            bi = -bi
-            si = {"<=": ">=", ">=": "<=", "=": "="}[si]
-            flipped.append(True)
-        else:
-            flipped.append(False)
-        A.append(row)
-        b.append(bi)
+        nums, d = _scaled(list(rows[i]) + [rhs[i]])
+        flip = nums[-1] < 0
+        if flip:
+            nums = [-v for v in nums]
+            si = _FLIP[si]
+        tab.append(nums)
+        den.append(d)
         sense.append(si)
+        flipped.append(flip)
 
-    # Column layout: structural | slack/surplus | artificial.
+    # Column layout: structural | slack/surplus | artificial | rhs.
     slack_col: list[int | None] = [None] * m
     art_col: list[int | None] = [None] * m
     ncols = nvar
     for i in range(m):
-        if sense[i] in ("<=", ">="):
+        if sense[i] != "=":
             slack_col[i] = ncols
             ncols += 1
+    first_art = ncols
     for i in range(m):
-        if sense[i] in ("=", ">="):
+        if sense[i] != "<=":
             art_col[i] = ncols
             ncols += 1
 
-    tab = [row + [ZERO] * (ncols - nvar) + [b[i]] for i, row in enumerate(A)]
-    for i in range(m):
-        if slack_col[i] is not None:
-            tab[i][slack_col[i]] = ONE if sense[i] == "<=" else -ONE
-        if art_col[i] is not None:
-            tab[i][art_col[i]] = ONE
-
     basis = [0] * m
     for i in range(m):
+        row = tab[i]
+        b = row.pop()
+        row.extend([0] * (ncols - nvar))
+        row.append(b)
+        if slack_col[i] is not None:
+            row[slack_col[i]] = den[i] if sense[i] == "<=" else -den[i]
+        if art_col[i] is not None:
+            row[art_col[i]] = den[i]
         basis[i] = art_col[i] if art_col[i] is not None else slack_col[i]
 
-    needs_phase1 = any(a is not None for a in art_col)
-    if needs_phase1:
-        cost1 = [ZERO] * ncols
-        for a in art_col:
-            if a is not None:
-                cost1[a] = -ONE  # maximize -(sum of artificials)
-        z = _run_simplex(tab, basis, cost1, ncols)
-        if z != 0:
-            raise LpInfeasible()
-        _expel_artificials(tab, basis, art_col, nvar, slack_col)
+    # Objective rows hold reduced costs and, in the rhs column, minus the
+    # objective value.  The phase-2 row starts as c (every initial basic
+    # column costs 0) and is pivoted along through phase 1.
+    cost, cden = _scaled(c)
+    if not maximize:
+        cost = [-v for v in cost]
+    tab.append(cost + [0] * (ncols - nvar + 1))
+    den.append(cden)
 
-    cost2 = obj + [ZERO] * (ncols - nvar)
-    artificial = {a for a in art_col if a is not None}
-    value = _run_simplex(tab, basis, cost2, ncols, banned=artificial)
+    if first_art < ncols:
+        # Phase 1 maximizes minus the sum of the artificials; its reduced
+        # costs are -1 on each artificial plus the rows they are basic in.
+        art_rows = [i for i in range(m) if art_col[i] is not None]
+        d = math.lcm(*(den[i] for i in art_rows))
+        phase1 = [0] * (ncols + 1)
+        for i in art_rows:
+            s = d // den[i]
+            for j, v in enumerate(tab[i]):
+                if v:
+                    phase1[j] += s * v
+        for j in range(first_art, ncols):
+            phase1[j] -= d
+        phase1, d = _reduced(phase1, d)
+        tab.append(phase1)
+        den.append(d)
+        _run_simplex(tab, den, basis, ncols)
+        if tab[m + 1][ncols] != 0:
+            raise LpInfeasible()
+        tab.pop()
+        den.pop()
+        _expel_artificials(tab, den, basis, first_art)
+
+    _run_simplex(tab, den, basis, first_art)
 
     x = [ZERO] * nvar
-    for i, bi in enumerate(basis):
-        if bi < nvar:
-            x[bi] = tab[i][ncols]
+    for i, j in enumerate(basis):
+        if j < nvar:
+            x[j] = Fraction(tab[i][ncols], den[i])
 
-    duals = _recover_duals(A, sense, slack_col, art_col, basis, cost2, m, ncols)
+    # The slack column of row i is s_i e_i (s_i = +1 for "<=", -1 for
+    # ">="), the artificial column is e_i, and both cost 0, so their reduced
+    # cost is -s_i y_i or -y_i.
+    obj, oden = tab[m], den[m]
+    duals = []
     for i in range(m):
-        if flipped[i]:
-            duals[i] = -duals[i]
+        if slack_col[i] is not None:
+            y = Fraction(obj[slack_col[i]], oden)
+            if sense[i] == "<=":
+                y = -y
+        else:
+            y = Fraction(-obj[art_col[i]], oden)
+        duals.append(-y if flipped[i] else y)
+    value = Fraction(-obj[ncols], oden)
     if not maximize:
         value = -value
-        duals = [-d for d in duals]
+        duals = [-y for y in duals]
     return LpResult(value, x, duals)
 
 
-def _run_simplex(tab, basis, cost, ncols, banned=frozenset()):
-    """Primal simplex on a tableau already in basic feasible form."""
-    m = len(tab)
-    rhs_col = ncols
-    # Reduced costs: r_j = cost_j - cB . (tableau column j).
+def _scaled(values) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator
+    (so the numerators and the denominator share no factor)."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (d // v.denominator) for v in vals], d
+
+
+def _run_simplex(tab, den, basis, nenter):
+    """Primal simplex on a tableau in basic feasible form, maximizing the
+    objective in its last row.  Columns ``nenter`` and up never enter."""
+    m = len(basis)
+    last = len(tab[0]) - 1
     while True:
-        red = _reduced_costs(tab, basis, cost, ncols)
-        enter = -1
-        for j in range(ncols):
-            if j in banned or j in basis:
-                continue
-            if red[j] > 0:  # Bland: first improving column
-                enter = j
-                break
+        # Bland: first improving column (basic columns have reduced cost 0).
+        obj = tab[-1]
+        enter = next((j for j in range(nenter) if obj[j] > 0), -1)
         if enter < 0:
-            return sum((cost[basis[i]] * tab[i][rhs_col] for i in range(m)), ZERO)
+            return
+        # Smallest ratio b_i / a_i over a_i > 0, compared by cross-multiplying
+        # (the row denominators cancel); ties to the smallest basic column.
         leave = -1
-        best = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][rhs_col] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                b = tab[i][last]
+                if leave < 0:
+                    leave, lb, la = i, b, a
+                    continue
+                left, right = b * la, lb * a
+                if left < right or (left == right and basis[i] < basis[leave]):
+                    leave, lb, la = i, b, a
         if leave < 0:
             raise LpUnbounded()
-        _pivot(tab, basis, leave, enter, ncols)
+        _pivot(tab, den, basis, leave, enter)
 
 
-def _reduced_costs(tab, basis, cost, ncols):
-    m = len(tab)
-    red = list(cost)
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0:
-            row = tab[i]
-            for j in range(ncols):
-                if row[j] != 0:
-                    red[j] -= cb * row[j]
-    return red
+def _pivot(tab, den, basis, r, e):
+    """Make column ``e`` the unit column of row ``r`` in every row, the
+    objective rows included.  Rows with a zero in column ``e`` are untouched.
 
-
-def _pivot(tab, basis, row, col, ncols):
-    piv = tab[row][col]
-    prow = tab[row]
-    if piv != 1:
-        inv = ONE / piv
-        for j in range(ncols + 1):
-            if prow[j] != 0:
-                prow[j] *= inv
-    for i in range(len(tab)):
-        if i == row:
+    Row i (over d_i) becomes (p * row_i - f * prow) / (d_i * p), where p and
+    f are the column-e entries of the pivot row and of row i; the pivot
+    row's own denominator cancels.  The pivot row becomes prow / p.
+    """
+    prow = tab[r]
+    p = prow[e]
+    nz = [(j, v) for j, v in enumerate(prow) if v]
+    for i, row in enumerate(tab):
+        f = row[e]
+        if i == r or not f:
             continue
-        f = tab[i][col]
-        if f != 0:
-            trow = tab[i]
-            for j in range(ncols + 1):
-                if prow[j] != 0:
-                    trow[j] -= f * prow[j]
-    basis[row] = col
-
-
-def _expel_artificials(tab, basis, art_col, nvar, slack_col):
-    """Pivot basic artificials (at value 0) out wherever possible."""
-    artificial = {a for a in art_col if a is not None}
-    for i in range(len(tab)):
-        if basis[i] in artificial:
-            for j in range(len(tab[0]) - 1):
-                if j in artificial or j in basis:
-                    continue
-                if tab[i][j] != 0:
-                    _pivot(tab, basis, i, j, len(tab[0]) - 1)
-                    break
-            # If no pivot exists the row is redundant; the artificial stays
-            # basic at value zero, which is harmless with its column banned.
-
-
-def _recover_duals(A, sense, slack_col, art_col, basis, cost, m, ncols):
-    """Solve y . B = c_B for the basis B of the final tableau (exact)."""
-    # Build the basis matrix column by column against the ORIGINAL rows.
-    cols = []
-    cb = []
-    for i in range(m):
-        j = basis[i]
-        col = [ZERO] * m
-        if j < len(A[0]):
-            for r in range(m):
-                col[r] = A[r][j]
+        if p == 1:
+            new = row
+            d = den[i]
         else:
-            for r in range(m):
-                if slack_col[r] == j:
-                    col[r] = ONE if sense[r] == "<=" else -ONE
-                if art_col[r] == j:
-                    col[r] = ONE
-        cols.append(col)
-        cb.append(cost[j] if j < ncols else ZERO)
-    # Solve y^T B = cb, i.e. B^T y = cb with (B^T)[r][c] = B[c][r] = cols[r][c].
-    bt = [cols[r][:] for r in range(m)]
-    return _solve_linear(bt, cb)
+            new = [p * v for v in row]
+            d = den[i] * p
+        for j, v in nz:
+            new[j] -= f * v
+        if d < 0:
+            new = [-v for v in new]
+            d = -d
+        tab[i], den[i] = _reduced(new, d)
+    if p < 0:
+        tab[r], den[r] = _reduced([-v for v in prow], -p)
+    else:
+        tab[r], den[r] = _reduced(prow, p)
+    basis[r] = e
 
 
-def _solve_linear(a, b):
-    """Gaussian elimination over Fractions; singular rows resolve to 0."""
-    n = len(a)
-    mat = [row[:] + [b[i]] for i, row in enumerate(a)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        sel = -1
-        for i in range(r, n):
-            if mat[i][c] != 0:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    x = [ZERO] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = mat[i][n]
-    return x
+def _reduced(row, d):
+    """Divide a row and its denominator by their gcd."""
+    if d != 1:
+        g = math.gcd(d, *row)
+        if g != 1:
+            return [v // g for v in row], d // g
+    return row, d
+
+
+def _expel_artificials(tab, den, basis, first_art):
+    """Pivot basic artificials (at value 0) out wherever possible.
+
+    If a row has no nonzero non-artificial entry it is redundant; the
+    artificial stays basic at value zero, which is harmless since
+    artificial columns never enter in phase 2.
+    """
+    for i in range(len(basis)):
+        if basis[i] >= first_art:
+            row = tab[i]
+            for j in range(first_art):
+                if row[j]:  # nonzero here means j is nonbasic
+                    _pivot(tab, den, basis, i, j)
+                    break

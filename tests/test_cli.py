@@ -100,6 +100,28 @@ def test_pack_exact(capsys, c5_file):
     assert json.loads(out)["total_value"] == "5/4"
 
 
+def test_pack_eps_too_small_exit_1(capsys, tmp_path):
+    path = tmp_path / "k4.graph"
+    path.write_text(K4_TEXT)
+    code = main(["pack", "--eps", "0.001", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_solve_exact_and_eps_are_exclusive(capsys, c5_file):
+    code = main(["solve", "--k", "2", "--exact", "--eps", "1/6", c5_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # --exact names the default mode
+    assert run(capsys, "solve", "--k", "2", "--exact", c5_file) == run(
+        capsys, "solve", "--k", "2", c5_file
+    )
+
+
 def test_oracle_subcommands(capsys, tt_file):
     code, out = run(capsys, "oracle", "strength", tt_file)
     assert code == 0 and json.loads(out)["strength"] == "1/1"

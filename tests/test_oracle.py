@@ -58,15 +58,16 @@ def test_oracle_min_kcut_fixtures(tt, c5):
     assert cut.value == 3 and len(argmins) == 10
 
 
-def test_oracle_treepack_fixtures(e1, c5, k4):
+def test_oracle_treepack_fixtures(e1, c5, k4, tt):
     assert oracle_treepack(e1) == 5
     assert oracle_treepack(c5) == F(5, 4)
     assert oracle_treepack(k4) == 2
+    assert oracle_treepack(tt) == 1
 
 
 def test_oracle_lp_fixtures(tt, c5, k4):
-    assert oracle_lp_value(c5, 2) == F(5, 4)
-    assert oracle_lp_value(tt, 3) == F(5, 2)
+    assert [oracle_lp_value(c5, k) for k in range(2, 6)] == [F(5, 4), F(5, 2), F(15, 4), 5]
+    assert [oracle_lp_value(tt, k) for k in range(2, 7)] == [1, F(5, 2), 4, F(11, 2), 7]
     assert oracle_lp_value(k4, 3) == 4
 
 

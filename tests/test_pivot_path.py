@@ -1,0 +1,113 @@
+"""Pinned outputs of the exact simplex on degenerate LPs.
+
+The restricted masters of ``exact_pack`` and the oracle LPs are degenerate:
+many optimal vertices exist, and which one ``solve_lp`` returns depends on
+the whole pivot sequence (Bland's rule, ties broken on the smallest basis
+index).  The pins are the vertices the textbook rational tableau reaches
+under those rules.  Any change to the pivot rule, the ratio test or the
+phase-1 exit shows up here as a different tree set, weight vector or dual
+vector, even when the optimum value is unchanged.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from kcut import Edge, Graph, parse_graph
+from kcut.oracle import spanning_forests
+from kcut.packing import exact_pack
+from kcut.simplex import solve_lp
+
+from conftest import C5_TEXT, TT_TEXT
+
+F = Fraction
+
+
+def _complete(n):
+    return Graph(n, tuple(Edge(u, v, F(1)) for u in range(n) for v in range(u + 1, n)))
+
+
+def _cycle(n):
+    return Graph(n, tuple(Edge(i, (i + 1) % n, F(1)) for i in range(n)))
+
+
+EXACT_PACK_PINS = {
+    "K5": (
+        _complete(5),
+        [
+            ((0, 1, 2, 6), "1/8"),
+            ((0, 4, 5, 6), "1/4"),
+            ((0, 4, 8, 9), "5/8"),
+            ((1, 2, 3, 4), "1/8"),
+            ((1, 2, 5, 9), "1/8"),
+            ((1, 3, 6, 9), "1/4"),
+            ((1, 6, 7, 8), "3/8"),
+            ((2, 3, 5, 7), "5/8"),
+        ],
+    ),
+    "K6": (
+        _complete(6),
+        [
+            ((0, 1, 2, 3, 8), "1/54"),
+            ((0, 1, 2, 3, 11), "1/18"),
+            ((0, 1, 2, 4, 7), "1/27"),
+            ((0, 1, 3, 4, 6), "11/54"),
+            ((0, 2, 3, 4, 5), "1/27"),
+            ((0, 2, 7, 9, 11), "8/27"),
+            ((0, 5, 8, 10, 12), "19/54"),
+            ((1, 2, 6, 12, 14), "2/9"),
+            ((1, 5, 6, 7, 11), "13/54"),
+            ((1, 7, 8, 9, 10), "2/9"),
+            ((2, 3, 4, 6, 9), "1/9"),
+            ((2, 6, 10, 12, 13), "2/9"),
+            ((3, 4, 7, 10, 12), "11/54"),
+            ((3, 5, 9, 13, 14), "10/27"),
+            ((4, 8, 11, 13, 14), "11/27"),
+        ],
+    ),
+    # every 11-edge path of the 12-cycle, each at weight 1/11
+    "C12": (
+        _cycle(12),
+        [(tuple(e for e in range(12) if e != skip), "1/11") for skip in range(11, -1, -1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PACK_PINS))
+def test_exact_pack_pinned(name):
+    g, expected = EXACT_PACK_PINS[name]
+    packing = exact_pack(g)
+    got = [(t, str(w)) for t, w in zip(packing.trees, packing.weights)]
+    assert got == expected
+
+
+def _oracle_lp(g, k):
+    """The LP ``oracle_lp_value`` solves on a connected graph (right-hand
+    side k - 1): y per forest, then z per edge."""
+    forests = spanning_forests(g)
+    obj = [k - 1] * len(forests) + [-1] * g.m
+    rows = [
+        [1 if eid in f else 0 for f in forests] + [-1 if e == eid else 0 for e in range(g.m)]
+        for eid in range(g.m)
+    ]
+    return obj, rows, ["<="] * g.m, [e.cap for e in g.edges]
+
+
+@pytest.mark.parametrize(
+    "text, x, duals",
+    [
+        (
+            TT_TEXT,
+            ["0", "0", "1/2", "0", "1/2", "0", "1/2", "0", "0"] + ["0"] * 6 + ["1/2"],
+            ["1/2", "1/2", "1/2", "0", "0", "0", "1"],
+        ),
+        (C5_TEXT, ["1/4"] * 5 + ["0"] * 5, ["1/2"] * 5),
+    ],
+    ids=["TT", "C5"],
+)
+def test_oracle_lp_vertex_pinned(text, x, duals):
+    """The full primal and dual vertex of the k=3 oracle LP, not just its value."""
+    res = solve_lp(*_oracle_lp(parse_graph(text), 3))
+    assert res.value == F(5, 2)
+    assert [str(v) for v in res.x] == x
+    assert [str(v) for v in res.duals] == duals

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcut.simplex import LpInfeasible, LpUnbounded, solve_lp
 
@@ -66,3 +68,60 @@ def test_degenerate_cycling_guard():
     ]
     res = solve_lp(c, rows, ["<="] * 3, [0, 0, 1])
     assert res.value == F(1, 20)
+
+
+# -- exact optimality certificates on random small LPs ----------------------
+
+_coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _lps(draw):
+    nvar = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    c = draw(st.lists(_coef, min_size=nvar, max_size=nvar))
+    rows = draw(st.lists(st.lists(_coef, min_size=nvar, max_size=nvar), min_size=m, max_size=m))
+    senses = draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))
+    rhs = draw(
+        st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=m, max_size=m
+        )
+    )
+    return c, rows, senses, rhs, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_lps())
+def test_solved_lps_carry_exact_certificates(lp):
+    """Primal and dual feasibility, dual signs, strong duality and
+    complementary slackness, all checked in exact arithmetic."""
+    c, rows, senses, rhs, maximize = lp
+    try:
+        res = solve_lp(c, rows, senses, rhs, maximize=maximize)
+    except (LpInfeasible, LpUnbounded):
+        return
+    x, y = res.x, res.duals
+    nvar, m = len(c), len(rows)
+    assert all(isinstance(v, Fraction) for v in x + y + [res.value])
+    # primal feasibility
+    assert all(v >= 0 for v in x)
+    act = [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
+    for a, s, b in zip(act, senses, rhs):
+        assert {"<=": a <= b, "=": a == b, ">=": a >= b}[s]
+    # dual signs: for a maximization "<=" rows have y >= 0 and ">=" rows
+    # y <= 0; a minimization flips both
+    sign = 1 if maximize else -1
+    for yi, s in zip(y, senses):
+        if s == "<=":
+            assert sign * yi >= 0
+        elif s == ">=":
+            assert sign * yi <= 0
+    # dual feasibility: y.A >= c (max) or y.A <= c (min), since x >= 0
+    red = [sum((y[i] * rows[i][j] for i in range(m)), F(0)) - c[j] for j in range(nvar)]
+    assert all(sign * r >= 0 for r in red)
+    # strong duality
+    assert res.value == sum((cj * v for cj, v in zip(c, x)), F(0))
+    assert res.value == sum((yi * b for yi, b in zip(y, rhs)), F(0))
+    # complementary slackness
+    assert all(yi * (a - b) == 0 for yi, a, b in zip(y, act, rhs))
+    assert all(v * r == 0 for v, r in zip(x, red))
