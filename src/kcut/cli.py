@@ -30,7 +30,7 @@ from .oracle import (
     oracle_treepack,
 )
 from .packing import PackConfig, PackingError, TreePacking, exact_pack, mwu_pack
-from .strength import breakpoints, principal_sequence, strength
+from .strength import principal_sequence, strength
 from .verify import run_verification
 
 
@@ -64,6 +64,16 @@ def _packing_json(packing: TreePacking) -> dict:
     if packing.approximate:
         out["approx_value"] = float(packing.total_value)
     return out
+
+
+def _rational(text, default):
+    """The value of a rational flag such as ``--eps 1/6``; unset means ``default``."""
+    if not text:
+        return default
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"not a rational number: {text!r}") from None
 
 
 def _read_graph(args) -> Graph:
@@ -105,7 +115,7 @@ def _cmd_pack(args):
     if args.exact:
         packing = exact_pack(g)
     else:
-        eps = Fraction(args.eps) if args.eps else Fraction(1, 10)
+        eps = _rational(args.eps, Fraction(1, 10))
         packing = mwu_pack(g, config=PackConfig(epsilon=eps))
     return _packing_json(packing)
 
@@ -150,7 +160,7 @@ class CertificateFailure(Exception):
 def _cmd_solve(args):
     g = _read_graph(args)
     mode = "approx" if args.eps else "exact"
-    eps = Fraction(args.eps) if args.eps else None
+    eps = _rational(args.eps, None)
     cut, report = min_kcut(g, args.k, mode=mode, eps=eps)
     out = {
         "k": args.k,
@@ -167,7 +177,7 @@ def _cmd_solve(args):
 
 def _cmd_enumerate(args):
     g = _read_graph(args)
-    alpha = Fraction(args.alpha) if args.alpha else Fraction(1)
+    alpha = _rational(args.alpha, Fraction(1))
     report = enumerate_approx_kcuts(g, args.k, alpha)
     return {
         "k": args.k,
@@ -204,7 +214,7 @@ def _cmd_approx(args):
 
 def _cmd_mincut(args):
     g = _read_graph(args)
-    eps = Fraction(args.eps) if args.eps else Fraction(1, 6)
+    eps = _rational(args.eps, Fraction(1, 6))
     cut, witness, packing = global_mincut_detail(g, eps)
     block = cut.partition.block_of(g.n)
     crossing = [i for i, e in enumerate(g.edges) if block[e.u] != block[e.v]]
@@ -242,7 +252,7 @@ def _cmd_oracle(args):
 
 def _cmd_verify(args):
     g = _read_graph(args)
-    ks = range(2, min(g.n, args.kmax) + 1) if args.kmax else None
+    ks = range(2, min(g.n, args.kmax) + 1) if args.kmax is not None else None
     rows = run_verification(g, ks)
     failed = [r for r in rows if r.status == "fail"]
     out = {

@@ -14,6 +14,12 @@ Ties are handled structurally rather than by perturbing the graph: the
 oracle is evaluated at b - eps and b + eps over rationals with an
 infinitesimal component, which yields the unique coarsest and finest optimal
 partitions (the optimal partitions form a lattice under refinement).
+
+The strength is found by a Dinkelbach ratio iteration over the attack
+oracle, and the principal sequence by recursively splitting each
+minimum-strength component by its finest minimum-strength partition.  The
+critical values of that sequence are the breakpoints of g, so
+``breakpoints`` reads them off the cached sequence.
 """
 
 from __future__ import annotations
@@ -101,17 +107,16 @@ def _dilworth_partition(g: Graph, b):
     x = [None] * n  # greedy labels, one per processed vertex
     adj = g.neighbors()
     zero = Eps(0) if isinstance(b, Eps) else Fraction(0)
+    deg = [Fraction(0)] * n  # degrees within the processed prefix {0..j}
     for j in range(n):
         if j == 0:
             x[0] = -b + zero
             blocks.append({0})
             continue
-        # degrees within the processed prefix {0..j}
-        deg = [Fraction(0)] * (j + 1)
-        for v in range(j + 1):
-            for w, eid in adj[v]:
-                if w <= j:
-                    deg[v] += g.edges[eid].cap
+        for w, eid in adj[j]:
+            if w < j:
+                deg[j] += g.edges[eid].cap
+                deg[w] += g.edges[eid].cap
         # potentials: p_u = -deg(u)/2 - x_u for u < j; p_j enters as a constant
         net = FlowNetwork(j + 2, zero=zero)
         t = j + 1
@@ -169,56 +174,26 @@ def attack(g: Graph, b) -> AttackResult:
     return AttackResult(b, value, coarse, fine)
 
 
-def _line(p: VertexPartition):
-    """(constant, parts) so the partition's value at b is c - b*(parts-1)."""
-    return (p.crossing_value, p.part_count)
-
-
-def _line_value(line, b: Fraction) -> Fraction:
-    c, parts = line
-    return c - b * (parts - 1)
-
-
 def breakpoints(g: Graph) -> tuple[Breakpoint, ...]:
-    """All breakpoints of the attack function, by parametric line search.
+    """All breakpoints of the attack function, read off the principal sequence.
 
-    Each breakpoint carries the coarsest and finest optimal partitions at
-    that b; between consecutive breakpoints the optimal line is unique up to
-    value.  A connected graph has at most n - 1 breakpoints.
+    The attack function is concave and piecewise linear.  It bends at every
+    critical value lambda_i, where the coarsest optimal partition is P_{i-1}
+    and the finest is P_i.  A disconnected graph also bends at b = 0, where
+    {V} gives way to its components; when lambda_1 = 0 that bend is level 1's.
+    A connected graph has at most n - 1 breakpoints.
     """
     if g.n < 2:
         return ()
+    psp = principal_sequence(g)
+    before = partition_from_blocks(g, [range(g.n)])
     found: list[Breakpoint] = []
-
-    res_lo = attack(g, Fraction(0))
-    b_hi = g.total_capacity() + 1
-    res_hi = attack(g, b_hi)
-
-    def search(b_lo, line_lo, b_hi, line_hi):
-        if line_lo[1] == line_hi[1]:
-            # same slope: both optimal on the whole bracket means same line
-            if _line_value(line_lo, b_lo) != _line_value(line_hi, b_lo):
-                raise AssertionError("parallel optimal lines with different values")
-            return
-        c1, k1 = line_lo
-        c2, k2 = line_hi
-        b_star = (c1 - c2) / Fraction(k1 - k2)
-        res = attack(g, b_star)
-        meet = _line_value(line_lo, b_star)
-        if res.value == meet:
-            found.append(Breakpoint(b_star, res.argmin_min_parts, res.argmin_max_parts))
-        else:
-            # b_star may itself be a breakpoint (probe landed on a kink):
-            # distinct extreme argmins certify a slope change there
-            if res.argmin_min_parts.part_count < res.argmin_max_parts.part_count:
-                found.append(
-                    Breakpoint(b_star, res.argmin_min_parts, res.argmin_max_parts)
-                )
-            search(b_lo, line_lo, b_star, _line(res.argmin_min_parts))
-            search(b_star, _line(res.argmin_max_parts), b_hi, line_hi)
-
-    search(Fraction(0), _line(res_lo.argmin_min_parts), b_hi, _line(res_hi.argmin_max_parts))
-    found.sort(key=lambda bp: bp.b)
+    if psp.p0.part_count > 1 and not (psp.levels and psp.levels[0].lam == 0):
+        found.append(Breakpoint(Fraction(0), before, psp.p0))
+        before = psp.p0
+    for level in psp.levels:
+        found.append(Breakpoint(level.lam, before, level.partition))
+        before = level.partition
     return tuple(found)
 
 

@@ -23,6 +23,7 @@ from .exact import rational_str
 from .graph import Graph
 from .lp import (
     check_complementary_slackness,
+    ideal_packing,
     lagrangean_value,
     lp_dual,
     lp_primal,
@@ -39,8 +40,8 @@ from .oracle import (
     oracle_strength,
     oracle_treepack,
 )
-from .packing import exact_pack
-from .strength import breakpoints, principal_sequence, strength
+from .packing import SaturationError, exact_pack
+from .strength import principal_sequence, strength
 
 
 @dataclass
@@ -91,11 +92,12 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         _skip(rows, "oracle-treepack", str(exc))
 
     psp = principal_sequence(g)
-    bps = breakpoints(g)
-    ok = tuple(level.lam for level in psp.levels) == tuple(bp.b for bp in bps) and all(
-        level.partition == bp.after for level, bp in zip(psp.levels, bps)
-    )
-    _row(rows, "psp-breakpoints", ok, f"{len(psp.levels)} levels")
+    try:
+        ideal_packing(g, psp)
+    except SaturationError as exc:
+        _row(rows, "psp-ideal-packing", False, str(exc))
+    else:
+        _row(rows, "psp-ideal-packing", True, f"{len(psp.levels)} levels")
 
     try:
         osig, opart = oracle_strength(g, limits)
@@ -137,6 +139,8 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         )
 
         best, report = min_kcut(g, k, mode="exact")
+        if k == 2:
+            k2cut, k2report = best, report
         _row(
             rows,
             f"dual-packing-bound[{tag}]",
@@ -213,7 +217,8 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             _skip(rows, f"oracle-lp-value[{tag}]", str(exc))
 
     # global mincut row + 2-respecting fraction
-    k2cut, k2report = min_kcut(g, 2, mode="exact")
+    if 2 not in ks:
+        k2cut, k2report = min_kcut(g, 2, mode="exact")
     _row(
         rows,
         "global-mincut",

@@ -110,6 +110,25 @@ def test_pack_eps_too_small_exit_1(capsys, tmp_path):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pack", "--eps", "1/0"],
+        ["solve", "--k", "2", "--eps", "1/0"],
+        ["mincut", "--eps", "1/0"],
+        ["enumerate", "--k", "2", "--alpha", "1/0"],
+        ["solve", "--k", "2", "--eps", "0"],
+    ],
+    ids=["pack-eps", "solve-eps", "mincut-eps", "enumerate-alpha", "solve-eps-0"],
+)
+def test_bad_rational_flag_exit_1(capsys, c5_file, argv):
+    code = main(argv + [c5_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_solve_exact_and_eps_are_exclusive(capsys, c5_file):
     code = main(["solve", "--k", "2", "--exact", "--eps", "1/6", c5_file])
     captured = capsys.readouterr()
@@ -163,6 +182,34 @@ def test_verify_exit_2_on_certificate_failure(capsys, tt_file, monkeypatch):
     assert code == 2
     data = json.loads(out)
     assert not data["ok"] and data["failed"] >= 1
+
+
+def test_verify_exit_2_on_ideal_packing_failure(capsys, tt_file, monkeypatch):
+    import dataclasses
+
+    import kcut.verify as verify_mod
+
+    # raise the second critical value so its quotients no longer saturate
+    real = verify_mod.principal_sequence
+
+    def lying(g):
+        psp = real(g)
+        levels = list(psp.levels)
+        levels[1] = dataclasses.replace(levels[1], lam=levels[1].lam + 1)
+        return dataclasses.replace(psp, levels=tuple(levels))
+
+    monkeypatch.setattr(verify_mod, "principal_sequence", lying)
+    code, out = run(capsys, "verify", "--kmax", "2", tt_file)
+    assert code == 2
+    failed = [r["check"] for r in json.loads(out)["rows"] if r["status"] == "fail"]
+    assert failed == ["psp-ideal-packing"]
+
+
+def test_verify_kmax_0_runs_no_k(capsys, tt_file):
+    code, out = run(capsys, "verify", "--kmax", "0", tt_file)
+    assert code == 0
+    assert not any("[k=" in r["check"] for r in json.loads(out)["rows"])
+    assert run(capsys, "verify", "--kmax", "1", tt_file) == (code, out)
 
 
 def test_verify_skips_oracle_rows_beyond_limits(capsys, tmp_path):

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcut import (
+    Edge,
+    Graph,
     attack,
     breakpoints,
     components,
@@ -159,13 +163,60 @@ def test_psp_invariants():
         assert total == g.n - psp.p0.part_count, name
 
 
-def test_psp_matches_breakpoints():
+def _assert_breakpoints_match_oracle(g):
+    """At each breakpoint the brute-force extreme argmins are its before and
+    after partitions; below, between and above the breakpoints the optimum
+    is unique and equals the neighbouring breakpoint's, so none is missing."""
+    bps = breakpoints(g)
+    if not bps:
+        assert g.n == 1
+        return
+
+    def extremes(b):
+        _, coarse, fine = oracle_attack_value(g, b)
+        return coarse, fine
+
+    prev = None
+    for bp in bps:
+        assert extremes(bp.b) == (bp.before, bp.after)
+        lo = F(0) if prev is None else prev.b
+        if bp.b > lo:
+            assert extremes((lo + bp.b) / 2) == (bp.before, bp.before)
+        if prev is None:
+            assert bp.before.part_count == 1
+            if bp.b > 0:
+                assert extremes(F(0)) == (bp.before, bp.before)
+        else:
+            assert prev.after == bp.before
+        prev = bp
+    assert extremes(prev.b + 1) == (prev.after, prev.after)
+
+
+def test_breakpoints_match_oracle():
     for name, g in full_suite()[:25]:
-        psp = principal_sequence(g)
-        bps = breakpoints(g)
-        assert psp.lambdas() == tuple(bp.b for bp in bps), name
-        for level, bp in zip(psp.levels, bps):
-            assert level.partition == bp.after, name
+        _assert_breakpoints_match_oracle(g)
+
+
+@st.composite
+def _multigraphs(draw):
+    n = draw(st.integers(1, 6))
+    edges = []
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]
+        )
+        for u, v in draw(st.lists(pairs, max_size=10)):
+            cap = draw(st.sampled_from([F(0), F(1), F(2), F(3, 2), F(5)]))
+            edges.append(Edge(min(u, v), max(u, v), cap))
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_multigraphs())
+def test_breakpoints_and_strength_match_oracle_property(g):
+    _assert_breakpoints_match_oracle(g)
+    if g.n >= 2 and g.is_connected():
+        assert strength(g) == oracle_strength(g)
 
 
 def test_psp_split_inside_components():
