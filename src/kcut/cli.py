@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cuts import enumerate_approx_kcuts, min_kcut, ravi_sinha_cut, round_lp
 from .exact import rational_str
-from .graph import Graph, ParseError, parse_graph
+from .graph import Graph, ParseError, crossing_edges, parse_graph
 from .lp import (
     check_complementary_slackness,
     lagrangean_value,
@@ -216,8 +216,7 @@ def _cmd_mincut(args):
     g = _read_graph(args)
     eps = _rational(args.eps, Fraction(1, 6))
     cut, witness, packing = global_mincut_detail(g, eps)
-    block = cut.partition.block_of(g.n)
-    crossing = [i for i, e in enumerate(g.edges) if block[e.u] != block[e.v]]
+    crossing = crossing_edges(g, cut.partition.block_of(g.n))
     out = {"mincut": _cut_json(cut), "crossing_edges": crossing}
     if witness is not None:
         out["witness_tree"] = witness
@@ -301,8 +300,9 @@ def build_parser() -> _Parser:
     add("strength", _cmd_strength, help="exact graph strength")
     add("psp", _cmd_psp, help="principal sequence of partitions")
     p = add("pack", _cmd_pack, help="fractional tree packing")
-    p.add_argument("--eps", help="approximation parameter (multiplicative weights)")
-    p.add_argument("--exact", action="store_true", help="exact column generation")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--eps", help="approximation parameter (multiplicative weights)")
+    mode.add_argument("--exact", action="store_true", help="exact column generation")
     p = add("lp", _cmd_lp, help="k-cut LP primal/dual with certificates")
     p.add_argument("--k", type=int, required=True)
     p = add("solve", _cmd_solve, help="minimum k-cut with enumeration")

@@ -1,5 +1,4 @@
-"""Exact arithmetic helpers: rational parsing/formatting and an
-infinitesimally perturbed rational type used for parametric tie-breaking."""
+"""Exact arithmetic helpers: parsing and formatting rationals."""
 
 from __future__ import annotations
 
@@ -26,102 +25,3 @@ def rational_str(value) -> str:
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
-
-class Eps:
-    """A rational with an infinitesimal component, ``a + b*eps``.
-
-    Supports exactly the operations a max-flow / cut computation needs:
-    addition, subtraction, negation, scaling by a plain rational, and total
-    ordering (lexicographic in (a, b)).  Evaluating a parametric problem at
-    ``b0 + eps`` or ``b0 - eps`` selects extreme optimizers among ties at
-    ``b0`` without any numeric perturbation.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    @staticmethod
-    def _coerce(other) -> "Eps":
-        if isinstance(other, Eps):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Eps(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Eps(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Eps(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Eps(o.a - self.a, o.b - self.b)
-
-    def __neg__(self):
-        return Eps(-self.a, -self.b)
-
-    def __mul__(self, other):
-        # Scalar multiplication only; eps*eps never arises in cut arithmetic.
-        if isinstance(other, (int, Fraction)):
-            return Eps(self.a * other, self.b * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Eps(self.a / other, self.b / other)
-        return NotImplemented
-
-    def _key(self):
-        return (self.a, self.b)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self._key() == o._key()
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self._key() < o._key()
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self._key() <= o._key()
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self._key() > o._key()
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self._key() >= o._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"Eps({self.a!r}, {self.b!r})"

@@ -1,8 +1,9 @@
 """Exact maximum flow / minimum cut by shortest augmenting paths.
 
-Works over any ordered field-like value type supporting +, -, and
-comparisons (plain Fractions, or the infinitesimally perturbed rationals
-from :mod:`kcut.exact` used by the parametric attack oracle).
+Capacities are Fractions (ints mix in freely).  After ``max_flow`` the
+residual network holds every minimum cut: the smallest source side is the
+set reachable from s, the largest is every vertex with no residual path to
+t (Picard and Queyranne 1980).
 """
 
 from __future__ import annotations
@@ -14,17 +15,14 @@ from .graph import Graph
 
 
 class FlowNetwork:
-    def __init__(self, n: int, zero=Fraction(0)):
+    def __init__(self, n: int):
         self.n = n
-        self.zero = zero
         self.adj: list[list[int]] = [[] for _ in range(n)]
         # arcs stored flat: to[i], cap[i]; arc i^1 is the reverse of arc i
         self.to: list[int] = []
         self.cap: list = []
 
-    def add_arc(self, u: int, v: int, cap, rev_cap=None):
-        if rev_cap is None:
-            rev_cap = self.zero
+    def add_arc(self, u: int, v: int, cap, rev_cap=Fraction(0)):
         self.adj[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
@@ -36,9 +34,8 @@ class FlowNetwork:
         self.add_arc(u, v, cap, rev_cap=cap)
 
     def max_flow(self, s: int, t: int):
-        """Edmonds-Karp; exact for any ordered value type."""
-        total = self.zero
-        zero = self.zero
+        """Edmonds-Karp, exact over rationals."""
+        total = Fraction(0)
         while True:
             prev_arc = [-1] * self.n
             prev_arc[s] = -2
@@ -47,7 +44,7 @@ class FlowNetwork:
                 u = queue.popleft()
                 for a in self.adj[u]:
                     v = self.to[a]
-                    if prev_arc[v] == -1 and self.cap[a] > zero:
+                    if prev_arc[v] == -1 and self.cap[a] > 0:
                         prev_arc[v] = a
                         queue.append(v)
             if prev_arc[t] == -1:
@@ -69,15 +66,23 @@ class FlowNetwork:
             total = total + bottleneck
 
     def residual_reachable(self, s: int) -> frozenset[int]:
+        """Vertices with a residual path from s."""
+        return self._search(s, 0)
+
+    def residual_reaching(self, t: int) -> frozenset[int]:
+        """Vertices with a residual path to t."""
+        return self._search(t, 1)
+
+    def _search(self, root: int, backward: int) -> frozenset[int]:
+        # arc a leaves u for to[a]; walking backward follows a's reverse a^1
         seen = [False] * self.n
-        seen[s] = True
-        queue = deque([s])
-        zero = self.zero
+        seen[root] = True
+        queue = deque([root])
         while queue:
             u = queue.popleft()
             for a in self.adj[u]:
                 v = self.to[a]
-                if not seen[v] and self.cap[a] > zero:
+                if not seen[v] and self.cap[a ^ backward] > 0:
                     seen[v] = True
                     queue.append(v)
         return frozenset(i for i in range(self.n) if seen[i])

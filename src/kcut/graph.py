@@ -86,9 +86,6 @@ class VertexPartition:
                 block[v] = i
         return block
 
-    def sort_key(self):
-        return self.parts
-
     def to_json(self) -> list[list[int]]:
         return [[v + 1 for v in part] for part in self.parts]
 

@@ -41,7 +41,6 @@ class IterationLimitError(PackingError):
 @dataclass(frozen=True)
 class PackConfig:
     epsilon: Fraction = Fraction(1, 10)
-    tie_break: str = "min-edge-id"
     max_iterations: int | None = None
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class PackConfig:
         if not 0 < eps < Fraction(1, 2):
             raise ValueError("epsilon must lie in (0, 1/2)")
         object.__setattr__(self, "epsilon", eps)
-        if self.tie_break != "min-edge-id":
-            raise ValueError(f"unknown tie-break rule {self.tie_break!r}")
 
 
 @dataclass(frozen=True)

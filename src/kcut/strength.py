@@ -11,9 +11,9 @@ is solved exactly by incremental Dilworth truncation: insert vertices one at
 a time, each step one exact min s-t cut in a small auxiliary network.
 
 Ties are handled structurally rather than by perturbing the graph: the
-oracle is evaluated at b - eps and b + eps over rationals with an
-infinitesimal component, which yields the unique coarsest and finest optimal
-partitions (the optimal partitions form a lattice under refinement).
+optimal partitions form a lattice under refinement, and one sweep yields its
+coarsest and finest members by merging along the largest and the smallest
+minimum cut of each step.
 
 The strength is found by a Dinkelbach ratio iteration over the attack
 oracle, and the principal sequence by recursively splitting each
@@ -28,7 +28,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Eps
 from .flow import FlowNetwork
 from .graph import (
     Graph,
@@ -99,35 +98,38 @@ class PrincipalSequence:
         return self.p0.part_count if j == 0 else self.levels[j - 1].kappa
 
 
-def _dilworth_partition(g: Graph, b):
+def _dilworth_partition(g: Graph, b: Fraction):
     """One Dilworth-truncation sweep minimizing sum_S (-c(E[S]) - b) over
-    partitions; returns (blocks, minimum).  ``b`` may carry an eps part."""
+    partitions; returns the blocks of the coarsest and of the finest minimizer.
+
+    Inserting vertex j costs one max-flow, whose minimum cuts are the tight
+    sets j may join.  The largest source side (no residual path to the sink)
+    builds the coarsest minimizer, the smallest (residual-reachable from j)
+    the finest.  The greedy labels depend only on the flow value, so both
+    block lists share them.
+    """
     n = g.n
-    blocks: list[set[int]] = []
-    x = [None] * n  # greedy labels, one per processed vertex
+    coarse: list[set[int]] = [{0}]
+    fine: list[set[int]] = [{0}]
+    x = [-b] + [None] * (n - 1)  # greedy labels, one per processed vertex
     adj = g.neighbors()
-    zero = Eps(0) if isinstance(b, Eps) else Fraction(0)
     deg = [Fraction(0)] * n  # degrees within the processed prefix {0..j}
-    for j in range(n):
-        if j == 0:
-            x[0] = -b + zero
-            blocks.append({0})
-            continue
+    for j in range(1, n):
         for w, eid in adj[j]:
             if w < j:
                 deg[j] += g.edges[eid].cap
                 deg[w] += g.edges[eid].cap
         # potentials: p_u = -deg(u)/2 - x_u for u < j; p_j enters as a constant
-        net = FlowNetwork(j + 2, zero=zero)
+        net = FlowNetwork(j + 2)
         t = j + 1
-        const = zero
+        const = Fraction(0)
         for u in range(j):
             p_u = -Fraction(deg[u], 2) - x[u]
-            if p_u > zero:
+            if p_u > 0:
                 net.add_arc(u, t, p_u)
-            elif p_u < zero:
+            elif p_u < 0:
                 net.add_arc(j, u, -p_u)
-                const = const + p_u
+                const += p_u
         for v in range(j + 1):
             for w, eid in adj[v]:
                 if v < w <= j:
@@ -135,36 +137,37 @@ def _dilworth_partition(g: Graph, b):
                     if half > 0:
                         net.add_undirected(v, w, half)
         flow = net.max_flow(j, t)
-        side = net.residual_reachable(j)
         x[j] = flow + const - Fraction(deg[j], 2) - b
-        merged = {j}
-        rest = []
-        for blk in blocks:
-            if blk & side:
-                merged |= blk
-            else:
-                rest.append(blk)
-        rest.append(merged)
-        blocks = rest
-    total = x[0]
-    for v in range(1, n):
-        total = total + x[v]
-    return blocks, total
+        coarse = _merge(coarse, j, frozenset(range(j)) - net.residual_reaching(t))
+        fine = _merge(fine, j, net.residual_reachable(j))
+    return coarse, fine
+
+
+def _merge(blocks: list[set[int]], j: int, side: frozenset[int]) -> list[set[int]]:
+    """Join j with every block that meets ``side``."""
+    merged = {j}
+    rest = []
+    for blk in blocks:
+        if blk & side:
+            merged |= blk
+        else:
+            rest.append(blk)
+    rest.append(merged)
+    return rest
 
 
 def attack(g: Graph, b) -> AttackResult:
     """Exact minimizer of c(E(P)) - b(|P|-1), with both extreme argmins.
 
-    Runs the truncation at b - eps (coarsest optimal partition) and b + eps
-    (finest), so degenerate ties never require perturbing capacities.
+    One truncation sweep gives the coarsest and the finest optimal
+    partitions, so degenerate ties never require perturbing capacities.
     """
     b = Fraction(b)
     if b < 0:
         raise ValueError("attack parameter must be nonnegative")
     if g.n == 0:
         raise ValueError("empty graph")
-    coarse_blocks, _ = _dilworth_partition(g, Eps(b, -1))
-    fine_blocks, _ = _dilworth_partition(g, Eps(b, 1))
+    coarse_blocks, fine_blocks = _dilworth_partition(g, b)
     coarse = partition_from_blocks(g, coarse_blocks)
     fine = partition_from_blocks(g, fine_blocks)
     value = coarse.crossing_value - b * (coarse.part_count - 1)

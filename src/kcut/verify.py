@@ -20,7 +20,7 @@ from .cuts import (
     round_lp,
 )
 from .exact import rational_str
-from .graph import Graph
+from .graph import Graph, crossing_edges
 from .lp import (
     check_complementary_slackness,
     ideal_packing,
@@ -161,8 +161,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             witness_ok = True
             qh_ok = True
             for cut in report.cuts:
-                block = cut.partition.block_of(g.n)
-                eids = [i for i, e in enumerate(g.edges) if block[e.u] != block[e.v]]
+                eids = crossing_edges(g, cut.partition.block_of(g.n))
                 stats = respect_stats(
                     dual.packing, eids, h, alpha=1, k=k, n=n
                 )
@@ -227,8 +226,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
     )
     q2_ok = True
     for cut in k2report.cuts:
-        block = cut.partition.block_of(g.n)
-        eids = [i for i, e in enumerate(g.edges) if block[e.u] != block[e.v]]
+        eids = crossing_edges(g, cut.partition.block_of(g.n))
         stats = respect_stats(pack, eids, 2)
         if stats.q_h < Fraction(1, 2) + Fraction(1, n):
             q2_ok = False

@@ -141,6 +141,14 @@ def test_solve_exact_and_eps_are_exclusive(capsys, c5_file):
     )
 
 
+def test_pack_exact_and_eps_are_exclusive(capsys, c5_file):
+    code = main(["pack", "--exact", "--eps", "1/0", c5_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_oracle_subcommands(capsys, tt_file):
     code, out = run(capsys, "oracle", "strength", tt_file)
     assert code == 0 and json.loads(out)["strength"] == "1/1"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kcut import contract, max_flow_min_cut, parse_rational, rational_str, saturating_pack
-from kcut.exact import Eps
+from kcut.flow import FlowNetwork
 
 F = Fraction
 
@@ -25,30 +25,26 @@ def test_rational_str_always_has_denominator():
     assert rational_str(F(-3, 6)) == "-1/2"
 
 
-def test_eps_ordering():
-    assert Eps(1, -1) < Eps(1) < Eps(1, 1) < Eps(2, -100)
-    assert Eps(0, 1) > 0
-    assert Eps(0, -1) < 0
-    assert Eps(3) == F(3)
-    assert min(Eps(2, 5), Eps(2, 3)) == Eps(2, 3)
-
-
-def test_eps_arithmetic():
-    a = Eps(F(1, 2), 1)
-    b = Eps(F(1, 2), -2)
-    assert a + b == Eps(1, -1)
-    assert a - b == Eps(0, 3)
-    assert -a == Eps(F(-1, 2), -1)
-    assert a * F(2) == Eps(1, 2)
-    assert F(3) - a == Eps(F(5, 2), -1)
-    assert (a / 2) * 2 == a
-
-
 def test_max_flow_caps_override(tt):
     caps = [e.cap for e in tt.edges]
     caps[6] = F(10)  # widen the bridge
     value, _ = max_flow_min_cut(tt, 0, 5, caps)
     assert value == 2  # now limited by the triangle boundaries
+
+
+def test_flow_network_extreme_min_cuts():
+    # s=0, a=1, b=2, t=3, and 4 touches nothing; the s-sides {0} and {0, 1}
+    # both cut capacity 3, while every side holding b cuts 4
+    net = FlowNetwork(5)
+    net.add_arc(0, 1, F(1))
+    net.add_arc(1, 3, F(1))
+    net.add_arc(0, 2, F(2))
+    net.add_arc(2, 3, F(3))
+    assert net.max_flow(0, 3) == 3
+    assert net.residual_reachable(0) == {0}
+    assert net.residual_reaching(3) == {2, 3}
+    # smallest side: reachable from s; largest: everything not reaching t
+    assert set(range(5)) - net.residual_reaching(3) == {0, 1, 4}
 
 
 def test_max_flow_same_terminals(e1):

@@ -98,8 +98,6 @@ def test_mwu_rejects_bad_epsilon():
         PackConfig(epsilon=F(3, 4))
     with pytest.raises(ValueError):
         PackConfig(epsilon=0)
-    with pytest.raises(ValueError):
-        PackConfig(tie_break="random")
 
 
 def test_mwu_iteration_cap(c5):

@@ -219,6 +219,21 @@ def test_breakpoints_and_strength_match_oracle_property(g):
         assert strength(g) == oracle_strength(g)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_multigraphs())
+def test_attack_matches_oracle_property(g):
+    # b = 0, every critical value, the midpoints and one value above the last
+    lams = list(principal_sequence(g).lambdas())
+    bs = [F(0)] + lams + [(lo + hi) / 2 for lo, hi in zip([F(0)] + lams, lams)]
+    bs.append((lams[-1] if lams else F(0)) + 1)
+    for b in bs:
+        res = attack(g, b)
+        brute, coarse, fine = oracle_attack_value(g, b)
+        assert res.value == brute, b
+        assert res.argmin_min_parts == coarse, b
+        assert res.argmin_max_parts == fine, b
+
+
 def test_psp_split_inside_components():
     # each level's new edges lie inside the components split at that level
     for name, g in full_suite()[:25]:
