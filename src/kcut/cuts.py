@@ -8,6 +8,12 @@ one, eps < 1/(2k-1)), every optimal k-cut h-respects some support tree, so
 scanning the support is a complete, certificate-backed search.  The same
 pipeline with h = floor(2*alpha*(k-1)) reaches every alpha-approximate cut.
 
+Each removed set F is scored once: the capacity between every pair of its
+pieces is summed on integer-scaled capacities, and each merge adds only the
+piece pairs it separates.  The merges of p pieces are listed once per
+enumeration.  Values stay integers until each distinct cut gets its
+``Fraction``.
+
 Also here: the LP rounding algorithm (contract the zeros, keep the ones,
 isolate cheap vertices of the fractional residual) and the principal
 sequence 2-approximation (cut the smallest shores of the splitting level).
@@ -29,6 +35,7 @@ from .graph import (
     contract_partition,
     cut_of_partition,
     partition_from_blocks,
+    scaled_capacities,
 )
 from .lp import PrimalSolution, lagrangean_value, lp_dual
 from .oracle import partition_sort_key, set_partitions
@@ -151,33 +158,53 @@ def _tree_pieces(n: int, tree: tuple[int, ...], removed: set[int], edges):
     return piece_of, masks
 
 
-def _candidate_partitions(g: Graph, tree: tuple[int, ...], h: int, min_parts: int):
+def _merges(npieces: int, min_parts: int):
+    """(group count, piece -> group) of every grouping of the pieces into at
+    least ``min_parts`` groups, in ``set_partitions`` order."""
+    out = []
+    for blocks in set_partitions(list(range(npieces))):
+        if len(blocks) < min_parts:
+            continue
+        group_of = [0] * npieces
+        for gi, blk in enumerate(blocks):
+            for p in blk:
+                group_of[p] = gi
+        out.append((len(blocks), group_of))
+    return out
+
+
+def _candidate_partitions(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, caps, merges):
     """Yield (frozenset of part bitmasks, value) for every subset F of at most
     h tree edges and every merge of the pieces of tree - F into at least
-    ``min_parts`` groups.  Duplicates across subsets are not removed."""
+    ``min_parts`` groups.  Duplicates across subsets are not removed.
+
+    ``caps`` are the scaled integer capacities, so values are integers in
+    the same scale; ``merges`` memoizes ``_merges`` by piece count."""
     tree = tuple(tree)
     edges = g.edges
     max_f = min(h, len(tree))
     base_pieces = g.n - len(tree)  # forest components before any removal
     for f in range(max(min_parts - base_pieces, 0), max_f + 1):
         for removed in itertools.combinations(tree, f):
-            removed_set = set(removed)
-            piece_of, masks = _tree_pieces(g.n, tree, removed_set, edges)
+            piece_of, masks = _tree_pieces(g.n, tree, set(removed), edges)
             npieces = len(masks)
             if npieces < min_parts:
                 continue
-            for blocks in set_partitions(list(range(npieces))):
-                if len(blocks) < min_parts:
-                    continue
-                group_of = [0] * npieces
-                for gi, blk in enumerate(blocks):
-                    for p in blk:
-                        group_of[p] = gi
-                value = Fraction(0)
-                for e in edges:
-                    if group_of[piece_of[e.u]] != group_of[piece_of[e.v]]:
-                        value += e.cap
-                part_masks = [0] * len(blocks)
+            # capacity between each pair of pieces, accumulated once per F
+            between: dict[tuple[int, int], int] = {}
+            for e, c in zip(edges, caps):
+                a, b = piece_of[e.u], piece_of[e.v]
+                if a != b and c:
+                    key = (a, b) if a < b else (b, a)
+                    between[key] = between.get(key, 0) + c
+            if npieces not in merges:
+                merges[npieces] = _merges(npieces, min_parts)
+            for ngroups, group_of in merges[npieces]:
+                value = 0
+                for (a, b), c in between.items():
+                    if group_of[a] != group_of[b]:
+                        value += c
+                part_masks = [0] * ngroups
                 for p in range(npieces):
                     part_masks[group_of[p]] |= masks[p]
                 yield frozenset(part_masks), value
@@ -195,20 +222,25 @@ def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
     at least k parts, as CutResults; deduplication is the caller's job."""
     if h < k - 1:
         raise ValueError("h must be at least k - 1")
-    for masks, value in _candidate_partitions(g, tuple(tree), h, k):
+    caps, scale = scaled_capacities(g)
+    for masks, value in _candidate_partitions(g, tuple(tree), h, k, caps, {}):
         p = _masks_to_partition(g, masks)
-        yield CutResult(p, value, p.part_count)
+        yield CutResult(p, Fraction(value, scale), p.part_count)
 
 
 def _enumerate_over_support(g: Graph, packing: TreePacking, h: int, k: int):
-    found: dict[frozenset, Fraction] = {}
+    """{part masks: value} of every distinct candidate over the support
+    trees, and the number of candidates examined."""
+    caps, scale = scaled_capacities(g)
+    merges: dict[int, list] = {}
+    found: dict[frozenset, int] = {}
     candidates = 0
     for tree in packing.support():
-        for masks, value in _candidate_partitions(g, tree, h, k):
+        for masks, value in _candidate_partitions(g, tree, h, k, caps, merges):
             candidates += 1
             if masks not in found:
                 found[masks] = value
-    return found, candidates
+    return {masks: Fraction(v, scale) for masks, v in found.items()}, candidates
 
 
 def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import parse_rational, rational_str
@@ -106,6 +107,14 @@ def canonical_parts(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], .
 def crossing_edges(g: Graph, block: Sequence[int]) -> list[int]:
     """Edge ids with endpoints in different blocks of a vertex->block map."""
     return [i for i, e in enumerate(g.edges) if block[e.u] != block[e.v]]
+
+
+def scaled_capacities(g: Graph) -> tuple[list[int], int]:
+    """(c(e)·L as ints, L), with L the lcm of the capacity denominators.
+
+    Sums of scaled capacities are exact integers; divide by L to get back."""
+    scale = lcm(*(e.cap.denominator for e in g.edges))
+    return [e.cap.numerator * (scale // e.cap.denominator) for e in g.edges], scale
 
 
 def partition_from_blocks(g: Graph, blocks: Iterable[Iterable[int]]) -> VertexPartition:

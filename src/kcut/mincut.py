@@ -2,11 +2,14 @@
 2-respecting cuts of a given spanning tree, and the full pipeline that packs
 trees and scans every support tree.
 
-A cut crossing a rooted spanning tree in exactly the edge pair {e, f} is
-determined by the two subtrees below e and f: their symmetric combination
-(union when incomparable, difference when nested) against the rest.  The
-value follows by inclusion-exclusion from per-edge subtree cut values and a
-pairwise cross term, an O(n^2)-pairs scan over a precomputed table.
+A cut crossing a rooted spanning tree in exactly the edge pair {e, f} puts
+on one side the vertices whose root path holds exactly one of e, f.  A graph
+edge crosses that cut iff its own tree path holds exactly one of them, so
+with cut(e) the capacity of edges whose path holds e and cross(e, f) that of
+edges whose path holds both, the pair's value is
+cut(e) + cut(f) - 2 cross(e, f).  One pass over the edges, on capacities
+scaled to integers, fills both tables; each edge adds to the pairs on its
+own tree path only.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .graph import (
     components,
     cut_of_partition,
     partition_from_blocks,
+    scaled_capacities,
 )
 from .oracle import partition_sort_key
 from .packing import PackConfig, mwu_pack
@@ -29,24 +33,30 @@ from .packing import PackConfig, mwu_pack
 
 @dataclass
 class TreeCutTable:
-    """Rooted spanning tree with subtree masks, subtree cut values, and
-    cached pairwise cross terms.
+    """Rooted spanning tree with subtree masks and the integer tables of
+    its 1- and 2-respecting cut values.
 
     ``cut(i)`` is the capacity leaving the subtree below the i-th tree edge;
     ``pair_value(i, j)`` the capacity of the unique cut crossing the tree in
-    exactly those two edges (None when that cut is empty on one side).
+    exactly those two edges, whose side is ``pair_mask(i, j)``.  ``scaled``
+    is ``scaled_capacities(graph)``, computed here when not given.
     """
 
     graph: Graph
     tree: tuple[int, ...]
     root: int = 0
+    scaled: tuple[list[int], int] | None = None
+    scale: int = field(init=False)
     masks: list[int] = field(init=False)
-    cuts: list[Fraction] = field(init=False)
-    _cross: dict = field(init=False, default_factory=dict)
+    int_cuts: list[int] = field(init=False)  # cut(i) times the scale
+    int_cross: list[list[int]] = field(init=False)  # cross(i, j), j < i, times the scale
 
     def __post_init__(self):
         g = self.graph
         self.tree = tuple(self.tree)
+        if self.scaled is None:
+            self.scaled = scaled_capacities(g)
+        caps, self.scale = self.scaled
         adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for ti, eid in enumerate(self.tree):
             e = g.edges[eid]
@@ -54,6 +64,7 @@ class TreeCutTable:
             adj[e.v].append((e.u, ti))
         parent = [-1] * g.n
         parent_edge = [-1] * g.n  # tree index of the edge to the parent
+        path = [0] * g.n  # tree edges on the root path, as a bitmask
         order = []
         seen = [False] * g.n
         seen[self.root] = True
@@ -66,6 +77,7 @@ class TreeCutTable:
                     seen[v] = True
                     parent[v] = u
                     parent_edge[v] = ti
+                    path[v] = path[u] | 1 << ti
                     queue.append(v)
         if not all(seen):
             raise ValueError("tree does not span the graph")
@@ -74,108 +86,90 @@ class TreeCutTable:
             if parent[u] >= 0:
                 subtree[parent[u]] |= subtree[u]
         # mask below each tree edge = subtree of its child endpoint
-        self.masks = [0] * len(self.tree)
+        nt = len(self.tree)
+        self.masks = [0] * nt
         for v in range(g.n):
             if parent_edge[v] >= 0:
                 self.masks[parent_edge[v]] = subtree[v]
-        self.cuts = [self._boundary(mask) for mask in self.masks]
+        cuts = [0] * nt
+        cross = [[0] * i for i in range(nt)]
+        for e, c in zip(g.edges, caps):
+            if not c:
+                continue
+            rest = path[e.u] ^ path[e.v]
+            on_path = []
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                cuts[i] += c
+                row = cross[i]
+                for j in on_path:
+                    row[j] += c
+                on_path.append(i)
+                rest ^= low
+        self.int_cuts = cuts
+        self.int_cross = cross
 
-    def _boundary(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        for e in self.graph.edges:
-            if (mask >> e.u & 1) != (mask >> e.v & 1):
-                total += e.cap
-        return total
+    @property
+    def cuts(self) -> list[Fraction]:
+        return [Fraction(c, self.scale) for c in self.int_cuts]
 
     def cut(self, i: int) -> Fraction:
-        return self.cuts[i]
+        return Fraction(self.int_cuts[i], self.scale)
 
     def cross(self, i: int, j: int) -> Fraction:
-        """Capacity between the two subtrees (incomparable pair), or between
-        the inner subtree and the outside of the outer one (nested pair)."""
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        if key not in self._cross:
-            a, b = self.masks[i], self.masks[j]
-            if a & b == 0:
-                total = Fraction(0)
-                for e in self.graph.edges:
-                    inu, inv = a >> e.u & 1, a >> e.v & 1
-                    jnu, jnv = b >> e.u & 1, b >> e.v & 1
-                    if (inu and jnv) or (inv and jnu):
-                        total += e.cap
-            else:
-                inner, outer = (a, b) if a & b == a else (b, a)
-                if inner | outer != outer:
-                    raise AssertionError("subtree masks neither nested nor disjoint")
-                total = Fraction(0)
-                for e in self.graph.edges:
-                    iu, iv = inner >> e.u & 1, inner >> e.v & 1
-                    ou, ov = outer >> e.u & 1, outer >> e.v & 1
-                    if iu and not ov:
-                        total += e.cap
-                    elif iv and not ou:
-                        total += e.cap
-            self._cross[key] = total
-        return self._cross[key]
+        """Capacity of the edges whose tree path holds both tree edges:
+        between the two subtrees (incomparable pair), or between the inner
+        subtree and the outside of the outer one (nested pair)."""
+        return Fraction(self.int_cross[max(i, j)][min(i, j)], self.scale)
 
     def pair_mask(self, i: int, j: int) -> int:
-        a, b = self.masks[i], self.masks[j]
-        if a & b == 0:
-            return a | b
-        inner, outer = (a, b) if a & b == a else (b, a)
-        return outer & ~inner
+        return self.masks[i] ^ self.masks[j]
 
     def pair_value(self, i: int, j: int) -> Fraction:
-        return self.cuts[i] + self.cuts[j] - 2 * self.cross(i, j)
+        both = self.int_cross[max(i, j)][min(i, j)]
+        return Fraction(self.int_cuts[i] + self.int_cuts[j] - 2 * both, self.scale)
 
 
-def _mask_partition(g: Graph, mask: int):
-    side = [v for v in range(g.n) if mask >> v & 1]
-    rest = [v for v in range(g.n) if not mask >> v & 1]
-    return partition_from_blocks(g, [side, rest])
+def _mask_parts(n: int, mask: int):
+    side = tuple(v for v in range(n) if mask >> v & 1)
+    rest = tuple(v for v in range(n) if not mask >> v & 1)
+    return (side, rest) if side[0] < rest[0] else (rest, side)
+
+
+def _best_mask_cut(g: Graph, masks, value: Fraction) -> CutResult:
+    """The tie-break winner among two-sided cuts of equal value: every one
+    has two parts, so the canonical parts decide."""
+    p = partition_from_blocks(g, min(_mask_parts(g.n, m) for m in masks))
+    return CutResult(p, value, p.part_count)
 
 
 def min_1respect(g: Graph, tree) -> CutResult:
     """Minimum cut among those crossing the tree in exactly one edge."""
     table = TreeCutTable(g, tuple(tree))
-    best = min(table.cuts)
-    parts = [_mask_partition(g, m) for m, c in zip(table.masks, table.cuts) if c == best]
-    parts.sort(key=partition_sort_key)
-    p = parts[0]
-    return CutResult(p, best, p.part_count)
+    best = min(table.int_cuts)
+    ties = [m for m, c in zip(table.masks, table.int_cuts) if c == best]
+    return _best_mask_cut(g, ties, Fraction(best, table.scale))
 
 
-def min_2respect(g: Graph, tree) -> CutResult:
-    """Minimum cut among those crossing the tree in at most two edges."""
-    table = TreeCutTable(g, tuple(tree))
-    nt = len(table.tree)
+def min_2respect(g: Graph, tree, scaled=None) -> CutResult:
+    """Minimum cut among those crossing the tree in at most two edges.
+
+    ``scaled`` is ``scaled_capacities(g)``, for callers that scan many trees."""
+    table = TreeCutTable(g, tuple(tree), scaled=scaled)
+    cuts, cross, masks = table.int_cuts, table.int_cross, table.masks
     best = None
-    best_mask = None
-    for i in range(nt):
-        if best is None or table.cuts[i] < best:
-            best = table.cuts[i]
-            best_mask = table.masks[i]
-    for i in range(nt):
-        for j in range(i + 1, nt):
-            v = table.pair_value(i, j)
-            if v < best:
+    ties: list[int] = []
+    for i, ci in enumerate(cuts):
+        values = [(ci, masks[i])]
+        values += [(ci + cuts[j] - 2 * cross[i][j], masks[i] ^ masks[j]) for j in range(i)]
+        for v, mask in values:
+            if best is None or v < best:
                 best = v
-                best_mask = table.pair_mask(i, j)
-    # canonicalize ties at the winning value by partition order
-    candidates = []
-    for i in range(nt):
-        if table.cuts[i] == best:
-            candidates.append(table.masks[i])
-    for i in range(nt):
-        for j in range(i + 1, nt):
-            if table.pair_value(i, j) == best:
-                candidates.append(table.pair_mask(i, j))
-    parts = [_mask_partition(g, m) for m in candidates]
-    parts.sort(key=partition_sort_key)
-    p = parts[0]
-    return CutResult(p, best, p.part_count)
+                ties = [mask]
+            elif v == best:
+                ties.append(mask)
+    return _best_mask_cut(g, ties, Fraction(best, table.scale))
 
 
 def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
@@ -198,10 +192,11 @@ def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
         # zero-capacity cut: the components of the positive part achieve 0
         return cut_of_partition(g, components(g, exclude_edges=zero)), None, None
     packing = mwu_pack(g, config=PackConfig(epsilon=eps))
+    scaled = scaled_capacities(g)
     best: CutResult | None = None
     witness = None
     for idx, tree in enumerate(packing.support()):
-        cut = min_2respect(g, tree)
+        cut = min_2respect(g, tree, scaled)
         if (
             best is None
             or cut.value < best.value

@@ -78,13 +78,19 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
     ks = sorted(set(ks))
 
     sigma, sigma_part = strength(g)
-    pack = exact_pack(g)
-    _row(
-        rows,
-        "treepack-minmax",
-        pack.total_value == sigma,
-        f"strength {rational_str(sigma)}, packing value {rational_str(pack.total_value)}",
-    )
+    # A zero-capacity cut leaves the k-cut LP closed forms undefined, and
+    # exact_pack packs the positive part; only the oracle rows apply.
+    degenerate = "strength 0: the LP and packing certificates need every cut positive" if sigma == 0 else ""
+    if degenerate:
+        _skip(rows, "treepack-minmax", degenerate, certificate=True)
+    else:
+        pack = exact_pack(g)
+        _row(
+            rows,
+            "treepack-minmax",
+            pack.total_value == sigma,
+            f"strength {rational_str(sigma)}, packing value {rational_str(pack.total_value)}",
+        )
     try:
         otp = oracle_treepack(g, limits)
         _row(rows, "oracle-treepack", otp == sigma, f"oracle {rational_str(otp)}", certificate=False)
@@ -92,12 +98,15 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         _skip(rows, "oracle-treepack", str(exc))
 
     psp = principal_sequence(g)
-    try:
-        ideal_packing(g, psp)
-    except SaturationError as exc:
-        _row(rows, "psp-ideal-packing", False, str(exc))
+    if degenerate:
+        _skip(rows, "psp-ideal-packing", degenerate, certificate=True)
     else:
-        _row(rows, "psp-ideal-packing", True, f"{len(psp.levels)} levels")
+        try:
+            ideal_packing(g, psp)
+        except SaturationError as exc:
+            _row(rows, "psp-ideal-packing", False, str(exc))
+        else:
+            _row(rows, "psp-ideal-packing", True, f"{len(psp.levels)} levels")
 
     try:
         osig, opart = oracle_strength(g, limits)
@@ -110,6 +119,11 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         )
     except OracleLimitError as exc:
         _skip(rows, "oracle-strength", str(exc))
+
+    if degenerate:
+        for name in [f"k={k}" for k in ks if 2 <= k <= g.n] + ["global-mincut", "mincut-2respect-fraction"]:
+            _skip(rows, name, degenerate, certificate=True)
+        return rows
 
     mincut = global_mincut(g)
     n = g.n

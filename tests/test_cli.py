@@ -220,6 +220,26 @@ def test_verify_kmax_0_runs_no_k(capsys, tt_file):
     assert run(capsys, "verify", "--kmax", "1", tt_file) == (code, out)
 
 
+@pytest.mark.parametrize("kmax", [None, "1"])
+def test_verify_strength_zero_keeps_oracle_rows(capsys, tmp_path, kmax):
+    # connected, but the zero-capacity edge 3-4 is a cut of capacity 0
+    path = tmp_path / "zero.graph"
+    path.write_text("p kcut 4 4\ne 1 2 1\ne 2 3 1\ne 1 3 1\ne 3 4 0\n")
+    argv = ["verify", str(path)] + (["--kmax", kmax] if kmax else [])
+    code, out = run(capsys, *argv)
+    data = json.loads(out)
+    assert code == 0 and data["ok"] and data["failed"] == 0
+    status = {r["check"]: (r["status"], r["detail"]) for r in data["rows"]}
+    assert status.pop("oracle-treepack") == ("pass", "oracle 0/1")
+    assert status.pop("oracle-strength") == ("pass", "oracle 0/1")
+    skipped = ["treepack-minmax", "psp-ideal-packing"]
+    skipped += ["k=2", "k=3", "k=4"] if kmax is None else []
+    skipped += ["global-mincut", "mincut-2respect-fraction"]
+    assert list(status) == skipped
+    assert len({detail for s, detail in status.values() if s == "skip"}) == 1
+    assert all(s == "skip" for s, _ in status.values())
+
+
 def test_verify_skips_oracle_rows_beyond_limits(capsys, tmp_path):
     lines = ["p kcut 13 13"] + [f"e {i} {i+1} {1 + i % 3}" for i in range(1, 13)]
     lines.append("e 1 13 2")

@@ -1,11 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcut import (
+    Edge,
+    Graph,
     TreeCutTable,
     cut_of_partition,
+    cuts_from_tree,
     enumerate_approx_kcuts,
     exact_pack,
     global_mincut,
@@ -20,7 +27,7 @@ from kcut import (
     spanning_forests,
 )
 
-from conftest import TT_BRIDGE, edge_ids_of_partition, full_suite
+from conftest import TT_BRIDGE, _random_connected, edge_ids_of_partition, full_suite
 
 F = Fraction
 
@@ -136,3 +143,88 @@ def test_global_mincut_input_validation():
 def test_tree_must_span(c5):
     with pytest.raises(ValueError):
         TreeCutTable(c5, (0, 1))
+
+
+@st.composite
+def _graphs_with_tree(draw):
+    """A multigraph with n <= 7 and one of its spanning trees (as edge ids).
+
+    The tree joins each vertex to an earlier one under a drawn labelling;
+    extra edges may be parallel, and capacities may be 0 or rational."""
+    n = draw(st.integers(2, 7))
+    label = draw(st.permutations(range(n)))
+    caps = st.sampled_from([F(0), F(1), F(2), F(3, 2), F(1, 3), F(5)])
+    pairs = [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs += draw(st.lists(extra, max_size=8))
+    order = draw(st.permutations(range(len(pairs))))
+    edges = tuple(Edge(min(pairs[i]), max(pairs[i]), draw(caps)) for i in order)
+    tree = tuple(sorted(order.index(i) for i in range(n - 1)))
+    return Graph(n, edges), tree
+
+
+def _side_of_removal(g, tree, removed):
+    """Vertices whose tree path from vertex 0 uses an odd number of the
+    removed tree edges: the one side of the cut crossing the tree in them."""
+    adj = [[] for _ in range(g.n)]
+    for eid in tree:
+        e = g.edges[eid]
+        adj[e.u].append((e.v, eid))
+        adj[e.v].append((e.u, eid))
+    parity = {0: 0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, eid in adj[u]:
+            if v not in parity:
+                parity[v] = parity[u] ^ (eid in removed)
+                stack.append(v)
+    return [v for v in range(g.n) if parity[v]]
+
+
+def _two_sided(g, side):
+    return cut_of_partition(g, [side, [v for v in range(g.n) if v not in side]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_graphs_with_tree())
+def test_tree_scan_matches_partition_values_property(graph_and_tree):
+    g, tree = graph_and_tree
+    table = TreeCutTable(g, tree)
+    for i in range(len(tree)):
+        side = [v for v in range(g.n) if table.masks[i] >> v & 1]
+        assert table.cut(i) == _two_sided(g, side).value
+        for j in range(i + 1, len(tree)):
+            side = [v for v in range(g.n) if table.pair_mask(i, j) >> v & 1]
+            assert table.pair_value(i, j) == _two_sided(g, side).value
+    brute = {}
+    for f in (1, 2):
+        for removed in itertools.combinations(tree, f):
+            p = _two_sided(g, _side_of_removal(g, tree, set(removed)))
+            brute.setdefault(p.value, []).append(p.partition.parts)
+    best = min_2respect(g, tree)
+    assert best.value == min(brute) == cut_of_partition(g, best.partition).value
+    assert best.partition.parts == min(brute[best.value])  # the canonical tie-break
+    for h, k in ((1, 2), (2, 2), (2, 3), (3, 3)):
+        for cut in cuts_from_tree(g, tree, h, k):
+            assert cut.k_achieved >= k
+            assert cut.value == cut_of_partition(g, cut.partition).value
+
+
+def _networkx_mincut(g):
+    simple = nx.Graph()
+    simple.add_nodes_from(range(g.n))
+    for e in g.edges:
+        weight = simple.get_edge_data(e.u, e.v, {"weight": 0})["weight"]
+        simple.add_edge(e.u, e.v, weight=weight + e.cap)
+    value, _ = nx.stoer_wagner(simple)
+    return value
+
+
+@pytest.mark.parametrize("n, extra", [(12, 20), (20, 40), (30, 60)])
+def test_global_mincut_matches_stoer_wagner(n, extra):
+    ladder = _random_connected(random.Random(n), n, extra)
+    g = Graph(n, tuple(Edge(e.u, e.v, e.cap / 3) for e in ladder.edges))
+    cut = global_mincut(g)
+    assert cut.value == _networkx_mincut(g)
+    assert cut.value == cut_of_partition(g, cut.partition).value
