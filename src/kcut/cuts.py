@@ -37,9 +37,9 @@ from .graph import (
     partition_from_blocks,
     scaled_capacities,
 )
-from .lp import PrimalSolution, lagrangean_value, lp_dual
+from .lp import DualSolution, PrimalSolution, lagrangean_value, lp_dual
 from .oracle import partition_sort_key, set_partitions
-from .packing import PackConfig, TreePacking, mwu_pack
+from .packing import PackConfig, TreePacking, min_spanning_forest, mwu_pack
 from .strength import PrincipalSequence, principal_sequence
 
 
@@ -54,6 +54,12 @@ class RespectStats:
 
 @dataclass(frozen=True)
 class EnumerationReport:
+    """What one k-cut scan examined and found.  ``dual`` is the LP dual
+    the scan used: in exact mode the explicit optimal dual whose packing
+    was scanned, in approximate mode the lazy dual whose z set the
+    capacities of the scanned MWU packing, and None on the k = n shortcut,
+    which scans nothing."""
+
     k: int
     h: int
     mode: str  # "exact" or "approx"
@@ -62,6 +68,7 @@ class EnumerationReport:
     cuts: tuple[CutResult, ...]
     min_value: Fraction
     threshold: Fraction | None = None
+    dual: DualSolution | None = None
 
 
 def dual_respect_bound(alpha, k: int, h: int, n: int, eps=Fraction(0)) -> Fraction:
@@ -228,19 +235,60 @@ def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
         yield CutResult(p, Fraction(value, scale), p.part_count)
 
 
-def _enumerate_over_support(g: Graph, packing: TreePacking, h: int, k: int):
-    """{part masks: value} of every distinct candidate over the support
-    trees, and the number of candidates examined."""
+def _enumerate_over_support(g: Graph, trees, h: int, k: int):
+    """{part masks: value} of every distinct candidate over the given trees,
+    and the number of candidates examined."""
     caps, scale = scaled_capacities(g)
     merges: dict[int, list] = {}
     found: dict[frozenset, int] = {}
     candidates = 0
-    for tree in packing.support():
+    for tree in trees:
         for masks, value in _candidate_partitions(g, tree, h, k, caps, merges):
             candidates += 1
             if masks not in found:
                 found[masks] = value
     return {masks: Fraction(v, scale) for masks, v in found.items()}, candidates
+
+
+def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
+    """The scan behind ``min_kcut`` and ``enumerate_approx_kcuts``: every
+    cut crossing a support tree of the packing in c+z at most h times, h
+    raised to the mode's completeness bound (2k-3 exact, 2k-2 approximate).
+    Returns ({part masks: value}, candidates examined, h, dual).
+
+    k = n scans nothing: the singletons come back with h as given and no
+    dual.  When k is at most the number of components the exact packing is
+    empty and every optimal cut groups whole components at value 0, so one
+    maximal forest is scanned with no edge removed and h is 0.
+    """
+    if not 2 <= k <= g.n:
+        raise ValueError(f"k={k} out of range 2..{g.n}")
+    if mode not in ("exact", "approx"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if k == g.n:
+        singletons = frozenset(1 << v for v in range(g.n))
+        value = _masks_to_partition(g, singletons).crossing_value
+        return {singletons: value}, 0, h, None
+    psp = principal_sequence(g)
+    dual = lp_dual(g, psp, k, explicit=(mode == "exact"))
+    if mode == "exact":
+        if k <= dual.h:
+            trees, h = [min_spanning_forest(g, [0] * g.m)], 0
+        else:
+            trees, h = dual.packing.support(), max(h, 2 * k - 3, k - 1)
+    else:
+        if eps is None:
+            eps = Fraction(1, 2 * k)
+        eps = Fraction(eps)
+        if not eps < Fraction(1, 2 * k - 1):
+            raise ValueError("approximate mode needs eps < 1/(2k-1)")
+        caps = [g.edges[i].cap + dual.z[i] for i in range(g.m)]
+        trees = mwu_pack(g, caps, PackConfig(epsilon=eps)).support()
+        h = max(h, 2 * k - 2)
+    found, candidates = _enumerate_over_support(g, trees, h, k)
+    if not found:
+        raise AssertionError("enumeration found no k-cut")
+    return found, candidates, h, dual
 
 
 def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None):
@@ -250,41 +298,22 @@ def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None):
     (exact column generation, or multiplicative weights with
     eps < 1/(2k-1)) -> scan every support tree for cuts crossing it at most
     h times (h = 2k-3 exact, 2k-2 approximate) -> deduplicate and minimize.
-    Both modes are guaranteed to contain every optimal k-cut.
+    Both modes are guaranteed to contain every optimal k-cut.  When k is
+    at most the number of components the minimum is 0 and the minimizers
+    are the groupings of whole components into at least k parts.  In exact
+    mode ``report.dual`` is the optimal dual whose packing was scanned, so
+    a caller can certify it without a second column generation.
     """
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
-    if mode not in ("exact", "approx"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if k == g.n:
-        p = partition_from_blocks(g, [[v] for v in range(g.n)])
-        cut = CutResult(p, p.crossing_value, p.part_count)
-        report = EnumerationReport(k, 0, mode, 0, 1, (cut,), cut.value)
-        return cut, report
-    psp = principal_sequence(g)
-    dual = lp_dual(g, psp, k, explicit=(mode == "exact"))
-    if mode == "exact":
-        packing = dual.packing
-        h = max(2 * k - 3, k - 1)
-    else:
-        if eps is None:
-            eps = Fraction(1, 2 * k)
-        eps = Fraction(eps)
-        if not eps < Fraction(1, 2 * k - 1):
-            raise ValueError("approximate mode needs eps < 1/(2k-1)")
-        caps = [g.edges[i].cap + dual.z[i] for i in range(g.m)]
-        packing = mwu_pack(g, caps, PackConfig(epsilon=eps))
-        h = 2 * k - 2
-    found, candidates = _enumerate_over_support(g, packing, h, k)
-    if not found:
-        raise AssertionError("enumeration found no k-cut")
+    found, candidates, h, dual = _scan(g, k, 0, mode, eps)
     best = min(found.values())
     minimizers = [
         _masks_to_partition(g, masks) for masks, v in found.items() if v == best
     ]
     minimizers.sort(key=partition_sort_key)
     cuts = tuple(CutResult(p, best, p.part_count) for p in minimizers)
-    report = EnumerationReport(k, h, mode, candidates, len(found), cuts, best)
+    report = EnumerationReport(
+        k, h, mode, candidates, len(found), cuts, best, dual=dual
+    )
     return cuts[0], report
 
 
@@ -296,19 +325,7 @@ def enumerate_approx_kcuts(g: Graph, k: int, alpha) -> EnumerationReport:
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
-    h = floor(2 * alpha * (k - 1))
-    if k == g.n:
-        p = partition_from_blocks(g, [[v] for v in range(g.n)])
-        cut = CutResult(p, p.crossing_value, p.part_count)
-        return EnumerationReport(
-            k, h, "exact", 0, 1, (cut,), cut.value, alpha * cut.value
-        )
-    psp = principal_sequence(g)
-    dual = lp_dual(g, psp, k, explicit=True)
-    h = max(h, 2 * k - 3, k - 1)
-    found, candidates = _enumerate_over_support(g, dual.packing, h, k)
+    found, candidates, h, dual = _scan(g, k, floor(2 * alpha * (k - 1)))
     lam_k = min(found.values())
     threshold = alpha * lam_k
     keep = [
@@ -319,7 +336,7 @@ def enumerate_approx_kcuts(g: Graph, k: int, alpha) -> EnumerationReport:
     keep.sort(key=lambda pv: (pv[1], partition_sort_key(pv[0])))
     cuts = tuple(CutResult(p, v, p.part_count) for p, v in keep)
     return EnumerationReport(
-        k, h, "exact", candidates, len(found), cuts, lam_k, threshold
+        k, h, "exact", candidates, len(found), cuts, lam_k, threshold, dual
     )
 
 

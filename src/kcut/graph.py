@@ -44,9 +44,6 @@ class Graph:
     def total_capacity(self) -> Fraction:
         return sum((e.cap for e in self.edges), Fraction(0))
 
-    def degree(self, v: int) -> Fraction:
-        return sum((e.cap for e in self.edges if v in (e.u, e.v)), Fraction(0))
-
     def neighbors(self) -> list[list[tuple[int, int]]]:
         """Adjacency list of (neighbor, edge id) pairs."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]

@@ -117,12 +117,6 @@ class TreeCutTable:
     def cut(self, i: int) -> Fraction:
         return Fraction(self.int_cuts[i], self.scale)
 
-    def cross(self, i: int, j: int) -> Fraction:
-        """Capacity of the edges whose tree path holds both tree edges:
-        between the two subtrees (incomparable pair), or between the inner
-        subtree and the outside of the outer one (nested pair)."""
-        return Fraction(self.int_cross[max(i, j)][min(i, j)], self.scale)
-
     def pair_mask(self, i: int, j: int) -> int:
         return self.masks[i] ^ self.masks[j]
 

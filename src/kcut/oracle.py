@@ -173,28 +173,35 @@ def spanning_forests(g: Graph, limit: int | None = None) -> list[tuple[int, ...]
         return x
 
     chosen: list[int] = []
-
-    def rec(i: int):
-        if len(chosen) == target:
-            out.append(tuple(chosen))
-            if limit is not None and len(out) > limit:
-                raise OracleLimitError(f"more than {limit} spanning forests")
-            return
-        if i == m:
-            return
-        e = g.edges[i]
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[rv] = ru
-            chosen.append(i)
-            rec(i + 1)
+    # Depth first on an explicit stack, so the depth (up to m) is not bound
+    # by the recursion limit.  (i, None) branches on edge i; (i, rv) undoes
+    # the inclusion of edge i, whose root rv was attached, once that branch
+    # is exhausted, and then takes the exclusion branch.
+    stack: list[tuple[int, int | None]] = [(0, None)]
+    while stack:
+        i, undo = stack.pop()
+        if undo is not None:
             chosen.pop()
-            parent[rv] = rv
+            parent[undo] = undo
+        else:
+            if len(chosen) == target:
+                out.append(tuple(chosen))
+                if limit is not None and len(out) > limit:
+                    raise OracleLimitError(f"more than {limit} spanning forests")
+                continue
+            if i == m:
+                continue
+            e = g.edges[i]
+            ru, rv = find(e.u), find(e.v)
+            if ru != rv:
+                parent[rv] = ru
+                chosen.append(i)
+                stack.append((i, rv))
+                stack.append((i + 1, None))
+                continue
         # exclude edge i iff a maximal forest is still reachable
         if completable(parent, i + 1, target - len(chosen)):
-            rec(i + 1)
-
-    rec(0)
+            stack.append((i + 1, None))
     return out
 
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .cuts import (
     dual_respect_bound,
-    enumerate_approx_kcuts,
     min_kcut,
     ravi_sinha_cut,
     respect_stats,
@@ -40,7 +39,7 @@ from .oracle import (
     oracle_strength,
     oracle_treepack,
 )
-from .packing import SaturationError, exact_pack
+from .packing import SaturationError
 from .strength import principal_sequence, strength
 
 
@@ -68,6 +67,16 @@ def _skip(rows, name, why, certificate=False):
     rows.append(CheckRow(name, "skip", why, certificate))
 
 
+def _kcut_and_dual(g: Graph, psp, k: int):
+    """min_kcut's optimal cut and report, and the explicit dual it scanned;
+    only at k = n, where min_kcut scans nothing, is the dual built here."""
+    best, report = min_kcut(g, k)
+    dual = report.dual
+    if dual is None:
+        dual = lp_dual(g, psp, k, explicit=True)
+    return best, report, dual
+
+
 def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -> list[CheckRow]:
     rows: list[CheckRow] = []
     if g.n < 2 or not g.is_connected():
@@ -78,13 +87,17 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
     ks = sorted(set(ks))
 
     sigma, sigma_part = strength(g)
+    psp = principal_sequence(g)
     # A zero-capacity cut leaves the k-cut LP closed forms undefined, and
     # exact_pack packs the positive part; only the oracle rows apply.
     degenerate = "strength 0: the LP and packing certificates need every cut positive" if sigma == 0 else ""
     if degenerate:
         _skip(rows, "treepack-minmax", degenerate, certificate=True)
     else:
-        pack = exact_pack(g)
+        # At k = 2 the dual has z = 0, so its packing is an optimal packing
+        # of g itself; it serves the min-max and 2-respect rows as well.
+        k2cut, k2report, k2dual = _kcut_and_dual(g, psp, 2)
+        pack = k2dual.packing
         _row(
             rows,
             "treepack-minmax",
@@ -97,7 +110,6 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
     except OracleLimitError as exc:
         _skip(rows, "oracle-treepack", str(exc))
 
-    psp = principal_sequence(g)
     if degenerate:
         _skip(rows, "psp-ideal-packing", degenerate, certificate=True)
     else:
@@ -132,7 +144,10 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             continue
         tag = f"k={k}"
         primal = lp_primal(psp, k)
-        dual = lp_dual(g, psp, k, explicit=True)
+        if k == 2:
+            best, report, dual = k2cut, k2report, k2dual
+        else:
+            best, report, dual = _kcut_and_dual(g, psp, k)
         lag, lag_b = lagrangean_value(psp, k)
         _row(
             rows,
@@ -152,9 +167,6 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             "; ".join(cs.witnesses[:3]),
         )
 
-        best, report = min_kcut(g, k, mode="exact")
-        if k == 2:
-            k2cut, k2report = best, report
         _row(
             rows,
             f"dual-packing-bound[{tag}]",
@@ -170,7 +182,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             note += " (tight)"
         _row(rows, f"integrality-gap[{tag}]", gap_ok, note)
 
-        if k < g.n and dual.packing is not None:
+        if k < g.n:
             h = 2 * k - 3 if k > 2 else 1
             witness_ok = True
             qh_ok = True
@@ -230,8 +242,6 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             _skip(rows, f"oracle-lp-value[{tag}]", str(exc))
 
     # global mincut row + 2-respecting fraction
-    if 2 not in ks:
-        k2cut, k2report = min_kcut(g, 2, mode="exact")
     _row(
         rows,
         "global-mincut",

@@ -129,6 +129,44 @@ def test_bad_rational_flag_exit_1(capsys, c5_file, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_disconnected_k_up_to_components(capsys, tmp_path):
+    # vertex 1 is isolated, so every k <= 2 has a cut of value 0
+    path = tmp_path / "split.graph"
+    path.write_text("p kcut 3 1\ne 2 3 3/2\n")
+    zero = {"value": "0/1", "parts": 2, "partition": [[1], [2, 3]]}
+    code, out = run(capsys, "solve", "--k", "2", "--all", str(path))
+    assert code == 0
+    assert json.loads(out) == {
+        "k": 2, "mode": "exact", "h": 0, "cut": zero,
+        "candidates_examined": 1, "distinct_cuts": 1, "minimizers": [zero],
+    }
+    code, out = run(capsys, "enumerate", "--k", "2", str(path))
+    assert code == 0
+    assert json.loads(out) == {
+        "k": 2, "alpha": "1/1", "h": 0, "min_value": "0/1",
+        "threshold": "0/1", "count": 1, "cuts": [zero],
+    }
+    # the approximate path already handled this input; its output is kept
+    code, out = run(capsys, "solve", "--k", "2", "--eps", "1/6", "--all", str(path))
+    assert code == 0
+    assert json.loads(out) == {
+        "k": 2, "mode": "approx", "h": 2, "cut": zero,
+        "candidates_examined": 5, "distinct_cuts": 4, "minimizers": [zero],
+    }
+
+
+@pytest.mark.parametrize("argv", [["treepack"], ["lp", "--k", "2"]], ids=["treepack", "lp"])
+def test_oracle_forests_on_a_long_path(capsys, tmp_path, argv):
+    # 1099 edges: deeper than the default recursion limit
+    n = 1100
+    lines = [f"p kcut {n} {n - 1}"] + [f"e {i} {i + 1} 1" for i in range(1, n)]
+    path = tmp_path / "path.graph"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "oracle", argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert "1/1" in json.loads(out).values()
+
+
 def test_solve_exact_and_eps_are_exclusive(capsys, c5_file):
     code = main(["solve", "--k", "2", "--exact", "--eps", "1/6", c5_file])
     captured = capsys.readouterr()

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcut import (
+    Edge,
+    Graph,
     cut_of_partition,
     cuts_from_tree,
     dual_respect_bound,
@@ -149,6 +153,50 @@ def test_enumerate_approx_complete_vs_oracle():
                 }
                 got = {c.partition.parts for c in report.cuts}
                 assert got == expected, (name, k, alpha)
+
+
+@st.composite
+def _disconnected_multigraphs(draw):
+    """n <= 6 and at least two components, each of positive strength: a
+    positive-capacity path through every component, plus parallel edges and
+    chords inside the components whose capacity may be 0."""
+    n = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(n)))
+    splits = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1)))
+    comps = [order[a:b] for a, b in zip([0] + splits, splits + [n])]
+    pos = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)])
+    edges = []
+    for comp in comps:
+        for u, v in zip(comp, comp[1:]):
+            edges.append((min(u, v), max(u, v), draw(pos)))
+    inside = [(u, v) for comp in comps for u in comp for v in comp if u < v]
+    if inside:
+        cap = st.sampled_from([F(0), F(1, 2), F(1), F(3)])
+        for u, v in draw(st.lists(st.sampled_from(inside), max_size=5)):
+            edges.append((u, v, draw(cap)))
+    perm = draw(st.permutations(range(len(edges))))
+    return Graph(n, tuple(Edge(*edges[i]) for i in perm))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_disconnected_multigraphs())
+def test_disconnected_kcuts_match_oracle_property(g):
+    assert not g.is_connected()
+    for k in range(2, g.n + 1):
+        ocut, oall = oracle_min_kcut(g, k)
+        minimizers = {p.parts for p in oall}
+        cut, report = min_kcut(g, k)
+        assert cut.value == ocut.value
+        assert {c.partition.parts for c in report.cuts} == minimizers
+        for alpha in (F(1), F(3, 2)):
+            report = enumerate_approx_kcuts(g, k, alpha)
+            assert report.min_value == ocut.value
+            threshold = alpha * ocut.value
+            assert {c.partition.parts for c in report.cuts} == {
+                p.parts
+                for p in enum_partitions(g)
+                if p.part_count >= k and p.crossing_value <= threshold
+            }
 
 
 def test_enumeration_count_ceiling():
