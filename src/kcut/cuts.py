@@ -57,8 +57,9 @@ class EnumerationReport:
     """What one k-cut scan examined and found.  ``dual`` is the LP dual
     the scan used: in exact mode the explicit optimal dual whose packing
     was scanned, in approximate mode the lazy dual whose z set the
-    capacities of the scanned MWU packing, and None on the k = n shortcut,
-    which scans nothing."""
+    capacities of the scanned MWU packing.  It is None on the k = n
+    shortcut, which scans nothing, and on a graph with a component of
+    strength 0, whose LP has no closed-form dual."""
 
     k: int
     h: int
@@ -259,7 +260,11 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
     k = n scans nothing: the singletons come back with h as given and no
     dual.  When k is at most the number of components the exact packing is
     empty and every optimal cut groups whole components at value 0, so one
-    maximal forest is scanned with no edge removed and h is 0.
+    maximal forest is scanned with no edge removed and h is 0.  When a
+    component has strength 0, g's LP has no closed-form dual; the graph
+    without its zero-capacity edges gives every partition the same value
+    and has only components of positive strength, so it is scanned instead,
+    and no dual comes back.
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k={k} out of range 2..{g.n}")
@@ -270,21 +275,25 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
         value = _masks_to_partition(g, singletons).crossing_value
         return {singletons: value}, 0, h, None
     psp = principal_sequence(g)
+    if psp.levels and psp.levels[0].lam == 0:
+        positive = Graph(g.n, tuple(e for e in g.edges if e.cap > 0))
+        found, candidates, h, _ = _scan(positive, k, h, mode, eps)
+        return found, candidates, h, None
     dual = lp_dual(g, psp, k, explicit=(mode == "exact"))
-    if mode == "exact":
-        if k <= dual.h:
-            trees, h = [min_spanning_forest(g, [0] * g.m)], 0
-        else:
-            trees, h = dual.packing.support(), max(h, 2 * k - 3, k - 1)
-    else:
+    if mode == "approx":
         if eps is None:
             eps = Fraction(1, 2 * k)
         eps = Fraction(eps)
         if not eps < Fraction(1, 2 * k - 1):
             raise ValueError("approximate mode needs eps < 1/(2k-1)")
+    if mode == "approx" and g.m:  # an edgeless graph has nothing to pack
         caps = [g.edges[i].cap + dual.z[i] for i in range(g.m)]
         trees = mwu_pack(g, caps, PackConfig(epsilon=eps)).support()
         h = max(h, 2 * k - 2)
+    elif k <= dual.h:
+        trees, h = [min_spanning_forest(g, [0] * g.m)], 0
+    else:
+        trees, h = dual.packing.support(), max(h, 2 * k - 3, k - 1)
     found, candidates = _enumerate_over_support(g, trees, h, k)
     if not found:
         raise AssertionError("enumeration found no k-cut")

@@ -1,17 +1,16 @@
 """Exact maximum flow / minimum cut by shortest augmenting paths.
 
-Capacities are Fractions (ints mix in freely).  After ``max_flow`` the
-residual network holds every minimum cut: the smallest source side is the
-set reachable from s, the largest is every vertex with no residual path to
-t (Picard and Queyranne 1980).
+Capacities are exact numbers: the attack sweep passes Python ints (its
+capacities scaled to integers once per sweep), and Fractions still work,
+mixed with ints or alone.  After ``max_flow`` the residual network holds
+every minimum cut: the smallest source side is the set reachable from s,
+the largest is every vertex with no residual path to t (Picard and
+Queyranne 1980).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
-
-from .graph import Graph
 
 
 class FlowNetwork:
@@ -22,7 +21,7 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list = []
 
-    def add_arc(self, u: int, v: int, cap, rev_cap=Fraction(0)):
+    def add_arc(self, u: int, v: int, cap, rev_cap=0):
         self.adj[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
@@ -34,8 +33,12 @@ class FlowNetwork:
         self.add_arc(u, v, cap, rev_cap=cap)
 
     def max_flow(self, s: int, t: int):
-        """Edmonds-Karp, exact over rationals."""
-        total = Fraction(0)
+        """Value of a maximum s-t flow, by Edmonds-Karp; the flow stays in
+        the residual capacities.  Exact on ints and Fractions alike: on int
+        capacities every step, and the value, stays an int."""
+        if s == t:
+            raise ValueError("s and t must differ")
+        total = 0
         while True:
             prev_arc = [-1] * self.n
             prev_arc[s] = -2
@@ -87,20 +90,3 @@ class FlowNetwork:
                     queue.append(v)
         return frozenset(i for i in range(self.n) if seen[i])
 
-
-def max_flow_min_cut(g: Graph, s: int, t: int, caps=None):
-    """Exact max s-t flow value and the canonical minimum cut side.
-
-    The returned vertex set is the s-side: everything reachable from s in
-    the residual network.  ``caps`` optionally overrides edge capacities
-    (aligned with g.edges).
-    """
-    if s == t:
-        raise ValueError("s and t must differ")
-    if caps is None:
-        caps = [e.cap for e in g.edges]
-    net = FlowNetwork(g.n)
-    for e, c in zip(g.edges, caps):
-        net.add_undirected(e.u, e.v, Fraction(c))
-    value = net.max_flow(s, t)
-    return value, net.residual_reachable(s)

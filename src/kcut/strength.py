@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .flow import FlowNetwork
 from .graph import (
@@ -36,6 +37,7 @@ from .graph import (
     crossing_edges,
     induced_subgraph,
     partition_from_blocks,
+    scaled_capacities,
 )
 
 
@@ -107,24 +109,34 @@ def _dilworth_partition(g: Graph, b: Fraction):
     builds the coarsest minimizer, the smallest (residual-reachable from j)
     the finest.  The greedy labels depend only on the flow value, so both
     block lists share them.
+
+    Every quantity of the sweep is scaled once by S = 2·lcm(L, den b), with
+    L the lcm of the capacity denominators: half-capacities c/2, b, the
+    prefix half-degrees, potentials, greedy labels and flows are then Python
+    ints.  Minimum cuts are unchanged by the scaling, and only they reach the
+    blocks.
     """
     n = g.n
+    caps, cap_scale = scaled_capacities(g)
+    scale = 2 * lcm(cap_scale, b.denominator)  # S
+    half = [c * (scale // (2 * cap_scale)) for c in caps]  # c(e)/2·S
+    b_s = b.numerator * (scale // b.denominator)  # b·S
     coarse: list[set[int]] = [{0}]
     fine: list[set[int]] = [{0}]
-    x = [-b] + [None] * (n - 1)  # greedy labels, one per processed vertex
+    x = [-b_s] + [0] * (n - 1)  # greedy labels, one per processed vertex
     adj = g.neighbors()
-    deg = [Fraction(0)] * n  # degrees within the processed prefix {0..j}
+    hdeg = [0] * n  # half-degrees within the processed prefix {0..j}
     for j in range(1, n):
         for w, eid in adj[j]:
             if w < j:
-                deg[j] += g.edges[eid].cap
-                deg[w] += g.edges[eid].cap
+                hdeg[j] += half[eid]
+                hdeg[w] += half[eid]
         # potentials: p_u = -deg(u)/2 - x_u for u < j; p_j enters as a constant
         net = FlowNetwork(j + 2)
         t = j + 1
-        const = Fraction(0)
+        const = 0
         for u in range(j):
-            p_u = -Fraction(deg[u], 2) - x[u]
+            p_u = -hdeg[u] - x[u]
             if p_u > 0:
                 net.add_arc(u, t, p_u)
             elif p_u < 0:
@@ -132,12 +144,10 @@ def _dilworth_partition(g: Graph, b: Fraction):
                 const += p_u
         for v in range(j + 1):
             for w, eid in adj[v]:
-                if v < w <= j:
-                    half = Fraction(g.edges[eid].cap, 2)
-                    if half > 0:
-                        net.add_undirected(v, w, half)
+                if v < w <= j and half[eid] > 0:
+                    net.add_undirected(v, w, half[eid])
         flow = net.max_flow(j, t)
-        x[j] = flow + const - Fraction(deg[j], 2) - b
+        x[j] = flow + const - hdeg[j] - b_s
         coarse = _merge(coarse, j, frozenset(range(j)) - net.residual_reaching(t))
         fine = _merge(fine, j, net.residual_reachable(j))
     return coarse, fine

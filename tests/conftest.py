@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kcut import Edge, Graph, parse_graph
+from kcut.flow import FlowNetwork
 
 E1_TEXT = "p kcut 2 1\ne 1 2 5\n"
 
@@ -118,3 +119,12 @@ def small_suite():
 def edge_ids_of_partition(g: Graph, partition):
     block = partition.block_of(g.n)
     return [i for i, e in enumerate(g.edges) if block[e.u] != block[e.v]]
+
+
+def flow_network(g: Graph, caps=None) -> FlowNetwork:
+    """g as an undirected flow network; ``caps`` overrides the capacities
+    (aligned with g.edges)."""
+    net = FlowNetwork(g.n)
+    for e, c in zip(g.edges, caps or [e.cap for e in g.edges]):
+        net.add_undirected(e.u, e.v, c)
+    return net

@@ -155,6 +155,48 @@ def test_disconnected_k_up_to_components(capsys, tmp_path):
     }
 
 
+def _cut(value, partition):
+    return {"value": value, "parts": len(partition), "partition": partition}
+
+
+def test_strength_zero_component_kcuts(capsys, tmp_path):
+    # vertices 2 and 3 are joined by capacity 0 only: every grouping is free
+    split = tmp_path / "split.graph"
+    split.write_text("p kcut 3 1\ne 2 3 0\n")
+    free = [
+        _cut("0/1", [[1], [2], [3]]),
+        _cut("0/1", [[1], [2, 3]]),
+        _cut("0/1", [[1, 2], [3]]),
+        _cut("0/1", [[1, 3], [2]]),
+    ]
+    for mode, extra in (("exact", []), ("approx", ["--eps", "1/6"])):
+        code, out = run(capsys, "solve", "--k", "2", "--all", *extra, str(split))
+        assert code == 0
+        assert json.loads(out) == {
+            "k": 2, "mode": mode, "h": 0, "cut": free[0],
+            "candidates_examined": 4, "distinct_cuts": 4, "minimizers": free,
+        }
+    code, out = run(capsys, "enumerate", "--k", "2", str(split))
+    assert code == 0
+    assert json.loads(out) == {
+        "k": 2, "alpha": "1/1", "h": 0, "min_value": "0/1",
+        "threshold": "0/1", "count": 4, "cuts": free,
+    }
+    # a unit triangle joined to vertex 4 by a capacity-0 edge
+    hang = tmp_path / "hang.graph"
+    hang.write_text("p kcut 4 4\ne 1 2 1\ne 2 3 1\ne 1 3 1\ne 3 4 0\n")
+    code, out = run(capsys, "oracle", "kcut", str(hang), "--k", "3")
+    assert code == 0
+    expected = [[[1], [2, 3], [4]], [[1, 2], [3], [4]], [[1, 3], [2], [4]]]
+    assert json.loads(out) == {"k": 3, "value": "2/1", "minimizers": expected}
+    for extra in ([], ["--eps", "1/6"]):
+        code, out = run(capsys, "solve", "--k", "3", "--all", *extra, str(hang))
+        assert code == 0
+        got = json.loads(out)
+        assert got["cut"] == _cut("2/1", expected[0])
+        assert got["minimizers"] == [_cut("2/1", p) for p in expected]
+
+
 @pytest.mark.parametrize("argv", [["treepack"], ["lp", "--k", "2"]], ids=["treepack", "lp"])
 def test_oracle_forests_on_a_long_path(capsys, tmp_path, argv):
     # 1099 edges: deeper than the default recursion limit

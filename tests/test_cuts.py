@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kcut import (
     Edge,
     Graph,
+    components,
     cut_of_partition,
     cuts_from_tree,
     dual_respect_bound,
@@ -178,16 +179,27 @@ def _disconnected_multigraphs(draw):
     return Graph(n, tuple(Edge(*edges[i]) for i in perm))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_disconnected_multigraphs())
-def test_disconnected_kcuts_match_oracle_property(g):
-    assert not g.is_connected()
+@st.composite
+def _strength_zero_multigraphs(draw):
+    """A graph from ``_disconnected_multigraphs`` with zero-capacity edges
+    joining some of its components, so that a component has strength 0."""
+    g = draw(_disconnected_multigraphs())
+    block = components(g).block_of(g.n)
+    across = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if block[u] != block[v]]
+    links = draw(st.lists(st.sampled_from(across), min_size=1, max_size=4))
+    edges = list(g.edges) + [Edge(u, v, F(0)) for u, v in links]
+    perm = draw(st.permutations(range(len(edges))))
+    return Graph(g.n, tuple(edges[i] for i in perm))
+
+
+def _assert_kcuts_match_oracle(g, modes):
     for k in range(2, g.n + 1):
         ocut, oall = oracle_min_kcut(g, k)
         minimizers = {p.parts for p in oall}
-        cut, report = min_kcut(g, k)
-        assert cut.value == ocut.value
-        assert {c.partition.parts for c in report.cuts} == minimizers
+        for mode in modes:
+            cut, report = min_kcut(g, k, mode)
+            assert cut.value == ocut.value, (k, mode)
+            assert {c.partition.parts for c in report.cuts} == minimizers, (k, mode)
         for alpha in (F(1), F(3, 2)):
             report = enumerate_approx_kcuts(g, k, alpha)
             assert report.min_value == ocut.value
@@ -197,6 +209,22 @@ def test_disconnected_kcuts_match_oracle_property(g):
                 for p in enum_partitions(g)
                 if p.part_count >= k and p.crossing_value <= threshold
             }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_disconnected_multigraphs())
+def test_disconnected_kcuts_match_oracle_property(g):
+    assert not g.is_connected()
+    _assert_kcuts_match_oracle(g, ["exact"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_strength_zero_multigraphs())
+def test_strength_zero_kcuts_match_oracle_property(g):
+    assert principal_sequence(g).levels[0].lam == 0
+    _assert_kcuts_match_oracle(g, ["exact", "approx"])
+    # g's own LP has no closed-form dual to report
+    assert min_kcut(g, 2)[1].dual is None
 
 
 def test_enumeration_count_ceiling():

@@ -10,7 +10,6 @@ from kcut import (
     attack,
     breakpoints,
     components,
-    max_flow_min_cut,
     oracle_min_kcut,
     oracle_strength,
     parse_graph,
@@ -19,23 +18,23 @@ from kcut import (
 )
 from kcut.oracle import enum_partitions, oracle_attack_value
 
-from conftest import edge_ids_of_partition, full_suite
+from conftest import edge_ids_of_partition, flow_network, full_suite
 
 F = Fraction
 
 
 def test_max_flow_e1(e1):
-    value, side = max_flow_min_cut(e1, 0, 1)
-    assert value == 5 and side == {0}
+    net = flow_network(e1)
+    assert net.max_flow(0, 1) == 5 and net.residual_reachable(0) == {0}
 
 
 def test_max_flow_tt_bridge(tt):
-    value, side = max_flow_min_cut(tt, 0, 5)
-    assert value == 1 and side == {0, 1, 2}
+    net = flow_network(tt)
+    assert net.max_flow(0, 5) == 1 and net.residual_reachable(0) == {0, 1, 2}
 
 
 def test_max_flow_k4_brute(k4):
-    value, _ = max_flow_min_cut(k4, 0, 1)
+    value = flow_network(k4).max_flow(0, 1)
     # brute force over 2-partitions separating the terminals
     best = min(
         p.crossing_value
@@ -47,7 +46,7 @@ def test_max_flow_k4_brute(k4):
 
 def test_max_flow_rational_caps():
     g = parse_graph("p kcut 4 5\ne 1 2 1/3\ne 2 4 1/2\ne 1 3 3/4\ne 3 4 1/5\ne 1 4 2\n")
-    value, _ = max_flow_min_cut(g, 0, 3)
+    value = flow_network(g).max_flow(0, 3)
     assert value == F(1, 3) + F(1, 5) + 2
 
 
@@ -226,12 +225,36 @@ def test_attack_matches_oracle_property(g):
     lams = list(principal_sequence(g).lambdas())
     bs = [F(0)] + lams + [(lo + hi) / 2 for lo, hi in zip([F(0)] + lams, lams)]
     bs.append((lams[-1] if lams else F(0)) + 1)
+    _assert_attack_matches_oracle(g, bs)
+
+
+def _assert_attack_matches_oracle(g, bs):
     for b in bs:
         res = attack(g, b)
         brute, coarse, fine = oracle_attack_value(g, b)
         assert res.value == brute, b
         assert res.argmin_min_parts == coarse, b
         assert res.argmin_max_parts == fine, b
+
+
+# The sweep scales by S = 2·lcm(L, den b).  Capacity denominators 3, 5 and 7
+# are pairwise coprime, so L = 105 needs each of them; odd capacities make
+# c/2 need the factor 2; b's denominators 11 and 13 are coprime to 2L.
+_SCALE_GRAPHS = {
+    "coprime": "p kcut 5 8\ne 1 2 1/3\ne 2 3 2/5\ne 3 1 3/7\ne 3 4 4/3\n"
+    "e 4 5 6/5\ne 5 3 1/7\ne 1 2 2/7\ne 2 5 0\n",
+    "odd": "p kcut 5 7\ne 1 2 1\ne 2 3 3\ne 3 1 1\ne 3 4 1\ne 4 5 5\ne 5 3 3\ne 1 4 0\n",
+    "zero-only": "p kcut 4 3\ne 1 2 0\ne 2 3 0\ne 1 4 0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALE_GRAPHS))
+def test_attack_scale_matches_oracle(name):
+    g = parse_graph(_SCALE_GRAPHS[name])
+    bs = {F(0), F(1, 11), F(1, 13)}
+    for lam in principal_sequence(g).lambdas():
+        bs |= {lam, lam - F(1, 11), lam + F(1, 11), lam - F(1, 13), lam + F(1, 13)}
+    _assert_attack_matches_oracle(g, sorted(b for b in bs if b >= 0))
 
 
 def test_psp_split_inside_components():
