@@ -33,8 +33,8 @@ from .packing import PackConfig, mwu_pack
 
 @dataclass
 class TreeCutTable:
-    """Rooted spanning tree with subtree masks and the integer tables of
-    its 1- and 2-respecting cut values.
+    """Spanning tree rooted at vertex 0, with subtree masks and the integer
+    tables of its 1- and 2-respecting cut values.
 
     ``cut(i)`` is the capacity leaving the subtree below the i-th tree edge;
     ``pair_value(i, j)`` the capacity of the unique cut crossing the tree in
@@ -44,7 +44,6 @@ class TreeCutTable:
 
     graph: Graph
     tree: tuple[int, ...]
-    root: int = 0
     scaled: tuple[list[int], int] | None = None
     scale: int = field(init=False)
     masks: list[int] = field(init=False)
@@ -67,8 +66,8 @@ class TreeCutTable:
         path = [0] * g.n  # tree edges on the root path, as a bitmask
         order = []
         seen = [False] * g.n
-        seen[self.root] = True
-        queue = deque([self.root])
+        seen[0] = True
+        queue = deque([0])
         while queue:
             u = queue.popleft()
             order.append(u)

@@ -216,14 +216,7 @@ def oracle_treepack(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Fraction
     for j, f in enumerate(forests):
         for eid in f:
             rows[eid][j] = Fraction(1)
-    res = solve_lp(
-        [Fraction(1)] * nt,
-        rows,
-        ["<="] * g.m,
-        [e.cap for e in g.edges],
-        maximize=True,
-    )
-    return res.value
+    return solve_lp([Fraction(1)] * nt, rows, [e.cap for e in g.edges]).value
 
 
 def oracle_lp_value(g: Graph, k: int, limits: OracleLimits = DEFAULT_LIMITS) -> Fraction:
@@ -248,5 +241,4 @@ def oracle_lp_value(g: Graph, k: int, limits: OracleLimits = DEFAULT_LIMITS) -> 
             rows[eid][j] = Fraction(1)
     for eid in range(g.m):
         rows[eid][nt + eid] = Fraction(-1)
-    res = solve_lp(obj, rows, ["<="] * g.m, [e.cap for e in g.edges], maximize=True)
-    return res.value
+    return solve_lp(obj, rows, [e.cap for e in g.edges]).value

@@ -142,8 +142,8 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
             f"epsilon {config.epsilon} too small for {m} edges: "
             "the stopping weight m**(1/eps) overflows a float"
         ) from None
-    cap_f = [float(e.cap) for e in work.edges]
     cap_q = [e.cap for e in work.edges]
+    cap_f = [_float_cap(c) for c in cap_q]
     w = [1.0] * m
     raw: dict[tuple[int, ...], Fraction] = {}
     load = [Fraction(0)] * m
@@ -176,6 +176,17 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
     return TreePacking(trees, weights, caps_used, approximate=True)
 
 
+def _float_cap(cap: Fraction) -> float:
+    """A positive capacity as a float; the weights divide by it."""
+    try:
+        f = float(cap)
+    except OverflowError:
+        raise ValueError("a capacity overflows a float in multiplicative weights") from None
+    if f == 0.0:
+        raise ValueError("a positive capacity underflows to 0.0 in multiplicative weights")
+    return f
+
+
 def _master_solve(work: Graph, columns: list[tuple[int, ...]]):
     """Exact restricted master: max sum y subject to per-edge loads <= cap."""
     nt = len(columns)
@@ -183,13 +194,7 @@ def _master_solve(work: Graph, columns: list[tuple[int, ...]]):
     for j, forest in enumerate(columns):
         for eid in forest:
             rows[eid][j] = Fraction(1)
-    return solve_lp(
-        [Fraction(1)] * nt,
-        rows,
-        ["<="] * work.m,
-        [e.cap for e in work.edges],
-        maximize=True,
-    )
+    return solve_lp([Fraction(1)] * nt, rows, [e.cap for e in work.edges])
 
 
 def _min_component_strength(work: Graph) -> Fraction:

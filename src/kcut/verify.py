@@ -78,10 +78,9 @@ def _kcut_and_dual(g: Graph, psp, k: int):
 
 
 def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -> list[CheckRow]:
-    rows: list[CheckRow] = []
     if g.n < 2 or not g.is_connected():
-        rows.append(CheckRow("input", "fail", "verify expects a connected graph with n >= 2"))
-        return rows
+        raise ValueError("verify expects a connected graph with n >= 2")
+    rows: list[CheckRow] = []
     if ks is None:
         ks = range(2, g.n + 1)
     ks = sorted(set(ks))

@@ -110,6 +110,22 @@ def test_pack_eps_too_small_exit_1(capsys, tmp_path):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cap", ["1e-400", "1e400"], ids=["underflow", "overflow"])
+@pytest.mark.parametrize(
+    "argv",
+    [["pack"], ["mincut"], ["solve", "--k", "2", "--eps", "1/6"]],
+    ids=["pack", "mincut", "solve-eps"],
+)
+def test_mwu_capacity_outside_float_range_exit_1(capsys, tmp_path, argv, cap):
+    path = tmp_path / "tri.graph"
+    path.write_text(f"p kcut 3 3\ne 1 2 {cap}\ne 2 3 1\ne 1 3 1\n")
+    code = main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -291,6 +307,19 @@ def test_verify_exit_2_on_ideal_packing_failure(capsys, tt_file, monkeypatch):
     assert code == 2
     failed = [r["check"] for r in json.loads(out)["rows"] if r["status"] == "fail"]
     assert failed == ["psp-ideal-packing"]
+
+
+@pytest.mark.parametrize(
+    "text", ["p kcut 3 1\ne 2 3 3/2\n", "p kcut 1 0\n"], ids=["disconnected", "one-vertex"]
+)
+def test_verify_unsupported_input_exit_1(capsys, tmp_path, text):
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: verify expects a connected graph with n >= 2\n"
 
 
 def test_verify_kmax_0_runs_no_k(capsys, tt_file):

@@ -4,9 +4,9 @@ The restricted masters of ``exact_pack`` and the oracle LPs are degenerate:
 many optimal vertices exist, and which one ``solve_lp`` returns depends on
 the whole pivot sequence (Bland's rule, ties broken on the smallest basis
 index).  The pins are the vertices the textbook rational tableau reaches
-under those rules.  Any change to the pivot rule, the ratio test or the
-phase-1 exit shows up here as a different tree set, weight vector or dual
-vector, even when the optimum value is unchanged.
+under those rules from the slack basis.  Any change to the starting basis,
+the pivot rule or the ratio test shows up here as a different tree set,
+weight vector or dual vector, even when the optimum value is unchanged.
 """
 
 from fractions import Fraction
@@ -90,7 +90,7 @@ def _oracle_lp(g, k):
         [1 if eid in f else 0 for f in forests] + [-1 if e == eid else 0 for e in range(g.m)]
         for eid in range(g.m)
     ]
-    return obj, rows, ["<="] * g.m, [e.cap for e in g.edges]
+    return obj, rows, [e.cap for e in g.edges]
 
 
 @pytest.mark.parametrize(
