@@ -8,11 +8,13 @@ one, eps < 1/(2k-1)), every optimal k-cut h-respects some support tree, so
 scanning the support is a complete, certificate-backed search.  The same
 pipeline with h = floor(2*alpha*(k-1)) reaches every alpha-approximate cut.
 
-Each removed set F is scored once: the capacity between every pair of its
-pieces is summed on integer-scaled capacities, and each merge adds only the
-piece pairs it separates.  The merges of p pieces are listed once per
-enumeration.  Values stay integers until each distinct cut gets its
-``Fraction``.
+Many pairs (tree, F) leave the same pieces, so each distinct piece layout
+is scored once per scan: the capacity between every pair of its pieces is
+summed on integer-scaled capacities, and each merge adds only the piece
+pairs it separates.  A layout met again only adds its merge count to the
+candidates, and a merge whose parts were already found is not summed.  The
+merges of p pieces are listed once per scan.  Values stay integers until
+each distinct cut gets its ``Fraction``.
 
 Also here: the LP rounding algorithm (contract the zeros, keep the ones,
 isolate cheap vertices of the fractional residual) and the principal
@@ -138,32 +140,37 @@ def merge_pattern_count(h: int) -> int:
     return bell_number(h + 1) - 1
 
 
-def _tree_pieces(n: int, tree: tuple[int, ...], removed: set[int], edges):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in tree:
-        if eid not in removed:
-            e = edges[eid]
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                parent[rv] = ru
-    groups: dict[int, int] = {}
-    piece_of = [0] * n
-    masks: list[int] = []
-    for v in range(n):
-        r = find(v)
-        if r not in groups:
-            groups[r] = len(masks)
-            masks.append(0)
-        piece_of[v] = groups[r]
-        masks[groups[r]] |= 1 << v
-    return piece_of, masks
+def _rooted_forest(n: int, tree: tuple[int, ...], edges):
+    """(component masks, mask below each tree edge) of a forest, each
+    component rooted at its smallest vertex; the mask below an edge is the
+    subtree of its child end."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for ti, eid in enumerate(tree):
+        e = edges[eid]
+        adj[e.u].append((e.v, ti))
+        adj[e.v].append((e.u, ti))
+    below = [0] * len(tree)
+    comps = []
+    up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, tree index of its edge)
+    for root in range(n):
+        if root in up:
+            continue
+        up[root] = (root, -1)
+        order = [root]
+        for u in order:  # grows while it is walked: a breadth-first order
+            for v, ti in adj[u]:
+                if v not in up:
+                    up[v] = (u, ti)
+                    order.append(v)
+                elif ti != up[u][1]:
+                    raise ValueError("tree edges must form a forest")
+        subtree = {v: 1 << v for v in order}
+        for v in reversed(order[1:]):
+            parent, ti = up[v]
+            below[ti] = subtree[v]
+            subtree[parent] |= subtree[v]
+        comps.append(subtree[root])
+    return comps, below
 
 
 def _merges(npieces: int, min_parts: int):
@@ -181,41 +188,69 @@ def _merges(npieces: int, min_parts: int):
     return out
 
 
-def _candidate_partitions(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, caps, merges):
-    """Yield (frozenset of part bitmasks, value) for every subset F of at most
-    h tree edges and every merge of the pieces of tree - F into at least
-    ``min_parts`` groups.  Duplicates across subsets are not removed.
+def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges):
+    """Yield (piece masks, merges of the pieces) of tree - F for every
+    subset F of at most h tree edges that leaves at least ``min_parts``
+    pieces.  ``merges`` memoizes ``_merges`` by piece count.
+
+    The pieces are ordered by their smallest vertex, so two subsets leave
+    the same pieces iff their mask tuples are equal.  The piece below a
+    removed edge is its subtree less the subtrees below the other removed
+    edges inside it; the rest of each component is a piece of its own."""
+    comps, below = _rooted_forest(g.n, tree, g.edges)
+    for f in range(max(min_parts - len(comps), 0), min(h, len(tree)) + 1):
+        npieces = len(comps) + f
+        if npieces not in merges:
+            merges[npieces] = _merges(npieces, min_parts)
+        for removed in itertools.combinations(below, f):
+            pieces = []
+            cut_off = 0
+            for sub in removed:
+                cut_off |= sub
+                piece = sub
+                for other in removed:
+                    if other & sub == other and other != sub:
+                        piece &= ~other
+                pieces.append(piece)
+            pieces += [c & ~cut_off for c in comps]
+            pieces.sort(key=lambda mask: mask & -mask)
+            yield tuple(pieces), merges[npieces]
+
+
+def _layout_cuts(g: Graph, caps, masks, merges, known=()):
+    """Yield (frozenset of part bitmasks, value) for every merge of one
+    piece layout whose part masks are not in ``known``.
 
     ``caps`` are the scaled integer capacities, so values are integers in
-    the same scale; ``merges`` memoizes ``_merges`` by piece count."""
-    tree = tuple(tree)
-    edges = g.edges
-    max_f = min(h, len(tree))
-    base_pieces = g.n - len(tree)  # forest components before any removal
-    for f in range(max(min_parts - base_pieces, 0), max_f + 1):
-        for removed in itertools.combinations(tree, f):
-            piece_of, masks = _tree_pieces(g.n, tree, set(removed), edges)
-            npieces = len(masks)
-            if npieces < min_parts:
-                continue
-            # capacity between each pair of pieces, accumulated once per F
-            between: dict[tuple[int, int], int] = {}
-            for e, c in zip(edges, caps):
+    the same scale.  The capacity between each pair of pieces is summed
+    once, when the first merge needs it; each merge then adds the pairs it
+    separates."""
+    between = None
+    for ngroups, group_of in merges:
+        part_masks = [0] * ngroups
+        for p, mask in enumerate(masks):
+            part_masks[group_of[p]] |= mask
+        parts = frozenset(part_masks)
+        if parts in known:
+            continue
+        if between is None:
+            piece_of = [0] * g.n
+            for p, mask in enumerate(masks):
+                for v in range(g.n):
+                    if mask >> v & 1:
+                        piece_of[v] = p
+            pairs: dict[tuple[int, int], int] = {}
+            for e, c in zip(g.edges, caps):
                 a, b = piece_of[e.u], piece_of[e.v]
                 if a != b and c:
                     key = (a, b) if a < b else (b, a)
-                    between[key] = between.get(key, 0) + c
-            if npieces not in merges:
-                merges[npieces] = _merges(npieces, min_parts)
-            for ngroups, group_of in merges[npieces]:
-                value = 0
-                for (a, b), c in between.items():
-                    if group_of[a] != group_of[b]:
-                        value += c
-                part_masks = [0] * ngroups
-                for p in range(npieces):
-                    part_masks[group_of[p]] |= masks[p]
-                yield frozenset(part_masks), value
+                    pairs[key] = pairs.get(key, 0) + c
+            between = list(pairs.items())
+        value = 0
+        for (a, b), c in between:
+            if group_of[a] != group_of[b]:
+                value += c
+        yield parts, value
 
 
 def _masks_to_partition(g: Graph, masks) -> VertexPartition:
@@ -227,27 +262,36 @@ def _masks_to_partition(g: Graph, masks) -> VertexPartition:
 
 def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
     """Stream every cut of g that h-respects the given maximal forest and has
-    at least k parts, as CutResults; deduplication is the caller's job."""
+    at least k parts, as CutResults; deduplication is the caller's job.
+    Edges that do not form a forest raise ``ValueError``."""
     if h < k - 1:
         raise ValueError("h must be at least k - 1")
     caps, scale = scaled_capacities(g)
-    for masks, value in _candidate_partitions(g, tuple(tree), h, k, caps, {}):
-        p = _masks_to_partition(g, masks)
-        yield CutResult(p, Fraction(value, scale), p.part_count)
+    for pieces, layout_merges in _layouts(g, tuple(tree), h, k, {}):
+        for masks, value in _layout_cuts(g, caps, pieces, layout_merges):
+            p = _masks_to_partition(g, masks)
+            yield CutResult(p, Fraction(value, scale), p.part_count)
 
 
 def _enumerate_over_support(g: Graph, trees, h: int, k: int):
     """{part masks: value} of every distinct candidate over the given trees,
-    and the number of candidates examined."""
+    and the number of candidates examined.
+
+    A piece layout met again, on this tree or another, yields only cuts
+    already found, so its merges are counted and not scored again."""
     caps, scale = scaled_capacities(g)
     merges: dict[int, list] = {}
+    seen: set[tuple[int, ...]] = set()
     found: dict[frozenset, int] = {}
     candidates = 0
     for tree in trees:
-        for masks, value in _candidate_partitions(g, tree, h, k, caps, merges):
-            candidates += 1
-            if masks not in found:
-                found[masks] = value
+        for pieces, layout_merges in _layouts(g, tuple(tree), h, k, merges):
+            candidates += len(layout_merges)
+            if pieces in seen:
+                continue
+            seen.add(pieces)
+            for parts, value in _layout_cuts(g, caps, pieces, layout_merges, found):
+                found[parts] = value
     return {masks: Fraction(v, scale) for masks, v in found.items()}, candidates
 
 

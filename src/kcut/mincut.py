@@ -21,10 +21,10 @@ from fractions import Fraction
 from .graph import (
     Graph,
     CutResult,
+    VertexPartition,
     component_blocks,
     components,
     cut_of_partition,
-    partition_from_blocks,
     scaled_capacities,
 )
 from .oracle import partition_sort_key
@@ -132,9 +132,10 @@ def _mask_parts(n: int, mask: int):
 
 def _best_mask_cut(g: Graph, masks, value: Fraction) -> CutResult:
     """The tie-break winner among two-sided cuts of equal value: every one
-    has two parts, so the canonical parts decide."""
-    p = partition_from_blocks(g, min(_mask_parts(g.n, m) for m in masks))
-    return CutResult(p, value, p.part_count)
+    has two parts, so the canonical parts decide.  ``value`` is the table's
+    exact cut value, so the partition takes it as is."""
+    p = VertexPartition(min(_mask_parts(g.n, m) for m in masks), value)
+    return CutResult(p, value, 2)
 
 
 def min_1respect(g: Graph, tree) -> CutResult:

@@ -3,8 +3,9 @@
 Two packers share a pricing kernel (minimum spanning forest):
 
 * ``mwu_pack``: a deterministic width-based multiplicative-weights packer
-  meeting a (1 - eps) guarantee, float weights internally but an exact
-  rational final rescale (so reported loads and value are rigorous).
+  meeting a (1 - eps) guarantee.  Only the edge weights are floats; loads
+  and tree weights are integers on scaled capacities, and one exact
+  rational rescale at the end makes the reported loads and value rigorous.
 * ``exact_pack``: column generation; restricted master solved by the exact
   rational simplex, pricing by minimum spanning forest under the master
   duals, certified against the strength min-max value on termination.
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph, component_blocks, induced_subgraph
+from .graph import Graph, component_blocks, induced_subgraph, scaled_capacities
 from .simplex import solve_lp
 from .strength import strength as _strength
 
@@ -86,7 +87,7 @@ def min_spanning_forest(g: Graph, edge_weights) -> tuple[int, ...]:
     ``edge_weights`` is a sequence aligned with g.edges (rationals or
     floats).  A maximal forest has n - h edges for h connected components.
     """
-    order = sorted(range(g.m), key=lambda i: (edge_weights[i], i))
+    order = sorted(range(g.m), key=edge_weights.__getitem__)  # stable: ties by id
     parent = list(range(g.n))
 
     def find(x):
@@ -128,7 +129,9 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
     the minimum spanning forest under w(e)/c(e) and multiplies the chosen
     edges' weights by (1 + eps * delta / c(e)); the loop stops once any
     weight exceeds m**(1/eps), and the accumulated packing is rescaled by
-    the exact maximum relative overload.
+    the exact maximum relative overload.  The weights are floats; loads and
+    accumulated tree weights are integers on ``scaled_capacities``, and
+    ``Fraction``s are built only in the final rescale.
     """
     work, keep, caps_full = _working_graph(g, caps)
     if work.m == 0:
@@ -144,9 +147,10 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
         ) from None
     cap_q = [e.cap for e in work.edges]
     cap_f = [_float_cap(c) for c in cap_q]
+    cap_s, scale = scaled_capacities(work)
     w = [1.0] * m
-    raw: dict[tuple[int, ...], Fraction] = {}
-    load = [Fraction(0)] * m
+    raw: dict[tuple[int, ...], int] = {}  # scaled like cap_s
+    load = [0] * m  # scaled like cap_s
     max_iter = config.max_iterations
     if max_iter is None:
         max_iter = 16 + int(4 * m * math.log(max(m, 2)) / (eps * eps))
@@ -157,11 +161,12 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
         iterations += 1
         lengths = [w[i] / cap_f[i] for i in range(m)]
         forest = min_spanning_forest(work, lengths)
-        delta = min(cap_q[i] for i in forest)
+        bottleneck = min(forest, key=cap_s.__getitem__)
+        delta = cap_s[bottleneck]
         key = tuple(keep[i] for i in forest)
-        raw[key] = raw.get(key, Fraction(0)) + delta
+        raw[key] = raw.get(key, 0) + delta
         stop = False
-        df = float(delta)
+        df = cap_f[bottleneck]
         for i in forest:
             load[i] += delta
             w[i] *= 1.0 + eps * df / cap_f[i]
@@ -169,9 +174,9 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
                 stop = True
         if stop:
             break
-    rho = max(load[i] / cap_q[i] for i in range(m))
+    rho = max(Fraction(load[i], cap_s[i]) for i in range(m))
     trees = tuple(sorted(raw))
-    weights = tuple(raw[t] / rho for t in trees)
+    weights = tuple(Fraction(raw[t], scale) / rho for t in trees)
     caps_used = {keep[i]: cap_q[i] for i in range(m)}
     return TreePacking(trees, weights, caps_used, approximate=True)
 

@@ -61,6 +61,11 @@ def test_cuts_from_tree_h_too_small(c5):
         list(cuts_from_tree(c5, (0, 1, 2, 3), 1, 3))
 
 
+def test_cuts_from_tree_rejects_a_cycle(c5):
+    with pytest.raises(ValueError, match="forest"):
+        list(cuts_from_tree(c5, (0, 1, 2, 3, 4), 1, 2))
+
+
 def test_min_kcut_fixtures(tt, c5):
     cut, report = min_kcut(tt, 2)
     assert cut.value == 1 and len(report.cuts) == 1

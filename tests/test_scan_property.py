@@ -1,0 +1,105 @@
+"""The memoized support scan against plain per-tree streams.
+
+``_enumerate_over_support`` scores each distinct piece layout once per scan
+and skips merges whose cut it already holds.  Folding the ``cuts_from_tree``
+stream of every tree, keeping each cut's first value, must give the same
+cuts in the same order and the same candidate count.  The tree lists repeat
+trees and mix multiplicative-weights supports with random maximal forests,
+so layouts recur both within a tree and across trees.
+
+``cuts_from_tree`` itself is checked against a brute-force stream that
+takes the components of tree - F from ``component_blocks`` and prices each
+merge with ``cut_of_partition``.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kcut import Edge, Graph, cut_of_partition, cuts_from_tree, min_spanning_forest
+from kcut.cuts import _enumerate_over_support
+from kcut.graph import component_blocks
+from kcut.oracle import set_partitions
+from kcut.packing import PackConfig, mwu_pack
+
+F = Fraction
+
+
+@st.composite
+def _multigraphs(draw):
+    """n <= 7; about one in five graphs is disconnected.  Extra edges may be
+    parallel, and capacities may be 0 or rational."""
+    n = draw(st.integers(2, 7))
+    label = draw(st.permutations(range(n)))
+    caps = st.sampled_from([F(0), F(1), F(2), F(3, 2), F(1, 3), F(5)])
+    connected = draw(st.integers(0, 4)) > 0
+    pairs = []
+    for v in range(1, n):
+        if connected or draw(st.booleans()):
+            pairs.append((label[v], label[draw(st.integers(0, v - 1))]))
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs += draw(st.lists(extra, max_size=6))
+    return Graph(n, tuple(Edge(min(p), max(p), draw(caps)) for p in pairs))
+
+
+@st.composite
+def _scans(draw):
+    """(graph, tree list with repeats, h, k): the trees are maximal forests
+    under random weights and the support of a multiplicative-weights
+    packing of the graph's positive-capacity edges."""
+    g = draw(_multigraphs())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [min_spanning_forest(g, [rng.random() for _ in range(g.m)]) for _ in range(3)]
+    if any(e.cap > 0 for e in g.edges):
+        eps = draw(st.sampled_from([F(1, 4), F(1, 6)]))
+        pool += list(mwu_pack(g, config=PackConfig(epsilon=eps)).support())
+    trees = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    k = draw(st.integers(2, min(4, g.n)))
+    h = draw(st.integers(k - 1, 2 * k - 2))
+    return g, trees, h, k
+
+
+def _mask_key(partition):
+    return frozenset(sum(1 << v for v in part) for part in partition.parts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_scans())
+def test_memoized_scan_matches_per_tree_streams(scan):
+    g, trees, h, k = scan
+    expected: dict[frozenset, Fraction] = {}
+    candidates = 0
+    for tree in trees:
+        for cut in cuts_from_tree(g, tree, h, k):
+            candidates += 1
+            expected.setdefault(_mask_key(cut.partition), cut.value)
+    found, examined = _enumerate_over_support(g, trees, h, k)
+    assert examined == candidates
+    assert list(found.items()) == list(expected.items())
+
+
+def _brute_stream(g, tree, h, k):
+    """(parts, value) of every subset F of at most h tree edges and every
+    merge of the components of tree - F into at least k groups, in the
+    scan's order: F by size then ``itertools.combinations``, components by
+    smallest vertex, merges in ``set_partitions`` order."""
+    forest = Graph(g.n, tuple(g.edges[eid] for eid in tree))
+    for f in range(min(h, len(tree)) + 1):
+        for removed in itertools.combinations(range(len(tree)), f):
+            pieces = sorted(component_blocks(forest, exclude_edges=removed), key=min)
+            for blocks in set_partitions(pieces):
+                if len(blocks) >= k:
+                    cut = cut_of_partition(g, [sum(blk, []) for blk in blocks])
+                    yield cut.partition.parts, cut.value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_scans())
+def test_tree_stream_matches_component_brute_force(scan):
+    g, trees, h, k = scan
+    for tree in set(trees):
+        stream = [(cut.partition.parts, cut.value) for cut in cuts_from_tree(g, tree, h, k)]
+        assert stream == list(_brute_stream(g, tree, h, k))
