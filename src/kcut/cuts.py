@@ -13,8 +13,9 @@ is scored once per scan: the capacity between every pair of its pieces is
 summed on integer-scaled capacities, and each merge adds only the piece
 pairs it separates.  A layout met again only adds its merge count to the
 candidates, and a merge whose parts were already found is not summed.  The
-merges of p pieces are listed once per scan.  Values stay integers until
-each distinct cut gets its ``Fraction``.
+merges of p pieces are listed once per scan.  Values stay integers in the
+scale of the capacities, through the minimum and the threshold; only a
+reported cut gets its ``Fraction``.
 
 Also here: the LP rounding algorithm (contract the zeros, keep the ones,
 isolate cheap vertices of the fractional residual) and the principal
@@ -31,12 +32,12 @@ from math import floor
 from .graph import (
     Graph,
     CutResult,
-    VertexPartition,
+    _mask_partition,
+    _rooted_forest,
     component_blocks,
     components,
     contract_partition,
     cut_of_partition,
-    partition_from_blocks,
     scaled_capacities,
 )
 from .lp import DualSolution, PrimalSolution, lagrangean_value, lp_dual
@@ -51,7 +52,6 @@ class RespectStats:
     cut_edges: frozenset[int]
     crossings: tuple[int, ...]  # |E(T) & cut| per packing tree
     q_h: Fraction
-    bound: Fraction | None
 
 
 @dataclass(frozen=True)
@@ -97,20 +97,8 @@ def mincut_respect_bound(h: int, n: int, eps=Fraction(0)) -> Fraction:
     raise ValueError("mincut bounds are stated for h in {1, 2}")
 
 
-def respect_stats(
-    packing: TreePacking,
-    cut_edges,
-    h: int,
-    *,
-    alpha=None,
-    k: int | None = None,
-    n: int | None = None,
-    eps=Fraction(0),
-) -> RespectStats:
-    """Exact crossing counts and weight fractions of a packing against a cut.
-
-    When (alpha, k, n) are supplied the matching lower bound on q_h is
-    attached for comparison."""
+def respect_stats(packing: TreePacking, cut_edges, h: int) -> RespectStats:
+    """Exact crossing counts and weight fractions of a packing against a cut."""
     if not packing.trees:
         raise ValueError("empty packing")
     cut = frozenset(cut_edges)
@@ -119,10 +107,7 @@ def respect_stats(
     hit = sum(
         (w for ell, w in zip(crossings, packing.weights) if ell <= h), Fraction(0)
     )
-    bound = None
-    if alpha is not None and k is not None and n is not None:
-        bound = dual_respect_bound(alpha, k, h, n, eps)
-    return RespectStats(h, cut, crossings, hit / total, bound)
+    return RespectStats(h, cut, crossings, hit / total)
 
 
 def bell_number(n: int) -> int:
@@ -138,39 +123,6 @@ def bell_number(n: int) -> int:
 def merge_pattern_count(h: int) -> int:
     """Exact number of groupings of h+1 tree pieces into >= 2 groups."""
     return bell_number(h + 1) - 1
-
-
-def _rooted_forest(n: int, tree: tuple[int, ...], edges):
-    """(component masks, mask below each tree edge) of a forest, each
-    component rooted at its smallest vertex; the mask below an edge is the
-    subtree of its child end."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ti, eid in enumerate(tree):
-        e = edges[eid]
-        adj[e.u].append((e.v, ti))
-        adj[e.v].append((e.u, ti))
-    below = [0] * len(tree)
-    comps = []
-    up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, tree index of its edge)
-    for root in range(n):
-        if root in up:
-            continue
-        up[root] = (root, -1)
-        order = [root]
-        for u in order:  # grows while it is walked: a breadth-first order
-            for v, ti in adj[u]:
-                if v not in up:
-                    up[v] = (u, ti)
-                    order.append(v)
-                elif ti != up[u][1]:
-                    raise ValueError("tree edges must form a forest")
-        subtree = {v: 1 << v for v in order}
-        for v in reversed(order[1:]):
-            parent, ti = up[v]
-            below[ti] = subtree[v]
-            subtree[parent] |= subtree[v]
-        comps.append(subtree[root])
-    return comps, below
 
 
 def _merges(npieces: int, min_parts: int):
@@ -197,7 +149,7 @@ def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges):
     the same pieces iff their mask tuples are equal.  The piece below a
     removed edge is its subtree less the subtrees below the other removed
     edges inside it; the rest of each component is a piece of its own."""
-    comps, below = _rooted_forest(g.n, tree, g.edges)
+    comps, below, _ = _rooted_forest(g.n, tree, g.edges)
     for f in range(max(min_parts - len(comps), 0), min(h, len(tree)) + 1):
         npieces = len(comps) + f
         if npieces not in merges:
@@ -253,13 +205,6 @@ def _layout_cuts(g: Graph, caps, masks, merges, known=()):
         yield parts, value
 
 
-def _masks_to_partition(g: Graph, masks) -> VertexPartition:
-    blocks = []
-    for mask in masks:
-        blocks.append([v for v in range(g.n) if mask >> v & 1])
-    return partition_from_blocks(g, blocks)
-
-
 def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
     """Stream every cut of g that h-respects the given maximal forest and has
     at least k parts, as CutResults; deduplication is the caller's job.
@@ -269,13 +214,14 @@ def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
     caps, scale = scaled_capacities(g)
     for pieces, layout_merges in _layouts(g, tuple(tree), h, k, {}):
         for masks, value in _layout_cuts(g, caps, pieces, layout_merges):
-            p = _masks_to_partition(g, masks)
-            yield CutResult(p, Fraction(value, scale), p.part_count)
+            p = _mask_partition(g.n, masks, Fraction(value, scale))
+            yield CutResult(p, p.crossing_value, p.part_count)
 
 
 def _enumerate_over_support(g: Graph, trees, h: int, k: int):
-    """{part masks: value} of every distinct candidate over the given trees,
-    and the number of candidates examined.
+    """({part masks: value}, scale, candidates examined): every distinct
+    candidate over the given trees, with its value as an integer in the
+    scale of ``scaled_capacities(g)``.
 
     A piece layout met again, on this tree or another, yields only cuts
     already found, so its merges are counted and not scored again."""
@@ -292,14 +238,15 @@ def _enumerate_over_support(g: Graph, trees, h: int, k: int):
             seen.add(pieces)
             for parts, value in _layout_cuts(g, caps, pieces, layout_merges, found):
                 found[parts] = value
-    return {masks: Fraction(v, scale) for masks, v in found.items()}, candidates
+    return found, scale, candidates
 
 
 def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
     """The scan behind ``min_kcut`` and ``enumerate_approx_kcuts``: every
     cut crossing a support tree of the packing in c+z at most h times, h
     raised to the mode's completeness bound (2k-3 exact, 2k-2 approximate).
-    Returns ({part masks: value}, candidates examined, h, dual).
+    Returns ({part masks: value}, scale, candidates examined, h, dual),
+    each value an integer in the scale.
 
     k = n scans nothing: the singletons come back with h as given and no
     dual.  When k is at most the number of components the exact packing is
@@ -315,14 +262,13 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
     if k == g.n:
-        singletons = frozenset(1 << v for v in range(g.n))
-        value = _masks_to_partition(g, singletons).crossing_value
-        return {singletons: value}, 0, h, None
+        caps, scale = scaled_capacities(g)
+        return {frozenset(1 << v for v in range(g.n)): sum(caps)}, scale, 0, h, None
     psp = principal_sequence(g)
     if psp.levels and psp.levels[0].lam == 0:
         positive = Graph(g.n, tuple(e for e in g.edges if e.cap > 0))
-        found, candidates, h, _ = _scan(positive, k, h, mode, eps)
-        return found, candidates, h, None
+        found, scale, candidates, h, _ = _scan(positive, k, h, mode, eps)
+        return found, scale, candidates, h, None
     dual = lp_dual(g, psp, k, explicit=(mode == "exact"))
     if mode == "approx":
         if eps is None:
@@ -338,10 +284,10 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
         trees, h = [min_spanning_forest(g, [0] * g.m)], 0
     else:
         trees, h = dual.packing.support(), max(h, 2 * k - 3, k - 1)
-    found, candidates = _enumerate_over_support(g, trees, h, k)
+    found, scale, candidates = _enumerate_over_support(g, trees, h, k)
     if not found:
         raise AssertionError("enumeration found no k-cut")
-    return found, candidates, h, dual
+    return found, scale, candidates, h, dual
 
 
 def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None):
@@ -357,15 +303,16 @@ def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None):
     mode ``report.dual`` is the optimal dual whose packing was scanned, so
     a caller can certify it without a second column generation.
     """
-    found, candidates, h, dual = _scan(g, k, 0, mode, eps)
+    found, scale, candidates, h, dual = _scan(g, k, 0, mode, eps)
     best = min(found.values())
+    value = Fraction(best, scale)
     minimizers = [
-        _masks_to_partition(g, masks) for masks, v in found.items() if v == best
+        _mask_partition(g.n, masks, value) for masks, v in found.items() if v == best
     ]
     minimizers.sort(key=partition_sort_key)
-    cuts = tuple(CutResult(p, best, p.part_count) for p in minimizers)
+    cuts = tuple(CutResult(p, value, p.part_count) for p in minimizers)
     report = EnumerationReport(
-        k, h, mode, candidates, len(found), cuts, best, dual=dual
+        k, h, mode, candidates, len(found), cuts, value, dual=dual
     )
     return cuts[0], report
 
@@ -378,16 +325,18 @@ def enumerate_approx_kcuts(g: Graph, k: int, alpha) -> EnumerationReport:
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    found, candidates, h, dual = _scan(g, k, floor(2 * alpha * (k - 1)))
-    lam_k = min(found.values())
+    found, scale, candidates, h, dual = _scan(g, k, floor(2 * alpha * (k - 1)))
+    best = min(found.values())
+    lam_k = Fraction(best, scale)
     threshold = alpha * lam_k
+    limit = floor(alpha * best)  # an integer v is at most alpha * best iff at most this
     keep = [
-        (_masks_to_partition(g, masks), v)
+        (v, _mask_partition(g.n, masks, Fraction(v, scale)))
         for masks, v in found.items()
-        if v <= threshold
+        if v <= limit
     ]
-    keep.sort(key=lambda pv: (pv[1], partition_sort_key(pv[0])))
-    cuts = tuple(CutResult(p, v, p.part_count) for p, v in keep)
+    keep.sort(key=lambda vp: (vp[0], partition_sort_key(vp[1])))
+    cuts = tuple(CutResult(p, p.crossing_value, p.part_count) for _, p in keep)
     return EnumerationReport(
         k, h, "exact", candidates, len(found), cuts, lam_k, threshold, dual
     )

@@ -54,7 +54,7 @@ class Graph:
 
     @property
     def component_count(self) -> int:
-        return len(components(self).parts)
+        return len(component_blocks(self))
 
     def is_connected(self) -> bool:
         return self.component_count <= 1
@@ -250,6 +250,53 @@ def components(g: Graph, exclude_edges: Iterable[int] = ()) -> VertexPartition:
     The crossing value is evaluated against the full edge set of g.
     """
     return partition_from_blocks(g, component_blocks(g, exclude_edges))
+
+
+def _rooted_forest(n: int, tree: Sequence[int], edges: Sequence[Edge]):
+    """(component masks, mask below each tree edge, root-path mask of each
+    vertex) of a forest given as edge ids, each component rooted at its
+    smallest vertex.  The mask below a tree edge is the subtree of its child
+    end; a vertex's root-path mask has bit i set iff the i-th tree edge lies
+    on its path to the root.  Edges with a cycle raise ``ValueError``."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for ti, eid in enumerate(tree):
+        e = edges[eid]
+        adj[e.u].append((e.v, ti))
+        adj[e.v].append((e.u, ti))
+    parent = [-1] * n
+    up = [-1] * n  # tree index of the edge to the parent
+    path = [0] * n
+    subtree = [1 << v for v in range(n)]
+    below = [0] * len(tree)
+    comps = []
+    for root in range(n):
+        if parent[root] >= 0:
+            continue
+        parent[root] = root
+        order = [root]
+        for u in order:  # grows while it is walked: a breadth-first order
+            for v, ti in adj[u]:
+                if parent[v] < 0:
+                    parent[v] = u
+                    up[v] = ti
+                    path[v] = path[u] | 1 << ti
+                    order.append(v)
+                elif ti != up[u]:
+                    raise ValueError("tree edges must form a forest")
+        for v in reversed(order[1:]):
+            below[up[v]] = subtree[v]
+            subtree[parent[v]] |= subtree[v]
+        comps.append(subtree[root])
+    return comps, below, path
+
+
+def _mask_partition(n: int, masks: Iterable[int], value: Fraction) -> VertexPartition:
+    """The canonical partition whose parts are the given disjoint vertex
+    bitmasks, carrying the crossing value the caller already holds."""
+    parts = sorted(masks, key=lambda mask: mask & -mask)
+    return VertexPartition(
+        tuple([tuple([v for v in range(n) if mask >> v & 1]) for mask in parts]), value
+    )
 
 
 def _quotient(g: Graph, block: Sequence[int], nblocks: int) -> tuple[Graph, list[int]]:

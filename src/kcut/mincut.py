@@ -9,19 +9,21 @@ with cut(e) the capacity of edges whose path holds e and cross(e, f) that of
 edges whose path holds both, the pair's value is
 cut(e) + cut(f) - 2 cross(e, f).  One pass over the edges, on capacities
 scaled to integers, fills both tables; each edge adds to the pairs on its
-own tree path only.
+own tree path only.  The root paths and the subtree below each tree edge
+come from the same rooted-forest walk as the k-cut scan in ``cuts``, so
+both scans reject a tree that contains a cycle the same way.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import (
     Graph,
     CutResult,
-    VertexPartition,
+    _mask_partition,
+    _rooted_forest,
     component_blocks,
     components,
     cut_of_partition,
@@ -34,7 +36,8 @@ from .packing import PackConfig, mwu_pack
 @dataclass
 class TreeCutTable:
     """Spanning tree rooted at vertex 0, with subtree masks and the integer
-    tables of its 1- and 2-respecting cut values.
+    tables of its 1- and 2-respecting cut values.  Edges that contain a
+    cycle or do not span the graph raise ``ValueError``.
 
     ``cut(i)`` is the capacity leaving the subtree below the i-th tree edge;
     ``pair_value(i, j)`` the capacity of the unique cut crossing the tree in
@@ -56,40 +59,10 @@ class TreeCutTable:
         if self.scaled is None:
             self.scaled = scaled_capacities(g)
         caps, self.scale = self.scaled
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for ti, eid in enumerate(self.tree):
-            e = g.edges[eid]
-            adj[e.u].append((e.v, ti))
-            adj[e.v].append((e.u, ti))
-        parent = [-1] * g.n
-        parent_edge = [-1] * g.n  # tree index of the edge to the parent
-        path = [0] * g.n  # tree edges on the root path, as a bitmask
-        order = []
-        seen = [False] * g.n
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v, ti in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    parent_edge[v] = ti
-                    path[v] = path[u] | 1 << ti
-                    queue.append(v)
-        if not all(seen):
+        comps, self.masks, path = _rooted_forest(g.n, self.tree, g.edges)
+        if len(comps) != 1:
             raise ValueError("tree does not span the graph")
-        subtree = [1 << v for v in range(g.n)]
-        for u in reversed(order):
-            if parent[u] >= 0:
-                subtree[parent[u]] |= subtree[u]
-        # mask below each tree edge = subtree of its child endpoint
         nt = len(self.tree)
-        self.masks = [0] * nt
-        for v in range(g.n):
-            if parent_edge[v] >= 0:
-                self.masks[parent_edge[v]] = subtree[v]
         cuts = [0] * nt
         cross = [[0] * i for i in range(nt)]
         for e, c in zip(g.edges, caps):
@@ -124,18 +97,17 @@ class TreeCutTable:
         return Fraction(self.int_cuts[i] + self.int_cuts[j] - 2 * both, self.scale)
 
 
-def _mask_parts(n: int, mask: int):
-    side = tuple(v for v in range(n) if mask >> v & 1)
-    rest = tuple(v for v in range(n) if not mask >> v & 1)
-    return (side, rest) if side[0] < rest[0] else (rest, side)
-
-
 def _best_mask_cut(g: Graph, masks, value: Fraction) -> CutResult:
-    """The tie-break winner among two-sided cuts of equal value: every one
-    has two parts, so the canonical parts decide.  ``value`` is the table's
-    exact cut value, so the partition takes it as is."""
-    p = VertexPartition(min(_mask_parts(g.n, m) for m in masks), value)
-    return CutResult(p, value, 2)
+    """The tie-break winner among two-sided cuts of equal value: the side
+    holding vertex 0 comes first in each canonical partition, so the side
+    whose sorted vertices come first wins.  ``value`` is the table's exact
+    cut value, so the partition takes it as is."""
+    full = (1 << g.n) - 1
+    sides = [mask if mask & 1 else full ^ mask for mask in masks]
+    side = sides[0]
+    if len(sides) > 1:  # the usual single tie needs no key
+        side = min(sides, key=lambda mask: [v for v in range(g.n) if mask >> v & 1])
+    return CutResult(_mask_partition(g.n, (side, full ^ side), value), value, 2)
 
 
 def min_1respect(g: Graph, tree) -> CutResult:

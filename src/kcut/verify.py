@@ -187,9 +187,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             qh_ok = True
             for cut in report.cuts:
                 eids = crossing_edges(g, cut.partition.block_of(g.n))
-                stats = respect_stats(
-                    dual.packing, eids, h, alpha=1, k=k, n=n
-                )
+                stats = respect_stats(dual.packing, eids, h)
                 if min(stats.crossings) > h:
                     witness_ok = False
                 if stats.q_h < dual_respect_bound(1, k, h, n):

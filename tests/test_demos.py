@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,6 +8,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# SHA-256 of each demo's stdout.  The demos print exact, deterministic
+# results, so any change to an answer, a certificate or the output format
+# shows here; the digests do not depend on PYTHONHASHSEED.
+STDOUT_SHA256 = {
+    "01_strength_and_psp.py": "42dc6e138244a9a29fa74c21e488c412d5a383e88abc29039f0f581eec8ef15e",
+    "02_tree_packings.py": "2b8ccf9fcfe886dd955c5d6d01719a1721e1570bd6ab486782feb882e96c6e25",
+    "03_kcut_lp_certificates.py": "17f1b8a45c5f1221e47946bb3a31165faeea69dbef9b389918a830fc2eabced2",
+    "04_minimum_kcuts.py": "a7f836a88b79be4c3a8bc19dff07c1f50b3d0e0e5807fdaa22c26ae3704efb3a",
+    "05_global_mincut.py": "4804a80572251db32ef536ca39f952985fe34a9c77be22b797ecb33fb7f1ebf9",
+}
 
 
 def test_demos_exist():
@@ -26,3 +38,4 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.name]

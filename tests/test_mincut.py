@@ -141,8 +141,12 @@ def test_global_mincut_input_validation():
 
 
 def test_tree_must_span(c5):
-    with pytest.raises(ValueError):
-        TreeCutTable(c5, (0, 1))
+    c4_chord = parse_graph("p kcut 4 5\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\ne 1 3 1\n")
+    for scan in (TreeCutTable, min_1respect, min_2respect):
+        with pytest.raises(ValueError):
+            scan(c5, (0, 1))
+        with pytest.raises(ValueError):  # the tree edges hold the 4-cycle
+            scan(c4_chord, (0, 1, 2, 3))
 
 
 @st.composite
@@ -191,6 +195,9 @@ def _two_sided(g, side):
 def test_tree_scan_matches_partition_values_property(graph_and_tree):
     g, tree = graph_and_tree
     table = TreeCutTable(g, tree)
+    for extra in set(range(g.m)) - set(tree):  # the tree plus any edge has a cycle
+        with pytest.raises(ValueError):
+            TreeCutTable(g, tree + (extra,))
     for i in range(len(tree)):
         side = [v for v in range(g.n) if table.masks[i] >> v & 1]
         assert table.cut(i) == _two_sided(g, side).value

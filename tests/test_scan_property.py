@@ -76,9 +76,9 @@ def test_memoized_scan_matches_per_tree_streams(scan):
         for cut in cuts_from_tree(g, tree, h, k):
             candidates += 1
             expected.setdefault(_mask_key(cut.partition), cut.value)
-    found, examined = _enumerate_over_support(g, trees, h, k)
+    found, scale, examined = _enumerate_over_support(g, trees, h, k)
     assert examined == candidates
-    assert list(found.items()) == list(expected.items())
+    assert [(masks, F(v, scale)) for masks, v in found.items()] == list(expected.items())
 
 
 def _brute_stream(g, tree, h, k):
