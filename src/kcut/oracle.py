@@ -1,8 +1,12 @@
 """Brute-force ground truth on small instances.
 
-Everything here is exponential by design: set-partition enumeration for
-strength / min k-cut / attack values, and exact LPs over the explicitly
-enumerated spanning forests for the packing and k-cut relaxation values.
+Everything here is exponential by design.  Strength, min k-cut and attack
+values are read off a ``PartitionTable``: one depth-first pass over all
+Bell(n) set partitions in integer arithmetic, keeping the least crossing
+value of each part count and every partition attaining it.  The packing and
+k-cut relaxation values are exact LPs over the explicitly enumerated
+spanning forests.  The table shares only ``scaled_capacities`` with the
+fast paths, so it is an independent check on them.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .graph import (
     CutResult,
     component_blocks,
     partition_from_blocks,
+    scaled_capacities,
 )
 from .simplex import solve_lp
 
@@ -74,23 +79,144 @@ def partition_sort_key(p: VertexPartition):
     return (-p.part_count, p.parts)
 
 
-def oracle_strength(g: Graph, limits: OracleLimits = DEFAULT_LIMITS):
-    """(strength, argmin partition) by exhaustive partition scan."""
+@dataclass(frozen=True)
+class PartitionTable:
+    """The least crossing value of each part count, with its minimizers.
+
+    ``best[p]`` is the least crossing value, scaled by ``scale``, over the
+    partitions with p parts, and ``ties[p]`` holds the restricted growth
+    string (one byte per vertex) of every partition attaining it, in
+    enumeration order.  Every
+    brute-force partition answer is read off these two maps.
+    """
+
+    graph: Graph
+    scale: int
+    best: dict[int, int]
+    ties: dict[int, list[bytes]]
+
+    def _partition(self, p: int, rgs: bytes) -> VertexPartition:
+        """The canonical partition of a restricted growth string with p
+        parts; block i opens at its smallest vertex, so no sort is needed."""
+        blocks: list[list[int]] = [[] for _ in range(p)]
+        for v, b in enumerate(rgs):
+            blocks[b].append(v)
+        return VertexPartition(tuple(map(tuple, blocks)), Fraction(self.best[p], self.scale))
+
+    def min_kcut(self, k: int):
+        """Minimum k-cut: (CutResult, tuple of every optimal partition with
+        >= k parts), ordered by ``partition_sort_key``."""
+        _check_k(self.graph, k)
+        counts = [p for p in self.best if p >= k]
+        least = min(self.best[p] for p in counts)
+        argmins = sorted(
+            (self._partition(p, rgs) for p in counts if self.best[p] == least for rgs in self.ties[p]),
+            key=partition_sort_key,
+        )
+        top = argmins[0]
+        return CutResult(top, top.crossing_value, top.part_count), tuple(argmins)
+
+    def strength(self):
+        """(strength, argmin partition): of the partitions attaining the
+        least c(E(P))/(|P|-1), the first by ``partition_sort_key``."""
+        _check_strength(self.graph)
+        ratios = {p: Fraction(v, self.scale * (p - 1)) for p, v in self.best.items() if p >= 2}
+        sigma = min(ratios.values())
+        p = max(q for q, r in ratios.items() if r == sigma)
+        return sigma, min((self._partition(p, rgs) for rgs in self.ties[p]), key=lambda q: q.parts)
+
+    def attack(self, b: Fraction):
+        """min over partitions of c(E(P)) - b(|P|-1), with the first argmin
+        in enumeration order at the least and at the greatest part count."""
+        values = {p: Fraction(v, self.scale) - b * (p - 1) for p, v in self.best.items()}
+        least = min(values.values())
+        tied = [p for p, v in values.items() if v == least]
+        lo, hi = min(tied), max(tied)
+        return least, self._partition(lo, self.ties[lo][0]), self._partition(hi, self.ties[hi][0])
+
+
+def partition_table(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> PartitionTable:
+    """One depth-first pass over the restricted growth strings of V.
+
+    Vertex v joins block b of a string on vertices 0..v-1, and the capacity
+    of v's edges to earlier vertices outside b is added to the prefix's
+    crossing value, so every value is one integer update of its parent's.
+    Only the least value of each part count and the strings attaining it
+    are kept; at the last vertex only the blocks of least added value are
+    visited.
+    """
+    n = g.n
+    if n > limits.max_n_partitions:
+        raise OracleLimitError(f"n={n} exceeds max_n_partitions={limits.max_n_partitions}")
+    caps, scale = scaled_capacities(g)
+    back: list[dict[int, int]] = [{} for _ in range(n)]  # v -> {u < v: capacity}
+    for e, c in zip(g.edges, caps):
+        u, v = sorted((e.u, e.v))
+        if u != v:
+            back[v][u] = back[v].get(u, 0) + c
+    earlier = [tuple(d.items()) for d in back]
+    earlier_total = [sum(d.values()) for d in back]
+    best: list[int | None] = [None] * (n + 1)
+    ties: list[list[bytes]] = [[] for _ in range(n + 1)]
+    rgs = [0] * n
+
+    def keep(p: int, value: int) -> None:
+        if best[p] is None or value < best[p]:
+            best[p] = value
+            ties[p] = [bytes(rgs)]
+        elif value == best[p]:
+            ties[p].append(bytes(rgs))
+
+    def grow(v: int, cost: int, used: int) -> None:
+        # conn[b]: capacity from v to block b, saved when v joins b
+        conn = [0] * used
+        for u, c in earlier[v]:
+            conn[rgs[u]] += c
+        cost += earlier_total[v]
+        if v == n - 1:
+            top = max(conn)
+            if best[used] is None or cost - top <= best[used]:
+                for b in range(used):
+                    if conn[b] == top:
+                        rgs[v] = b
+                        keep(used, cost - top)
+            rgs[v] = used
+            keep(used + 1, cost)
+            return
+        for b in range(used):
+            rgs[v] = b
+            grow(v + 1, cost - conn[b], used)
+        rgs[v] = used
+        grow(v + 1, cost, used + 1)
+
+    if n < 2:
+        keep(n, 0)
+    else:
+        grow(1, 0, 1)
+    return PartitionTable(
+        g,
+        scale,
+        {p: v for p, v in enumerate(best) if v is not None},
+        {p: ties[p] for p, v in enumerate(best) if v is not None},
+    )
+
+
+def _check_k(g: Graph, k: int) -> None:
+    if not 2 <= k <= g.n:
+        raise ValueError(f"k={k} out of range 2..{g.n}")
+
+
+def _check_strength(g: Graph) -> None:
     if g.n < 2:
         raise ValueError("strength needs at least two vertices")
     if not g.is_connected():
         raise ValueError("strength is defined for connected graphs")
-    best = None
-    best_p = None
-    for p in enum_partitions(g, limits):
-        if p.part_count < 2:
-            continue
-        ratio = p.crossing_value / (p.part_count - 1)
-        if best is None or ratio < best:
-            best, best_p = ratio, p
-        elif ratio == best and partition_sort_key(p) < partition_sort_key(best_p):
-            best_p = p
-    return best, best_p
+
+
+def oracle_strength(g: Graph, limits: OracleLimits = DEFAULT_LIMITS):
+    """(strength, argmin partition) by exhaustive partition scan."""
+    _check_strength(g)
+    return partition_table(g, limits).strength()
 
 
 def oracle_min_kcut(g: Graph, k: int, limits: OracleLimits = DEFAULT_LIMITS):
@@ -99,38 +225,13 @@ def oracle_min_kcut(g: Graph, k: int, limits: OracleLimits = DEFAULT_LIMITS):
     Returns (CutResult, tuple of every optimal partition with >= k parts),
     the representative tie-broken to maximum part count then canonical order.
     """
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
-    best = None
-    argmins: list[VertexPartition] = []
-    for p in enum_partitions(g, limits):
-        if p.part_count < k:
-            continue
-        v = p.crossing_value
-        if best is None or v < best:
-            best = v
-            argmins = [p]
-        elif v == best:
-            argmins.append(p)
-    argmins.sort(key=partition_sort_key)
-    top = argmins[0]
-    return CutResult(top, best, top.part_count), tuple(argmins)
+    _check_k(g, k)
+    return partition_table(g, limits).min_kcut(k)
 
 
 def oracle_attack_value(g: Graph, b: Fraction, limits: OracleLimits = DEFAULT_LIMITS):
     """min over partitions of c(E(P)) - b(|P|-1), with an extreme argmin pair."""
-    best = None
-    coarse = fine = None
-    for p in enum_partitions(g, limits):
-        v = p.crossing_value - b * (p.part_count - 1)
-        if best is None or v < best:
-            best, coarse, fine = v, p, p
-        elif v == best:
-            if p.part_count < coarse.part_count:
-                coarse = p
-            if p.part_count > fine.part_count:
-                fine = p
-    return best, coarse, fine
+    return partition_table(g, limits).attack(b)
 
 
 def spanning_forests(g: Graph, limit: int | None = None) -> list[tuple[int, ...]]:
@@ -226,8 +327,7 @@ def oracle_lp_value(g: Graph, k: int, limits: OracleLimits = DEFAULT_LIMITS) -> 
     Solved through its packing dual (same optimum, m rows instead of one row
     per forest): max (k-h) sum y_T - sum z_e with per-edge load at most c+z.
     """
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
+    _check_k(g, k)
     h = len(component_blocks(g))
     if k <= h:
         return Fraction(0)

@@ -35,9 +35,8 @@ from .oracle import (
     OracleLimitError,
     OracleLimits,
     oracle_lp_value,
-    oracle_min_kcut,
-    oracle_strength,
     oracle_treepack,
+    partition_table,
 )
 from .packing import SaturationError
 from .strength import principal_sequence, strength
@@ -103,11 +102,15 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             pack.total_value == sigma,
             f"strength {rational_str(sigma)}, packing value {rational_str(pack.total_value)}",
         )
+    # Every forest-LP row enumerates the same spanning forests, so once the
+    # enumeration exceeds the limit the remaining rows are skipped unrun.
+    forest_limit = ""
     try:
         otp = oracle_treepack(g, limits)
         _row(rows, "oracle-treepack", otp == sigma, f"oracle {rational_str(otp)}", certificate=False)
     except OracleLimitError as exc:
-        _skip(rows, "oracle-treepack", str(exc))
+        forest_limit = str(exc)
+        _skip(rows, "oracle-treepack", forest_limit)
 
     if degenerate:
         _skip(rows, "psp-ideal-packing", degenerate, certificate=True)
@@ -119,8 +122,14 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         else:
             _row(rows, "psp-ideal-packing", True, f"{len(psp.levels)} levels")
 
+    # One partition table answers the strength and every k's minimum k-cut.
     try:
-        osig, opart = oracle_strength(g, limits)
+        table, partition_limit = partition_table(g, limits), ""
+    except OracleLimitError as exc:
+        table, partition_limit = None, str(exc)
+        _skip(rows, "oracle-strength", partition_limit)
+    else:
+        osig, opart = table.strength()
         _row(
             rows,
             "oracle-strength",
@@ -128,8 +137,6 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             f"oracle {rational_str(osig)}",
             certificate=False,
         )
-    except OracleLimitError as exc:
-        _skip(rows, "oracle-strength", str(exc))
 
     if degenerate:
         for name in [f"k={k}" for k in ks if 2 <= k <= g.n] + ["global-mincut", "mincut-2respect-fraction"]:
@@ -211,8 +218,10 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             f"cut {rational_str(rs.value)}",
         )
 
-        try:
-            ocut, oall = oracle_min_kcut(g, k, limits)
+        if table is None:
+            _skip(rows, f"oracle-min-kcut[{tag}]", partition_limit)
+        else:
+            ocut, oall = table.min_kcut(k)
             same_value = ocut.value == best.value
             same_set = set(p.parts for p in oall) == set(
                 c.partition.parts for c in report.cuts
@@ -224,19 +233,21 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
                 f"oracle {rational_str(ocut.value)}, {len(oall)} minimizers",
                 certificate=False,
             )
-        except OracleLimitError as exc:
-            _skip(rows, f"oracle-min-kcut[{tag}]", str(exc))
-        try:
-            olp = oracle_lp_value(g, k, limits)
-            _row(
-                rows,
-                f"oracle-lp-value[{tag}]",
-                olp == primal.objective,
-                f"oracle {rational_str(olp)}",
-                certificate=False,
-            )
-        except OracleLimitError as exc:
-            _skip(rows, f"oracle-lp-value[{tag}]", str(exc))
+        if forest_limit:
+            _skip(rows, f"oracle-lp-value[{tag}]", forest_limit)
+        else:
+            try:
+                olp = oracle_lp_value(g, k, limits)
+                _row(
+                    rows,
+                    f"oracle-lp-value[{tag}]",
+                    olp == primal.objective,
+                    f"oracle {rational_str(olp)}",
+                    certificate=False,
+                )
+            except OracleLimitError as exc:
+                forest_limit = str(exc)
+                _skip(rows, f"oracle-lp-value[{tag}]", forest_limit)
 
     # global mincut row + 2-respecting fraction
     _row(

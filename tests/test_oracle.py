@@ -1,22 +1,28 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcut import (
+    Edge,
     Graph,
     OracleLimitError,
     OracleLimits,
     enum_partitions,
+    min_kcut,
     oracle_lp_value,
     oracle_min_kcut,
     oracle_strength,
     oracle_treepack,
+    principal_sequence,
     spanning_forests,
     strength,
 )
-from kcut.oracle import oracle_attack_value
+from kcut.oracle import oracle_attack_value, partition_sort_key, partition_table
 
-from conftest import full_suite
+from conftest import _random_connected, full_suite
 
 F = Fraction
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
@@ -126,3 +132,88 @@ def test_strength_tiebreak_prefers_more_parts(p3):
     s, p = oracle_strength(p3)
     assert s == 1 and p.part_count == 3
     assert strength(p3) == (s, p)
+
+
+@st.composite
+def _small_multigraphs(draw):
+    """n <= 7 with rational and zero capacities and parallel edges; about
+    half get a spanning path first, the rest are often disconnected."""
+    n = draw(st.integers(1, 7))
+    cap = st.sampled_from([F(0), F(1, 2), F(1), F(3, 2), F(2, 3), F(3)])
+    edges = []
+    if n > 1 and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        edges += [(min(u, v), max(u, v), draw(cap)) for u, v in zip(order, order[1:])]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges += [(u, v, draw(cap)) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=8))]
+    return Graph(n, tuple(Edge(*e) for e in edges))
+
+
+def _scan_min_kcut(parts, k):
+    wide = [p for p in parts if p.part_count >= k]
+    least = min(p.crossing_value for p in wide)
+    return sorted((p for p in wide if p.crossing_value == least), key=partition_sort_key)
+
+
+def _scan_strength(parts):
+    def ratio(p):
+        return p.crossing_value / (p.part_count - 1)
+
+    multi = [p for p in parts if p.part_count >= 2]
+    sigma = min(map(ratio, multi))
+    return sigma, min((p for p in multi if ratio(p) == sigma), key=partition_sort_key)
+
+
+def _scan_attack(parts, b):
+    def value(p):
+        return p.crossing_value - b * (p.part_count - 1)
+
+    least = min(map(value, parts))
+    tied = [p for p in parts if value(p) == least]
+    # min and max return the first extreme element, in enumeration order
+    return (
+        least,
+        min(tied, key=lambda p: p.part_count),
+        max(tied, key=lambda p: p.part_count),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_small_multigraphs())
+def test_partition_table_matches_partition_scan(g):
+    parts = list(enum_partitions(g))
+    table = partition_table(g)
+    for k in range(2, g.n + 1):
+        cut, argmins = table.min_kcut(k)
+        expected = _scan_min_kcut(parts, k)
+        assert argmins == tuple(expected), k
+        assert cut.partition == expected[0] and cut.value == expected[0].crossing_value
+        assert cut.k_achieved == expected[0].part_count
+    if g.n >= 2 and g.is_connected():
+        assert table.strength() == _scan_strength(parts)
+    lams = [level.lam for level in principal_sequence(g).levels]
+    for b in {F(0)} | {lam + d for lam in lams for d in (F(-1, 7), F(0), F(1, 7))}:
+        assert table.attack(b) == _scan_attack(parts, b), b
+
+
+def test_partition_table_limit():
+    with pytest.raises(OracleLimitError, match="n=13 exceeds max_n_partitions=12"):
+        partition_table(Graph(13, ()))
+    with pytest.raises(OracleLimitError):
+        oracle_min_kcut(Graph(4, ()), 2, OracleLimits(max_n_partitions=3))
+
+
+def test_partition_table_parity_at_n12():
+    g = _random_connected(random.Random(12), 12, 20)
+    table = partition_table(g)
+    for k in (2, 3):
+        ocut, oall = table.min_kcut(k)
+        cut, report = min_kcut(g, k)
+        assert cut.value == ocut.value, k
+        assert {c.partition.parts for c in report.cuts} == {p.parts for p in oall}, k
+
+
+def test_oracle_strength_at_n11():
+    g = _random_connected(random.Random(11), 11, 17)
+    assert oracle_strength(g) == strength(g)
