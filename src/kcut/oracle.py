@@ -5,8 +5,11 @@ values are read off a ``PartitionTable``: one depth-first pass over all
 Bell(n) set partitions in integer arithmetic, keeping the least crossing
 value of each part count and every partition attaining it.  The packing and
 k-cut relaxation values are exact LPs over the explicitly enumerated
-spanning forests.  The table shares only ``scaled_capacities`` with the
-fast paths, so it is an independent check on them.
+spanning forests, all on one ``ForestLP`` per graph: it enumerates the
+forests once, solves the packing LP, and re-optimises the same simplex
+tableau for each k, since only the objective depends on k.  The table
+shares only ``scaled_capacities`` with the fast paths, so it is an
+independent check on them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .graph import (
     partition_from_blocks,
     scaled_capacities,
 )
-from .simplex import solve_lp
+from .simplex import Tableau, solve_lp  # noqa: F401  perfbench's tracer wraps oracle.solve_lp
 
 
 class OracleLimitError(ValueError):
@@ -34,6 +37,11 @@ class OracleLimitError(ValueError):
 class OracleLimits:
     max_n_partitions: int = 12
     max_spanning_trees: int = 20000
+
+    def __post_init__(self):
+        for name in ("max_n_partitions", "max_spanning_trees"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 DEFAULT_LIMITS = OracleLimits()
@@ -306,18 +314,65 @@ def spanning_forests(g: Graph, limit: int | None = None) -> list[tuple[int, ...]
     return out
 
 
+class ForestLP:
+    """The exact LPs over every maximal forest of one graph, on one tableau.
+
+    The forests are enumerated once, at the first query, and their 0/1
+    forest-by-edge rows become a ``Tableau`` that first solves the packing
+    LP: max sum y_T with per-edge load at most c.  One z column per edge is
+    then added, and each k re-optimises the packing dual of the k-cut
+    relaxation, max (k-h) sum y_T - sum z_e with per-edge load at most
+    c + z, from the last optimal basis: only the objective changes with k.
+    """
+
+    def __init__(self, g: Graph, limits: OracleLimits = DEFAULT_LIMITS):
+        self.graph = g
+        self.limits = limits
+        self.h = len(component_blocks(g))
+        self.tableau: Tableau | None = None
+        self._treepack: Fraction | None = None
+
+    def _build(self) -> None:
+        g = self.graph
+        if g.m == 0:
+            raise ValueError("packing value undefined for edgeless graph")
+        forests = spanning_forests(g, self.limits.max_spanning_trees)
+        nt = len(forests)
+        rows = [[0] * nt for _ in range(g.m)]
+        for j, f in enumerate(forests):
+            for eid in f:
+                rows[eid][j] = 1
+        tableau = Tableau(rows, [e.cap for e in g.edges])
+        tableau.set_objective([1] * nt)
+        self._treepack = tableau.solve().value
+        for eid in range(g.m):
+            tableau.add_column([-1 if i == eid else 0 for i in range(g.m)], -1)
+        self.tableau = tableau
+
+    def treepack(self) -> Fraction:
+        """Optimal fractional packing value of maximal forests under
+        capacities."""
+        if self.tableau is None:
+            self._build()
+        return self._treepack
+
+    def lp_value(self, k: int) -> Fraction:
+        """Exact optimum of the k-cut relaxation with one covering
+        constraint per maximal forest (right-hand side k - h for h
+        components); 0 for k <= h, without enumerating."""
+        _check_k(self.graph, k)
+        if k <= self.h:
+            return Fraction(0)
+        self.treepack()
+        t = self.tableau  # y per forest, then z per edge
+        t.set_objective([k - self.h] * t.nvar + [-1] * t.added)
+        return self.tableau.solve().value
+
+
 def oracle_treepack(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Fraction:
     """Optimal fractional packing value of maximal forests under capacities,
     solved as an exact LP over the full forest list."""
-    if g.m == 0:
-        raise ValueError("packing value undefined for edgeless graph")
-    forests = spanning_forests(g, limits.max_spanning_trees)
-    nt = len(forests)
-    rows = [[Fraction(0)] * nt for _ in range(g.m)]
-    for j, f in enumerate(forests):
-        for eid in f:
-            rows[eid][j] = Fraction(1)
-    return solve_lp([Fraction(1)] * nt, rows, [e.cap for e in g.edges]).value
+    return ForestLP(g, limits).treepack()
 
 
 def oracle_lp_value(g: Graph, k: int, limits: OracleLimits = DEFAULT_LIMITS) -> Fraction:
@@ -327,18 +382,4 @@ def oracle_lp_value(g: Graph, k: int, limits: OracleLimits = DEFAULT_LIMITS) -> 
     Solved through its packing dual (same optimum, m rows instead of one row
     per forest): max (k-h) sum y_T - sum z_e with per-edge load at most c+z.
     """
-    _check_k(g, k)
-    h = len(component_blocks(g))
-    if k <= h:
-        return Fraction(0)
-    forests = spanning_forests(g, limits.max_spanning_trees)
-    nt = len(forests)
-    nvar = nt + g.m  # y per forest, then z per edge
-    obj = [Fraction(k - h)] * nt + [Fraction(-1)] * g.m
-    rows = [[Fraction(0)] * nvar for _ in range(g.m)]
-    for j, f in enumerate(forests):
-        for eid in f:
-            rows[eid][j] = Fraction(1)
-    for eid in range(g.m):
-        rows[eid][nt + eid] = Fraction(-1)
-    return solve_lp(obj, rows, [e.cap for e in g.edges]).value
+    return ForestLP(g, limits).lp_value(k)

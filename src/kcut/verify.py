@@ -32,10 +32,9 @@ from .lp import (
 from .mincut import global_mincut
 from .oracle import (
     DEFAULT_LIMITS,
+    ForestLP,
     OracleLimitError,
     OracleLimits,
-    oracle_lp_value,
-    oracle_treepack,
     partition_table,
 )
 from .packing import SaturationError
@@ -102,11 +101,11 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             pack.total_value == sigma,
             f"strength {rational_str(sigma)}, packing value {rational_str(pack.total_value)}",
         )
-    # Every forest-LP row enumerates the same spanning forests, so once the
-    # enumeration exceeds the limit the remaining rows are skipped unrun.
-    forest_limit = ""
+    # One ForestLP enumerates the spanning forests once and answers every
+    # forest-LP row; past the forest limit all of those rows are skipped.
+    forest_lp, forest_limit = ForestLP(g, limits), ""
     try:
-        otp = oracle_treepack(g, limits)
+        otp = forest_lp.treepack()
         _row(rows, "oracle-treepack", otp == sigma, f"oracle {rational_str(otp)}", certificate=False)
     except OracleLimitError as exc:
         forest_limit = str(exc)
@@ -236,18 +235,14 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         if forest_limit:
             _skip(rows, f"oracle-lp-value[{tag}]", forest_limit)
         else:
-            try:
-                olp = oracle_lp_value(g, k, limits)
-                _row(
-                    rows,
-                    f"oracle-lp-value[{tag}]",
-                    olp == primal.objective,
-                    f"oracle {rational_str(olp)}",
-                    certificate=False,
-                )
-            except OracleLimitError as exc:
-                forest_limit = str(exc)
-                _skip(rows, f"oracle-lp-value[{tag}]", forest_limit)
+            olp = forest_lp.lp_value(k)
+            _row(
+                rows,
+                f"oracle-lp-value[{tag}]",
+                olp == primal.objective,
+                f"oracle {rational_str(olp)}",
+                certificate=False,
+            )
 
     # global mincut row + 2-respecting fraction
     _row(

@@ -264,6 +264,17 @@ def test_oracle_limit_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flag, field", [("--max-trees", "max_spanning_trees"), ("--max-partitions", "max_n_partitions")]
+)
+def test_oracle_rejects_negative_limits(capsys, tt_file, flag, field):
+    code = main(["oracle", "treepack", tt_file, flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be >= 0, got -1\n"
+
+
 def test_verify_ok(capsys, tt_file):
     code, out = run(capsys, "verify", "--kmax", "3", tt_file)
     data = json.loads(out)

@@ -20,7 +20,9 @@ from kcut import (
     spanning_forests,
     strength,
 )
-from kcut.oracle import oracle_attack_value, partition_sort_key, partition_table
+from kcut.graph import component_blocks
+from kcut.oracle import ForestLP, oracle_attack_value, partition_sort_key, partition_table
+from kcut.simplex import solve_lp
 
 from conftest import _random_connected, full_suite
 
@@ -217,3 +219,67 @@ def test_partition_table_parity_at_n12():
 def test_oracle_strength_at_n11():
     g = _random_connected(random.Random(11), 11, 17)
     assert oracle_strength(g) == strength(g)
+
+
+def _cold_forest_lps(g):
+    """The forest LPs solved from the slack basis, one ``solve_lp`` each, on
+    the column layout of the one-shot oracle: the packing value and the LP
+    value of every k, y per forest, then z per edge, right-hand side k - h."""
+    forests = spanning_forests(g)
+    h = len(component_blocks(g))
+    loads = [[1 if eid in f else 0 for f in forests] for eid in range(g.m)]
+    caps = [e.cap for e in g.edges]
+    treepack = solve_lp([1] * len(forests), loads, caps).value
+    values = {}
+    for k in range(2, g.n + 1):
+        if k <= h:
+            values[k] = F(0)
+            continue
+        obj = [k - h] * len(forests) + [-1] * g.m
+        rows = [load + [-1 if e == eid else 0 for e in range(g.m)] for eid, load in enumerate(loads)]
+        values[k] = solve_lp(obj, rows, caps).value
+    return treepack, values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_small_multigraphs().filter(lambda g: 2 <= g.n <= 6 and g.m > 0), st.randoms(use_true_random=False))
+def test_forest_lp_matches_cold_solves(g, rnd):
+    """One warm tableau per graph gives the values of the cold solves, with
+    the k asked in ascending and in shuffled order."""
+    treepack, values = _cold_forest_lps(g)
+    ks = sorted(values)
+    shuffled = ks[:]
+    rnd.shuffle(shuffled)
+    for order in (ks, shuffled):
+        lp = ForestLP(g)
+        assert [lp.lp_value(k) for k in order] == [values[k] for k in order], order
+        assert lp.treepack() == treepack
+        # asked again, after every other k, the warm tableau gives the same values
+        assert [lp.lp_value(k) for k in reversed(order)] == [values[k] for k in reversed(order)]
+    assert oracle_treepack(g) == treepack
+    assert [oracle_lp_value(g, k) for k in ks] == [values[k] for k in ks]
+
+
+def test_forest_lp_checks_k_before_enumerating(monkeypatch):
+    """k is range-checked first, and k <= h answers 0 without enumerating, so
+    a disconnected graph never reaches the forest limit there."""
+    import kcut.oracle as oracle_mod
+
+    def refuse(g, limit=None):
+        raise AssertionError("spanning_forests called")
+
+    monkeypatch.setattr(oracle_mod, "spanning_forests", refuse)
+    g = Graph(4, (Edge(0, 1, F(1)),))
+    with pytest.raises(ValueError, match="k=5 out of range 2..4"):
+        ForestLP(g).lp_value(5)
+    assert [ForestLP(g).lp_value(k) for k in (2, 3)] == [0, 0]
+    assert oracle_lp_value(g, 3, OracleLimits(max_spanning_trees=0)) == 0
+    with pytest.raises(ValueError, match="edgeless"):
+        oracle_treepack(Graph(3, ()))
+
+
+@pytest.mark.parametrize("field", ["max_n_partitions", "max_spanning_trees"])
+def test_negative_oracle_limits_rejected(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+        OracleLimits(**{field: -1})
+    assert getattr(OracleLimits(**{field: 0}), field) == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut.simplex import LpUnbounded, solve_lp
+from kcut.simplex import LpUnbounded, Tableau, solve_lp
 
 F = Fraction
 
@@ -98,3 +98,82 @@ def test_solved_lps_carry_exact_certificates(lp):
     # complementary slackness
     assert all(yi * (a - b) == 0 for yi, a, b in zip(y, act, rhs))
     assert all(v * r == 0 for v, r in zip(x, red))
+
+
+# -- the warm tableau against cold solves ------------------------------------
+
+_mixed = st.one_of(st.integers(-3, 3), _coef)
+
+
+@st.composite
+def _tableau_runs(draw):
+    """A small LP with b >= 0 and int and Fraction coefficients, then a
+    sequence of steps: ("add", column, cost) or ("objective", c)."""
+    nvar = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_mixed, min_size=nvar, max_size=nvar), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=3)), min_size=m, max_size=m))
+    steps, width = [], nvar
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            steps.append(("add", draw(st.lists(_mixed, min_size=m, max_size=m)), draw(_mixed)))
+            width += 1
+        else:
+            steps.append(("objective", draw(st.lists(_mixed, min_size=width, max_size=width))))
+    return rows, rhs, steps
+
+
+def _assert_certificate(res, c, rows, rhs):
+    """x and the duals prove each other optimal: Ax <= b, x >= 0, y >= 0,
+    c - yA <= 0 and c.x = y.b, in exact arithmetic."""
+    x, y = res.x, res.duals
+    assert all(isinstance(v, Fraction) for v in x + y + [res.value])
+    assert all(v >= 0 for v in x) and all(v >= 0 for v in y)
+    for row, b in zip(rows, rhs):
+        assert sum((a * v for a, v in zip(row, x)), F(0)) <= b
+    for j, cj in enumerate(c):
+        assert cj - sum((yi * row[j] for yi, row in zip(y, rows)), F(0)) <= 0
+    assert res.value == sum((cj * v for cj, v in zip(c, x)), F(0))
+    assert res.value == sum((yi * b for yi, b in zip(y, rhs)), F(0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tableau_runs())
+def test_warm_tableau_matches_cold_solves(run):
+    """After every add_column or set_objective, a solve from the current
+    basis reaches the value of a cold solve_lp of the same LP, with an
+    exact certificate, or both report the LP unbounded."""
+    rows, rhs, steps = run
+    rows = [list(r) for r in rows]
+    t = Tableau(rows, rhs)
+    c = [F(0)] * len(rows[0])
+    for step in steps:
+        if step[0] == "add":
+            _, column, cost = step
+            t.add_column(column, cost)
+            for row, a in zip(rows, column):
+                row.append(a)
+            c.append(cost)
+        else:
+            c = step[1]
+            t.set_objective(c)
+        try:
+            cold = solve_lp(c, rows, rhs)
+        except LpUnbounded:
+            with pytest.raises(LpUnbounded):
+                t.solve()
+            continue
+        warm = t.solve()
+        assert warm.value == cold.value
+        _assert_certificate(warm, c, rows, rhs)
+
+
+def test_tableau_counts_pivots_and_checks_the_objective():
+    t = Tableau([[1, 2], [3, 1]], [4, 6])
+    t.set_objective([1, 1])
+    assert t.solve().value == F(14, 5) and t.pivots == 2
+    assert t.solve().value == F(14, 5) and t.pivots == 2  # already optimal
+    t.add_column([1, 1], 2)  # a third variable after the slacks
+    assert t.solve().x == [0, 0, F(4)]
+    with pytest.raises(ValueError, match="objective has 2 entries for 3 variables"):
+        t.set_objective([1, 1])
