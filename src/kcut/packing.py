@@ -6,9 +6,13 @@ Two packers share a pricing kernel (minimum spanning forest):
   meeting a (1 - eps) guarantee.  Only the edge weights are floats; loads
   and tree weights are integers on scaled capacities, and one exact
   rational rescale at the end makes the reported loads and value rigorous.
-* ``exact_pack``: column generation; restricted master solved by the exact
-  rational simplex, pricing by minimum spanning forest under the master
-  duals, certified against the strength min-max value on termination.
+* ``exact_pack``: column generation; one exact rational simplex tableau
+  holds the restricted master and grows by each priced forest, pricing by
+  minimum spanning forest under the master duals, certified against the
+  strength min-max value on termination.  The grown tableau takes the
+  pivots a cold solve of each master from the slack basis would take
+  (``simplex.Tableau.add_column``), so it reaches the same vertex, skipping
+  the part of the path that the new forest does not change.
 
 ``saturating_pack`` asks for a packing whose loads meet capacity on every
 edge; it exists exactly when the graph is strength-tight, i.e. the packing
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Graph, component_blocks, induced_subgraph, scaled_capacities
-from .simplex import solve_lp
+from .simplex import Tableau, solve_lp  # noqa: F401  perfbench's self-test reads packing.solve_lp
 from .strength import strength as _strength
 
 
@@ -192,16 +196,6 @@ def _float_cap(cap: Fraction) -> float:
     return f
 
 
-def _master_solve(work: Graph, columns: list[tuple[int, ...]]):
-    """Exact restricted master: max sum y subject to per-edge loads <= cap."""
-    nt = len(columns)
-    rows = [[Fraction(0)] * nt for _ in range(work.m)]
-    for j, forest in enumerate(columns):
-        for eid in forest:
-            rows[eid][j] = Fraction(1)
-    return solve_lp([Fraction(1)] * nt, rows, [e.cap for e in work.edges])
-
-
 def _min_component_strength(work: Graph) -> Fraction:
     best = None
     for blk in component_blocks(work):
@@ -220,26 +214,36 @@ def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
     """Exact optimal packing by column generation.
 
     The restricted master (exact simplex) prices maximal forests under its
-    duals; a forest enters while its dual weight is below 1.  On termination
-    the value is certified against the strength min-max value computed by an
-    independent path (parametric attack oracle) unless ``certify=False``.
+    duals; a forest enters while its dual weight is below 1.  The master is
+    one ``Tableau`` over the edge rows, grown by one 0/1 column per forest,
+    the first one included.  Each solve ends at the vertex that a cold solve
+    of the same master from the slack basis reaches, so the packing is the
+    one a fresh master per round would give.  On termination the value is
+    certified against the strength min-max value computed by an independent
+    path (parametric attack oracle) unless ``certify=False``.
     """
     work, keep, _ = _working_graph(g, caps)
     if work.m == 0:
         raise ValueError("packing undefined without positive-capacity edges")
-    columns = [min_spanning_forest(work, [Fraction(1)] * work.m)]
-    seen = {columns[0]}
+    master = Tableau([[] for _ in range(work.m)], [e.cap for e in work.edges])
+    forest = min_spanning_forest(work, [Fraction(1)] * work.m)
+    columns = []
+    seen = set()
     while True:
-        res = _master_solve(work, columns)
+        if forest in seen:
+            raise PackingError("pricing repeated a forest; arithmetic bug")
+        seen.add(forest)
+        columns.append(forest)
+        loads = [0] * work.m
+        for eid in forest:
+            loads[eid] = 1
+        master.add_column(loads, 1)
+        res = master.solve()
         duals = res.duals
         forest = min_spanning_forest(work, duals)
         priced = sum((duals[eid] for eid in forest), Fraction(0))
         if priced >= 1:
             break
-        if forest in seen:
-            raise PackingError("pricing repeated a forest; arithmetic bug")
-        seen.add(forest)
-        columns.append(forest)
     trees = []
     weights = []
     for forest, y in zip(columns, res.x):

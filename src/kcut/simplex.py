@@ -6,15 +6,24 @@ feasible, so one simplex pass from it reaches the optimum.  Intended for
 desk-scale certified computations (oracles, restricted masters).
 
 A ``Tableau`` outlives its solve, for a family of LPs over one feasible
-region.  Adding a column or replacing the objective leaves the basis and
-the right-hand side alone, so the basis stays primal feasible and the next
-solve resumes Bland's rule from the last optimal basis: a warm start.  The
-slack block of each row holds that row of B^-1, times the row's
-denominator, so a later column is brought into the current basis by one
-product with that block, and the objective row is repriced from the basis
-as c - c_B B^-1 A.  Added columns sit after the slack block, so in Bland's
-index order they come after every slack.  ``solve_lp`` adds no column and
-starts at the slack basis, so its pivots are those of a one-shot tableau.
+region.  Adding a column or replacing the objective leaves the right-hand
+side alone, so the basis stays primal feasible and the next solve resumes
+Bland's rule from a basis already reached: a warm start.  The slack block of
+each row holds that row of B^-1, times the row's denominator, so a later
+column is brought into a basis by one product with that block, and the
+objective row is repriced from the basis as c - c_B B^-1 A.
+
+Added columns sit after the other variables and before the slack block,
+which is where ``solve_lp`` would put them.  Bland's rule enters the first
+improving column, so a new column can change the path only at a step that
+entered a slack, or at the end.  ``solve`` keeps a copy of the tableau
+before each pivot into a slack, and ``add_column`` goes back to the first
+copy at which the new column has a positive reduced cost.  So a tableau
+grown by column generation walks the pivot path of a cold solve over all of
+its columns, from that copy on, and stops at the same vertex (Bland 1977;
+Desrosiers and Lübbecke 2005 on column generation).  ``solve_lp`` adds no
+column and starts at the slack basis, so its pivots are those of a one-shot
+tableau.
 
 Every tableau row, the objective row included, is a list of Python ints
 over one positive denominator of its own, kept in lowest terms by a gcd
@@ -52,18 +61,26 @@ class Tableau:
     """A primal feasible simplex tableau that outlives one solve.
 
     ``Tableau(rows, rhs)`` starts at the slack basis of rows . x <= rhs with
-    a zero objective.  ``add_column`` appends a variable after the slack
-    block, ``set_objective`` replaces the objective and ``solve`` runs Bland's
-    rule from the current basis.  Neither change touches the basis or the
-    right-hand side, so the basis stays primal feasible and every solve is a
-    warm start from the last one.  ``pivots`` counts pivots over all solves.
+    a zero objective.  ``add_column`` inserts a variable after the existing
+    ones and before the slack block, ``set_objective`` replaces the objective
+    and ``solve`` runs Bland's rule from the current basis.  Neither change
+    moves the right-hand side, so the basis stays primal feasible.
+
+    Every solve ends where Bland's rule would end if it started at the basis
+    of the last ``set_objective`` with every current column already there:
+    from the slack basis, that is where ``solve_lp`` ends on the same LP.
+    ``solve`` keeps a checkpoint before each pivot that enters a slack, and
+    ``add_column`` rewinds to the first checkpoint at which the new column
+    prices positive.  ``pivots`` counts pivots and ``rewinds`` rewinds, over
+    all solves.
     """
 
     def __init__(self, rows, rhs):
         self.m = m = len(rows)
-        self.nvar = nvar = len(rows[0]) if rows else 0  # columns before the slacks
-        self.added = 0  # columns after the slacks
+        self.nvar = nvar = len(rows[0]) if rows else 0  # columns of the rows
+        self.added = 0  # columns added since, between those and the slacks
         self.pivots = 0
+        self.rewinds = 0
         # Integer rows over their own denominators, each with a unit slack,
         # then the objective row: reduced costs and, in the rhs column,
         # minus the objective value.
@@ -80,18 +97,52 @@ class Tableau:
         self.tab.append([0] * (nvar + m + 1))
         self.den.append(1)
         self.basis = list(range(nvar, nvar + m))
+        self._columns: list[tuple[list[int], int]] = []  # each added column, scaled
+        # (tab, den, basis, added) before each pivot into a slack since the
+        # last set_objective; the duals are in the objective row's slack block
+        self._checkpoints: list[tuple] = []
 
     def add_column(self, coeffs, cost) -> None:
-        """Append a variable with constraint coefficients ``coeffs`` (one per
-        row) and objective coefficient ``cost``, nonbasic at 0.
+        """Insert a variable with constraint coefficients ``coeffs`` (one per
+        row) and objective coefficient ``cost``, nonbasic at 0, after the
+        other variables and before the slacks: where ``solve_lp`` puts it.
 
-        Row i's slack block is B^-1 times its denominator, so the row's
-        entry is that block times the column; the objective row's entry is
-        the reduced cost, cost minus the duals times the column.
+        Bland's rule enters the first column of positive reduced cost, so
+        on the path taken since the last ``set_objective`` the new column
+        changes only the first step that entered a slack while its reduced
+        cost there, cost - y . a under that step's duals y, was positive: it
+        enters there instead.  The tableau goes back to that step's
+        checkpoint and inserts again the columns added since.  With no such
+        step the column is inserted at the current basis, and the next solve
+        enters it if it prices positive there.
         """
-        nums, d = _scaled(list(coeffs) + [cost])
-        nz = [(self.nvar + i, a) for i, a in enumerate(nums[:-1]) if a]
-        at = len(self.tab[0]) - 1
+        col = _scaled(list(coeffs) + [cost])
+        nums, _ = col
+        nz = [(i, a) for i, a in enumerate(nums[:-1]) if a]
+        m = self.m
+        for n, (tab, den, basis, added) in enumerate(self._checkpoints):
+            # slack i's reduced cost is -y_i, over the objective row's den
+            obj, s = tab[m], self.nvar + added
+            if nums[-1] * den[m] + sum(obj[s + i] * a for i, a in nz) > 0:
+                later = self._columns[added:]
+                del self._columns[added:]
+                del self._checkpoints[n:]
+                self.tab, self.den, self.basis, self.added = tab, den, basis, added
+                self.rewinds += 1
+                for c in later:
+                    self._insert(c)
+                break
+        self._insert(col)
+
+    def _insert(self, col) -> None:
+        """Insert a scaled column at the current basis.  Row i's slack block
+        is B^-1 times its denominator, so the row's entry is that block times
+        the column; the objective row's entry is the reduced cost, cost
+        minus the duals times the column."""
+        self._columns.append(col)
+        nums, d = col
+        at = self.nvar + self.added  # the first slack
+        nz = [(at + i, a) for i, a in enumerate(nums[:-1]) if a]
         for i, row in enumerate(self.tab):
             v = sum(row[s] * a for s, a in nz)
             if i == self.m:
@@ -104,60 +155,58 @@ class Tableau:
                 self.tab[i], self.den[i] = _reduced(row, self.den[i] * f)
             else:
                 row.insert(at, v // d)
+        self.basis = [j + (j >= at) for j in self.basis]
         self.added += 1
 
     def set_objective(self, c) -> None:
         """Maximize c . x from the current basis; ``c`` has one entry per
-        variable, the columns before the slacks first, then the added ones.
+        variable, the columns of the rows first, then the added ones.
 
         The objective row becomes c - c_B B^-1 A over one denominator, so
         the basic columns get reduced cost 0 and the rhs column minus the
-        value of the current vertex.
+        value of the current vertex.  The checkpoints are dropped: the next
+        solve starts a new path from this basis.
         """
-        if len(c) != self.nvar + self.added:
-            raise ValueError(f"objective has {len(c)} entries for {self.nvar + self.added} variables")
+        nv = self.nvar + self.added
+        if len(c) != nv:
+            raise ValueError(f"objective has {len(c)} entries for {nv} variables")
         cost, cden = _scaled(c)
         basic = []  # (row, cost numerator) of each basic variable of nonzero cost
         for i, j in enumerate(self.basis):
-            v = self._var(j)
-            if v is not None and cost[v]:
-                basic.append((i, cost[v]))
+            if j < nv and cost[j]:
+                basic.append((i, cost[j]))
         scale = math.lcm(*(self.den[i] for i, _ in basic))
-        obj = [scale * v for v in cost[: self.nvar] + [0] * self.m + cost[self.nvar :] + [0]]
+        obj = [scale * v for v in cost] + [0] * (self.m + 1)
         for i, cb in basic:
             w = cb * (scale // self.den[i])
             for j, v in enumerate(self.tab[i]):
                 if v:
                     obj[j] -= w * v
         self.tab[self.m], self.den[self.m] = _reduced(obj, cden * scale)
-
-    def _var(self, col: int):
-        """The variable of a column, or None for a slack."""
-        if col < self.nvar:
-            return col
-        if col < self.nvar + self.m:
-            return None
-        return col - self.m
+        self._checkpoints.clear()
 
     def solve(self) -> LpResult:
-        """Pivot to an optimum of the current objective.  The duals are
+        """Pivot to an optimum of the current objective, keeping a
+        checkpoint before each pivot that enters a slack.  The duals are
         ``c_B B^-1`` for the optimal basis B, each one minus the reduced cost
         of its row's slack column, so every dual is >= 0.  Raises
         ``LpUnbounded`` when the objective has no maximum; the basis is then
         still feasible."""
-        tab, den, m, nvar = self.tab, self.den, self.m, self.nvar
-        while (step := _bland_step(tab, self.basis)) is not None:
-            _pivot(tab, den, self.basis, *step)
+        tab, den, basis, m = self.tab, self.den, self.basis, self.m
+        nv = self.nvar + self.added  # the first slack
+        while (step := _bland_step(tab, basis)) is not None:
+            if step[1] >= nv:
+                self._checkpoints.append(([row[:] for row in tab], den[:], basis[:], self.added))
+            _pivot(tab, den, basis, *step)
             self.pivots += 1
         last = len(tab[0]) - 1
-        x = [ZERO] * (nvar + self.added)
-        for i, j in enumerate(self.basis):
-            v = self._var(j)
-            if v is not None:
-                x[v] = Fraction(tab[i][last], den[i])
+        x = [ZERO] * nv
+        for i, j in enumerate(basis):
+            if j < nv:
+                x[j] = Fraction(tab[i][last], den[i])
         # Slack i is the unit column e_i at cost 0, so its reduced cost is -y_i.
         obj, oden = tab[m], den[m]
-        duals = [Fraction(-obj[nvar + i], oden) for i in range(m)]
+        duals = [Fraction(-obj[nv + i], oden) for i in range(m)]
         return LpResult(Fraction(-obj[last], oden), x, duals)
 
 
@@ -172,7 +221,7 @@ def solve_lp(c, rows, rhs) -> LpResult:
     """
     t = Tableau(rows, rhs)
     if not rows:
-        # no slacks, so added columns keep Bland's order
+        # no rows to count the variables by
         for cj in c:
             t.add_column([], cj)
     t.set_objective(c)

@@ -2,12 +2,19 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kcut.packing as packing_mod
+import kcut.simplex as simplex_mod
 from kcut import (
+    Edge,
+    Graph,
     PackConfig,
     SaturationError,
     contract_partition,
     exact_pack,
+    lp_dual,
     min_spanning_forest,
     mincut_respect_bound,
     mwu_pack,
@@ -18,6 +25,7 @@ from kcut import (
     saturating_pack,
     strength,
 )
+from kcut.simplex import solve_lp
 
 from conftest import TT_BRIDGE, edge_ids_of_partition, full_suite
 
@@ -165,3 +173,84 @@ def test_exact_pack_certificate_catches_sabotaged_pricing(c5, monkeypatch):
     monkeypatch.setattr(packing_mod, "min_spanning_forest", broken)
     with pytest.raises(packing_mod.PackingError):
         packing_mod.exact_pack(c5)
+
+
+# -- one grown master against a cold master per round ------------------------
+
+
+def _cold_exact_pack(g, caps=None):
+    """Column generation as ``exact_pack`` ran it with one cold restricted
+    master per round, each a ``solve_lp`` from the slack basis over dense
+    Fraction rows: the reference for the grown tableau.  Returns the
+    packing's (trees, weights), ordered by tree as ``exact_pack`` orders
+    them."""
+    work, keep, _ = packing_mod._working_graph(g, caps)
+    columns = [min_spanning_forest(work, [F(1)] * work.m)]
+    while True:
+        nt = len(columns)
+        rows = [[F(0)] * nt for _ in range(work.m)]
+        for j, forest in enumerate(columns):
+            for eid in forest:
+                rows[eid][j] = F(1)
+        res = solve_lp([F(1)] * nt, rows, [e.cap for e in work.edges])
+        forest = min_spanning_forest(work, res.duals)
+        if sum((res.duals[eid] for eid in forest), F(0)) >= 1:
+            break
+        columns.append(forest)
+    support = sorted((tuple(keep[i] for i in f), y) for f, y in zip(columns, res.x) if y > 0)
+    return tuple(t for t, _ in support), tuple(y for _, y in support)
+
+
+@st.composite
+def _capacitated_graphs(draw):
+    """n <= 8 with parallel edges and rational capacities; connected
+    unless a vertex is left hanging off nothing."""
+    n = draw(st.integers(2, 8))
+    label = draw(st.permutations(range(n)))
+    connected = draw(st.booleans())
+    pairs = []
+    for v in range(1, n):
+        if v == 1 or connected or draw(st.integers(0, 4)):
+            pairs.append((label[v], label[draw(st.integers(0, v - 1))]))
+    extra = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda p: (p[0], (p[0] + p[1]) % n))
+    pairs += draw(st.lists(extra, max_size=8))
+    caps = st.sampled_from([F(1), F(2), F(3, 2), F(1, 3), F(5, 7), F(4, 9)])
+    return Graph(n, tuple(Edge(min(p), max(p), draw(caps)) for p in pairs)), connected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_capacitated_graphs())
+def test_exact_pack_matches_a_cold_master_per_round(drawn):
+    """The grown master reaches the cold masters' vertex: the same trees and
+    weights under the graph's capacities and, on a connected graph, under
+    the c+z capacities of the k-cut dual at every k."""
+    g, connected = drawn
+    packing = exact_pack(g)
+    assert (packing.trees, packing.weights) == _cold_exact_pack(g)
+    if not connected:
+        return
+    for k in range(2, g.n + 1):
+        dual = lp_dual(g, k=k)
+        caps = [e.cap + z for e, z in zip(g.edges, dual.z)]
+        packing = exact_pack(g, caps)
+        assert (packing.trees, packing.weights) == _cold_exact_pack(g, caps)
+
+
+def test_exact_pack_grows_one_tableau(monkeypatch):
+    """On K6 column generation builds one tableau and takes fewer pivots
+    than the cold masters, so a fall back to one solve per round fails."""
+    built = []
+
+    class Recording(simplex_mod.Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(packing_mod, "Tableau", Recording)
+    monkeypatch.setattr(simplex_mod, "Tableau", Recording)  # inside solve_lp
+    k6 = Graph(6, tuple(Edge(u, v, F(1)) for u in range(6) for v in range(u + 1, 6)))
+    packing = exact_pack(k6)
+    assert len(built) == 1
+    grown = built.pop().pivots
+    assert (packing.trees, packing.weights) == _cold_exact_pack(k6)
+    assert len(built) > 1 and grown < sum(t.pivots for t in built)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kcut.simplex import LpUnbounded, Tableau, solve_lp
@@ -173,7 +173,106 @@ def test_tableau_counts_pivots_and_checks_the_objective():
     t.set_objective([1, 1])
     assert t.solve().value == F(14, 5) and t.pivots == 2
     assert t.solve().value == F(14, 5) and t.pivots == 2  # already optimal
-    t.add_column([1, 1], 2)  # a third variable after the slacks
+    t.add_column([1, 1], 2)  # a third variable, before the slacks
     assert t.solve().x == [0, 0, F(4)]
     with pytest.raises(ValueError, match="objective has 2 entries for 3 variables"):
         t.set_objective([1, 1])
+
+
+# -- column generation on one tableau against cold solves --------------------
+
+_entry = st.one_of(st.sampled_from([0, 1]), st.integers(-3, 3), _coef)
+
+
+@st.composite
+def _column_runs(draw):
+    """A small LP with b >= 0 and 0/1, int and Fraction coefficients, its
+    objective, then the columns to add one at a time, each with its cost."""
+    nvar = draw(st.integers(0, 3))
+    m = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(_entry, min_size=nvar, max_size=nvar), min_size=m, max_size=m))
+    rhs = draw(
+        st.lists(st.one_of(st.integers(0, 3), st.fractions(0, 3, max_denominator=3)), min_size=m, max_size=m)
+    )
+    c = draw(st.lists(_entry, min_size=nvar, max_size=nvar))
+    column = st.tuples(st.lists(_entry, min_size=m, max_size=m), _entry)
+    columns = draw(st.lists(column, min_size=1, max_size=8))
+    return rows, rhs, c, columns
+
+
+def _cold(c, rows, rhs):
+    """A tableau solved from the slack basis, as ``solve_lp`` solves it, with
+    its result, or None when the LP is unbounded."""
+    t = Tableau(rows, rhs)
+    t.set_objective(c)
+    try:
+        return t, t.solve()
+    except LpUnbounded:
+        return t, None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_column_runs())
+def test_grown_tableau_ends_where_a_cold_solve_ends(run):
+    """Column by column, the grown tableau takes the pivot path of a cold
+    solve over all of its columns: after each solve the basis, x and the
+    duals are the cold ones (or both are unbounded), in no more pivots than
+    the cold solves summed."""
+    rows, rhs, c, columns = run
+    rows, c = [list(r) for r in rows], list(c)
+    t = Tableau(rows, rhs)
+    t.set_objective(c)
+    cold_pivots = 0
+    for step in range(len(columns) + 1):
+        if step:
+            column, cost = columns[step - 1]
+            rewinds = t.rewinds
+            t.add_column(column, cost)
+            event("rewind" if t.rewinds > rewinds else "append")
+            for row, a in zip(rows, column):
+                row.append(a)
+            c.append(cost)
+        cold_t, cold = _cold(c, rows, rhs)
+        cold_pivots += cold_t.pivots
+        if cold is None:
+            with pytest.raises(LpUnbounded):
+                t.solve()
+        else:
+            assert t.solve() == cold
+            assert cold == solve_lp(c, rows, rhs)
+        assert t.basis == cold_t.basis
+        assert t.pivots <= cold_pivots
+
+
+def test_add_column_rewinds_to_the_slack_step_it_changes():
+    """max 2x1 + 3x2 s.t. x1 <= 1, x1 + x2 <= 1.  Bland's rule enters x1,
+    then x2 (a degenerate pivot), then slack 0 under the duals (-1, 3), and
+    stops at x = (0, 1) with duals (0, 3).  The column (1, 1) of cost 3
+    prices 0 there but 1 under (-1, 3), so a cold solve of the three-column
+    LP enters it instead of slack 0 and stops at x = (0, 0, 1)."""
+    rows, rhs = [[1, 0], [1, 1]], [1, 1]
+    t = Tableau(rows, rhs)
+    t.set_objective([2, 3])
+    assert t.solve().x == [0, 1] and t.pivots == 3
+    t.add_column([1, 1], 3)
+    assert t.rewinds == 1
+    grown = t.solve()
+    cold_t, cold = _cold([2, 3, 3], [[1, 0, 1], [1, 1, 1]], rhs)
+    assert grown == cold == solve_lp([2, 3, 3], [[1, 0, 1], [1, 1, 1]], rhs)
+    assert grown.x == [0, 0, 1] and t.basis == cold_t.basis
+    assert t.pivots == 3 + 1 and cold_t.pivots == 3
+
+
+def test_add_column_after_set_objective_never_rewinds():
+    """``set_objective`` drops the checkpoints and starts a new path at the
+    current basis, as in the forest-LP oracle's re-optimisation per k, so
+    the column of the test above joins the optimum, where it prices 0, and
+    the vertex stays."""
+    t = Tableau([[1, 0], [1, 1]], [1, 1])
+    t.set_objective([2, 3])
+    t.solve()
+    t.set_objective([2, 3])
+    t.add_column([1, 1], 3)
+    assert t.rewinds == 0
+    res = t.solve()
+    assert res.x == [0, 1, 0] and res.value == 3 and t.pivots == 3
