@@ -1,11 +1,19 @@
-"""Exact maximum flow / minimum cut by shortest augmenting paths.
+"""Exact maximum flow / minimum cut: a short-path pre-flow, then shortest
+augmenting paths.
 
 Capacities are exact numbers: the attack sweep passes Python ints (its
 capacities scaled to integers once per sweep), and Fractions still work,
-mixed with ints or alone.  After ``max_flow`` the residual network holds
-every minimum cut: the smallest source side is the set reachable from s,
-the largest is every vertex with no residual path to t (Picard and
-Queyranne 1980).
+mixed with ints or alone.  ``max_flow`` first pushes flow along the direct
+arc s->t and every residual path of two and of three arcs, in adjacency
+order, with no search: the sweep's networks are small and shallow, and
+Edmonds-Karp would spend one breadth-first search on each of those paths.
+Edmonds-Karp then augments from that flow until no residual path is left.
+
+After ``max_flow`` the residual network holds every minimum cut: the
+smallest source side is the set reachable from s, the largest is every
+vertex with no residual path to t.  Both are the same for every maximum
+flow (Picard and Queyranne 1980), so they do not depend on which paths
+were augmented, and neither does anything the attack sweep builds on them.
 """
 
 from __future__ import annotations
@@ -33,21 +41,69 @@ class FlowNetwork:
         self.add_arc(u, v, cap, rev_cap=cap)
 
     def max_flow(self, s: int, t: int):
-        """Value of a maximum s-t flow, by Edmonds-Karp; the flow stays in
-        the residual capacities.  Exact on ints and Fractions alike: on int
-        capacities every step, and the value, stays an int."""
+        """Value of a maximum s-t flow; the flow stays in the residual
+        capacities.  Exact on ints and Fractions alike: on int capacities
+        every step, and the value, stays an int.
+
+        A pre-flow first saturates, in adjacency order, the direct arc s->t,
+        then every residual path s->v->t and then every s->u->v->t, each
+        by its bottleneck.  Edmonds-Karp finishes from that flow, one
+        breadth-first search per augmenting path.  Which paths carry the
+        flow does not matter: the value is unique, and in every maximum
+        flow the residual network has the same extreme minimum cuts.
+        """
         if s == t:
             raise ValueError("s and t must differ")
+        adj, to, cap = self.adj, self.to, self.cap
+        into_t: dict[int, list[int]] = {}  # v -> the arcs v->t
+        for a in adj[t]:
+            into_t.setdefault(to[a], []).append(a ^ 1)
+        into_t.pop(t, None)
         total = 0
+        for a in adj[s]:  # s->t
+            if to[a] == t and cap[a] > 0:
+                f = cap[a]
+                cap[a] -= f
+                cap[a ^ 1] += f
+                total = total + f
+        for a in adj[s]:  # s->v->t
+            for b in into_t.get(to[a], ()):
+                f = min(cap[a], cap[b])
+                if f > 0:
+                    cap[a] -= f
+                    cap[a ^ 1] += f
+                    cap[b] -= f
+                    cap[b ^ 1] += f
+                    total = total + f
+        for a in adj[s]:  # s->u->v->t, until s->u is saturated
+            u = to[a]
+            if u == t:
+                continue
+            for b in adj[u]:
+                if cap[a] <= 0:
+                    break
+                v = to[b]
+                if v == s or cap[b] <= 0:
+                    continue
+                for c in into_t.get(v, ()):
+                    f = min(cap[a], cap[b], cap[c])
+                    if f > 0:
+                        cap[a] -= f
+                        cap[a ^ 1] += f
+                        cap[b] -= f
+                        cap[b ^ 1] += f
+                        cap[c] -= f
+                        cap[c ^ 1] += f
+                        total = total + f
         while True:
             prev_arc = [-1] * self.n
             prev_arc[s] = -2
             queue = deque([s])
             while queue and prev_arc[t] == -1:
                 u = queue.popleft()
-                for a in self.adj[u]:
-                    v = self.to[a]
-                    if prev_arc[v] == -1 and self.cap[a] > 0:
+                for a in adj[u]:
+                    v = to[a]
+                    if prev_arc[v] == -1 and cap[a] > 0:
                         prev_arc[v] = a
                         queue.append(v)
             if prev_arc[t] == -1:
@@ -57,15 +113,15 @@ class FlowNetwork:
             v = t
             while v != s:
                 a = prev_arc[v]
-                if bottleneck is None or self.cap[a] < bottleneck:
-                    bottleneck = self.cap[a]
-                v = self.to[a ^ 1]
+                if bottleneck is None or cap[a] < bottleneck:
+                    bottleneck = cap[a]
+                v = to[a ^ 1]
             v = t
             while v != s:
                 a = prev_arc[v]
-                self.cap[a] -= bottleneck
-                self.cap[a ^ 1] += bottleneck
-                v = self.to[a ^ 1]
+                cap[a] -= bottleneck
+                cap[a ^ 1] += bottleneck
+                v = to[a ^ 1]
             total = total + bottleneck
 
     def residual_reachable(self, s: int) -> frozenset[int]:

@@ -218,7 +218,9 @@ def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
     one ``Tableau`` over the edge rows, grown by one 0/1 column per forest,
     the first one included.  Each solve ends at the vertex that a cold solve
     of the same master from the slack basis reaches, so the packing is the
-    one a fresh master per round would give.  On termination the value is
+    one a fresh master per round would give.  Pricing reads the master's
+    duals as integers over one denominator, and the packing's Fractions are
+    built once, after the last round.  On termination the value is
     certified against the strength min-max value computed by an independent
     path (parametric attack oracle) unless ``certify=False``.
     """
@@ -226,7 +228,7 @@ def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
     if work.m == 0:
         raise ValueError("packing undefined without positive-capacity edges")
     master = Tableau([[] for _ in range(work.m)], [e.cap for e in work.edges])
-    forest = min_spanning_forest(work, [Fraction(1)] * work.m)
+    forest = min_spanning_forest(work, [1] * work.m)
     columns = []
     seen = set()
     while True:
@@ -238,12 +240,13 @@ def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
         for eid in forest:
             loads[eid] = 1
         master.add_column(loads, 1)
-        res = master.solve()
-        duals = res.duals
+        # integer duals over one positive denominator order the edges as
+        # their Fractions do, so the forests are the same
+        duals, den = master.solve_duals()
         forest = min_spanning_forest(work, duals)
-        priced = sum((duals[eid] for eid in forest), Fraction(0))
-        if priced >= 1:
+        if sum(duals[eid] for eid in forest) >= den:
             break
+    res = master.solve()  # already optimal: no pivot, only the Fractions
     trees = []
     weights = []
     for forest, y in zip(columns, res.x):

@@ -185,13 +185,13 @@ class Tableau:
         self.tab[self.m], self.den[self.m] = _reduced(obj, cden * scale)
         self._checkpoints.clear()
 
-    def solve(self) -> LpResult:
+    def solve_duals(self) -> tuple[list[int], int]:
         """Pivot to an optimum of the current objective, keeping a
-        checkpoint before each pivot that enters a slack.  The duals are
-        ``c_B B^-1`` for the optimal basis B, each one minus the reduced cost
-        of its row's slack column, so every dual is >= 0.  Raises
-        ``LpUnbounded`` when the objective has no maximum; the basis is then
-        still feasible."""
+        checkpoint before each pivot that enters a slack.  Returns the duals
+        ``c_B B^-1`` of the optimal basis B as integers over one positive
+        denominator: dual i is minus the reduced cost of row i's slack
+        column, so every one is >= 0.  Raises ``LpUnbounded`` when the
+        objective has no maximum; the basis is then still feasible."""
         tab, den, basis, m = self.tab, self.den, self.basis, self.m
         nv = self.nvar + self.added  # the first slack
         while (step := _bland_step(tab, basis)) is not None:
@@ -199,15 +199,23 @@ class Tableau:
                 self._checkpoints.append(([row[:] for row in tab], den[:], basis[:], self.added))
             _pivot(tab, den, basis, *step)
             self.pivots += 1
+        # Slack i is the unit column e_i at cost 0, so its reduced cost is -y_i.
+        obj = tab[m]
+        return [-obj[nv + i] for i in range(m)], den[m]
+
+    def solve(self) -> LpResult:
+        """``solve_duals``, with the optimum, the vertex and the duals as
+        Fractions."""
+        duals, dden = self.solve_duals()
+        tab, den = self.tab, self.den
+        nv = self.nvar + self.added
         last = len(tab[0]) - 1
         x = [ZERO] * nv
-        for i, j in enumerate(basis):
+        for i, j in enumerate(self.basis):
             if j < nv:
                 x[j] = Fraction(tab[i][last], den[i])
-        # Slack i is the unit column e_i at cost 0, so its reduced cost is -y_i.
-        obj, oden = tab[m], den[m]
-        duals = [Fraction(-obj[nv + i], oden) for i in range(m)]
-        return LpResult(Fraction(-obj[last], oden), x, duals)
+        value = Fraction(-tab[self.m][last], dden)
+        return LpResult(value, x, [Fraction(y, dden) for y in duals])
 
 
 def solve_lp(c, rows, rhs) -> LpResult:
@@ -217,7 +225,7 @@ def solve_lp(c, rows, rhs) -> LpResult:
     ``rows`` are dense coefficient lists; coefficients are ints, Fractions
     or anything ``Fraction`` accepts.  Bland's rule guarantees termination.
     Raises ``ValueError`` on a negative right-hand side and ``LpUnbounded``
-    when the objective has no maximum.  See ``Tableau.solve`` for the duals.
+    when the objective has no maximum.  See ``Tableau.solve_duals`` for the duals.
     """
     t = Tableau(rows, rhs)
     if not rows:

@@ -115,6 +115,12 @@ def _dilworth_partition(g: Graph, b: Fraction):
     prefix half-degrees, potentials, greedy labels and flows are then Python
     ints.  Minimum cuts are unchanged by the scaling, and only they reach the
     blocks.
+
+    The prefix edges of positive capacity are kept in one list over the
+    sweep, which step j extends by vertex j's edges to {0..j-1}, so each
+    step adds its undirected arcs from that list without scanning the
+    adjacency of the prefix again.  The arc order decides only which paths
+    the max-flow augments, not its value or its extreme minimum cuts.
     """
     n = g.n
     caps, cap_scale = scaled_capacities(g)
@@ -126,11 +132,14 @@ def _dilworth_partition(g: Graph, b: Fraction):
     x = [-b_s] + [0] * (n - 1)  # greedy labels, one per processed vertex
     adj = g.neighbors()
     hdeg = [0] * n  # half-degrees within the processed prefix {0..j}
+    inner: list[tuple[int, int, int]] = []  # (w, v, c/2·S), w < v <= j, c > 0
     for j in range(1, n):
         for w, eid in adj[j]:
             if w < j:
                 hdeg[j] += half[eid]
                 hdeg[w] += half[eid]
+                if half[eid] > 0:
+                    inner.append((w, j, half[eid]))
         # potentials: p_u = -deg(u)/2 - x_u for u < j; p_j enters as a constant
         net = FlowNetwork(j + 2)
         t = j + 1
@@ -142,10 +151,8 @@ def _dilworth_partition(g: Graph, b: Fraction):
             elif p_u < 0:
                 net.add_arc(j, u, -p_u)
                 const += p_u
-        for v in range(j + 1):
-            for w, eid in adj[v]:
-                if v < w <= j and half[eid] > 0:
-                    net.add_undirected(v, w, half[eid])
+        for w, v, h in inner:
+            net.add_undirected(w, v, h)
         flow = net.max_flow(j, t)
         x[j] = flow + const - hdeg[j] - b_s
         coarse = _merge(coarse, j, frozenset(range(j)) - net.residual_reaching(t))

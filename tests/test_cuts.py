@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,7 @@ from kcut import (
 from kcut.cuts import bell_number, merge_pattern_count
 from kcut.packing import PackConfig
 
-from conftest import TT_BRIDGE, edge_ids_of_partition, full_suite
+from conftest import TT_BRIDGE, _random_connected, edge_ids_of_partition, full_suite
 
 F = Fraction
 
@@ -385,3 +387,29 @@ def test_reports_are_recomputable(tt):
     for c in report.cuts:
         assert c.k_achieved >= 3
         assert cut_of_partition(tt, c.partition).value == c.value
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_min_kcut_against_gomory_hu_split(n):
+    """Above the oracle's reach, exact ``min_kcut`` k=3 against the split
+    of Saran and Vazirani 1995: remove the k-1 lightest edges of a
+    Gomory-Hu tree (networkx).  Its k-cut is the union of their cuts, so
+    its value lies between our minimum and their weight sum, and that sum
+    is within 2 - 2/k of the minimum."""
+    k = 3
+    g = _random_connected(random.Random(n), n, 2 * n)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    for e in g.edges:
+        if ref.has_edge(e.u, e.v):
+            ref[e.u][e.v]["capacity"] += e.cap
+        else:
+            ref.add_edge(e.u, e.v, capacity=e.cap)
+    tree = nx.gomory_hu_tree(ref)
+    lightest = sorted(tree.edges(data="weight"), key=lambda e: e[2])[: k - 1]
+    tree.remove_edges_from((u, v) for u, v, _ in lightest)
+    split = cut_of_partition(g, [sorted(c) for c in nx.connected_components(tree)])
+    weight = sum(w for _, _, w in lightest)
+    best, _ = min_kcut(g, k)
+    assert split.k_achieved == k
+    assert best.value <= split.value <= weight <= (2 - F(2, k)) * best.value

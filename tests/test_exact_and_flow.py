@@ -51,22 +51,51 @@ def test_flow_network_extreme_min_cuts():
     assert set(range(5)) - net.residual_reaching(3) == {0, 1, 4}
 
 
+_INT_CAPS = st.integers(0, 9)
+_FRACTION_CAPS = st.sampled_from([F(0), F(1, 2), F(2, 3), F(1), F(7, 5), F(3)])
+
+
 @st.composite
 def _flow_networks(draw):
     """(n, directed, arcs, s, t): up to 30 vertices, parallel arcs, and int
-    or Fraction capacities, zeros included."""
+    or Fraction capacities, zeros included.  Arcs are (u, v, cap, rev_cap),
+    with rev_cap = cap for an undirected network and 0 for a directed one."""
     n = draw(st.integers(2, 30))
     directed = draw(st.booleans())
-    if draw(st.booleans()):
-        cap = st.integers(0, 9)
-    else:
-        cap = st.sampled_from([F(0), F(1, 2), F(2, 3), F(1), F(7, 5), F(3)])
+    cap = _INT_CAPS if draw(st.booleans()) else _FRACTION_CAPS
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda p: p[0] != p[1]
     )
-    arcs = draw(st.lists(st.tuples(pair, cap), min_size=n, max_size=4 * n))
+    arcs = [
+        (u, v, c, 0 if directed else c)
+        for (u, v), c in draw(st.lists(st.tuples(pair, cap), min_size=n, max_size=4 * n))
+    ]
     s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     return n, directed, arcs, s, t
+
+
+@st.composite
+def _short_path_networks(draw):
+    """Like ``_flow_networks``, but rich in the paths of one to three arcs
+    that ``max_flow`` saturates before its first search: many arcs s->v and
+    v->t, parallel arcs into t, arcs leaving t, arcs back into s, direct s->t
+    arcs and nonzero reverse capacities, in a drawn order."""
+    n = draw(st.integers(3, 12))
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    mid = st.sampled_from([v for v in range(n) if v not in (s, t)])
+    anyv = st.integers(0, n - 1)
+    cap = _INT_CAPS if draw(st.booleans()) else _FRACTION_CAPS
+    rev = st.one_of(st.just(0), cap)
+    ends = (
+        draw(st.lists(st.tuples(st.just(s), mid), min_size=1, max_size=2 * n))
+        + draw(st.lists(st.tuples(mid, st.just(t)), min_size=1, max_size=2 * n))
+        + draw(st.lists(st.tuples(mid, mid), max_size=2 * n))
+        + draw(st.lists(st.tuples(st.just(t), anyv), max_size=3))
+        + draw(st.lists(st.tuples(anyv, st.just(s)), max_size=3))
+        + draw(st.lists(st.just((s, t)), max_size=2))
+    )
+    arcs = [(u, v, draw(cap), draw(rev)) for u, v in ends if u != v]
+    return n, True, draw(st.permutations(arcs)), s, t
 
 
 def _search(n, residual, root, backward):
@@ -82,40 +111,71 @@ def _search(n, residual, root, backward):
     return seen
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_flow_networks())
-def test_flow_network_matches_networkx_property(network):
+def _assert_max_flow_matches_networkx(network):
+    """The value and both extreme minimum cuts equal those of a networkx
+    maximum flow, and a second ``max_flow`` finds nothing left to push."""
     n, directed, arcs, s, t = network
-    ref = nx.DiGraph() if directed else nx.Graph()
+    ref = nx.DiGraph()
     ref.add_nodes_from(range(n))
     net = FlowNetwork(n)
-    for (u, v), c in arcs:
-        if ref.has_edge(u, v):
-            ref[u][v]["capacity"] += c
-        else:
-            ref.add_edge(u, v, capacity=c)
+    for u, v, c, r in arcs:
+        for a, b, w in ((u, v, c), (v, u, r)):
+            if ref.has_edge(a, b):
+                ref[a][b]["capacity"] += w
+            else:
+                ref.add_edge(a, b, capacity=w)
         if directed:
-            net.add_arc(u, v, c)
+            net.add_arc(u, v, c, r)
         else:
             net.add_undirected(u, v, c)
     value, flow = nx.maximum_flow(ref, s, t)
     # residual capacities of networkx's maximum flow; every maximum flow
     # leaves the same extreme minimum cuts
-    residual = {}
-    for u, v, c in ref.edges(data="capacity"):
-        residual[u, v] = residual.get((u, v), 0) + c
-        if not directed:
-            residual[v, u] = residual.get((v, u), 0) + c
+    residual = {(u, v): c for u, v, c in ref.edges(data="capacity")}
     for u, out in flow.items():
         for v, f in out.items():
             residual[u, v] -= f
-            residual[v, u] = residual.get((v, u), 0) + f
+            residual[v, u] += f
     got = net.max_flow(s, t)
     assert got == value
-    if all(isinstance(c, int) for _, c in arcs):
+    # every push moved capacity between an arc and its reverse
+    residual_pairs = [net.cap[2 * i] + net.cap[2 * i + 1] for i in range(len(arcs))]
+    assert residual_pairs == [c + r for _, _, c, r in arcs]
+    if all(isinstance(c, int) and isinstance(r, int) for _, _, c, r in arcs):
         assert isinstance(got, int)
-    assert net.residual_reachable(s) == _search(n, residual, s, False)
-    assert net.residual_reaching(t) == _search(n, residual, t, True)
+    source_side, sink_side = net.residual_reachable(s), net.residual_reaching(t)
+    assert source_side == _search(n, residual, s, False)
+    assert sink_side == _search(n, residual, t, True)
+    assert net.max_flow(s, t) == 0
+    assert (net.residual_reachable(s), net.residual_reaching(t)) == (source_side, sink_side)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_flow_networks())
+def test_flow_network_matches_networkx_property(network):
+    _assert_max_flow_matches_networkx(network)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_short_path_networks())
+def test_short_path_preflow_matches_networkx_property(network):
+    _assert_max_flow_matches_networkx(network)
+
+
+def test_preflow_path_cancelled_by_edmonds_karp():
+    # s=0, a=1, b=2, c=3, d=4, t=5.  The pre-flow pushes s->a->b->t first,
+    # which takes the only sink arc that s->d->b can reach, and a->c->t is
+    # then cut off from s.  The maximum flow needs the reverse arc b->a:
+    # Edmonds-Karp augments s->d->b->a->c->t and cancels the flow on a->b.
+    net = FlowNetwork(6)
+    arcs = [(0, 1), (1, 2), (2, 5), (0, 4), (4, 2), (1, 3), (3, 5)]
+    for u, v in arcs:
+        net.add_arc(u, v, 1)
+    assert net.max_flow(0, 5) == 2
+    flows = {arc: 1 - net.cap[2 * i] for i, arc in enumerate(arcs)}
+    assert flows == {(0, 1): 1, (1, 2): 0, (2, 5): 1, (0, 4): 1, (4, 2): 1, (1, 3): 1, (3, 5): 1}
+    assert net.residual_reachable(0) == {0}
+    assert net.residual_reaching(5) == {5}
 
 
 def test_max_flow_same_terminals(e1):

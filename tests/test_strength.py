@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from kcut import (
     principal_sequence,
     strength,
 )
+from kcut.graph import scaled_capacities
 from kcut.oracle import enum_partitions, oracle_attack_value
+from kcut.strength import _dilworth_partition
 
 from conftest import edge_ids_of_partition, flow_network, full_suite
 
@@ -304,3 +307,140 @@ def test_zero_capacity_strength():
     assert sigma == 1  # cheapest ratio cuts the zero edge plus one unit edge
     psp = principal_sequence(g)
     assert psp.lambdas()[0] == 1
+
+
+# -- the sweep against Edmonds-Karp alone -------------------------------------
+
+
+class _EdmondsKarp:
+    """A plain Edmonds-Karp network with the interface the sweep uses: one
+    breadth-first search per augmenting path, no pre-flow."""
+
+    def __init__(self, n):
+        self.n = n
+        self.adj = [[] for _ in range(n)]
+        self.to, self.cap = [], []
+
+    def add_arc(self, u, v, cap, rev_cap=0):
+        for x, y, c in ((u, v, cap), (v, u, rev_cap)):
+            self.adj[x].append(len(self.to))
+            self.to.append(y)
+            self.cap.append(c)
+
+    def add_undirected(self, u, v, cap):
+        self.add_arc(u, v, cap, cap)
+
+    def max_flow(self, s, t):
+        total = 0
+        while True:
+            prev = {s: None}
+            queue = [s]
+            for u in queue:
+                for a in self.adj[u]:
+                    if self.to[a] not in prev and self.cap[a] > 0:
+                        prev[self.to[a]] = a
+                        queue.append(self.to[a])
+            if t not in prev:
+                return total
+            path = []
+            v = t
+            while v != s:
+                path.append(prev[v])
+                v = self.to[prev[v] ^ 1]
+            f = min(self.cap[a] for a in path)
+            for a in path:
+                self.cap[a] -= f
+                self.cap[a ^ 1] += f
+            total += f
+
+    def _search(self, root, backward):
+        seen = {root}
+        queue = [root]
+        for u in queue:
+            for a in self.adj[u]:
+                if self.to[a] not in seen and self.cap[a ^ backward] > 0:
+                    seen.add(self.to[a])
+                    queue.append(self.to[a])
+        return frozenset(seen)
+
+    def residual_reachable(self, s):
+        return self._search(s, 0)
+
+    def residual_reaching(self, t):
+        return self._search(t, 1)
+
+
+def _reference_sweep(g, b):
+    """The Dilworth sweep as it stood before the prefix edge list and the
+    pre-flow: every step rescans the adjacency of {0..j} for its arcs and
+    runs on ``_EdmondsKarp``."""
+    n = g.n
+    caps, cap_scale = scaled_capacities(g)
+    scale = 2 * lcm(cap_scale, b.denominator)
+    half = [c * (scale // (2 * cap_scale)) for c in caps]
+    b_s = b.numerator * (scale // b.denominator)
+    coarse, fine = [{0}], [{0}]
+    x = [-b_s] + [0] * (n - 1)
+    adj = g.neighbors()
+    hdeg = [0] * n
+    for j in range(1, n):
+        for w, eid in adj[j]:
+            if w < j:
+                hdeg[j] += half[eid]
+                hdeg[w] += half[eid]
+        net = _EdmondsKarp(j + 2)
+        t = j + 1
+        const = 0
+        for u in range(j):
+            p_u = -hdeg[u] - x[u]
+            if p_u > 0:
+                net.add_arc(u, t, p_u)
+            elif p_u < 0:
+                net.add_arc(j, u, -p_u)
+                const += p_u
+        for v in range(j + 1):
+            for w, eid in adj[v]:
+                if v < w <= j and half[eid] > 0:
+                    net.add_undirected(v, w, half[eid])
+        x[j] = net.max_flow(j, t) + const - hdeg[j] - b_s
+        for blocks, side in (
+            (coarse, frozenset(range(j)) - net.residual_reaching(t)),
+            (fine, net.residual_reachable(j)),
+        ):
+            merged = {j}
+            rest = []
+            for blk in blocks:
+                if blk & side:
+                    merged |= blk
+                else:
+                    rest.append(blk)
+            blocks[:] = rest + [merged]
+    return coarse, fine
+
+
+@st.composite
+def _sweep_multigraphs(draw):
+    """Multigraphs on up to 9 vertices with rational and zero capacities;
+    sparse draws leave some of them disconnected."""
+    n = draw(st.integers(1, 9))
+    edges = []
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]
+        )
+        caps = st.sampled_from([F(0), F(1), F(2), F(3, 2), F(5), F(2, 3), F(7, 4)])
+        for u, v in draw(st.lists(pairs, max_size=18)):
+            edges.append(Edge(min(u, v), max(u, v), draw(caps)))
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sweep_multigraphs())
+def test_sweep_matches_edmonds_karp_sweep_property(g):
+    """Both block lists of ``_dilworth_partition`` equal those of the
+    reference sweep at b = 0, at every critical value and 1/7 either side."""
+    bs = {F(0)}
+    for lam in principal_sequence(g).lambdas():
+        bs |= {lam, lam - F(1, 7), lam + F(1, 7)}
+    for b in sorted(b for b in bs if b >= 0):
+        assert _dilworth_partition(g, b) == _reference_sweep(g, b), b
