@@ -10,8 +10,7 @@ import sys
 from fractions import Fraction
 
 from .cuts import enumerate_approx_kcuts, min_kcut, ravi_sinha_cut, round_lp
-from .exact import rational_str
-from .graph import Graph, ParseError, crossing_edges, parse_graph
+from .graph import Graph, ParseError, crossing_edges, parse_graph, rational_str
 from .lp import (
     check_complementary_slackness,
     lagrangean_value,

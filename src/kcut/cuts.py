@@ -40,7 +40,7 @@ from .graph import (
     cut_of_partition,
     scaled_capacities,
 )
-from .lp import DualSolution, PrimalSolution, lagrangean_value, lp_dual
+from .lp import DualSolution, PrimalSolution, lagrangean_value, lp_dual, lp_primal
 from .oracle import partition_sort_key, set_partitions
 from .packing import PackConfig, TreePacking, min_spanning_forest, mwu_pack
 from .strength import PrincipalSequence, principal_sequence
@@ -419,44 +419,11 @@ def ravi_sinha_cut(g: Graph, psp: PrincipalSequence | None = None, k: int = 2) -
     Take the first level reaching k parts; when it overshoots, keep the
     previous level's cut and additionally isolate the needed number of
     smallest-boundary shores of the splitting components (never a whole
-    component, so every shore adds a part)."""
+    component, so every shore adds a part).  That is ``round_lp`` on the
+    closed-form optimum: its zero edges lie inside the parts of P_j, its
+    ones are A_{j-1}, its fractional residual is B_j, and a part's degree
+    there is its shore's boundary, so the same shores are picked in the
+    same (cost, id) order."""
     if psp is None:
         psp = principal_sequence(g)
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
-    j = psp.level_for_k(k)
-    if j == 0:
-        return cut_of_partition(g, psp.p0)
-    level = psp.levels[j - 1]
-    if level.kappa == k:
-        return cut_of_partition(g, level.partition)
-    kappa_prev = psp.kappa_at(j - 1)
-    need = k - kappa_prev
-    shores = []
-    budgets = {}
-    for ci, comp in enumerate(level.split_components):
-        comp_set = set(comp)
-        parts = [p for p in level.partition.parts if p[0] in comp_set]
-        budgets[ci] = len(parts) - 1
-        for part in parts:
-            part_set = set(part)
-            boundary = Fraction(0)
-            for e in g.edges:
-                if e.u in comp_set and e.v in comp_set:
-                    if (e.u in part_set) != (e.v in part_set):
-                        boundary += e.cap
-            shores.append((boundary, part, ci))
-    taken = _capped_cheapest(shores, budgets, need)
-    if taken is None:
-        raise AssertionError("not enough shores to reach k parts")
-    cutset = set(psp.a_edges_at(j - 1))
-    comp_vertices = {ci: set(comp) for ci, comp in enumerate(level.split_components)}
-    for _, part, ci in taken:
-        part_set = set(part)
-        comp_set = comp_vertices[ci]
-        for eid, e in enumerate(g.edges):
-            if e.u in comp_set and e.v in comp_set:
-                if (e.u in part_set) != (e.v in part_set):
-                    cutset.add(eid)
-    partition = components(g, exclude_edges=cutset)
-    return cut_of_partition(g, partition)
+    return round_lp(g, lp_primal(psp, k)).cut

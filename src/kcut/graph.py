@@ -1,5 +1,6 @@
 """Graph representation with exact rational capacities, partition algebra,
-contraction/deletion, connected components, and canonical cut evaluation.
+contraction/deletion, connected components, and canonical cut evaluation,
+with the parsing and formatting of exact rationals.
 
 Vertices are 0-indexed internally; the text format and all JSON output use
 1-indexed ids.  Edges are identified by their position in ``Graph.edges``.
@@ -13,7 +14,26 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import parse_rational, rational_str
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a nonnegative rational written as an integer, a decimal, or "a/b".
+
+    Decimals are converted exactly (0.25 -> 1/4).  Raises ValueError on
+    anything else, including negative values.
+    """
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {text!r}") from exc
+    if value < 0:
+        raise ValueError(f"negative capacity: {text!r}")
+    return value
+
+
+def rational_str(value) -> str:
+    """Canonical "p/q" rendering, denominator always present ("5" -> "5/1")."""
+    f = Fraction(value)
+    return f"{f.numerator}/{f.denominator}"
 
 
 class ParseError(ValueError):
@@ -299,36 +319,6 @@ def _mask_partition(n: int, masks: Iterable[int], value: Fraction) -> VertexPart
     )
 
 
-def _quotient(g: Graph, block: Sequence[int], nblocks: int) -> tuple[Graph, list[int]]:
-    """Merge each block into one vertex; drop self-loops, keep parallels.
-
-    Returns the new graph and the list of surviving original edge ids
-    (aligned with the new graph's edges).
-    """
-    edges = []
-    kept = []
-    for i, e in enumerate(g.edges):
-        bu, bv = block[e.u], block[e.v]
-        if bu == bv:
-            continue
-        edges.append(Edge(min(bu, bv), max(bu, bv), e.cap))
-        kept.append(i)
-    return Graph(nblocks, tuple(edges)), kept
-
-
-def _renumber_by_min(g: Graph, rep_of: Sequence[int]) -> list[int]:
-    """Turn an arbitrary representative map into block ids ordered by the
-    minimum original vertex in each block."""
-    min_vertex: dict[int, int] = {}
-    for v in range(g.n):
-        r = rep_of[v]
-        if r not in min_vertex or v < min_vertex[r]:
-            min_vertex[r] = v
-    order = sorted(min_vertex, key=lambda r: min_vertex[r])
-    index = {r: i for i, r in enumerate(order)}
-    return [index[rep_of[v]] for v in range(g.n)]
-
-
 def contract(g: Graph, edge_ids: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Contract a set of edges; returns (new graph, old-vertex -> new-vertex).
 
@@ -340,17 +330,14 @@ def contract(g: Graph, edge_ids: Iterable[int]) -> tuple[Graph, tuple[int, ...]]
     for i in ids:
         if not 0 <= i < g.m:
             raise ValueError(f"edge id {i} out of range")
-    dsu = _DSU(g.n)
-    for i in ids:
-        e = g.edges[i]
-        dsu.union(e.u, e.v)
-    block = _renumber_by_min(g, [dsu.find(v) for v in range(g.n)])
-    new_g, _ = _quotient(g, block, max(block) + 1)
-    return new_g, tuple(block)
+    merged = component_blocks(Graph(g.n, tuple(g.edges[i] for i in ids)))
+    new_g, block, _ = contract_partition(g, merged)
+    return new_g, block
 
 
 def contract_partition(g: Graph, parts: Iterable[Iterable[int]]):
-    """Contract every part of a partition to a single vertex.
+    """Contract every part of a partition to a single vertex; self-loops are
+    dropped, parallel edges kept, and new ids follow each part's minimum.
 
     Returns (new graph, old-vertex -> new-vertex map, surviving edge ids).
     """
@@ -360,8 +347,14 @@ def contract_partition(g: Graph, parts: Iterable[Iterable[int]]):
     for i, part in enumerate(parts):
         for v in part:
             block[v] = i
-    new_g, kept = _quotient(g, block, len(parts))
-    return new_g, tuple(block), tuple(kept)
+    edges = []
+    kept = []
+    for i, e in enumerate(g.edges):
+        bu, bv = block[e.u], block[e.v]
+        if bu != bv:
+            edges.append(Edge(min(bu, bv), max(bu, bv), e.cap))
+            kept.append(i)
+    return Graph(len(parts), tuple(edges)), tuple(block), tuple(kept)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]):

@@ -104,13 +104,15 @@ def _cbar(g: Graph, edge_ids) -> Fraction:
 
 
 def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
-    """Optimal primal vector: 1 on A_{j-1}, alpha on B_j, 0 elsewhere."""
+    """Optimal primal vector: 1 on A_{j-1}, alpha on B_j, 0 elsewhere.
+
+    The one reader of the PSP level for k: ``lagrangean_value`` and
+    ``lp_dual`` take j and the LP value from here.  Nothing here divides by
+    a lambda, so a component of strength 0 is allowed."""
     g = psp.graph
     if not 2 <= k <= g.n:
         raise ValueError(f"k={k} out of range 2..{g.n}")
-    _check_positive_strength(psp)
-    h = psp.kappa0()
-    if k <= h:
+    if k <= psp.kappa0():
         return PrimalSolution(k, (Fraction(0),) * g.m, 0, Fraction(0), Fraction(0))
     j = psp.level_for_k(k)
     level = psp.levels[j - 1]
@@ -132,17 +134,9 @@ def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
 def lagrangean_value(psp: PrincipalSequence, k: int):
     """max over b >= 0 of g(b) + b(k-1); the maximum sits at b = lambda_j and
     equals the LP optimum."""
-    g = psp.graph
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
-    h = psp.kappa0()
-    if k <= h:
-        return Fraction(0), Fraction(0)
-    j = psp.level_for_k(k)
-    level = psp.levels[j - 1]
-    kappa_prev = psp.kappa_at(j - 1)
-    value = _cbar(g, psp.a_edges_at(j - 1)) + (k - kappa_prev) * level.lam
-    return value, level.lam
+    primal = lp_primal(psp, k)
+    j = primal.level_index
+    return primal.objective, psp.levels[j - 1].lam if j else Fraction(0)
 
 
 def _restriction(partition, component) -> tuple[tuple[int, ...], ...]:
@@ -204,25 +198,21 @@ def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2,
     """
     if psp is None:
         psp = principal_sequence(g)
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
+    primal = lp_primal(psp, k)
     _check_positive_strength(psp)
     h = psp.kappa0()
-    if k <= h:
+    j = primal.level_index
+    if j == 0:
         packing = TreePacking((), (), {}) if explicit else None
         return DualSolution(k, (Fraction(0),) * g.m, Fraction(0), 0, Fraction(0), h, packing)
-    j = psp.level_for_k(k)
     lam_j = psp.levels[j - 1].lam
     z = [Fraction(0)] * g.m
-    for i in range(1, j):
-        level = psp.levels[i - 1]
+    for level in psp.levels[: j - 1]:
         ratio = lam_j / level.lam - 1
         for eid in level.b_edges:
             z[eid] = ratio * g.edges[eid].cap
-    kappa_prev = psp.kappa_at(j - 1)
-    objective = (k - kappa_prev) * lam_j + _cbar(g, psp.a_edges_at(j - 1))
-    check = (k - h) * lam_j - sum(z, Fraction(0))
-    if check != objective:
+    objective = primal.objective
+    if (k - h) * lam_j - sum(z, Fraction(0)) != objective:
         raise AssertionError("dual objective mismatch")
     packing = None
     if explicit:

@@ -14,12 +14,11 @@ from fractions import Fraction
 from .cuts import (
     dual_respect_bound,
     min_kcut,
-    ravi_sinha_cut,
+    mincut_respect_bound,
     respect_stats,
     round_lp,
 )
-from .exact import rational_str
-from .graph import Graph, crossing_edges
+from .graph import Graph, crossing_edges, rational_str
 from .lp import (
     check_complementary_slackness,
     ideal_packing,
@@ -201,8 +200,8 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             _row(rows, f"optimal-cut-respect[{tag}]", witness_ok, f"h={h}")
             _row(rows, f"respect-fraction-bound[{tag}]", qh_ok)
 
+        # On the closed-form optimum, LP rounding is the smallest-shores cut.
         rounded = round_lp(g, primal)
-        rs = ravi_sinha_cut(g, psp, k)
         bound = 2 * (1 - Fraction(1, n)) * primal.objective
         _row(
             rows,
@@ -213,8 +212,8 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         _row(
             rows,
             f"smallest-shores-bound[{tag}]",
-            rs.k_achieved >= k and rs.value <= bound,
-            f"cut {rational_str(rs.value)}",
+            rounded.cut.k_achieved >= k and rounded.cut.value <= bound,
+            f"cut {rational_str(rounded.cut.value)}",
         )
 
         if table is None:
@@ -255,7 +254,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
     for cut in k2report.cuts:
         eids = crossing_edges(g, cut.partition.block_of(g.n))
         stats = respect_stats(pack, eids, 2)
-        if stats.q_h < Fraction(1, 2) + Fraction(1, n):
+        if stats.q_h < mincut_respect_bound(2, n):
             q2_ok = False
     _row(rows, "mincut-2respect-fraction", q2_ok)
     return rows

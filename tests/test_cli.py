@@ -5,6 +5,7 @@ import pytest
 from kcut.cli import main
 
 from conftest import C5_TEXT, K4_TEXT, TT_TEXT
+from test_psp_pin import GRAPHS
 
 
 @pytest.fixture()
@@ -74,6 +75,15 @@ def test_round_and_approx(capsys, tt_file):
     assert code == 0 and data["cut"]["value"] == "3/1" and data["certified"]
     code, out = run(capsys, "approx", "--k", "3", tt_file)
     assert code == 0 and json.loads(out)["cut"]["value"] == "3/1"
+
+
+def test_round_on_strength_zero(capsys, tmp_path):
+    path = tmp_path / "zero.graph"
+    path.write_text(GRAPHS["strength-zero"])
+    code, out = run(capsys, "round", "--k", "2", str(path))
+    data = json.loads(out)
+    assert code == 0 and data["certified"]
+    assert data["cut"] == {"value": "0/1", "parts": 2, "partition": [[1, 2, 3], [4]]}
 
 
 def test_mincut(capsys, tt_file):

@@ -20,14 +20,16 @@ from kcut import (
     min_kcut,
     min_spanning_forest,
     mwu_pack,
+    oracle_lp_value,
     oracle_min_kcut,
     parse_graph,
     principal_sequence,
     ravi_sinha_cut,
     respect_stats,
     round_lp,
+    verify_primal,
 )
-from kcut.cuts import bell_number, merge_pattern_count
+from kcut.cuts import _capped_cheapest, bell_number, merge_pattern_count
 from kcut.packing import PackConfig
 
 from conftest import TT_BRIDGE, _random_connected, edge_ids_of_partition, full_suite
@@ -380,6 +382,87 @@ def test_ravi_sinha_never_spends_choices_on_whole_component():
     cut = ravi_sinha_cut(g, psp, 5)
     assert cut.k_achieved >= 5
     assert cut.value <= 2 * (1 - F(1, 6)) * lp_primal(psp, 5).objective
+
+
+def _shores_reference(g, psp=None, k=2):
+    """The smallest-shores procedure as it was written before it became
+    ``round_lp`` of the closed-form optimum, kept as a reference."""
+    if psp is None:
+        psp = principal_sequence(g)
+    if not 2 <= k <= g.n:
+        raise ValueError(f"k={k} out of range 2..{g.n}")
+    j = psp.level_for_k(k)
+    if j == 0:
+        return cut_of_partition(g, psp.p0)
+    level = psp.levels[j - 1]
+    if level.kappa == k:
+        return cut_of_partition(g, level.partition)
+    kappa_prev = psp.kappa_at(j - 1)
+    need = k - kappa_prev
+    shores = []
+    budgets = {}
+    for ci, comp in enumerate(level.split_components):
+        comp_set = set(comp)
+        parts = [p for p in level.partition.parts if p[0] in comp_set]
+        budgets[ci] = len(parts) - 1
+        for part in parts:
+            part_set = set(part)
+            boundary = Fraction(0)
+            for e in g.edges:
+                if e.u in comp_set and e.v in comp_set:
+                    if (e.u in part_set) != (e.v in part_set):
+                        boundary += e.cap
+            shores.append((boundary, part, ci))
+    taken = _capped_cheapest(shores, budgets, need)
+    if taken is None:
+        raise AssertionError("not enough shores to reach k parts")
+    cutset = set(psp.a_edges_at(j - 1))
+    comp_vertices = {ci: set(comp) for ci, comp in enumerate(level.split_components)}
+    for _, part, ci in taken:
+        part_set = set(part)
+        comp_set = comp_vertices[ci]
+        for eid, e in enumerate(g.edges):
+            if e.u in comp_set and e.v in comp_set:
+                if (e.u in part_set) != (e.v in part_set):
+                    cutset.add(eid)
+    partition = components(g, exclude_edges=cutset)
+    return cut_of_partition(g, partition)
+
+
+@st.composite
+def _multigraphs(draw):
+    """n <= 9 with parallel edges and capacities that may be 0, so the
+    graph may be disconnected or have a component of strength 0."""
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    cap = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(3)])
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), cap), max_size=3 * n))
+    return Graph(n, tuple(Edge(u, v, c) for (u, v), c in edges))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_multigraphs(), _strength_zero_multigraphs()))
+def test_ravi_sinha_cut_matches_shores_reference_property(g):
+    psp = principal_sequence(g)
+    for k in range(2, g.n + 1):
+        assert ravi_sinha_cut(g, psp, k) == _shores_reference(g, psp, k), k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_strength_zero_multigraphs())
+def test_strength_zero_primal_and_rounding_property(g):
+    """The closed-form primal divides by no lambda, so it is the LP optimum
+    on a graph with a component of strength 0 too, and rounds within
+    2(1-1/n) of it."""
+    psp = principal_sequence(g)
+    assert psp.levels[0].lam == 0
+    for k in range(2, g.n + 1):
+        primal = lp_primal(psp, k)
+        assert primal.objective == oracle_lp_value(g, k), k
+        assert verify_primal(g, primal.x, k).ok, k
+        r = round_lp(g, primal)
+        assert r.certified and r.cut.k_achieved >= k, k
+        assert r.cut.value <= r.bound == 2 * (1 - F(1, g.n)) * primal.objective, k
 
 
 def test_reports_are_recomputable(tt):

@@ -267,9 +267,14 @@ def test_disconnected_lp():
 
 
 def test_zero_capacity_cut_rejected():
+    # the dual's z divides by each level's lambda, so a strength-0 graph has
+    # no closed-form dual; the primal divides by none and still answers
     g = parse_graph("p kcut 4 3\ne 1 2 1\ne 2 3 0\ne 3 4 1\n")
-    with pytest.raises(ValueError):
-        lp_primal(principal_sequence(g), 2)
+    psp = principal_sequence(g)
+    with pytest.raises(ValueError, match="positive capacity"):
+        lp_dual(g, psp, 2)
+    assert lp_primal(psp, 2).objective == 0
+    assert lp_primal(psp, 3).objective == 1
 
 
 def test_k_out_of_range(tt):
