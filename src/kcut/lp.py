@@ -106,9 +106,8 @@ def _cbar(g: Graph, edge_ids) -> Fraction:
 def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
     """Optimal primal vector: 1 on A_{j-1}, alpha on B_j, 0 elsewhere.
 
-    The one reader of the PSP level for k: ``lagrangean_value`` and
-    ``lp_dual`` take j and the LP value from here.  Nothing here divides by
-    a lambda, so a component of strength 0 is allowed."""
+    The one reader of the PSP level for k.  Nothing here divides by a
+    lambda, so a component of strength 0 is allowed."""
     g = psp.graph
     if not 2 <= k <= g.n:
         raise ValueError(f"k={k} out of range 2..{g.n}")
@@ -132,11 +131,24 @@ def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
 
 
 def lagrangean_value(psp: PrincipalSequence, k: int):
-    """max over b >= 0 of g(b) + b(k-1); the maximum sits at b = lambda_j and
-    equals the LP optimum."""
-    primal = lp_primal(psp, k)
-    j = primal.level_index
-    return primal.objective, psp.levels[j - 1].lam if j else Fraction(0)
+    """max over b >= 0 of g(b) + b(k-1), where g(b) is the minimum over
+    partitions P of c(delta(P)) - b(|P| - 1), and the b attaining it.
+
+    g is concave and piecewise linear, and the partitions of the principal
+    sequence are its minimizers, so the maximum is taken over b = 0 (value
+    0) and the breakpoints b = lambda_i, at each of which P_i minimizes.
+    The first maximum sits at b = lambda_j and equals the LP optimum."""
+    g = psp.graph
+    if not 2 <= k <= g.n:
+        raise ValueError(f"k={k} out of range 2..{g.n}")
+    value, b = Fraction(0), Fraction(0)
+    cut = Fraction(0)  # c(delta(P_i)): the B_l with l <= i
+    for level in psp.levels:
+        cut += _cbar(g, level.b_edges)
+        at = cut - level.lam * (level.kappa - 1) + level.lam * (k - 1)
+        if at > value:
+            value, b = at, level.lam
+    return value, b
 
 
 def _restriction(partition, component) -> tuple[tuple[int, ...], ...]:
@@ -198,21 +210,23 @@ def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2,
     """
     if psp is None:
         psp = principal_sequence(g)
-    primal = lp_primal(psp, k)
+    lag, lam_j = lagrangean_value(psp, k)
     _check_positive_strength(psp)
     h = psp.kappa0()
-    j = primal.level_index
-    if j == 0:
+    if k <= h:
         packing = TreePacking((), (), {}) if explicit else None
         return DualSolution(k, (Fraction(0),) * g.m, Fraction(0), 0, Fraction(0), h, packing)
-    lam_j = psp.levels[j - 1].lam
+    # lambda strictly increases along the sequence: levels 1..j-1 are the
+    # ones below lambda_j.
+    below = [level for level in psp.levels if level.lam < lam_j]
+    j = len(below) + 1
     z = [Fraction(0)] * g.m
-    for level in psp.levels[: j - 1]:
+    for level in below:
         ratio = lam_j / level.lam - 1
         for eid in level.b_edges:
             z[eid] = ratio * g.edges[eid].cap
-    objective = primal.objective
-    if (k - h) * lam_j - sum(z, Fraction(0)) != objective:
+    objective = (k - h) * lam_j - sum(z, Fraction(0))
+    if objective != lag:
         raise AssertionError("dual objective mismatch")
     packing = None
     if explicit:

@@ -3,7 +3,10 @@ on a given graph and reports structured pass/fail rows.
 
 Certificate rows (exact identities between independently computed objects)
 decide the exit status; brute-force oracle rows are skipped when the
-instance exceeds the oracle limits.
+instance exceeds the oracle limits.  One row is not independent: on the
+closed-form optimum the smallest-shores cut is LP rounding of it, so
+``smallest-shores-bound`` is ``rounding-bound`` without its ``certified``
+test and fails only with it.
 """
 
 from __future__ import annotations
@@ -200,7 +203,6 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             _row(rows, f"optimal-cut-respect[{tag}]", witness_ok, f"h={h}")
             _row(rows, f"respect-fraction-bound[{tag}]", qh_ok)
 
-        # On the closed-form optimum, LP rounding is the smallest-shores cut.
         rounded = round_lp(g, primal)
         bound = 2 * (1 - Fraction(1, n)) * primal.objective
         _row(

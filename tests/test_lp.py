@@ -1,9 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcut import (
+    Edge,
+    Graph,
     check_complementary_slackness,
+    cut_of_partition,
     ideal_packing,
     lagrangean_value,
     lp_dual,
@@ -16,6 +21,7 @@ from kcut import (
     verify_primal,
 )
 from kcut.lp import DualSolution
+from kcut.oracle import set_partitions
 from kcut.packing import TreePacking
 
 from conftest import TT_BRIDGE, full_suite
@@ -59,6 +65,43 @@ def test_lagrangean_fixtures(tt, c5):
     assert lagrangean_value(psp, 3) == (F(5, 2), F(3, 2))
     assert lagrangean_value(psp, 2) == (F(1), F(1))
     assert lagrangean_value(principal_sequence(c5), 2) == (F(5, 4), F(5, 4))
+
+
+@st.composite
+def _small_multigraphs(draw):
+    """n <= 6 with parallel edges and capacities that may be 0."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    cap = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(2), F(3)])
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), cap), max_size=2 * n))
+    return Graph(n, tuple(Edge(u, v, c) for (u, v), c in edges))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_small_multigraphs())
+def test_lagrangean_value_against_every_partition_property(g):
+    """g(b) + b(k-1), with g(b) the minimum of c(delta(P)) - b(|P| - 1) over
+    every partition P, is largest at the returned b, is smaller at every
+    probe below it, and equals the closed-form primal value."""
+    costs = [
+        (cut_of_partition(g, parts).value, len(parts))
+        for parts in set_partitions(list(range(g.n)))
+    ]
+
+    def lagrangean(k, b):
+        return min(c - b * (size - 1) for c, size in costs) + b * (k - 1)
+
+    psp = principal_sequence(g)
+    lams = [level.lam for level in psp.levels]
+    probes = {F(0)} | set(lams) | {lam + F(1, 7) for lam in lams}
+    probes |= {(a + b) / 2 for a, b in zip(lams, lams[1:])}
+    for k in range(2, g.n + 1):
+        value, b = lagrangean_value(psp, k)
+        assert lagrangean(k, b) == value == lp_primal(psp, k).objective, k
+        for p in probes:
+            assert lagrangean(k, p) <= value, (k, p)
+            if p < b:
+                assert lagrangean(k, p) < value, (k, p)
 
 
 def test_ideal_packing_fixtures(tt, c5, e1):
