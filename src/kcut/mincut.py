@@ -12,6 +12,12 @@ scaled to integers, fills both tables; each edge adds to the pairs on its
 own tree path only.  The root paths and the subtree below each tree edge
 come from the same rooted-forest walk as the k-cut scan in ``cuts``, so
 both scans reject a tree that contains a cycle the same way.
+
+The pipeline scans all support trees in one integer pass.  It compares
+every 1- and 2-respecting value, as a Python int, with one running best
+(value, side, first tree index), and builds the one ``CutResult`` at the
+end.  ``min_1respect`` and ``min_2respect`` are the one-tree case of the
+same scan.
 """
 
 from __future__ import annotations
@@ -29,8 +35,38 @@ from .graph import (
     cut_of_partition,
     scaled_capacities,
 )
-from .oracle import partition_sort_key
 from .packing import PackConfig, mwu_pack
+
+
+def _tree_tables(n: int, tree, edges, positive):
+    """(masks, cuts, cross) of a spanning tree rooted at vertex 0, given as
+    edge ids into ``edges``: the vertex mask below each tree edge, and the
+    integer tables cut(i) and cross(i, j), j < i, summed over ``positive``,
+    the (u, v, scaled capacity) triples of the edges of positive capacity.
+    Edges that contain a cycle or do not span the graph raise ``ValueError``."""
+    comps, masks, path = _rooted_forest(n, tree, edges)
+    if len(comps) != 1:
+        raise ValueError("tree does not span the graph")
+    nt = len(tree)
+    cuts = [0] * nt
+    cross = [[0] * i for i in range(nt)]
+    for u, v, c in positive:
+        rest = path[u] ^ path[v]
+        on_path = []
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            cuts[i] += c
+            row = cross[i]
+            for j in on_path:
+                row[j] += c
+            on_path.append(i)
+            rest ^= low
+    return masks, cuts, cross
+
+
+def _positive_edges(g: Graph, caps) -> list[tuple[int, int, int]]:
+    return [(e.u, e.v, c) for e, c in zip(g.edges, caps) if c]
 
 
 @dataclass
@@ -59,28 +95,9 @@ class TreeCutTable:
         if self.scaled is None:
             self.scaled = scaled_capacities(g)
         caps, self.scale = self.scaled
-        comps, self.masks, path = _rooted_forest(g.n, self.tree, g.edges)
-        if len(comps) != 1:
-            raise ValueError("tree does not span the graph")
-        nt = len(self.tree)
-        cuts = [0] * nt
-        cross = [[0] * i for i in range(nt)]
-        for e, c in zip(g.edges, caps):
-            if not c:
-                continue
-            rest = path[e.u] ^ path[e.v]
-            on_path = []
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                cuts[i] += c
-                row = cross[i]
-                for j in on_path:
-                    row[j] += c
-                on_path.append(i)
-                rest ^= low
-        self.int_cuts = cuts
-        self.int_cross = cross
+        self.masks, self.int_cuts, self.int_cross = _tree_tables(
+            g.n, self.tree, g.edges, _positive_edges(g, caps)
+        )
 
     @property
     def cuts(self) -> list[Fraction]:
@@ -97,54 +114,67 @@ class TreeCutTable:
         return Fraction(self.int_cuts[i] + self.int_cuts[j] - 2 * both, self.scale)
 
 
-def _best_mask_cut(g: Graph, masks, value: Fraction) -> CutResult:
-    """The tie-break winner among two-sided cuts of equal value: the side
-    holding vertex 0 comes first in each canonical partition, so the side
-    whose sorted vertices come first wins.  ``value`` is the table's exact
-    cut value, so the partition takes it as is."""
-    full = (1 << g.n) - 1
-    sides = [mask if mask & 1 else full ^ mask for mask in masks]
-    side = sides[0]
-    if len(sides) > 1:  # the usual single tie needs no key
-        side = min(sides, key=lambda mask: [v for v in range(g.n) if mask >> v & 1])
-    return CutResult(_mask_partition(g.n, (side, full ^ side), value), value, 2)
+def _scan_trees(g: Graph, trees, scaled=None, pairs=True) -> tuple[CutResult, int]:
+    """The least cut crossing one of ``trees`` in exactly one edge, or in
+    one or two when ``pairs``, and the index of the first tree holding it.
+
+    Equal values go to the side of vertex 0 whose sorted vertices come
+    first, as in ``partition_sort_key``; no subtree mask holds the root,
+    vertex 0, so that side is the mask's complement.  A side is built only
+    for a value that reaches the running best, and a later tree replaces
+    the best only when strictly better.  ``scaled`` is
+    ``scaled_capacities(g)``, computed here when not given."""
+    caps, scale = scaled_capacities(g) if scaled is None else scaled
+    positive = _positive_edges(g, caps)
+    n, full = g.n, (1 << g.n) - 1
+    best, side, key, witness = sum(caps) + 1, 0, None, None
+
+    def offer(value, mask, idx):
+        nonlocal best, side, key, witness
+        cand = full ^ mask
+        if cand == side:  # the best cut again, from a later tree
+            return
+        cand_key = [v for v in range(n) if cand >> v & 1]
+        if value < best or cand_key < key:
+            best, side, key, witness = value, cand, cand_key, idx
+
+    for idx, tree in enumerate(trees):
+        masks, cuts, cross = _tree_tables(n, tree, g.edges, positive)
+        for i, ci in enumerate(cuts):
+            mi = masks[i]
+            if ci <= best:
+                offer(ci, mi, idx)
+            for j, x in enumerate(cross[i] if pairs else ()):
+                v = ci + cuts[j] - 2 * x
+                if v <= best:
+                    offer(v, mi ^ masks[j], idx)
+    if witness is None:
+        raise ValueError("no tree edge to cut")
+    value = Fraction(best, scale)
+    return CutResult(_mask_partition(n, (side, full ^ side), value), value, 2), witness
 
 
 def min_1respect(g: Graph, tree) -> CutResult:
     """Minimum cut among those crossing the tree in exactly one edge."""
-    table = TreeCutTable(g, tuple(tree))
-    best = min(table.int_cuts)
-    ties = [m for m, c in zip(table.masks, table.int_cuts) if c == best]
-    return _best_mask_cut(g, ties, Fraction(best, table.scale))
+    return _scan_trees(g, [tuple(tree)], pairs=False)[0]
 
 
 def min_2respect(g: Graph, tree, scaled=None) -> CutResult:
     """Minimum cut among those crossing the tree in at most two edges.
 
     ``scaled`` is ``scaled_capacities(g)``, for callers that scan many trees."""
-    table = TreeCutTable(g, tuple(tree), scaled=scaled)
-    cuts, cross, masks = table.int_cuts, table.int_cross, table.masks
-    best = None
-    ties: list[int] = []
-    for i, ci in enumerate(cuts):
-        values = [(ci, masks[i])]
-        values += [(ci + cuts[j] - 2 * cross[i][j], masks[i] ^ masks[j]) for j in range(i)]
-        for v, mask in values:
-            if best is None or v < best:
-                best = v
-                ties = [mask]
-            elif v == best:
-                ties.append(mask)
-    return _best_mask_cut(g, ties, Fraction(best, table.scale))
+    return _scan_trees(g, [tuple(tree)], scaled)[0]
 
 
 def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
     """Global mincut plus its witness: (cut, witness tree index, packing).
 
-    Packs trees to within (1 - eps) of the strength and scans every support
-    tree for its best 2-respecting cut.  For eps < 1/3 a positive weight
-    fraction of the packing 2-respects each fixed minimum cut, so the scan
-    is exhaustive without sampling.  Deterministic.
+    Packs trees to within (1 - eps) of the strength and scans the 1- and
+    2-respecting cuts of every support tree in one integer pass with a
+    running best.  The cut is the least over all trees, with the canonical
+    tie-break, and the witness is the first tree holding it.  For eps < 1/3
+    a positive weight fraction of the packing 2-respects each fixed minimum
+    cut, so the scan is exhaustive without sampling.  Deterministic.
     """
     eps = Fraction(eps)
     if not eps < Fraction(1, 3):
@@ -158,19 +188,8 @@ def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
         # zero-capacity cut: the components of the positive part achieve 0
         return cut_of_partition(g, components(g, exclude_edges=zero)), None, None
     packing = mwu_pack(g, config=PackConfig(epsilon=eps))
-    scaled = scaled_capacities(g)
-    best: CutResult | None = None
-    witness = None
-    for idx, tree in enumerate(packing.support()):
-        cut = min_2respect(g, tree, scaled)
-        if (
-            best is None
-            or cut.value < best.value
-            or (cut.value == best.value and partition_sort_key(cut.partition) < partition_sort_key(best.partition))
-        ):
-            best = cut
-            witness = idx
-    return best, witness, packing
+    cut, witness = _scan_trees(g, packing.support())
+    return cut, witness, packing
 
 
 def global_mincut(g: Graph, eps=Fraction(1, 6)) -> CutResult:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from kcut import (
@@ -26,6 +26,9 @@ from kcut import (
     respect_stats,
     spanning_forests,
 )
+from kcut.graph import scaled_capacities
+from kcut.mincut import _scan_trees
+from kcut.oracle import partition_sort_key
 
 from conftest import TT_BRIDGE, _random_connected, edge_ids_of_partition, full_suite
 
@@ -147,20 +150,30 @@ def test_tree_must_span(c5):
             scan(c5, (0, 1))
         with pytest.raises(ValueError):  # the tree edges hold the 4-cycle
             scan(c4_chord, (0, 1, 2, 3))
+    # a bad tree anywhere in the list of a many-tree scan
+    with pytest.raises(ValueError):
+        _scan_trees(c5, [(0, 1, 2, 3), (0, 1)])
+    with pytest.raises(ValueError):
+        _scan_trees(c4_chord, [(0, 1, 2), (0, 1, 2, 3), (0, 1, 4)])
+    for scan in (min_1respect, min_2respect):  # one vertex: no edge to cut
+        with pytest.raises(ValueError):
+            scan(parse_graph("p kcut 1 0\n"), ())
 
 
 @st.composite
-def _graphs_with_tree(draw):
-    """A multigraph with n <= 7 and one of its spanning trees (as edge ids).
+def _graphs_with_tree(draw, max_n=7, max_extra=8, caps=(F(0), F(1), F(2), F(3, 2), F(1, 3), F(5))):
+    """A multigraph with n <= max_n, at most max_extra edges besides one of
+    its spanning trees, and that tree (as edge ids).
 
     The tree joins each vertex to an earlier one under a drawn labelling;
-    extra edges may be parallel, and capacities may be 0 or rational."""
-    n = draw(st.integers(2, 7))
+    extra edges may be parallel, and capacities, drawn from ``caps``, may
+    be 0 or rational."""
+    n = draw(st.integers(2, max_n))
     label = draw(st.permutations(range(n)))
-    caps = st.sampled_from([F(0), F(1), F(2), F(3, 2), F(1, 3), F(5)])
+    caps = st.sampled_from(caps)
     pairs = [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, n)]
     extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
-    pairs += draw(st.lists(extra, max_size=8))
+    pairs += draw(st.lists(extra, max_size=max_extra))
     order = draw(st.permutations(range(len(pairs))))
     edges = tuple(Edge(min(pairs[i]), max(pairs[i]), draw(caps)) for i in order)
     tree = tuple(sorted(order.index(i) for i in range(n - 1)))
@@ -216,6 +229,60 @@ def test_tree_scan_matches_partition_values_property(graph_and_tree):
         for cut in cuts_from_tree(g, tree, h, k):
             assert cut.k_achieved >= k
             assert cut.value == cut_of_partition(g, cut.partition).value
+
+
+@st.composite
+def _graphs_with_trees(draw):
+    """A multigraph with n <= 8 and a list of its spanning trees, shuffled
+    and with repeats, so that equal cuts in several trees and witnesses
+    other than tree 0 occur.  The trees besides the drawn one are minimum
+    spanning trees under a drawn order of the edges.  The graphs are denser
+    than ``_graphs_with_tree``'s and draw unit capacities first: a tree
+    misses a least cut only when it crosses it three times or more."""
+    g, tree = draw(_graphs_with_tree(max_n=8, max_extra=16, caps=(F(1), F(2), F(0), F(1, 3))))
+    orders = st.permutations(range(g.m))
+    pool = [tree] + [min_spanning_forest(g, draw(orders)) for _ in range(draw(st.integers(1, 5)))]
+    return g, draw(st.permutations(pool + draw(st.lists(st.sampled_from(pool), max_size=4))))
+
+
+def _fold_of_one_tree_scans(g, trees):
+    """The many-tree scan as a fold of one-tree scans: the least cut under
+    ``partition_sort_key``, kept from the first tree that holds it."""
+    scaled = scaled_capacities(g)
+    best = None
+    witness = None
+    for idx, tree in enumerate(trees):
+        cut = min_2respect(g, tree, scaled)
+        if (
+            best is None
+            or cut.value < best.value
+            or (cut.value == best.value and partition_sort_key(cut.partition) < partition_sort_key(best.partition))
+        ):
+            best = cut
+            witness = idx
+    return best, witness
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_graphs_with_trees())
+def test_many_tree_scan_matches_fold_property(graph_and_trees):
+    g, trees = graph_and_trees
+    cut, witness = _scan_trees(g, trees)
+    ref, ref_witness = _fold_of_one_tree_scans(g, trees)
+    target(float(ref_witness), label="witness")  # steer towards late witnesses
+    assert cut.value == ref.value
+    assert cut.partition.parts == ref.partition.parts
+    assert witness == ref_witness
+
+
+def test_witness_is_first_tree_holding_the_cut(k4):
+    star, path = (0, 1, 2), (0, 3, 5)  # the star at vertex 1 and the path 1-2-3-4
+    # every cut of value 3 leaves one vertex alone; the star crosses {1} three
+    # times, so its best is {4}, and {1}, first in the tie-break, needs the path
+    for trees, witness in (([star, path, star, path], 1), ([path, star, path], 0)):
+        cut, idx = _scan_trees(k4, trees)
+        assert (cut.value, cut.partition.parts, idx) == (3, ((0,), (1, 2, 3)), witness)
+        assert (cut, idx) == _fold_of_one_tree_scans(k4, trees)
 
 
 def _networkx_mincut(g):
