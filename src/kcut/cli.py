@@ -50,13 +50,17 @@ def _cut_json(cut) -> dict:
     }
 
 
+def _trees_json(packing: TreePacking) -> list[dict]:
+    return [
+        {"edges": list(t), "weight": rational_str(w)}
+        for t, w in zip(packing.trees, packing.weights)
+    ]
+
+
 def _packing_json(packing: TreePacking) -> dict:
     loads = packing.loads()
     out = {
-        "trees": [
-            {"edges": list(t), "weight": rational_str(w)}
-            for t, w in zip(packing.trees, packing.weights)
-        ],
+        "trees": _trees_json(packing),
         "loads": {str(eid): rational_str(loads[eid]) for eid in sorted(loads)},
         "total_value": rational_str(packing.total_value),
     }
@@ -136,7 +140,7 @@ def _cmd_lp(args):
         },
         "dual": {
             "z": [rational_str(v) for v in dual.z],
-            "trees": _packing_json(dual.packing)["trees"],
+            "trees": _trees_json(dual.packing),
             "value": rational_str(dual.objective),
         },
         "lagrangean": {"b": rational_str(lag_b), "value": rational_str(lag)},
@@ -241,11 +245,10 @@ def _cmd_oracle(args):
         }
     if which == "treepack":
         return {"treepack": rational_str(oracle_treepack(g, limits))}
-    if which == "lp":
-        if args.k is None:
-            raise CliError("oracle lp needs --k")
-        return {"k": args.k, "lp_value": rational_str(oracle_lp_value(g, args.k, limits))}
-    raise CliError(f"unknown oracle query {which!r}")
+    # "lp": argparse's choices admit no other query
+    if args.k is None:
+        raise CliError("oracle lp needs --k")
+    return {"k": args.k, "lp_value": rational_str(oracle_lp_value(g, args.k, limits))}
 
 
 def _cmd_verify(args):

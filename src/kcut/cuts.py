@@ -34,14 +34,16 @@ from .graph import (
     CutResult,
     _mask_partition,
     _rooted_forest,
+    check_k,
     component_blocks,
     components,
     contract_partition,
     cut_of_partition,
+    partition_sort_key,
     scaled_capacities,
+    set_partitions,
 )
 from .lp import DualSolution, PrimalSolution, lagrangean_value, lp_dual, lp_primal
-from .oracle import partition_sort_key, set_partitions
 from .packing import PackConfig, TreePacking, min_spanning_forest, mwu_pack
 from .strength import PrincipalSequence, principal_sequence
 
@@ -257,8 +259,7 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
     and has only components of positive strength, so it is scanned instead,
     and no dual comes back.
     """
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
+    check_k(g, k)
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
     if k == g.n:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 def parse_rational(text: str) -> Fraction:
@@ -98,11 +98,7 @@ class VertexPartition:
 
     def block_of(self, n: int) -> list[int]:
         """Vertex -> part index array."""
-        block = [-1] * n
-        for i, part in enumerate(self.parts):
-            for v in part:
-                block[v] = i
-        return block
+        return _block_map(n, self.parts)
 
     def to_json(self) -> list[list[int]]:
         return [[v + 1 for v in part] for part in self.parts]
@@ -121,6 +117,15 @@ def canonical_parts(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], .
     return tuple(parts)
 
 
+def _block_map(n: int, parts) -> list[int]:
+    """Vertex -> index of its part among ``parts``; -1 for a vertex in none."""
+    block = [-1] * n
+    for i, part in enumerate(parts):
+        for v in part:
+            block[v] = i
+    return block
+
+
 def crossing_edges(g: Graph, block: Sequence[int]) -> list[int]:
     """Edge ids with endpoints in different blocks of a vertex->block map."""
     return [i for i, e in enumerate(g.edges) if block[e.u] != block[e.v]]
@@ -137,12 +142,46 @@ def scaled_capacities(g: Graph) -> tuple[list[int], int]:
 def partition_from_blocks(g: Graph, blocks: Iterable[Iterable[int]]) -> VertexPartition:
     parts = canonical_parts(blocks)
     _check_partition(g, parts)
-    block = [-1] * g.n
-    for i, part in enumerate(parts):
-        for v in part:
-            block[v] = i
+    block = _block_map(g.n, parts)
     value = sum((g.edges[i].cap for i in crossing_edges(g, block)), Fraction(0))
     return VertexPartition(parts, value)
+
+
+def partition_sort_key(p: VertexPartition):
+    """Tie-break used everywhere: maximum part count first, then canonical."""
+    return (-p.part_count, p.parts)
+
+
+def set_partitions(items: list) -> Iterator[list[list]]:
+    """Set partitions via restricted growth strings, lexicographic."""
+    n = len(items)
+    if n == 0:
+        yield []
+        return
+    rgs = [0] * n
+    maxes = [0] * n
+    while True:
+        nblocks = max(rgs) + 1
+        blocks: list[list] = [[] for _ in range(nblocks)]
+        for i, b in enumerate(rgs):
+            blocks[b].append(items[i])
+        yield blocks
+        i = n - 1
+        while i > 0 and rgs[i] == maxes[i - 1] + 1:
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        maxes[i] = max(maxes[i - 1], rgs[i])
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            maxes[j] = maxes[i]
+
+
+def check_k(g: Graph, k: int) -> None:
+    """Reject a part count k outside 2..n."""
+    if not 2 <= k <= g.n:
+        raise ValueError(f"k={k} out of range 2..{g.n}")
 
 
 def _check_partition(g: Graph, parts) -> None:
@@ -343,10 +382,7 @@ def contract_partition(g: Graph, parts: Iterable[Iterable[int]]):
     """
     parts = canonical_parts(parts)
     _check_partition(g, parts)
-    block = [-1] * g.n
-    for i, part in enumerate(parts):
-        for v in part:
-            block[v] = i
+    block = _block_map(g.n, parts)
     edges = []
     kept = []
     for i, e in enumerate(g.edges):
@@ -373,21 +409,3 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]):
             edges.append(Edge(min(a, b), max(a, b), e.cap))
             kept.append(i)
     return Graph(len(vs), tuple(edges)), vmap, tuple(kept)
-
-
-def normalize_parallel(g: Graph) -> Graph:
-    """Merge parallel edges by summing capacities (cut values are invariant)."""
-    total: dict[tuple[int, int], Fraction] = {}
-    for e in g.edges:
-        key = (e.u, e.v)
-        total[key] = total.get(key, Fraction(0)) + e.cap
-    edges = tuple(Edge(u, v, c) for (u, v), c in sorted(total.items()))
-    return Graph(g.n, edges)
-
-
-def graph_to_json(g: Graph) -> dict:
-    return {
-        "n": g.n,
-        "m": g.m,
-        "edges": [[e.u + 1, e.v + 1, rational_str(e.cap)] for e in g.edges],
-    }

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .graph import (
     Graph,
+    check_k,
     component_blocks,
     contract_partition,
     induced_subgraph,
@@ -109,8 +110,7 @@ def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
     The one reader of the PSP level for k.  Nothing here divides by a
     lambda, so a component of strength 0 is allowed."""
     g = psp.graph
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
+    check_k(g, k)
     if k <= psp.kappa0():
         return PrimalSolution(k, (Fraction(0),) * g.m, 0, Fraction(0), Fraction(0))
     j = psp.level_for_k(k)
@@ -139,8 +139,7 @@ def lagrangean_value(psp: PrincipalSequence, k: int):
     0) and the breakpoints b = lambda_i, at each of which P_i minimizes.
     The first maximum sits at b = lambda_j and equals the LP optimum."""
     g = psp.graph
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
+    check_k(g, k)
     value, b = Fraction(0), Fraction(0)
     cut = Fraction(0)  # c(delta(P_i)): the B_l with l <= i
     for level in psp.levels:

@@ -22,7 +22,6 @@ same scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import (
@@ -65,56 +64,7 @@ def _tree_tables(n: int, tree, edges, positive):
     return masks, cuts, cross
 
 
-def _positive_edges(g: Graph, caps) -> list[tuple[int, int, int]]:
-    return [(e.u, e.v, c) for e, c in zip(g.edges, caps) if c]
-
-
-@dataclass
-class TreeCutTable:
-    """Spanning tree rooted at vertex 0, with subtree masks and the integer
-    tables of its 1- and 2-respecting cut values.  Edges that contain a
-    cycle or do not span the graph raise ``ValueError``.
-
-    ``cut(i)`` is the capacity leaving the subtree below the i-th tree edge;
-    ``pair_value(i, j)`` the capacity of the unique cut crossing the tree in
-    exactly those two edges, whose side is ``pair_mask(i, j)``.  ``scaled``
-    is ``scaled_capacities(graph)``, computed here when not given.
-    """
-
-    graph: Graph
-    tree: tuple[int, ...]
-    scaled: tuple[list[int], int] | None = None
-    scale: int = field(init=False)
-    masks: list[int] = field(init=False)
-    int_cuts: list[int] = field(init=False)  # cut(i) times the scale
-    int_cross: list[list[int]] = field(init=False)  # cross(i, j), j < i, times the scale
-
-    def __post_init__(self):
-        g = self.graph
-        self.tree = tuple(self.tree)
-        if self.scaled is None:
-            self.scaled = scaled_capacities(g)
-        caps, self.scale = self.scaled
-        self.masks, self.int_cuts, self.int_cross = _tree_tables(
-            g.n, self.tree, g.edges, _positive_edges(g, caps)
-        )
-
-    @property
-    def cuts(self) -> list[Fraction]:
-        return [Fraction(c, self.scale) for c in self.int_cuts]
-
-    def cut(self, i: int) -> Fraction:
-        return Fraction(self.int_cuts[i], self.scale)
-
-    def pair_mask(self, i: int, j: int) -> int:
-        return self.masks[i] ^ self.masks[j]
-
-    def pair_value(self, i: int, j: int) -> Fraction:
-        both = self.int_cross[max(i, j)][min(i, j)]
-        return Fraction(self.int_cuts[i] + self.int_cuts[j] - 2 * both, self.scale)
-
-
-def _scan_trees(g: Graph, trees, scaled=None, pairs=True) -> tuple[CutResult, int]:
+def _scan_trees(g: Graph, trees, pairs=True) -> tuple[CutResult, int]:
     """The least cut crossing one of ``trees`` in exactly one edge, or in
     one or two when ``pairs``, and the index of the first tree holding it.
 
@@ -122,10 +72,9 @@ def _scan_trees(g: Graph, trees, scaled=None, pairs=True) -> tuple[CutResult, in
     first, as in ``partition_sort_key``; no subtree mask holds the root,
     vertex 0, so that side is the mask's complement.  A side is built only
     for a value that reaches the running best, and a later tree replaces
-    the best only when strictly better.  ``scaled`` is
-    ``scaled_capacities(g)``, computed here when not given."""
-    caps, scale = scaled_capacities(g) if scaled is None else scaled
-    positive = _positive_edges(g, caps)
+    the best only when strictly better."""
+    caps, scale = scaled_capacities(g)
+    positive = [(e.u, e.v, c) for e, c in zip(g.edges, caps) if c]
     n, full = g.n, (1 << g.n) - 1
     best, side, key, witness = sum(caps) + 1, 0, None, None
 
@@ -159,11 +108,9 @@ def min_1respect(g: Graph, tree) -> CutResult:
     return _scan_trees(g, [tuple(tree)], pairs=False)[0]
 
 
-def min_2respect(g: Graph, tree, scaled=None) -> CutResult:
-    """Minimum cut among those crossing the tree in at most two edges.
-
-    ``scaled`` is ``scaled_capacities(g)``, for callers that scan many trees."""
-    return _scan_trees(g, [tuple(tree)], scaled)[0]
+def min_2respect(g: Graph, tree) -> CutResult:
+    """Minimum cut among those crossing the tree in at most two edges."""
+    return _scan_trees(g, [tuple(tree)])[0]
 
 
 def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):

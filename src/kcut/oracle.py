@@ -22,9 +22,12 @@ from .graph import (
     Graph,
     VertexPartition,
     CutResult,
+    check_k,
     component_blocks,
     partition_from_blocks,
+    partition_sort_key,
     scaled_capacities,
+    set_partitions,
 )
 from .simplex import Tableau, solve_lp  # noqa: F401  perfbench's tracer wraps oracle.solve_lp
 
@@ -56,37 +59,6 @@ def enum_partitions(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Iterator
         yield partition_from_blocks(g, blocks)
 
 
-def set_partitions(items: list) -> Iterator[list[list]]:
-    """Set partitions via restricted growth strings, lexicographic."""
-    n = len(items)
-    if n == 0:
-        yield []
-        return
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        nblocks = max(rgs) + 1
-        blocks: list[list] = [[] for _ in range(nblocks)]
-        for i, b in enumerate(rgs):
-            blocks[b].append(items[i])
-        yield blocks
-        i = n - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            maxes[j] = maxes[i]
-
-
-def partition_sort_key(p: VertexPartition):
-    """Tie-break used everywhere: maximum part count first, then canonical."""
-    return (-p.part_count, p.parts)
-
-
 @dataclass(frozen=True)
 class PartitionTable:
     """The least crossing value of each part count, with its minimizers.
@@ -114,7 +86,7 @@ class PartitionTable:
     def min_kcut(self, k: int):
         """Minimum k-cut: (CutResult, tuple of every optimal partition with
         >= k parts), ordered by ``partition_sort_key``."""
-        _check_k(self.graph, k)
+        check_k(self.graph, k)
         counts = [p for p in self.best if p >= k]
         least = min(self.best[p] for p in counts)
         argmins = sorted(
@@ -209,11 +181,6 @@ def partition_table(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Partitio
     )
 
 
-def _check_k(g: Graph, k: int) -> None:
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
-
-
 def _check_strength(g: Graph) -> None:
     if g.n < 2:
         raise ValueError("strength needs at least two vertices")
@@ -233,7 +200,7 @@ def oracle_min_kcut(g: Graph, k: int, limits: OracleLimits = DEFAULT_LIMITS):
     Returns (CutResult, tuple of every optimal partition with >= k parts),
     the representative tie-broken to maximum part count then canonical order.
     """
-    _check_k(g, k)
+    check_k(g, k)
     return partition_table(g, limits).min_kcut(k)
 
 
@@ -360,7 +327,7 @@ class ForestLP:
         """Exact optimum of the k-cut relaxation with one covering
         constraint per maximal forest (right-hand side k - h for h
         components); 0 for k <= h, without enumerating."""
-        _check_k(self.graph, k)
+        check_k(self.graph, k)
         if k <= self.h:
             return Fraction(0)
         self.treepack()

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph, component_blocks, induced_subgraph, scaled_capacities
+from .graph import Edge, Graph, component_blocks, induced_subgraph, scaled_capacities
 from .simplex import Tableau, solve_lp  # noqa: F401  perfbench's self-test reads packing.solve_lp
 from .strength import strength as _strength
 
@@ -111,7 +111,8 @@ def min_spanning_forest(g: Graph, edge_weights) -> tuple[int, ...]:
 
 
 def _working_graph(g: Graph, caps):
-    """Drop zero-capacity edges, keeping original edge ids."""
+    """Drop zero-capacity edges, keeping original edge ids; ``ValueError``
+    when no edge has positive capacity."""
     if caps is None:
         caps = [e.cap for e in g.edges]
     caps = [Fraction(c) for c in caps]
@@ -120,8 +121,8 @@ def _working_graph(g: Graph, caps):
     if any(c < 0 for c in caps):
         raise ValueError("capacities must be nonnegative")
     keep = [i for i in range(g.m) if caps[i] > 0]
-    from .graph import Edge
-
+    if not keep:
+        raise ValueError("packing undefined without positive-capacity edges")
     edges = tuple(Edge(g.edges[i].u, g.edges[i].v, caps[i]) for i in keep)
     return Graph(g.n, edges), keep, caps
 
@@ -138,17 +139,16 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
     ``Fraction``s are built only in the final rescale.
     """
     work, keep, caps_full = _working_graph(g, caps)
-    if work.m == 0:
-        raise ValueError("packing undefined without positive-capacity edges")
     eps = float(config.epsilon)
     m = work.m
-    try:
+    try:  # 1/eps is 1/0 when eps underflows to 0.0, and inf when it is subnormal
         threshold = m ** (1.0 / eps)
-    except OverflowError:
-        raise ValueError(
-            f"epsilon {config.epsilon} too small for {m} edges: "
-            "the stopping weight m**(1/eps) overflows a float"
-        ) from None
+    except (OverflowError, ZeroDivisionError):
+        threshold = math.inf
+    if threshold == math.inf or 1.0 + eps == 1.0:
+        why = ("the stopping weight m**(1/eps) overflows a float" if threshold == math.inf
+               else "1 + eps rounds to 1.0, so no weight grows")
+        raise ValueError(f"epsilon {config.epsilon} too small for {m} edges: {why}")
     cap_q = [e.cap for e in work.edges]
     cap_f = [_float_cap(c) for c in cap_q]
     cap_s, scale = scaled_capacities(work)
@@ -225,8 +225,6 @@ def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
     path (parametric attack oracle) unless ``certify=False``.
     """
     work, keep, _ = _working_graph(g, caps)
-    if work.m == 0:
-        raise ValueError("packing undefined without positive-capacity edges")
     master = Tableau([[] for _ in range(work.m)], [e.cap for e in work.edges])
     forest = min_spanning_forest(work, [1] * work.m)
     columns = []
@@ -277,8 +275,6 @@ def saturating_pack(g: Graph, caps=None, expected_value=None) -> TreePacking:
     column-generation optimum is already saturating.
     """
     work, keep, _ = _working_graph(g, caps)
-    if work.m == 0:
-        raise ValueError("packing undefined without positive-capacity edges")
     h = len(component_blocks(work))
     target = work.total_capacity() / Fraction(work.n - h)
     packing = exact_pack(g, caps, certify=False)

@@ -120,6 +120,30 @@ def test_pack_eps_too_small_exit_1(capsys, tmp_path):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _assert_eps_too_small(capsys, tmp_path, argv, text):
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    code = main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: epsilon ") and captured.err.count("\n") == 1
+    assert "too small for" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("eps", ["1e-400", "1e-310"], ids=["zero", "subnormal"])
+@pytest.mark.parametrize("argv", [["pack"], ["mincut"], ["solve", "--k", "2"]], ids=["pack", "mincut", "solve"])
+def test_eps_below_float_range_exit_1(capsys, tmp_path, argv, eps):
+    # as floats, 1e-400 is 0.0 and 1e-310 subnormal: 1/eps is 1/0 or inf
+    _assert_eps_too_small(capsys, tmp_path, argv + ["--eps", eps], K4_TEXT)
+
+
+@pytest.mark.parametrize("argv", [["pack"], ["mincut"]], ids=["pack", "mincut"])
+def test_eps_below_float_precision_on_one_edge_exit_1(capsys, tmp_path, argv):
+    # one edge stops at weight 1, which the step 1 + 1e-20 == 1.0 never passes
+    _assert_eps_too_small(capsys, tmp_path, argv + ["--eps", "1e-20"], "p kcut 2 1\ne 1 2 1\n")
+
+
 @pytest.mark.parametrize("cap", ["1e-400", "1e400"], ids=["underflow", "overflow"])
 @pytest.mark.parametrize(
     "argv",

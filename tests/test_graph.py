@@ -10,9 +10,17 @@ from kcut import (
     components,
     contract,
     cut_of_partition,
-    normalize_parallel,
+    enumerate_approx_kcuts,
+    lagrangean_value,
+    lp_dual,
+    lp_primal,
+    min_kcut,
+    oracle_lp_value,
+    oracle_min_kcut,
     parse_graph,
     partition_from_blocks,
+    principal_sequence,
+    ravi_sinha_cut,
 )
 from kcut.graph import component_blocks
 
@@ -143,17 +151,23 @@ def test_contract_components_commute():
         assert pulled == {frozenset(p) for p in components(g).parts}
 
 
-def test_normalize_parallel_preserves_cuts():
-    g = parse_graph("p kcut 3 4\ne 1 2 2\ne 1 2 3\ne 2 3 1\ne 1 3 1/2\n")
-    ng = normalize_parallel(g)
-    assert ng.m == 3
-    for blocks in ([[0], [1, 2]], [[0, 1], [2]], [[0], [1], [2]]):
-        assert cut_of_partition(g, blocks).value == cut_of_partition(ng, blocks).value
+K_ENTRY_POINTS = {
+    "lp_primal": lambda g, k: lp_primal(principal_sequence(g), k),
+    "lagrangean_value": lambda g, k: lagrangean_value(principal_sequence(g), k),
+    "lp_dual": lambda g, k: lp_dual(g, principal_sequence(g), k),
+    "ravi_sinha_cut": lambda g, k: ravi_sinha_cut(g, principal_sequence(g), k),
+    "min_kcut-exact": lambda g, k: min_kcut(g, k),
+    "min_kcut-approx": lambda g, k: min_kcut(g, k, mode="approx"),
+    "enumerate_approx_kcuts": lambda g, k: enumerate_approx_kcuts(g, k, 1),
+    "oracle_min_kcut": lambda g, k: oracle_min_kcut(g, k),
+    "oracle_lp_value": lambda g, k: oracle_lp_value(g, k),
+}
 
 
-def test_graph_json_roundtrip_shape(tt):
-    from kcut.graph import graph_to_json
-
-    data = graph_to_json(tt)
-    assert data["n"] == 6 and data["m"] == 7
-    assert data["edges"][6] == [3, 4, "1/1"]
+@pytest.mark.parametrize("k", [1, 6], ids=["k=1", "k=n+1"])
+@pytest.mark.parametrize("entry", sorted(K_ENTRY_POINTS))
+def test_k_out_of_range_message(c5, entry, k):
+    # the CLI prints this text, so every entry point that takes k shares it
+    with pytest.raises(ValueError) as exc:
+        K_ENTRY_POINTS[entry](c5, k)
+    assert str(exc.value) == f"k={k} out of range 2..5"

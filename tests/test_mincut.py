@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from kcut import (
     Edge,
     Graph,
-    TreeCutTable,
     cut_of_partition,
     cuts_from_tree,
     enumerate_approx_kcuts,
@@ -27,12 +26,20 @@ from kcut import (
     spanning_forests,
 )
 from kcut.graph import scaled_capacities
-from kcut.mincut import _scan_trees
+from kcut.mincut import _scan_trees, _tree_tables
 from kcut.oracle import partition_sort_key
 
 from conftest import TT_BRIDGE, _random_connected, edge_ids_of_partition, full_suite
 
 F = Fraction
+
+
+def _tables(g, tree):
+    """``_tree_tables`` of a tree of g as the scan calls it: (masks, cuts,
+    cross), the last two scaled by the returned scale."""
+    caps, scale = scaled_capacities(g)
+    positive = [(e.u, e.v, c) for e, c in zip(g.edges, caps) if c]
+    return _tree_tables(g.n, tree, g.edges, positive), scale
 
 
 def test_table_matches_direct_evaluation():
@@ -43,18 +50,18 @@ def test_table_matches_direct_evaluation():
             continue
         forests = spanning_forests(g)
         tree = forests[rng.randrange(len(forests))]
-        table = TreeCutTable(g, tree)
+        (masks, cuts, cross), scale = _tables(g, tree)
         for i in range(len(tree)):
-            side = [v for v in range(g.n) if table.masks[i] >> v & 1]
-            rest = [v for v in range(g.n) if not table.masks[i] >> v & 1]
+            side = [v for v in range(g.n) if masks[i] >> v & 1]
+            rest = [v for v in range(g.n) if not masks[i] >> v & 1]
             direct = cut_of_partition(g, [side, rest]).value
-            assert table.cut(i) == direct, name
+            assert F(cuts[i], scale) == direct, name
             for j in range(i + 1, len(tree)):
-                mask = table.pair_mask(i, j)
+                mask = masks[i] ^ masks[j]
                 side = [v for v in range(g.n) if mask >> v & 1]
                 rest = [v for v in range(g.n) if not mask >> v & 1]
                 direct = cut_of_partition(g, [side, rest]).value
-                assert table.pair_value(i, j) == direct, name
+                assert F(cuts[i] + cuts[j] - 2 * cross[j][i], scale) == direct, name
         checked += 1
         if checked >= 12:
             break
@@ -145,7 +152,7 @@ def test_global_mincut_input_validation():
 
 def test_tree_must_span(c5):
     c4_chord = parse_graph("p kcut 4 5\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\ne 1 3 1\n")
-    for scan in (TreeCutTable, min_1respect, min_2respect):
+    for scan in (_tables, min_1respect, min_2respect):
         with pytest.raises(ValueError):
             scan(c5, (0, 1))
         with pytest.raises(ValueError):  # the tree edges hold the 4-cycle
@@ -207,16 +214,16 @@ def _two_sided(g, side):
 @given(_graphs_with_tree())
 def test_tree_scan_matches_partition_values_property(graph_and_tree):
     g, tree = graph_and_tree
-    table = TreeCutTable(g, tree)
+    (masks, cuts, cross), scale = _tables(g, tree)
     for extra in set(range(g.m)) - set(tree):  # the tree plus any edge has a cycle
         with pytest.raises(ValueError):
-            TreeCutTable(g, tree + (extra,))
+            _tables(g, tree + (extra,))
     for i in range(len(tree)):
-        side = [v for v in range(g.n) if table.masks[i] >> v & 1]
-        assert table.cut(i) == _two_sided(g, side).value
+        side = [v for v in range(g.n) if masks[i] >> v & 1]
+        assert F(cuts[i], scale) == _two_sided(g, side).value
         for j in range(i + 1, len(tree)):
-            side = [v for v in range(g.n) if table.pair_mask(i, j) >> v & 1]
-            assert table.pair_value(i, j) == _two_sided(g, side).value
+            side = [v for v in range(g.n) if (masks[i] ^ masks[j]) >> v & 1]
+            assert F(cuts[i] + cuts[j] - 2 * cross[j][i], scale) == _two_sided(g, side).value
     brute = {}
     for f in (1, 2):
         for removed in itertools.combinations(tree, f):
@@ -248,11 +255,10 @@ def _graphs_with_trees(draw):
 def _fold_of_one_tree_scans(g, trees):
     """The many-tree scan as a fold of one-tree scans: the least cut under
     ``partition_sort_key``, kept from the first tree that holds it."""
-    scaled = scaled_capacities(g)
     best = None
     witness = None
     for idx, tree in enumerate(trees):
-        cut = min_2respect(g, tree, scaled)
+        cut = min_2respect(g, tree)
         if (
             best is None
             or cut.value < best.value
