@@ -337,10 +337,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = None  # built on the first ``main`` call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

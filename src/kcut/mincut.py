@@ -18,6 +18,18 @@ every 1- and 2-respecting value, as a Python int, with one running best
 (value, side, first tree index), and builds the one ``CutResult`` at the
 end.  ``min_1respect`` and ``min_2respect`` are the one-tree case of the
 same scan.
+
+On a graph with parallel edges the pipeline skips a support tree whose
+edges join the same multiset of vertex pairs as an earlier tree's; the
+multiplicative-weights packing often loads another parallel copy of one
+edge and so repeats a tree in this sense.  The skip changes no answer:
+the rooted walk and the subtree masks depend only on the vertex pairs, and
+the values only on the masks, so the two trees offer the same cuts with
+the same values, and the earlier tree offers each of them with a smaller
+index.  The best value, its side and its witness, the first tree holding
+it, are those of the scan that reads every tree.  A tree that holds two
+copies of one pair contains a cycle, and its multiset matches no earlier
+tree that passed, so it is still read and rejected.
 """
 
 from __future__ import annotations
@@ -72,7 +84,8 @@ def _scan_trees(g: Graph, trees, pairs=True) -> tuple[CutResult, int]:
     first, as in ``partition_sort_key``; no subtree mask holds the root,
     vertex 0, so that side is the mask's complement.  A side is built only
     for a value that reaches the running best, and a later tree replaces
-    the best only when strictly better."""
+    the best only when strictly better.  A tree on the same vertex pairs as
+    an earlier one is skipped (see the module docstring)."""
     caps, scale = scaled_capacities(g)
     positive = [(e.u, e.v, c) for e, c in zip(g.edges, caps) if c]
     n, full = g.n, (1 << g.n) - 1
@@ -87,7 +100,15 @@ def _scan_trees(g: Graph, trees, pairs=True) -> tuple[CutResult, int]:
         if value < best or cand_key < key:
             best, side, key, witness = value, cand, cand_key, idx
 
+    first: dict[tuple[int, int], int] = {}  # vertex pair -> its lowest edge id
+    same = [first.setdefault((min(e.u, e.v), max(e.u, e.v)), i) for i, e in enumerate(g.edges)]
+    seen = set() if len(first) < g.m else None  # only parallel edges repeat a tree
     for idx, tree in enumerate(trees):
+        if seen is not None:
+            shape = tuple(sorted(map(same.__getitem__, tree)))
+            if shape in seen:
+                continue
+            seen.add(shape)
         masks, cuts, cross = _tree_tables(n, tree, g.edges, positive)
         for i, ci in enumerate(cuts):
             mi = masks[i]

@@ -1,11 +1,16 @@
 """Fractional packings of spanning forests under edge capacities.
 
-Two packers share a pricing kernel (minimum spanning forest):
+Two packers share a pricing kernel, ``min_spanning_forest``: Kruskal's
+scan with inline path-halving roots, which stops as soon as the forest
+spans (n - 1 edges).  ``lp.verify_primal`` and the k-cut scan in ``cuts``
+call it too.
 
 * ``mwu_pack``: a deterministic width-based multiplicative-weights packer
-  meeting a (1 - eps) guarantee.  Only the edge weights are floats; loads
-  and tree weights are integers on scaled capacities, and one exact
-  rational rescale at the end makes the reported loads and value rigorous.
+  meeting a (1 - eps) guarantee.  Only the edge weights are floats; a
+  round recomputes the lengths w(e)/c(e) of the forest it loaded and no
+  others.  Loads and tree weights are integers on scaled capacities, and
+  one exact rational rescale at the end makes the reported loads and value
+  rigorous.
 * ``exact_pack``: column generation; one exact rational simplex tableau
   holds the restricted master and grows by each priced forest, pricing by
   minimum spanning forest under the master duals, certified against the
@@ -90,23 +95,26 @@ def min_spanning_forest(g: Graph, edge_weights) -> tuple[int, ...]:
 
     ``edge_weights`` is a sequence aligned with g.edges (rationals or
     floats).  A maximal forest has n - h edges for h connected components.
+    Kruskal's scan finds roots inline by path halving and stops once the
+    forest holds n - 1 edges: every later edge would close a cycle.  A
+    disconnected graph never reaches n - 1, so it scans every edge.
     """
     order = sorted(range(g.m), key=edge_weights.__getitem__)  # stable: ties by id
+    edges = g.edges
     parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     forest = []
+    need = g.n - 1
     for i in order:
-        e = g.edges[i]
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[rv] = ru
+        u, v, _ = edges[i]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[v] = u
             forest.append(i)
+            if len(forest) == need:
+                break
     return tuple(sorted(forest))
 
 
@@ -136,7 +144,10 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
     weight exceeds m**(1/eps), and the accumulated packing is rescaled by
     the exact maximum relative overload.  The weights are floats; loads and
     accumulated tree weights are integers on ``scaled_capacities``, and
-    ``Fraction``s are built only in the final rescale.
+    ``Fraction``s are built only in the final rescale, one per tree.  A
+    round changes only the loaded forest's weights, so only their lengths
+    w/c are recomputed, by the same float expression: the forests priced
+    are those a full recomputation would give.
     """
     work, keep, caps_full = _working_graph(g, caps)
     eps = float(config.epsilon)
@@ -158,12 +169,12 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
     max_iter = config.max_iterations
     if max_iter is None:
         max_iter = 16 + int(4 * m * math.log(max(m, 2)) / (eps * eps))
+    lengths = [w[i] / cap_f[i] for i in range(m)]
     iterations = 0
     while True:
         if iterations >= max_iter:
             raise IterationLimitError(f"no convergence within {max_iter} iterations")
         iterations += 1
-        lengths = [w[i] / cap_f[i] for i in range(m)]
         forest = min_spanning_forest(work, lengths)
         bottleneck = min(forest, key=cap_s.__getitem__)
         delta = cap_s[bottleneck]
@@ -174,13 +185,15 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
         for i in forest:
             load[i] += delta
             w[i] *= 1.0 + eps * df / cap_f[i]
+            lengths[i] = w[i] / cap_f[i]
             if w[i] > threshold:
                 stop = True
         if stop:
             break
     rho = max(Fraction(load[i], cap_s[i]) for i in range(m))
     trees = tuple(sorted(raw))
-    weights = tuple(Fraction(raw[t], scale) / rho for t in trees)
+    # raw / scale / rho as one Fraction, reduced once
+    weights = tuple(Fraction(raw[t] * rho.denominator, scale * rho.numerator) for t in trees)
     caps_used = {keep[i]: cap_q[i] for i in range(m)}
     return TreePacking(trees, weights, caps_used, approximate=True)
 

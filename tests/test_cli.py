@@ -441,3 +441,33 @@ def test_tsv_output(capsys, tt_file):
     assert code == 0
     lines = dict(line.split("\t") for line in out.strip().splitlines())
     assert lines["strength"] == "1/1"
+
+
+def test_parser_built_once_gives_fresh_parser_bytes(capsys, monkeypatch, tt_file):
+    """``main`` keeps its parser across calls; a failed parse, a TSV run
+    and the default flags after it must print what a new parser prints."""
+    from kcut import cli
+
+    calls = [
+        ("mincut", "--bogus", tt_file),
+        ("--output", "tsv", "mincut", tt_file),
+        ("mincut", tt_file),
+        ("solve", "--k", "3", "--all", tt_file),
+    ]
+
+    def outcome(argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    shared = [outcome(calls[0])]
+    parser = cli._PARSER
+    shared += [outcome(argv) for argv in calls[1:]]
+    assert cli._PARSER is parser
+    assert shared == fresh

@@ -25,7 +25,7 @@ from kcut import (
     respect_stats,
     spanning_forests,
 )
-from kcut.graph import scaled_capacities
+from kcut.graph import CutResult, _mask_partition, scaled_capacities
 from kcut.mincut import _scan_trees, _tree_tables
 from kcut.oracle import partition_sort_key
 
@@ -279,6 +279,77 @@ def test_many_tree_scan_matches_fold_property(graph_and_trees):
     assert cut.value == ref.value
     assert cut.partition.parts == ref.partition.parts
     assert witness == ref_witness
+
+
+def _unskipped_scan(g, trees, pairs=True):
+    """``_scan_trees`` before it skipped trees: every tree is scanned."""
+    caps, scale = scaled_capacities(g)
+    positive = [(e.u, e.v, c) for e, c in zip(g.edges, caps) if c]
+    n, full = g.n, (1 << g.n) - 1
+    best, side, key, witness = sum(caps) + 1, 0, None, None
+
+    def offer(value, mask, idx):
+        nonlocal best, side, key, witness
+        cand = full ^ mask
+        if cand == side:
+            return
+        cand_key = [v for v in range(n) if cand >> v & 1]
+        if value < best or cand_key < key:
+            best, side, key, witness = value, cand, cand_key, idx
+
+    for idx, tree in enumerate(trees):
+        masks, cuts, cross = _tree_tables(n, tree, g.edges, positive)
+        for i, ci in enumerate(cuts):
+            mi = masks[i]
+            if ci <= best:
+                offer(ci, mi, idx)
+            for j, x in enumerate(cross[i] if pairs else ()):
+                v = ci + cuts[j] - 2 * x
+                if v <= best:
+                    offer(v, mi ^ masks[j], idx)
+    if witness is None:
+        raise ValueError("no tree edge to cut")
+    value = F(best, scale)
+    return CutResult(_mask_partition(n, (side, full ^ side), value), value, 2), witness
+
+
+def _pairs_of(g, tree):
+    return sorted((min(g.edges[i].u, g.edges[i].v), max(g.edges[i].u, g.edges[i].v)) for i in tree)
+
+
+@st.composite
+def _trees_with_parallel_swaps(draw):
+    """A multigraph with n <= 7 in which some tree edges have parallel
+    copies, and a list of its spanning trees.  Besides minimum spanning
+    trees under drawn edge orders, the list holds copies of earlier trees
+    with edges swapped for parallel copies, inserted at any position, so a
+    copy may come before the tree it was made from."""
+    g, tree = draw(_graphs_with_tree(max_n=7, max_extra=6))
+    caps = st.sampled_from([F(0), F(1), F(2), F(1, 3)])
+    doubled = draw(st.lists(st.sampled_from(tree), min_size=1, max_size=4))
+    g = Graph(g.n, g.edges + tuple(Edge(g.edges[i].u, g.edges[i].v, draw(caps)) for i in doubled))
+    twins = {}
+    for i in range(g.m):
+        twins.setdefault(tuple(_pairs_of(g, [i])), []).append(i)
+    orders = st.permutations(range(g.m))
+    trees = [tree] + [min_spanning_forest(g, draw(orders)) for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(1, 5))):
+        source = draw(st.sampled_from(trees))
+        swapped = tuple(sorted(draw(st.sampled_from(twins[tuple(_pairs_of(g, [i]))])) for i in source))
+        trees.insert(draw(st.integers(0, len(trees))), swapped)
+    return g, trees
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_trees_with_parallel_swaps(), st.booleans())
+def test_skipping_parallel_copies_keeps_cut_and_witness_property(graph_and_trees, pairs):
+    g, trees = graph_and_trees
+    cut, witness = _scan_trees(g, trees, pairs)
+    ref, ref_witness = _unskipped_scan(g, trees, pairs)
+    shapes = [_pairs_of(g, tree) for tree in trees]
+    target(float(ref_witness), label="witness")  # steer towards late witnesses
+    assert (cut, witness) == (ref, ref_witness)
+    assert shapes[witness] not in shapes[:witness]  # the witness is never a skipped tree
 
 
 def test_witness_is_first_tree_holding_the_cut(k4):

@@ -6,7 +6,8 @@ reference below is the earlier loop, which added a ``Fraction`` per forest
 edge per iteration, kept verbatim together with the minimum spanning forest
 it priced with (sort key ``(weight, id)``).  Both must return the same
 trees, weights and capacities: the float weights that steer the loop are
-computed the same way in both.
+computed the same way in both.  The reference forest is also the oracle for
+``min_spanning_forest``, whose scan stops early and halves paths inline.
 """
 
 import math
@@ -22,6 +23,7 @@ from kcut.packing import (
     TreePacking,
     _float_cap,
     _working_graph,
+    min_spanning_forest,
     mwu_pack,
 )
 
@@ -111,6 +113,21 @@ def _graphs(draw, connected=False):
     extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     pairs += draw(st.lists(extra, max_size=5))
     return Graph(n, tuple(Edge(min(p), max(p), F(1)) for p in pairs))
+
+
+_WEIGHTS = {  # few distinct values, zero among them, so ties are common
+    "int": st.integers(0, 3),
+    "Fraction": st.builds(F, st.integers(0, 4), st.sampled_from([1, 2, 3])),
+    "float": st.sampled_from([0.0, 0.25, 1.0, 1 / 3, 2.5]),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.booleans().flatmap(lambda connected: _graphs(connected=connected)), st.data(), st.sampled_from(sorted(_WEIGHTS)))
+def test_min_spanning_forest_matches_full_kruskal(g, data, kind):
+    """The early-exit, path-halving Kruskal scan against the full scan."""
+    weights = data.draw(st.lists(_WEIGHTS[kind], min_size=g.m, max_size=g.m))
+    assert min_spanning_forest(g, weights) == _reference_msf(g, weights)
 
 
 # capacities over pairwise coprime denominators, so the common scale is large
