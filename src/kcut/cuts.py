@@ -76,26 +76,22 @@ class EnumerationReport:
     dual: DualSolution | None = None
 
 
-def dual_respect_bound(alpha, k: int, h: int, n: int, eps=Fraction(0)) -> Fraction:
+def dual_respect_bound(alpha, k: int, h: int, n: int) -> Fraction:
     """Lower bound on the packing weight fraction of trees crossing a cut of
     value at most alpha times the minimum k-cut at most h times:
-    1 - 2 alpha (k-1) (1 - 1/n) / ((h+1)(1-eps))."""
+    1 - 2 alpha (k-1) (1 - 1/n) / (h+1)."""
     alpha = Fraction(alpha)
-    eps = Fraction(eps)
-    return 1 - Fraction(2) * alpha * (k - 1) * (1 - Fraction(1, n)) / (
-        (h + 1) * (1 - eps)
-    )
+    return 1 - Fraction(2) * alpha * (k - 1) * (1 - Fraction(1, n)) / (h + 1)
 
 
-def mincut_respect_bound(h: int, n: int, eps=Fraction(0)) -> Fraction:
+def mincut_respect_bound(h: int, n: int) -> Fraction:
     """Mincut-specific bounds for pure tree packings: the weight fraction
-    1-respecting a fixed minimum cut is at least 2(1-eps) - 2(1-1/n), and
-    2-respecting at least (3/2)(1-eps) - (1-1/n)."""
-    eps = Fraction(eps)
+    1-respecting a fixed minimum cut is at least 2 - 2(1-1/n), and
+    2-respecting at least 3/2 - (1-1/n)."""
     if h == 1:
-        return 2 * (1 - eps) - 2 * (1 - Fraction(1, n))
+        return 2 - 2 * (1 - Fraction(1, n))
     if h == 2:
-        return Fraction(3, 2) * (1 - eps) - (1 - Fraction(1, n))
+        return Fraction(3, 2) - (1 - Fraction(1, n))
     raise ValueError("mincut bounds are stated for h in {1, 2}")
 
 
@@ -284,7 +280,7 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
     elif k <= dual.h:
         trees, h = [min_spanning_forest(g, [0] * g.m)], 0
     else:
-        trees, h = dual.packing.support(), max(h, 2 * k - 3, k - 1)
+        trees, h = dual.packing.support(), max(h, 2 * k - 3)
     found, scale, candidates = _enumerate_over_support(g, trees, h, k)
     if not found:
         raise AssertionError("enumeration found no k-cut")

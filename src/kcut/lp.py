@@ -20,14 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import (
-    Graph,
-    check_k,
-    component_blocks,
-    contract_partition,
-    induced_subgraph,
+from .graph import Graph, check_k, component_blocks, contract_partition
+from .packing import (
+    SaturationError, TreePacking, exact_pack, min_spanning_forest, saturating_pack,
 )
-from .packing import TreePacking, exact_pack, min_spanning_forest, saturating_pack
 from .strength import PrincipalSequence, principal_sequence
 
 
@@ -52,43 +48,30 @@ class DualSolution:
 
 
 @dataclass(frozen=True)
-class ComponentPacking:
-    component: tuple[int, ...]
-    quotient_parts: tuple[tuple[int, ...], ...]
-    packing: TreePacking  # edge ids refer to the original graph
-
-
-@dataclass(frozen=True)
-class IdealLevel:
-    lam: Fraction
-    packings: tuple[ComponentPacking, ...]
-
-
-@dataclass(frozen=True)
 class IdealPacking:
-    """Per-level saturating packings composing to the ideal distribution.
+    """One saturating packing per PSP level, composing to the ideal
+    distribution.
 
-    A full support tree is the union of one tree from every component packing
-    across all levels; the induced per-edge load is c(e)/lambda_i on level-i
-    crossing edges.
+    Level i's packing has value lambda_i and loads every B_i edge to its
+    capacity; scaled by 1/lambda_i it is the level's tree distribution, with
+    load c(e)/lambda_i on each B_i edge.  A full support tree is the union
+    of one support tree from every level.
     """
 
     graph: Graph
-    levels: tuple[IdealLevel, ...]
+    levels: tuple[TreePacking, ...]  # edge ids refer to the graph
     edge_level: tuple[int, ...]  # 1-based level whose B_i contains each edge
 
     def marginal_load(self, eid: int) -> Fraction:
-        lam = self.levels[self.edge_level[eid] - 1].lam
+        lam = self.levels[self.edge_level[eid] - 1].total_value
         return self.graph.edges[eid].cap / lam
 
-    def compose(self, pick=None) -> tuple[int, ...]:
-        """Union of one support tree per component packing (default: first);
-        always a maximal forest of the graph."""
+    def compose(self) -> tuple[int, ...]:
+        """Union of the first support tree of every level; always a maximal
+        forest of the graph."""
         chosen: list[int] = []
-        for li, level in enumerate(self.levels):
-            for ci, comp in enumerate(level.packings):
-                idx = 0 if pick is None else pick(li, ci, comp)
-                chosen.extend(comp.packing.support()[idx])
+        for packing in self.levels:
+            chosen.extend(packing.support()[0])
         return tuple(sorted(chosen))
 
 
@@ -150,18 +133,15 @@ def lagrangean_value(psp: PrincipalSequence, k: int):
     return value, b
 
 
-def _restriction(partition, component) -> tuple[tuple[int, ...], ...]:
-    comp = set(component)
-    return tuple(p for p in partition.parts if p[0] in comp)
-
-
 def ideal_packing(g: Graph, psp: PrincipalSequence | None = None) -> IdealPacking:
-    """One saturating packing per split component per level.
+    """One saturating packing per level.
 
-    Level i's component C, contracted by its minimum-strength partition Q,
-    is strength-tight with value lambda_i, so a packing with every crossing
-    edge fully loaded exists; scaled by 1/lambda_i it is the level's tree
-    distribution, inducing load c(e)/lambda_i on each crossing edge.
+    Contracting P_i and keeping only the B_i capacities leaves the level's
+    split components, each contracted by its minimum-strength partition and
+    so strength-tight at lambda_i, beside isolated vertices.  The union is
+    strength-tight at lambda_i too, since c(B_i) = lambda_i (kappa_i -
+    kappa_{i-1}), so its saturating packing has value lambda_i and loads
+    every B_i edge to capacity.
     """
     if psp is None:
         psp = principal_sequence(g)
@@ -169,30 +149,19 @@ def ideal_packing(g: Graph, psp: PrincipalSequence | None = None) -> IdealPackin
     levels = []
     edge_level = [0] * g.m
     for idx, level in enumerate(psp.levels, start=1):
-        comp_packs = []
-        for comp in level.split_components:
-            sub, vmap, sub_eids = induced_subgraph(g, comp)
-            local_parts = [
-                tuple(sorted(vmap[v] for v in part))
-                for part in _restriction(level.partition, comp)
-            ]
-            quotient, _, kept = contract_partition(sub, local_parts)
-            pack_local = saturating_pack(quotient, expected_value=level.lam)
-            # translate quotient edge ids back to original ids
-            to_orig = [sub_eids[kept[i]] for i in range(quotient.m)]
-            trees = tuple(
-                tuple(sorted(to_orig[i] for i in tree)) for tree in pack_local.trees
+        quotient, _, kept = contract_partition(g, level.partition.parts)
+        caps = [g.edges[eid].cap if eid in level.b_edges else 0 for eid in kept]
+        local = saturating_pack(quotient, caps)
+        if local.total_value != level.lam:
+            raise SaturationError(
+                f"level {idx}: saturating value {local.total_value} != lambda {level.lam}"
             )
-            caps = {to_orig[i]: c for i, c in pack_local.caps.items()}
-            pack = TreePacking(trees, pack_local.weights, caps)
-            if pack.total_value != level.lam:
-                raise AssertionError("saturating packing value != level lambda")
-            comp_packs.append(
-                ComponentPacking(tuple(comp), _restriction(level.partition, comp), pack)
-            )
+        # quotient edge ids back to the graph's; kept ascends, so order holds
+        trees = tuple(tuple(kept[i] for i in tree) for tree in local.trees)
+        used = {kept[i]: c for i, c in local.caps.items()}
+        levels.append(TreePacking(trees, local.weights, used))
         for eid in level.b_edges:
             edge_level[eid] = idx
-        levels.append(IdealLevel(level.lam, tuple(comp_packs)))
     if psp.levels and any(lv == 0 for lv in edge_level):
         raise AssertionError("every edge must appear in exactly one level")
     return IdealPacking(g, tuple(levels), tuple(edge_level))
@@ -210,11 +179,11 @@ def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2,
     if psp is None:
         psp = principal_sequence(g)
     lag, lam_j = lagrangean_value(psp, k)
-    _check_positive_strength(psp)
     h = psp.kappa0()
     if k <= h:
         packing = TreePacking((), (), {}) if explicit else None
         return DualSolution(k, (Fraction(0),) * g.m, Fraction(0), 0, Fraction(0), h, packing)
+    _check_positive_strength(psp)
     # lambda strictly increases along the sequence: levels 1..j-1 are the
     # ones below lambda_j.
     below = [level for level in psp.levels if level.lam < lam_j]

@@ -279,26 +279,21 @@ def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
     return packing
 
 
-def saturating_pack(g: Graph, caps=None, expected_value=None) -> TreePacking:
+def saturating_pack(g: Graph, caps=None) -> TreePacking:
     """Packing whose loads equal capacity on every positive-capacity edge.
 
     Exists iff the working graph is strength-tight: the packing optimum
     equals c(E)/(n - h).  Since the load total of any packing y is
     (n - h) * sum(y), reaching that value forces every edge tight, so the
-    column-generation optimum is already saturating.
+    column-generation optimum is already saturating.  Every packed forest
+    has n - h edges, so the target is read off the packing.
     """
-    work, keep, _ = _working_graph(g, caps)
-    h = len(component_blocks(work))
-    target = work.total_capacity() / Fraction(work.n - h)
     packing = exact_pack(g, caps, certify=False)
+    target = sum(packing.caps.values()) / len(packing.trees[0])
     if packing.total_value != target:
         raise SaturationError(
             f"graph is not strength-tight: packing value {packing.total_value}, "
             f"saturation needs {target}"
-        )
-    if expected_value is not None and packing.total_value != Fraction(expected_value):
-        raise SaturationError(
-            f"saturating value {packing.total_value} != expected {expected_value}"
         )
     loads = packing.loads()
     for eid, cap in packing.caps.items():

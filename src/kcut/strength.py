@@ -278,7 +278,6 @@ def principal_sequence(g: Graph) -> PrincipalSequence:
                 lam = sigma
         split_components = []
         next_parts: list[tuple[int, ...]] = []
-        new_b: set[int] = set()
         for part in current:
             if len(part) >= 2 and component_strength(part)[0] == lam:
                 _, q_parts = component_strength(part)

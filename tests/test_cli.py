@@ -86,6 +86,26 @@ def test_round_on_strength_zero(capsys, tmp_path):
     assert data["cut"] == {"value": "0/1", "parts": 2, "partition": [[1, 2, 3], [4]]}
 
 
+def test_lp_strength_zero_k_at_most_components(capsys, tmp_path):
+    # two components, one of strength 0: k = 2 groups whole components, so
+    # the zero dual certifies the optimum 0; k = 3 needs the closed form
+    path = tmp_path / "split.graph"
+    path.write_text("p kcut 3 1\ne 2 3 0\n")
+    code, out = run(capsys, "lp", "--k", "2", str(path))
+    data = json.loads(out)
+    assert code == 0
+    assert data["primal"]["value"] == data["dual"]["value"] == "0/1"
+    assert data["lagrangean"] == {"b": "0/1", "value": "0/1"}
+    assert data["certificates"] == {
+        "primal_feasible": True, "dual_feasible": True, "cs": [True, True, True],
+    }
+    code = main(["lp", "--k", "3", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: k-cut LP closed forms require")
+    assert captured.err.count("\n") == 1
+
+
 def test_mincut(capsys, tt_file):
     code, out = run(capsys, "mincut", tt_file)
     data = json.loads(out)

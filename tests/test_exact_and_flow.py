@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import contract, parse_rational, rational_str, saturating_pack
+from kcut import contract, parse_rational, rational_str
 from kcut.flow import FlowNetwork
 
 from conftest import flow_network
@@ -193,10 +193,3 @@ def test_attack_rejects_negative_b(e1):
 
     with pytest.raises(ValueError):
         attack(e1, F(-1))
-
-
-def test_saturating_expected_value_mismatch(c5):
-    from kcut import SaturationError
-
-    with pytest.raises(SaturationError):
-        saturating_pack(c5, expected_value=F(2))

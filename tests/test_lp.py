@@ -106,9 +106,10 @@ def test_lagrangean_value_against_every_partition_property(g):
 
 def test_ideal_packing_fixtures(tt, c5, e1):
     ip = ideal_packing(tt)
-    assert [level.lam for level in ip.levels] == [1, F(3, 2)]
-    assert len(ip.levels[0].packings) == 1
-    assert len(ip.levels[1].packings) == 2  # both triangles split together
+    assert [level.total_value for level in ip.levels] == [1, F(3, 2)]
+    assert ip.levels[0].support() == ((TT_BRIDGE,),)
+    # both triangles split together: each tree spans both, 2 + 2 edges
+    assert {len(tree) for tree in ip.levels[1].support()} == {4}
     assert ip.marginal_load(TT_BRIDGE) == 1
     assert ip.marginal_load(0) == F(2, 3)
     ip = ideal_packing(c5)
@@ -129,12 +130,59 @@ def test_ideal_packing_composes_to_forest(tt):
 
 def test_ideal_packing_levels_are_distributions(tt):
     ip = ideal_packing(tt)
-    for level in ip.levels:
-        for comp in level.packings:
-            assert comp.packing.total_value == level.lam
-            loads = comp.packing.loads()
-            for eid, cap in comp.packing.caps.items():
-                assert loads[eid] == cap  # saturating
+    for level, psp_level in zip(ip.levels, principal_sequence(tt).levels):
+        assert level.total_value == psp_level.lam
+        loads = level.loads()
+        for eid, cap in level.caps.items():
+            assert loads[eid] == cap  # saturating
+
+
+def _positive_strength(g):
+    levels = principal_sequence(g).levels
+    return bool(levels) and levels[0].lam > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_small_multigraphs().filter(_positive_strength), st.booleans())
+def test_ideal_packing_per_level_property(g, doubled):
+    """Each level's one packing has value lambda_i, loads exactly the
+    positive B_i edges to capacity, and has trees of kappa_i - kappa_{i-1}
+    edges that connect the parts of P_i inside every split component.  Two
+    disjoint copies of g split two components at every level."""
+    from kcut.graph import component_blocks
+
+    if doubled:
+        copy = tuple(Edge(e.u + g.n, e.v + g.n, e.cap) for e in g.edges)
+        g = Graph(2 * g.n, g.edges + copy)
+    psp = principal_sequence(g)
+    ip = ideal_packing(g, psp)
+    assert len(ip.levels) == len(psp.levels)
+    for i, (packing, level) in enumerate(zip(ip.levels, psp.levels), start=1):
+        assert packing.total_value == level.lam, i
+        loads = packing.loads()
+        for eid, e in enumerate(g.edges):
+            tight = eid in level.b_edges and e.cap > 0
+            assert loads.get(eid, 0) == (e.cap if tight else 0), (i, eid)
+            if eid in level.b_edges:
+                assert ip.marginal_load(eid) == e.cap / level.lam, (i, eid)
+        block = level.partition.block_of(g.n)
+        for tree in packing.support():
+            assert len(tree) == level.kappa - psp.kappa_at(i - 1), i
+            for comp in level.split_components:
+                parts = {block[v] for v in comp}
+                inside = [g.edges[eid] for eid in tree if block[g.edges[eid].u] in parts]
+                assert len(inside) == len(parts) - 1, (i, comp)
+                # the inside edges join the component's parts into one
+                reach = {block[comp[0]]}
+                for _ in parts:
+                    for e in inside:
+                        if block[e.u] in reach or block[e.v] in reach:
+                            reach |= {block[e.u], block[e.v]}
+                assert reach == parts, (i, comp)
+    chosen = set(ip.compose())
+    assert len(chosen) == g.n - psp.kappa0()
+    rest = set(range(g.m)) - chosen
+    assert len(component_blocks(g, exclude_edges=rest)) == psp.kappa0()
 
 
 def test_ideal_packing_on_suite():
@@ -149,17 +197,15 @@ def test_ideal_packing_on_suite():
             continue
         psp = principal_sequence(g)
         ip = ideal_packing(g, psp)
-        for level in ip.levels:
-            for comp in level.packings:
-                assert comp.packing.total_value == level.lam, name
-                loads = comp.packing.loads()
-                assert all(loads[e] == c for e, c in comp.packing.caps.items()), name
-        # compose a few trees (first/last choice per component packing)
-        packs = [comp for level in ip.levels for comp in level.packings]
-        for choice in list(product(*[(0, len(c.packing.support()) - 1) for c in packs]))[:8]:
+        for level, psp_level in zip(ip.levels, psp.levels):
+            assert level.total_value == psp_level.lam, name
+            loads = level.loads()
+            assert all(loads[e] == c for e, c in level.caps.items()), name
+        # compose a few trees (first/last choice per level packing)
+        for choice in list(product(*[(0, len(p.support()) - 1) for p in ip.levels]))[:8]:
             chosen: list[int] = []
-            for comp, idx in zip(packs, choice):
-                chosen.extend(comp.packing.support()[idx])
+            for packing, idx in zip(ip.levels, choice):
+                chosen.extend(packing.support()[idx])
             chosen_set = set(chosen)
             assert len(chosen) == g.n - psp.kappa0(), name
             # spanning: the whole graph collapses to its components
