@@ -33,11 +33,13 @@ def main():
     print()
 
     print("attack value g(b) = min over partitions of c(E(P)) - b(|P|-1):")
+    # the optimum is unique except at a breakpoint, whose coarsest optimum is its `before`
+    before = {bp.b: bp.before for bp in breakpoints(TT)}
     for b in [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)]:
         res = attack(TT, b)
         print(
             f"  b={str(b):>4}  g(b)={str(res.value):>4}   "
-            f"coarsest {show(res.argmin_min_parts):<17} finest {show(res.argmin_max_parts)}"
+            f"coarsest {show(before.get(b, res.argmin_max_parts)):<17} finest {show(res.argmin_max_parts)}"
         )
     print()
 

@@ -9,11 +9,10 @@ order, with no search: the sweep's networks are small and shallow, and
 Edmonds-Karp would spend one breadth-first search on each of those paths.
 Edmonds-Karp then augments from that flow until no residual path is left.
 
-After ``max_flow`` the residual network holds every minimum cut: the
-smallest source side is the set reachable from s, the largest is every
-vertex with no residual path to t.  Both are the same for every maximum
-flow (Picard and Queyranne 1980), so they do not depend on which paths
-were augmented, and neither does anything the attack sweep builds on them.
+After ``max_flow`` the set reachable from s in the residual network is the
+smallest source side of a minimum cut.  It is the same for every maximum
+flow (Picard and Queyranne 1980), so it does not depend on which paths were
+augmented, and neither does anything the attack sweep builds on it.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class FlowNetwork:
         by its bottleneck.  Edmonds-Karp finishes from that flow, one
         breadth-first search per augmenting path.  Which paths carry the
         flow does not matter: the value is unique, and in every maximum
-        flow the residual network has the same extreme minimum cuts.
+        flow the residual network has the same smallest minimum cut.
         """
         if s == t:
             raise ValueError("s and t must differ")
@@ -126,23 +125,14 @@ class FlowNetwork:
 
     def residual_reachable(self, s: int) -> frozenset[int]:
         """Vertices with a residual path from s."""
-        return self._search(s, 0)
-
-    def residual_reaching(self, t: int) -> frozenset[int]:
-        """Vertices with a residual path to t."""
-        return self._search(t, 1)
-
-    def _search(self, root: int, backward: int) -> frozenset[int]:
-        # arc a leaves u for to[a]; walking backward follows a's reverse a^1
         seen = [False] * self.n
-        seen[root] = True
-        queue = deque([root])
+        seen[s] = True
+        queue = deque([s])
         while queue:
             u = queue.popleft()
             for a in self.adj[u]:
                 v = self.to[a]
-                if not seen[v] and self.cap[a ^ backward] > 0:
+                if not seen[v] and self.cap[a] > 0:
                     seen[v] = True
                     queue.append(v)
         return frozenset(i for i in range(self.n) if seen[i])
-

@@ -184,6 +184,14 @@ def check_k(g: Graph, k: int) -> None:
         raise ValueError(f"k={k} out of range 2..{g.n}")
 
 
+def check_connected(g: Graph, what: str) -> None:
+    """Reject a graph with fewer than two vertices or more than one component."""
+    if g.n < 2:
+        raise ValueError(f"{what} needs at least two vertices")
+    if not g.is_connected():
+        raise ValueError(f"{what} is defined for connected graphs")
+
+
 def _check_partition(g: Graph, parts) -> None:
     seen: set[int] = set()
     for part in parts:
@@ -199,10 +207,8 @@ def _check_partition(g: Graph, parts) -> None:
 
 def cut_of_partition(g: Graph, p) -> CutResult:
     """Cut value of a partition; accepts a VertexPartition or raw blocks."""
-    if not isinstance(p, VertexPartition):
-        p = partition_from_blocks(g, p)
-    else:
-        p = partition_from_blocks(g, p.parts)  # revalidate and recompute
+    # revalidate and recompute
+    p = partition_from_blocks(g, p.parts if isinstance(p, VertexPartition) else p)
     return CutResult(p, p.crossing_value, p.part_count)
 
 

@@ -41,6 +41,7 @@ from .graph import (
     CutResult,
     _mask_partition,
     _rooted_forest,
+    check_connected,
     component_blocks,
     components,
     cut_of_partition,
@@ -147,10 +148,7 @@ def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
     eps = Fraction(eps)
     if not eps < Fraction(1, 3):
         raise ValueError("eps must be below 1/3")
-    if g.n < 2:
-        raise ValueError("mincut needs at least two vertices")
-    if not g.is_connected():
-        raise ValueError("mincut is defined for connected graphs")
+    check_connected(g, "mincut")
     zero = [i for i in range(g.m) if g.edges[i].cap == 0]
     if len(component_blocks(g, exclude_edges=zero)) > 1:
         # zero-capacity cut: the components of the positive part achieve 0

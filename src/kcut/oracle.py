@@ -22,6 +22,7 @@ from .graph import (
     Graph,
     VertexPartition,
     CutResult,
+    check_connected,
     check_k,
     component_blocks,
     partition_from_blocks,
@@ -98,8 +99,8 @@ class PartitionTable:
 
     def strength(self):
         """(strength, argmin partition): of the partitions attaining the
-        least c(E(P))/(|P|-1), the first by ``partition_sort_key``."""
-        _check_strength(self.graph)
+        least c(E(P))/(|P|-1), the first by ``partition_sort_key``.  The
+        graph must be connected with n >= 2, which callers check."""
         ratios = {p: Fraction(v, self.scale * (p - 1)) for p, v in self.best.items() if p >= 2}
         sigma = min(ratios.values())
         p = max(q for q, r in ratios.items() if r == sigma)
@@ -181,16 +182,9 @@ def partition_table(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Partitio
     )
 
 
-def _check_strength(g: Graph) -> None:
-    if g.n < 2:
-        raise ValueError("strength needs at least two vertices")
-    if not g.is_connected():
-        raise ValueError("strength is defined for connected graphs")
-
-
 def oracle_strength(g: Graph, limits: OracleLimits = DEFAULT_LIMITS):
     """(strength, argmin partition) by exhaustive partition scan."""
-    _check_strength(g)
+    check_connected(g, "strength")
     return partition_table(g, limits).strength()
 
 

@@ -12,8 +12,8 @@ a time, each step one exact min s-t cut in a small auxiliary network.
 
 Ties are handled structurally rather than by perturbing the graph: the
 optimal partitions form a lattice under refinement, and one sweep yields its
-coarsest and finest members by merging along the largest and the smallest
-minimum cut of each step.
+finest member by merging along the smallest minimum cut of each step.  The
+sweep's greedy labels sum to the attack value, which certifies that member.
 
 The strength is found by a Dinkelbach ratio iteration over the attack
 oracle, and the principal sequence by recursively splitting each
@@ -33,6 +33,7 @@ from .flow import FlowNetwork
 from .graph import (
     Graph,
     VertexPartition,
+    check_connected,
     component_blocks,
     crossing_edges,
     induced_subgraph,
@@ -45,7 +46,6 @@ from .graph import (
 class AttackResult:
     b: Fraction
     value: Fraction
-    argmin_min_parts: VertexPartition
     argmin_max_parts: VertexPartition
 
 
@@ -102,32 +102,31 @@ class PrincipalSequence:
 
 def _dilworth_partition(g: Graph, b: Fraction):
     """One Dilworth-truncation sweep minimizing sum_S (-c(E[S]) - b) over
-    partitions; returns the blocks of the coarsest and of the finest minimizer.
+    partitions; returns the blocks of the finest minimizer and the attack
+    value c(E) + b + x(V) from the greedy labels x.
 
     Inserting vertex j costs one max-flow, whose minimum cuts are the tight
-    sets j may join.  The largest source side (no residual path to the sink)
-    builds the coarsest minimizer, the smallest (residual-reachable from j)
-    the finest.  The greedy labels depend only on the flow value, so both
-    block lists share them.
+    sets j may join; merging along the smallest (residual-reachable from j)
+    builds the finest minimizer.  The labels depend only on the flow values,
+    and x(V) is the least partition cost, so the value certifies the blocks.
 
     Every quantity of the sweep is scaled once by S = 2·lcm(L, den b), with
     L the lcm of the capacity denominators: half-capacities c/2, b, the
     prefix half-degrees, potentials, greedy labels and flows are then Python
-    ints.  Minimum cuts are unchanged by the scaling, and only they reach the
-    blocks.
+    ints, and so is the label sum c(E)·S + b·S + x(V).  Minimum cuts are
+    unchanged by the scaling, and only they reach the blocks.
 
     The prefix edges of positive capacity are kept in one list over the
     sweep, which step j extends by vertex j's edges to {0..j-1}, so each
     step adds its undirected arcs from that list without scanning the
     adjacency of the prefix again.  The arc order decides only which paths
-    the max-flow augments, not its value or its extreme minimum cuts.
+    the max-flow augments, not its value or its smallest minimum cut.
     """
     n = g.n
     caps, cap_scale = scaled_capacities(g)
     scale = 2 * lcm(cap_scale, b.denominator)  # S
     half = [c * (scale // (2 * cap_scale)) for c in caps]  # c(e)/2·S
     b_s = b.numerator * (scale // b.denominator)  # b·S
-    coarse: list[set[int]] = [{0}]
     fine: list[set[int]] = [{0}]
     x = [-b_s] + [0] * (n - 1)  # greedy labels, one per processed vertex
     adj = g.neighbors()
@@ -155,9 +154,8 @@ def _dilworth_partition(g: Graph, b: Fraction):
             net.add_undirected(w, v, h)
         flow = net.max_flow(j, t)
         x[j] = flow + const - hdeg[j] - b_s
-        coarse = _merge(coarse, j, frozenset(range(j)) - net.residual_reaching(t))
         fine = _merge(fine, j, net.residual_reachable(j))
-    return coarse, fine
+    return fine, Fraction(2 * sum(half) + b_s + sum(x), scale)
 
 
 def _merge(blocks: list[set[int]], j: int, side: frozenset[int]) -> list[set[int]]:
@@ -174,24 +172,24 @@ def _merge(blocks: list[set[int]], j: int, side: frozenset[int]) -> list[set[int
 
 
 def attack(g: Graph, b) -> AttackResult:
-    """Exact minimizer of c(E(P)) - b(|P|-1), with both extreme argmins.
+    """Exact minimum of c(E(P)) - b(|P|-1) and its finest argmin.
 
-    One truncation sweep gives the coarsest and the finest optimal
-    partitions, so degenerate ties never require perturbing capacities.
+    One truncation sweep gives the finest optimal partition, so degenerate
+    ties never require perturbing capacities.  Its value must equal the
+    sweep's label sum; the coarsest optimum differs from it only at a
+    breakpoint, where ``breakpoints`` gives it as ``before``.
     """
     b = Fraction(b)
     if b < 0:
         raise ValueError("attack parameter must be nonnegative")
     if g.n == 0:
         raise ValueError("empty graph")
-    coarse_blocks, fine_blocks = _dilworth_partition(g, b)
-    coarse = partition_from_blocks(g, coarse_blocks)
-    fine = partition_from_blocks(g, fine_blocks)
-    value = coarse.crossing_value - b * (coarse.part_count - 1)
-    fine_value = fine.crossing_value - b * (fine.part_count - 1)
-    if value != fine_value:
-        raise AssertionError("extreme argmins disagree on the attack value")
-    return AttackResult(b, value, coarse, fine)
+    blocks, label_value = _dilworth_partition(g, b)
+    fine = partition_from_blocks(g, blocks)
+    value = fine.crossing_value - b * (fine.part_count - 1)
+    if value != label_value:
+        raise AssertionError("finest argmin disagrees with the sweep's label sum")
+    return AttackResult(b, value, fine)
 
 
 def breakpoints(g: Graph) -> tuple[Breakpoint, ...]:
@@ -225,10 +223,7 @@ def strength(g: Graph):
     partition is the maximum-part-count minimizer of c(E(P)) / (|P|-1),
     which is the finest optimal attack partition at b = strength.
     """
-    if g.n < 2:
-        raise ValueError("strength needs at least two vertices")
-    if not g.is_connected():
-        raise ValueError("strength is defined for connected graphs")
+    check_connected(g, "strength")
     # Dinkelbach-style ratio search: start from the singleton line.
     cval = g.total_capacity()
     parts = g.n

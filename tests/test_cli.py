@@ -491,3 +491,20 @@ def test_parser_built_once_gives_fresh_parser_bytes(capsys, monkeypatch, tt_file
     shared += [outcome(argv) for argv in calls[1:]]
     assert cli._PARSER is parser
     assert shared == fresh
+
+
+def test_strength_exit_2_on_label_sum_failure(capsys, tt_file, monkeypatch):
+    # a sweep that merges nothing yields all singletons at every b, whose
+    # value the greedy labels contradict; ``strength`` is cached, so clear it
+    from kcut.flow import FlowNetwork
+    from kcut.strength import strength
+
+    monkeypatch.setattr(FlowNetwork, "residual_reachable", lambda self, s: frozenset({s}))
+    strength.cache_clear()
+    code = main(["strength", tt_file])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert lines[0].startswith("internal invariant violation: ")
+    assert lines[0].endswith("label sum")

@@ -45,10 +45,8 @@ def test_flow_network_extreme_min_cuts():
     net.add_arc(0, 2, F(2))
     net.add_arc(2, 3, F(3))
     assert net.max_flow(0, 3) == 3
+    # the smallest side: reachable from s
     assert net.residual_reachable(0) == {0}
-    assert net.residual_reaching(3) == {2, 3}
-    # smallest side: reachable from s; largest: everything not reaching t
-    assert set(range(5)) - net.residual_reaching(3) == {0, 1, 4}
 
 
 _INT_CAPS = st.integers(0, 9)
@@ -98,21 +96,20 @@ def _short_path_networks(draw):
     return n, True, draw(st.permutations(arcs)), s, t
 
 
-def _search(n, residual, root, backward):
+def _search(n, residual, root):
     seen = {root}
     stack = [root]
     while stack:
         u = stack.pop()
         for v in range(n):
-            arc = (v, u) if backward else (u, v)
-            if v not in seen and residual.get(arc, 0) > 0:
+            if v not in seen and residual.get((u, v), 0) > 0:
                 seen.add(v)
                 stack.append(v)
     return seen
 
 
 def _assert_max_flow_matches_networkx(network):
-    """The value and both extreme minimum cuts equal those of a networkx
+    """The value and the smallest minimum cut equal those of a networkx
     maximum flow, and a second ``max_flow`` finds nothing left to push."""
     n, directed, arcs, s, t = network
     ref = nx.DiGraph()
@@ -130,7 +127,7 @@ def _assert_max_flow_matches_networkx(network):
             net.add_undirected(u, v, c)
     value, flow = nx.maximum_flow(ref, s, t)
     # residual capacities of networkx's maximum flow; every maximum flow
-    # leaves the same extreme minimum cuts
+    # leaves the same smallest minimum cut
     residual = {(u, v): c for u, v, c in ref.edges(data="capacity")}
     for u, out in flow.items():
         for v, f in out.items():
@@ -143,11 +140,10 @@ def _assert_max_flow_matches_networkx(network):
     assert residual_pairs == [c + r for _, _, c, r in arcs]
     if all(isinstance(c, int) and isinstance(r, int) for _, _, c, r in arcs):
         assert isinstance(got, int)
-    source_side, sink_side = net.residual_reachable(s), net.residual_reaching(t)
-    assert source_side == _search(n, residual, s, False)
-    assert sink_side == _search(n, residual, t, True)
+    source_side = net.residual_reachable(s)
+    assert source_side == _search(n, residual, s)
     assert net.max_flow(s, t) == 0
-    assert (net.residual_reachable(s), net.residual_reaching(t)) == (source_side, sink_side)
+    assert net.residual_reachable(s) == source_side
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -175,7 +171,6 @@ def test_preflow_path_cancelled_by_edmonds_karp():
     flows = {arc: 1 - net.cap[2 * i] for i, arc in enumerate(arcs)}
     assert flows == {(0, 1): 1, (1, 2): 0, (2, 5): 1, (0, 4): 1, (4, 2): 1, (1, 3): 1, (3, 5): 1}
     assert net.residual_reachable(0) == {0}
-    assert net.residual_reaching(5) == {5}
 
 
 def test_max_flow_same_terminals(e1):

@@ -11,16 +11,19 @@ from kcut import (
     contract,
     cut_of_partition,
     enumerate_approx_kcuts,
+    global_mincut,
     lagrangean_value,
     lp_dual,
     lp_primal,
     min_kcut,
     oracle_lp_value,
     oracle_min_kcut,
+    oracle_strength,
     parse_graph,
     partition_from_blocks,
     principal_sequence,
     ravi_sinha_cut,
+    strength,
 )
 from kcut.graph import component_blocks
 
@@ -171,3 +174,27 @@ def test_k_out_of_range_message(c5, entry, k):
     with pytest.raises(ValueError) as exc:
         K_ENTRY_POINTS[entry](c5, k)
     assert str(exc.value) == f"k={k} out of range 2..5"
+
+
+CONNECTED_ENTRY_POINTS = {
+    "strength": (strength, "strength"),
+    "oracle_strength": (oracle_strength, "strength"),
+    "global_mincut": (global_mincut, "mincut"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p kcut 1 0\n", "{} needs at least two vertices"),
+        ("p kcut 3 1\ne 1 2 1\n", "{} is defined for connected graphs"),
+    ],
+    ids=["n=1", "disconnected"],
+)
+@pytest.mark.parametrize("entry", sorted(CONNECTED_ENTRY_POINTS))
+def test_connected_graph_message(entry, text, message):
+    # the CLI prints this text; ``graph.check_connected`` owns it
+    fn, what = CONNECTED_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as exc:
+        fn(parse_graph(text))
+    assert str(exc.value) == message.format(what)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import lcm
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,12 @@ from kcut import (
     principal_sequence,
     strength,
 )
+from kcut.flow import FlowNetwork
 from kcut.graph import scaled_capacities
 from kcut.oracle import enum_partitions, oracle_attack_value
 from kcut.strength import _dilworth_partition
 
-from conftest import edge_ids_of_partition, flow_network, full_suite
+from conftest import _random_connected, edge_ids_of_partition, flow_network, full_suite
 
 F = Fraction
 
@@ -56,12 +58,17 @@ def test_max_flow_rational_caps():
 def test_attack_fixtures(tt, c5):
     res = attack(tt, 1)
     assert res.value == 0
-    assert res.argmin_min_parts.part_count == 1
     assert res.argmin_max_parts.parts == ((0, 1, 2), (3, 4, 5))
     res = attack(tt, 2)
     assert res.value == -3 and res.argmin_max_parts.part_count == 6
     res = attack(c5, 1)
-    assert res.value == 0 and res.argmin_min_parts.part_count == 1
+    assert res.value == 0 and res.argmin_max_parts.part_count == 1
+
+
+def _coarsest(g, b, res):
+    """The coarsest optimal partition at b: the breakpoint's ``before`` at a
+    breakpoint, and the unique optimum ``attack`` returns everywhere else."""
+    return {bp.b: bp.before for bp in breakpoints(g)}.get(b, res.argmin_max_parts)
 
 
 def test_attack_matches_bruteforce():
@@ -71,7 +78,7 @@ def test_attack_matches_bruteforce():
             res = attack(g, b)
             brute, coarse, fine = oracle_attack_value(g, b)
             assert res.value == brute, (name, b)
-            assert res.argmin_min_parts == coarse, (name, b)
+            assert _coarsest(g, b, res) == coarse, (name, b)
             assert res.argmin_max_parts == fine, (name, b)
 
 
@@ -236,7 +243,7 @@ def _assert_attack_matches_oracle(g, bs):
         res = attack(g, b)
         brute, coarse, fine = oracle_attack_value(g, b)
         assert res.value == brute, b
-        assert res.argmin_min_parts == coarse, b
+        assert _coarsest(g, b, res) == coarse, b
         assert res.argmin_max_parts == fine, b
 
 
@@ -353,33 +360,28 @@ class _EdmondsKarp:
                 self.cap[a ^ 1] += f
             total += f
 
-    def _search(self, root, backward):
-        seen = {root}
-        queue = [root]
+    def residual_reachable(self, s):
+        seen = {s}
+        queue = [s]
         for u in queue:
             for a in self.adj[u]:
-                if self.to[a] not in seen and self.cap[a ^ backward] > 0:
+                if self.to[a] not in seen and self.cap[a] > 0:
                     seen.add(self.to[a])
                     queue.append(self.to[a])
         return frozenset(seen)
-
-    def residual_reachable(self, s):
-        return self._search(s, 0)
-
-    def residual_reaching(self, t):
-        return self._search(t, 1)
 
 
 def _reference_sweep(g, b):
     """The Dilworth sweep as it stood before the prefix edge list and the
     pre-flow: every step rescans the adjacency of {0..j} for its arcs and
-    runs on ``_EdmondsKarp``."""
+    runs on ``_EdmondsKarp``.  Returns the finest blocks and the attack value
+    read off the greedy labels: c(E) + b + x(V)."""
     n = g.n
     caps, cap_scale = scaled_capacities(g)
     scale = 2 * lcm(cap_scale, b.denominator)
     half = [c * (scale // (2 * cap_scale)) for c in caps]
     b_s = b.numerator * (scale // b.denominator)
-    coarse, fine = [{0}], [{0}]
+    fine = [{0}]
     x = [-b_s] + [0] * (n - 1)
     adj = g.neighbors()
     hdeg = [0] * n
@@ -403,19 +405,16 @@ def _reference_sweep(g, b):
                 if v < w <= j and half[eid] > 0:
                     net.add_undirected(v, w, half[eid])
         x[j] = net.max_flow(j, t) + const - hdeg[j] - b_s
-        for blocks, side in (
-            (coarse, frozenset(range(j)) - net.residual_reaching(t)),
-            (fine, net.residual_reachable(j)),
-        ):
-            merged = {j}
-            rest = []
-            for blk in blocks:
-                if blk & side:
-                    merged |= blk
-                else:
-                    rest.append(blk)
-            blocks[:] = rest + [merged]
-    return coarse, fine
+        side = net.residual_reachable(j)
+        merged = {j}
+        rest = []
+        for blk in fine:
+            if blk & side:
+                merged |= blk
+            else:
+                rest.append(blk)
+        fine = rest + [merged]
+    return fine, g.total_capacity() + b + F(sum(x), scale)
 
 
 @st.composite
@@ -437,10 +436,39 @@ def _sweep_multigraphs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_sweep_multigraphs())
 def test_sweep_matches_edmonds_karp_sweep_property(g):
-    """Both block lists of ``_dilworth_partition`` equal those of the
-    reference sweep at b = 0, at every critical value and 1/7 either side."""
+    """The finest blocks and the label-sum value of ``_dilworth_partition``
+    equal those of the reference sweep at b = 0, at every critical value and
+    1/7 either side."""
     bs = {F(0)}
     for lam in principal_sequence(g).lambdas():
         bs |= {lam, lam - F(1, 7), lam + F(1, 7)}
     for b in sorted(b for b in bs if b >= 0):
         assert _dilworth_partition(g, b) == _reference_sweep(g, b), b
+
+
+# -- the label-sum certificate --------------------------------------------------
+
+
+def test_attack_checks_blocks_against_label_sum(tt, monkeypatch):
+    # every step's smallest minimum cut becomes the new vertex alone, so the
+    # sweep merges nothing while its flows, and so its labels, stay right
+    monkeypatch.setattr(FlowNetwork, "residual_reachable", lambda self, s: frozenset({s}))
+    with pytest.raises(AssertionError, match="label sum"):
+        attack(tt, 1)
+
+
+def test_one_residual_search_per_max_flow(monkeypatch):
+    calls = {"max_flow": 0, "residual_reachable": 0}
+    for name in calls:
+        real = getattr(FlowNetwork, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(FlowNetwork, name, counted)
+    strength.cache_clear()
+    principal_sequence.cache_clear()
+    principal_sequence(_random_connected(Random(20), 20, 40))
+    assert calls["max_flow"] > 0
+    assert calls["residual_reachable"] == calls["max_flow"]
