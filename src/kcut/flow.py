@@ -17,8 +17,6 @@ augmented, and neither does anything the attack sweep builds on it.
 
 from __future__ import annotations
 
-from collections import deque
-
 
 class FlowNetwork:
     def __init__(self, n: int):
@@ -29,15 +27,24 @@ class FlowNetwork:
         self.cap: list = []
 
     def add_arc(self, u: int, v: int, cap, rev_cap=0):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(rev_cap)
+        to, adj, caps = self.to, self.adj, self.cap
+        a = len(to)
+        adj[u].append(a)
+        adj[v].append(a + 1)
+        to.append(v)
+        to.append(u)
+        caps.append(cap)
+        caps.append(rev_cap)
 
     def add_undirected(self, u: int, v: int, cap):
-        self.add_arc(u, v, cap, rev_cap=cap)
+        to, adj, caps = self.to, self.adj, self.cap
+        a = len(to)
+        adj[u].append(a)
+        adj[v].append(a + 1)
+        to.append(v)
+        to.append(u)
+        caps.append(cap)
+        caps.append(cap)
 
     def max_flow(self, s: int, t: int):
         """Value of a maximum s-t flow; the flow stays in the residual
@@ -97,14 +104,15 @@ class FlowNetwork:
         while True:
             prev_arc = [-1] * self.n
             prev_arc[s] = -2
-            queue = deque([s])
-            while queue and prev_arc[t] == -1:
-                u = queue.popleft()
+            queue = [s]  # first in, first out: the loop reads what it appends
+            for u in queue:
                 for a in adj[u]:
                     v = to[a]
                     if prev_arc[v] == -1 and cap[a] > 0:
                         prev_arc[v] = a
                         queue.append(v)
+                if prev_arc[t] != -1:
+                    break
             if prev_arc[t] == -1:
                 return total
             # bottleneck along the path
@@ -125,14 +133,14 @@ class FlowNetwork:
 
     def residual_reachable(self, s: int) -> frozenset[int]:
         """Vertices with a residual path from s."""
+        adj, to, cap = self.adj, self.to, self.cap
         seen = [False] * self.n
         seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for a in self.adj[u]:
-                v = self.to[a]
-                if not seen[v] and self.cap[a] > 0:
+        queue = [s]
+        for u in queue:
+            for a in adj[u]:
+                v = to[a]
+                if not seen[v] and cap[a] > 0:
                     seen[v] = True
                     queue.append(v)
-        return frozenset(i for i in range(self.n) if seen[i])
+        return frozenset(queue)

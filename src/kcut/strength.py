@@ -10,6 +10,15 @@ partition minimization of the submodular part-cost f(S) = -c(E[S]) - b and
 is solved exactly by incremental Dilworth truncation: insert vertices one at
 a time, each step one exact min s-t cut in a small auxiliary network.
 
+That network is the processed prefix contracted by the sweep's current
+blocks, one node per block plus the new vertex and the sink.  Every block B
+is tight for the greedy labels x, x(B) = f(B), while x(T) <= f(T) for every
+T, and f is submodular on intersecting sets; so when a minimum cut of the
+step meets B, its union with B is a minimum cut too.  The contraction thus
+keeps the flow value, and with it the label, and the smallest minimum cut
+of the contracted network is the union of the blocks that the uncontracted
+smallest cut meets: the sweep merges exactly the same blocks.
+
 Ties are handled structurally rather than by perturbing the graph: the
 optimal partitions form a lattice under refinement, and one sweep yields its
 finest member by merging along the smallest minimum cut of each step.  The
@@ -110,65 +119,106 @@ def _dilworth_partition(g: Graph, b: Fraction):
     builds the finest minimizer.  The labels depend only on the flow values,
     and x(V) is the least partition cost, so the value certifies the blocks.
 
+    Step j's label is x_j = min over S ∋ j in {0..j} of f(S) - x(S - j),
+    with f(S) = -c(E[S]) - b, and its flow network is the prefix contracted
+    by its blocks.  That is exact: every block B is tight, x(B) = f(B),
+    x(T) <= f(T) for every T, and f is submodular on intersecting sets, so
+    when S meets B
+        f(S ∪ B) - x(S ∪ B - j) <= f(S) - x(S - j)
+                                   + (f(B) - x(B)) - (f(S ∩ B) - x(S ∩ B))
+                                <= f(S) - x(S - j),
+    and S ∪ B is a minimizer too.  The flow value, and so x_j, is
+    unchanged, and the smallest minimum cut of the contracted network is
+    the union of the blocks that the uncontracted smallest cut meets, which
+    is exactly what the merge joins.  Block B's terminal arc carries
+    p_B = -hdeg(B) - x(B) (to t if positive, from j if negative, and the
+    constant sums min(p_B, 0)), and one undirected arc per pair of blocks
+    carries their summed half-capacities.
+
     Every quantity of the sweep is scaled once by S = 2·lcm(L, den b), with
     L the lcm of the capacity denominators: half-capacities c/2, b, the
-    prefix half-degrees, potentials, greedy labels and flows are then Python
-    ints, and so is the label sum c(E)·S + b·S + x(V).  Minimum cuts are
+    half-degrees, potentials, greedy labels and flows are then Python ints,
+    and so is the label sum c(E)·S + b·S + x(V).  Minimum cuts are
     unchanged by the scaling, and only they reach the blocks.
 
-    The prefix edges of positive capacity are kept in one list over the
-    sweep, which step j extends by vertex j's edges to {0..j-1}, so each
-    step adds its undirected arcs from that list without scanning the
-    adjacency of the prefix again.  The arc order decides only which paths
-    the max-flow augments, not its value or its smallest minimum cut.
+    A block is named by the step that made it, so names grow along the
+    block order.  Each block keeps its members, its half-degree sum, its
+    label sum, its summed half-capacities to the blocks named before it
+    (``lower``, the arcs the network reads) and the later blocks that keep
+    such a sum to it (``upper``).  A step that merges nothing appends j as
+    a block in O(deg j); a merge touches only the joined blocks and their
+    neighbours.  The blocks come back in sweep order, each merged block
+    after the blocks it left untouched.  The arc order decides only which
+    paths the max-flow augments, not its value or its smallest minimum cut.
     """
     n = g.n
     caps, cap_scale = scaled_capacities(g)
     scale = 2 * lcm(cap_scale, b.denominator)  # S
     half = [c * (scale // (2 * cap_scale)) for c in caps]  # c(e)/2·S
     b_s = b.numerator * (scale // b.denominator)  # b·S
-    fine: list[set[int]] = [{0}]
-    x = [-b_s] + [0] * (n - 1)  # greedy labels, one per processed vertex
     adj = g.neighbors()
-    hdeg = [0] * n  # half-degrees within the processed prefix {0..j}
-    inner: list[tuple[int, int, int]] = []  # (w, v, c/2·S), w < v <= j, c > 0
+    members: dict[int, list[int]] = {0: [0]}  # block name -> vertices, in block order
+    block_of = [0] * n  # vertex -> its block's name
+    hdeg = [0] * n  # block name -> half-degree sum within the prefix {0..j}
+    label = [-b_s] + [0] * (n - 1)  # block name -> x(B)
+    lower: list[dict[int, int]] = [{} for _ in range(n)]  # name -> {earlier name: c/2·S > 0}
+    upper: list[set[int]] = [set() for _ in range(n)]  # name -> later names keeping it in lower
+    pos = [0] * n  # block name -> its node in this step's network
+    x_sum = -b_s
     for j in range(1, n):
+        h_j = 0
+        to_j: dict[int, int] = {}  # block name -> c/2·S of its edges to j
         for w, eid in adj[j]:
             if w < j:
-                hdeg[j] += half[eid]
-                hdeg[w] += half[eid]
-                if half[eid] > 0:
-                    inner.append((w, j, half[eid]))
-        # potentials: p_u = -deg(u)/2 - x_u for u < j; p_j enters as a constant
-        net = FlowNetwork(j + 2)
-        t = j + 1
+                h = half[eid]
+                h_j += h
+                if h > 0:
+                    blk = block_of[w]
+                    hdeg[blk] += h
+                    to_j[blk] = to_j.get(blk, 0) + h
+        names = list(members)
+        net = FlowNetwork(len(names) + 2)
+        s = len(names)
+        t = s + 1
         const = 0
-        for u in range(j):
-            p_u = -hdeg[u] - x[u]
-            if p_u > 0:
-                net.add_arc(u, t, p_u)
-            elif p_u < 0:
-                net.add_arc(j, u, -p_u)
-                const += p_u
-        for w, v, h in inner:
-            net.add_undirected(w, v, h)
-        flow = net.max_flow(j, t)
-        x[j] = flow + const - hdeg[j] - b_s
-        fine = _merge(fine, j, net.residual_reachable(j))
-    return fine, Fraction(2 * sum(half) + b_s + sum(x), scale)
-
-
-def _merge(blocks: list[set[int]], j: int, side: frozenset[int]) -> list[set[int]]:
-    """Join j with every block that meets ``side``."""
-    merged = {j}
-    rest = []
-    for blk in blocks:
-        if blk & side:
-            merged |= blk
-        else:
-            rest.append(blk)
-    rest.append(merged)
-    return rest
+        for i, blk in enumerate(names):
+            pos[blk] = i
+            p = -hdeg[blk] - label[blk]
+            if p > 0:
+                net.add_arc(i, t, p)
+            elif p < 0:
+                net.add_arc(s, i, -p)
+                const += p
+            for c, h in lower[blk].items():
+                net.add_undirected(pos[c], i, h)
+        for c, h in to_j.items():
+            net.add_undirected(s, pos[c], h)
+        x_j = net.max_flow(s, t) + const - h_j - b_s
+        x_sum += x_j
+        joined = [names[i] for i in net.residual_reachable(s) if i < s]
+        members[j] = verts = [j]
+        block_of[j] = j
+        hdeg[j] = h_j
+        label[j] = x_j
+        for blk in joined:
+            for v in members.pop(blk):
+                block_of[v] = j
+                verts.append(v)
+            hdeg[j] += hdeg[blk]
+            label[j] += label[blk]
+            for c, h in lower[blk].items():
+                upper[c].discard(blk)
+                to_j[c] = to_j.get(c, 0) + h
+            for c in upper[blk]:
+                to_j[c] = to_j.get(c, 0) + lower[c].pop(blk)
+        for blk in joined:  # their sums to one another are now inside j's block
+            to_j.pop(blk, None)
+        lower[j] = to_j
+        for c in to_j:
+            upper[c].add(j)
+    return [set(verts) for verts in members.values()], Fraction(
+        2 * sum(half) + b_s + x_sum, scale
+    )
 
 
 def attack(g: Graph, b) -> AttackResult:

@@ -19,7 +19,7 @@ from kcut import (
     strength,
 )
 from kcut.flow import FlowNetwork
-from kcut.graph import scaled_capacities
+from kcut.graph import induced_subgraph, scaled_capacities
 from kcut.oracle import enum_partitions, oracle_attack_value
 from kcut.strength import _dilworth_partition
 
@@ -372,8 +372,9 @@ class _EdmondsKarp:
 
 
 def _reference_sweep(g, b):
-    """The Dilworth sweep as it stood before the prefix edge list and the
-    pre-flow: every step rescans the adjacency of {0..j} for its arcs and
+    """The Dilworth sweep as it stood before the block contraction, the
+    prefix edge list and the pre-flow: every step runs on the whole prefix,
+    one node per vertex, rescans the adjacency of {0..j} for its arcs and
     runs on ``_EdmondsKarp``.  Returns the finest blocks and the attack value
     read off the greedy labels: c(E) + b + x(V)."""
     n = g.n
@@ -444,6 +445,99 @@ def test_sweep_matches_edmonds_karp_sweep_property(g):
         bs |= {lam, lam - F(1, 7), lam + F(1, 7)}
     for b in sorted(b for b in bs if b >= 0):
         assert _dilworth_partition(g, b) == _reference_sweep(g, b), b
+
+
+def _relabelled(n, edges, order):
+    """The graph on ``edges`` with vertex v renamed ``order[v]``."""
+    return Graph(
+        n,
+        tuple(Edge(min(order[u], order[v]), max(order[u], order[v]), c) for u, v, c in edges),
+    )
+
+
+@st.composite
+def _planted_clusters(draw):
+    """2-4 dense clusters of 2-5 vertices joined by light edges, their
+    vertices interleaved in the sweep's insertion order, so that one step
+    joins blocks of several clusters."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
+    heavy = st.sampled_from([F(3), F(4), F(9, 2), F(6)])
+    light = st.sampled_from([F(1), F(1, 2), F(2, 3)])
+    n = sum(sizes)
+    edges = []
+    start = 0
+    for size in sizes:
+        for u in range(start, start + size):
+            for v in range(u + 1, start + size):
+                edges.append((u, v, draw(heavy)))
+        start += size
+    for u, v in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=8)
+    ):
+        if u != v:
+            edges.append((u, v, draw(light)))
+    return _relabelled(n, edges, draw(st.permutations(range(n))))
+
+
+@st.composite
+def _uniform_complete_or_cycle(draw):
+    """K_n or C_n with one capacity on every edge, so that every partition
+    into singletons is strength-tight; the cycle is drawn in a random order."""
+    n = draw(st.integers(3, 9))
+    c = draw(st.sampled_from([F(1), F(2), F(5, 3)]))
+    if draw(st.booleans()):
+        edges = [(u, v, c) for u in range(n) for v in range(u + 1, n)]
+    else:
+        edges = [(i, (i + 1) % n, c) for i in range(n)]
+    return _relabelled(n, edges, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_planted_clusters(), _uniform_complete_or_cycle()))
+def test_contracted_sweep_matches_reference_on_merges_property(g):
+    """The block-contracted sweep against the uncontracted reference on
+    planted clusters, where below the first critical value one step joins
+    blocks of several clusters at once, and on uniform K_n and C_n, whose
+    blocks stay singletons at their strength: at b = 0, half the first
+    critical value, every critical value and 1/7 either side."""
+    lams = principal_sequence(g).lambdas()
+    bs = {F(0), lams[0] / 2}
+    for lam in lams:
+        bs |= {lam, lam - F(1, 7), lam + F(1, 7)}
+    for b in sorted(b for b in bs if b >= 0):
+        assert _dilworth_partition(g, b) == _reference_sweep(g, b), b
+
+
+def test_one_contracted_network_per_step(monkeypatch):
+    """Step j runs one max-flow on a network of the prefix's blocks plus j
+    and t: the block count is that of the sweep over {0..j-1} alone."""
+    rng = Random(2101)
+    edges = [(u, v, F(5)) for lo in (0, 4, 8) for u in range(lo, lo + 4) for v in range(u + 1, lo + 4)]
+    edges += [(3, 4, F(1)), (7, 8, F(1)), (11, 0, F(1))]
+    order = list(range(12))
+    rng.shuffle(order)
+    planted = _relabelled(12, edges, order)  # three K4s in a ring, lambda_1 = 3/2
+    k6 = Graph(6, tuple(Edge(u, v, F(1)) for u in range(6) for v in range(u + 1, 6)))
+    # (graph, b, whether some step runs on fewer nodes than the prefix has)
+    cases = ((planted, F(1), True), (planted, F(3), True), (k6, F(2), True), (k6, F(3), False))
+    for g, b, contracts in cases:
+        expected = [
+            len(_dilworth_partition(induced_subgraph(g, range(j))[0], b)[0]) + 2
+            for j in range(1, g.n)
+        ]
+        assert (expected != [j + 2 for j in range(1, g.n)]) == contracts
+        flows = []  # the network of every max_flow call, kept alive
+        with monkeypatch.context() as m:
+            real = FlowNetwork.max_flow
+
+            def counted(self, s, t):
+                flows.append(self)
+                return real(self, s, t)
+
+            m.setattr(FlowNetwork, "max_flow", counted)
+            _dilworth_partition(g, b)
+        assert len({id(net) for net in flows}) == len(flows) == g.n - 1
+        assert [net.n for net in flows] == expected
 
 
 # -- the label-sum certificate --------------------------------------------------
