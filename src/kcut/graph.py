@@ -112,7 +112,7 @@ class CutResult:
 
 
 def canonical_parts(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    parts = [tuple(sorted(b)) for b in blocks if len(tuple(b)) > 0]
+    parts = [part for part in (tuple(sorted(b)) for b in blocks) if part]
     parts.sort(key=lambda p: p[0])
     return tuple(parts)
 

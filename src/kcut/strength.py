@@ -24,11 +24,11 @@ optimal partitions form a lattice under refinement, and one sweep yields its
 finest member by merging along the smallest minimum cut of each step.  The
 sweep's greedy labels sum to the attack value, which certifies that member.
 
-The strength is found by a Dinkelbach ratio iteration over the attack
-oracle, and the principal sequence by recursively splitting each
-minimum-strength component by its finest minimum-strength partition.  The
-critical values of that sequence are the breakpoints of g, so
-``breakpoints`` reads them off the cached sequence.
+The strength and the principal sequence come from one search over the
+breakpoints of g (``_splits``), one attack per step on a piece contracted
+by the blocks of a finer optimal partition.  The critical values of the
+sequence are the breakpoints of g, so ``breakpoints`` reads them off the
+cached sequence.
 """
 
 from __future__ import annotations
@@ -40,12 +40,14 @@ from math import lcm
 
 from .flow import FlowNetwork
 from .graph import (
+    Edge,
     Graph,
     VertexPartition,
+    _block_map,
+    canonical_parts,
     check_connected,
     component_blocks,
     crossing_edges,
-    induced_subgraph,
     partition_from_blocks,
     scaled_capacities,
 )
@@ -265,6 +267,45 @@ def breakpoints(g: Graph) -> tuple[Breakpoint, ...]:
     return tuple(found)
 
 
+def _splits(g: Graph, pieces):
+    """Yield (lambda, blocks) for every split of the principal sequence
+    inside ``pieces``, parts of a partition of g as ascending vertex lists:
+    ``blocks`` is the finest minimum-strength partition of their union, a
+    piece of strength lambda.  The first split is that of ``pieces[0]``.
+
+    A state is a piece with its finest optimal partition R at some b_R
+    (the singletons, for b large).  Every optimum at b <= b_R is coarser
+    than R, so one attack on the piece contracted by R's blocks is exact at
+    b = c(R)/(|R| - 1), where R's line meets the piece's line 0.  Value 0
+    makes b the piece's strength and R its finest optimum.  Otherwise the
+    finest argmin Q lies strictly between R and the piece: the search goes
+    on with (piece, Q) for the breakpoints up to b, then with each part q
+    of Q against R's blocks inside q, since above b the attack splits over
+    Q's parts.  Every state has fewer blocks than the one it came from.
+    """
+    stack = [[[v] for v in piece] for piece in reversed(pieces) if len(piece) > 1]
+    while stack:
+        blocks = stack.pop()
+        if len(blocks) == g.n:  # the singletons of a connected g
+            quotient = g
+        else:
+            block = _block_map(g.n, blocks)
+            edges = []
+            for e in g.edges:
+                bu, bv = block[e.u], block[e.v]
+                if bu != bv and bu >= 0 and bv >= 0:
+                    edges.append(Edge(min(bu, bv), max(bu, bv), e.cap))
+            quotient = Graph(len(blocks), tuple(edges))
+        b = quotient.total_capacity() / (len(blocks) - 1)
+        res = attack(quotient, b)
+        if res.value == 0:
+            yield b, blocks
+            continue
+        parts = res.argmin_max_parts.parts
+        stack.extend([blocks[i] for i in part] for part in reversed(parts) if len(part) > 1)
+        stack.append([[v for i in part for v in blocks[i]] for part in parts])
+
+
 @functools.lru_cache(maxsize=None)
 def strength(g: Graph):
     """Exact strength and its finest attaining partition.
@@ -274,81 +315,49 @@ def strength(g: Graph):
     which is the finest optimal attack partition at b = strength.
     """
     check_connected(g, "strength")
-    # Dinkelbach-style ratio search: start from the singleton line.
-    cval = g.total_capacity()
-    parts = g.n
-    for _ in range(4 * g.n + 8):
-        b = cval / Fraction(parts - 1)
-        res = attack(g, b)
-        if res.value == 0:
-            return b, res.argmin_max_parts
-        best = res.argmin_max_parts
-        cval, parts = best.crossing_value, best.part_count
-    raise AssertionError("ratio search failed to converge")
+    lam, blocks = next(_splits(g, [range(g.n)]))
+    # R's line c(R) - b(|R| - 1) meets the line of {V} at b = lambda
+    return lam, VertexPartition(canonical_parts(blocks), lam * (len(blocks) - 1))
 
 
 @functools.lru_cache(maxsize=None)
 def principal_sequence(g: Graph) -> PrincipalSequence:
-    """The nested sequence of partitions from the recursive decomposition:
-    repeatedly split every minimum-strength component by its minimum-strength
-    partition (ties split simultaneously at one level).
+    """The nested sequence of partitions: level i splits every piece of
+    P_{i-1} whose strength is the least, lambda_i, by its finest
+    minimum-strength partition (ties split simultaneously at one level).
 
     Critical values are strictly increasing and the final partition is all
     singletons.  Disconnected graphs are supported; level 0 is the component
     partition.
     """
     p0 = partition_from_blocks(g, component_blocks(g))
+    splits: dict[Fraction, list[list[list[int]]]] = {}
+    for lam, blocks in _splits(g, p0.parts):
+        splits.setdefault(lam, []).append(blocks)
     levels: list[PspLevel] = []
-    current: list[tuple[int, ...]] = list(p0.parts)
+    current = set(p0.parts)
     a_edges: set[int] = set()
-    strengths: dict[tuple[int, ...], tuple[Fraction, VertexPartition]] = {}
-
-    def component_strength(part: tuple[int, ...]):
-        if part not in strengths:
-            sub, vmap, eids = induced_subgraph(g, part)
-            sigma, q = strength(sub)
-            inv = {i: v for v, i in vmap.items()}
-            q_parts = tuple(tuple(sorted(inv[x] for x in blk)) for blk in q.parts)
-            strengths[part] = (sigma, q_parts)
-        return strengths[part]
-
-    prev_lam = None
-    while any(len(part) > 1 for part in current):
-        lam = None
-        for part in current:
-            if len(part) < 2:
-                continue
-            sigma, _ = component_strength(part)
-            if lam is None or sigma < lam:
-                lam = sigma
-        split_components = []
-        next_parts: list[tuple[int, ...]] = []
-        for part in current:
-            if len(part) >= 2 and component_strength(part)[0] == lam:
-                _, q_parts = component_strength(part)
-                split_components.append(part)
-                next_parts.extend(q_parts)
-            else:
-                next_parts.append(part)
-        partition = partition_from_blocks(g, next_parts)
-        block = partition.block_of(g.n)
-        a_now = set(crossing_edges(g, block))
-        new_b = a_now - a_edges
-        if prev_lam is not None and not lam > prev_lam:
-            raise AssertionError("critical values must be strictly increasing")
-        prev_lam = lam
-        a_edges = a_now
+    for lam in sorted(splits):
+        pieces = []
+        for blocks in splits[lam]:
+            piece = tuple(sorted(v for blk in blocks for v in blk))
+            pieces.append(piece)
+            current.remove(piece)
+            current.update(tuple(blk) for blk in blocks)
+        partition = partition_from_blocks(g, current)
+        a_now = set(crossing_edges(g, partition.block_of(g.n)))
         levels.append(
             PspLevel(
                 lam=lam,
                 partition=partition,
-                a_edges=frozenset(a_edges),
-                b_edges=frozenset(new_b),
-                split_components=tuple(sorted(split_components)),
+                a_edges=frozenset(a_now),
+                b_edges=frozenset(a_now - a_edges),
+                split_components=tuple(sorted(pieces)),
                 kappa=partition.part_count,
             )
         )
-        current = list(partition.parts)
+        a_edges = a_now
+        current = set(partition.parts)
     if levels and levels[-1].kappa != g.n:
         raise AssertionError("final partition must be all singletons")
     return PrincipalSequence(g, p0, tuple(levels))

@@ -190,7 +190,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         _row(rows, f"integrality-gap[{tag}]", gap_ok, note)
 
         if k < g.n:
-            h = 2 * k - 3
+            h = report.h
             witness_ok = True
             qh_ok = True
             for cut in report.cuts:

@@ -25,7 +25,7 @@ from kcut import (
     ravi_sinha_cut,
     strength,
 )
-from kcut.graph import component_blocks
+from kcut.graph import component_blocks, contract_partition
 
 from conftest import TT_BRIDGE, full_suite
 
@@ -94,6 +94,21 @@ def test_cut_of_partition_values(tt, c5, k4):
     assert cut_of_partition(tt, [[0, 1, 2], [3, 4, 5]]).value == 1
     assert cut_of_partition(c5, [[v] for v in range(5)]).value == 5
     assert cut_of_partition(k4, [[0], [1, 2, 3]]).value == 3
+
+
+def test_one_shot_blocks(tt):
+    """Blocks that can be read only once, such as generators, give the same
+    partition as lists, and empty blocks are dropped."""
+    blocks = ([0, 1, 2], [], [3, 4, 5])
+
+    def once():
+        return [iter(b) for b in blocks]
+
+    expected = partition_from_blocks(tt, [[0, 1, 2], [3, 4, 5]])
+    assert partition_from_blocks(tt, once()) == expected
+    assert cut_of_partition(tt, once()).partition == expected
+    assert contract_partition(tt, once()) == contract_partition(tt, expected.parts)
+    assert partition_from_blocks(tt, [iter([0, 1]), iter([2, 3, 4, 5])]).crossing_value == 2
 
 
 def test_cut_requires_partition(c5):

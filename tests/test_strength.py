@@ -1,9 +1,10 @@
+import importlib
 from fractions import Fraction
 from math import lcm
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kcut import (
@@ -19,9 +20,9 @@ from kcut import (
     strength,
 )
 from kcut.flow import FlowNetwork
-from kcut.graph import induced_subgraph, scaled_capacities
+from kcut.graph import component_blocks, induced_subgraph, partition_from_blocks, scaled_capacities
 from kcut.oracle import enum_partitions, oracle_attack_value
-from kcut.strength import _dilworth_partition
+from kcut.strength import PspLevel, _dilworth_partition
 
 from conftest import _random_connected, edge_ids_of_partition, flow_network, full_suite
 
@@ -538,6 +539,117 @@ def test_one_contracted_network_per_step(monkeypatch):
             _dilworth_partition(g, b)
         assert len({id(net) for net in flows}) == len(flows) == g.n - 1
         assert [net.n for net in flows] == expected
+
+
+# -- the split search against the Dinkelbach route ------------------------------
+
+
+def _reference_strength(g):
+    """The strength by Dinkelbach's ratio iteration, as it stood before the
+    split search: attack g at the line of the last finest argmin, starting
+    from the singletons, until the value is 0."""
+    cval, parts = g.total_capacity(), g.n
+    for _ in range(4 * g.n + 8):
+        b = cval / F(parts - 1)
+        res = attack(g, b)
+        if res.value == 0:
+            return b, res.argmin_max_parts
+        cval, parts = res.argmin_max_parts.crossing_value, res.argmin_max_parts.part_count
+    raise AssertionError("ratio search failed to converge")
+
+
+def _reference_psp(g):
+    """(P_0, levels) of the principal sequence by the route that predates the
+    split search: each level splits every piece of least strength by the
+    finest minimum-strength partition of its induced subgraph, found by
+    ``_reference_strength``."""
+    p0 = partition_from_blocks(g, component_blocks(g))
+    pieces = {}  # piece -> (strength, its finest minimum-strength blocks)
+
+    def piece_strength(part):
+        if part not in pieces:
+            sub, vmap, _ = induced_subgraph(g, part)
+            sigma, q = _reference_strength(sub)
+            inv = {i: v for v, i in vmap.items()}
+            pieces[part] = sigma, [[inv[x] for x in blk] for blk in q.parts]
+        return pieces[part]
+
+    levels = []
+    current = p0.parts
+    a_edges = frozenset()
+    while any(len(part) > 1 for part in current):
+        lam = min(piece_strength(part)[0] for part in current if len(part) > 1)
+        split = [part for part in current if len(part) > 1 and piece_strength(part)[0] == lam]
+        blocks = [blk for part in current for blk in (piece_strength(part)[1] if part in split else [part])]
+        partition = partition_from_blocks(g, blocks)
+        a_now = frozenset(edge_ids_of_partition(g, partition))
+        levels.append(PspLevel(lam, partition, a_now, a_now - a_edges, tuple(split), partition.part_count))
+        a_edges = a_now
+        current = partition.parts
+    return p0, tuple(levels)
+
+
+@st.composite
+def _component_multigraphs(draw, max_components=3):
+    """Multigraphs on up to 14 vertices made of 1 to ``max_components``
+    components, each a random spanning tree plus up to twice as many extra
+    edges (parallels allowed), with zero and fractional capacities, their
+    vertices interleaved by a random relabelling."""
+    count = draw(st.integers(1, max_components))
+    sizes = draw(st.lists(st.integers(1, 14 // count), min_size=count, max_size=count))
+    caps = st.sampled_from([F(0), F(1), F(3, 2), F(5), F(2, 3), F(7, 4)])
+    edges = []
+    start = 0
+    for size in sizes:
+        for v in range(start + 1, start + size):
+            edges.append((draw(st.integers(start, v - 1)), v, draw(caps)))
+        vertex = st.integers(start, start + size - 1)
+        for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * size)):
+            if u != v:
+                edges.append((u, v, draw(caps)))
+        start += size
+    return _relabelled(start, edges, draw(st.permutations(range(start))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_component_multigraphs())
+def test_psp_and_strength_match_dinkelbach_reference_property(g):
+    psp = principal_sequence(g)
+    assert (psp.p0, psp.levels) == _reference_psp(g)
+    if g.n >= 2 and g.is_connected():
+        assert strength(g) == _reference_strength(g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_component_multigraphs(max_components=1))
+def test_strength_is_first_psp_level_property(g):
+    assume(g.n >= 2)
+    level = principal_sequence(g).levels[0]
+    assert strength(g) == (level.lam, level.partition)
+
+
+def test_psp_runs_one_search(monkeypatch):
+    """``principal_sequence`` calls no ``strength`` and attacks the whole
+    graph once, at the search's first step; every later attack runs on a
+    piece contracted by its blocks."""
+    module = importlib.import_module("kcut.strength")
+    g = _random_connected(Random(40), 40, 80)
+    calls = {"strength": 0, "whole graph": 0}
+
+    def counted_attack(h, b, _real=module.attack):
+        calls["whole graph"] += h.n == g.n
+        return _real(h, b)
+
+    def counted_strength(h, _real=module.strength):
+        calls["strength"] += 1
+        return _real(h)
+
+    strength.cache_clear()
+    principal_sequence.cache_clear()
+    monkeypatch.setattr(module, "attack", counted_attack)
+    monkeypatch.setattr(module, "strength", counted_strength)
+    principal_sequence(g)
+    assert calls == {"strength": 0, "whole graph": 1}
 
 
 # -- the label-sum certificate --------------------------------------------------
