@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from .cuts import enumerate_approx_kcuts, min_kcut, ravi_sinha_cut, round_lp
-from .graph import Graph, ParseError, crossing_edges, parse_graph, rational_str
+from .graph import Graph, ParseError, crossing_edges, parse_graph, rational_str, to_fraction
 from .lp import (
     check_complementary_slackness,
     lagrangean_value,
@@ -74,9 +74,9 @@ def _rational(text, default):
     if not text:
         return default
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"not a rational number: {text!r}") from None
+        return to_fraction(text)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _read_graph(args) -> Graph:

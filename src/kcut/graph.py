@@ -9,22 +9,34 @@ Parallel edges are permitted, self-loops are not.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+MAX_EXPONENT = 1000  # Fraction("1e<x>") builds 10**|x|: 13.7 s at x = 10**7
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def to_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing an exponent past ``MAX_EXPONENT`` before expanding it."""
+    exponent = _EXPONENT.search(text)
+    try:
+        if exponent is None or abs(int(exponent.group(1))) <= MAX_EXPONENT:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {text!r}") from exc
+    raise ValueError(f"exponent beyond {MAX_EXPONENT} in magnitude: {text!r}")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a nonnegative rational written as an integer, a decimal, or "a/b".
 
     Decimals are converted exactly (0.25 -> 1/4).  Raises ValueError on
-    anything else, including negative values.
+    anything else, including negative values and huge exponents.
     """
-    try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    value = to_fraction(text.strip())
     if value < 0:
         raise ValueError(f"negative capacity: {text!r}")
     return value

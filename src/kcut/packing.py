@@ -13,8 +13,9 @@ call it too.
   rigorous.
 * ``exact_pack``: column generation; one exact rational simplex tableau
   holds the restricted master and grows by each priced forest, pricing by
-  minimum spanning forest under the master duals, certified against the
-  strength min-max value on termination.  The grown tableau takes the
+  minimum spanning forest under the master duals, certified on termination
+  against the least component strength, lambda_1 of the working graph's
+  cached principal sequence.  The grown tableau takes the
   pivots a cold solve of each master from the slack basis would take
   (``simplex.Tableau.add_column``), so it reaches the same vertex, skipping
   the part of the path that the new forest does not change.
@@ -31,9 +32,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Edge, Graph, component_blocks, induced_subgraph, scaled_capacities
+from .graph import Edge, Graph, scaled_capacities
 from .simplex import Tableau, solve_lp  # noqa: F401  perfbench's self-test reads packing.solve_lp
-from .strength import strength as _strength
+from .strength import principal_sequence
+from .strength import strength as _strength  # noqa: F401  perfbench's self-test reads packing._strength
 
 
 class PackingError(RuntimeError):
@@ -209,20 +211,6 @@ def _float_cap(cap: Fraction) -> float:
     return f
 
 
-def _min_component_strength(work: Graph) -> Fraction:
-    best = None
-    for blk in component_blocks(work):
-        if len(blk) < 2:
-            continue
-        sub, _, _ = induced_subgraph(work, blk)
-        sigma, _ = _strength(sub)
-        if best is None or sigma < best:
-            best = sigma
-    if best is None:
-        raise ValueError("packing undefined without positive-capacity edges")
-    return best
-
-
 def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
     """Exact optimal packing by column generation.
 
@@ -233,9 +221,9 @@ def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
     of the same master from the slack basis reaches, so the packing is the
     one a fresh master per round would give.  Pricing reads the master's
     duals as integers over one denominator, and the packing's Fractions are
-    built once, after the last round.  On termination the value is
-    certified against the strength min-max value computed by an independent
-    path (parametric attack oracle) unless ``certify=False``.
+    built once, after the last round.  Unless ``certify=False``, the value
+    is certified against the least component strength, lambda_1 of the
+    working graph's cached ``principal_sequence`` (the attack oracle).
     """
     work, keep, _ = _working_graph(g, caps)
     master = Tableau([[] for _ in range(work.m)], [e.cap for e in work.edges])
@@ -271,7 +259,7 @@ def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
         {keep[i]: work.edges[i].cap for i in range(work.m)},
     )
     if certify:
-        expected = _min_component_strength(work)
+        expected = principal_sequence(work).levels[0].lam
         if packing.total_value != expected:
             raise PackingError(
                 f"packing value {packing.total_value} != strength {expected}"

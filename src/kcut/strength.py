@@ -306,7 +306,6 @@ def _splits(g: Graph, pieces):
         stack.append([[v for i in part for v in blocks[i]] for part in parts])
 
 
-@functools.lru_cache(maxsize=None)
 def strength(g: Graph):
     """Exact strength and its finest attaining partition.
 

@@ -40,7 +40,7 @@ from .oracle import (
     partition_table,
 )
 from .packing import SaturationError
-from .strength import principal_sequence, strength
+from .strength import principal_sequence
 
 
 @dataclass
@@ -85,8 +85,8 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         ks = range(2, g.n + 1)
     ks = sorted(set(ks))
 
-    sigma, sigma_part = strength(g)
     psp = principal_sequence(g)
+    sigma, sigma_part = psp.levels[0].lam, psp.levels[0].partition  # g is connected
     # A zero-capacity cut leaves the k-cut LP closed forms undefined, and
     # exact_pack packs the positive part; only the oracle rows apply.
     degenerate = "strength 0: the LP and packing certificates need every cut positive" if sigma == 0 else ""

@@ -164,6 +164,35 @@ def test_eps_below_float_precision_on_one_edge_exit_1(capsys, tmp_path, argv):
     _assert_eps_too_small(capsys, tmp_path, argv + ["--eps", "1e-20"], "p kcut 2 1\ne 1 2 1\n")
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["strength"], "p kcut 2 1\ne 1 2 1e10000000\n"),
+        (["strength"], "p kcut 2 1\ne 1 2 1e-10000000\n"),
+        (["pack", "--eps", "1e-10000000"], "p kcut 2 1\ne 1 2 1\n"),
+        (["enumerate", "--k", "2", "--alpha", "1e10000000"], "p kcut 2 1\ne 1 2 1\n"),
+    ],
+    ids=["capacity", "capacity-negative-exponent", "eps", "alpha"],
+)
+def test_huge_exponent_rejected_before_expansion_exit_1(capsys, tmp_path, argv, text):
+    # Fraction would build 10**10000000 in full, which takes seconds
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    code = main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "exponent beyond 1000" in captured.err
+
+
+def test_exponent_at_the_limit_parses_exactly(capsys, tmp_path):
+    path = tmp_path / "g.graph"
+    path.write_text("p kcut 2 1\ne 1 2 1e1000\n")
+    code, out = run(capsys, "strength", str(path))
+    assert code == 0
+    assert json.loads(out)["strength"] == f"{10**1000}/1"
+
+
 @pytest.mark.parametrize("cap", ["1e-400", "1e400"], ids=["underflow", "overflow"])
 @pytest.mark.parametrize(
     "argv",
@@ -337,20 +366,25 @@ def test_verify_ok(capsys, tt_file):
 
 
 def test_verify_exit_2_on_certificate_failure(capsys, tt_file, monkeypatch):
+    import dataclasses
+
     import kcut.verify as verify_mod
 
-    # report a wrong strength so the minmax certificate row fails
-    real = verify_mod.strength
+    # report a wrong global mincut so its certificate row fails
+    real = verify_mod.global_mincut
 
     def lying(g):
-        sigma, part = real(g)
-        return sigma + 1, part
+        cut = real(g)
+        return dataclasses.replace(cut, value=cut.value + 1)
 
-    monkeypatch.setattr(verify_mod, "strength", lying)
+    monkeypatch.setattr(verify_mod, "global_mincut", lying)
     code, out = run(capsys, "verify", "--kmax", "2", tt_file)
     assert code == 2
     data = json.loads(out)
     assert not data["ok"] and data["failed"] >= 1
+    failed = [row for row in data["rows"] if row["status"] == "fail"]
+    assert [row["check"] for row in failed] == ["global-mincut"]
+    assert failed[0]["certificate"]
 
 
 def test_verify_exit_2_on_ideal_packing_failure(capsys, tt_file, monkeypatch):
@@ -495,12 +529,10 @@ def test_parser_built_once_gives_fresh_parser_bytes(capsys, monkeypatch, tt_file
 
 def test_strength_exit_2_on_label_sum_failure(capsys, tt_file, monkeypatch):
     # a sweep that merges nothing yields all singletons at every b, whose
-    # value the greedy labels contradict; ``strength`` is cached, so clear it
+    # value the greedy labels contradict
     from kcut.flow import FlowNetwork
-    from kcut.strength import strength
 
     monkeypatch.setattr(FlowNetwork, "residual_reachable", lambda self, s: frozenset({s}))
-    strength.cache_clear()
     code = main(["strength", tt_file])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

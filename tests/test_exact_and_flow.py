@@ -25,6 +25,14 @@ def test_parse_rational_forms():
         parse_rational("abc")
 
 
+def test_parse_rational_bounds_the_exponent():
+    assert parse_rational("1e1000") == 10**1000
+    assert parse_rational("2.5E-1_000") == F(5, 2 * 10**1000)
+    for text in ["1e1001", "1e-10000000", "1e" + "9" * 5000]:
+        with pytest.raises(ValueError, match="exponent beyond|not a rational"):
+            parse_rational(text)
+
+
 def test_rational_str_always_has_denominator():
     assert rational_str(F(5)) == "5/1"
     assert rational_str(F(-3, 6)) == "-1/2"

@@ -1,4 +1,6 @@
 import importlib
+import io
+import sys
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -13,16 +15,19 @@ from kcut import (
     attack,
     breakpoints,
     components,
+    exact_pack,
     oracle_min_kcut,
     oracle_strength,
     parse_graph,
     principal_sequence,
     strength,
 )
+from kcut.cli import main
 from kcut.flow import FlowNetwork
 from kcut.graph import component_blocks, induced_subgraph, partition_from_blocks, scaled_capacities
 from kcut.oracle import enum_partitions, oracle_attack_value
 from kcut.strength import PspLevel, _dilworth_partition
+from kcut.verify import run_verification
 
 from conftest import _random_connected, edge_ids_of_partition, flow_network, full_suite
 
@@ -628,6 +633,66 @@ def test_strength_is_first_psp_level_property(g):
     assert strength(g) == (level.lam, level.partition)
 
 
+def _least_component_strength(g):
+    """The least strength of the induced subgraph of a component with at
+    least 2 vertices: how ``exact_pack`` once certified its value."""
+    return min(strength(induced_subgraph(g, blk)[0])[0] for blk in component_blocks(g) if len(blk) > 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_component_multigraphs())
+def test_pack_certificate_is_least_component_strength_property(g):
+    """lambda_1 of the cached PSP, which certifies ``exact_pack``, is the
+    least component strength, and the optimal packing value; the packing
+    drops the zero-capacity edges, so it is compared on what remains."""
+    if any(len(blk) > 1 for blk in component_blocks(g)):
+        assert principal_sequence(g).levels[0].lam == _least_component_strength(g)
+    work = Graph(g.n, tuple(e for e in g.edges if e.cap > 0))
+    assume(work.m > 0)
+    expected = _least_component_strength(work)
+    assert principal_sequence(work).levels[0].lam == expected
+    assert exact_pack(g).total_value == expected
+
+
+def _count_calls(monkeypatch, fn):
+    """Replace every binding of ``fn`` in the kcut modules by a wrapper that
+    records its arguments; returns the record."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "kcut" or name.startswith("kcut."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_pack_and_verify_call_no_strength(monkeypatch, tt):
+    principal_sequence.cache_clear()
+    calls = _count_calls(monkeypatch, strength)
+    exact_pack(_random_connected(Random(12), 12, 24))
+    assert calls == []
+    run_verification(tt)
+    assert calls == []
+
+
+def test_lp_k2_attacks_the_whole_graph_once(monkeypatch, capsys):
+    """At k = 2 the dual's graph c + z is g itself, so the packing
+    certificate reads the PSP that ``lp`` already cached."""
+    g = _random_connected(Random(8), 8, 16)
+    text = f"p kcut {g.n} {g.m}\n" + "".join(f"e {e.u + 1} {e.v + 1} {e.cap}\n" for e in g.edges)
+    principal_sequence.cache_clear()
+    calls = _count_calls(monkeypatch, importlib.import_module("kcut.strength").attack)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["lp", "--k", "2"]) == 0
+    capsys.readouterr()
+    assert sum(h.n == g.n for h, _ in calls) == 1
+
+
 def test_psp_runs_one_search(monkeypatch):
     """``principal_sequence`` calls no ``strength`` and attacks the whole
     graph once, at the search's first step; every later attack runs on a
@@ -644,7 +709,6 @@ def test_psp_runs_one_search(monkeypatch):
         calls["strength"] += 1
         return _real(h)
 
-    strength.cache_clear()
     principal_sequence.cache_clear()
     monkeypatch.setattr(module, "attack", counted_attack)
     monkeypatch.setattr(module, "strength", counted_strength)
@@ -673,7 +737,6 @@ def test_one_residual_search_per_max_flow(monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(FlowNetwork, name, counted)
-    strength.cache_clear()
     principal_sequence.cache_clear()
     principal_sequence(_random_connected(Random(20), 20, 40))
     assert calls["max_flow"] > 0
