@@ -25,9 +25,9 @@ sequence 2-approximation (cut the smallest shores of the splitting level).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from typing import NamedTuple
 
 from .graph import (
     Graph,
@@ -48,16 +48,14 @@ from .packing import PackConfig, TreePacking, min_spanning_forest, mwu_pack
 from .strength import PrincipalSequence, principal_sequence
 
 
-@dataclass(frozen=True)
-class RespectStats:
+class RespectStats(NamedTuple):
     h: int
     cut_edges: frozenset[int]
     crossings: tuple[int, ...]  # |E(T) & cut| per packing tree
     q_h: Fraction
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """What one k-cut scan examined and found.  ``dual`` is the LP dual
     the scan used: in exact mode the explicit optimal dual whose packing
     was scanned, in approximate mode the lazy dual whose z set the
@@ -339,8 +337,7 @@ def enumerate_approx_kcuts(g: Graph, k: int, alpha) -> EnumerationReport:
     )
 
 
-@dataclass(frozen=True)
-class RoundResult:
+class RoundResult(NamedTuple):
     cut: CutResult
     certified: bool  # input verified optimal, so the 2(1-1/n) bound applies
     bound: Fraction  # 2(1-1/n) times the objective of the rounded vector

@@ -10,24 +10,35 @@ Parallel edges are permitted, self-loops are not.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_EXPONENT = 1000  # Fraction("1e<x>") builds 10**|x|: 13.7 s at x = 10**7
+MAX_DIGITS = 2000  # half the 4300 digits Python prints: room for sums and ratios
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_TOO_LONG = 10**MAX_DIGITS
 
 
 def to_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, refusing an exponent past ``MAX_EXPONENT`` before expanding it."""
-    exponent = _EXPONENT.search(text)
+    """``Fraction(text)``, refusing an exponent past ``MAX_EXPONENT`` before
+    expanding it, and a numerator or denominator of more than ``MAX_DIGITS``
+    digits.  A plain ASCII integer skips the regexes; past 4300 digits
+    ``int`` refuses it as ``Fraction`` would."""
     try:
-        if exponent is None or abs(int(exponent.group(1))) <= MAX_EXPONENT:
-            return Fraction(text)
+        if text.isascii() and text.isdigit():
+            value = Fraction(int(text))
+        elif (exponent := _EXPONENT.search(text)) is None or abs(int(exponent.group(1))) <= MAX_EXPONENT:
+            value = Fraction(text)
+        else:
+            value = None
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
-    raise ValueError(f"exponent beyond {MAX_EXPONENT} in magnitude: {text!r}")
+    if value is None:
+        raise ValueError(f"exponent beyond {MAX_EXPONENT} in magnitude: {text!r}")
+    if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+        raise ValueError(f"numerator or denominator beyond {MAX_DIGITS} digits")
+    return value
 
 
 def parse_rational(text: str) -> Fraction:
@@ -62,9 +73,11 @@ class Edge(NamedTuple):
     cap: Fraction
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected multigraph with nonnegative rational edge capacities."""
+class Graph(NamedTuple):
+    """Undirected multigraph with nonnegative rational edge capacities.
+
+    Equal and hashed by value, like every record here: ``principal_sequence``
+    caches on it."""
 
     n: int
     edges: tuple[Edge, ...]
@@ -92,8 +105,7 @@ class Graph:
         return self.component_count <= 1
 
 
-@dataclass(frozen=True)
-class VertexPartition:
+class VertexPartition(NamedTuple):
     """Canonical partition of the vertex set.
 
     Parts are sorted tuples, ordered by their minimum element.
@@ -116,8 +128,7 @@ class VertexPartition:
         return [[v + 1 for v in part] for part in self.parts]
 
 
-@dataclass(frozen=True)
-class CutResult:
+class CutResult(NamedTuple):
     partition: VertexPartition
     value: Fraction
     k_achieved: int

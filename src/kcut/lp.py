@@ -17,8 +17,8 @@ forests with right-hand side k - h for h components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph, check_k, component_blocks, contract_partition
 from .packing import (
@@ -27,8 +27,7 @@ from .packing import (
 from .strength import PrincipalSequence, principal_sequence
 
 
-@dataclass(frozen=True)
-class PrimalSolution:
+class PrimalSolution(NamedTuple):
     k: int
     x: tuple[Fraction, ...]
     level_index: int  # j
@@ -36,8 +35,7 @@ class PrimalSolution:
     objective: Fraction
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(NamedTuple):
     k: int
     z: tuple[Fraction, ...]
     total_y: Fraction  # sum of packing weights, lambda_j
@@ -47,8 +45,7 @@ class DualSolution:
     packing: TreePacking | None  # explicit mode only
 
 
-@dataclass(frozen=True)
-class IdealPacking:
+class IdealPacking(NamedTuple):
     """One saturating packing per PSP level, composing to the ideal
     distribution.
 
@@ -205,8 +202,7 @@ def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2,
     return DualSolution(k, tuple(z), lam_j, j, objective, h, packing)
 
 
-@dataclass(frozen=True)
-class PrimalVerdict:
+class PrimalVerdict(NamedTuple):
     feasible: bool
     bounds_ok: bool
     min_forest_weight: Fraction | None
@@ -237,8 +233,7 @@ def verify_primal(g: Graph, x, k: int) -> PrimalVerdict:
     )
 
 
-@dataclass(frozen=True)
-class DualVerdict:
+class DualVerdict(NamedTuple):
     feasible: bool
     violations: tuple[tuple[int, Fraction, Fraction], ...]  # (edge, load, cap+z)
     messages: tuple[str, ...] = ()
@@ -270,8 +265,7 @@ def verify_dual(g: Graph, dual: DualSolution) -> DualVerdict:
     return DualVerdict(not messages, tuple(bad), tuple(messages))
 
 
-@dataclass(frozen=True)
-class CsVerdict:
+class CsVerdict(NamedTuple):
     z_implies_tight_x: bool
     trees_tight: bool
     x_implies_tight_load: bool

@@ -14,9 +14,8 @@ independent check on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import (
     Graph,
@@ -37,15 +36,20 @@ class OracleLimitError(ValueError):
     """Input exceeds the configured brute-force limits."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_n_partitions: int = 12
-    max_spanning_trees: int = 20000
+class _LimitFields(NamedTuple):
+    max_n_partitions: int
+    max_spanning_trees: int
 
-    def __post_init__(self):
-        for name in ("max_n_partitions", "max_spanning_trees"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+class OracleLimits(_LimitFields):
+    __slots__ = ()
+
+    def __new__(cls, max_n_partitions: int = 12, max_spanning_trees: int = 20000):
+        self = super().__new__(cls, max_n_partitions, max_spanning_trees)
+        for name, value in zip(self._fields, self):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        return self
 
 
 DEFAULT_LIMITS = OracleLimits()
@@ -60,8 +64,7 @@ def enum_partitions(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Iterator
         yield partition_from_blocks(g, blocks)
 
 
-@dataclass(frozen=True)
-class PartitionTable:
+class PartitionTable(NamedTuple):
     """The least crossing value of each part count, with its minimizers.
 
     ``best[p]`` is the least crossing value, scaled by ``scale``, over the

@@ -29,8 +29,8 @@ the packing value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Edge, Graph, scaled_capacities
 from .simplex import Tableau, solve_lp  # noqa: F401  perfbench's self-test reads packing.solve_lp
@@ -50,31 +50,37 @@ class IterationLimitError(PackingError):
     """The multiplicative-weights loop hit its iteration cap."""
 
 
-@dataclass(frozen=True)
-class PackConfig:
-    epsilon: Fraction = Fraction(1, 10)
-    max_iterations: int | None = None
+class _PackFields(NamedTuple):
+    epsilon: Fraction
+    max_iterations: int | None
 
-    def __post_init__(self):
-        eps = Fraction(self.epsilon)
+
+class PackConfig(_PackFields):
+    """The MWU packer's settings; ``epsilon`` is normalised to a Fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, epsilon=Fraction(1, 10), max_iterations: int | None = None):
+        eps = Fraction(epsilon)
         if not 0 < eps < Fraction(1, 2):
             raise ValueError("epsilon must lie in (0, 1/2)")
-        object.__setattr__(self, "epsilon", eps)
+        return super().__new__(cls, eps, max_iterations)
 
 
-@dataclass(frozen=True)
-class TreePacking:
+class TreePacking(NamedTuple):
     """Weighted list of maximal forests of the working graph.
 
     The working graph is the input with zero-capacity edges removed; edge ids
     refer to the original graph.  Weights are exact rationals in both modes
     (the MWU packer rounds through an exact rescale), ``approximate`` marks
-    packings that only promise a (1 - eps) fraction of the optimum.
+    packings that only promise a (1 - eps) fraction of the optimum.  Two
+    packings are equal only with equal ``caps`` too, and a packing is not
+    hashable, since ``caps`` is a dict.
     """
 
     trees: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
-    caps: dict[int, Fraction] = field(compare=False)
+    caps: dict[int, Fraction]
     approximate: bool = False
 
     @property

@@ -40,8 +40,8 @@ the smallest basic column index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 ZERO = Fraction(0)
 
@@ -50,8 +50,7 @@ class LpUnbounded(Exception):
     pass
 
 
-@dataclass
-class LpResult:
+class LpResult(NamedTuple):
     value: Fraction
     x: list[Fraction]
     duals: list[Fraction]  # one multiplier per constraint row

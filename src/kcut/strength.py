@@ -34,9 +34,9 @@ cached sequence.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .flow import FlowNetwork
 from .graph import (
@@ -53,22 +53,19 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(NamedTuple):
     b: Fraction
     value: Fraction
     argmin_max_parts: VertexPartition
 
 
-@dataclass(frozen=True)
-class Breakpoint:
+class Breakpoint(NamedTuple):
     b: Fraction
     before: VertexPartition  # coarsest optimal at b (optimal just below)
     after: VertexPartition  # finest optimal at b (optimal just above)
 
 
-@dataclass(frozen=True)
-class PspLevel:
+class PspLevel(NamedTuple):
     lam: Fraction
     partition: VertexPartition  # P_i
     a_edges: frozenset[int]  # cumulative crossing edge ids, A_i = E(P_i)
@@ -77,8 +74,7 @@ class PspLevel:
     kappa: int  # |P_i|
 
 
-@dataclass(frozen=True)
-class PrincipalSequence:
+class PrincipalSequence(NamedTuple):
     graph: Graph
     p0: VertexPartition  # components of G
     levels: tuple[PspLevel, ...]

@@ -11,8 +11,8 @@ test and fails only with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cuts import (
     dual_respect_bound,
@@ -43,8 +43,7 @@ from .packing import SaturationError
 from .strength import principal_sequence
 
 
-@dataclass
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
@@ -193,12 +192,13 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             h = report.h
             witness_ok = True
             qh_ok = True
+            qh_bound = dual_respect_bound(1, k, h, n)
             for cut in report.cuts:
                 eids = crossing_edges(g, cut.partition.block_of(g.n))
                 stats = respect_stats(dual.packing, eids, h)
                 if min(stats.crossings) > h:
                     witness_ok = False
-                if stats.q_h < dual_respect_bound(1, k, h, n):
+                if stats.q_h < qh_bound:
                     qh_ok = False
             _row(rows, f"optimal-cut-respect[{tag}]", witness_ok, f"h={h}")
             _row(rows, f"respect-fraction-bound[{tag}]", qh_ok)
@@ -253,10 +253,11 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         f"value {rational_str(mincut.value)}",
     )
     q2_ok = True
+    q2_bound = mincut_respect_bound(2, n)
     for cut in k2report.cuts:
         eids = crossing_edges(g, cut.partition.block_of(g.n))
         stats = respect_stats(pack, eids, 2)
-        if stats.q_h < mincut_respect_bound(2, n):
+        if stats.q_h < q2_bound:
             q2_ok = False
     _row(rows, "mincut-2respect-fraction", q2_ok)
     return rows

@@ -193,6 +193,23 @@ def test_exponent_at_the_limit_parses_exactly(capsys, tmp_path):
     assert json.loads(out)["strength"] == f"{10**1000}/1"
 
 
+def test_capacity_beyond_the_digit_bound_exit_1(capsys, tmp_path, monkeypatch):
+    # 1<4000 zeros>e1000 is 10**5000: refused at parse time, not when printed
+    import kcut.cli as cli_mod
+
+    def never(g):
+        raise AssertionError("strength ran on a refused graph")
+
+    monkeypatch.setattr(cli_mod, "strength", never)
+    path = tmp_path / "g.graph"
+    path.write_text("p kcut 2 1\ne 1 2 1" + "0" * 4000 + "e1000\n")
+    code = main(["strength", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: line 2: numerator or denominator beyond 2000 digits\n"
+
+
 @pytest.mark.parametrize("cap", ["1e-400", "1e400"], ids=["underflow", "overflow"])
 @pytest.mark.parametrize(
     "argv",
@@ -366,8 +383,6 @@ def test_verify_ok(capsys, tt_file):
 
 
 def test_verify_exit_2_on_certificate_failure(capsys, tt_file, monkeypatch):
-    import dataclasses
-
     import kcut.verify as verify_mod
 
     # report a wrong global mincut so its certificate row fails
@@ -375,7 +390,7 @@ def test_verify_exit_2_on_certificate_failure(capsys, tt_file, monkeypatch):
 
     def lying(g):
         cut = real(g)
-        return dataclasses.replace(cut, value=cut.value + 1)
+        return cut._replace(value=cut.value + 1)
 
     monkeypatch.setattr(verify_mod, "global_mincut", lying)
     code, out = run(capsys, "verify", "--kmax", "2", tt_file)
@@ -388,8 +403,6 @@ def test_verify_exit_2_on_certificate_failure(capsys, tt_file, monkeypatch):
 
 
 def test_verify_exit_2_on_ideal_packing_failure(capsys, tt_file, monkeypatch):
-    import dataclasses
-
     import kcut.verify as verify_mod
 
     # raise the second critical value so its quotients no longer saturate
@@ -398,8 +411,8 @@ def test_verify_exit_2_on_ideal_packing_failure(capsys, tt_file, monkeypatch):
     def lying(g):
         psp = real(g)
         levels = list(psp.levels)
-        levels[1] = dataclasses.replace(levels[1], lam=levels[1].lam + 1)
-        return dataclasses.replace(psp, levels=tuple(levels))
+        levels[1] = levels[1]._replace(lam=levels[1].lam + 1)
+        return psp._replace(levels=tuple(levels))
 
     monkeypatch.setattr(verify_mod, "principal_sequence", lying)
     code, out = run(capsys, "verify", "--kmax", "2", tt_file)

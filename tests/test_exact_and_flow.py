@@ -33,6 +33,56 @@ def test_parse_rational_bounds_the_exponent():
             parse_rational(text)
 
 
+def test_parse_rational_bounds_the_digits():
+    assert parse_rational("9" * 2000) == 10**2000 - 1
+    assert parse_rational("1/" + "9" * 2000) == F(1, 10**2000 - 1)
+    for text in ["1" + "0" * 4000 + "e1000", "9" * 2001, "1/" + "9" * 2001, "0." + "0" * 1500 + "1e-600"]:
+        with pytest.raises(ValueError, match="beyond 2000 digits"):
+            parse_rational(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _fraction_route(text):
+    """``parse_rational`` of a token with no exponent and no sign as it was
+    before the integer fast path: ``Fraction(text)``, then the digit bound."""
+    try:
+        value = F(text)
+    except ValueError:
+        return f"not a rational number: {text!r}"
+    if value >= 10**2000:
+        return "numerator or denominator beyond 2000 digits"
+    return value
+
+
+@st.composite
+def _digit_tokens(draw):
+    """ASCII digit strings with leading zeros, a random head and a long
+    repeated tail, so their lengths cross both 2000 and 4300 digits."""
+    zeros = "0" * draw(st.sampled_from([0, 1, 3, 2500, 4400]))
+    head = draw(st.text("0123456789", min_size=0, max_size=12))
+    tail = draw(st.sampled_from("0123456789")) * draw(st.sampled_from([0, 1, 1999, 2000, 4299, 4301]))
+    return (zeros + head + tail) or "0"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_digit_tokens())
+def test_integer_fast_path_matches_the_fraction_route(text):
+    got = _outcome(parse_rational, text)
+    assert got == _fraction_route(text)
+    assert type(got) in (F, str)
+
+
+@pytest.mark.parametrize("text", ["١٢", "٠٠٧", "²", "١٢/٣"])
+def test_non_ascii_digits_take_the_fraction_route(text):
+    assert _outcome(parse_rational, text) == _fraction_route(text)
+
+
 def test_rational_str_always_has_denominator():
     assert rational_str(F(5)) == "5/1"
     assert rational_str(F(-3, 6)) == "-1/2"
