@@ -91,14 +91,12 @@ def _read_graph(args) -> Graph:
     return parse_graph(text)
 
 
-def _cmd_strength(args):
-    g = _read_graph(args)
+def _cmd_strength(g, args):
     sigma, part = strength(g)
     return {"strength": rational_str(sigma), "partition": part.to_json()}
 
 
-def _cmd_psp(args):
-    g = _read_graph(args)
+def _cmd_psp(g, args):
     psp = principal_sequence(g)
     return {
         "components": psp.p0.to_json(),
@@ -113,8 +111,7 @@ def _cmd_psp(args):
     }
 
 
-def _cmd_pack(args):
-    g = _read_graph(args)
+def _cmd_pack(g, args):
     if args.exact:
         packing = exact_pack(g)
     else:
@@ -123,8 +120,7 @@ def _cmd_pack(args):
     return _packing_json(packing)
 
 
-def _cmd_lp(args):
-    g = _read_graph(args)
+def _cmd_lp(g, args):
     psp = principal_sequence(g)
     k = args.k
     primal = lp_primal(psp, k)
@@ -160,8 +156,7 @@ class CertificateFailure(Exception):
         self.payload = payload
 
 
-def _cmd_solve(args):
-    g = _read_graph(args)
+def _cmd_solve(g, args):
     mode = "approx" if args.eps else "exact"
     eps = _rational(args.eps, None)
     cut, report = min_kcut(g, args.k, mode=mode, eps=eps)
@@ -178,8 +173,7 @@ def _cmd_solve(args):
     return out
 
 
-def _cmd_enumerate(args):
-    g = _read_graph(args)
+def _cmd_enumerate(g, args):
     alpha = _rational(args.alpha, Fraction(1))
     report = enumerate_approx_kcuts(g, args.k, alpha)
     return {
@@ -193,10 +187,8 @@ def _cmd_enumerate(args):
     }
 
 
-def _cmd_round(args):
-    g = _read_graph(args)
-    psp = principal_sequence(g)
-    primal = lp_primal(psp, args.k)
+def _cmd_round(g, args):
+    primal = lp_primal(principal_sequence(g), args.k)
     result = round_lp(g, primal)
     return {
         "k": args.k,
@@ -207,16 +199,14 @@ def _cmd_round(args):
     }
 
 
-def _cmd_approx(args):
-    g = _read_graph(args)
+def _cmd_approx(g, args):
     psp = principal_sequence(g)
     cut = ravi_sinha_cut(g, psp, args.k)
     lp, _ = lagrangean_value(psp, args.k)
     return {"k": args.k, "lp_value": rational_str(lp), "cut": _cut_json(cut)}
 
 
-def _cmd_mincut(args):
-    g = _read_graph(args)
+def _cmd_mincut(g, args):
     eps = _rational(args.eps, Fraction(1, 6))
     cut, witness, packing = global_mincut_detail(g, eps)
     crossing = crossing_edges(g, cut.partition.block_of(g.n))
@@ -227,8 +217,7 @@ def _cmd_mincut(args):
     return out
 
 
-def _cmd_oracle(args):
-    g = _read_graph(args)
+def _cmd_oracle(g, args):
     limits = OracleLimits(args.max_partitions, args.max_trees)
     which = args.what
     if which == "strength":
@@ -251,8 +240,7 @@ def _cmd_oracle(args):
     return {"k": args.k, "lp_value": rational_str(oracle_lp_value(g, args.k, limits))}
 
 
-def _cmd_verify(args):
-    g = _read_graph(args)
+def _cmd_verify(g, args):
     ks = range(2, min(g.n, args.kmax) + 1) if args.kmax is not None else None
     rows = run_verification(g, ks)
     failed = [r for r in rows if r.status == "fail"]
@@ -350,7 +338,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        out = args.fn(args)
+        out = args.fn(_read_graph(args), args)
     except CertificateFailure as exc:
         sys.stdout.write(_emit(exc.payload, args.output) + "\n")
         print("error: certificate failure", file=sys.stderr)

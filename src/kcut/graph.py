@@ -16,8 +16,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_EXPONENT = 1000  # Fraction("1e<x>") builds 10**|x|: 13.7 s at x = 10**7
 MAX_DIGITS = 2000  # half the 4300 digits Python prints: room for sums and ratios
+# A cut value, strength or PSP value is a sum of capacities over a count of at
+# most n: numerator at most c(E)·L, denominator n·L, for L the lcm of the
+# capacity denominators.  Bounding both leaves 300 of Python's 4300 digits for n.
+MAX_GRAPH_DIGITS = 4000
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 _TOO_LONG = 10**MAX_DIGITS
+_GRAPH_TOO_LONG = 10**MAX_GRAPH_DIGITS
 
 
 def to_fraction(text: str) -> Fraction:
@@ -247,6 +252,7 @@ def parse_graph(text) -> Graph:
     n = -1
     m_declared = -1
     edges: list[Edge] = []
+    scale, total = 1, 0  # L and c(E)·L over the edges so far
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -284,6 +290,15 @@ def parse_graph(text) -> Graph:
                 raise ParseError(line_no, str(exc)) from None
             if len(edges) >= m_declared:
                 raise ParseError(line_no, f"more than {m_declared} edges")
+            if cap.denominator == 1 == scale:  # integers within MAX_DIGITS never reach the bound
+                total += cap.numerator
+            else:
+                grown = lcm(scale, cap.denominator)
+                total = total * (grown // scale) + cap.numerator * (grown // cap.denominator)
+                scale = grown
+                if scale >= _GRAPH_TOO_LONG or total >= _GRAPH_TOO_LONG:
+                    why = f"capacities' common denominator or scaled sum beyond {MAX_GRAPH_DIGITS} digits"
+                    raise ParseError(line_no, why)
             a, b = min(u, v) - 1, max(u, v) - 1
             edges.append(Edge(a, b, cap))
         else:

@@ -21,9 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .graph import Graph, check_k, component_blocks, contract_partition
-from .packing import (
-    SaturationError, TreePacking, exact_pack, min_spanning_forest, saturating_pack,
-)
+from .packing import SaturationError, TreePacking, _column_generation, min_spanning_forest, saturating_pack
 from .strength import PrincipalSequence, principal_sequence
 
 
@@ -171,7 +169,8 @@ def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2,
     Lazy mode carries only the per-level marginals (enough for objective and
     feasibility checks); ``explicit=True`` materializes a basic optimal
     packing of value lambda_j against c+z by column generation, needed for
-    complementary slackness and cut enumeration.
+    complementary slackness and cut enumeration.  Its one certificate is
+    its value against lambda_j of ``psp``: c+z gets no sequence of its own.
     """
     if psp is None:
         psp = principal_sequence(g)
@@ -196,7 +195,7 @@ def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2,
     packing = None
     if explicit:
         caps = [g.edges[i].cap + z[i] for i in range(g.m)]
-        packing = exact_pack(g, caps)
+        packing = _column_generation(g, caps)
         if packing.total_value != lam_j:
             raise AssertionError("explicit dual packing value != lambda_j")
     return DualSolution(k, tuple(z), lam_j, j, objective, h, packing)

@@ -11,14 +11,12 @@ call it too.
   others.  Loads and tree weights are integers on scaled capacities, and
   one exact rational rescale at the end makes the reported loads and value
   rigorous.
-* ``exact_pack``: column generation; one exact rational simplex tableau
-  holds the restricted master and grows by each priced forest, pricing by
-  minimum spanning forest under the master duals, certified on termination
-  against the least component strength, lambda_1 of the working graph's
-  cached principal sequence.  The grown tableau takes the
-  pivots a cold solve of each master from the slack basis would take
-  (``simplex.Tableau.add_column``), so it reaches the same vertex, skipping
-  the part of the path that the new forest does not change.
+* ``exact_pack``: column generation on one exact simplex tableau that
+  grows by each priced forest (``_column_generation``), certified against
+  lambda_1 of the working graph's cached principal sequence.  The column
+  generation certifies nothing itself: ``saturating_pack`` checks
+  saturation and ``lp.lp_dual`` checks lambda_j of the input's sequence,
+  so the dual's c+z graph gets no sequence of its own.
 
 ``saturating_pack`` asks for a packing whose loads meet capacity on every
 edge; it exists exactly when the graph is strength-tight, i.e. the packing
@@ -217,19 +215,16 @@ def _float_cap(cap: Fraction) -> float:
     return f
 
 
-def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
-    """Exact optimal packing by column generation.
-
-    The restricted master (exact simplex) prices maximal forests under its
-    duals; a forest enters while its dual weight is below 1.  The master is
-    one ``Tableau`` over the edge rows, grown by one 0/1 column per forest,
-    the first one included.  Each solve ends at the vertex that a cold solve
-    of the same master from the slack basis reaches, so the packing is the
-    one a fresh master per round would give.  Pricing reads the master's
-    duals as integers over one denominator, and the packing's Fractions are
-    built once, after the last round.  Unless ``certify=False``, the value
-    is certified against the least component strength, lambda_1 of the
-    working graph's cached ``principal_sequence`` (the attack oracle).
+def _column_generation(g: Graph, caps=None) -> TreePacking:
+    """Optimal packing by column generation, uncertified: each caller checks
+    the value it expects.  The restricted master (exact simplex) prices
+    maximal forests under its duals; a forest enters while its dual weight
+    is below 1.  The master is one ``Tableau`` over the edge rows, grown by
+    one 0/1 column per forest, the first one included.  Each solve ends at
+    the vertex that a cold solve of the same master from the slack basis
+    reaches, so the packing is the one a fresh master per round would give.
+    Pricing reads the master's duals as integers over one denominator, and
+    the packing's Fractions are built once, after the last round.
     """
     work, keep, _ = _working_graph(g, caps)
     master = Tableau([[] for _ in range(work.m)], [e.cap for e in work.edges])
@@ -259,17 +254,20 @@ def exact_pack(g: Graph, caps=None, certify: bool = True) -> TreePacking:
             trees.append(tuple(keep[i] for i in forest))
             weights.append(y)
     order = sorted(range(len(trees)), key=lambda i: trees[i])
-    packing = TreePacking(
+    return TreePacking(
         tuple(trees[i] for i in order),
         tuple(weights[i] for i in order),
         {keep[i]: work.edges[i].cap for i in range(work.m)},
     )
-    if certify:
-        expected = principal_sequence(work).levels[0].lam
-        if packing.total_value != expected:
-            raise PackingError(
-                f"packing value {packing.total_value} != strength {expected}"
-            )
+
+
+def exact_pack(g: Graph, caps=None) -> TreePacking:
+    """Exact optimal packing, certified whatever ``caps`` is against the least
+    component strength: lambda_1 of the working graph's cached PSP."""
+    packing = _column_generation(g, caps)
+    expected = principal_sequence(_working_graph(g, caps)[0]).levels[0].lam
+    if packing.total_value != expected:
+        raise PackingError(f"packing value {packing.total_value} != strength {expected}")
     return packing
 
 
@@ -280,9 +278,9 @@ def saturating_pack(g: Graph, caps=None) -> TreePacking:
     equals c(E)/(n - h).  Since the load total of any packing y is
     (n - h) * sum(y), reaching that value forces every edge tight, so the
     column-generation optimum is already saturating.  Every packed forest
-    has n - h edges, so the target is read off the packing.
-    """
-    packing = exact_pack(g, caps, certify=False)
+    has n - h edges, so the target is read off the packing; reaching it is
+    the packing's one certificate."""
+    packing = _column_generation(g, caps)
     target = sum(packing.caps.values()) / len(packing.trees[0])
     if packing.total_value != target:
         raise SaturationError(

@@ -210,6 +210,42 @@ def test_capacity_beyond_the_digit_bound_exit_1(capsys, tmp_path, monkeypatch):
     assert captured.err == "error: line 2: numerator or denominator beyond 2000 digits\n"
 
 
+def _long_denominators(count):
+    """``count`` consecutive odd numbers of 1999 digits: pairwise coprime,
+    so two have an lcm of 3997 digits and three one past 4000."""
+    return [10**1998 + 2 * i + 1 for i in range(count)]
+
+
+def test_graph_beyond_the_digit_bound_exit_1(capsys, tmp_path, monkeypatch):
+    # each capacity is within 2000 digits, but their strength would need
+    # about 8000, past what Python prints: refused while parsing
+    import kcut.cli as cli_mod
+
+    def never(g):
+        raise AssertionError("strength ran on a refused graph")
+
+    monkeypatch.setattr(cli_mod, "strength", never)
+    path = tmp_path / "g.graph"
+    path.write_text("p kcut 2 4\n" + "".join(f"e 1 2 1/{d}\n" for d in _long_denominators(4)))
+    code = main(["strength", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 4: capacities' common denominator or scaled sum beyond 4000 digits\n"
+    )
+
+
+def test_long_integer_capacities_stay_within_the_graph_bound(capsys, tmp_path):
+    caps = [10**1998 + i for i in range(10)]
+    path = tmp_path / "g.graph"
+    path.write_text("p kcut 3 10\n" + "".join(f"e {1 + i % 2} {2 + i % 2} {c}\n" for i, c in enumerate(caps)))
+    code, out = run(capsys, "psp", str(path))
+    assert code == 0
+    level = json.loads(out)["levels"][0]
+    assert level["lambda"] == f"{min(sum(caps[0::2]), sum(caps[1::2]))}/1"
+
+
 @pytest.mark.parametrize("cap", ["1e-400", "1e400"], ids=["underflow", "overflow"])
 @pytest.mark.parametrize(
     "argv",

@@ -1,12 +1,18 @@
 """The library memoizes in one place: ``strength.principal_sequence``.  The
 bench clears only the caches it names (``perfbench/harness.py::CACHED``), so
 a cache anywhere else would carry results over from one bench job to the
-next."""
+next.  A CLI job builds that sequence at most once."""
 
 import ast
+import io
 from pathlib import Path
 
 import kcut
+from kcut.cli import main
+from kcut.strength import principal_sequence
+
+from conftest import full_suite
+from test_psp_pin import _text
 
 CACHES = {"lru_cache", "cache"}
 ALLOWED = {("strength.py", "principal_sequence")}
@@ -43,3 +49,40 @@ def test_only_principal_sequence_is_cached():
     uses = [use for path in modules for use in _cache_uses(path)]
     assert [use for use in uses if use[:2] not in ALLOWED] == []
     assert {use[:2] for use in uses} == ALLOWED
+
+
+def _commands(n):
+    """argv of every CLI command but ``oracle``, with k at 2, 3 and n."""
+    yield ["strength"]
+    yield ["psp"]
+    yield ["pack"]
+    yield ["pack", "--exact"]
+    yield ["mincut"]
+    yield ["verify", "--kmax", "3"]
+    for k in sorted({2, min(3, n), n}):
+        for argv in (["lp"], ["solve"], ["solve", "--eps", f"1/{2 * k}"], ["enumerate"], ["round"], ["approx"]):
+            yield argv + ["--k", str(k)]
+
+
+# one component, of strength 0: only the zero-capacity edge 2-3 joins {1, 2} to {3, 4}
+ZERO_STRENGTH = "p kcut 4 3\ne 1 2 1\ne 2 3 0\ne 3 4 2\n"
+
+
+def test_each_cli_job_builds_one_principal_sequence(capsys, monkeypatch):
+    """Only ``solve`` and ``enumerate`` on a graph with a component of
+    strength 0 build a second sequence: they rescan the graph without its
+    zero-capacity edges.  ``lp`` refuses that graph, after its sequence."""
+    graphs = [(name, _text(g)) for name, g in full_suite()] + [("zero", ZERO_STRENGTH)]
+    over = []
+    for name, text in graphs:
+        n = int(text.split()[2])
+        for argv in _commands(n):
+            principal_sequence.cache_clear()
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            zero = name == "zero"
+            assert main(argv) == (1 if zero and argv[0] == "lp" else 0), (name, argv)
+            capsys.readouterr()
+            allowed = 2 if zero and argv[0] in ("solve", "enumerate") else 1
+            if principal_sequence.cache_info().misses > allowed:
+                over.append((name, " ".join(argv), principal_sequence.cache_info().misses))
+    assert over == []

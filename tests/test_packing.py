@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from kcut import (
 )
 from kcut.simplex import solve_lp
 
-from conftest import TT_BRIDGE, edge_ids_of_partition, full_suite
+from conftest import TT_BRIDGE, TT_TEXT, edge_ids_of_partition, full_suite
 
 F = Fraction
 
@@ -173,6 +174,25 @@ def test_exact_pack_certificate_catches_sabotaged_pricing(c5, monkeypatch):
     monkeypatch.setattr(packing_mod, "min_spanning_forest", broken)
     with pytest.raises(packing_mod.PackingError):
         packing_mod.exact_pack(c5)
+
+
+def test_dual_packing_certificate_catches_sabotaged_pricing(capsys, monkeypatch):
+    """``lp_dual`` calls the uncertified kernel on c + z; its check against
+    lambda_j must still stop a packing that pricing left short."""
+    from kcut.cli import main
+
+    original = packing_mod.min_spanning_forest
+
+    def broken(g, weights):
+        return original(g, [F(1)] * g.m)
+
+    monkeypatch.setattr(packing_mod, "min_spanning_forest", broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO(TT_TEXT))
+    assert main(["lp", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violation: ")
+    assert captured.err.count("\n") == 1
 
 
 # -- one grown master against a cold master per round ------------------------

@@ -29,7 +29,7 @@ from kcut.oracle import enum_partitions, oracle_attack_value
 from kcut.strength import PspLevel, _dilworth_partition
 from kcut.verify import run_verification
 
-from conftest import _random_connected, edge_ids_of_partition, flow_network, full_suite
+from conftest import TT_TEXT, _random_connected, edge_ids_of_partition, flow_network, full_suite
 
 F = Fraction
 
@@ -681,8 +681,7 @@ def test_pack_and_verify_call_no_strength(monkeypatch, tt):
 
 
 def test_lp_k2_attacks_the_whole_graph_once(monkeypatch, capsys):
-    """At k = 2 the dual's graph c + z is g itself, so the packing
-    certificate reads the PSP that ``lp`` already cached."""
+    """At k = 2 the dual's graph c + z is g itself."""
     g = _random_connected(Random(8), 8, 16)
     text = f"p kcut {g.n} {g.m}\n" + "".join(f"e {e.u + 1} {e.v + 1} {e.cap}\n" for e in g.edges)
     principal_sequence.cache_clear()
@@ -691,6 +690,18 @@ def test_lp_k2_attacks_the_whole_graph_once(monkeypatch, capsys):
     assert main(["lp", "--k", "2"]) == 0
     capsys.readouterr()
     assert sum(h.n == g.n for h, _ in calls) == 1
+
+
+def test_lp_k3_attacks_the_whole_graph_once(monkeypatch, capsys):
+    """At k = 3 on TT, z lifts the bridge from 1 to 3/2, so c + z is not g;
+    its packing is certified against lambda_j of g's PSP, and c + z gets no
+    sequence of its own."""
+    principal_sequence.cache_clear()
+    calls = _count_calls(monkeypatch, importlib.import_module("kcut.strength").attack)
+    monkeypatch.setattr("sys.stdin", io.StringIO(TT_TEXT))
+    assert main(["lp", "--k", "3"]) == 0
+    capsys.readouterr()
+    assert sum(h.n == 6 for h, _ in calls) == 1
 
 
 def test_psp_runs_one_search(monkeypatch):

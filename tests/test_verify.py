@@ -4,7 +4,6 @@ import random
 
 import kcut.lp as lp_mod
 import kcut.oracle as oracle_mod
-import kcut.packing as packing_mod
 import kcut.verify as verify_mod
 from kcut.graph import component_blocks
 from kcut.oracle import OracleLimits
@@ -15,18 +14,17 @@ from conftest import _random_connected
 
 
 def _count_certified_packs(monkeypatch):
-    """Count the certified exact_pack column generations; the uncertified
-    ones inside saturating_pack (the psp-ideal-packing row) are left out."""
+    """Count ``lp_dual``'s column generations, patched as ``kcut.lp`` binds
+    the kernel; the ones inside saturating_pack (the psp-ideal-packing row)
+    are left out."""
     calls = []
-    real = packing_mod.exact_pack
+    real = lp_mod._column_generation
 
-    def counting(g, caps=None, certify=True):
-        if certify:
-            calls.append(caps)
-        return real(g, caps, certify)
+    def counting(g, caps=None):
+        calls.append(caps)
+        return real(g, caps)
 
-    monkeypatch.setattr(packing_mod, "exact_pack", counting)
-    monkeypatch.setattr(lp_mod, "exact_pack", counting)
+    monkeypatch.setattr(lp_mod, "_column_generation", counting)
     return calls
 
 
