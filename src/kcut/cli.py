@@ -220,6 +220,8 @@ def _cmd_mincut(g, args):
 def _cmd_oracle(g, args):
     limits = OracleLimits(args.max_partitions, args.max_trees)
     which = args.what
+    if args.k is not None and which in ("strength", "treepack"):
+        raise CliError(f"oracle {which} takes no --k")
     if which == "strength":
         sigma, part = oracle_strength(g, limits)
         return {"strength": rational_str(sigma), "partition": part.to_json()}

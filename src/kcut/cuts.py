@@ -61,7 +61,8 @@ class EnumerationReport(NamedTuple):
     was scanned, in approximate mode the lazy dual whose z set the
     capacities of the scanned MWU packing.  It is None on the k = n
     shortcut, which scans nothing, and on a graph with a component of
-    strength 0, whose LP has no closed-form dual."""
+    strength 0, whose LP has no closed-form dual: there the scan reads its
+    packing off the tail of the graph's own sequence after lambda = 0."""
 
     k: int
     h: int
@@ -247,23 +248,23 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
     k = n scans nothing: the singletons come back with h as given and no
     dual.  When k is at most the number of components the exact packing is
     empty and every optimal cut groups whole components at value 0, so one
-    maximal forest is scanned with no edge removed and h is 0.  When a
-    component has strength 0, g's LP has no closed-form dual; the graph
-    without its zero-capacity edges gives every partition the same value
-    and has only components of positive strength, so it is scanned instead,
-    and no dual comes back.
+    maximal forest of positive edges is scanned with no edge removed and h
+    is 0.  When a component has strength 0, no dual comes back, and the
+    tail of g's sequence after lambda = 0 is scanned: it is the sequence of
+    g less its zero-capacity edges, which gives every partition g's value.
     """
     check_k(g, k)
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" and eps is not None:
+        raise ValueError("eps applies to approximate mode only")
     if k == g.n:
         caps, scale = scaled_capacities(g)
         return {frozenset(1 << v for v in range(g.n)): sum(caps)}, scale, 0, h, None
     psp = principal_sequence(g)
-    if psp.levels and psp.levels[0].lam == 0:
-        positive = Graph(g.n, tuple(e for e in g.edges if e.cap > 0))
-        found, scale, candidates, h, _ = _scan(positive, k, h, mode, eps)
-        return found, scale, candidates, h, None
+    zero = psp.levels and psp.levels[0].lam == 0
+    if zero:  # on g's vertex and edge ids; its p0 is level 1's partition, not g's components
+        psp = PrincipalSequence(g, psp.levels[0].partition, psp.levels[1:])
     dual = lp_dual(g, psp, k, explicit=(mode == "exact"))
     if mode == "approx":
         if eps is None:
@@ -271,18 +272,19 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
         eps = Fraction(eps)
         if not eps < Fraction(1, 2 * k - 1):
             raise ValueError("approximate mode needs eps < 1/(2k-1)")
-    if mode == "approx" and g.m:  # an edgeless graph has nothing to pack
+    if mode == "approx" and psp.levels:  # with no level, no capacity is positive
         caps = [g.edges[i].cap + dual.z[i] for i in range(g.m)]
         trees = mwu_pack(g, caps, PackConfig(epsilon=eps)).support()
         h = max(h, 2 * k - 2)
     elif k <= dual.h:
-        trees, h = [min_spanning_forest(g, [0] * g.m)], 0
+        forest = min_spanning_forest(g, [e.cap == 0 for e in g.edges])  # zero edges last
+        trees, h = [tuple(i for i in forest if g.edges[i].cap)], 0
     else:
         trees, h = dual.packing.support(), max(h, 2 * k - 3)
     found, scale, candidates = _enumerate_over_support(g, trees, h, k)
     if not found:
         raise AssertionError("enumeration found no k-cut")
-    return found, scale, candidates, h, dual
+    return found, scale, candidates, h, None if zero else dual
 
 
 def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None):
@@ -290,8 +292,9 @@ def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None):
 
     Pipeline: principal sequence -> closed-form dual z -> packing in c+z
     (exact column generation, or multiplicative weights with
-    eps < 1/(2k-1)) -> scan every support tree for cuts crossing it at most
-    h times (h = 2k-3 exact, 2k-2 approximate) -> deduplicate and minimize.
+    eps < 1/(2k-1), the one mode that takes an eps) -> scan every support
+    tree for cuts crossing it at most h times (h = 2k-3 exact, 2k-2
+    approximate) -> deduplicate and minimize.
     Both modes are guaranteed to contain every optimal k-cut.  When k is
     at most the number of components the minimum is 0 and the minimizers
     are the groupings of whole components into at least k parts.  In exact

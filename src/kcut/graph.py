@@ -10,6 +10,7 @@ Parallel edges are permitted, self-loops are not.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -59,9 +60,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def rational_str(value) -> str:
-    """Canonical "p/q" rendering, denominator always present ("5" -> "5/1")."""
+    """Canonical "p/q" rendering, denominator always present ("5" -> "5/1").
+    A numerator or denominator past Python's int-to-string limit raises a
+    ``ValueError`` that names the limit."""
     f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a result's numerator or denominator passes the {limit}-digit print limit") from None
 
 
 class ParseError(ValueError):

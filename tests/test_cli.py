@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 
 import pytest
 
@@ -392,6 +394,15 @@ def test_oracle_subcommands(capsys, tt_file):
     assert code == 0 and json.loads(out)["lp_value"] == "5/2"
 
 
+@pytest.mark.parametrize("which", ["strength", "treepack"])
+def test_oracle_without_k_refuses_k(capsys, tt_file, which):
+    code = main(["oracle", which, tt_file, "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: oracle {which} takes no --k\n"
+
+
 def test_oracle_limit_exit_code(capsys, tmp_path):
     lines = ["p kcut 13 12"] + [f"e {i} {i+1} 1" for i in range(1, 13)]
     path = tmp_path / "big.graph"
@@ -589,3 +600,24 @@ def test_strength_exit_2_on_label_sum_failure(capsys, tt_file, monkeypatch):
     assert len(lines) == 1 and "Traceback" not in captured.err
     assert lines[0].startswith("internal invariant violation: ")
     assert lines[0].endswith("label sum")
+
+
+def test_lp_values_past_the_print_limit_end_in_one_line(capsys, tmp_path):
+    # 800-digit numerators and denominators pass the parse bounds, but z
+    # gets numerators of 4,797 digits, past the limit of int-to-string
+    rng = random.Random(1)
+    lines = ["p kcut 3 5"]
+    for u, v in [(1, 2), (2, 3), (1, 3), (1, 2), (2, 3)]:
+        a = rng.randrange(10**799, 10**800)
+        b = rng.randrange(10**799, 10**800)
+        lines.append(f"e {u} {v} {a}/{b}")
+    path = tmp_path / "long.graph"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["lp", "--k", "3", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == (
+        f"error: a result's numerator or denominator passes the {limit}-digit print limit\n"
+    )

@@ -4,10 +4,14 @@ Each pin is the SHA-256 of ``k=K exit=E`` followed by the command's stdout,
 for K = 2..n in order.  ``approx`` and ``round`` are pinned on the fixtures
 and on the ladder graphs of ``test_psp_pin``; ``lp`` runs one column
 generation per k, so it is pinned on the fixtures only.
+
+The k-cut scan on graphs with a zero-capacity cut has one pin of its own,
+over exact and approximate ``solve --all`` and ``enumerate`` for every k.
 """
 
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -62,3 +66,46 @@ def test_cli_output_pinned_for_every_k(name, command, capsys, monkeypatch):
         code = main([command, "--k", str(k)])
         digest.update(f"k={k} exit={code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == CLI_SHA256[name, command]
+
+
+def _zero_cut_graphs(count=24, seed=20261019):
+    """Seeded multigraphs, n = 3..7, whose vertices fall into up to three
+    clusters.  Edges inside a cluster have capacity 0 to 3 or 3/2, a few of
+    them 0; edges between clusters, when there are any, have capacity 0.
+    Every other graph leaves vertex n isolated.  So each graph has a cut of
+    capacity 0, and most have several components or one of strength 0."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(3, 7)
+        live = n - 1 if i % 2 else n
+        clusters = rng.randint(2, 3)
+        cluster = [rng.randrange(clusters) for _ in range(live)]
+        lines = []
+        for _ in range(rng.randint(live, 2 * live)):
+            u, v = rng.sample(range(live), 2)
+            if cluster[u] == cluster[v]:
+                cap = rng.choice(["0", "1", "1", "2", "3", "3/2"])
+            else:
+                cap = "0"
+            lines.append(f"e {u + 1} {v + 1} {cap}\n")
+        yield f"p kcut {n} {len(lines)}\n" + "".join(lines)
+
+
+ZERO_CUT_SHA256 = "cc2be21d3c2fae13d52a496330f1b22af2e6c698459b08cf3838dc424115fc90"
+
+
+def test_kcut_output_pinned_on_zero_capacity_cuts(capsys, monkeypatch):
+    """Each run adds its argv, exit code, stdout and stderr to one digest."""
+    digest = hashlib.sha256()
+    for text in _zero_cut_graphs():
+        for k in range(2, parse_graph(text).n + 1):
+            for argv in (
+                ["solve", "--k", str(k), "--all"],
+                ["solve", "--k", str(k), "--eps", f"1/{2 * k}", "--all"],
+                ["enumerate", "--k", str(k), "--alpha", "3/2"],
+            ):
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                code = main(argv)
+                out, err = capsys.readouterr()
+                digest.update(f"{' '.join(argv)} exit={code}\n{out}{err}".encode())
+    assert digest.hexdigest() == ZERO_CUT_SHA256

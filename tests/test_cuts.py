@@ -109,6 +109,8 @@ def test_min_kcut_approx_mode():
 def test_min_kcut_approx_eps_validation(c5):
     with pytest.raises(ValueError):
         min_kcut(c5, 3, mode="approx", eps=F(1, 4))  # needs < 1/5
+    with pytest.raises(ValueError, match="approximate mode only"):
+        min_kcut(c5, 3, eps=F(1, 6))  # exact mode takes no eps
 
 
 def test_optimal_cut_respect_witnesses():
