@@ -98,9 +98,6 @@ class Graph(NamedTuple):
     def m(self) -> int:
         return len(self.edges)
 
-    def total_capacity(self) -> Fraction:
-        return sum((e.cap for e in self.edges), Fraction(0))
-
     def neighbors(self) -> list[list[tuple[int, int]]]:
         """Adjacency list of (neighbor, edge id) pairs."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
@@ -175,11 +172,16 @@ def scaled_capacities(g: Graph) -> tuple[list[int], int]:
 
 
 def partition_from_blocks(g: Graph, blocks: Iterable[Iterable[int]]) -> VertexPartition:
+    return _scaled_partition(g, blocks, *scaled_capacities(g))
+
+
+def _scaled_partition(g: Graph, blocks, caps: Sequence[int], scale: int) -> VertexPartition:
+    """``partition_from_blocks`` on the caller's ``scaled_capacities(g)``:
+    the crossing value is one int sum over ``caps``, divided by ``scale``."""
     parts = canonical_parts(blocks)
     _check_partition(g, parts)
     block = _block_map(g.n, parts)
-    value = sum((g.edges[i].cap for i in crossing_edges(g, block)), Fraction(0))
-    return VertexPartition(parts, value)
+    return VertexPartition(parts, Fraction(sum([caps[i] for i in crossing_edges(g, block)]), scale))
 
 
 def partition_sort_key(p: VertexPartition):

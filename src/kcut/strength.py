@@ -28,7 +28,8 @@ The strength and the principal sequence come from one search over the
 breakpoints of g (``_splits``), one attack per step on a piece contracted
 by the blocks of a finer optimal partition.  The critical values of the
 sequence are the breakpoints of g, so ``breakpoints`` reads them off the
-cached sequence.
+cached sequence.  Capacities are scaled to ints once per search, shared by
+the sweep and its certificate, so every capacity sum is an int sum.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .graph import (
     Graph,
     VertexPartition,
     _block_map,
+    _scaled_partition,
     canonical_parts,
     check_connected,
     component_blocks,
@@ -107,7 +109,7 @@ class PrincipalSequence(NamedTuple):
         return self.p0.part_count if j == 0 else self.levels[j - 1].kappa
 
 
-def _dilworth_partition(g: Graph, b: Fraction):
+def _dilworth_partition(g: Graph, b: Fraction, scaled=None):
     """One Dilworth-truncation sweep minimizing sum_S (-c(E[S]) - b) over
     partitions; returns the blocks of the finest minimizer and the attack
     value c(E) + b + x(V) from the greedy labels x.
@@ -133,11 +135,12 @@ def _dilworth_partition(g: Graph, b: Fraction):
     constant sums min(p_B, 0)), and one undirected arc per pair of blocks
     carries their summed half-capacities.
 
-    Every quantity of the sweep is scaled once by S = 2·lcm(L, den b), with
-    L the lcm of the capacity denominators: half-capacities c/2, b, the
-    half-degrees, potentials, greedy labels and flows are then Python ints,
-    and so is the label sum c(E)·S + b·S + x(V).  Minimum cuts are
-    unchanged by the scaling, and only they reach the blocks.
+    Every quantity of the sweep is scaled by S = 2·lcm(L, den b), with L the
+    lcm of the capacity denominators, from ``scaled = scaled_capacities(g)``,
+    made once per search, shared by the sweep and its certificate.
+    Half-capacities c/2, b, the half-degrees, potentials, greedy labels and
+    flows are then Python ints, and so is the label sum c(E)·S + b·S + x(V).
+    Minimum cuts are unchanged by the scaling, and only they reach the blocks.
 
     A block is named by the step that made it, so names grow along the
     block order.  Each block keeps its members, its half-degree sum, its
@@ -150,7 +153,7 @@ def _dilworth_partition(g: Graph, b: Fraction):
     paths the max-flow augments, not its value or its smallest minimum cut.
     """
     n = g.n
-    caps, cap_scale = scaled_capacities(g)
+    caps, cap_scale = scaled or scaled_capacities(g)
     scale = 2 * lcm(cap_scale, b.denominator)  # S
     half = [c * (scale // (2 * cap_scale)) for c in caps]  # c(e)/2·S
     b_s = b.numerator * (scale // b.denominator)  # b·S
@@ -232,8 +235,9 @@ def attack(g: Graph, b) -> AttackResult:
         raise ValueError("attack parameter must be nonnegative")
     if g.n == 0:
         raise ValueError("empty graph")
-    blocks, label_value = _dilworth_partition(g, b)
-    fine = partition_from_blocks(g, blocks)
+    scaled = scaled_capacities(g)
+    blocks, label_value = _dilworth_partition(g, b, scaled)
+    fine = _scaled_partition(g, blocks, *scaled)
     value = fine.crossing_value - b * (fine.part_count - 1)
     if value != label_value:
         raise AssertionError("finest argmin disagrees with the sweep's label sum")
@@ -263,7 +267,7 @@ def breakpoints(g: Graph) -> tuple[Breakpoint, ...]:
     return tuple(found)
 
 
-def _splits(g: Graph, pieces):
+def _splits(g: Graph, pieces, scaled):
     """Yield (lambda, blocks) for every split of the principal sequence
     inside ``pieces``, parts of a partition of g as ascending vertex lists:
     ``blocks`` is the finest minimum-strength partition of their union, a
@@ -278,21 +282,26 @@ def _splits(g: Graph, pieces):
     on with (piece, Q) for the breakpoints up to b, then with each part q
     of Q against R's blocks inside q, since above b the attack splits over
     Q's parts.  Every state has fewer blocks than the one it came from.
+    ``scaled`` is ``scaled_capacities(g)``: c(R) is an int sum over it.
     """
+    caps, scale = scaled
     stack = [[[v] for v in piece] for piece in reversed(pieces) if len(piece) > 1]
     while stack:
         blocks = stack.pop()
         if len(blocks) == g.n:  # the singletons of a connected g
             quotient = g
+            c_r = sum(caps)
         else:
             block = _block_map(g.n, blocks)
             edges = []
-            for e in g.edges:
+            c_r = 0
+            for e, c in zip(g.edges, caps):
                 bu, bv = block[e.u], block[e.v]
                 if bu != bv and bu >= 0 and bv >= 0:
                     edges.append(Edge(min(bu, bv), max(bu, bv), e.cap))
+                    c_r += c
             quotient = Graph(len(blocks), tuple(edges))
-        b = quotient.total_capacity() / (len(blocks) - 1)
+        b = Fraction(c_r, scale * (len(blocks) - 1))
         res = attack(quotient, b)
         if res.value == 0:
             yield b, blocks
@@ -310,7 +319,7 @@ def strength(g: Graph):
     which is the finest optimal attack partition at b = strength.
     """
     check_connected(g, "strength")
-    lam, blocks = next(_splits(g, [range(g.n)]))
+    lam, blocks = next(_splits(g, [range(g.n)], scaled_capacities(g)))
     # R's line c(R) - b(|R| - 1) meets the line of {V} at b = lambda
     return lam, VertexPartition(canonical_parts(blocks), lam * (len(blocks) - 1))
 
@@ -325,9 +334,10 @@ def principal_sequence(g: Graph) -> PrincipalSequence:
     singletons.  Disconnected graphs are supported; level 0 is the component
     partition.
     """
-    p0 = partition_from_blocks(g, component_blocks(g))
+    scaled = scaled_capacities(g)
+    p0 = _scaled_partition(g, component_blocks(g), *scaled)
     splits: dict[Fraction, list[list[list[int]]]] = {}
-    for lam, blocks in _splits(g, p0.parts):
+    for lam, blocks in _splits(g, p0.parts, scaled):
         splits.setdefault(lam, []).append(blocks)
     levels: list[PspLevel] = []
     current = set(p0.parts)
@@ -339,7 +349,7 @@ def principal_sequence(g: Graph) -> PrincipalSequence:
             pieces.append(piece)
             current.remove(piece)
             current.update(tuple(blk) for blk in blocks)
-        partition = partition_from_blocks(g, current)
+        partition = _scaled_partition(g, current, *scaled)
         a_now = set(crossing_edges(g, partition.block_of(g.n)))
         levels.append(
             PspLevel(

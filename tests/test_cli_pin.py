@@ -7,6 +7,8 @@ generation per k, so it is pinned on the fixtures only.
 
 The k-cut scan on graphs with a zero-capacity cut has one pin of its own,
 over exact and approximate ``solve --all`` and ``enumerate`` for every k.
+So do ``psp``, ``strength`` and ``lp --k 3`` on multigraphs with decimal,
+``a/b`` and zero capacities.
 """
 
 import hashlib
@@ -109,3 +111,55 @@ def test_kcut_output_pinned_on_zero_capacity_cuts(capsys, monkeypatch):
                 out, err = capsys.readouterr()
                 digest.update(f"{' '.join(argv)} exit={code}\n{out}{err}".encode())
     assert digest.hexdigest() == ZERO_CUT_SHA256
+
+
+def _rational_graphs(count=30, seed=2707):
+    """Seeded multigraphs, n = 2..12: a random spanning tree on each of one
+    to three groups of vertices plus up to 2n more edges inside the groups.
+    Every third graph leaves vertex n isolated.  Capacities mix integers,
+    decimals and ``a/b`` with denominators from 2 to 999983, and some are 0;
+    one pair in four gets two parallel edges."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 12)
+        live = n - 1 if i % 3 == 2 and n > 2 else n
+        groups = min(rng.choice([1, 1, 2, 3]), live)
+        group = [v % groups for v in range(live)]
+        pairs = []
+        for v in range(groups, live):
+            pairs.append((rng.randrange(group[v], v, groups), v))
+        for _ in range(rng.randint(0, 2 * live)):
+            u, v = rng.sample(range(live), 2)
+            if group[u] == group[v]:
+                pairs.append((u, v))
+        lines = []
+        for u, v in pairs:
+            for _ in range(2 if rng.random() < 0.25 else 1):
+                kind = rng.randrange(5)
+                if kind == 0:
+                    cap = "0"
+                elif kind == 1:
+                    cap = str(rng.randint(1, 9))
+                elif kind == 2:
+                    cap = f"{rng.randint(0, 9)}.{rng.randint(1, 999):03d}"
+                else:
+                    den = rng.choice([2, 3, 7, 12, 60, 1001, 999983])
+                    cap = f"{rng.randint(1, 3 * den)}/{den}"
+                lines.append(f"e {u + 1} {v + 1} {cap}\n")
+        yield f"p kcut {n} {len(lines)}\n" + "".join(lines)
+
+
+RATIONAL_SHA256 = "0725b1d7fb6b4a30c6f4889326c3b1a29442061e1e66576a1f26d6be02b42a76"
+
+
+def test_psp_strength_lp_pinned_on_rational_capacities(capsys, monkeypatch):
+    """``psp``, ``strength`` and ``lp --k 3`` on rational multigraphs; each
+    run adds its argv, exit code, stdout and stderr to one digest."""
+    digest = hashlib.sha256()
+    for text in _rational_graphs():
+        for argv in (["psp"], ["strength"], ["lp", "--k", "3"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code = main(argv)
+            out, err = capsys.readouterr()
+            digest.update(f"{' '.join(argv)} exit={code}\n{out}{err}".encode())
+    assert digest.hexdigest() == RATIONAL_SHA256

@@ -24,7 +24,15 @@ from kcut import (
 )
 from kcut.cli import main
 from kcut.flow import FlowNetwork
-from kcut.graph import component_blocks, induced_subgraph, partition_from_blocks, scaled_capacities
+from kcut.graph import (
+    _block_map,
+    canonical_parts,
+    component_blocks,
+    induced_subgraph,
+    partition_from_blocks,
+    scaled_capacities,
+    set_partitions,
+)
 from kcut.oracle import enum_partitions, oracle_attack_value
 from kcut.strength import PspLevel, _dilworth_partition
 from kcut.verify import run_verification
@@ -421,7 +429,7 @@ def _reference_sweep(g, b):
             else:
                 rest.append(blk)
         fine = rest + [merged]
-    return fine, g.total_capacity() + b + F(sum(x), scale)
+    return fine, sum((e.cap for e in g.edges), F(0)) + b + F(sum(x), scale)
 
 
 @st.composite
@@ -553,7 +561,7 @@ def _reference_strength(g):
     """The strength by Dinkelbach's ratio iteration, as it stood before the
     split search: attack g at the line of the last finest argmin, starting
     from the singletons, until the value is 0."""
-    cval, parts = g.total_capacity(), g.n
+    cval, parts = sum((e.cap for e in g.edges), F(0)), g.n
     for _ in range(4 * g.n + 8):
         b = cval / F(parts - 1)
         res = attack(g, b)
@@ -752,3 +760,72 @@ def test_one_residual_search_per_max_flow(monkeypatch):
     principal_sequence(_random_connected(Random(20), 20, 40))
     assert calls["max_flow"] > 0
     assert calls["residual_reachable"] == calls["max_flow"]
+
+
+# -- the integer route against edge-by-edge Fraction sums ------------------------
+
+
+def _fraction_crossing(g, parts):
+    """c(E(P)), summed edge by edge in Fractions."""
+    block = _block_map(g.n, parts)
+    return sum((e.cap for e in g.edges if block[e.u] != block[e.v]), F(0))
+
+
+def _reference_attack(crossing, b):
+    """(value, finest argmin) of min c(E(P)) - b(|P| - 1) over the partitions
+    in ``crossing``, a map from parts to Fraction crossing values: the finest
+    optimum has the most parts of all optima."""
+    value, _, parts = min((cv - b * (len(parts) - 1), -len(parts), parts) for parts, cv in crossing.items())
+    return value, parts
+
+
+@st.composite
+def _rational_multigraphs(draw):
+    """Multigraphs on up to 7 vertices with capacities a/b, b up to 10**6,
+    some of them 0; parallels are allowed, and sparse draws are disconnected."""
+    n = draw(st.integers(1, 7))
+    caps = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=10, max_denominator=10**6))
+    edges = []
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        for u, v in draw(st.lists(pairs, max_size=14)):
+            edges.append(Edge(min(u, v), max(u, v), draw(caps)))
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_rational_multigraphs())
+def test_integer_route_matches_fraction_sums_property(g):
+    """Every level's crossing value, and ``attack``'s value and finest
+    argmin at every critical value and 1/7 either side, equal those of
+    Fraction sums over all partitions."""
+    crossing = {
+        canonical_parts(blocks): _fraction_crossing(g, blocks) for blocks in set_partitions(list(range(g.n)))
+    }
+    psp = principal_sequence(g)
+    for partition in (psp.p0, *(level.partition for level in psp.levels)):
+        assert partition.crossing_value == crossing[partition.parts]
+    bs = set()
+    for lam in psp.lambdas():
+        bs |= {lam, lam - F(1, 7), lam + F(1, 7)}
+    for b in sorted(b for b in bs if b >= 0):
+        res = attack(g, b)
+        assert (res.value, res.argmin_max_parts.parts) == _reference_attack(crossing, b), b
+        assert res.argmin_max_parts.crossing_value == crossing[res.argmin_max_parts.parts]
+
+
+def test_psp_adds_no_fractions(monkeypatch):
+    """The sequence's searches, attacks, certificates and level partitions
+    sum capacities as ints scaled once per search: no Fraction is added."""
+    g = _random_connected(Random(40), 40, 80)
+    calls = []
+
+    def counted(a, b, _real=Fraction.__add__):
+        calls.append(b)
+        return _real(a, b)
+
+    principal_sequence.cache_clear()
+    monkeypatch.setattr(Fraction, "__add__", counted)
+    principal_sequence(g)
+    monkeypatch.undo()
+    assert len(calls) == 0
