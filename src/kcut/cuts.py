@@ -238,12 +238,13 @@ def _enumerate_over_support(g: Graph, trees, h: int, k: int):
     return found, scale, candidates
 
 
-def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
+def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None, dual=None):
     """The scan behind ``min_kcut`` and ``enumerate_approx_kcuts``: every
     cut crossing a support tree of the packing in c+z at most h times, h
     raised to the mode's completeness bound (2k-3 exact, 2k-2 approximate).
     Returns ({part masks: value}, scale, candidates examined, h, dual),
-    each value an integer in the scale.
+    each value an integer in the scale.  A ``dual`` given by the caller is
+    scanned instead of one built here.
 
     k = n scans nothing: the singletons come back with h as given and no
     dual.  When k is at most the number of components the exact packing is
@@ -265,7 +266,8 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
     zero = psp.levels and psp.levels[0].lam == 0
     if zero:  # on g's vertex and edge ids; its p0 is level 1's partition, not g's components
         psp = PrincipalSequence(g, psp.levels[0].partition, psp.levels[1:])
-    dual = lp_dual(g, psp, k, explicit=(mode == "exact"))
+    if dual is None:
+        dual = lp_dual(g, psp, k, explicit=(mode == "exact"))
     if mode == "approx":
         if eps is None:
             eps = Fraction(1, 2 * k)
@@ -287,7 +289,7 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None):
     return found, scale, candidates, h, None if zero else dual
 
 
-def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None):
+def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None, dual=None):
     """Minimum k-cut with full enumeration of the optimal partitions.
 
     Pipeline: principal sequence -> closed-form dual z -> packing in c+z
@@ -299,9 +301,12 @@ def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None):
     at most the number of components the minimum is 0 and the minimizers
     are the groupings of whole components into at least k parts.  In exact
     mode ``report.dual`` is the optimal dual whose packing was scanned, so
-    a caller can certify it without a second column generation.
+    a caller can certify it without a second column generation.  A caller
+    that already holds ``lp_dual(g, k=k, explicit=True)``, or the same
+    dual with the packing of another k at its PSP level, passes it as
+    ``dual`` and no column generation runs.
     """
-    found, scale, candidates, h, dual = _scan(g, k, 0, mode, eps)
+    found, scale, candidates, h, dual = _scan(g, k, 0, mode, eps, dual)
     best = min(found.values())
     value = Fraction(best, scale)
     minimizers = [

@@ -262,6 +262,7 @@ def parse_graph(text) -> Graph:
     m_declared = -1
     edges: list[Edge] = []
     scale, total = 1, 0  # L and c(E)·L over the edges so far
+    parsed: dict[str, Fraction] = {}  # each distinct capacity text, parsed once
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -293,10 +294,12 @@ def parse_graph(text) -> Graph:
                 raise ParseError(line_no, f"vertex id out of range 1..{n}: {line!r}")
             if u == v:
                 raise ParseError(line_no, f"self-loop not allowed: {line!r}")
-            try:
-                cap = parse_rational(fields[3])
-            except ValueError as exc:
-                raise ParseError(line_no, str(exc)) from None
+            cap = parsed.get(fields[3])
+            if cap is None:
+                try:
+                    cap = parsed[fields[3]] = parse_rational(fields[3])
+                except ValueError as exc:
+                    raise ParseError(line_no, str(exc)) from None
             if len(edges) >= m_declared:
                 raise ParseError(line_no, f"more than {m_declared} edges")
             if cap.denominator == 1 == scale:  # integers within MAX_DIGITS never reach the bound

@@ -287,6 +287,9 @@ class ForestLP:
     then added, and each k re-optimises the packing dual of the k-cut
     relaxation, max (k-h) sum y_T - sum z_e with per-edge load at most
     c + z, from the last optimal basis: only the objective changes with k.
+    The tableau keeps the forests as columns apart from its m + 1 wide rows
+    of B^-1, so a pivot costs the same however many forests there are; only
+    the pricing scan reads them.
     """
 
     def __init__(self, g: Graph, limits: OracleLimits = DEFAULT_LIMITS):

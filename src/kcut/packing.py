@@ -220,11 +220,13 @@ def _column_generation(g: Graph, caps=None) -> TreePacking:
     the value it expects.  The restricted master (exact simplex) prices
     maximal forests under its duals; a forest enters while its dual weight
     is below 1.  The master is one ``Tableau`` over the edge rows, grown by
-    one 0/1 column per forest, the first one included.  Each solve ends at
-    the vertex that a cold solve of the same master from the slack basis
-    reaches, so the packing is the one a fresh master per round would give.
-    Pricing reads the master's duals as integers over one denominator, and
-    the packing's Fractions are built once, after the last round.
+    one 0/1 column per forest, the first one included.  Adding a forest
+    touches no row of the tableau, which holds only B^-1 and prices the
+    forests on demand.  Each solve ends at the vertex that a cold solve of
+    the same master from the slack basis reaches, so the packing is the one
+    a fresh master per round would give.  Pricing reads the master's duals
+    as integers over one denominator, and the packing's Fractions are built
+    once, after the last round.
     """
     work, keep, _ = _working_graph(g, caps)
     master = Tableau([[] for _ in range(work.m)], [e.cap for e in work.edges])

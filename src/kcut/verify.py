@@ -66,13 +66,18 @@ def _skip(rows, name, why, certificate=False):
     rows.append(CheckRow(name, "skip", why, certificate))
 
 
-def _kcut_and_dual(g: Graph, psp, k: int):
-    """min_kcut's optimal cut and report, and the explicit dual it scanned;
-    only at k = n, where min_kcut scans nothing, is the dual built here."""
-    best, report = min_kcut(g, k)
-    dual = report.dual
-    if dual is None:
+def _kcut_and_dual(g: Graph, psp, k: int, packings: dict):
+    """min_kcut's optimal cut and report, and the explicit dual it scanned.
+    z, and so the packing in c+z, depend only on k's PSP level j, so
+    ``packings`` keeps one packing per level: each level's column
+    generation runs once, and k = n reuses the last level's."""
+    j = psp.level_for_k(k)
+    if j in packings:
+        dual = lp_dual(g, psp, k)._replace(packing=packings[j])
+    else:
         dual = lp_dual(g, psp, k, explicit=True)
+        packings[j] = dual.packing
+    best, report = min_kcut(g, k, dual=dual)
     return best, report, dual
 
 
@@ -94,7 +99,8 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
     else:
         # At k = 2 the dual has z = 0, so its packing is an optimal packing
         # of g itself; it serves the min-max and 2-respect rows as well.
-        k2cut, k2report, k2dual = _kcut_and_dual(g, psp, 2)
+        packings = {}  # PSP level -> the explicit dual's packing in c+z
+        k2cut, k2report, k2dual = _kcut_and_dual(g, psp, 2, packings)
         pack = k2dual.packing
         _row(
             rows,
@@ -153,7 +159,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         if k == 2:
             best, report, dual = k2cut, k2report, k2dual
         else:
-            best, report, dual = _kcut_and_dual(g, psp, k)
+            best, report, dual = _kcut_and_dual(g, psp, k, packings)
         lag, lag_b = lagrangean_value(psp, k)
         _row(
             rows,

@@ -8,7 +8,8 @@ generation per k, so it is pinned on the fixtures only.
 The k-cut scan on graphs with a zero-capacity cut has one pin of its own,
 over exact and approximate ``solve --all`` and ``enumerate`` for every k.
 So do ``psp``, ``strength`` and ``lp --k 3`` on multigraphs with decimal,
-``a/b`` and zero capacities.
+``a/b`` and zero capacities, and the exact LP commands (``pack --exact``,
+``lp``, ``oracle`` and ``verify``) on the same graphs.
 """
 
 import hashlib
@@ -163,3 +164,24 @@ def test_psp_strength_lp_pinned_on_rational_capacities(capsys, monkeypatch):
             out, err = capsys.readouterr()
             digest.update(f"{' '.join(argv)} exit={code}\n{out}{err}".encode())
     assert digest.hexdigest() == RATIONAL_SHA256
+
+
+LP_RATIONAL_SHA256 = "0709129b37defb4f5f9177445a5bdd7a562c96e106bad118bed69b42355fca26"
+
+
+def test_lp_outputs_pinned_on_rational_capacities(capsys, monkeypatch):
+    """The exact simplex behind ``pack --exact``, ``lp --k 2`` and ``oracle
+    treepack`` on every rational multigraph, and behind ``oracle lp --k 3``
+    and ``verify --kmax 3`` on those with n <= 7; each run adds its argv,
+    exit code, stdout and stderr to one digest."""
+    digest = hashlib.sha256()
+    for text in _rational_graphs():
+        runs = [["pack", "--exact"], ["lp", "--k", "2"], ["oracle", "treepack"]]
+        if parse_graph(text).n <= 7:
+            runs += [["oracle", "lp", "--k", "3"], ["verify", "--kmax", "3"]]
+        for argv in runs:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code = main(argv)
+            out, err = capsys.readouterr()
+            digest.update(f"{' '.join(argv)} exit={code}\n{out}{err}".encode())
+    assert digest.hexdigest() == LP_RATIONAL_SHA256

@@ -1,10 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from kcut.oracle import spanning_forests
 from kcut.simplex import LpUnbounded, Tableau, solve_lp
+
+from conftest import _random_connected
+from dense_tableau import Tableau as DenseTableau
 
 F = Fraction
 
@@ -276,3 +281,79 @@ def test_add_column_after_set_objective_never_rewinds():
     assert t.rewinds == 0
     res = t.solve()
     assert res.x == [0, 1, 0] and res.value == 3 and t.pivots == 3
+
+
+# -- the revised tableau against the dense one, pivot by pivot ---------------
+
+
+def _solve_both(t, dense):
+    """Solve the revised and the dense tableau: the same result, or both
+    unbounded, after the same pivots and rewinds, at the same basis."""
+    try:
+        res = t.solve()
+    except LpUnbounded:
+        with pytest.raises(LpUnbounded):
+            dense.solve()
+    else:
+        assert dense.solve() == res
+    assert (t.basis, t.pivots, t.rewinds) == (dense.basis, dense.pivots, dense.rewinds)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_lps())
+def test_revised_tableau_pivots_as_the_dense_one_on_cold_solves(lp):
+    c, rows, rhs = lp
+    both = Tableau(rows, rhs), DenseTableau(rows, rhs)
+    for t in both:
+        t.set_objective(c)
+    _solve_both(*both)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tableau_runs())
+def test_revised_tableau_pivots_as_the_dense_one_on_warm_solves(run):
+    rows, rhs, steps = run
+    both = Tableau(rows, rhs), DenseTableau(rows, rhs)
+    for step in steps:
+        for t in both:
+            if step[0] == "add":
+                t.add_column(step[1], step[2])
+            else:
+                t.set_objective(step[1])
+        _solve_both(*both)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_column_runs())
+def test_revised_tableau_pivots_as_the_dense_one_under_column_generation(run):
+    rows, rhs, c, columns = run
+    both = Tableau(rows, rhs), DenseTableau(rows, rhs)
+    for t in both:
+        t.set_objective(c)
+    _solve_both(*both)
+    for column, cost in columns:
+        for t in both:
+            t.add_column(column, cost)
+        _solve_both(*both)
+
+
+def test_revised_tableau_pivots_as_the_dense_one_on_the_forest_lp():
+    """The forest LP of ``ForestLP`` on rand-n6-x6: the packing LP over
+    every maximal forest, then one z column per edge and one objective per
+    k, as the oracle re-optimises it."""
+    g = _random_connected(random.Random(6), 6, 6)
+    forests = spanning_forests(g)
+    rows = [[int(eid in f) for f in forests] for eid in range(g.m)]
+    caps = [e.cap for e in g.edges]
+    both = Tableau(rows, caps), DenseTableau(rows, caps)
+    for t in both:
+        t.set_objective([1] * len(forests))
+    _solve_both(*both)
+    for eid in range(g.m):
+        for t in both:
+            t.add_column([-1 if i == eid else 0 for i in range(g.m)], -1)
+    for k in range(2, g.n + 1):
+        for t in both:
+            t.set_objective([k - 1] * len(forests) + [-1] * g.m)
+        _solve_both(*both)
+    assert (len(forests), both[0].pivots) == (209, 50)

@@ -8,6 +8,7 @@ import kcut.verify as verify_mod
 from kcut.graph import component_blocks
 from kcut.oracle import OracleLimits
 from kcut.simplex import Tableau
+from kcut.strength import principal_sequence
 from kcut.verify import run_verification
 
 from conftest import _random_connected
@@ -28,7 +29,10 @@ def _count_certified_packs(monkeypatch):
     return calls
 
 
-def test_verify_solves_one_dual_per_k(tt, monkeypatch):
+def test_verify_solves_one_dual_per_level(tt, monkeypatch):
+    """The packing in c+z depends only on k's PSP level, so verify runs one
+    column generation per level: TT's k = 2 is at level 1 and k = 3..6 at
+    level 2, and k = n = 6 reuses level 2's packing."""
     calls = _count_certified_packs(monkeypatch)
     rows = run_verification(tt, ks=[2, 3])
     assert all(r.status == "pass" for r in rows)
@@ -36,7 +40,9 @@ def test_verify_solves_one_dual_per_k(tt, monkeypatch):
     calls.clear()
     rows = run_verification(tt)
     assert all(r.status == "pass" for r in rows)
-    assert len(calls) == 5  # k = 2..5 from min_kcut, k = 6 = n from lp_dual
+    psp = principal_sequence(tt)
+    assert [psp.level_for_k(k) for k in range(2, tt.n + 1)] == [1, 2, 2, 2, 2]
+    assert len(calls) == 2
 
 
 def test_verify_rows_pin():
