@@ -1,8 +1,9 @@
 """Global minimum cut via 2-respecting trees.
 
-Pack trees to within (1 - eps) of the strength; more than half the packing
-weight then sits on trees crossing any fixed minimum cut at most twice, so
-scanning every support tree with the O(n^2) two-subtree table is exhaustive.
+Pack trees greedily until the packing exceeds a third of an upper bound on
+the mincut; the average tree then crosses any minimum cut fewer than three
+times, so scanning those few trees with the O(n^2) two-subtree table is
+exhaustive.  A packing within (1 - eps) of the strength names the witness.
 """
 
 from fractions import Fraction

@@ -13,6 +13,7 @@ from .cuts import enumerate_approx_kcuts, min_kcut, ravi_sinha_cut, round_lp
 from .graph import Graph, ParseError, crossing_edges, parse_graph, rational_str, to_fraction
 from .lp import (
     check_complementary_slackness,
+    dual_packing,
     lagrangean_value,
     lp_dual,
     lp_primal,
@@ -124,7 +125,9 @@ def _cmd_lp(g, args):
     psp = principal_sequence(g)
     k = args.k
     primal = lp_primal(psp, k)
-    dual = lp_dual(g, psp, k, explicit=True)
+    dual = lp_dual(g, psp, k)
+    z = [rational_str(v) for v in dual.z]  # refuse an unprintable z before the column generation
+    dual = dual_packing(g, dual)
     lag, lag_b = lagrangean_value(psp, k)
     pv = verify_primal(g, primal.x, k)
     dv = verify_dual(g, dual)
@@ -135,7 +138,7 @@ def _cmd_lp(g, args):
             "value": rational_str(primal.objective),
         },
         "dual": {
-            "z": [rational_str(v) for v in dual.z],
+            "z": z,
             "trees": _trees_json(dual.packing),
             "value": rational_str(dual.objective),
         },
@@ -311,7 +314,7 @@ def build_parser() -> _Parser:
     p = add("approx", _cmd_approx, help="smallest-shores 2-approximation")
     p.add_argument("--k", type=int, required=True)
     p = add("mincut", _cmd_mincut, help="global minimum cut via 2-respecting trees")
-    p.add_argument("--eps", help="packing epsilon (default 1/6)")
+    p.add_argument("--eps", help="epsilon of the packing that names the witness tree (default 1/6)")
     p = add(
         "oracle",
         _cmd_oracle,

@@ -177,8 +177,8 @@ def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2,
     lag, lam_j = lagrangean_value(psp, k)
     h = psp.kappa0()
     if k <= h:
-        packing = TreePacking((), (), {}) if explicit else None
-        return DualSolution(k, (Fraction(0),) * g.m, Fraction(0), 0, Fraction(0), h, packing)
+        dual = DualSolution(k, (Fraction(0),) * g.m, Fraction(0), 0, Fraction(0), h, None)
+        return dual_packing(g, dual) if explicit else dual
     _check_positive_strength(psp)
     # lambda strictly increases along the sequence: levels 1..j-1 are the
     # ones below lambda_j.
@@ -192,13 +192,19 @@ def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2,
     objective = (k - h) * lam_j - sum(z, Fraction(0))
     if objective != lag:
         raise AssertionError("dual objective mismatch")
-    packing = None
-    if explicit:
-        caps = [g.edges[i].cap + z[i] for i in range(g.m)]
-        packing = _column_generation(g, caps)
-        if packing.total_value != lam_j:
-            raise AssertionError("explicit dual packing value != lambda_j")
-    return DualSolution(k, tuple(z), lam_j, j, objective, h, packing)
+    dual = DualSolution(k, tuple(z), lam_j, j, objective, h, None)
+    return dual_packing(g, dual) if explicit else dual
+
+
+def dual_packing(g: Graph, dual: DualSolution) -> DualSolution:
+    """``dual`` in explicit mode: with a basic optimal packing against c+z,
+    by column generation, certified by its value against lambda_j."""
+    if dual.k <= dual.h:
+        return dual._replace(packing=TreePacking((), (), {}))
+    packing = _column_generation(g, [e.cap + z for e, z in zip(g.edges, dual.z)])
+    if packing.total_value != dual.total_y:
+        raise AssertionError("explicit dual packing value != lambda_j")
+    return dual._replace(packing=packing)
 
 
 class PrimalVerdict(NamedTuple):

@@ -602,7 +602,7 @@ def test_strength_exit_2_on_label_sum_failure(capsys, tt_file, monkeypatch):
     assert lines[0].endswith("label sum")
 
 
-def test_lp_values_past_the_print_limit_end_in_one_line(capsys, tmp_path):
+def test_lp_values_past_the_print_limit_end_in_one_line(capsys, tmp_path, monkeypatch):
     # 800-digit numerators and denominators pass the parse bounds, but z
     # gets numerators of 4,797 digits, past the limit of int-to-string
     rng = random.Random(1)
@@ -613,7 +613,15 @@ def test_lp_values_past_the_print_limit_end_in_one_line(capsys, tmp_path):
         lines.append(f"e {u} {v} {a}/{b}")
     path = tmp_path / "long.graph"
     path.write_text("\n".join(lines) + "\n")
+    import kcut.lp as lp_mod
+    import kcut.packing as packing_mod
+
+    generated = []
+    real = packing_mod._column_generation
+    for module in (lp_mod, packing_mod):  # lp binds the name at import
+        monkeypatch.setattr(module, "_column_generation", lambda *a: generated.append(a) or real(*a))
     code = main(["lp", "--k", "3", str(path)])
+    assert generated == []  # z is refused before the explicit dual's column generation
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

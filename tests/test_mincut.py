@@ -15,6 +15,7 @@ from kcut import (
     enumerate_approx_kcuts,
     exact_pack,
     global_mincut,
+    global_mincut_detail,
     min_1respect,
     min_2respect,
     min_kcut,
@@ -26,7 +27,8 @@ from kcut import (
     spanning_forests,
 )
 from kcut.graph import CutResult, _mask_partition, scaled_capacities
-from kcut.mincut import _scan_trees, _tree_tables
+from kcut import mincut
+from kcut.mincut import _greedy_scan, _scan_trees, _tree_tables
 from kcut.oracle import partition_sort_key
 
 from conftest import TT_BRIDGE, _random_connected, edge_ids_of_partition, full_suite
@@ -372,10 +374,70 @@ def _networkx_mincut(g):
     return value
 
 
-@pytest.mark.parametrize("n, extra", [(12, 20), (20, 40), (30, 60)])
+@pytest.mark.parametrize("n, extra", [(12, 20), (20, 40), (30, 60), (40, 80), (60, 140)])
 def test_global_mincut_matches_stoer_wagner(n, extra):
     ladder = _random_connected(random.Random(n), n, extra)
     g = Graph(n, tuple(Edge(e.u, e.v, e.cap / 3) for e in ladder.edges))
     cut = global_mincut(g)
     assert cut.value == _networkx_mincut(g)
     assert cut.value == cut_of_partition(g, cut.partition).value
+
+
+@st.composite
+def _mincut_multigraphs(draw):
+    """A multigraph with n <= 9 whose positive-capacity edges connect it:
+    a spanning tree of positive rational capacities, extra edges that may
+    be 0 and parallel, and a parallel copy of at least one edge."""
+    caps = (F(0), F(1), F(2), F(3, 2), F(1, 3), F(5))
+    g, tree = draw(_graphs_with_tree(max_n=9, max_extra=14, caps=caps))
+    positive = st.sampled_from(caps[1:])
+    edges = [Edge(e.u, e.v, draw(positive)) if i in tree and not e.cap else e for i, e in enumerate(g.edges)]
+    for i in draw(st.lists(st.integers(0, g.m - 1), min_size=1, max_size=4)):
+        edges.append(Edge(edges[i].u, edges[i].v, draw(st.sampled_from(caps))))
+    return Graph(g.n, tuple(edges))
+
+
+@st.composite
+def _two_clusters(draw):
+    """Two complete clusters of heavy edges joined by 3 to 6 light ones,
+    some of them 0, with drawn vertex labels and edge order.  The least
+    cut is mostly the light one, and an early greedy tree often crosses it
+    three times or more."""
+    a, b = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    n = a + b
+    heavy = st.sampled_from([F(5), F(6), F(11, 2)])
+    light = [draw(st.sampled_from([F(1), F(1, 2)]))]
+    light += draw(st.lists(st.sampled_from([F(0), F(1), F(1, 2)]), min_size=2, max_size=5))
+    pairs = [p for lo, hi in ((0, a), (a, n)) for p in itertools.combinations(range(lo, hi), 2)]
+    caps = [draw(heavy) for _ in pairs] + light
+    pairs += [(draw(st.integers(0, a - 1)), draw(st.integers(a, n - 1))) for _ in light]
+    label = draw(st.permutations(range(n)))
+    order = draw(st.permutations(range(len(pairs))))
+    edges = ((label[pairs[i][0]], label[pairs[i][1]], caps[i]) for i in order)
+    return Graph(n, tuple(Edge(min(u, v), max(u, v), c) for u, v, c in edges))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_mincut_multigraphs(), _two_clusters()))
+def test_greedy_mincut_matches_the_full_support_scan_property(g):
+    cut, witness, packing = global_mincut_detail(g)
+    support = packing.support()
+    ref, ref_witness = _scan_trees(g, support)  # the scan of every support tree it replaces
+    assert (cut.value, cut.partition.parts, witness) == (ref.value, ref.partition.parts, ref_witness)
+    assert cut == ref
+    # no greedy tree at all: the support alone is scanned
+    assert _greedy_scan(g, support, most=0) == (ref, ref_witness)
+
+
+@pytest.mark.parametrize("n, extra", [(20, 40), (40, 80), (60, 140)])
+def test_global_mincut_builds_few_tree_tables(monkeypatch, n, extra):
+    built = []
+    real = mincut._tree_tables
+
+    def counting(n, tree, edges, positive):
+        built.append(tree)
+        return real(n, tree, edges, positive)
+
+    monkeypatch.setattr(mincut, "_tree_tables", counting)
+    global_mincut(_random_connected(random.Random(n), n, extra))
+    assert 1 <= len(built) <= 10  # the support holds 676, 608 and 1,147 trees
