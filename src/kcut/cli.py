@@ -216,7 +216,7 @@ def _cmd_mincut(g, args):
     out = {"mincut": _cut_json(cut), "crossing_edges": crossing}
     if witness is not None:
         out["witness_tree"] = witness
-        out["witness_tree_edges"] = list(packing.support()[witness])
+        out["witness_tree_edges"] = list(packing.trees[witness])  # every MWU tree is in the support
     return out
 
 
@@ -304,7 +304,11 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="exact packing (default)")
-    mode.add_argument("--eps", help="use approximate packing with this epsilon")
+    mode.add_argument(
+        "--eps",
+        help="scan greedy trees up to a packing within 1-eps of the optimum, "
+        "0 < eps < 1/(2k-1); past a cap of trees per edge, the exact packing",
+    )
     p.add_argument("--all", action="store_true", help="list every minimizer")
     p = add("enumerate", _cmd_enumerate, help="all alpha-approximate k-cuts")
     p.add_argument("--k", type=int, required=True)

@@ -3,19 +3,32 @@
 A cut whose crossing set inside a tree T is F corresponds to a grouping of
 the components of T - F; enumerating every subset F of at most h tree edges
 and every merge of the pieces therefore reaches every cut that h-respects T.
-With h = 2k-3 against an exact dual packing (h = 2k-2 against a (1-eps)
-one, eps < 1/(2k-1)), every optimal k-cut h-respects some support tree, so
-scanning the support is a complete, certificate-backed search.  The same
-pipeline with h = floor(2*alpha*(k-1)) reaches every alpha-approximate cut.
+With h = 2k-3 against an exact dual packing (h = 2k-2 against any packing
+in c+z of value at least (1-eps) lambda_j, eps < 1/(2k-1)), every optimal
+k-cut h-respects some support tree, so scanning the support is a complete,
+certificate-backed search.  Approximate mode scans the distinct trees of
+Thorup's greedy packing up to the first that reaches that value, which
+takes a few trees where the multiplicative-weights support held hundreds.
+The same pipeline with h = floor(2*alpha*(k-1)) reaches every
+alpha-approximate cut.
+
+A scan scores only the proper merges of a layout: those that put the two
+ends of every removed edge in different groups.  Any other merge is a cut C
+whose crossing set in T is a proper subset F' of F, so C is a merge of the
+layout of T - F', which has fewer removed edges and comes earlier in T's
+walk (F by size).  So every cut is still scored at its exact crossing set
+in the first tree it h-respects, where it is a proper merge, and the cuts
+come in the order of the plain stream of every merge.
 
 Many pairs (tree, F) leave the same pieces, so each distinct piece layout
 is scored once per scan: the capacity between every pair of its pieces is
-summed on integer-scaled capacities, and each merge adds only the piece
-pairs it separates.  A layout met again only adds its merge count to the
-candidates, and a merge whose parts were already found is not summed.  The
-merges of p pieces are listed once per scan.  Values stay integers in the
-scale of the capacities, through the minimum and the threshold; only a
-reported cut gets its ``Fraction``.
+summed on integer-scaled capacities, and each merge takes the pairs inside
+its groups off the total.  A layout met again only adds its merge count to
+the candidates, and a merge whose parts were already found is not summed.
+The merges of p pieces are listed once per scan, each with a bitmask of
+the piece pairs inside its groups, so one AND tells a proper merge.
+Values stay integers in the scale of the capacities, through the minimum
+and the threshold; only a reported cut gets its ``Fraction``.
 
 Also here: the LP rounding algorithm (contract the zeros, keep the ones,
 isolate cheap vertices of the fractional residual) and the principal
@@ -30,6 +43,7 @@ from math import floor
 from typing import NamedTuple
 
 from .graph import (
+    Edge,
     Graph,
     CutResult,
     _mask_partition,
@@ -41,10 +55,9 @@ from .graph import (
     cut_of_partition,
     partition_sort_key,
     scaled_capacities,
-    set_partitions,
 )
-from .lp import DualSolution, PrimalSolution, lagrangean_value, lp_dual, lp_primal
-from .packing import PackConfig, TreePacking, min_spanning_forest, mwu_pack
+from .lp import DualSolution, PrimalSolution, dual_packing, lagrangean_value, lp_dual, lp_primal
+from .packing import TreePacking, greedy_trees, min_spanning_forest
 from .strength import PrincipalSequence, principal_sequence
 
 
@@ -59,7 +72,8 @@ class EnumerationReport(NamedTuple):
     """What one k-cut scan examined and found.  ``dual`` is the LP dual
     the scan used: in exact mode the explicit optimal dual whose packing
     was scanned, in approximate mode the lazy dual whose z set the
-    capacities of the scanned MWU packing.  It is None on the k = n
+    capacities of the scanned greedy trees, or the explicit one should the
+    scan have fallen back to its packing.  It is None on the k = n
     shortcut, which scans nothing, and on a graph with a component of
     strength 0, whose LP has no closed-form dual: there the scan reads its
     packing off the tail of the graph's own sequence after lambda = 0."""
@@ -123,30 +137,60 @@ def merge_pattern_count(h: int) -> int:
 
 
 def _merges(npieces: int, min_parts: int):
-    """(group count, piece -> group) of every grouping of the pieces into at
-    least ``min_parts`` groups, in ``set_partitions`` order."""
+    """(group count, piece -> group, pairs inside) of every grouping of the
+    pieces into at least ``min_parts`` groups, in ``set_partitions`` order.
+    ``pairs inside`` has bit a * npieces + b set for each two pieces a < b
+    in one group.
+
+    piece -> group is the grouping's restricted growth string, grown piece
+    by piece in lexicographic order, with a stack of the choices made, so
+    that no recursion limit applies; a prefix that cannot reach
+    ``min_parts`` groups even with a new group for every later piece is
+    cut off, so no grouping with too few groups is built.  ``spread`` holds,
+    per group, bit a * npieces for each of its pieces a, so piece i joining
+    a group adds the pairs ``spread << i``."""
     out = []
-    for blocks in set_partitions(list(range(npieces))):
-        if len(blocks) < min_parts:
+    if not npieces:
+        return out
+    group_of = [0] * npieces
+    spread = [0] * npieces
+    spread[0] = 1
+    placed = []  # (group, its spread before, group count before, pairs before) per piece 1..i-1
+    i, gi, groups, inside = 1, 0, 1, 0  # piece i tries group gi next
+    while True:
+        if i == npieces:
+            if groups >= min_parts:
+                out.append((groups, group_of[:], inside))
+        elif gi <= groups and groups + npieces - i >= min_parts:
+            held = spread[gi]
+            placed.append((gi, held, groups, inside))
+            group_of[i] = gi
+            spread[gi] = held | 1 << i * npieces
+            inside |= held << i
+            if gi == groups:
+                groups += 1
+            i, gi = i + 1, 0
             continue
-        group_of = [0] * npieces
-        for gi, blk in enumerate(blocks):
-            for p in blk:
-                group_of[p] = gi
-        out.append((len(blocks), group_of))
-    return out
+        if not placed:
+            return out
+        gi, held, groups, inside = placed.pop()
+        spread[gi] = held
+        i, gi = i - 1, gi + 1
 
 
 def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges):
-    """Yield (piece masks, merges of the pieces) of tree - F for every
-    subset F of at most h tree edges that leaves at least ``min_parts``
-    pieces.  ``merges`` memoizes ``_merges`` by piece count.
+    """Yield (piece masks, merges of the pieces, removed edges) of tree - F
+    for every subset F of at most h tree edges that leaves at least
+    ``min_parts`` pieces, F by size and then in ``itertools.combinations``
+    order.  ``merges`` memoizes ``_merges`` by piece count; the removed
+    edges are the (u, v) ends of the edges of F.
 
     The pieces are ordered by their smallest vertex, so two subsets leave
     the same pieces iff their mask tuples are equal.  The piece below a
     removed edge is its subtree less the subtrees below the other removed
     edges inside it; the rest of each component is a piece of its own."""
     comps, below, _ = _rooted_forest(g.n, tree, g.edges)
+    ends = {sub: (g.edges[eid].u, g.edges[eid].v) for sub, eid in zip(below, tree)}
     for f in range(max(min_parts - len(comps), 0), min(h, len(tree)) + 1):
         npieces = len(comps) + f
         if npieces not in merges:
@@ -163,19 +207,35 @@ def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges):
                 pieces.append(piece)
             pieces += [c & ~cut_off for c in comps]
             pieces.sort(key=lambda mask: mask & -mask)
-            yield tuple(pieces), merges[npieces]
+            yield tuple(pieces), merges[npieces], [ends[sub] for sub in removed]
 
 
-def _layout_cuts(g: Graph, caps, masks, merges, known=()):
+def _layout_cuts(n: int, wires, masks, merges, known=(), removed=()):
     """Yield (frozenset of part bitmasks, value) for every merge of one
-    piece layout whose part masks are not in ``known``.
+    piece layout whose part masks are not in ``known`` and that keeps the
+    two ends of each ``removed`` edge in different groups.
 
-    ``caps`` are the scaled integer capacities, so values are integers in
-    the same scale.  The capacity between each pair of pieces is summed
-    once, when the first merge needs it; each merge then adds the pairs it
-    separates."""
+    ``wires`` are the (u, v, scaled capacity) triples of ``_wires``, so
+    values are integers in the scale of the capacities.  The capacity between
+    each pair of pieces, and its total, are summed once, when the first
+    merge needs them; a merge's value is the total less the pairs inside
+    its groups."""
+    npieces = len(masks)
+    piece_of = [0] * n  # piece 0 holds vertex 0 and whatever no later piece holds
+    for p in range(1, npieces):
+        mask = masks[p]
+        while mask:
+            low = mask & -mask
+            piece_of[low.bit_length() - 1] = p
+            mask ^= low
+    apart = 0
+    for u, v in removed:
+        a, b = piece_of[u], piece_of[v]
+        apart |= 1 << (a * npieces + b if a < b else b * npieces + a)
     between = None
-    for ngroups, group_of in merges:
+    for ngroups, group_of, inside in merges:
+        if inside & apart:
+            continue
         part_masks = [0] * ngroups
         for p, mask in enumerate(masks):
             part_masks[group_of[p]] |= mask
@@ -183,23 +243,32 @@ def _layout_cuts(g: Graph, caps, masks, merges, known=()):
         if parts in known:
             continue
         if between is None:
-            piece_of = [0] * g.n
-            for p, mask in enumerate(masks):
-                for v in range(g.n):
-                    if mask >> v & 1:
-                        piece_of[v] = p
-            pairs: dict[tuple[int, int], int] = {}
-            for e, c in zip(g.edges, caps):
-                a, b = piece_of[e.u], piece_of[e.v]
-                if a != b and c:
-                    key = (a, b) if a < b else (b, a)
-                    pairs[key] = pairs.get(key, 0) + c
-            between = list(pairs.items())
-        value = 0
-        for (a, b), c in between:
-            if group_of[a] != group_of[b]:
-                value += c
+            between = [0] * (npieces * npieces)
+            for u, v, c in wires:
+                a, b = piece_of[u], piece_of[v]
+                if a < b:
+                    between[a * npieces + b] += c
+                elif b < a:
+                    between[b * npieces + a] += c
+            total = sum(between)
+        value = total
+        pairs = inside
+        while pairs:
+            low = pairs & -pairs
+            value -= between[low.bit_length() - 1]
+            pairs ^= low
         yield parts, value
+
+
+def _wires(g: Graph, caps):
+    """(u, v, scaled capacity) of each vertex pair that edges of positive
+    capacity join, with its parallel edges summed."""
+    joined: dict[tuple[int, int], int] = {}
+    for e, c in zip(g.edges, caps):
+        if c:
+            key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+            joined[key] = joined.get(key, 0) + c
+    return [(u, v, c) for (u, v), c in joined.items()]
 
 
 def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
@@ -209,8 +278,9 @@ def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
     if h < k - 1:
         raise ValueError("h must be at least k - 1")
     caps, scale = scaled_capacities(g)
-    for pieces, layout_merges in _layouts(g, tuple(tree), h, k, {}):
-        for masks, value in _layout_cuts(g, caps, pieces, layout_merges):
+    wires = _wires(g, caps)
+    for pieces, layout_merges, _ in _layouts(g, tuple(tree), h, k, {}):
+        for masks, value in _layout_cuts(g.n, wires, pieces, layout_merges):
             p = _mask_partition(g.n, masks, Fraction(value, scale))
             yield CutResult(p, p.crossing_value, p.part_count)
 
@@ -218,41 +288,75 @@ def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
 def _enumerate_over_support(g: Graph, trees, h: int, k: int):
     """({part masks: value}, scale, candidates examined): every distinct
     candidate over the given trees, with its value as an integer in the
-    scale of ``scaled_capacities(g)``.
+    scale of ``scaled_capacities(g)``, in the order of the per-tree streams
+    of ``cuts_from_tree``.
 
-    A piece layout met again, on this tree or another, yields only cuts
-    already found, so its merges are counted and not scored again."""
+    Every merge of a layout counts as a candidate, but only its proper
+    merges, those that keep the ends of each removed edge apart, are
+    scored: any other merge is a cut of the same tree with fewer edges
+    removed, found earlier (see the module docstring).  A piece layout met
+    again, on this tree or another, yields only cuts already found, so its
+    merges are counted and not scored again."""
     caps, scale = scaled_capacities(g)
+    wires = _wires(g, caps)
     merges: dict[int, list] = {}
     seen: set[tuple[int, ...]] = set()
     found: dict[frozenset, int] = {}
     candidates = 0
     for tree in trees:
-        for pieces, layout_merges in _layouts(g, tuple(tree), h, k, merges):
+        for pieces, layout_merges, removed in _layouts(g, tuple(tree), h, k, merges):
             candidates += len(layout_merges)
             if pieces in seen:
                 continue
             seen.add(pieces)
-            for parts, value in _layout_cuts(g, caps, pieces, layout_merges, found):
+            for parts, value in _layout_cuts(g.n, wires, pieces, layout_merges, found, removed):
                 found[parts] = value
     return found, scale, candidates
 
 
+def _greedy_support(g: Graph, dual: DualSolution, eps: Fraction):
+    """The distinct trees of Thorup's greedy packing in c+z, in stream order,
+    up to the first that brings the packing's value to (1 - eps) lambda_j;
+    None should the stream pass its cap first.  The test is exact: the
+    value t c(e*)/load(e*) of ``greedy_trees`` against the bar, both on
+    c+z scaled to integers."""
+    work = Graph(g.n, tuple(Edge(e.u, e.v, e.cap + z) for e, z in zip(g.edges, dual.z)))
+    caps, scale = scaled_capacities(work)
+    bar = (1 - eps) * dual.total_y * scale
+    trees: dict[tuple[int, ...], None] = {}
+    for tree, value, load in greedy_trees(work, caps):
+        trees[tree] = None
+        if value * bar.denominator >= bar.numerator * load:
+            return tuple(trees)
+    return None
+
+
 def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None, dual=None):
     """The scan behind ``min_kcut`` and ``enumerate_approx_kcuts``: every
-    cut crossing a support tree of the packing in c+z at most h times, h
-    raised to the mode's completeness bound (2k-3 exact, 2k-2 approximate).
+    cut crossing a tree of a packing in c+z at most h times, h raised to
+    the mode's completeness bound (2k-3 exact, 2k-2 approximate).
     Returns ({part masks: value}, scale, candidates examined, h, dual),
     each value an integer in the scale.  A ``dual`` given by the caller is
     scanned instead of one built here.
 
+    Exact mode scans the support of the explicit dual's packing.
+    Approximate mode scans the distinct greedy trees up to the first that
+    brings the greedy packing to (1 - eps) lambda_j, an exact test on
+    integers.  Should the stream pass its cap of
+    ``packing.GREEDY_TREES_PER_EDGE`` trees per positive edge of c+z,
+    whatever eps is, the scan falls back to the exact packing's support
+    (``lp.dual_packing``), which meets every such bar; so no eps leaves
+    the scan open-ended.
+
     k = n scans nothing: the singletons come back with h as given and no
     dual.  When k is at most the number of components the exact packing is
     empty and every optimal cut groups whole components at value 0, so one
-    maximal forest of positive edges is scanned with no edge removed and h
-    is 0.  When a component has strength 0, no dual comes back, and the
-    tail of g's sequence after lambda = 0 is scanned: it is the sequence of
-    g less its zero-capacity edges, which gives every partition g's value.
+    maximal forest of positive edges is scanned: with no edge removed and
+    h = 0 in exact mode, and in approximate mode as the one greedy tree
+    that meets the bar 0, with h = 2k-2.  When a component has strength 0,
+    no dual comes back, and the tail of g's sequence after lambda = 0 is
+    scanned: it is the sequence of g less its zero-capacity edges, which
+    gives every partition g's value.
     """
     check_k(g, k)
     if mode not in ("exact", "approx"):
@@ -274,13 +378,18 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None, dual=None):
         eps = Fraction(eps)
         if not eps < Fraction(1, 2 * k - 1):
             raise ValueError("approximate mode needs eps < 1/(2k-1)")
-    if mode == "approx" and psp.levels:  # with no level, no capacity is positive
-        caps = [g.edges[i].cap + dual.z[i] for i in range(g.m)]
-        trees = mwu_pack(g, caps, PackConfig(epsilon=eps)).support()
-        h = max(h, 2 * k - 2)
-    elif k <= dual.h:
+    approx = mode == "approx" and bool(psp.levels)  # with no level, no capacity is positive
+    if approx and not eps > 0:
+        raise ValueError("epsilon must lie in (0, 1/2)")
+    if k <= dual.h:
         forest = min_spanning_forest(g, [e.cap == 0 for e in g.edges])  # zero edges last
-        trees, h = [tuple(i for i in forest if g.edges[i].cap)], 0
+        trees, h = [tuple(i for i in forest if g.edges[i].cap)], max(h, 2 * k - 2) if approx else 0
+    elif approx:
+        trees = _greedy_support(g, dual, eps)
+        if trees is None:
+            dual = dual_packing(g, dual)
+            trees = dual.packing.support()
+        h = max(h, 2 * k - 2)
     else:
         trees, h = dual.packing.support(), max(h, 2 * k - 3)
     found, scale, candidates = _enumerate_over_support(g, trees, h, k)
@@ -293,10 +402,12 @@ def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None, dual=None):
     """Minimum k-cut with full enumeration of the optimal partitions.
 
     Pipeline: principal sequence -> closed-form dual z -> packing in c+z
-    (exact column generation, or multiplicative weights with
-    eps < 1/(2k-1), the one mode that takes an eps) -> scan every support
-    tree for cuts crossing it at most h times (h = 2k-3 exact, 2k-2
-    approximate) -> deduplicate and minimize.
+    (exact column generation, or, in the one mode that takes an eps with
+    0 < eps < 1/(2k-1), Thorup's greedy trees up to a packing of value
+    (1 - eps) lambda_j, with the exact packing as the fallback past the
+    stream's cap) -> scan every support tree for cuts crossing it at most
+    h times (h = 2k-3 exact, 2k-2 approximate) -> deduplicate and
+    minimize.
     Both modes are guaranteed to contain every optimal k-cut.  When k is
     at most the number of components the minimum is 0 and the minimizers
     are the groupings of whole components into at least k parts.  In exact

@@ -19,13 +19,14 @@ first tree index), and builds the one ``CutResult`` at the end.
 ``min_1respect`` and ``min_2respect`` are the one-tree case of the same
 scan.
 
-The pipeline's trees are Thorup's greedy packing (Thorup 2008): tree t + 1
-is a minimum spanning forest of the positive-capacity edges under
-load(e)/c(e), where load(e) counts the earlier trees that hold e.  With e*
-an edge of the largest load/c, giving each of the t trees the weight
-c(e*)/load(e*) packs value P = t c(e*)/load(e*) within the capacities.  A
-minimum cut C of value lambda then carries at most lambda of the packing's
-weight, so its average crossing count is at most lambda/P; once
+The pipeline's trees are Thorup's greedy packing (Thorup 2008), streamed by
+``packing.greedy_trees``: tree t + 1 is a minimum spanning forest of the
+positive-capacity edges under load(e)/c(e), where load(e) counts the
+earlier trees that hold e.  With e* an edge of the largest load/c, giving
+each of the t trees the weight c(e*)/load(e*) packs value
+P = t c(e*)/load(e*) within the capacities.  A minimum cut C of value
+lambda then carries at most lambda of the packing's weight, so its
+average crossing count is at most lambda/P; once
 P > lambda/3 some tree crosses C at most twice, and a 2-respecting scan of
 that tree meets C (Karger 2000).  lambda is not known, but c_up, the least
 of the minimum weighted degree and the running best, bounds it from above,
@@ -34,16 +35,19 @@ integers.  Every minimum cut is then among the values scanned, so the
 running best is the least cut with the canonical tie-break: the answer of a
 scan of every tree of any packing of value above lambda/3.
 
-The multiplicative-weights packing of ``packing.mwu_pack`` is still built,
-within (1 - eps) of the strength, hence above lambda/3 for eps < 1/3.  It
-names the witness: the first of its support trees that crosses the cut at
-most twice, which is the tree a scan of the whole support credits with the
-cut.  It also bounds the work: should the greedy stream reach as many
-trees as the support holds without stopping, the pass reads the support
-too, so no input scans more than twice the support, and no answer depends
-on how fast the greedy loop converges.  On the ladder's random graphs with
-20, 40 and 60 vertices the stream stops after 3, 2 and 3 trees, where the
-supports hold 676, 608 and 1,147.
+``global_mincut_detail`` still builds the multiplicative-weights packing
+of ``packing.mwu_pack``, within (1 - eps) of the strength, hence above
+lambda/3 for eps < 1/3.  It names the witness: the first of its support
+trees that crosses the cut at most twice, which is the tree a scan of the
+whole support credits with the cut.  It also bounds the work: should the
+greedy stream reach as many trees as the support holds without stopping,
+the pass reads the support too, so no input scans more than twice the
+support, and no answer depends on how fast the greedy loop converges.  On
+the ladder's random graphs with 20, 40 and 60 vertices the stream stops
+after 3, 2 and 3 trees, where the supports hold 676, 608 and 1,147.
+``global_mincut`` needs no witness, so it builds that packing only should
+the stream pass ``greedy_trees``' own cap, and reads its support then.
+Both give the same cut: the least, with the canonical tie-break.
 
 A scan skips a tree whose edges join the same multiset of vertex pairs as
 an earlier tree's: the greedy loop may repeat a tree, and on a graph with
@@ -72,7 +76,7 @@ from .graph import (
     cut_of_partition,
     scaled_capacities,
 )
-from .packing import PackConfig, PackingError, min_spanning_forest, mwu_pack
+from .packing import PackConfig, PackingError, greedy_trees, mwu_pack
 
 
 def _tree_tables(n: int, tree, edges, positive):
@@ -176,43 +180,51 @@ def min_2respect(g: Graph, tree) -> CutResult:
     return _scan_trees(g, [tuple(tree)])[0]
 
 
-def _greedy_scan(g: Graph, support, most: int) -> tuple[CutResult, int | None]:
-    """The global minimum cut of g, whose positive-capacity edges must
-    connect it, and its witness in ``support``: the index of the first tree
-    crossing the cut at most twice, or None when no tree does.
-
-    One ``_TreeScan`` reads Thorup's greedy trees until 3 t c(e*) exceeds
-    c_up load(e*) (see the module docstring).  Should ``most`` trees not
-    reach that, it reads ``support`` too, a packing whose value must
-    exceed a third of the mincut."""
+def _greedy_pass(g: Graph, most: int | None) -> tuple[_TreeScan, bool]:
+    """A ``_TreeScan`` of Thorup's greedy trees of g, whose positive-capacity
+    edges must connect it, up to the first tree with 3 t c(e*) above
+    c_up load(e*) (see the module docstring), and whether that tree came
+    within ``most`` trees (None: ``greedy_trees``' own cap)."""
     scan = _TreeScan(g)
-    keep = [i for i, c in enumerate(scan.caps) if c]
-    work = Graph(g.n, tuple(g.edges[i] for i in keep))
-    cap = [scan.caps[i] for i in keep]
     degree = [0] * g.n
     for u, v, c in scan.positive:
         degree[u] += c
         degree[v] += c
     c_deg = min(degree)
-    load = [0] * work.m
-    length = [0] * work.m  # load / cap
-    top = 0  # an edge of the largest load / cap once a tree is packed
-    for t in range(1, most + 1):
-        forest = min_spanning_forest(work, length)
-        scan.add(tuple(keep[i] for i in forest), None)
-        for i in forest:
-            load[i] += 1
-            length[i] = Fraction(load[i], cap[i])
-            if length[i] > length[top]:
-                top = i
-        if 3 * t * cap[top] > min(c_deg, scan.best) * load[top]:
-            break
-    else:
+    for tree, value, load in greedy_trees(g, scan.caps, most):
+        scan.add(tree, None)
+        if 3 * value > min(c_deg, scan.best) * load:
+            return scan, True
+    return scan, False
+
+
+def _greedy_scan(g: Graph, support, most: int) -> tuple[CutResult, int | None]:
+    """The global minimum cut of g, whose positive-capacity edges must
+    connect it, and its witness in ``support``: the index of the first tree
+    crossing the cut at most twice, or None when no tree does.
+
+    Should ``most`` greedy trees not reach the stop, the scan reads
+    ``support`` too, a packing whose value must exceed a third of the
+    mincut."""
+    scan, done = _greedy_pass(g, most)
+    if not done:
         for tree in support:
             scan.add(tree, None)
     cut, side = scan.cut(), scan.side
     crossing = {i for i, e in enumerate(g.edges) if (side >> e.u ^ side >> e.v) & 1}
     return cut, next((idx for idx, tree in enumerate(support) if len(crossing.intersection(tree)) <= 2), None)
+
+
+def _zero_cut(g: Graph, eps) -> CutResult | None:
+    """Check the arguments of a mincut call; when the positive-capacity
+    edges leave several components, their partition, a cut of value 0."""
+    if not Fraction(eps) < Fraction(1, 3):
+        raise ValueError("eps must be below 1/3")
+    check_connected(g, "mincut")
+    zero = [i for i in range(g.m) if g.edges[i].cap == 0]
+    if len(component_blocks(g, exclude_edges=zero)) > 1:
+        return cut_of_partition(g, components(g, exclude_edges=zero))
+    return None
 
 
 def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
@@ -228,14 +240,9 @@ def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
     trees crossing the cut at most twice, and bounds the greedy stream (see
     the module docstring).  Deterministic.
     """
-    eps = Fraction(eps)
-    if not eps < Fraction(1, 3):
-        raise ValueError("eps must be below 1/3")
-    check_connected(g, "mincut")
-    zero = [i for i in range(g.m) if g.edges[i].cap == 0]
-    if len(component_blocks(g, exclude_edges=zero)) > 1:
-        # zero-capacity cut: the components of the positive part achieve 0
-        return cut_of_partition(g, components(g, exclude_edges=zero)), None, None
+    cut = _zero_cut(g, eps)
+    if cut is not None:
+        return cut, None, None
     packing = mwu_pack(g, config=PackConfig(epsilon=eps))
     support = packing.support()
     cut, witness = _greedy_scan(g, support, len(support))
@@ -245,6 +252,15 @@ def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
 
 
 def global_mincut(g: Graph, eps=Fraction(1, 6)) -> CutResult:
-    """Global minimum cut via the scan of greedy trees."""
-    cut, _, _ = global_mincut_detail(g, eps)
-    return cut
+    """Global minimum cut via the scan of greedy trees: the cut of
+    ``global_mincut_detail``, which names no witness here, so the
+    multiplicative-weights packing is built only should the greedy stream
+    pass its cap."""
+    cut = _zero_cut(g, eps)
+    if cut is not None:
+        return cut
+    scan, done = _greedy_pass(g, None)
+    if not done:
+        for tree in mwu_pack(g, config=PackConfig(epsilon=eps)).support():
+            scan.add(tree, None)
+    return scan.cut()

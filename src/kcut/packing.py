@@ -1,10 +1,14 @@
 """Fractional packings of spanning forests under edge capacities.
 
-Two packers share a pricing kernel, ``min_spanning_forest``: Kruskal's
+Three packers share a pricing kernel, ``min_spanning_forest``: Kruskal's
 scan with inline path-halving roots, which stops as soon as the forest
 spans (n - 1 edges).  ``lp.verify_primal`` and the k-cut scan in ``cuts``
 call it too.
 
+* ``greedy_trees``: Thorup's greedy tree packing as a stream of trees, each
+  with the exact value of the packing so far.  Loads are integers and the
+  stream has a cap; each caller (the mincut and approximate k-cut scans)
+  stops it with a test of its own.
 * ``mwu_pack``: a deterministic width-based multiplicative-weights packer
   meeting a (1 - eps) guarantee.  Only the edge weights are floats; a
   round recomputes the lengths w(e)/c(e) of the forest it loaded and no
@@ -93,7 +97,7 @@ class TreePacking(NamedTuple):
         return out
 
     def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(t for t, w in zip(self.trees, self.weights) if w > 0)
+        return tuple(t for t, w in zip(self.trees, self.weights) if w.numerator > 0)
 
 
 def min_spanning_forest(g: Graph, edge_weights) -> tuple[int, ...]:
@@ -122,6 +126,42 @@ def min_spanning_forest(g: Graph, edge_weights) -> tuple[int, ...]:
             if len(forest) == need:
                 break
     return tuple(sorted(forest))
+
+
+GREEDY_TREES_PER_EDGE = 16
+"""``greedy_trees`` stops after this many trees per positive edge."""
+
+
+def greedy_trees(g: Graph, caps, most: int | None = None):
+    """Thorup's greedy tree packing (Thorup 2008) of the edges with a positive
+    entry in ``caps``, integers aligned with g.edges.
+
+    Tree t + 1 is a minimum spanning forest of those edges under load/c,
+    where load(e) counts the earlier trees that hold e, so every tree is a
+    maximal forest of the positive edges.  With e* an edge of the largest
+    load/c, giving each of the first t trees the weight c(e*)/load(e*)
+    packs the value t c(e*)/load(e*) within the capacities.  Yields each
+    tree, as sorted edge ids of g, with that value as the int pair
+    (t c(e*), load(e*)).  Stops after ``most`` trees, by default
+    ``GREEDY_TREES_PER_EDGE`` per positive edge: a caller whose bar the
+    stream did not reach by then falls back to a packing of its own.
+    """
+    keep = [i for i, c in enumerate(caps) if c]
+    work = Graph(g.n, tuple(g.edges[i] for i in keep))
+    cap = [caps[i] for i in keep]
+    if most is None:
+        most = GREEDY_TREES_PER_EDGE * len(keep)
+    load = [0] * work.m
+    length = [0] * work.m  # load / cap
+    top = 0  # an edge of the largest load / cap once a tree is packed
+    for t in range(1, most + 1):
+        forest = min_spanning_forest(work, length)
+        for i in forest:
+            load[i] += 1
+            length[i] = Fraction(load[i], cap[i])
+            if length[i] > length[top]:
+                top = i
+        yield tuple(keep[i] for i in forest), t * cap[top], load[top]
 
 
 def _working_graph(g: Graph, caps):
@@ -153,7 +193,8 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
     ``Fraction``s are built only in the final rescale, one per tree.  A
     round changes only the loaded forest's weights, so only their lengths
     w/c are recomputed, by the same float expression: the forests priced
-    are those a full recomputation would give.
+    are those a full recomputation would give.  Every tree it returns has
+    positive weight, so the packing's support is its tree list.
     """
     work, keep, caps_full = _working_graph(g, caps)
     eps = float(config.epsilon)

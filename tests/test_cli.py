@@ -153,10 +153,29 @@ def _assert_eps_too_small(capsys, tmp_path, argv, text):
     assert "too small for" in captured.err and "Traceback" not in captured.err
 
 
+def _assert_approx_solve_matches_exact(capsys, tmp_path, argv, text):
+    """``solve --eps`` packs greedy trees with integer loads, so no float
+    limit applies: it exits 0 with exact mode's cut and minimizers."""
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    code, out = run(capsys, *argv, "--all", str(path))
+    assert code == 0
+    approx = json.loads(out)
+    k = argv[argv.index("--k") + 1]
+    code, out = run(capsys, "solve", "--k", k, "--all", str(path))
+    assert code == 0
+    exact = json.loads(out)
+    assert approx["mode"] == "approx"
+    assert (approx["cut"], approx["minimizers"]) == (exact["cut"], exact["minimizers"])
+
+
 @pytest.mark.parametrize("eps", ["1e-400", "1e-310"], ids=["zero", "subnormal"])
 @pytest.mark.parametrize("argv", [["pack"], ["mincut"], ["solve", "--k", "2"]], ids=["pack", "mincut", "solve"])
 def test_eps_below_float_range_exit_1(capsys, tmp_path, argv, eps):
     # as floats, 1e-400 is 0.0 and 1e-310 subnormal: 1/eps is 1/0 or inf
+    if argv[0] == "solve":  # no float limit left in solve
+        _assert_approx_solve_matches_exact(capsys, tmp_path, argv + ["--eps", eps], K4_TEXT)
+        return
     _assert_eps_too_small(capsys, tmp_path, argv + ["--eps", eps], K4_TEXT)
 
 
@@ -255,8 +274,12 @@ def test_long_integer_capacities_stay_within_the_graph_bound(capsys, tmp_path):
     ids=["pack", "mincut", "solve-eps"],
 )
 def test_mwu_capacity_outside_float_range_exit_1(capsys, tmp_path, argv, cap):
+    text = f"p kcut 3 3\ne 1 2 {cap}\ne 2 3 1\ne 1 3 1\n"
+    if argv[0] == "solve":  # no float limit left in solve
+        _assert_approx_solve_matches_exact(capsys, tmp_path, argv, text)
+        return
     path = tmp_path / "tri.graph"
-    path.write_text(f"p kcut 3 3\ne 1 2 {cap}\ne 2 3 1\ne 1 3 1\n")
+    path.write_text(text)
     code = main(argv + [str(path)])
     captured = capsys.readouterr()
     assert code == 1

@@ -1,0 +1,172 @@
+"""Approximate k-cuts on Thorup's greedy trees, and the work of the scan.
+
+Approximate mode scans the distinct greedy trees in c+z up to the first
+that brings the packing's value to (1 - eps) lambda_j, or, past the
+stream's cap, the exact packing's support.  Either way its minimizers are
+exact mode's and the oracle's.  A plain-Fraction loop checks the trees and
+the value bar, and a cap of 0 forces the fallback.
+
+The scan scores only the proper merges of a new piece layout, those that
+keep the two ends of every removed tree edge apart; the work bounds pin
+how few trees and merges that leaves on two of perfbench's graphs.
+"""
+
+import random
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kcut import Edge, Graph, min_kcut, oracle_min_kcut
+from kcut import cuts, packing
+
+from conftest import _random_connected
+from test_cuts import _disconnected_multigraphs, _strength_zero_multigraphs
+from test_scan_property import _multigraphs
+
+F = Fraction
+
+
+def _greedy_reference(g, caps, bar):
+    """Thorup's greedy packing in plain Fractions: (distinct trees in
+    stream order, packing value) at the first tree t with
+    t / max(load/c) >= ``bar``.  Kruskal's scan by (load/c, edge id) with
+    a plain union-find."""
+    live = [i for i, c in enumerate(caps) if c > 0]
+    load = {i: 0 for i in live}
+    trees = []
+    t = 0
+    while True:
+        root = list(range(g.n))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        tree = []
+        for i in sorted(live, key=lambda i: (F(load[i]) / caps[i], i)):
+            a, b = find(g.edges[i].u), find(g.edges[i].v)
+            if a != b:
+                root[b] = a
+                tree.append(i)
+        tree = tuple(sorted(tree))
+        if tree not in trees:
+            trees.append(tree)
+        for i in tree:
+            load[i] += 1
+        t += 1
+        value = t / max(F(load[i]) / caps[i] for i in live)
+        if value >= bar:
+            return trees, value
+
+
+def _scans_with_greedy_calls(g, k, eps):
+    """``min_kcut`` in approximate mode, and the (dual, trees) of each
+    ``_greedy_support`` call it made."""
+    calls = []
+    real = cuts._greedy_support
+
+    def spy(graph, dual, e):
+        trees = real(graph, dual, e)
+        calls.append((dual, trees))
+        return trees
+
+    with mock.patch.object(cuts, "_greedy_support", spy):
+        return min_kcut(g, k, "approx", eps), calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(_multigraphs(), _disconnected_multigraphs(), _strength_zero_multigraphs()),
+    st.sampled_from(["1/(2k)", "1/20", "1/(2k+1)"]),
+)
+def test_greedy_approx_scan_matches_exact_and_oracle_property(g, which):
+    for k in range(2, g.n + 1):
+        eps = {"1/(2k)": F(1, 2 * k), "1/20": F(1, 20), "1/(2k+1)": F(1, 2 * k + 1)}[which]
+        ocut, oall = oracle_min_kcut(g, k)
+        minimizers = {p.parts for p in oall}
+        cut, report = min_kcut(g, k)
+        assert cut.value == ocut.value and {c.partition.parts for c in report.cuts} == minimizers
+        (acut, areport), calls = _scans_with_greedy_calls(g, k, eps)
+        assert acut == cut and areport.cuts == report.cuts, k
+        assert areport.mode == "approx"
+        for dual, trees in calls:
+            caps = [e.cap + z for e, z in zip(g.edges, dual.z)]
+            bar = (1 - eps) * dual.total_y
+            ref_trees, value = _greedy_reference(g, caps, bar)
+            assert trees == tuple(ref_trees), k
+            assert value >= bar
+        # past the cap, the exact packing's support: the same minimizers
+        with mock.patch.object(packing, "GREEDY_TREES_PER_EDGE", 0):
+            (fcut, freport), fcalls = _scans_with_greedy_calls(g, k, eps)
+        assert all(trees is None for _, trees in fcalls)
+        assert fcut == cut and freport.cuts == report.cuts, k
+
+
+def test_greedy_stream_stops_at_the_cap():
+    g = _random_connected(random.Random(6), 6, 7)
+    caps = [int(e.cap) for e in g.edges]
+    assert len(list(packing.greedy_trees(g, caps, 3))) == 3
+    assert len(list(packing.greedy_trees(g, caps))) == packing.GREEDY_TREES_PER_EDGE * g.m
+    assert list(packing.greedy_trees(g, caps, 0)) == []
+
+
+def _planted(k, size):
+    """perfbench's ``planted-k{k}-s{size}``: k complete clusters with
+    capacities 4..9, joined in a ring by unit edges."""
+    rng = random.Random(f"planted-{k}-{size}")
+    edges = []
+    for c in range(k):
+        base = c * size
+        for i in range(size):
+            for j in range(i + 1, size):
+                edges.append((base + i, base + j, rng.randint(4, 9)))
+    for c in range(k):
+        a = c * size + rng.randrange(size)
+        b = (c + 1) % k * size + rng.randrange(size)
+        edges.append((min(a, b), max(a, b), 1))
+    return Graph(k * size, tuple(Edge(u, v, F(c)) for u, v, c in edges))
+
+
+def test_approx_k3_scans_few_greedy_trees():
+    # perfbench's rand-n6-x7: 145 multiplicative-weights support trees, 6 greedy ones
+    g = _random_connected(random.Random(6), 6, 7)
+    scanned = []
+    real = cuts._enumerate_over_support
+
+    def spy(graph, trees, h, k):
+        scanned.append(len(trees))
+        return real(graph, trees, h, k)
+
+    with mock.patch.object(cuts, "_enumerate_over_support", spy):
+        cut, report = min_kcut(g, 3, "approx", F(1, 6))
+    assert scanned and scanned[0] <= 10
+    assert report.cuts == min_kcut(g, 3)[1].cuts
+
+
+def test_exact_k3_scores_only_proper_merges():
+    """Each scored merge looks its parts up once in the cuts found so far;
+    perfbench's planted-k3-s4 scores 1,512 merges for 1,357 cuts, where
+    scoring every merge of each new layout took 2,559."""
+    g = _planted(3, 4)
+    lookups = [0]
+
+    class Counting:
+        def __init__(self, found):
+            self.found = found
+
+        def __contains__(self, parts):
+            lookups[0] += 1
+            return parts in self.found
+
+    real = cuts._layout_cuts
+
+    def spy(n, wires, masks, merges, known=(), removed=()):
+        return real(n, wires, masks, merges, Counting(known), removed)
+
+    with mock.patch.object(cuts, "_layout_cuts", spy):
+        cut, report = min_kcut(g, 3)
+    assert report.distinct_cuts == 1357
+    assert lookups[0] <= 1600

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -427,6 +428,10 @@ def test_greedy_mincut_matches_the_full_support_scan_property(g):
     assert cut == ref
     # no greedy tree at all: the support alone is scanned
     assert _greedy_scan(g, support, most=0) == (ref, ref_witness)
+    # the value-only call: greedy trees to their cap, then the support
+    assert global_mincut(g) == ref
+    with mock.patch("kcut.packing.GREEDY_TREES_PER_EDGE", 0):
+        assert global_mincut(g) == ref
 
 
 @pytest.mark.parametrize("n, extra", [(20, 40), (40, 80), (60, 140)])
@@ -438,6 +443,10 @@ def test_global_mincut_builds_few_tree_tables(monkeypatch, n, extra):
         built.append(tree)
         return real(n, tree, edges, positive)
 
+    def no_packing(*args, **kwargs):
+        raise AssertionError("global_mincut built the multiplicative-weights packing")
+
     monkeypatch.setattr(mincut, "_tree_tables", counting)
+    monkeypatch.setattr(mincut, "mwu_pack", no_packing)
     global_mincut(_random_connected(random.Random(n), n, extra))
     assert 1 <= len(built) <= 10  # the support holds 676, 608 and 1,147 trees
