@@ -6,6 +6,7 @@ conditions, all in exact rational arithmetic.
 
 from kcut import (
     check_complementary_slackness,
+    dual_packing,
     ideal_packing,
     lagrangean_value,
     lp_dual,
@@ -39,7 +40,7 @@ def main():
 
     for k in (2, 3, 4):
         primal = lp_primal(psp, k)
-        dual = lp_dual(TT, psp, k, explicit=True)
+        dual = dual_packing(TT, lp_dual(TT, psp, k))
         lag, b = lagrangean_value(psp, k)
         print(f"k = {k}:")
         print(f"  primal x = {[str(v) for v in primal.x]}")

@@ -32,7 +32,7 @@ def main():
     print("graph: unit 5-cycle")
     psp = principal_sequence(g)
     for k in (2, 3):
-        cut, report = min_kcut(g, k, mode="exact")
+        cut, report = min_kcut(g, k)
         print(f"k = {k}: minimum {k}-cut value {cut.value} "
               f"(h = {report.h}, {report.candidates_examined} candidates, "
               f"{report.distinct_cuts} distinct cuts seen)")

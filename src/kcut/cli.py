@@ -160,9 +160,7 @@ class CertificateFailure(Exception):
 
 
 def _cmd_solve(g, args):
-    mode = "approx" if args.eps else "exact"
-    eps = _rational(args.eps, None)
-    cut, report = min_kcut(g, args.k, mode=mode, eps=eps)
+    cut, report = min_kcut(g, args.k, eps=_rational(args.eps, None))
     out = {
         "k": args.k,
         "mode": report.mode,

@@ -6,9 +6,10 @@ and every merge of the pieces therefore reaches every cut that h-respects T.
 With h = 2k-3 against an exact dual packing (h = 2k-2 against any packing
 in c+z of value at least (1-eps) lambda_j, eps < 1/(2k-1)), every optimal
 k-cut h-respects some support tree, so scanning the support is a complete,
-certificate-backed search.  Approximate mode scans the distinct trees of
-Thorup's greedy packing up to the first that reaches that value, which
-takes a few trees where the multiplicative-weights support held hundreds.
+certificate-backed search.  Given an eps, the scan reads the distinct
+trees of Thorup's greedy packing up to the first that reaches that value,
+which takes a few trees where the multiplicative-weights support held
+hundreds.
 The same pipeline with h = floor(2*alpha*(k-1)) reaches every
 alpha-approximate cut.
 
@@ -69,18 +70,19 @@ class RespectStats(NamedTuple):
 
 
 class EnumerationReport(NamedTuple):
-    """What one k-cut scan examined and found.  ``dual`` is the LP dual
-    the scan used: in exact mode the explicit optimal dual whose packing
-    was scanned, in approximate mode the lazy dual whose z set the
-    capacities of the scanned greedy trees, or the explicit one should the
-    scan have fallen back to its packing.  It is None on the k = n
-    shortcut, which scans nothing, and on a graph with a component of
-    strength 0, whose LP has no closed-form dual: there the scan reads its
-    packing off the tail of the graph's own sequence after lambda = 0."""
+    """What one k-cut scan examined and found.  ``mode`` is "approx" when
+    the scan was given an eps, else "exact".  ``dual`` is the LP dual the
+    scan used: with no eps the explicit optimal dual whose packing was
+    scanned, with one the lazy dual whose z set the capacities of the
+    scanned greedy trees, or the explicit one should the scan have fallen
+    back to its packing.  It is None on the k = n shortcut, which scans
+    nothing, and on a graph with a component of strength 0, whose LP has
+    no closed-form dual: there the scan reads its packing off the tail of
+    the graph's own sequence after lambda = 0."""
 
     k: int
     h: int
-    mode: str  # "exact" or "approx"
+    mode: str
     candidates_examined: int
     distinct_cuts: int
     cuts: tuple[CutResult, ...]
@@ -331,38 +333,38 @@ def _greedy_support(g: Graph, dual: DualSolution, eps: Fraction):
     return None
 
 
-def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None, dual=None):
+def _scan(g: Graph, k: int, h: int, eps=None, dual=None):
     """The scan behind ``min_kcut`` and ``enumerate_approx_kcuts``: every
     cut crossing a tree of a packing in c+z at most h times, h raised to
-    the mode's completeness bound (2k-3 exact, 2k-2 approximate).
+    the completeness bound (2k-3 with no eps, 2k-2 with one).
     Returns ({part masks: value}, scale, candidates examined, h, dual),
     each value an integer in the scale.  A ``dual`` given by the caller is
-    scanned instead of one built here.
+    scanned instead of one built here.  An eps must satisfy
+    0 < eps < 1/(2k-1), checked before any work.
 
-    Exact mode scans the support of the explicit dual's packing.
-    Approximate mode scans the distinct greedy trees up to the first that
-    brings the greedy packing to (1 - eps) lambda_j, an exact test on
-    integers.  Should the stream pass its cap of
+    With no eps the scan reads the support of the explicit dual's packing,
+    ``lp.dual_packing``.  With one it reads the distinct greedy trees up to
+    the first that brings the greedy packing to (1 - eps) lambda_j, an
+    exact test on integers.  Should the stream pass its cap of
     ``packing.GREEDY_TREES_PER_EDGE`` trees per positive edge of c+z,
-    whatever eps is, the scan falls back to the exact packing's support
-    (``lp.dual_packing``), which meets every such bar; so no eps leaves
-    the scan open-ended.
+    whatever eps is, the scan falls back to the explicit dual's packing,
+    which meets every such bar; so no eps leaves the scan open-ended.
 
     k = n scans nothing: the singletons come back with h as given and no
     dual.  When k is at most the number of components the exact packing is
     empty and every optimal cut groups whole components at value 0, so one
     maximal forest of positive edges is scanned: with no edge removed and
-    h = 0 in exact mode, and in approximate mode as the one greedy tree
-    that meets the bar 0, with h = 2k-2.  When a component has strength 0,
-    no dual comes back, and the tail of g's sequence after lambda = 0 is
+    h = 0 when no eps is given, and with one as the one greedy tree that
+    meets the bar 0, with h = 2k-2.  When a component has strength 0, no
+    dual comes back, and the tail of g's sequence after lambda = 0 is
     scanned: it is the sequence of g less its zero-capacity edges, which
     gives every partition g's value.
     """
     check_k(g, k)
-    if mode not in ("exact", "approx"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and eps is not None:
-        raise ValueError("eps applies to approximate mode only")
+    if eps is not None:
+        eps = Fraction(eps)
+        if not 0 < eps < Fraction(1, 2 * k - 1):
+            raise ValueError(f"eps must satisfy 0 < eps < 1/(2k-1) = 1/{2 * k - 1}")
     if k == g.n:
         caps, scale = scaled_capacities(g)
         return {frozenset(1 << v for v in range(g.n)): sum(caps)}, scale, 0, h, None
@@ -371,16 +373,10 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None, dual=None):
     if zero:  # on g's vertex and edge ids; its p0 is level 1's partition, not g's components
         psp = PrincipalSequence(g, psp.levels[0].partition, psp.levels[1:])
     if dual is None:
-        dual = lp_dual(g, psp, k, explicit=(mode == "exact"))
-    if mode == "approx":
+        dual = lp_dual(g, psp, k)
         if eps is None:
-            eps = Fraction(1, 2 * k)
-        eps = Fraction(eps)
-        if not eps < Fraction(1, 2 * k - 1):
-            raise ValueError("approximate mode needs eps < 1/(2k-1)")
-    approx = mode == "approx" and bool(psp.levels)  # with no level, no capacity is positive
-    if approx and not eps > 0:
-        raise ValueError("epsilon must lie in (0, 1/2)")
+            dual = dual_packing(g, dual)
+    approx = eps is not None and bool(psp.levels)  # with no level, no capacity is positive
     if k <= dual.h:
         forest = min_spanning_forest(g, [e.cap == 0 for e in g.edges])  # zero edges last
         trees, h = [tuple(i for i in forest if g.edges[i].cap)], max(h, 2 * k - 2) if approx else 0
@@ -398,26 +394,25 @@ def _scan(g: Graph, k: int, h: int, mode: str = "exact", eps=None, dual=None):
     return found, scale, candidates, h, None if zero else dual
 
 
-def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None, dual=None):
+def min_kcut(g: Graph, k: int, eps=None, dual=None):
     """Minimum k-cut with full enumeration of the optimal partitions.
 
     Pipeline: principal sequence -> closed-form dual z -> packing in c+z
-    (exact column generation, or, in the one mode that takes an eps with
-    0 < eps < 1/(2k-1), Thorup's greedy trees up to a packing of value
-    (1 - eps) lambda_j, with the exact packing as the fallback past the
-    stream's cap) -> scan every support tree for cuts crossing it at most
-    h times (h = 2k-3 exact, 2k-2 approximate) -> deduplicate and
-    minimize.
-    Both modes are guaranteed to contain every optimal k-cut.  When k is
+    (exact column generation, or, given an eps with 0 < eps < 1/(2k-1),
+    Thorup's greedy trees up to a packing of value (1 - eps) lambda_j,
+    with the exact packing as the fallback past the stream's cap) -> scan
+    every support tree for cuts crossing it at most h times (h = 2k-3
+    exact, 2k-2 with an eps) -> deduplicate and minimize.
+    Either packing is guaranteed to hold every optimal k-cut.  When k is
     at most the number of components the minimum is 0 and the minimizers
-    are the groupings of whole components into at least k parts.  In exact
-    mode ``report.dual`` is the optimal dual whose packing was scanned, so
+    are the groupings of whole components into at least k parts.  With no
+    eps, ``report.dual`` is the optimal dual whose packing was scanned, so
     a caller can certify it without a second column generation.  A caller
-    that already holds ``lp_dual(g, k=k, explicit=True)``, or the same
+    that already holds ``dual_packing(g, lp_dual(g, k=k))``, or the same
     dual with the packing of another k at its PSP level, passes it as
     ``dual`` and no column generation runs.
     """
-    found, scale, candidates, h, dual = _scan(g, k, 0, mode, eps, dual)
+    found, scale, candidates, h, dual = _scan(g, k, 0, eps, dual)
     best = min(found.values())
     value = Fraction(best, scale)
     minimizers = [
@@ -425,6 +420,7 @@ def min_kcut(g: Graph, k: int, mode: str = "exact", eps=None, dual=None):
     ]
     minimizers.sort(key=partition_sort_key)
     cuts = tuple(CutResult(p, value, p.part_count) for p in minimizers)
+    mode = "exact" if eps is None else "approx"
     report = EnumerationReport(
         k, h, mode, candidates, len(found), cuts, value, dual=dual
     )

@@ -40,7 +40,7 @@ class DualSolution(NamedTuple):
     level_index: int
     objective: Fraction
     h: int
-    packing: TreePacking | None  # explicit mode only
+    packing: TreePacking | None  # set by dual_packing
 
 
 class IdealPacking(NamedTuple):
@@ -162,23 +162,18 @@ def ideal_packing(g: Graph, psp: PrincipalSequence | None = None) -> IdealPackin
     return IdealPacking(g, tuple(levels), tuple(edge_level))
 
 
-def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2,
-            explicit: bool = False) -> DualSolution:
-    """Optimal dual: closed-form z plus a packing of value lambda_j in c+z.
-
-    Lazy mode carries only the per-level marginals (enough for objective and
-    feasibility checks); ``explicit=True`` materializes a basic optimal
-    packing of value lambda_j against c+z by column generation, needed for
-    complementary slackness and cut enumeration.  Its one certificate is
-    its value against lambda_j of ``psp``: c+z gets no sequence of its own.
-    """
+def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2) -> DualSolution:
+    """Optimal dual without its packing: closed-form z and lambda_j, the
+    value of an optimal packing in c+z (enough for objective and
+    feasibility checks).  ``dual_packing(g, lp_dual(g, psp, k))`` adds the
+    explicit packing that complementary slackness and cut enumeration
+    need."""
     if psp is None:
         psp = principal_sequence(g)
     lag, lam_j = lagrangean_value(psp, k)
     h = psp.kappa0()
     if k <= h:
-        dual = DualSolution(k, (Fraction(0),) * g.m, Fraction(0), 0, Fraction(0), h, None)
-        return dual_packing(g, dual) if explicit else dual
+        return DualSolution(k, (Fraction(0),) * g.m, Fraction(0), 0, Fraction(0), h, None)
     _check_positive_strength(psp)
     # lambda strictly increases along the sequence: levels 1..j-1 are the
     # ones below lambda_j.
@@ -192,13 +187,15 @@ def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2,
     objective = (k - h) * lam_j - sum(z, Fraction(0))
     if objective != lag:
         raise AssertionError("dual objective mismatch")
-    dual = DualSolution(k, tuple(z), lam_j, j, objective, h, None)
-    return dual_packing(g, dual) if explicit else dual
+    return DualSolution(k, tuple(z), lam_j, j, objective, h, None)
 
 
 def dual_packing(g: Graph, dual: DualSolution) -> DualSolution:
-    """``dual`` in explicit mode: with a basic optimal packing against c+z,
-    by column generation, certified by its value against lambda_j."""
+    """``dual`` made explicit: with a basic optimal packing of value
+    lambda_j against c+z, by column generation.  Its one certificate is
+    its value against lambda_j of the sequence ``dual`` was built from:
+    c+z gets no sequence of its own.  With k at most the number of
+    components the packing is empty."""
     if dual.k <= dual.h:
         return dual._replace(packing=TreePacking((), (), {}))
     packing = _column_generation(g, [e.cap + z for e, z in zip(g.edges, dual.z)])

@@ -35,19 +35,16 @@ integers.  Every minimum cut is then among the values scanned, so the
 running best is the least cut with the canonical tie-break: the answer of a
 scan of every tree of any packing of value above lambda/3.
 
-``global_mincut_detail`` still builds the multiplicative-weights packing
-of ``packing.mwu_pack``, within (1 - eps) of the strength, hence above
-lambda/3 for eps < 1/3.  It names the witness: the first of its support
-trees that crosses the cut at most twice, which is the tree a scan of the
-whole support credits with the cut.  It also bounds the work: should the
-greedy stream reach as many trees as the support holds without stopping,
-the pass reads the support too, so no input scans more than twice the
-support, and no answer depends on how fast the greedy loop converges.  On
-the ladder's random graphs with 20, 40 and 60 vertices the stream stops
-after 3, 2 and 3 trees, where the supports hold 676, 608 and 1,147.
-``global_mincut`` needs no witness, so it builds that packing only should
-the stream pass ``greedy_trees``' own cap, and reads its support then.
-Both give the same cut: the least, with the canonical tie-break.
+``global_mincut`` builds the multiplicative-weights packing of
+``packing.mwu_pack`` only should the stream pass ``greedy_trees``' own
+cap, and reads its support then: within (1 - eps) of the strength, hence
+above lambda/3 for eps < 1/3, it meets the same bar.  On the ladder's
+random graphs with 20, 40 and 60 vertices the stream stops after 3, 2 and
+3 trees, where the supports hold 676, 608 and 1,147.
+``global_mincut_detail`` takes that cut and builds the packing to name
+the witness: the first of its support trees that crosses the cut at most
+twice, which is the tree a scan of the whole support credits with the
+cut.
 
 A scan skips a tree whose edges join the same multiset of vertex pairs as
 an earlier tree's: the greedy loop may repeat a tree, and on a graph with
@@ -73,6 +70,7 @@ from .graph import (
     check_connected,
     component_blocks,
     components,
+    crossing_edges,
     cut_of_partition,
     scaled_capacities,
 )
@@ -180,41 +178,6 @@ def min_2respect(g: Graph, tree) -> CutResult:
     return _scan_trees(g, [tuple(tree)])[0]
 
 
-def _greedy_pass(g: Graph, most: int | None) -> tuple[_TreeScan, bool]:
-    """A ``_TreeScan`` of Thorup's greedy trees of g, whose positive-capacity
-    edges must connect it, up to the first tree with 3 t c(e*) above
-    c_up load(e*) (see the module docstring), and whether that tree came
-    within ``most`` trees (None: ``greedy_trees``' own cap)."""
-    scan = _TreeScan(g)
-    degree = [0] * g.n
-    for u, v, c in scan.positive:
-        degree[u] += c
-        degree[v] += c
-    c_deg = min(degree)
-    for tree, value, load in greedy_trees(g, scan.caps, most):
-        scan.add(tree, None)
-        if 3 * value > min(c_deg, scan.best) * load:
-            return scan, True
-    return scan, False
-
-
-def _greedy_scan(g: Graph, support, most: int) -> tuple[CutResult, int | None]:
-    """The global minimum cut of g, whose positive-capacity edges must
-    connect it, and its witness in ``support``: the index of the first tree
-    crossing the cut at most twice, or None when no tree does.
-
-    Should ``most`` greedy trees not reach the stop, the scan reads
-    ``support`` too, a packing whose value must exceed a third of the
-    mincut."""
-    scan, done = _greedy_pass(g, most)
-    if not done:
-        for tree in support:
-            scan.add(tree, None)
-    cut, side = scan.cut(), scan.side
-    crossing = {i for i, e in enumerate(g.edges) if (side >> e.u ^ side >> e.v) & 1}
-    return cut, next((idx for idx, tree in enumerate(support) if len(crossing.intersection(tree)) <= 2), None)
-
-
 def _zero_cut(g: Graph, eps) -> CutResult | None:
     """Check the arguments of a mincut call; when the positive-capacity
     edges leave several components, their partition, a cut of value 0."""
@@ -227,40 +190,48 @@ def _zero_cut(g: Graph, eps) -> CutResult | None:
     return None
 
 
-def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
-    """Global mincut plus its witness: (cut, witness tree index, packing).
-
-    Scans the 1- and 2-respecting cuts of Thorup's greedy trees, in one
-    integer pass with a running best, until the greedy packing's value
-    exceeds a third of an upper bound on the mincut; then every minimum
-    cut 2-respects a scanned tree, so the cut is the least of all, with the
-    canonical tie-break.  The packing is the multiplicative-weights one
-    within (1 - eps) of the strength, which for eps < 1/3 also exceeds a
-    third of the mincut: it names the witness, the first of its support
-    trees crossing the cut at most twice, and bounds the greedy stream (see
-    the module docstring).  Deterministic.
-    """
-    cut = _zero_cut(g, eps)
-    if cut is not None:
-        return cut, None, None
-    packing = mwu_pack(g, config=PackConfig(epsilon=eps))
-    support = packing.support()
-    cut, witness = _greedy_scan(g, support, len(support))
-    if witness is None:
-        raise PackingError("no support tree crosses the minimum cut at most twice")
-    return cut, witness, packing
-
-
 def global_mincut(g: Graph, eps=Fraction(1, 6)) -> CutResult:
-    """Global minimum cut via the scan of greedy trees: the cut of
-    ``global_mincut_detail``, which names no witness here, so the
-    multiplicative-weights packing is built only should the greedy stream
-    pass its cap."""
+    """Global minimum cut: the least 1- or 2-respecting cut of Thorup's
+    greedy trees, scanned in one integer pass with a running best up to
+    the first tree with 3 t c(e*) above c_up load(e*), where every minimum
+    cut 2-respects a scanned tree (see the module docstring).  Should the
+    stream pass its cap first, the support of the multiplicative-weights
+    packing within (1 - eps) of the strength is scanned too.  The cut is
+    the least of all, with the canonical tie-break.  Deterministic."""
     cut = _zero_cut(g, eps)
     if cut is not None:
         return cut
-    scan, done = _greedy_pass(g, None)
-    if not done:
-        for tree in mwu_pack(g, config=PackConfig(epsilon=eps)).support():
-            scan.add(tree, None)
+    scan = _TreeScan(g)
+    degree = [0] * g.n
+    for u, v, c in scan.positive:
+        degree[u] += c
+        degree[v] += c
+    c_deg = min(degree)
+    for tree, value, load in greedy_trees(g, scan.caps):
+        scan.add(tree, None)
+        if 3 * value > min(c_deg, scan.best) * load:
+            return scan.cut()
+    for tree in mwu_pack(g, config=PackConfig(epsilon=eps)).support():
+        scan.add(tree, None)
     return scan.cut()
+
+
+def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
+    """Global mincut plus its witness: (cut, witness tree index, packing).
+
+    The cut is ``global_mincut``'s.  The packing is the
+    multiplicative-weights one within (1 - eps) of the strength, which for
+    eps < 1/3 exceeds a third of the mincut, so some support tree crosses
+    the cut at most twice: the witness is the index of the first.  A cut of
+    value 0 gets no packing: (cut, None, None).  Deterministic.
+    """
+    cut = global_mincut(g, eps)
+    if cut.value == 0:
+        return cut, None, None
+    packing = mwu_pack(g, config=PackConfig(epsilon=eps))
+    crossing = set(crossing_edges(g, cut.partition.block_of(g.n)))
+    support = packing.support()
+    witness = next((idx for idx, tree in enumerate(support) if len(crossing.intersection(tree)) <= 2), None)
+    if witness is None:
+        raise PackingError("no support tree crosses the minimum cut at most twice")
+    return cut, witness, packing

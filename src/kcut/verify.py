@@ -24,6 +24,7 @@ from .cuts import (
 from .graph import Graph, crossing_edges, rational_str
 from .lp import (
     check_complementary_slackness,
+    dual_packing,
     ideal_packing,
     lagrangean_value,
     lp_dual,
@@ -71,12 +72,11 @@ def _kcut_and_dual(g: Graph, psp, k: int, packings: dict):
     z, and so the packing in c+z, depend only on k's PSP level j, so
     ``packings`` keeps one packing per level: each level's column
     generation runs once, and k = n reuses the last level's."""
+    dual = lp_dual(g, psp, k)
     j = psp.level_for_k(k)
-    if j in packings:
-        dual = lp_dual(g, psp, k)._replace(packing=packings[j])
-    else:
-        dual = lp_dual(g, psp, k, explicit=True)
-        packings[j] = dual.packing
+    if j not in packings:
+        packings[j] = dual_packing(g, dual).packing
+    dual = dual._replace(packing=packings[j])
     best, report = min_kcut(g, k, dual=dual)
     return best, report, dual
 

@@ -16,6 +16,7 @@ from kcut import (
     PackConfig,
     breakpoints,
     check_complementary_slackness,
+    dual_packing,
     enum_partitions,
     enumerate_approx_kcuts,
     exact_pack,
@@ -51,7 +52,7 @@ _DUAL_CACHE = {}
 def explicit_dual(name, g, k):
     key = (name, k)
     if key not in _DUAL_CACHE:
-        _DUAL_CACHE[key] = lp_dual(g, principal_sequence(g), k, explicit=True)
+        _DUAL_CACHE[key] = dual_packing(g, lp_dual(g, principal_sequence(g), k))
     return _DUAL_CACHE[key]
 
 
@@ -168,13 +169,13 @@ def test_criterion_07_min_kcut_optimality_and_enumeration():
     with criterion(7, "k-cut optimality, full enumeration, respect witnesses", 600):
         for name, g in full_suite():
             for k in range(2, min(g.n, 5) + 1):
-                cut, report = min_kcut(g, k, mode="exact")
+                cut, report = min_kcut(g, k)
                 ocut, oall = oracle_min_kcut(g, k)
                 assert cut.value == ocut.value, (name, k)
                 assert {c.partition.parts for c in report.cuts} == {
                     p.parts for p in oall
                 }, (name, k)
-                approx_cut, _ = min_kcut(g, k, mode="approx", eps=F(1, 2 * k))
+                approx_cut, _ = min_kcut(g, k, eps=F(1, 2 * k))
                 assert approx_cut.value == ocut.value, (name, k)
                 # every oracle-optimal k-cut crosses a support tree <= 2k-3 times
                 dual = explicit_dual(name, g, k)

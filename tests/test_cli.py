@@ -306,6 +306,26 @@ def test_bad_rational_flag_exit_1(capsys, c5_file, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, k, eps",
+    [
+        (C5_TEXT, "2", "0"),
+        ("p kcut 3 1\ne 2 3 0\n", "2", "0"),
+        ("p kcut 3 2\ne 1 2 1\ne 2 3 1\n", "3", "1"),
+        ("p kcut 3 2\ne 1 2 1\ne 2 3 1\n", "3", "-1"),
+    ],
+    ids=["c5-0", "no-positive-capacity-0", "k=n-1", "k=n-minus-1"],
+)
+def test_solve_eps_outside_its_bound_exit_1(capsys, tmp_path, text, k, eps):
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    code = main(["solve", "--k", k, "--eps", eps, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: eps must satisfy 0 < eps < 1/(2k-1) = 1/{2 * int(k) - 1}\n"
+
+
 def test_disconnected_k_up_to_components(capsys, tmp_path):
     # vertex 1 is isolated, so every k <= 2 has a cut of value 0
     path = tmp_path / "split.graph"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -12,6 +13,7 @@ from kcut import (
     components,
     cut_of_partition,
     cuts_from_tree,
+    dual_packing,
     dual_respect_bound,
     enum_partitions,
     enumerate_approx_kcuts,
@@ -88,7 +90,7 @@ def test_min_kcut_k_equals_n(k4):
 def test_min_kcut_matches_oracle_with_full_sets():
     for name, g in full_suite()[:16]:
         for k in range(2, min(g.n, 5) + 1):
-            cut, report = min_kcut(g, k, mode="exact")
+            cut, report = min_kcut(g, k)
             ocut, oall = oracle_min_kcut(g, k)
             assert cut.value == ocut.value, (name, k)
             assert {c.partition.parts for c in report.cuts} == {
@@ -99,18 +101,19 @@ def test_min_kcut_matches_oracle_with_full_sets():
 def test_min_kcut_approx_mode():
     for name, g in full_suite()[:10]:
         for k in range(2, min(g.n, 4) + 1):
-            exact_cut, _ = min_kcut(g, k, mode="exact")
-            approx_cut, report = min_kcut(g, k, mode="approx", eps=F(1, 2 * k))
+            exact_cut, _ = min_kcut(g, k)
+            approx_cut, report = min_kcut(g, k, eps=F(1, 2 * k))
             assert approx_cut.value == exact_cut.value, (name, k)
             if k < g.n:  # k = n short-circuits without packing
                 assert report.h == 2 * k - 2
 
 
 def test_min_kcut_approx_eps_validation(c5):
-    with pytest.raises(ValueError):
-        min_kcut(c5, 3, mode="approx", eps=F(1, 4))  # needs < 1/5
-    with pytest.raises(ValueError, match="approximate mode only"):
-        min_kcut(c5, 3, eps=F(1, 6))  # exact mode takes no eps
+    # 0 < eps < 1/(2k-1) is checked before any work, k = n included
+    no_work = mock.patch("kcut.cuts.principal_sequence", side_effect=AssertionError("scan began"))
+    for k, eps in [(3, F(1, 4)), (3, F(1, 5)), (3, F(0)), (3, F(-1, 5)), (5, F(1, 9)), (5, F(1)), (5, F(-1))]:
+        with no_work, pytest.raises(ValueError, match=rf"^eps must satisfy 0 < eps < 1/\(2k-1\) = 1/{2 * k - 1}$"):
+            min_kcut(c5, k, eps=eps)
 
 
 def test_optimal_cut_respect_witnesses():
@@ -122,7 +125,7 @@ def test_optimal_cut_respect_witnesses():
         for k in range(2, min(g.n, 4) + 1):
             if k == g.n:
                 continue
-            dual = lp_dual(g, psp, k, explicit=True)
+            dual = dual_packing(g, lp_dual(g, psp, k))
             caps = [g.edges[i].cap + dual.z[i] for i in range(g.m)]
             approx = mwu_pack(g, caps, PackConfig(epsilon=F(1, 2 * k)))
             _, oall = oracle_min_kcut(g, k)
@@ -203,14 +206,16 @@ def _strength_zero_multigraphs(draw):
     return Graph(g.n, tuple(edges[i] for i in perm))
 
 
-def _assert_kcuts_match_oracle(g, modes):
+def _assert_kcuts_match_oracle(g, approx):
+    """min_kcut with no eps, and with eps = 1/(2k) when ``approx``, and
+    enumerate_approx_kcuts against the oracle for every k."""
     for k in range(2, g.n + 1):
         ocut, oall = oracle_min_kcut(g, k)
         minimizers = {p.parts for p in oall}
-        for mode in modes:
-            cut, report = min_kcut(g, k, mode)
-            assert cut.value == ocut.value, (k, mode)
-            assert {c.partition.parts for c in report.cuts} == minimizers, (k, mode)
+        for eps in (None, F(1, 2 * k)) if approx else (None,):
+            cut, report = min_kcut(g, k, eps=eps)
+            assert cut.value == ocut.value, (k, eps)
+            assert {c.partition.parts for c in report.cuts} == minimizers, (k, eps)
         for alpha in (F(1), F(3, 2)):
             report = enumerate_approx_kcuts(g, k, alpha)
             assert report.min_value == ocut.value
@@ -226,14 +231,14 @@ def _assert_kcuts_match_oracle(g, modes):
 @given(_disconnected_multigraphs())
 def test_disconnected_kcuts_match_oracle_property(g):
     assert not g.is_connected()
-    _assert_kcuts_match_oracle(g, ["exact"])
+    _assert_kcuts_match_oracle(g, approx=False)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_strength_zero_multigraphs())
 def test_strength_zero_kcuts_match_oracle_property(g):
     assert principal_sequence(g).levels[0].lam == 0
-    _assert_kcuts_match_oracle(g, ["exact", "approx"])
+    _assert_kcuts_match_oracle(g, approx=True)
     # g's own LP has no closed-form dual to report
     assert min_kcut(g, 2)[1].dual is None
 
@@ -245,7 +250,7 @@ def test_enumeration_count_ceiling():
         k = 2
         report = enumerate_approx_kcuts(g, k, F(3, 2))
         psp = principal_sequence(g)
-        dual = lp_dual(g, psp, k, explicit=True)
+        dual = dual_packing(g, lp_dual(g, psp, k))
         q_min = None
         for cut in report.cuts:
             stats = respect_stats(
@@ -275,7 +280,7 @@ def test_respect_fraction_bound_holds_for_optimal_cuts():
         for k in range(2, min(g.n, 4) + 1):
             if k == g.n:
                 continue
-            dual = lp_dual(g, psp, k, explicit=True)
+            dual = dual_packing(g, lp_dual(g, psp, k))
             _, oall = oracle_min_kcut(g, k)
             for h in range(k - 1, 2 * k):
                 bound = dual_respect_bound(1, k, h, g.n)

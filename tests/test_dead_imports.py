@@ -1,6 +1,8 @@
 """Every name a library module imports is read in that module, except the
 re-exports that perfbench reads by name and nothing in the library uses.
-``__init__.py`` imports to re-export, so it is not checked."""
+``__init__.py`` imports to re-export, so it is not checked.  And every
+private helper the library defines is used by the library, not only by
+tests."""
 
 import ast
 from pathlib import Path
@@ -36,3 +38,30 @@ def test_only_the_perfbench_shims_are_unread_imports():
     unread = [use for path in modules for use in _unread_imports(path)]
     assert [use for use in unread if use[:2] not in PERFBENCH_SHIMS] == []
     assert {use[:2] for use in unread} == set(PERFBENCH_SHIMS)
+
+
+def _private_helpers(tree):
+    """(name, line) of each ``_``-prefixed function at module level or
+    method of a module-level class, dunder methods aside."""
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in defs:
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if d.name.startswith("_") and not d.name.endswith("__"):
+                yield d.name, d.lineno
+
+
+def test_every_private_helper_is_used_by_the_library():
+    paths = Path(kcut.__file__).parent.glob("*.py")
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in paths}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    helpers = [(module, name, line) for module, tree in trees.items() for name, line in _private_helpers(tree)]
+    assert len(helpers) > 10
+    assert [helper for helper in helpers if helper[1] not in used] == []

@@ -175,7 +175,7 @@ K_ENTRY_POINTS = {
     "lp_dual": lambda g, k: lp_dual(g, principal_sequence(g), k),
     "ravi_sinha_cut": lambda g, k: ravi_sinha_cut(g, principal_sequence(g), k),
     "min_kcut-exact": lambda g, k: min_kcut(g, k),
-    "min_kcut-approx": lambda g, k: min_kcut(g, k, mode="approx"),
+    "min_kcut-approx": lambda g, k: min_kcut(g, k, eps=Fraction(1, 2 * k)),
     "enumerate_approx_kcuts": lambda g, k: enumerate_approx_kcuts(g, k, 1),
     "oracle_min_kcut": lambda g, k: oracle_min_kcut(g, k),
     "oracle_lp_value": lambda g, k: oracle_lp_value(g, k),

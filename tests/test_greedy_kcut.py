@@ -74,7 +74,7 @@ def _scans_with_greedy_calls(g, k, eps):
         return trees
 
     with mock.patch.object(cuts, "_greedy_support", spy):
-        return min_kcut(g, k, "approx", eps), calls
+        return min_kcut(g, k, eps=eps), calls
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -141,7 +141,7 @@ def test_approx_k3_scans_few_greedy_trees():
         return real(graph, trees, h, k)
 
     with mock.patch.object(cuts, "_enumerate_over_support", spy):
-        cut, report = min_kcut(g, 3, "approx", F(1, 6))
+        cut, report = min_kcut(g, 3, eps=F(1, 6))
     assert scanned and scanned[0] <= 10
     assert report.cuts == min_kcut(g, 3)[1].cuts
 

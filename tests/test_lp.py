@@ -9,6 +9,7 @@ from kcut import (
     Graph,
     check_complementary_slackness,
     cut_of_partition,
+    dual_packing,
     ideal_packing,
     lagrangean_value,
     lp_dual,
@@ -241,7 +242,7 @@ def test_verify_primal_fixtures(tt, c5, k4):
 
 def test_verify_dual_fixtures(tt, e1):
     psp = principal_sequence(tt)
-    d = lp_dual(tt, psp, 3, explicit=True)
+    d = dual_packing(tt, lp_dual(tt, psp, 3))
     v = verify_dual(tt, d)
     assert v.ok
     loads = d.packing.loads()
@@ -255,7 +256,7 @@ def test_verify_dual_fixtures(tt, e1):
     bad = DualSolution(3, d.z, d.total_y, d.level_index, d.objective, 1, bad_packing)
     v = verify_dual(tt, bad)
     assert not v.ok and v.violations
-    d1 = lp_dual(e1, principal_sequence(e1), 2, explicit=True)
+    d1 = dual_packing(e1, lp_dual(e1, principal_sequence(e1), 2))
     v = verify_dual(e1, d1)
     assert v.ok and d1.packing.loads()[0] == 5
 
@@ -263,12 +264,12 @@ def test_verify_dual_fixtures(tt, e1):
 def test_complementary_slackness_fixtures(tt, c5):
     psp = principal_sequence(tt)
     x = lp_primal(psp, 3).x
-    d = lp_dual(tt, psp, 3, explicit=True)
+    d = dual_packing(tt, lp_dual(tt, psp, 3))
     cs = check_complementary_slackness(tt, x, d)
     assert cs.ok
     # z = 0 for k = 2 makes condition (1) vacuous
     psp5 = principal_sequence(c5)
-    d5 = lp_dual(c5, psp5, 2, explicit=True)
+    d5 = dual_packing(c5, lp_dual(c5, psp5, 2))
     cs5 = check_complementary_slackness(c5, lp_primal(psp5, 2).x, d5)
     assert cs5.ok and all(z == 0 for z in d5.z)
     # perturbing x breaks tightness with a witness
@@ -298,7 +299,7 @@ def test_certificates_on_suite():
         psp = principal_sequence(g)
         for k in range(2, g.n + 1):
             primal = lp_primal(psp, k)
-            dual = lp_dual(g, psp, k, explicit=True)
+            dual = dual_packing(g, lp_dual(g, psp, k))
             assert verify_primal(g, primal.x, k).ok, (name, k)
             assert verify_dual(g, dual).ok, (name, k)
             assert check_complementary_slackness(g, primal.x, dual).ok, (name, k)
@@ -322,7 +323,7 @@ def test_support_trees_minimal_crossings():
     for name, g in full_suite()[:10]:
         psp = principal_sequence(g)
         for k in range(2, g.n + 1):
-            dual = lp_dual(g, psp, k, explicit=True)
+            dual = dual_packing(g, lp_dual(g, psp, k))
             j = dual.level_index
             if j == 0:
                 continue
@@ -345,7 +346,7 @@ def test_disconnected_lp():
     assert psp.kappa0() == 2
     p = lp_primal(psp, 3)
     assert p.objective == F(3, 2)
-    d = lp_dual(g, psp, 3, explicit=True)
+    d = dual_packing(g, lp_dual(g, psp, 3))
     assert d.objective == F(3, 2)
     assert oracle_lp_value(g, 3) == F(3, 2)
     assert verify_primal(g, p.x, 3).ok

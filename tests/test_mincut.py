@@ -29,7 +29,7 @@ from kcut import (
 )
 from kcut.graph import CutResult, _mask_partition, scaled_capacities
 from kcut import mincut
-from kcut.mincut import _greedy_scan, _scan_trees, _tree_tables
+from kcut.mincut import _scan_trees, _tree_tables
 from kcut.oracle import partition_sort_key
 
 from conftest import TT_BRIDGE, _random_connected, edge_ids_of_partition, full_suite
@@ -426,18 +426,17 @@ def test_greedy_mincut_matches_the_full_support_scan_property(g):
     ref, ref_witness = _scan_trees(g, support)  # the scan of every support tree it replaces
     assert (cut.value, cut.partition.parts, witness) == (ref.value, ref.partition.parts, ref_witness)
     assert cut == ref
-    # no greedy tree at all: the support alone is scanned
-    assert _greedy_scan(g, support, most=0) == (ref, ref_witness)
-    # the value-only call: greedy trees to their cap, then the support
     assert global_mincut(g) == ref
+    # no greedy tree at all: the support alone is scanned
     with mock.patch("kcut.packing.GREEDY_TREES_PER_EDGE", 0):
+        assert global_mincut_detail(g) == (ref, ref_witness, packing)
         assert global_mincut(g) == ref
 
 
 @pytest.mark.parametrize("n, extra", [(20, 40), (40, 80), (60, 140)])
 def test_global_mincut_builds_few_tree_tables(monkeypatch, n, extra):
     built = []
-    real = mincut._tree_tables
+    real, real_packing = mincut._tree_tables, mincut.mwu_pack
 
     def counting(n, tree, edges, positive):
         built.append(tree)
@@ -446,7 +445,18 @@ def test_global_mincut_builds_few_tree_tables(monkeypatch, n, extra):
     def no_packing(*args, **kwargs):
         raise AssertionError("global_mincut built the multiplicative-weights packing")
 
+    g = _random_connected(random.Random(n), n, extra)
     monkeypatch.setattr(mincut, "_tree_tables", counting)
     monkeypatch.setattr(mincut, "mwu_pack", no_packing)
-    global_mincut(_random_connected(random.Random(n), n, extra))
+    cut = global_mincut(g)
     assert 1 <= len(built) <= 10  # the support holds 676, 608 and 1,147 trees
+    # the witness needs the packing: one is built, and its trees get no tables
+    packings, greedy = [], len(built)
+
+    def one_packing(*args, **kwargs):
+        packings.append(real_packing(*args, **kwargs))
+        return packings[-1]
+
+    monkeypatch.setattr(mincut, "mwu_pack", one_packing)
+    assert global_mincut_detail(g) == (cut, mock.ANY, packings[0])
+    assert len(packings) == 1 and len(built) == 2 * greedy
