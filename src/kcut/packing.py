@@ -132,7 +132,7 @@ GREEDY_TREES_PER_EDGE = 16
 """``greedy_trees`` stops after this many trees per positive edge."""
 
 
-def greedy_trees(g: Graph, caps, most: int | None = None):
+def greedy_trees(g: Graph, caps):
     """Thorup's greedy tree packing (Thorup 2008) of the edges with a positive
     entry in ``caps``, integers aligned with g.edges.
 
@@ -142,19 +142,17 @@ def greedy_trees(g: Graph, caps, most: int | None = None):
     load/c, giving each of the first t trees the weight c(e*)/load(e*)
     packs the value t c(e*)/load(e*) within the capacities.  Yields each
     tree, as sorted edge ids of g, with that value as the int pair
-    (t c(e*), load(e*)).  Stops after ``most`` trees, by default
-    ``GREEDY_TREES_PER_EDGE`` per positive edge: a caller whose bar the
-    stream did not reach by then falls back to a packing of its own.
+    (t c(e*), load(e*)).  Stops after ``GREEDY_TREES_PER_EDGE`` trees per
+    positive edge: a caller whose bar the stream did not reach by then
+    falls back to a packing of its own.
     """
     keep = [i for i, c in enumerate(caps) if c]
     work = Graph(g.n, tuple(g.edges[i] for i in keep))
     cap = [caps[i] for i in keep]
-    if most is None:
-        most = GREEDY_TREES_PER_EDGE * len(keep)
     load = [0] * work.m
     length = [0] * work.m  # load / cap
     top = 0  # an edge of the largest load / cap once a tree is packed
-    for t in range(1, most + 1):
+    for t in range(1, GREEDY_TREES_PER_EDGE * len(keep) + 1):
         forest = min_spanning_forest(work, length)
         for i in forest:
             load[i] += 1

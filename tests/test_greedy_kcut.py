@@ -108,9 +108,14 @@ def test_greedy_approx_scan_matches_exact_and_oracle_property(g, which):
 def test_greedy_stream_stops_at_the_cap():
     g = _random_connected(random.Random(6), 6, 7)
     caps = [int(e.cap) for e in g.edges]
-    assert len(list(packing.greedy_trees(g, caps, 3))) == 3
     assert len(list(packing.greedy_trees(g, caps))) == packing.GREEDY_TREES_PER_EDGE * g.m
-    assert list(packing.greedy_trees(g, caps, 0)) == []
+    with mock.patch.object(packing, "GREEDY_TREES_PER_EDGE", 1):
+        assert len(list(packing.greedy_trees(g, caps))) == g.m
+    with mock.patch.object(packing, "GREEDY_TREES_PER_EDGE", 0):
+        assert list(packing.greedy_trees(g, caps)) == []
+    # zero-capacity edges count towards no cap
+    caps[0] = 0
+    assert len(list(packing.greedy_trees(g, caps))) == packing.GREEDY_TREES_PER_EDGE * (g.m - 1)
 
 
 def _planted(k, size):

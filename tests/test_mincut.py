@@ -30,6 +30,7 @@ from kcut import (
 from kcut.graph import CutResult, _mask_partition, scaled_capacities
 from kcut import mincut
 from kcut.mincut import _scan_trees, _tree_tables
+from kcut.packing import GREEDY_TREES_PER_EDGE
 from kcut.oracle import partition_sort_key
 
 from conftest import TT_BRIDGE, _random_connected, edge_ids_of_partition, full_suite
@@ -460,3 +461,30 @@ def test_global_mincut_builds_few_tree_tables(monkeypatch, n, extra):
     monkeypatch.setattr(mincut, "mwu_pack", one_packing)
     assert global_mincut_detail(g) == (cut, mock.ANY, packings[0])
     assert len(packings) == 1 and len(built) == 2 * greedy
+
+
+def test_global_mincut_detail_builds_one_packing_on_the_suite(monkeypatch):
+    # the greedy stream meets its bar before its cap on every suite graph,
+    # so the packing is built once, for the witness, and never for the scan
+    packings, streams = [], []
+    real_packing, real_greedy = mincut.mwu_pack, mincut.greedy_trees
+
+    def counting_packing(*args, **kwargs):
+        packings.append(None)
+        return real_packing(*args, **kwargs)
+
+    def counting_greedy(g, caps):
+        streams.append(0)
+        for item in real_greedy(g, caps):
+            streams[-1] += 1
+            yield item
+
+    monkeypatch.setattr(mincut, "mwu_pack", counting_packing)
+    monkeypatch.setattr(mincut, "greedy_trees", counting_greedy)
+    for name, g in full_suite():
+        for eps in (Fraction(1, 6), Fraction(1, 4)):
+            del packings[:], streams[:]
+            cut, _, _ = global_mincut_detail(g, eps)
+            assert len(packings) == (cut.value > 0), name
+            positive = sum(1 for e in g.edges if e.cap > 0)
+            assert all(t < GREEDY_TREES_PER_EDGE * positive for t in streams), name
