@@ -333,6 +333,21 @@ def build_parser() -> _Parser:
 
 
 _PARSER = None  # built on the first ``main`` call, not at import
+RATIONAL_FLAGS = ("--eps", "--alpha")
+
+
+def _join_negative_values(argv):
+    """``argv`` with each rational flag joined to a negative value given as
+    its own word (``--eps -1/5`` becomes ``--eps=-1/5``).  argparse takes a
+    word such as ``-1/5`` for an option, so the value would never reach the
+    flag's range check."""
+    out = []
+    for word in argv:
+        if out and out[-1] in RATIONAL_FLAGS and word[:1] == "-" and (word[1:2].isdigit() or word[1:2] == "."):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
 
 
 def main(argv=None) -> int:
@@ -340,7 +355,7 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

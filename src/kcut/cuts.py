@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import floor
+from operator import mul
 from typing import NamedTuple
 
 from .graph import (
@@ -49,9 +50,9 @@ from .graph import (
     CutResult,
     _mask_partition,
     _rooted_forest,
+    _scaled,
     check_k,
     component_blocks,
-    components,
     contract_partition,
     cut_of_partition,
     partition_sort_key,
@@ -111,16 +112,15 @@ def mincut_respect_bound(h: int, n: int) -> Fraction:
 
 
 def respect_stats(packing: TreePacking, cut_edges, h: int) -> RespectStats:
-    """Exact crossing counts and weight fractions of a packing against a cut."""
+    """Exact crossing counts and weight fractions of a packing against a
+    cut, summed on the weights over their least common denominator."""
     if not packing.trees:
         raise ValueError("empty packing")
     cut = frozenset(cut_edges)
     crossings = tuple(len(cut.intersection(t)) for t in packing.trees)
-    total = packing.total_value
-    hit = sum(
-        (w for ell, w in zip(crossings, packing.weights) if ell <= h), Fraction(0)
-    )
-    return RespectStats(h, cut, crossings, hit / total)
+    weights, _ = _scaled(packing.weights)
+    hit = sum([w for ell, w in zip(crossings, weights) if ell <= h])
+    return RespectStats(h, cut, crossings, Fraction(hit, sum(weights)))
 
 
 def bell_number(n: int) -> int:
@@ -478,20 +478,24 @@ def round_lp(g: Graph, primal: PrimalSolution) -> RoundResult:
     """Round an optimal fractional vector to a k-cut within twice (1 - 1/n)
     of its objective: contract x=0 edges, keep x=1 edges, and isolate the
     cheapest capacitated-degree vertices of the fractional residual, at most
-    size-1 of them per residual component so each pick adds a part."""
-    x = [Fraction(v) for v in primal.x]
-    if any(v < 0 or v > 1 for v in x):
+    size-1 of them per residual component so each pick adds a part.  x,
+    the capacities and the degrees are ints: x over its least common
+    denominator d, the capacities scaled by L."""
+    x, d = _scaled(primal.x)
+    if any(v < 0 or v > d for v in x):
         raise ValueError("x must lie in [0, 1]")
     k = primal.k
     zero_blocks = component_blocks(g, exclude_edges=[i for i in range(g.m) if x[i] > 0])
     gc, block_map, kept = contract_partition(g, zero_blocks)
-    frac = [j for j, eid in enumerate(kept) if 0 < x[eid] < 1]
-    ones = [eid for eid in kept if x[eid] == 1]
+    frac = [j for j, eid in enumerate(kept) if 0 < x[eid] < d]
+    ones = [eid for eid in kept if x[eid] == d]
 
-    objective = sum((g.edges[i].cap * x[i] for i in range(g.m)), Fraction(0))
+    caps, scale = scaled_capacities(g)
+    cx = sum(map(mul, caps, x))  # c.x times L d
+    objective = Fraction(cx, scale * d)
     lp_value, _ = lagrangean_value(principal_sequence(g), k)
     certified = objective == lp_value
-    bound = 2 * (1 - Fraction(1, g.n)) * objective
+    bound = Fraction(2 * (g.n - 1) * cx, g.n * scale * d)  # 2 (1 - 1/n) c.x
 
     res_blocks = component_blocks(gc, exclude_edges=[j for j in range(gc.m) if j not in frac])
     if len(res_blocks) >= k:
@@ -501,11 +505,11 @@ def round_lp(g: Graph, primal: PrimalSolution) -> RoundResult:
         for ci, blk in enumerate(res_blocks):
             for v in blk:
                 comp_of[v] = ci
-        deg = [Fraction(0)] * gc.n
+        deg = [0] * gc.n  # scaled by L
         for j in frac:
             e = gc.edges[j]
-            deg[e.u] += e.cap
-            deg[e.v] += e.cap
+            deg[e.u] += caps[kept[j]]
+            deg[e.v] += caps[kept[j]]
         budgets = {ci: len(blk) - 1 for ci, blk in enumerate(res_blocks)}
         items = [(deg[v], v, comp_of[v]) for v in range(gc.n)]
         taken = _capped_cheapest(items, budgets, k - len(res_blocks))
@@ -517,8 +521,7 @@ def round_lp(g: Graph, primal: PrimalSolution) -> RoundResult:
             e = gc.edges[j]
             if e.u in chosen or e.v in chosen:
                 cutset.add(kept[j])
-    partition = components(g, exclude_edges=cutset)
-    cut = cut_of_partition(g, partition)
+    cut = cut_of_partition(g, component_blocks(g, exclude_edges=cutset))
     return RoundResult(cut, certified, bound)
 
 

@@ -163,12 +163,22 @@ def crossing_edges(g: Graph, block: Sequence[int]) -> list[int]:
     return [i for i, e in enumerate(g.edges) if block[e.u] != block[e.v]]
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator
+    (so the numerators and the denominator share no factor).  Values are
+    ints, Fractions or anything ``Fraction`` accepts."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    d = lcm(*[v.denominator for v in vals])
+    if d == 1:
+        return [v.numerator for v in vals], 1
+    return [v.numerator * (d // v.denominator) for v in vals], d
+
+
 def scaled_capacities(g: Graph) -> tuple[list[int], int]:
     """(c(e)·L as ints, L), with L the lcm of the capacity denominators.
 
     Sums of scaled capacities are exact integers; divide by L to get back."""
-    scale = lcm(*(e.cap.denominator for e in g.edges))
-    return [e.cap.numerator * (scale // e.cap.denominator) for e in g.edges], scale
+    return _scaled([e.cap for e in g.edges])
 
 
 def partition_from_blocks(g: Graph, blocks: Iterable[Iterable[int]]) -> VertexPartition:

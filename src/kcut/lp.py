@@ -18,9 +18,10 @@ forests with right-hand side k - h for h components.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
-from .graph import Graph, check_k, component_blocks, contract_partition
+from .graph import Graph, _scaled, check_k, component_blocks, contract_partition, scaled_capacities
 from .packing import SaturationError, TreePacking, _column_generation, min_spanning_forest, saturating_pack
 from .strength import PrincipalSequence, principal_sequence
 
@@ -78,10 +79,6 @@ def _check_positive_strength(psp: PrincipalSequence) -> None:
         )
 
 
-def _cbar(g: Graph, edge_ids) -> Fraction:
-    return sum((g.edges[i].cap for i in edge_ids), Fraction(0))
-
-
 def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
     """Optimal primal vector: 1 on A_{j-1}, alpha on B_j, 0 elsewhere.
 
@@ -94,16 +91,17 @@ def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
     j = psp.level_for_k(k)
     level = psp.levels[j - 1]
     kappa_prev = psp.kappa_at(j - 1)
-    a_prev = psp.a_edges_at(j - 1)
     alpha = Fraction(k - kappa_prev, level.kappa - kappa_prev)
     x = [Fraction(0)] * g.m
-    for eid in a_prev:
+    for eid in psp.a_edges_at(j - 1):
         x[eid] = Fraction(1)
     for eid in level.b_edges:
         x[eid] = alpha
-    objective = _cbar(g, a_prev) + (k - kappa_prev) * level.lam
-    got = sum((g.edges[i].cap * x[i] for i in range(g.m)), Fraction(0))
-    if got != objective:
+    # c(A_{j-1}) = c(delta(P_{j-1})), which the sequence holds
+    objective = psp.partition_at(j - 1).crossing_value + (k - kappa_prev) * level.lam
+    caps, scale = scaled_capacities(g)
+    xs, d = _scaled(x)
+    if sum(map(mul, caps, xs)) * objective.denominator != objective.numerator * scale * d:
         raise AssertionError("primal objective mismatch")
     return PrimalSolution(k, tuple(x), j, alpha, objective)
 
@@ -116,13 +114,11 @@ def lagrangean_value(psp: PrincipalSequence, k: int):
     sequence are its minimizers, so the maximum is taken over b = 0 (value
     0) and the breakpoints b = lambda_i, at each of which P_i minimizes.
     The first maximum sits at b = lambda_j and equals the LP optimum."""
-    g = psp.graph
-    check_k(g, k)
+    check_k(psp.graph, k)
     value, b = Fraction(0), Fraction(0)
-    cut = Fraction(0)  # c(delta(P_i)): the B_l with l <= i
     for level in psp.levels:
-        cut += _cbar(g, level.b_edges)
-        at = cut - level.lam * (level.kappa - 1) + level.lam * (k - 1)
+        # c(delta(P_i)) - lambda_i (|P_i| - 1) + lambda_i (k - 1)
+        at = level.partition.crossing_value + level.lam * (k - level.kappa)
         if at > value:
             value, b = at, level.lam
     return value, b
@@ -184,7 +180,8 @@ def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2) -> DualS
         ratio = lam_j / level.lam - 1
         for eid in level.b_edges:
             z[eid] = ratio * g.edges[eid].cap
-    objective = (k - h) * lam_j - sum(z, Fraction(0))
+    zs, d = _scaled(z)
+    objective = (k - h) * lam_j - Fraction(sum(zs), d)
     if objective != lag:
         raise AssertionError("dual objective mismatch")
     return DualSolution(k, tuple(z), lam_j, j, objective, h, None)
@@ -218,20 +215,20 @@ class PrimalVerdict(NamedTuple):
 
 def verify_primal(g: Graph, x, k: int) -> PrimalVerdict:
     """Check 0 <= x <= 1 and that every maximal forest carries weight at
-    least k - h, by pricing a minimum spanning forest under x (exact)."""
-    x = [Fraction(v) for v in x]
+    least k - h, by pricing a minimum spanning forest under x (exact, on
+    x over its least common denominator d)."""
+    x, d = _scaled(x)
     if len(x) != g.m:
         raise ValueError("x length mismatch")
-    bounds_ok = all(0 <= v <= 1 for v in x)
-    h = len(component_blocks(g))
-    required = Fraction(max(k - h, 0))
+    bounds_ok = all(0 <= v <= d for v in x)
+    required = max(k - len(component_blocks(g)), 0)
     if g.m == 0:
-        return PrimalVerdict(required == 0, bounds_ok, None, required, None)
+        return PrimalVerdict(required == 0, bounds_ok, None, Fraction(required), None)
     forest = min_spanning_forest(g, x)
-    weight = sum((x[i] for i in forest), Fraction(0))
-    feasible = weight >= required
+    weight = sum([x[i] for i in forest])
+    feasible = weight >= required * d
     return PrimalVerdict(
-        feasible, bounds_ok, weight, required, None if feasible else forest
+        feasible, bounds_ok, Fraction(weight, d), Fraction(required), None if feasible else forest
     )
 
 
@@ -245,23 +242,30 @@ class DualVerdict(NamedTuple):
         return self.feasible
 
 
+def _scaled_limits(g: Graph, z) -> tuple[list[int], list[int], int]:
+    """(z, c + z, d): z and c + z as ints over one denominator d."""
+    cz, d = _scaled([*(e.cap for e in g.edges), *z])
+    zs = cz[g.m :]
+    return zs, [c + v for c, v in zip(cz, zs)], d
+
+
 def verify_dual(g: Graph, dual: DualSolution) -> DualVerdict:
-    """Exact feasibility of an explicit dual: loads <= c + z, y >= 0, z >= 0."""
+    """Exact feasibility of an explicit dual: loads <= c + z, y >= 0, z >= 0,
+    compared as ints: the loads over the weights' denominator, c + z over
+    its own."""
     if dual.packing is None:
         raise ValueError("verify_dual needs an explicit packing")
-    messages = []
-    for eid in range(g.m):
-        if dual.z[eid] < 0:
-            messages.append(f"negative z on edge {eid}")
+    z, limits, d = _scaled_limits(g, dual.z)
+    messages = [f"negative z on edge {eid}" for eid in range(g.m) if z[eid] < 0]
     for tree, w in zip(dual.packing.trees, dual.packing.weights):
         if w < 0:
             messages.append(f"negative weight on tree {tree}")
     bad = []
-    loads = dual.packing.loads()
+    loads, dl = dual.packing.scaled_loads()
     for eid in range(g.m):
-        load = loads.get(eid, Fraction(0))
-        limit = g.edges[eid].cap + dual.z[eid]
-        if load > limit:
+        load = loads.get(eid, 0)
+        if load * d > limits[eid] * dl:
+            load, limit = Fraction(load, dl), Fraction(limits[eid], d)
             bad.append((eid, load, limit))
             messages.append(f"edge {eid} overloaded: {load} > {limit}")
     return DualVerdict(not messages, tuple(bad), tuple(messages))
@@ -281,30 +285,32 @@ class CsVerdict(NamedTuple):
 def check_complementary_slackness(g: Graph, x, dual: DualSolution) -> CsVerdict:
     """The three tightness conditions certifying joint optimality:
     (1) z_e > 0 only with x_e = 1; (2) every support tree's x-weight equals
-    k - h; (3) x_e > 0 only with load(e) = c_e + z_e.  All exact."""
+    k - h; (3) x_e > 0 only with load(e) = c_e + z_e.  All exact: x, the
+    loads and c + z are each compared as ints over a denominator of their
+    own."""
     if dual.packing is None:
         raise ValueError("complementary slackness needs an explicit packing")
-    x = [Fraction(v) for v in x]
+    x, dx = _scaled(x)
+    z, limits, d = _scaled_limits(g, dual.z)
     witnesses = []
     cond1 = True
     for eid in range(g.m):
-        if dual.z[eid] > 0 and x[eid] != 1:
+        if z[eid] > 0 and x[eid] != dx:
             cond1 = False
             witnesses.append(f"z>0 but x<1 on edge {eid}")
     cond2 = True
-    target = Fraction(dual.k - dual.h)
-    for tree, w in zip(dual.packing.trees, dual.packing.weights):
-        if w > 0:
-            s = sum((x[eid] for eid in tree), Fraction(0))
-            if s != target:
-                cond2 = False
-                witnesses.append(f"support tree {tree} has x-weight {s} != {target}")
+    target = dual.k - dual.h
+    for tree in dual.packing.support():
+        s = sum([x[eid] for eid in tree])
+        if s != target * dx:
+            cond2 = False
+            witnesses.append(f"support tree {tree} has x-weight {Fraction(s, dx)} != {target}")
     cond3 = True
-    loads = dual.packing.loads()
+    loads, dl = dual.packing.scaled_loads()
     for eid in range(g.m):
         if x[eid] > 0:
-            load = loads.get(eid, Fraction(0))
-            if load != g.edges[eid].cap + dual.z[eid]:
+            load = loads.get(eid, 0)
+            if load * d != limits[eid] * dl:
                 cond3 = False
-                witnesses.append(f"x>0 but load {load} not tight on edge {eid}")
+                witnesses.append(f"x>0 but load {Fraction(load, dl)} not tight on edge {eid}")
     return CsVerdict(cond1, cond2, cond3, tuple(witnesses))

@@ -181,8 +181,8 @@ def min_2respect(g: Graph, tree) -> CutResult:
 def _zero_cut(g: Graph, eps) -> CutResult | None:
     """Check the arguments of a mincut call; when the positive-capacity
     edges leave several components, their partition, a cut of value 0."""
-    if not Fraction(eps) < Fraction(1, 3):
-        raise ValueError("eps must be below 1/3")
+    if not 0 < Fraction(eps) < Fraction(1, 3):
+        raise ValueError("eps must satisfy 0 < eps < 1/3")
     check_connected(g, "mincut")
     zero = [i for i in range(g.m) if g.edges[i].cap == 0]
     if len(component_blocks(g, exclude_edges=zero)) > 1:

@@ -53,6 +53,9 @@ class OracleLimits(_LimitFields):
 
 
 DEFAULT_LIMITS = OracleLimits()
+MAX_TIES = 2**17
+"""``partition_table`` keeps at most this many tied minimizers over all part
+counts: above Bell(10) = 115,975, so every graph on 10 vertices fits."""
 
 
 def enum_partitions(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Iterator[VertexPartition]:
@@ -127,7 +130,8 @@ def partition_table(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Partitio
     crossing value, so every value is one integer update of its parent's.
     Only the least value of each part count and the strings attaining it
     are kept; at the last vertex only the blocks of least added value are
-    visited.
+    visited.  More than ``MAX_TIES`` minimizers in all raise
+    ``OracleLimitError``.
     """
     n = g.n
     if n > limits.max_n_partitions:
@@ -143,13 +147,19 @@ def partition_table(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Partitio
     best: list[int | None] = [None] * (n + 1)
     ties: list[list[bytes]] = [[] for _ in range(n + 1)]
     rgs = [0] * n
+    kept = 0  # the strings in ties
 
     def keep(p: int, value: int) -> None:
+        nonlocal kept
         if best[p] is None or value < best[p]:
             best[p] = value
+            kept += 1 - len(ties[p])
             ties[p] = [bytes(rgs)]
         elif value == best[p]:
             ties[p].append(bytes(rgs))
+            kept += 1
+            if kept > MAX_TIES:
+                raise OracleLimitError(f"more than {MAX_TIES} tied minimum partitions")
 
     def grow(v: int, cost: int, used: int) -> None:
         # conn[b]: capacity from v to block b, saved when v joins b

@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import Edge, Graph, scaled_capacities
+from .graph import Edge, Graph, _scaled, scaled_capacities
 from .simplex import Tableau, solve_lp  # noqa: F401  perfbench's self-test reads packing.solve_lp
 from .strength import principal_sequence
 from .strength import strength as _strength  # noqa: F401  perfbench's self-test reads packing._strength
@@ -87,14 +87,22 @@ class TreePacking(NamedTuple):
 
     @property
     def total_value(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        weights, d = _scaled(self.weights)
+        return Fraction(sum(weights), d)
 
-    def loads(self) -> dict[int, Fraction]:
-        out = {eid: Fraction(0) for eid in self.caps}
-        for tree, w in zip(self.trees, self.weights):
+    def scaled_loads(self) -> tuple[dict[int, int], int]:
+        """(load of each edge of ``caps`` as an int over d, d), with d the
+        least common denominator of the weights."""
+        weights, d = _scaled(self.weights)
+        out = dict.fromkeys(self.caps, 0)
+        for tree, w in zip(self.trees, weights):
             for eid in tree:
                 out[eid] += w
-        return out
+        return out, d
+
+    def loads(self) -> dict[int, Fraction]:
+        out, d = self.scaled_loads()
+        return {eid: Fraction(load, d) for eid, load in out.items()}
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         return tuple(t for t, w in zip(self.trees, self.weights) if w.numerator > 0)
@@ -328,8 +336,8 @@ def saturating_pack(g: Graph, caps=None) -> TreePacking:
             f"graph is not strength-tight: packing value {packing.total_value}, "
             f"saturation needs {target}"
         )
-    loads = packing.loads()
+    loads, d = packing.scaled_loads()
     for eid, cap in packing.caps.items():
-        if loads[eid] != cap:
+        if loads[eid] * cap.denominator != cap.numerator * d:
             raise AssertionError("saturation arithmetic violated")
     return packing

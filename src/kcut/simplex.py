@@ -41,6 +41,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
+from .graph import _scaled
+
 ZERO = Fraction(0)
 
 
@@ -192,14 +194,6 @@ def solve_lp(c, rows, rhs) -> LpResult:
             t.add_column([], cj)
     t.set_objective(c)
     return t.solve()
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over their least common denominator
-    (so the numerators and the denominator share no factor)."""
-    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    d = math.lcm(*(v.denominator for v in vals))
-    return [v.numerator * (d // v.denominator) for v in vals], d
 
 
 def _column(coeffs, cost):

@@ -74,6 +74,23 @@ def _random_connected(rng: random.Random, n: int, extra: int) -> Graph:
     )
 
 
+def _planted(k, size):
+    """perfbench's ``planted-k{k}-s{size}``: k complete clusters with
+    capacities 4..9, joined in a ring by unit edges."""
+    rng = random.Random(f"planted-{k}-{size}")
+    edges = []
+    for c in range(k):
+        base = c * size
+        for i in range(size):
+            for j in range(i + 1, size):
+                edges.append((base + i, base + j, rng.randint(4, 9)))
+    for c in range(k):
+        a = c * size + rng.randrange(size)
+        b = (c + 1) % k * size + rng.randrange(size)
+        edges.append((min(a, b), max(a, b), 1))
+    return Graph(k * size, tuple(Edge(u, v, Fraction(c)) for u, v, c in edges))
+
+
 def build_random_suite(count: int = 50, seed: int = 7340320):
     """Deterministic random suite: connected graphs, n <= 7, integer
     capacities <= 9, occasional parallel edges."""

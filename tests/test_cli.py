@@ -326,6 +326,67 @@ def test_solve_eps_outside_its_bound_exit_1(capsys, tmp_path, text, k, eps):
     assert captured.err == f"error: eps must satisfy 0 < eps < 1/(2k-1) = 1/{2 * int(k) - 1}\n"
 
 
+ZERO_CUT_P3 = "p kcut 3 2\ne 1 2 1\ne 2 3 0\n"
+UNIT_TRIANGLE = "p kcut 3 3\ne 1 2 1\ne 1 3 1\ne 2 3 1\n"
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "-1/5", "1/3", "1"])
+@pytest.mark.parametrize("text", [ZERO_CUT_P3, UNIT_TRIANGLE], ids=["zero-cut-p3", "triangle"])
+def test_mincut_eps_outside_its_bound_exit_1(capsys, tmp_path, text, eps):
+    """mincut checks 0 < eps < 1/3 before any work, with or without a cut of
+    value 0."""
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    for argv in (["mincut", "--eps", eps, str(path)], ["mincut", f"--eps={eps}", str(path)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: eps must satisfy 0 < eps < 1/3\n"
+    assert main(["mincut", "--eps", "1/4", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["solve", "--k", "2", "--eps", "-1/5"], "error: eps must satisfy 0 < eps < 1/(2k-1) = 1/3\n"),
+        (["solve", "--k", "2", "--eps", "-.2"], "error: eps must satisfy 0 < eps < 1/(2k-1) = 1/3\n"),
+        (["enumerate", "--k", "2", "--alpha", "-1/2"], "error: alpha must be at least 1\n"),
+        (["mincut", "--eps", "-1e-1"], "error: eps must satisfy 0 < eps < 1/3\n"),
+    ],
+    ids=["solve-eps", "solve-eps-decimal", "enumerate-alpha", "mincut-eps"],
+)
+def test_negative_rational_flag_given_as_its_own_word(capsys, c5_file, argv, err):
+    """A negative value as the word after its flag reaches the flag's range
+    check, as it does written with '='."""
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    for words in (argv, joined):
+        code = main(words + [c5_file])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", err)
+
+
+def test_oracle_kcut_past_the_tie_budget_exit_1(capsys, tmp_path):
+    """Every partition of an all-zero K11 ties: past the table's budget of
+    tied minimizers the oracle exits 1 with one line, and verify skips its
+    partition rows with the same reason."""
+    n = 11
+    path = tmp_path / "k11-zero.graph"
+    path.write_text(f"p kcut {n} {n * (n - 1) // 2}\n" + "".join(
+        f"e {u} {v} 0\n" for u in range(1, n + 1) for v in range(u + 1, n + 1)
+    ))
+    code = main(["oracle", "kcut", str(path), "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: more than 131072 tied minimum partitions\n"
+    code, out = run(capsys, "verify", str(path))
+    assert code == 0
+    rows = {row["check"]: row for row in json.loads(out)["rows"]}
+    assert rows["oracle-strength"]["status"] == "skip"
+    assert rows["oracle-strength"]["detail"] == "more than 131072 tied minimum partitions"
+
+
 def test_disconnected_k_up_to_components(capsys, tmp_path):
     # vertex 1 is isolated, so every k <= 2 has a cut of value 0
     path = tmp_path / "split.graph"

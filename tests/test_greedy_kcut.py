@@ -18,10 +18,10 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import Edge, Graph, min_kcut, oracle_min_kcut
+from kcut import min_kcut, oracle_min_kcut
 from kcut import cuts, packing
 
-from conftest import _random_connected
+from conftest import _planted, _random_connected
 from test_cuts import _disconnected_multigraphs, _strength_zero_multigraphs
 from test_scan_property import _multigraphs
 
@@ -116,23 +116,6 @@ def test_greedy_stream_stops_at_the_cap():
     # zero-capacity edges count towards no cap
     caps[0] = 0
     assert len(list(packing.greedy_trees(g, caps))) == packing.GREEDY_TREES_PER_EDGE * (g.m - 1)
-
-
-def _planted(k, size):
-    """perfbench's ``planted-k{k}-s{size}``: k complete clusters with
-    capacities 4..9, joined in a ring by unit edges."""
-    rng = random.Random(f"planted-{k}-{size}")
-    edges = []
-    for c in range(k):
-        base = c * size
-        for i in range(size):
-            for j in range(i + 1, size):
-                edges.append((base + i, base + j, rng.randint(4, 9)))
-    for c in range(k):
-        a = c * size + rng.randrange(size)
-        b = (c + 1) % k * size + rng.randrange(size)
-        edges.append((min(a, b), max(a, b), 1))
-    return Graph(k * size, tuple(Edge(u, v, F(c)) for u, v, c in edges))
 
 
 def test_approx_k3_scans_few_greedy_trees():

@@ -21,7 +21,8 @@ from kcut import (
     strength,
 )
 from kcut.graph import component_blocks
-from kcut.oracle import ForestLP, oracle_attack_value, partition_sort_key, partition_table
+from kcut.cuts import bell_number
+from kcut.oracle import MAX_TIES, ForestLP, oracle_attack_value, partition_sort_key, partition_table
 from kcut.simplex import solve_lp
 
 from conftest import _random_connected, full_suite
@@ -204,6 +205,10 @@ def test_partition_table_limit():
         partition_table(Graph(13, ()))
     with pytest.raises(OracleLimitError):
         oracle_min_kcut(Graph(4, ()), 2, OracleLimits(max_n_partitions=3))
+
+
+def test_tie_budget_admits_every_partition_of_ten_vertices():
+    assert bell_number(10) == 115_975 <= MAX_TIES < bell_number(11)
 
 
 def test_partition_table_parity_at_n12():

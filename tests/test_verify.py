@@ -1,17 +1,22 @@
 import hashlib
+import io
 import json
 import random
+
+import pytest
 
 import kcut.lp as lp_mod
 import kcut.oracle as oracle_mod
 import kcut.verify as verify_mod
+from kcut.cli import main
 from kcut.graph import component_blocks
 from kcut.oracle import OracleLimits
 from kcut.simplex import Tableau
 from kcut.strength import principal_sequence
 from kcut.verify import run_verification
 
-from conftest import _random_connected
+from conftest import C5_TEXT, K4_TEXT, TT_TEXT, _planted, _random_connected
+from test_psp_pin import _text
 
 
 def _count_certified_packs(monkeypatch):
@@ -53,6 +58,39 @@ def test_verify_rows_pin():
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "44ab824dc1f7ad6c27a9e7c912bd9bc04f8af8e52e81ea99f58a24d602580aae"
     )
+
+
+# The graphs of the benchmark's verify-oracle workload, built from the suite's
+# fixtures and recipes, each with its verify flags.
+VERIFY_ORACLE_GRAPHS = {
+    "TT": (TT_TEXT, []),
+    "C5": (C5_TEXT, []),
+    "K4": (K4_TEXT, []),
+    "planted-k2-s3": (_text(_planted(2, 3)), []),
+    "rand-n5-x5": (_text(_random_connected(random.Random(5), 5, 5)), []),
+    "rand-n6-x6": (_text(_random_connected(random.Random(6), 6, 6)), ["--kmax", "3"]),
+}
+
+# SHA-256 of the full ``verify`` JSON on each graph, recorded before the
+# certificate checks moved onto integer-scaled vectors.
+VERIFY_JSON_SHA256 = {
+    "TT": "5102c21f0af8b452b27fc30dede6a4c179312a411d9c91b093ceff4b745b3cf4",
+    "C5": "f31441e3a81126889d0a72753f636fadee2922b5d845c7b70beb20e161a3bace",
+    "K4": "a8a136ee8023eb6d7220b9a1a05094e5d47a0f8d9f5e0c1b7bae53fd67067aa0",
+    "planted-k2-s3": "c619b0772cfac02fd65fe742bb7f5e62aa37123d6467bece947c7c61d1ce4ef2",
+    "rand-n5-x5": "b52bfd5787cf5be6e605041165b9e1977f8902a440f2d3a24a37ee013a4d2775",
+    "rand-n6-x6": "9c7ea74c688a0ba6ff0b9c2438aa8eb39699a9e47facc9e8557b0d3f473ff040",
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_ORACLE_GRAPHS))
+def test_verify_json_pin(name, capsys, monkeypatch):
+    text, flags = VERIFY_ORACLE_GRAPHS[name]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main(["verify", *flags])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[name]
 
 
 def _count_forest_enumerations(monkeypatch):
