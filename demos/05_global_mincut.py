@@ -34,7 +34,7 @@ def show(partition):
 def main():
     g = WHEEL
     print("graph: 5-wheel, rim capacity 2, spokes capacity 1")
-    cut = global_mincut(g, eps=Fraction(1, 6))
+    cut = global_mincut(g)
     print(f"global mincut value {cut.value}: {show(cut.partition)}")
     ocut, _ = oracle_min_kcut(g, 2)
     print(f"oracle agrees: {ocut.value}")

@@ -72,14 +72,7 @@ class RespectStats(NamedTuple):
 
 class EnumerationReport(NamedTuple):
     """What one k-cut scan examined and found.  ``mode`` is "approx" when
-    the scan was given an eps, else "exact".  ``dual`` is the LP dual the
-    scan used: with no eps the explicit optimal dual whose packing was
-    scanned, with one the lazy dual whose z set the capacities of the
-    scanned greedy trees, or the explicit one should the scan have fallen
-    back to its packing.  It is None on the k = n shortcut, which scans
-    nothing, and on a graph with a component of strength 0, whose LP has
-    no closed-form dual: there the scan reads its packing off the tail of
-    the graph's own sequence after lambda = 0."""
+    the scan was given an eps, else "exact"."""
 
     k: int
     h: int
@@ -89,7 +82,6 @@ class EnumerationReport(NamedTuple):
     cuts: tuple[CutResult, ...]
     min_value: Fraction
     threshold: Fraction | None = None
-    dual: DualSolution | None = None
 
 
 def dual_respect_bound(alpha, k: int, h: int, n: int) -> Fraction:
@@ -337,8 +329,8 @@ def _scan(g: Graph, k: int, h: int, eps=None, dual=None):
     """The scan behind ``min_kcut`` and ``enumerate_approx_kcuts``: every
     cut crossing a tree of a packing in c+z at most h times, h raised to
     the completeness bound (2k-3 with no eps, 2k-2 with one).
-    Returns ({part masks: value}, scale, candidates examined, h, dual),
-    each value an integer in the scale.  A ``dual`` given by the caller is
+    Returns ({part masks: value}, scale, candidates examined, h), each
+    value an integer in the scale.  A ``dual`` given by the caller is
     scanned instead of one built here.  An eps must satisfy
     0 < eps < 1/(2k-1), checked before any work.
 
@@ -350,15 +342,14 @@ def _scan(g: Graph, k: int, h: int, eps=None, dual=None):
     whatever eps is, the scan falls back to the explicit dual's packing,
     which meets every such bar; so no eps leaves the scan open-ended.
 
-    k = n scans nothing: the singletons come back with h as given and no
-    dual.  When k is at most the number of components the exact packing is
-    empty and every optimal cut groups whole components at value 0, so one
-    maximal forest of positive edges is scanned: with no edge removed and
-    h = 0 when no eps is given, and with one as the one greedy tree that
-    meets the bar 0, with h = 2k-2.  When a component has strength 0, no
-    dual comes back, and the tail of g's sequence after lambda = 0 is
-    scanned: it is the sequence of g less its zero-capacity edges, which
-    gives every partition g's value.
+    k = n scans nothing: the singletons come back with h as given.  When k
+    is at most the number of components the exact packing is empty and
+    every optimal cut groups whole components at value 0, so one maximal
+    forest of positive edges is scanned: with no edge removed and h = 0
+    when no eps is given, and with one as the one greedy tree that meets
+    the bar 0, with h = 2k-2.  When a component has strength 0, the tail
+    of g's sequence after lambda = 0 is scanned: it is the sequence of g
+    less its zero-capacity edges, which gives every partition g's value.
     """
     check_k(g, k)
     if eps is not None:
@@ -367,10 +358,10 @@ def _scan(g: Graph, k: int, h: int, eps=None, dual=None):
             raise ValueError(f"eps must satisfy 0 < eps < 1/(2k-1) = 1/{2 * k - 1}")
     if k == g.n:
         caps, scale = scaled_capacities(g)
-        return {frozenset(1 << v for v in range(g.n)): sum(caps)}, scale, 0, h, None
+        return {frozenset(1 << v for v in range(g.n)): sum(caps)}, scale, 0, h
     psp = principal_sequence(g)
-    zero = psp.levels and psp.levels[0].lam == 0
-    if zero:  # on g's vertex and edge ids; its p0 is level 1's partition, not g's components
+    if psp.levels and psp.levels[0].lam == 0:
+        # on g's vertex and edge ids; its p0 is level 1's partition, not g's components
         psp = PrincipalSequence(g, psp.levels[0].partition, psp.levels[1:])
     if dual is None:
         dual = lp_dual(g, psp, k)
@@ -391,7 +382,7 @@ def _scan(g: Graph, k: int, h: int, eps=None, dual=None):
     found, scale, candidates = _enumerate_over_support(g, trees, h, k)
     if not found:
         raise AssertionError("enumeration found no k-cut")
-    return found, scale, candidates, h, None if zero else dual
+    return found, scale, candidates, h
 
 
 def min_kcut(g: Graph, k: int, eps=None, dual=None):
@@ -405,14 +396,12 @@ def min_kcut(g: Graph, k: int, eps=None, dual=None):
     exact, 2k-2 with an eps) -> deduplicate and minimize.
     Either packing is guaranteed to hold every optimal k-cut.  When k is
     at most the number of components the minimum is 0 and the minimizers
-    are the groupings of whole components into at least k parts.  With no
-    eps, ``report.dual`` is the optimal dual whose packing was scanned, so
-    a caller can certify it without a second column generation.  A caller
+    are the groupings of whole components into at least k parts.  A caller
     that already holds ``dual_packing(g, lp_dual(g, k=k))``, or the same
     dual with the packing of another k at its PSP level, passes it as
     ``dual`` and no column generation runs.
     """
-    found, scale, candidates, h, dual = _scan(g, k, 0, eps, dual)
+    found, scale, candidates, h = _scan(g, k, 0, eps, dual)
     best = min(found.values())
     value = Fraction(best, scale)
     minimizers = [
@@ -421,10 +410,7 @@ def min_kcut(g: Graph, k: int, eps=None, dual=None):
     minimizers.sort(key=partition_sort_key)
     cuts = tuple(CutResult(p, value, p.part_count) for p in minimizers)
     mode = "exact" if eps is None else "approx"
-    report = EnumerationReport(
-        k, h, mode, candidates, len(found), cuts, value, dual=dual
-    )
-    return cuts[0], report
+    return cuts[0], EnumerationReport(k, h, mode, candidates, len(found), cuts, value)
 
 
 def enumerate_approx_kcuts(g: Graph, k: int, alpha) -> EnumerationReport:
@@ -435,7 +421,7 @@ def enumerate_approx_kcuts(g: Graph, k: int, alpha) -> EnumerationReport:
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    found, scale, candidates, h, dual = _scan(g, k, floor(2 * alpha * (k - 1)))
+    found, scale, candidates, h = _scan(g, k, floor(2 * alpha * (k - 1)))
     best = min(found.values())
     lam_k = Fraction(best, scale)
     threshold = alpha * lam_k
@@ -447,9 +433,7 @@ def enumerate_approx_kcuts(g: Graph, k: int, alpha) -> EnumerationReport:
     ]
     keep.sort(key=lambda vp: (vp[0], partition_sort_key(vp[1])))
     cuts = tuple(CutResult(p, p.crossing_value, p.part_count) for _, p in keep)
-    return EnumerationReport(
-        k, h, "exact", candidates, len(found), cuts, lam_k, threshold, dual
-    )
+    return EnumerationReport(k, h, "exact", candidates, len(found), cuts, lam_k, threshold)
 
 
 class RoundResult(NamedTuple):

@@ -3,10 +3,10 @@ augmenting paths.
 
 Capacities are exact numbers: the attack sweep passes Python ints (its
 capacities scaled to integers once per sweep), and Fractions still work,
-mixed with ints or alone.  ``max_flow`` first pushes flow along the direct
-arc s->t and every residual path of two and of three arcs, in adjacency
-order, with no search: the sweep's networks are small and shallow, and
-Edmonds-Karp would spend one breadth-first search on each of those paths.
+mixed with ints or alone.  ``max_flow`` first pushes flow along every
+residual path of two and of three arcs, in adjacency order, with no
+search: the sweep's networks are small and shallow, and Edmonds-Karp
+would spend one breadth-first search on each of those paths.
 Edmonds-Karp then augments from that flow until no residual path is left.
 
 After ``max_flow`` the set reachable from s in the residual network is the
@@ -51,10 +51,10 @@ class FlowNetwork:
         capacities.  Exact on ints and Fractions alike: on int capacities
         every step, and the value, stays an int.
 
-        A pre-flow first saturates, in adjacency order, the direct arc s->t,
-        then every residual path s->v->t and then every s->u->v->t, each
-        by its bottleneck.  Edmonds-Karp finishes from that flow, one
-        breadth-first search per augmenting path.  Which paths carry the
+        A pre-flow first saturates, in adjacency order, every residual path
+        s->v->t and then every s->u->v->t, each by its bottleneck.
+        Edmonds-Karp finishes from that flow, one breadth-first search per
+        augmenting path, a direct arc s->t among them.  Which paths carry the
         flow does not matter: the value is unique, and in every maximum
         flow the residual network has the same smallest minimum cut.
         """
@@ -66,12 +66,6 @@ class FlowNetwork:
             into_t.setdefault(to[a], []).append(a ^ 1)
         into_t.pop(t, None)
         total = 0
-        for a in adj[s]:  # s->t
-            if to[a] == t and cap[a] > 0:
-                f = cap[a]
-                cap[a] -= f
-                cap[a ^ 1] += f
-                total = total + f
         for a in adj[s]:  # s->v->t
             for b in into_t.get(to[a], ()):
                 f = min(cap[a], cap[b])

@@ -14,8 +14,8 @@ come from the same rooted-forest walk as the k-cut scan in ``cuts``, so
 both scans reject a tree that contains a cycle the same way.
 
 A scan reads its trees in one integer pass.  It compares every 1- and
-2-respecting value, as a Python int, with one running best (value, side,
-first tree index), and builds the one ``CutResult`` at the end.
+2-respecting value, as a Python int, with one running best (value and
+side), and builds the one ``CutResult`` at the end.
 ``min_1respect`` and ``min_2respect`` are the one-tree case of the same
 scan.
 
@@ -37,25 +37,11 @@ scan of every tree of any packing of value above lambda/3.
 
 ``global_mincut`` builds the multiplicative-weights packing of
 ``packing.mwu_pack`` only should the stream pass ``greedy_trees``' own
-cap, and reads its support then: within (1 - eps) of the strength, hence
-above lambda/3 for eps < 1/3, it meets the same bar.  On the ladder's
-random graphs with 20, 40 and 60 vertices the stream stops after 3, 2 and
-3 trees, where the supports hold 676, 608 and 1,147.
-``global_mincut_detail`` takes that cut and builds the packing to name
-the witness: the first of its support trees that crosses the cut at most
-twice, which is the tree a scan of the whole support credits with the
-cut.
-
-A scan skips a tree whose edges join the same multiset of vertex pairs as
-an earlier tree's: the greedy loop may repeat a tree, and on a graph with
-parallel edges it often loads another parallel copy of one edge.  The skip
-changes no answer: the rooted walk and the subtree masks depend only on
-the vertex pairs, and the values only on the masks, so the two trees offer
-the same cuts with the same values, and the earlier tree offers each of
-them with a smaller index.  The best value, its side and its witness, the
-first tree holding it, are those of the scan that reads every tree.  A
-tree that holds two copies of one pair contains a cycle, and its multiset
-matches no earlier tree that passed, so it is still read and rejected.
+cap, and reads its support then: within (1 - eps) of the strength, which
+is at least lambda/2, it is above lambda/3 for eps < 1/3 and meets the
+same bar.  ``global_mincut_detail`` takes that cut and builds such a
+packing to name the witness: the first of its support trees that crosses
+the cut at most twice.
 """
 
 from __future__ import annotations
@@ -108,47 +94,38 @@ class _TreeScan:
     """One integer pass over spanning trees with one running best.
 
     ``add`` reads the cuts crossing a tree in exactly one edge, or in one
-    or two when ``pairs``, and keeps the least as (``best``, ``side``,
-    first tree index): ``best`` is the value as an int on the scale of
-    ``caps``, the graph's capacities scaled to integers.  Equal values go
-    to the side of vertex 0 whose sorted vertices come first, as in
-    ``partition_sort_key``; no subtree mask holds the root, vertex 0, so
-    that side is the mask's complement.  A side is built only for a value
-    that reaches the running best, and a later tree replaces the best only
-    when strictly better.  A tree on the same vertex pairs as an earlier
-    one is skipped (see the module docstring)."""
+    or two when ``pairs``, and keeps the least as (``best``, ``side``):
+    ``best`` is the value as an int on the scale of ``caps``, the graph's
+    capacities scaled to integers.  Equal values go to the side of vertex 0
+    whose sorted vertices come first, as in ``partition_sort_key``; no
+    subtree mask holds the root, vertex 0, so that side is the mask's
+    complement.  A side is built only for a value that reaches the running
+    best, and a later tree replaces the best only when strictly better."""
 
     def __init__(self, g: Graph, pairs=True):
         self.caps, self.scale = scaled_capacities(g)
         self.g, self.pairs, self.full = g, pairs, (1 << g.n) - 1
         self.positive = [(e.u, e.v, c) for e, c in zip(g.edges, self.caps) if c]
-        self.best, self.side, self.key, self.witness = sum(self.caps) + 1, 0, None, None
-        first: dict[tuple[int, int], int] = {}  # vertex pair -> its lowest edge id
-        self.same = [first.setdefault((min(e.u, e.v), max(e.u, e.v)), i) for i, e in enumerate(g.edges)]
-        self.seen = set()
+        self.best, self.side, self.key = sum(self.caps) + 1, 0, None
 
-    def add(self, tree, idx) -> None:
-        shape = tuple(sorted(map(self.same.__getitem__, tree)))
-        if shape in self.seen:
-            return
-        self.seen.add(shape)
+    def add(self, tree) -> None:
         masks, cuts, cross = _tree_tables(self.g.n, tree, self.g.edges, self.positive)
         best, offer = self.best, self._offer
         for i, ci in enumerate(cuts):
             mi = masks[i]
             if ci <= best:
-                best = offer(ci, mi, idx)
+                best = offer(ci, mi)
             for j, x in enumerate(cross[i] if self.pairs else ()):
                 v = ci + cuts[j] - 2 * x
                 if v <= best:
-                    best = offer(v, mi ^ masks[j], idx)
+                    best = offer(v, mi ^ masks[j])
 
-    def _offer(self, value, mask, idx) -> int:
+    def _offer(self, value, mask) -> int:
         cand = self.full ^ mask
-        if cand != self.side:  # else the best cut again, from a later tree
+        if cand != self.side:  # else the best cut again
             key = [v for v in range(self.g.n) if cand >> v & 1]
             if value < self.best or key < self.key:
-                self.best, self.side, self.key, self.witness = value, cand, key, idx
+                self.best, self.side, self.key = value, cand, key
         return self.best
 
     def cut(self) -> CutResult:
@@ -159,48 +136,39 @@ class _TreeScan:
         return CutResult(_mask_partition(self.g.n, parts, value), value, 2)
 
 
-def _scan_trees(g: Graph, trees, pairs=True) -> tuple[CutResult, int]:
+def _scan_trees(g: Graph, trees, pairs=True) -> CutResult:
     """The least cut crossing one of ``trees`` in exactly one edge, or in
-    one or two when ``pairs``, and the index of the first tree holding it."""
+    one or two when ``pairs``."""
     scan = _TreeScan(g, pairs)
-    for idx, tree in enumerate(trees):
-        scan.add(tree, idx)
-    return scan.cut(), scan.witness
+    for tree in trees:
+        scan.add(tree)
+    return scan.cut()
 
 
 def min_1respect(g: Graph, tree) -> CutResult:
     """Minimum cut among those crossing the tree in exactly one edge."""
-    return _scan_trees(g, [tuple(tree)], pairs=False)[0]
+    return _scan_trees(g, [tuple(tree)], pairs=False)
 
 
 def min_2respect(g: Graph, tree) -> CutResult:
     """Minimum cut among those crossing the tree in at most two edges."""
-    return _scan_trees(g, [tuple(tree)])[0]
+    return _scan_trees(g, [tuple(tree)])
 
 
-def _zero_cut(g: Graph, eps) -> CutResult | None:
-    """Check the arguments of a mincut call; when the positive-capacity
-    edges leave several components, their partition, a cut of value 0."""
-    if not 0 < Fraction(eps) < Fraction(1, 3):
-        raise ValueError("eps must satisfy 0 < eps < 1/3")
-    check_connected(g, "mincut")
-    zero = [i for i in range(g.m) if g.edges[i].cap == 0]
-    if len(component_blocks(g, exclude_edges=zero)) > 1:
-        return cut_of_partition(g, components(g, exclude_edges=zero))
-    return None
-
-
-def global_mincut(g: Graph, eps=Fraction(1, 6)) -> CutResult:
+def global_mincut(g: Graph) -> CutResult:
     """Global minimum cut: the least 1- or 2-respecting cut of Thorup's
     greedy trees, scanned in one integer pass with a running best up to
     the first tree with 3 t c(e*) above c_up load(e*), where every minimum
     cut 2-respects a scanned tree (see the module docstring).  Should the
     stream pass its cap first, the support of the multiplicative-weights
-    packing within (1 - eps) of the strength is scanned too.  The cut is
-    the least of all, with the canonical tie-break.  Deterministic."""
-    cut = _zero_cut(g, eps)
-    if cut is not None:
-        return cut
+    packing at ``PackConfig``'s default eps is scanned too.  The cut is the
+    least of all, with the canonical tie-break.  When the positive-capacity
+    edges leave several components, it is their partition, of value 0.
+    Deterministic."""
+    check_connected(g, "mincut")
+    zero = [i for i in range(g.m) if g.edges[i].cap == 0]
+    if len(component_blocks(g, exclude_edges=zero)) > 1:
+        return cut_of_partition(g, components(g, exclude_edges=zero))
     scan = _TreeScan(g)
     degree = [0] * g.n
     for u, v, c in scan.positive:
@@ -208,11 +176,11 @@ def global_mincut(g: Graph, eps=Fraction(1, 6)) -> CutResult:
         degree[v] += c
     c_deg = min(degree)
     for tree, value, load in greedy_trees(g, scan.caps):
-        scan.add(tree, None)
+        scan.add(tree)
         if 3 * value > min(c_deg, scan.best) * load:
             return scan.cut()
-    for tree in mwu_pack(g, config=PackConfig(epsilon=eps)).support():
-        scan.add(tree, None)
+    for tree in mwu_pack(g).support():
+        scan.add(tree)
     return scan.cut()
 
 
@@ -222,10 +190,13 @@ def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
     The cut is ``global_mincut``'s.  The packing is the
     multiplicative-weights one within (1 - eps) of the strength, which for
     eps < 1/3 exceeds a third of the mincut, so some support tree crosses
-    the cut at most twice: the witness is the index of the first.  A cut of
-    value 0 gets no packing: (cut, None, None).  Deterministic.
+    the cut at most twice: the witness is the index of the first.  eps is
+    checked first.  A cut of value 0 gets no packing: (cut, None, None).
+    Deterministic.
     """
-    cut = global_mincut(g, eps)
+    if not 0 < Fraction(eps) < Fraction(1, 3):
+        raise ValueError("eps must satisfy 0 < eps < 1/3")
+    cut = global_mincut(g)
     if cut.value == 0:
         return cut, None, None
     packing = mwu_pack(g, config=PackConfig(epsilon=eps))

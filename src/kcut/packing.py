@@ -310,11 +310,11 @@ def _column_generation(g: Graph, caps=None) -> TreePacking:
     )
 
 
-def exact_pack(g: Graph, caps=None) -> TreePacking:
-    """Exact optimal packing, certified whatever ``caps`` is against the least
-    component strength: lambda_1 of the working graph's cached PSP."""
-    packing = _column_generation(g, caps)
-    expected = principal_sequence(_working_graph(g, caps)[0]).levels[0].lam
+def exact_pack(g: Graph) -> TreePacking:
+    """Exact optimal packing, certified against the least component
+    strength: lambda_1 of the working graph's cached PSP."""
+    packing = _column_generation(g)
+    expected = principal_sequence(_working_graph(g, None)[0]).levels[0].lam
     if packing.total_value != expected:
         raise PackingError(f"packing value {packing.total_value} != strength {expected}")
     return packing

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from kcut import (
     respect_stats,
     spanning_forests,
 )
+from kcut.cli import main
 from kcut.graph import CutResult, _mask_partition, scaled_capacities
 from kcut import mincut
 from kcut.mincut import _scan_trees, _tree_tables
@@ -151,7 +153,7 @@ def test_global_mincut_input_validation():
     with pytest.raises(ValueError):
         global_mincut(parse_graph("p kcut 1 0\n"))
     with pytest.raises(ValueError):
-        global_mincut(parse_graph("p kcut 2 1\ne 1 2 1\n"), eps=F(1, 2))
+        global_mincut_detail(parse_graph("p kcut 2 1\ne 1 2 1\n"), eps=F(1, 2))
 
 
 def test_tree_must_span(c5):
@@ -277,16 +279,16 @@ def _fold_of_one_tree_scans(g, trees):
 @given(_graphs_with_trees())
 def test_many_tree_scan_matches_fold_property(graph_and_trees):
     g, trees = graph_and_trees
-    cut, witness = _scan_trees(g, trees)
+    cut = _scan_trees(g, trees)
     ref, ref_witness = _fold_of_one_tree_scans(g, trees)
-    target(float(ref_witness), label="witness")  # steer towards late witnesses
+    target(float(ref_witness), label="witness")  # steer towards cuts first held by a late tree
     assert cut.value == ref.value
     assert cut.partition.parts == ref.partition.parts
-    assert witness == ref_witness
 
 
 def _unskipped_scan(g, trees, pairs=True):
-    """``_scan_trees`` before it skipped trees: every tree is scanned."""
+    """``_scan_trees``' cut, from a scan of every tree, and the index of
+    the first tree holding it: the witness ``global_mincut_detail`` names."""
     caps, scale = scaled_capacities(g)
     positive = [(e.u, e.v, c) for e, c in zip(g.edges, caps) if c]
     n, full = g.n, (1 << g.n) - 1
@@ -317,55 +319,6 @@ def _unskipped_scan(g, trees, pairs=True):
     return CutResult(_mask_partition(n, (side, full ^ side), value), value, 2), witness
 
 
-def _pairs_of(g, tree):
-    return sorted((min(g.edges[i].u, g.edges[i].v), max(g.edges[i].u, g.edges[i].v)) for i in tree)
-
-
-@st.composite
-def _trees_with_parallel_swaps(draw):
-    """A multigraph with n <= 7 in which some tree edges have parallel
-    copies, and a list of its spanning trees.  Besides minimum spanning
-    trees under drawn edge orders, the list holds copies of earlier trees
-    with edges swapped for parallel copies, inserted at any position, so a
-    copy may come before the tree it was made from."""
-    g, tree = draw(_graphs_with_tree(max_n=7, max_extra=6))
-    caps = st.sampled_from([F(0), F(1), F(2), F(1, 3)])
-    doubled = draw(st.lists(st.sampled_from(tree), min_size=1, max_size=4))
-    g = Graph(g.n, g.edges + tuple(Edge(g.edges[i].u, g.edges[i].v, draw(caps)) for i in doubled))
-    twins = {}
-    for i in range(g.m):
-        twins.setdefault(tuple(_pairs_of(g, [i])), []).append(i)
-    orders = st.permutations(range(g.m))
-    trees = [tree] + [min_spanning_forest(g, draw(orders)) for _ in range(draw(st.integers(0, 3)))]
-    for _ in range(draw(st.integers(1, 5))):
-        source = draw(st.sampled_from(trees))
-        swapped = tuple(sorted(draw(st.sampled_from(twins[tuple(_pairs_of(g, [i]))])) for i in source))
-        trees.insert(draw(st.integers(0, len(trees))), swapped)
-    return g, trees
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_trees_with_parallel_swaps(), st.booleans())
-def test_skipping_parallel_copies_keeps_cut_and_witness_property(graph_and_trees, pairs):
-    g, trees = graph_and_trees
-    cut, witness = _scan_trees(g, trees, pairs)
-    ref, ref_witness = _unskipped_scan(g, trees, pairs)
-    shapes = [_pairs_of(g, tree) for tree in trees]
-    target(float(ref_witness), label="witness")  # steer towards late witnesses
-    assert (cut, witness) == (ref, ref_witness)
-    assert shapes[witness] not in shapes[:witness]  # the witness is never a skipped tree
-
-
-def test_witness_is_first_tree_holding_the_cut(k4):
-    star, path = (0, 1, 2), (0, 3, 5)  # the star at vertex 1 and the path 1-2-3-4
-    # every cut of value 3 leaves one vertex alone; the star crosses {1} three
-    # times, so its best is {4}, and {1}, first in the tie-break, needs the path
-    for trees, witness in (([star, path, star, path], 1), ([path, star, path], 0)):
-        cut, idx = _scan_trees(k4, trees)
-        assert (cut.value, cut.partition.parts, idx) == (3, ((0,), (1, 2, 3)), witness)
-        assert (cut, idx) == _fold_of_one_tree_scans(k4, trees)
-
-
 def _networkx_mincut(g):
     simple = nx.Graph()
     simple.add_nodes_from(range(g.n))
@@ -383,6 +336,53 @@ def test_global_mincut_matches_stoer_wagner(n, extra):
     cut = global_mincut(g)
     assert cut.value == _networkx_mincut(g)
     assert cut.value == cut_of_partition(g, cut.partition).value
+
+
+def test_global_mincut_past_the_cap_matches_oracle_and_stoer_wagner():
+    # no greedy tree at all: the default multiplicative-weights support alone is scanned
+    with mock.patch("kcut.packing.GREEDY_TREES_PER_EDGE", 0):
+        for name, g in full_suite():
+            _, argmins = oracle_min_kcut(g, 2)
+            cut = global_mincut(g)
+            assert cut.partition == min(argmins, key=partition_sort_key), name
+            assert cut.value == cut_of_partition(g, cut.partition).value, name
+        for n, extra in ((12, 20), (20, 40)):
+            g = _random_connected(random.Random(n), n, extra)
+            assert global_mincut(g).value == _networkx_mincut(g)
+
+
+# The full ``mincut`` JSON on three multigraphs with parallel edges, on
+# which a scanned greedy tree joins the same vertex pairs as an earlier
+# one: such a tree offers the same cuts, so reading it changes no answer.
+PARALLEL_MINCUT = {
+    'p kcut 4 11\ne 2 3 3\ne 1 4 3\ne 1 3 1\ne 3 4 3\ne 2 3 2\ne 2 3 3\ne 1 3 3\ne 2 3 3\ne 1 3 1\ne 1 4 3\ne 1 3 1\n':
+        '{"mincut": {"value": "9/1", "parts": 2, "partition": [[1, 2, 3], [4]]}, "crossing_edges": [1, 3, 9], '
+        '"witness_tree": 0, "witness_tree_edges": [0, 1, 2]}',
+    'p kcut 5 13\ne 4 5 1\ne 4 5 1\ne 1 2 3\ne 4 5 2\ne 1 2 2\ne 2 3 1\ne 1 4 1\ne 4 5 2\ne 1 4 1\ne 1 5 2\ne 2 3 2\n'
+    'e 2 3 2\ne 1 2 3\n':
+        '{"mincut": {"value": "4/1", "parts": 2, "partition": [[1, 2, 3], [4, 5]]}, "crossing_edges": [6, 8, 9], '
+        '"witness_tree": 0, "witness_tree_edges": [0, 2, 5, 8]}',
+    'p kcut 6 15\ne 3 6 2\ne 1 2 3\ne 1 4 2\ne 3 5 3\ne 2 6 1\ne 1 4 3\ne 3 6 1\ne 1 2 1\ne 1 2 2\ne 3 5 2\ne 2 6 2\n'
+    'e 1 4 1\ne 2 6 1\ne 1 2 1\ne 4 6 2\n':
+        '{"mincut": {"value": "3/1", "parts": 2, "partition": [[1, 2, 4, 6], [3, 5]]}, "crossing_edges": [0, 6], '
+        '"witness_tree": 0, "witness_tree_edges": [0, 1, 2, 3, 4]}',
+}
+
+
+@pytest.mark.parametrize("text", list(PARALLEL_MINCUT))
+def test_mincut_output_pinned_on_parallel_multigraphs(text, capsys, monkeypatch):
+    g, shapes = parse_graph(text), []
+    real = mincut._tree_tables
+
+    def recording(n, tree, edges, positive):
+        shapes.append(sorted((edges[i].u, edges[i].v) for i in tree))
+        return real(n, tree, edges, positive)
+
+    monkeypatch.setattr(mincut, "_tree_tables", recording)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["mincut"]) == 0
+    assert capsys.readouterr().out == PARALLEL_MINCUT[text] + "\n"
+    assert any(shape in shapes[:i] for i, shape in enumerate(shapes))
 
 
 @st.composite
@@ -424,7 +424,7 @@ def _two_clusters(draw):
 def test_greedy_mincut_matches_the_full_support_scan_property(g):
     cut, witness, packing = global_mincut_detail(g)
     support = packing.support()
-    ref, ref_witness = _scan_trees(g, support)  # the scan of every support tree it replaces
+    ref, ref_witness = _unskipped_scan(g, support)  # the scan of every support tree it replaces
     assert (cut.value, cut.partition.parts, witness) == (ref.value, ref.partition.parts, ref_witness)
     assert cut == ref
     assert global_mincut(g) == ref

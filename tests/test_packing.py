@@ -14,6 +14,7 @@ from kcut import (
     PackConfig,
     SaturationError,
     contract_partition,
+    dual_packing,
     exact_pack,
     lp_dual,
     min_spanning_forest,
@@ -117,9 +118,8 @@ def test_mwu_iteration_cap(c5):
 
 
 def test_zero_capacity_edges_dropped(tt):
-    caps = [e.cap for e in tt.edges]
-    caps[0] = F(0)
-    packing = exact_pack(tt, caps)
+    g = Graph(tt.n, (tt.edges[0]._replace(cap=F(0)),) + tt.edges[1:])
+    packing = exact_pack(g)
     assert all(0 not in t for t in packing.trees)
     assert 0 not in packing.caps
 
@@ -252,7 +252,7 @@ def test_exact_pack_matches_a_cold_master_per_round(drawn):
     for k in range(2, g.n + 1):
         dual = lp_dual(g, k=k)
         caps = [e.cap + z for e, z in zip(g.edges, dual.z)]
-        packing = exact_pack(g, caps)
+        packing = dual_packing(g, dual).packing
         assert (packing.trees, packing.weights) == _cold_exact_pack(g, caps)
 
 
