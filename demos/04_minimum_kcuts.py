@@ -33,20 +33,20 @@ def main():
     psp = principal_sequence(g)
     for k in (2, 3):
         cut, report = min_kcut(g, k)
-        print(f"k = {k}: minimum {k}-cut value {cut.value} "
+        print(f"k = {k}: minimum {k}-cut value {cut.crossing_value} "
               f"(h = {report.h}, {report.candidates_examined} candidates, "
               f"{report.distinct_cuts} distinct cuts seen)")
         print(f"  all {len(report.cuts)} minimizers:")
         for c in report.cuts:
-            print(f"    {show(c.partition)}")
+            print(f"    {show(c)}")
         ocut, oall = oracle_min_kcut(g, k)
-        print(f"  oracle agrees: value {ocut.value}, {len(oall)} minimizers")
+        print(f"  oracle agrees: value {ocut.crossing_value}, {len(oall)} minimizers")
         print()
 
     report = enumerate_approx_kcuts(g, 2, Fraction(3, 2))
     print(f"cuts within 3/2 of the minimum 2-cut (threshold {report.threshold}):")
     for c in report.cuts:
-        print(f"  value {c.value}: {show(c.partition)}")
+        print(f"  value {c.crossing_value}: {show(c)}")
     print()
 
     for k in (2, 4):
@@ -55,8 +55,8 @@ def main():
         shores = ravi_sinha_cut(g, psp, k)
         bound = 2 * (1 - Fraction(1, g.n)) * primal.objective
         print(f"k = {k}: LP value {primal.objective}, bound 2(1-1/n)*LP = {bound}")
-        print(f"  rounded LP cut:     value {rounded.cut.value}  ({show(rounded.cut.partition)})")
-        print(f"  smallest shores:    value {shores.value}  ({show(shores.partition)})")
+        print(f"  rounded LP cut:     value {rounded.cut.crossing_value}  ({show(rounded.cut)})")
+        print(f"  smallest shores:    value {shores.crossing_value}  ({show(shores)})")
 
 
 if __name__ == "__main__":

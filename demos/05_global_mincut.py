@@ -35,9 +35,9 @@ def main():
     g = WHEEL
     print("graph: 5-wheel, rim capacity 2, spokes capacity 1")
     cut = global_mincut(g)
-    print(f"global mincut value {cut.value}: {show(cut.partition)}")
+    print(f"global mincut value {cut.crossing_value}: {show(cut)}")
     ocut, _ = oracle_min_kcut(g, 2)
-    print(f"oracle agrees: {ocut.value}")
+    print(f"oracle agrees: {ocut.crossing_value}")
     print()
 
     packing = mwu_pack(g, config=PackConfig(epsilon=Fraction(1, 6)))
@@ -46,11 +46,11 @@ def main():
     for tree in packing.support()[:3]:
         one = min_1respect(g, tree)
         two = min_2respect(g, tree)
-        print(f"  tree {list(tree)}: best 1-respecting {one.value}, best 2-respecting {two.value}")
+        print(f"  tree {list(tree)}: best 1-respecting {one.crossing_value}, best 2-respecting {two.crossing_value}")
     print()
 
     exact = exact_pack(g)
-    block = cut.partition.block_of(g.n)
+    block = cut.block_of(g.n)
     cut_edges = [i for i, e in enumerate(g.edges) if block[e.u] != block[e.v]]
     stats = respect_stats(exact, cut_edges, 2)
     print(f"fraction of exact packing weight 2-respecting the mincut: {stats.q_h}")

@@ -45,9 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _cut_json(cut) -> dict:
     return {
-        "value": rational_str(cut.value),
-        "parts": cut.k_achieved,
-        "partition": cut.partition.to_json(),
+        "value": rational_str(cut.crossing_value),
+        "parts": cut.part_count,
+        "partition": cut.to_json(),
     }
 
 
@@ -208,9 +208,8 @@ def _cmd_approx(g, args):
 
 
 def _cmd_mincut(g, args):
-    eps = _rational(args.eps, Fraction(1, 6))
-    cut, witness, packing = global_mincut_detail(g, eps)
-    crossing = crossing_edges(g, cut.partition.block_of(g.n))
+    cut, witness, packing = global_mincut_detail(g)
+    crossing = crossing_edges(g, cut.block_of(g.n))
     out = {"mincut": _cut_json(cut), "crossing_edges": crossing}
     if witness is not None:
         out["witness_tree"] = witness
@@ -232,7 +231,7 @@ def _cmd_oracle(g, args):
         cut, argmins = oracle_min_kcut(g, args.k, limits)
         return {
             "k": args.k,
-            "value": rational_str(cut.value),
+            "value": rational_str(cut.crossing_value),
             "minimizers": [p.to_json() for p in argmins],
         }
     if which == "treepack":
@@ -300,9 +299,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p = add("solve", _cmd_solve, help="minimum k-cut with enumeration")
     p.add_argument("--k", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact packing (default)")
-    mode.add_argument(
+    p.add_argument(
         "--eps",
         help="scan greedy trees up to a packing within 1-eps of the optimum, "
         "0 < eps < 1/(2k-1); past a cap of trees per edge, the exact packing",
@@ -315,8 +312,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p = add("approx", _cmd_approx, help="smallest-shores 2-approximation")
     p.add_argument("--k", type=int, required=True)
-    p = add("mincut", _cmd_mincut, help="global minimum cut via 2-respecting trees")
-    p.add_argument("--eps", help="epsilon of the packing that names the witness tree (default 1/6)")
+    add("mincut", _cmd_mincut, help="global minimum cut via 2-respecting trees")
     p = add(
         "oracle",
         _cmd_oracle,

@@ -47,14 +47,14 @@ from typing import NamedTuple
 from .graph import (
     Edge,
     Graph,
-    CutResult,
+    VertexPartition,
     _mask_partition,
     _rooted_forest,
     _scaled,
     check_k,
     component_blocks,
+    components,
     contract_partition,
-    cut_of_partition,
     partition_sort_key,
     scaled_capacities,
 )
@@ -79,7 +79,7 @@ class EnumerationReport(NamedTuple):
     mode: str
     candidates_examined: int
     distinct_cuts: int
-    cuts: tuple[CutResult, ...]
+    cuts: tuple[VertexPartition, ...]
     min_value: Fraction
     threshold: Fraction | None = None
 
@@ -267,7 +267,7 @@ def _wires(g: Graph, caps):
 
 def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
     """Stream every cut of g that h-respects the given maximal forest and has
-    at least k parts, as CutResults; deduplication is the caller's job.
+    at least k parts, as partitions; deduplication is the caller's job.
     Edges that do not form a forest raise ``ValueError``."""
     if h < k - 1:
         raise ValueError("h must be at least k - 1")
@@ -275,8 +275,7 @@ def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
     wires = _wires(g, caps)
     for pieces, layout_merges, _ in _layouts(g, tuple(tree), h, k, {}):
         for masks, value in _layout_cuts(g.n, wires, pieces, layout_merges):
-            p = _mask_partition(g.n, masks, Fraction(value, scale))
-            yield CutResult(p, p.crossing_value, p.part_count)
+            yield _mask_partition(g.n, masks, Fraction(value, scale))
 
 
 def _enumerate_over_support(g: Graph, trees, h: int, k: int):
@@ -404,11 +403,8 @@ def min_kcut(g: Graph, k: int, eps=None, dual=None):
     found, scale, candidates, h = _scan(g, k, 0, eps, dual)
     best = min(found.values())
     value = Fraction(best, scale)
-    minimizers = [
-        _mask_partition(g.n, masks, value) for masks, v in found.items() if v == best
-    ]
-    minimizers.sort(key=partition_sort_key)
-    cuts = tuple(CutResult(p, value, p.part_count) for p in minimizers)
+    minimizers = [_mask_partition(g.n, masks, value) for masks, v in found.items() if v == best]
+    cuts = tuple(sorted(minimizers, key=partition_sort_key))
     mode = "exact" if eps is None else "approx"
     return cuts[0], EnumerationReport(k, h, mode, candidates, len(found), cuts, value)
 
@@ -432,12 +428,12 @@ def enumerate_approx_kcuts(g: Graph, k: int, alpha) -> EnumerationReport:
         if v <= limit
     ]
     keep.sort(key=lambda vp: (vp[0], partition_sort_key(vp[1])))
-    cuts = tuple(CutResult(p, p.crossing_value, p.part_count) for _, p in keep)
+    cuts = tuple(p for _, p in keep)
     return EnumerationReport(k, h, "exact", candidates, len(found), cuts, lam_k, threshold)
 
 
 class RoundResult(NamedTuple):
-    cut: CutResult
+    cut: VertexPartition
     certified: bool  # input verified optimal, so the 2(1-1/n) bound applies
     bound: Fraction  # 2(1-1/n) times the objective of the rounded vector
 
@@ -505,11 +501,10 @@ def round_lp(g: Graph, primal: PrimalSolution) -> RoundResult:
             e = gc.edges[j]
             if e.u in chosen or e.v in chosen:
                 cutset.add(kept[j])
-    cut = cut_of_partition(g, component_blocks(g, exclude_edges=cutset))
-    return RoundResult(cut, certified, bound)
+    return RoundResult(components(g, exclude_edges=cutset), certified, bound)
 
 
-def ravi_sinha_cut(g: Graph, psp: PrincipalSequence | None = None, k: int = 2) -> CutResult:
+def ravi_sinha_cut(g: Graph, psp: PrincipalSequence | None = None, k: int = 2) -> VertexPartition:
     """Combinatorial 2(1-1/n)-approximation from the principal sequence.
 
     Take the first level reaching k parts; when it overshoots, keep the

@@ -119,7 +119,8 @@ class VertexPartition(NamedTuple):
 
     Parts are sorted tuples, ordered by their minimum element.
     ``crossing_value`` is the total capacity of edges with endpoints in two
-    different parts of the partition (recomputable from the graph).
+    different parts of the partition (recomputable from the graph).  Every
+    cut the library returns is one of these.
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -135,12 +136,6 @@ class VertexPartition(NamedTuple):
 
     def to_json(self) -> list[list[int]]:
         return [[v + 1 for v in part] for part in self.parts]
-
-
-class CutResult(NamedTuple):
-    partition: VertexPartition
-    value: Fraction
-    k_achieved: int
 
 
 def canonical_parts(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -250,13 +245,6 @@ def _check_partition(g: Graph, parts) -> None:
             seen.add(v)
     if len(seen) != g.n:
         raise ValueError("parts do not cover the vertex set")
-
-
-def cut_of_partition(g: Graph, p) -> CutResult:
-    """Cut value of a partition; accepts a VertexPartition or raw blocks."""
-    # revalidate and recompute
-    p = partition_from_blocks(g, p.parts if isinstance(p, VertexPartition) else p)
-    return CutResult(p, p.crossing_value, p.part_count)
 
 
 def parse_graph(text) -> Graph:
@@ -422,22 +410,6 @@ def _mask_partition(n: int, masks: Iterable[int], value: Fraction) -> VertexPart
     return VertexPartition(
         tuple([tuple([v for v in range(n) if mask >> v & 1]) for mask in parts]), value
     )
-
-
-def contract(g: Graph, edge_ids: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Contract a set of edges; returns (new graph, old-vertex -> new-vertex).
-
-    Endpoints of contracted edges are merged, self-loops dropped, parallel
-    edges kept.  New vertex ids follow the minimum original vertex of each
-    merged group.
-    """
-    ids = list(edge_ids)
-    for i in ids:
-        if not 0 <= i < g.m:
-            raise ValueError(f"edge id {i} out of range")
-    merged = component_blocks(Graph(g.n, tuple(g.edges[i] for i in ids)))
-    new_g, block, _ = contract_partition(g, merged)
-    return new_g, block
 
 
 def contract_partition(g: Graph, parts: Iterable[Iterable[int]]):

@@ -15,7 +15,7 @@ both scans reject a tree that contains a cycle the same way.
 
 A scan reads its trees in one integer pass.  It compares every 1- and
 2-respecting value, as a Python int, with one running best (value and
-side), and builds the one ``CutResult`` at the end.
+side), and builds the one partition at the end.
 ``min_1respect`` and ``min_2respect`` are the one-tree case of the same
 scan.
 
@@ -36,12 +36,12 @@ running best is the least cut with the canonical tie-break: the answer of a
 scan of every tree of any packing of value above lambda/3.
 
 ``global_mincut`` builds the multiplicative-weights packing of
-``packing.mwu_pack`` only should the stream pass ``greedy_trees``' own
-cap, and reads its support then: within (1 - eps) of the strength, which
-is at least lambda/2, it is above lambda/3 for eps < 1/3 and meets the
-same bar.  ``global_mincut_detail`` takes that cut and builds such a
-packing to name the witness: the first of its support trees that crosses
-the cut at most twice.
+``packing.mwu_pack`` at ``EPS`` = 1/6 only should the stream pass
+``greedy_trees``' own cap, and reads its support then: within (1 - eps)
+of the strength, which is at least lambda/2, it is above lambda/3 for
+eps < 1/3 and meets the same bar.  ``global_mincut_detail`` takes that
+cut and builds the same packing to name the witness: the first of its
+support trees that crosses the cut at most twice.
 """
 
 from __future__ import annotations
@@ -50,17 +50,18 @@ from fractions import Fraction
 
 from .graph import (
     Graph,
-    CutResult,
+    VertexPartition,
     _mask_partition,
     _rooted_forest,
     check_connected,
     component_blocks,
     components,
     crossing_edges,
-    cut_of_partition,
     scaled_capacities,
 )
 from .packing import PackConfig, PackingError, greedy_trees, mwu_pack
+
+EPS = Fraction(1, 6)  # of every multiplicative-weights packing here: below 1/3
 
 
 def _tree_tables(n: int, tree, edges, positive):
@@ -128,15 +129,14 @@ class _TreeScan:
                 self.best, self.side, self.key = value, cand, key
         return self.best
 
-    def cut(self) -> CutResult:
+    def cut(self) -> VertexPartition:
         if self.key is None:
             raise ValueError("no tree edge to cut")
-        value = Fraction(self.best, self.scale)
         parts = (self.side, self.full ^ self.side)
-        return CutResult(_mask_partition(self.g.n, parts, value), value, 2)
+        return _mask_partition(self.g.n, parts, Fraction(self.best, self.scale))
 
 
-def _scan_trees(g: Graph, trees, pairs=True) -> CutResult:
+def _scan_trees(g: Graph, trees, pairs=True) -> VertexPartition:
     """The least cut crossing one of ``trees`` in exactly one edge, or in
     one or two when ``pairs``."""
     scan = _TreeScan(g, pairs)
@@ -145,30 +145,29 @@ def _scan_trees(g: Graph, trees, pairs=True) -> CutResult:
     return scan.cut()
 
 
-def min_1respect(g: Graph, tree) -> CutResult:
+def min_1respect(g: Graph, tree) -> VertexPartition:
     """Minimum cut among those crossing the tree in exactly one edge."""
     return _scan_trees(g, [tuple(tree)], pairs=False)
 
 
-def min_2respect(g: Graph, tree) -> CutResult:
+def min_2respect(g: Graph, tree) -> VertexPartition:
     """Minimum cut among those crossing the tree in at most two edges."""
     return _scan_trees(g, [tuple(tree)])
 
 
-def global_mincut(g: Graph) -> CutResult:
+def global_mincut(g: Graph) -> VertexPartition:
     """Global minimum cut: the least 1- or 2-respecting cut of Thorup's
     greedy trees, scanned in one integer pass with a running best up to
     the first tree with 3 t c(e*) above c_up load(e*), where every minimum
     cut 2-respects a scanned tree (see the module docstring).  Should the
     stream pass its cap first, the support of the multiplicative-weights
-    packing at ``PackConfig``'s default eps is scanned too.  The cut is the
-    least of all, with the canonical tie-break.  When the positive-capacity
-    edges leave several components, it is their partition, of value 0.
-    Deterministic."""
+    packing at ``EPS`` is scanned too.  The cut is the least of all, with
+    the canonical tie-break.  When the positive-capacity edges leave
+    several components, it is their partition, of value 0.  Deterministic."""
     check_connected(g, "mincut")
     zero = [i for i in range(g.m) if g.edges[i].cap == 0]
     if len(component_blocks(g, exclude_edges=zero)) > 1:
-        return cut_of_partition(g, components(g, exclude_edges=zero))
+        return components(g, exclude_edges=zero)
     scan = _TreeScan(g)
     degree = [0] * g.n
     for u, v, c in scan.positive:
@@ -179,28 +178,25 @@ def global_mincut(g: Graph) -> CutResult:
         scan.add(tree)
         if 3 * value > min(c_deg, scan.best) * load:
             return scan.cut()
-    for tree in mwu_pack(g).support():
+    for tree in mwu_pack(g, config=PackConfig(epsilon=EPS)).support():
         scan.add(tree)
     return scan.cut()
 
 
-def global_mincut_detail(g: Graph, eps=Fraction(1, 6)):
+def global_mincut_detail(g: Graph):
     """Global mincut plus its witness: (cut, witness tree index, packing).
 
     The cut is ``global_mincut``'s.  The packing is the
-    multiplicative-weights one within (1 - eps) of the strength, which for
-    eps < 1/3 exceeds a third of the mincut, so some support tree crosses
-    the cut at most twice: the witness is the index of the first.  eps is
-    checked first.  A cut of value 0 gets no packing: (cut, None, None).
-    Deterministic.
+    multiplicative-weights one within (1 - ``EPS``) of the strength, which
+    exceeds a third of the mincut, so some support tree crosses the cut at
+    most twice: the witness is the index of the first.  A cut of value 0
+    gets no packing: (cut, None, None).  Deterministic.
     """
-    if not 0 < Fraction(eps) < Fraction(1, 3):
-        raise ValueError("eps must satisfy 0 < eps < 1/3")
     cut = global_mincut(g)
-    if cut.value == 0:
+    if cut.crossing_value == 0:
         return cut, None, None
-    packing = mwu_pack(g, config=PackConfig(epsilon=eps))
-    crossing = set(crossing_edges(g, cut.partition.block_of(g.n)))
+    packing = mwu_pack(g, config=PackConfig(epsilon=EPS))
+    crossing = set(crossing_edges(g, cut.block_of(g.n)))
     support = packing.support()
     witness = next((idx for idx, tree in enumerate(support) if len(crossing.intersection(tree)) <= 2), None)
     if witness is None:

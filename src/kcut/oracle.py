@@ -20,7 +20,6 @@ from typing import Iterator, NamedTuple
 from .graph import (
     Graph,
     VertexPartition,
-    CutResult,
     check_connected,
     check_k,
     component_blocks,
@@ -91,8 +90,8 @@ class PartitionTable(NamedTuple):
         return VertexPartition(tuple(map(tuple, blocks)), Fraction(self.best[p], self.scale))
 
     def min_kcut(self, k: int):
-        """Minimum k-cut: (CutResult, tuple of every optimal partition with
-        >= k parts), ordered by ``partition_sort_key``."""
+        """Minimum k-cut: (the optimal partition, tuple of every optimal
+        partition with >= k parts), ordered by ``partition_sort_key``."""
         check_k(self.graph, k)
         counts = [p for p in self.best if p >= k]
         least = min(self.best[p] for p in counts)
@@ -100,8 +99,7 @@ class PartitionTable(NamedTuple):
             (self._partition(p, rgs) for p in counts if self.best[p] == least for rgs in self.ties[p]),
             key=partition_sort_key,
         )
-        top = argmins[0]
-        return CutResult(top, top.crossing_value, top.part_count), tuple(argmins)
+        return argmins[0], tuple(argmins)
 
     def strength(self):
         """(strength, argmin partition): of the partitions attaining the
@@ -204,7 +202,7 @@ def oracle_strength(g: Graph, limits: OracleLimits = DEFAULT_LIMITS):
 def oracle_min_kcut(g: Graph, k: int, limits: OracleLimits = DEFAULT_LIMITS):
     """Minimum k-cut by exhaustive scan.
 
-    Returns (CutResult, tuple of every optimal partition with >= k parts),
+    Returns (partition, tuple of every optimal partition with >= k parts),
     the representative tie-broken to maximum part count then canonical order.
     """
     check_k(g, k)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kcut import Edge, Graph, parse_graph
+from kcut import Edge, Graph, parse_graph, partition_from_blocks
 from kcut.flow import FlowNetwork
 
 E1_TEXT = "p kcut 2 1\ne 1 2 5\n"
@@ -131,6 +131,13 @@ def suite():
 def small_suite():
     """A fast subset for per-module property tests."""
     return [(name, g) for name, g in full_suite() if g.n <= 5][:18]
+
+
+def assert_recomputed(g: Graph, cuts):
+    """Each cut is the canonical partition of its own parts, with the
+    crossing value that ``partition_from_blocks`` computes from g."""
+    for cut in cuts:
+        assert partition_from_blocks(g, cut.parts) == cut, cut
 
 
 def edge_ids_of_partition(g: Graph, partition):

@@ -19,7 +19,6 @@ from kcut.graph import (
     component_blocks,
     components,
     contract_partition,
-    cut_of_partition,
 )
 from kcut.lp import (
     CsVerdict,
@@ -252,6 +251,4 @@ def round_lp(g: Graph, primal: PrimalSolution) -> RoundResult:
             e = gc.edges[j]
             if e.u in chosen or e.v in chosen:
                 cutset.add(kept[j])
-    partition = components(g, exclude_edges=cutset)
-    cut = cut_of_partition(g, partition)
-    return RoundResult(cut, certified, bound)
+    return RoundResult(components(g, exclude_edges=cutset), certified, bound)

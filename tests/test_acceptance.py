@@ -133,11 +133,11 @@ def test_criterion_04_certificates():
 
 def test_criterion_05_integrality_gap(c5, k4):
     with criterion(5, "integrality gap at most 2(1-1/n), tight on C5 and K4"):
-        ratio_c5 = oracle_min_kcut(c5, 2)[0].value / lp_primal(
+        ratio_c5 = oracle_min_kcut(c5, 2)[0].crossing_value / lp_primal(
             principal_sequence(c5), 2
         ).objective
         assert ratio_c5 == F(8, 5) == 2 * (1 - F(1, 5))
-        ratio_k4 = oracle_min_kcut(k4, 2)[0].value / lp_primal(
+        ratio_k4 = oracle_min_kcut(k4, 2)[0].crossing_value / lp_primal(
             principal_sequence(k4), 2
         ).objective
         assert ratio_k4 == F(3, 2) == 2 * (1 - F(1, 4))
@@ -146,7 +146,7 @@ def test_criterion_05_integrality_gap(c5, k4):
             for k in range(2, g.n + 1):
                 cut, _ = oracle_min_kcut(g, k)
                 lp = lp_primal(psp, k).objective
-                assert cut.value <= 2 * (1 - F(1, g.n)) * lp, (name, k)
+                assert cut.crossing_value <= 2 * (1 - F(1, g.n)) * lp, (name, k)
 
 
 def test_criterion_06_rounding_and_smallest_shores():
@@ -158,11 +158,11 @@ def test_criterion_06_rounding_and_smallest_shores():
                 bound = 2 * (1 - F(1, g.n)) * primal.objective
                 rounded = round_lp(g, primal)
                 assert rounded.certified, (name, k)
-                assert rounded.cut.k_achieved >= k, (name, k)
-                assert rounded.cut.value <= bound, (name, k)
+                assert rounded.cut.part_count >= k, (name, k)
+                assert rounded.cut.crossing_value <= bound, (name, k)
                 rs = ravi_sinha_cut(g, psp, k)
-                assert rs.k_achieved >= k, (name, k)
-                assert rs.value <= bound, (name, k)
+                assert rs.part_count >= k, (name, k)
+                assert rs.crossing_value <= bound, (name, k)
 
 
 def test_criterion_07_min_kcut_optimality_and_enumeration():
@@ -171,12 +171,12 @@ def test_criterion_07_min_kcut_optimality_and_enumeration():
             for k in range(2, min(g.n, 5) + 1):
                 cut, report = min_kcut(g, k)
                 ocut, oall = oracle_min_kcut(g, k)
-                assert cut.value == ocut.value, (name, k)
-                assert {c.partition.parts for c in report.cuts} == {
+                assert cut.crossing_value == ocut.crossing_value, (name, k)
+                assert {c.parts for c in report.cuts} == {
                     p.parts for p in oall
                 }, (name, k)
                 approx_cut, _ = min_kcut(g, k, eps=F(1, 2 * k))
-                assert approx_cut.value == ocut.value, (name, k)
+                assert approx_cut.crossing_value == ocut.crossing_value, (name, k)
                 # every oracle-optimal k-cut crosses a support tree <= 2k-3 times
                 dual = explicit_dual(name, g, k)
                 h = max(2 * k - 3, 1)
@@ -192,7 +192,7 @@ def test_criterion_08_mincut_and_respect_fractions():
     with criterion(8, "global mincut and respect-fraction bounds"):
         for name, g in full_suite():
             cut, argmins = oracle_min_kcut(g, 2)
-            assert global_mincut(g).value == cut.value, name
+            assert global_mincut(g).crossing_value == cut.crossing_value, name
             packing = exact_pack(g)
             for p in argmins:
                 stats = respect_stats(packing, edge_ids_of_partition(g, p), 2)
@@ -217,7 +217,7 @@ def test_criterion_09_approximate_cut_completeness():
             for k in (2, 3):
                 if k > g.n:
                     continue
-                lam_k = oracle_min_kcut(g, k)[0].value
+                lam_k = oracle_min_kcut(g, k)[0].crossing_value
                 for alpha in (F(1), F(4, 3), F(3, 2)):
                     report = enumerate_approx_kcuts(g, k, alpha)
                     threshold = alpha * lam_k
@@ -227,7 +227,7 @@ def test_criterion_09_approximate_cut_completeness():
                         for p in enum_partitions(g)
                         if p.part_count >= k and p.crossing_value <= threshold
                     }
-                    got = {c.partition.parts for c in report.cuts}
+                    got = {c.parts for c in report.cuts}
                     assert got == expected, (name, k, alpha)
 
 

@@ -58,7 +58,7 @@ def test_lp_json(capsys, tt_file):
 
 
 def test_solve_all_minimizers(capsys, c5_file):
-    code, out = run(capsys, "solve", "--k", "2", "--exact", "--all", c5_file)
+    code, out = run(capsys, "solve", "--k", "2", "--all", c5_file)
     data = json.loads(out)
     assert code == 0
     assert data["cut"]["value"] == "2/1"
@@ -170,7 +170,7 @@ def _assert_approx_solve_matches_exact(capsys, tmp_path, argv, text):
 
 
 @pytest.mark.parametrize("eps", ["1e-400", "1e-310"], ids=["zero", "subnormal"])
-@pytest.mark.parametrize("argv", [["pack"], ["mincut"], ["solve", "--k", "2"]], ids=["pack", "mincut", "solve"])
+@pytest.mark.parametrize("argv", [["pack"], ["solve", "--k", "2"]], ids=["pack", "solve"])
 def test_eps_below_float_range_exit_1(capsys, tmp_path, argv, eps):
     # as floats, 1e-400 is 0.0 and 1e-310 subnormal: 1/eps is 1/0 or inf
     if argv[0] == "solve":  # no float limit left in solve
@@ -179,7 +179,7 @@ def test_eps_below_float_range_exit_1(capsys, tmp_path, argv, eps):
     _assert_eps_too_small(capsys, tmp_path, argv + ["--eps", eps], K4_TEXT)
 
 
-@pytest.mark.parametrize("argv", [["pack"], ["mincut"]], ids=["pack", "mincut"])
+@pytest.mark.parametrize("argv", [["pack"]], ids=["pack"])
 def test_eps_below_float_precision_on_one_edge_exit_1(capsys, tmp_path, argv):
     # one edge stops at weight 1, which the step 1 + 1e-20 == 1.0 never passes
     _assert_eps_too_small(capsys, tmp_path, argv + ["--eps", "1e-20"], "p kcut 2 1\ne 1 2 1\n")
@@ -326,35 +326,14 @@ def test_solve_eps_outside_its_bound_exit_1(capsys, tmp_path, text, k, eps):
     assert captured.err == f"error: eps must satisfy 0 < eps < 1/(2k-1) = 1/{2 * int(k) - 1}\n"
 
 
-ZERO_CUT_P3 = "p kcut 3 2\ne 1 2 1\ne 2 3 0\n"
-UNIT_TRIANGLE = "p kcut 3 3\ne 1 2 1\ne 1 3 1\ne 2 3 1\n"
-
-
-@pytest.mark.parametrize("eps", ["0", "-1", "-1/5", "1/3", "1"])
-@pytest.mark.parametrize("text", [ZERO_CUT_P3, UNIT_TRIANGLE], ids=["zero-cut-p3", "triangle"])
-def test_mincut_eps_outside_its_bound_exit_1(capsys, tmp_path, text, eps):
-    """mincut checks 0 < eps < 1/3 before any work, with or without a cut of
-    value 0."""
-    path = tmp_path / "g.graph"
-    path.write_text(text)
-    for argv in (["mincut", "--eps", eps, str(path)], ["mincut", f"--eps={eps}", str(path)]):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: eps must satisfy 0 < eps < 1/3\n"
-    assert main(["mincut", "--eps", "1/4", str(path)]) == 0
-
-
 @pytest.mark.parametrize(
     "argv, err",
     [
         (["solve", "--k", "2", "--eps", "-1/5"], "error: eps must satisfy 0 < eps < 1/(2k-1) = 1/3\n"),
         (["solve", "--k", "2", "--eps", "-.2"], "error: eps must satisfy 0 < eps < 1/(2k-1) = 1/3\n"),
         (["enumerate", "--k", "2", "--alpha", "-1/2"], "error: alpha must be at least 1\n"),
-        (["mincut", "--eps", "-1e-1"], "error: eps must satisfy 0 < eps < 1/3\n"),
     ],
-    ids=["solve-eps", "solve-eps-decimal", "enumerate-alpha", "mincut-eps"],
+    ids=["solve-eps", "solve-eps-decimal", "enumerate-alpha"],
 )
 def test_negative_rational_flag_given_as_its_own_word(capsys, c5_file, argv, err):
     """A negative value as the word after its flag reaches the flag's range
@@ -468,15 +447,13 @@ def test_oracle_forests_on_a_long_path(capsys, tmp_path, argv):
 
 
 def test_solve_exact_and_eps_are_exclusive(capsys, c5_file):
-    code = main(["solve", "--k", "2", "--exact", "--eps", "1/6", c5_file])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    # --exact names the default mode
-    assert run(capsys, "solve", "--k", "2", "--exact", c5_file) == run(
-        capsys, "solve", "--k", "2", c5_file
-    )
+    # exact is solve's only mode without --eps, so it has no flag of its own
+    for argv in (["--exact", "--eps", "1/6"], ["--exact"]):
+        code = main(["solve", "--k", "2", *argv, c5_file])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --exact\n"
 
 
 def test_pack_exact_and_eps_are_exclusive(capsys, c5_file):
@@ -541,7 +518,7 @@ def test_verify_exit_2_on_certificate_failure(capsys, tt_file, monkeypatch):
 
     def lying(g):
         cut = real(g)
-        return cut._replace(value=cut.value + 1)
+        return cut._replace(crossing_value=cut.crossing_value + 1)
 
     monkeypatch.setattr(verify_mod, "global_mincut", lying)
     code, out = run(capsys, "verify", "--kmax", "2", tt_file)

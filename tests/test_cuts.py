@@ -11,7 +11,6 @@ from kcut import (
     Edge,
     Graph,
     components,
-    cut_of_partition,
     cuts_from_tree,
     dual_packing,
     dual_respect_bound,
@@ -25,6 +24,7 @@ from kcut import (
     oracle_lp_value,
     oracle_min_kcut,
     parse_graph,
+    partition_from_blocks,
     principal_sequence,
     ravi_sinha_cut,
     respect_stats,
@@ -34,7 +34,7 @@ from kcut import (
 from kcut.cuts import _capped_cheapest, bell_number, merge_pattern_count
 from kcut.packing import PackConfig
 
-from conftest import TT_BRIDGE, _random_connected, edge_ids_of_partition, full_suite
+from conftest import TT_BRIDGE, _random_connected, assert_recomputed, edge_ids_of_partition, full_suite
 
 F = Fraction
 
@@ -43,12 +43,12 @@ def test_cuts_from_tree_c5(c5):
     tree = min_spanning_forest(c5, [1] * 5)
     cuts = list(cuts_from_tree(c5, tree, 1, 2))
     assert len(cuts) == 4
-    assert all(c.value == 2 for c in cuts)
+    assert all(c.crossing_value == 2 for c in cuts)
 
 
 def test_cuts_from_tree_e1(e1):
     cuts = list(cuts_from_tree(e1, (0,), 1, 2))
-    assert len(cuts) == 1 and cuts[0].value == 5
+    assert len(cuts) == 1 and cuts[0].crossing_value == 5
 
 
 def test_cuts_from_tree_tt(tt):
@@ -57,7 +57,7 @@ def test_cuts_from_tree_tt(tt):
     tree = min_spanning_forest(tt, weights)
     target = ((0,), (1, 2), (3, 4, 5))
     assert any(
-        c.partition.parts == target and c.value == 3
+        c.parts == target and c.crossing_value == 3
         for c in cuts_from_tree(tt, tree, 3, 3)
     )
 
@@ -74,17 +74,17 @@ def test_cuts_from_tree_rejects_a_cycle(c5):
 
 def test_min_kcut_fixtures(tt, c5):
     cut, report = min_kcut(tt, 2)
-    assert cut.value == 1 and len(report.cuts) == 1
-    assert cut.partition.parts == ((0, 1, 2), (3, 4, 5))
+    assert cut.crossing_value == 1 and len(report.cuts) == 1
+    assert cut.parts == ((0, 1, 2), (3, 4, 5))
     cut, report = min_kcut(tt, 4)
-    assert cut.value == 4
+    assert cut.crossing_value == 4
     cut, report = min_kcut(c5, 3)
-    assert cut.value == 3 and len(report.cuts) == 10
+    assert cut.crossing_value == 3 and len(report.cuts) == 10
 
 
 def test_min_kcut_k_equals_n(k4):
     cut, report = min_kcut(k4, 4)
-    assert cut.value == 6 and cut.k_achieved == 4
+    assert cut.crossing_value == 6 and cut.part_count == 4
 
 
 def test_min_kcut_matches_oracle_with_full_sets():
@@ -92,8 +92,8 @@ def test_min_kcut_matches_oracle_with_full_sets():
         for k in range(2, min(g.n, 5) + 1):
             cut, report = min_kcut(g, k)
             ocut, oall = oracle_min_kcut(g, k)
-            assert cut.value == ocut.value, (name, k)
-            assert {c.partition.parts for c in report.cuts} == {
+            assert cut.crossing_value == ocut.crossing_value, (name, k)
+            assert {c.parts for c in report.cuts} == {
                 p.parts for p in oall
             }, (name, k)
 
@@ -103,7 +103,7 @@ def test_min_kcut_approx_mode():
         for k in range(2, min(g.n, 4) + 1):
             exact_cut, _ = min_kcut(g, k)
             approx_cut, report = min_kcut(g, k, eps=F(1, 2 * k))
-            assert approx_cut.value == exact_cut.value, (name, k)
+            assert approx_cut.crossing_value == exact_cut.crossing_value, (name, k)
             if k < g.n:  # k = n short-circuits without packing
                 assert report.h == 2 * k - 2
 
@@ -149,7 +149,7 @@ def test_enumerate_approx_fixture_counts(tt, c5, k4):
     assert len(report.cuts) == 1
     report = enumerate_approx_kcuts(k4, 2, F(4, 3))
     assert len(report.cuts) == 7
-    values = sorted(c.value for c in report.cuts)
+    values = sorted(c.crossing_value for c in report.cuts)
     assert values == [3, 3, 3, 3, 4, 4, 4]
 
 
@@ -160,13 +160,13 @@ def test_enumerate_approx_complete_vs_oracle():
                 continue
             for alpha in (F(1), F(4, 3), F(3, 2)):
                 report = enumerate_approx_kcuts(g, k, alpha)
-                threshold = alpha * oracle_min_kcut(g, k)[0].value
+                threshold = alpha * oracle_min_kcut(g, k)[0].crossing_value
                 expected = {
                     p.parts
                     for p in enum_partitions(g)
                     if p.part_count >= k and p.crossing_value <= threshold
                 }
-                got = {c.partition.parts for c in report.cuts}
+                got = {c.parts for c in report.cuts}
                 assert got == expected, (name, k, alpha)
 
 
@@ -214,13 +214,14 @@ def _assert_kcuts_match_oracle(g, approx):
         minimizers = {p.parts for p in oall}
         for eps in (None, F(1, 2 * k)) if approx else (None,):
             cut, report = min_kcut(g, k, eps=eps)
-            assert cut.value == ocut.value, (k, eps)
-            assert {c.partition.parts for c in report.cuts} == minimizers, (k, eps)
+            assert cut.crossing_value == ocut.crossing_value, (k, eps)
+            assert {c.parts for c in report.cuts} == minimizers, (k, eps)
         for alpha in (F(1), F(3, 2)):
             report = enumerate_approx_kcuts(g, k, alpha)
-            assert report.min_value == ocut.value
-            threshold = alpha * ocut.value
-            assert {c.partition.parts for c in report.cuts} == {
+            assert_recomputed(g, report.cuts)
+            assert report.min_value == ocut.crossing_value
+            threshold = alpha * ocut.crossing_value
+            assert {c.parts for c in report.cuts} == {
                 p.parts
                 for p in enum_partitions(g)
                 if p.part_count >= k and p.crossing_value <= threshold
@@ -253,7 +254,7 @@ def test_enumeration_count_ceiling():
         for cut in report.cuts:
             stats = respect_stats(
                 dual.packing,
-                edge_ids_of_partition(g, cut.partition),
+                edge_ids_of_partition(g, cut),
                 report.h,
             )
             q_min = stats.q_h if q_min is None else min(q_min, stats.q_h)
@@ -296,13 +297,13 @@ def test_bell_numbers():
 
 def test_round_lp_fixtures(tt, c5, k4):
     r = round_lp(c5, lp_primal(principal_sequence(c5), 2))
-    assert r.cut.value == 2 and r.certified
-    assert r.cut.value == r.bound  # 8/5 * 5/4, the gap met with equality
+    assert r.cut.crossing_value == 2 and r.certified
+    assert r.cut.crossing_value == r.bound  # 8/5 * 5/4, the gap met with equality
     r = round_lp(tt, lp_primal(principal_sequence(tt), 3))
-    assert r.cut.value == 3 and r.cut.k_achieved >= 3
+    assert r.cut.crossing_value == 3 and r.cut.part_count >= 3
     assert r.bound == F(25, 6)
     r = round_lp(k4, lp_primal(principal_sequence(k4), 2))
-    assert r.cut.value == 3 == r.bound
+    assert r.cut.crossing_value == 3 == r.bound
 
 
 def test_round_lp_bound_on_suite():
@@ -311,8 +312,8 @@ def test_round_lp_bound_on_suite():
         for k in range(2, g.n + 1):
             r = round_lp(g, lp_primal(psp, k))
             assert r.certified, (name, k)
-            assert r.cut.k_achieved >= k, (name, k)
-            assert r.cut.value <= r.bound, (name, k)
+            assert r.cut.part_count >= k, (name, k)
+            assert r.cut.crossing_value <= r.bound, (name, k)
 
 
 def test_round_lp_skips_isolated_residual_blobs():
@@ -328,8 +329,8 @@ def test_round_lp_skips_isolated_residual_blobs():
     psp = principal_sequence(g)
     primal = lp_primal(psp, 3)
     r = round_lp(g, primal)
-    assert r.cut.k_achieved >= 3
-    assert r.cut.value <= r.bound
+    assert r.cut.part_count >= 3
+    assert r.cut.crossing_value <= r.bound
 
 
 def test_round_lp_flags_suboptimal_input(c5):
@@ -343,7 +344,7 @@ def test_round_lp_flags_suboptimal_input(c5):
     )
     r = round_lp(c5, doubled)
     assert not r.certified
-    assert r.cut.k_achieved >= 2
+    assert r.cut.part_count >= 2
 
 
 def test_round_lp_rejects_bad_x(c5):
@@ -357,11 +358,11 @@ def test_round_lp_rejects_bad_x(c5):
 def test_ravi_sinha_fixtures(tt, c5):
     psp = principal_sequence(tt)
     cut = ravi_sinha_cut(tt, psp, 2)
-    assert cut.value == 1 and cut.partition.parts == ((0, 1, 2), (3, 4, 5))
+    assert cut.crossing_value == 1 and cut.parts == ((0, 1, 2), (3, 4, 5))
     cut = ravi_sinha_cut(tt, psp, 3)
-    assert cut.value == 3
+    assert cut.crossing_value == 3
     cut = ravi_sinha_cut(c5, principal_sequence(c5), 4)
-    assert cut.value == 4 and cut.k_achieved >= 4
+    assert cut.crossing_value == 4 and cut.part_count >= 4
 
 
 def test_ravi_sinha_bound_on_suite():
@@ -370,8 +371,8 @@ def test_ravi_sinha_bound_on_suite():
         for k in range(2, g.n + 1):
             cut = ravi_sinha_cut(g, psp, k)
             lp, _ = lp_primal(psp, k).objective, None
-            assert cut.k_achieved >= k, (name, k)
-            assert cut.value <= 2 * (1 - F(1, g.n)) * lp, (name, k)
+            assert cut.part_count >= k, (name, k)
+            assert cut.crossing_value <= 2 * (1 - F(1, g.n)) * lp, (name, k)
 
 
 def test_ravi_sinha_never_spends_choices_on_whole_component():
@@ -385,8 +386,8 @@ def test_ravi_sinha_never_spends_choices_on_whole_component():
     )
     psp = principal_sequence(g)
     cut = ravi_sinha_cut(g, psp, 5)
-    assert cut.k_achieved >= 5
-    assert cut.value <= 2 * (1 - F(1, 6)) * lp_primal(psp, 5).objective
+    assert cut.part_count >= 5
+    assert cut.crossing_value <= 2 * (1 - F(1, 6)) * lp_primal(psp, 5).objective
 
 
 def _shores_reference(g, psp=None, k=2):
@@ -398,10 +399,10 @@ def _shores_reference(g, psp=None, k=2):
         raise ValueError(f"k={k} out of range 2..{g.n}")
     j = psp.level_for_k(k)
     if j == 0:
-        return cut_of_partition(g, psp.p0)
+        return partition_from_blocks(g, psp.p0.parts)
     level = psp.levels[j - 1]
     if level.kappa == k:
-        return cut_of_partition(g, level.partition)
+        return partition_from_blocks(g, level.partition.parts)
     kappa_prev = psp.kappa_at(j - 1)
     need = k - kappa_prev
     shores = []
@@ -430,8 +431,7 @@ def _shores_reference(g, psp=None, k=2):
             if e.u in comp_set and e.v in comp_set:
                 if (e.u in part_set) != (e.v in part_set):
                     cutset.add(eid)
-    partition = components(g, exclude_edges=cutset)
-    return cut_of_partition(g, partition)
+    return components(g, exclude_edges=cutset)
 
 
 @st.composite
@@ -466,15 +466,15 @@ def test_strength_zero_primal_and_rounding_property(g):
         assert primal.objective == oracle_lp_value(g, k), k
         assert verify_primal(g, primal.x, k).ok, k
         r = round_lp(g, primal)
-        assert r.certified and r.cut.k_achieved >= k, k
-        assert r.cut.value <= r.bound == 2 * (1 - F(1, g.n)) * primal.objective, k
+        assert r.certified and r.cut.part_count >= k, k
+        assert r.cut.crossing_value <= r.bound == 2 * (1 - F(1, g.n)) * primal.objective, k
 
 
 def test_reports_are_recomputable(tt):
     cut, report = min_kcut(tt, 3)
     for c in report.cuts:
-        assert c.k_achieved >= 3
-        assert cut_of_partition(tt, c.partition).value == c.value
+        assert c.part_count >= 3
+        assert partition_from_blocks(tt, c.parts).crossing_value == c.crossing_value
 
 
 @pytest.mark.parametrize("n", [13, 14, 15, 16])
@@ -496,8 +496,8 @@ def test_min_kcut_against_gomory_hu_split(n):
     tree = nx.gomory_hu_tree(ref)
     lightest = sorted(tree.edges(data="weight"), key=lambda e: e[2])[: k - 1]
     tree.remove_edges_from((u, v) for u, v, _ in lightest)
-    split = cut_of_partition(g, [sorted(c) for c in nx.connected_components(tree)])
+    split = partition_from_blocks(g, [sorted(c) for c in nx.connected_components(tree)])
     weight = sum(w for _, _, w in lightest)
     best, _ = min_kcut(g, k)
-    assert split.k_achieved == k
-    assert best.value <= split.value <= weight <= (2 - F(2, k)) * best.value
+    assert split.part_count == k
+    assert best.crossing_value <= split.crossing_value <= weight <= (2 - F(2, k)) * best.crossing_value

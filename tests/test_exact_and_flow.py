@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import contract, parse_rational, rational_str
+from kcut import parse_rational, rational_str
 from kcut.flow import FlowNetwork
 
 from conftest import flow_network
@@ -234,11 +234,6 @@ def test_preflow_path_cancelled_by_edmonds_karp():
 def test_max_flow_same_terminals(e1):
     with pytest.raises(ValueError):
         flow_network(e1).max_flow(0, 0)
-
-
-def test_contract_rejects_bad_edge_id(e1):
-    with pytest.raises(ValueError):
-        contract(e1, [5])
 
 
 def test_attack_rejects_negative_b(e1):

@@ -4,12 +4,9 @@ from fractions import Fraction
 import pytest
 
 from kcut import (
-    CutResult,
     Graph,
     ParseError,
     components,
-    contract,
-    cut_of_partition,
     enumerate_approx_kcuts,
     global_mincut,
     lagrangean_value,
@@ -25,7 +22,7 @@ from kcut import (
     ravi_sinha_cut,
     strength,
 )
-from kcut.graph import component_blocks, contract_partition
+from kcut.graph import contract_partition
 
 from conftest import TT_BRIDGE, full_suite
 
@@ -67,22 +64,6 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line_no == line
 
 
-def test_contract_bridge(tt):
-    g2, vmap = contract(tt, [TT_BRIDGE])
-    assert (g2.n, g2.m) == (5, 6)
-    assert vmap[2] == vmap[3]  # bridge endpoints merged
-
-
-def test_contract_all_cycle(c5):
-    g2, _ = contract(c5, range(5))
-    assert (g2.n, g2.m) == (1, 0)
-
-
-def test_contract_k4_keeps_parallels(k4):
-    g2, _ = contract(k4, [0])
-    assert (g2.n, g2.m) == (3, 5)
-
-
 def test_components(tt, c5, k4):
     p = components(tt, exclude_edges=[TT_BRIDGE])
     assert p.parts == ((0, 1, 2), (3, 4, 5))
@@ -91,9 +72,9 @@ def test_components(tt, c5, k4):
 
 
 def test_cut_of_partition_values(tt, c5, k4):
-    assert cut_of_partition(tt, [[0, 1, 2], [3, 4, 5]]).value == 1
-    assert cut_of_partition(c5, [[v] for v in range(5)]).value == 5
-    assert cut_of_partition(k4, [[0], [1, 2, 3]]).value == 3
+    assert partition_from_blocks(tt, [[0, 1, 2], [3, 4, 5]]).crossing_value == 1
+    assert partition_from_blocks(c5, [[v] for v in range(5)]).crossing_value == 5
+    assert partition_from_blocks(k4, [[0], [1, 2, 3]]).crossing_value == 3
 
 
 def test_one_shot_blocks(tt):
@@ -106,16 +87,15 @@ def test_one_shot_blocks(tt):
 
     expected = partition_from_blocks(tt, [[0, 1, 2], [3, 4, 5]])
     assert partition_from_blocks(tt, once()) == expected
-    assert cut_of_partition(tt, once()).partition == expected
     assert contract_partition(tt, once()) == contract_partition(tt, expected.parts)
     assert partition_from_blocks(tt, [iter([0, 1]), iter([2, 3, 4, 5])]).crossing_value == 2
 
 
 def test_cut_requires_partition(c5):
     with pytest.raises(ValueError):
-        cut_of_partition(c5, [[0, 1], [1, 2, 3, 4]])
+        partition_from_blocks(c5, [[0, 1], [1, 2, 3, 4]])
     with pytest.raises(ValueError):
-        cut_of_partition(c5, [[0, 1]])
+        partition_from_blocks(c5, [[0, 1]])
 
 
 def test_canonicalization_idempotent():
@@ -144,29 +124,6 @@ def test_crossing_equals_half_boundary_sum():
                 if (e.u in inside) != (e.v in inside):
                     total += e.cap
         assert p.crossing_value == total / 2
-
-
-def test_contract_components_commute():
-    # the vertex-map blocks of contract(g, S) are the components of (V, S),
-    # and pulling components(contract(g, S)) back through the map gives
-    # components(g)
-    rng = random.Random(11)
-    for name, g in full_suite()[:20]:
-        if g.m == 0:
-            continue
-        ids = [i for i in range(g.m) if rng.random() < 0.4]
-        gc, vmap = contract(g, ids)
-        s_blocks = component_blocks(
-            g, exclude_edges=[i for i in range(g.m) if i not in ids]
-        )
-        assert {frozenset(b) for b in s_blocks} == {
-            frozenset(v for v in range(g.n) if vmap[v] == b) for b in range(gc.n)
-        }
-        pulled = {
-            frozenset(v for v in range(g.n) if vmap[v] in set(part))
-            for part in components(gc).parts
-        }
-        assert pulled == {frozenset(p) for p in components(g).parts}
 
 
 K_ENTRY_POINTS = {

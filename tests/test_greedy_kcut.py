@@ -18,10 +18,10 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import min_kcut, oracle_min_kcut
+from kcut import min_kcut, oracle_min_kcut, ravi_sinha_cut
 from kcut import cuts, packing
 
-from conftest import _planted, _random_connected
+from conftest import _planted, _random_connected, assert_recomputed
 from test_cuts import _disconnected_multigraphs, _strength_zero_multigraphs
 from test_scan_property import _multigraphs
 
@@ -88,9 +88,11 @@ def test_greedy_approx_scan_matches_exact_and_oracle_property(g, which):
         ocut, oall = oracle_min_kcut(g, k)
         minimizers = {p.parts for p in oall}
         cut, report = min_kcut(g, k)
-        assert cut.value == ocut.value and {c.partition.parts for c in report.cuts} == minimizers
+        assert cut.crossing_value == ocut.crossing_value and {c.parts for c in report.cuts} == minimizers
         (acut, areport), calls = _scans_with_greedy_calls(g, k, eps)
         assert acut == cut and areport.cuts == report.cuts, k
+        rounded = ravi_sinha_cut(g, k=k)  # round_lp's cut of the closed-form optimum
+        assert_recomputed(g, [ocut, *oall, cut, *report.cuts, rounded])
         assert areport.mode == "approx"
         for dual, trees in calls:
             caps = [e.cap + z for e, z in zip(g.edges, dual.z)]

@@ -8,7 +8,6 @@ from kcut import (
     Edge,
     Graph,
     check_complementary_slackness,
-    cut_of_partition,
     dual_packing,
     ideal_packing,
     lagrangean_value,
@@ -17,6 +16,7 @@ from kcut import (
     oracle_lp_value,
     oracle_min_kcut,
     parse_graph,
+    partition_from_blocks,
     principal_sequence,
     verify_dual,
     verify_primal,
@@ -85,7 +85,7 @@ def test_lagrangean_value_against_every_partition_property(g):
     every partition P, is largest at the returned b, is smaller at every
     probe below it, and equals the closed-form primal value."""
     costs = [
-        (cut_of_partition(g, parts).value, len(parts))
+        (partition_from_blocks(g, parts).crossing_value, len(parts))
         for parts in set_partitions(list(range(g.n)))
     ]
 
@@ -313,7 +313,7 @@ def test_dual_bound_against_min_kcut():
             dual = lp_dual(g, psp, k)
             cut, _ = oracle_min_kcut(g, k)
             lhs = (k - 1) * dual.total_y
-            rhs = F(g.n, 2 * (g.n - 1)) * cut.value + sum(dual.z, F(0))
+            rhs = F(g.n, 2 * (g.n - 1)) * cut.crossing_value + sum(dual.z, F(0))
             assert lhs >= rhs, (name, k)
 
 

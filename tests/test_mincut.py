@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from kcut import (
     Edge,
     Graph,
-    cut_of_partition,
     cuts_from_tree,
     enumerate_approx_kcuts,
     exact_pack,
@@ -29,13 +28,13 @@ from kcut import (
     spanning_forests,
 )
 from kcut.cli import main
-from kcut.graph import CutResult, _mask_partition, scaled_capacities
+from kcut.graph import _mask_partition, scaled_capacities
 from kcut import mincut
 from kcut.mincut import _scan_trees, _tree_tables
 from kcut.packing import GREEDY_TREES_PER_EDGE
 from kcut.oracle import partition_sort_key
 
-from conftest import TT_BRIDGE, _random_connected, edge_ids_of_partition, full_suite
+from conftest import TT_BRIDGE, _random_connected, assert_recomputed, edge_ids_of_partition, full_suite
 
 F = Fraction
 
@@ -60,13 +59,13 @@ def test_table_matches_direct_evaluation():
         for i in range(len(tree)):
             side = [v for v in range(g.n) if masks[i] >> v & 1]
             rest = [v for v in range(g.n) if not masks[i] >> v & 1]
-            direct = cut_of_partition(g, [side, rest]).value
+            direct = partition_from_blocks(g, [side, rest]).crossing_value
             assert F(cuts[i], scale) == direct, name
             for j in range(i + 1, len(tree)):
                 mask = masks[i] ^ masks[j]
                 side = [v for v in range(g.n) if mask >> v & 1]
                 rest = [v for v in range(g.n) if not mask >> v & 1]
-                direct = cut_of_partition(g, [side, rest]).value
+                direct = partition_from_blocks(g, [side, rest]).crossing_value
                 assert F(cuts[i] + cuts[j] - 2 * cross[j][i], scale) == direct, name
         checked += 1
         if checked >= 12:
@@ -74,22 +73,22 @@ def test_table_matches_direct_evaluation():
 
 
 def test_min_1respect_fixtures(e1, tt, c5):
-    assert min_1respect(e1, (0,)).value == 5
+    assert min_1respect(e1, (0,)).crossing_value == 5
     weights = [1] * 7
     weights[TT_BRIDGE] = 0
     bridge_tree = min_spanning_forest(tt, weights)
-    assert min_1respect(tt, bridge_tree).value == 1
+    assert min_1respect(tt, bridge_tree).crossing_value == 1
     path = min_spanning_forest(c5, [1] * 5)
-    assert min_1respect(c5, path).value == 2
+    assert min_1respect(c5, path).crossing_value == 2
 
 
 def test_min_2respect_fixtures(c5, k4, tt):
     path = min_spanning_forest(c5, [1] * 5)
-    assert min_2respect(c5, path).value == 2
+    assert min_2respect(c5, path).crossing_value == 2
     star = (0, 1, 2)  # edges 1-2, 1-3, 1-4
-    assert min_2respect(k4, star).value == 3
+    assert min_2respect(k4, star).crossing_value == 3
     for tree in spanning_forests(tt):
-        assert min_2respect(tt, tree).value == 1
+        assert min_2respect(tt, tree).crossing_value == 1
 
 
 def test_two_respect_no_worse_than_one():
@@ -97,21 +96,21 @@ def test_two_respect_no_worse_than_one():
         if g.n < 3 or not g.is_connected():
             continue
         tree = min_spanning_forest(g, [1] * g.m)
-        assert min_2respect(g, tree).value <= min_1respect(g, tree).value, name
+        assert min_2respect(g, tree).crossing_value <= min_1respect(g, tree).crossing_value, name
 
 
 def test_global_mincut_fixtures(tt, c5, k4, e1):
-    assert global_mincut(tt).value == 1
-    assert global_mincut(tt).partition.parts == ((0, 1, 2), (3, 4, 5))
-    assert global_mincut(c5).value == 2
-    assert global_mincut(k4).value == 3
-    assert global_mincut(e1).value == 5
+    assert global_mincut(tt).crossing_value == 1
+    assert global_mincut(tt).parts == ((0, 1, 2), (3, 4, 5))
+    assert global_mincut(c5).crossing_value == 2
+    assert global_mincut(k4).crossing_value == 3
+    assert global_mincut(e1).crossing_value == 5
 
 
 def test_global_mincut_matches_oracle_on_suite():
     for name, g in full_suite():
         cut, _ = oracle_min_kcut(g, 2)
-        assert global_mincut(g).value == cut.value, name
+        assert global_mincut(g).crossing_value == cut.crossing_value, name
 
 
 def test_mincut_q2_bound():
@@ -137,13 +136,13 @@ def test_approx_mincut_enumeration_complete():
             for p in enum_partitions(g)
             if p.part_count >= 2 and p.crossing_value <= threshold
         }
-        assert {c.partition.parts for c in report.cuts} == expected, name
+        assert {c.parts for c in report.cuts} == expected, name
 
 
 def test_zero_capacity_cut_short_circuit():
     g = parse_graph("p kcut 4 3\ne 1 2 1\ne 2 3 0\ne 3 4 1\n")
     cut = global_mincut(g)
-    assert cut.value == 0 and cut.k_achieved >= 2
+    assert cut.crossing_value == 0 and cut.part_count >= 2
 
 
 def test_global_mincut_input_validation():
@@ -152,8 +151,6 @@ def test_global_mincut_input_validation():
         global_mincut(g)
     with pytest.raises(ValueError):
         global_mincut(parse_graph("p kcut 1 0\n"))
-    with pytest.raises(ValueError):
-        global_mincut_detail(parse_graph("p kcut 2 1\ne 1 2 1\n"), eps=F(1, 2))
 
 
 def test_tree_must_span(c5):
@@ -213,7 +210,7 @@ def _side_of_removal(g, tree, removed):
 
 
 def _two_sided(g, side):
-    return cut_of_partition(g, [side, [v for v in range(g.n) if v not in side]])
+    return partition_from_blocks(g, [side, [v for v in range(g.n) if v not in side]])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -226,22 +223,24 @@ def test_tree_scan_matches_partition_values_property(graph_and_tree):
             _tables(g, tree + (extra,))
     for i in range(len(tree)):
         side = [v for v in range(g.n) if masks[i] >> v & 1]
-        assert F(cuts[i], scale) == _two_sided(g, side).value
+        assert F(cuts[i], scale) == _two_sided(g, side).crossing_value
         for j in range(i + 1, len(tree)):
             side = [v for v in range(g.n) if (masks[i] ^ masks[j]) >> v & 1]
-            assert F(cuts[i] + cuts[j] - 2 * cross[j][i], scale) == _two_sided(g, side).value
+            assert F(cuts[i] + cuts[j] - 2 * cross[j][i], scale) == _two_sided(g, side).crossing_value
     brute = {}
     for f in (1, 2):
         for removed in itertools.combinations(tree, f):
             p = _two_sided(g, _side_of_removal(g, tree, set(removed)))
-            brute.setdefault(p.value, []).append(p.partition.parts)
+            brute.setdefault(p.crossing_value, []).append(p.parts)
     best = min_2respect(g, tree)
-    assert best.value == min(brute) == cut_of_partition(g, best.partition).value
-    assert best.partition.parts == min(brute[best.value])  # the canonical tie-break
+    assert best.crossing_value == min(brute)
+    assert best.parts == min(brute[best.crossing_value])  # the canonical tie-break
+    mincut, _, _ = global_mincut_detail(g)
+    assert_recomputed(g, [best, min_1respect(g, tree), global_mincut(g), mincut])
     for h, k in ((1, 2), (2, 2), (2, 3), (3, 3)):
-        for cut in cuts_from_tree(g, tree, h, k):
-            assert cut.k_achieved >= k
-            assert cut.value == cut_of_partition(g, cut.partition).value
+        cuts = list(cuts_from_tree(g, tree, h, k))
+        assert all(cut.part_count >= k for cut in cuts)
+        assert_recomputed(g, cuts)
 
 
 @st.composite
@@ -267,8 +266,8 @@ def _fold_of_one_tree_scans(g, trees):
         cut = min_2respect(g, tree)
         if (
             best is None
-            or cut.value < best.value
-            or (cut.value == best.value and partition_sort_key(cut.partition) < partition_sort_key(best.partition))
+            or cut.crossing_value < best.crossing_value
+            or (cut.crossing_value == best.crossing_value and partition_sort_key(cut) < partition_sort_key(best))
         ):
             best = cut
             witness = idx
@@ -282,8 +281,8 @@ def test_many_tree_scan_matches_fold_property(graph_and_trees):
     cut = _scan_trees(g, trees)
     ref, ref_witness = _fold_of_one_tree_scans(g, trees)
     target(float(ref_witness), label="witness")  # steer towards cuts first held by a late tree
-    assert cut.value == ref.value
-    assert cut.partition.parts == ref.partition.parts
+    assert cut.crossing_value == ref.crossing_value
+    assert cut.parts == ref.parts
 
 
 def _unskipped_scan(g, trees, pairs=True):
@@ -315,8 +314,7 @@ def _unskipped_scan(g, trees, pairs=True):
                     offer(v, mi ^ masks[j], idx)
     if witness is None:
         raise ValueError("no tree edge to cut")
-    value = F(best, scale)
-    return CutResult(_mask_partition(n, (side, full ^ side), value), value, 2), witness
+    return _mask_partition(n, (side, full ^ side), F(best, scale)), witness
 
 
 def _networkx_mincut(g):
@@ -334,21 +332,21 @@ def test_global_mincut_matches_stoer_wagner(n, extra):
     ladder = _random_connected(random.Random(n), n, extra)
     g = Graph(n, tuple(Edge(e.u, e.v, e.cap / 3) for e in ladder.edges))
     cut = global_mincut(g)
-    assert cut.value == _networkx_mincut(g)
-    assert cut.value == cut_of_partition(g, cut.partition).value
+    assert cut.crossing_value == _networkx_mincut(g)
+    assert cut.crossing_value == partition_from_blocks(g, cut.parts).crossing_value
 
 
 def test_global_mincut_past_the_cap_matches_oracle_and_stoer_wagner():
-    # no greedy tree at all: the default multiplicative-weights support alone is scanned
+    # no greedy tree at all: the multiplicative-weights support at mincut.EPS alone is scanned
     with mock.patch("kcut.packing.GREEDY_TREES_PER_EDGE", 0):
         for name, g in full_suite():
             _, argmins = oracle_min_kcut(g, 2)
             cut = global_mincut(g)
-            assert cut.partition == min(argmins, key=partition_sort_key), name
-            assert cut.value == cut_of_partition(g, cut.partition).value, name
+            assert cut == min(argmins, key=partition_sort_key), name
+            assert cut.crossing_value == partition_from_blocks(g, cut.parts).crossing_value, name
         for n, extra in ((12, 20), (20, 40)):
             g = _random_connected(random.Random(n), n, extra)
-            assert global_mincut(g).value == _networkx_mincut(g)
+            assert global_mincut(g).crossing_value == _networkx_mincut(g)
 
 
 # The full ``mincut`` JSON on three multigraphs with parallel edges, on
@@ -425,8 +423,7 @@ def test_greedy_mincut_matches_the_full_support_scan_property(g):
     cut, witness, packing = global_mincut_detail(g)
     support = packing.support()
     ref, ref_witness = _unskipped_scan(g, support)  # the scan of every support tree it replaces
-    assert (cut.value, cut.partition.parts, witness) == (ref.value, ref.partition.parts, ref_witness)
-    assert cut == ref
+    assert (cut, witness) == (ref, ref_witness)
     assert global_mincut(g) == ref
     # no greedy tree at all: the support alone is scanned
     with mock.patch("kcut.packing.GREEDY_TREES_PER_EDGE", 0):
@@ -482,9 +479,8 @@ def test_global_mincut_detail_builds_one_packing_on_the_suite(monkeypatch):
     monkeypatch.setattr(mincut, "mwu_pack", counting_packing)
     monkeypatch.setattr(mincut, "greedy_trees", counting_greedy)
     for name, g in full_suite():
-        for eps in (Fraction(1, 6), Fraction(1, 4)):
-            del packings[:], streams[:]
-            cut, _, _ = global_mincut_detail(g, eps)
-            assert len(packings) == (cut.value > 0), name
-            positive = sum(1 for e in g.edges if e.cap > 0)
-            assert all(t < GREEDY_TREES_PER_EDGE * positive for t in streams), name
+        del packings[:], streams[:]
+        cut, _, _ = global_mincut_detail(g)
+        assert len(packings) == (cut.crossing_value > 0), name
+        positive = sum(1 for e in g.edges if e.cap > 0)
+        assert all(t < GREEDY_TREES_PER_EDGE * positive for t in streams), name

@@ -59,12 +59,12 @@ def test_oracle_strength_fixtures(tt, c5, k4):
 
 def test_oracle_min_kcut_fixtures(tt, c5):
     cut, argmins = oracle_min_kcut(tt, 2)
-    assert cut.value == 1 and len(argmins) == 1
+    assert cut.crossing_value == 1 and len(argmins) == 1
     assert argmins[0].parts == ((0, 1, 2), (3, 4, 5))
     cut, _ = oracle_min_kcut(tt, 4)
-    assert cut.value == 4
+    assert cut.crossing_value == 4
     cut, argmins = oracle_min_kcut(c5, 3)
-    assert cut.value == 3 and len(argmins) == 10
+    assert cut.crossing_value == 3 and len(argmins) == 10
 
 
 def test_oracle_treepack_fixtures(e1, c5, k4, tt):
@@ -110,7 +110,7 @@ def test_treepack_vs_mincut_bound():
             continue
         tp = oracle_treepack(g)
         cut, _ = oracle_min_kcut(g, 2)
-        assert tp >= F(g.n, 2 * (g.n - 1)) * cut.value, name
+        assert tp >= F(g.n, 2 * (g.n - 1)) * cut.crossing_value, name
 
 
 def test_monotone_in_k_and_sandwich():
@@ -120,9 +120,9 @@ def test_monotone_in_k_and_sandwich():
             cut, _ = oracle_min_kcut(g, k)
             lp = oracle_lp_value(g, k)
             if prev_cut is not None:
-                assert cut.value >= prev_cut and lp >= prev_lp, name
-            assert lp <= cut.value <= 2 * (1 - F(1, g.n)) * lp, name
-            prev_cut, prev_lp = cut.value, lp
+                assert cut.crossing_value >= prev_cut and lp >= prev_lp, name
+            assert lp <= cut.crossing_value <= 2 * (1 - F(1, g.n)) * lp, name
+            prev_cut, prev_lp = cut.crossing_value, lp
 
 
 def test_oracle_attack_matches_definition(tt):
@@ -191,8 +191,7 @@ def test_partition_table_matches_partition_scan(g):
         cut, argmins = table.min_kcut(k)
         expected = _scan_min_kcut(parts, k)
         assert argmins == tuple(expected), k
-        assert cut.partition == expected[0] and cut.value == expected[0].crossing_value
-        assert cut.k_achieved == expected[0].part_count
+        assert cut == expected[0]
     if g.n >= 2 and g.is_connected():
         assert table.strength() == _scan_strength(parts)
     lams = [level.lam for level in principal_sequence(g).levels]
@@ -217,8 +216,8 @@ def test_partition_table_parity_at_n12():
     for k in (2, 3):
         ocut, oall = table.min_kcut(k)
         cut, report = min_kcut(g, k)
-        assert cut.value == ocut.value, k
-        assert {c.partition.parts for c in report.cuts} == {p.parts for p in oall}, k
+        assert cut.crossing_value == ocut.crossing_value, k
+        assert {c.parts for c in report.cuts} == {p.parts for p in oall}, k
 
 
 def test_oracle_strength_at_n11():

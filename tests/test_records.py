@@ -12,7 +12,7 @@ from kcut import Edge, Graph, PackConfig
 from kcut.strength import principal_sequence
 
 RECORDS = {
-    "graph": ["Edge", "Graph", "VertexPartition", "CutResult"],
+    "graph": ["Edge", "Graph", "VertexPartition"],
     "cuts": ["RespectStats", "EnumerationReport", "RoundResult"],
     "lp": ["PrimalSolution", "DualSolution", "IdealPacking", "PrimalVerdict", "DualVerdict", "CsVerdict"],
     "oracle": ["OracleLimits", "PartitionTable"],

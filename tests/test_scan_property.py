@@ -9,7 +9,7 @@ so layouts recur both within a tree and across trees.
 
 ``cuts_from_tree`` itself is checked against a brute-force stream that
 takes the components of tree - F from ``component_blocks`` and prices each
-merge with ``cut_of_partition``.
+merge with ``partition_from_blocks``.
 """
 
 import itertools
@@ -19,7 +19,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import Edge, Graph, cut_of_partition, cuts_from_tree, min_spanning_forest
+from kcut import Edge, Graph, cuts_from_tree, min_spanning_forest, partition_from_blocks
 from kcut.cuts import _enumerate_over_support
 from kcut.graph import component_blocks
 from kcut.oracle import set_partitions
@@ -75,7 +75,7 @@ def test_memoized_scan_matches_per_tree_streams(scan):
     for tree in trees:
         for cut in cuts_from_tree(g, tree, h, k):
             candidates += 1
-            expected.setdefault(_mask_key(cut.partition), cut.value)
+            expected.setdefault(_mask_key(cut), cut.crossing_value)
     found, scale, examined = _enumerate_over_support(g, trees, h, k)
     assert examined == candidates
     assert [(masks, F(v, scale)) for masks, v in found.items()] == list(expected.items())
@@ -92,8 +92,8 @@ def _brute_stream(g, tree, h, k):
             pieces = sorted(component_blocks(forest, exclude_edges=removed), key=min)
             for blocks in set_partitions(pieces):
                 if len(blocks) >= k:
-                    cut = cut_of_partition(g, [sum(blk, []) for blk in blocks])
-                    yield cut.partition.parts, cut.value
+                    cut = partition_from_blocks(g, [sum(blk, []) for blk in blocks])
+                    yield cut.parts, cut.crossing_value
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -101,5 +101,5 @@ def _brute_stream(g, tree, h, k):
 def test_tree_stream_matches_component_brute_force(scan):
     g, trees, h, k = scan
     for tree in set(trees):
-        stream = [(cut.partition.parts, cut.value) for cut in cuts_from_tree(g, tree, h, k)]
+        stream = [(cut.parts, cut.crossing_value) for cut in cuts_from_tree(g, tree, h, k)]
         assert stream == list(_brute_stream(g, tree, h, k))
