@@ -2,7 +2,9 @@
 
 Every optimal k-cut crosses some support tree of the exact dual packing at
 most 2k-3 times, so enumerating the cuts induced by removing up to 2k-3
-edges from each support tree finds them all.  Raising the budget to
+edges from each support tree finds them all.  The scan skips every set of
+removed edges whose own capacity is above the best cut so far, and keeps
+only the cuts at most that best.  Raising the budget to
 floor(2*alpha*(k-1)) reaches every alpha-approximate cut.  The rounded LP
 solution and the smallest-shores cut bracket the optimum within 2(1-1/n).
 """
@@ -35,7 +37,7 @@ def main():
         cut, report = min_kcut(g, k)
         print(f"k = {k}: minimum {k}-cut value {cut.crossing_value} "
               f"(h = {report.h}, {report.candidates_examined} candidates, "
-              f"{report.distinct_cuts} distinct cuts seen)")
+              f"{report.distinct_cuts} cuts kept)")
         print(f"  all {len(report.cuts)} minimizers:")
         for c in report.cuts:
             print(f"    {show(c)}")

@@ -7,9 +7,7 @@ With h = 2k-3 against an exact dual packing (h = 2k-2 against any packing
 in c+z of value at least (1-eps) lambda_j, eps < 1/(2k-1)), every optimal
 k-cut h-respects some support tree, so scanning the support is a complete,
 certificate-backed search.  Given an eps, the scan reads the distinct
-trees of Thorup's greedy packing up to the first that reaches that value,
-which takes a few trees where the multiplicative-weights support held
-hundreds.
+trees of Thorup's greedy packing up to the first that reaches that value.
 The same pipeline with h = floor(2*alpha*(k-1)) reaches every
 alpha-approximate cut.
 
@@ -18,18 +16,30 @@ ends of every removed edge in different groups.  Any other merge is a cut C
 whose crossing set in T is a proper subset F' of F, so C is a merge of the
 layout of T - F', which has fewer removed edges and comes earlier in T's
 walk (F by size).  So every cut is still scored at its exact crossing set
-in the first tree it h-respects, where it is a proper merge, and the cuts
-come in the order of the plain stream of every merge.
+in the first tree it h-respects, where it is a proper merge.
+
+The scan is a branch and bound on integer values.  Its running limit is
+the least value scored so far (floor(alpha times it) for
+``enumerate_approx_kcuts``).  A proper merge cuts every edge joining the
+ends of a removed edge, so its value is at least the layout's bound, the
+sum of those pair capacities.  A set F whose bound is above the limit is
+skipped before its pieces are built, a merge above the limit gets no part
+masks, and only cuts within the limit are kept.  No cut at most the final
+limit is lost: the layout of its crossing set in the first tree it
+h-respects is new there and has a bound at most its value.  So the
+minimizers and every alpha-approximate cut are the unbounded scan's; only
+``distinct_cuts``, the store's size, differs.
 
 Many pairs (tree, F) leave the same pieces, so each distinct piece layout
 is scored once per scan: the capacity between every pair of its pieces is
 summed on integer-scaled capacities, and each merge takes the pairs inside
-its groups off the total.  A layout met again only adds its merge count to
-the candidates, and a merge whose parts were already found is not summed.
-The merges of p pieces are listed once per scan, each with a bitmask of
-the piece pairs inside its groups, so one AND tells a proper merge.
-Values stay integers in the scale of the capacities, through the minimum
-and the threshold; only a reported cut gets its ``Fraction``.
+its groups off the total.  Every merge of every layout still counts as a
+candidate, in closed form per size of F, so a skipped layout costs
+nothing to count.  The merges of p pieces are listed once per scan, each
+with a bitmask of the piece pairs inside its groups, so one AND tells a
+proper merge.  Values stay integers in the scale of the capacities,
+through the minimum and the threshold; only a reported cut gets its
+``Fraction``.
 
 Also here: the LP rounding algorithm (contract the zeros, keep the ones,
 isolate cheap vertices of the fractional residual) and the principal
@@ -40,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import floor
+from math import comb, floor
 from operator import mul
 from typing import NamedTuple
 
@@ -72,7 +82,8 @@ class RespectStats(NamedTuple):
 
 class EnumerationReport(NamedTuple):
     """What one k-cut scan examined and found.  ``mode`` is "approx" when
-    the scan was given an eps, else "exact"."""
+    the scan was given an eps, else "exact".  ``distinct_cuts`` counts the
+    cuts the scan kept, each within its running limit when scored."""
 
     k: int
     h: int
@@ -172,12 +183,23 @@ def _merges(npieces: int, min_parts: int):
         i, gi = i - 1, gi + 1
 
 
-def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges):
+def _merge_tables(ncomps: int, nt: int, h: int, min_parts: int, merges):
+    """(f, merges of the pieces) for each f <= h removed edges of a forest
+    of ``ncomps`` components and ``nt`` edges that leaves at least
+    ``min_parts`` pieces; ``merges`` memoizes ``_merges``."""
+    for f in range(max(min_parts - ncomps, 0), min(h, nt) + 1):
+        npieces = ncomps + f
+        if npieces not in merges:
+            merges[npieces] = _merges(npieces, min_parts)
+        yield f, merges[npieces]
+
+
+def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges, weights, limit):
     """Yield (piece masks, merges of the pieces, removed edges) of tree - F
     for every subset F of at most h tree edges that leaves at least
     ``min_parts`` pieces, F by size and then in ``itertools.combinations``
-    order.  ``merges`` memoizes ``_merges`` by piece count; the removed
-    edges are the (u, v) ends of the edges of F.
+    order; the removed edges are the (u, v) ends of the edges of F.  F is
+    skipped unbuilt when its edges' ``weights`` sum above ``limit[0]``.
 
     The pieces are ordered by their smallest vertex, so two subsets leave
     the same pieces iff their mask tuples are equal.  The piece below a
@@ -185,11 +207,11 @@ def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges):
     edges inside it; the rest of each component is a piece of its own."""
     comps, below, _ = _rooted_forest(g.n, tree, g.edges)
     ends = {sub: (g.edges[eid].u, g.edges[eid].v) for sub, eid in zip(below, tree)}
-    for f in range(max(min_parts - len(comps), 0), min(h, len(tree)) + 1):
-        npieces = len(comps) + f
-        if npieces not in merges:
-            merges[npieces] = _merges(npieces, min_parts)
+    weight = {sub: weights[eid] for sub, eid in zip(below, tree)}
+    for f, layout_merges in _merge_tables(len(comps), len(tree), h, min_parts, merges):
         for removed in itertools.combinations(below, f):
+            if sum([weight[sub] for sub in removed]) > limit[0]:
+                continue
             pieces = []
             cut_off = 0
             for sub in removed:
@@ -201,19 +223,21 @@ def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges):
                 pieces.append(piece)
             pieces += [c & ~cut_off for c in comps]
             pieces.sort(key=lambda mask: mask & -mask)
-            yield tuple(pieces), merges[npieces], [ends[sub] for sub in removed]
+            yield tuple(pieces), layout_merges, [ends[sub] for sub in removed]
 
 
-def _layout_cuts(n: int, wires, masks, merges, known=(), removed=()):
+def _layout_cuts(n: int, wires, masks, merges, removed, limit):
     """Yield (frozenset of part bitmasks, value) for every merge of one
-    piece layout whose part masks are not in ``known`` and that keeps the
-    two ends of each ``removed`` edge in different groups.
+    piece layout that keeps the two ends of each ``removed`` edge in
+    different groups and whose value is at most ``limit[0]``, read as the
+    merge comes up.
 
     ``wires`` are the (u, v, scaled capacity) triples of ``_wires``, so
     values are integers in the scale of the capacities.  The capacity between
-    each pair of pieces, and its total, are summed once, when the first
-    merge needs them; a merge's value is the total less the pairs inside
-    its groups."""
+    each pair of pieces, and its total, are summed once per layout; a
+    merge's value is the total less the pairs inside its groups, so no
+    such merge is below the capacity between the pieces that removed edges
+    join."""
     npieces = len(masks)
     piece_of = [0] * n  # piece 0 holds vertex 0 and whatever no later piece holds
     for p in range(1, npieces):
@@ -226,43 +250,50 @@ def _layout_cuts(n: int, wires, masks, merges, known=(), removed=()):
     for u, v in removed:
         a, b = piece_of[u], piece_of[v]
         apart |= 1 << (a * npieces + b if a < b else b * npieces + a)
-    between = None
+    between = [0] * (npieces * npieces)
+    for u, v, c in wires:
+        a, b = piece_of[u], piece_of[v]
+        if a < b:
+            between[a * npieces + b] += c
+        elif b < a:
+            between[b * npieces + a] += c
+    total = sum(between)
+    held = 0
+    pairs = apart
+    while pairs:
+        low = pairs & -pairs
+        held += between[low.bit_length() - 1]
+        pairs ^= low
+    if held > limit[0]:
+        return
     for ngroups, group_of, inside in merges:
         if inside & apart:
             continue
-        part_masks = [0] * ngroups
-        for p, mask in enumerate(masks):
-            part_masks[group_of[p]] |= mask
-        parts = frozenset(part_masks)
-        if parts in known:
-            continue
-        if between is None:
-            between = [0] * (npieces * npieces)
-            for u, v, c in wires:
-                a, b = piece_of[u], piece_of[v]
-                if a < b:
-                    between[a * npieces + b] += c
-                elif b < a:
-                    between[b * npieces + a] += c
-            total = sum(between)
         value = total
         pairs = inside
         while pairs:
             low = pairs & -pairs
             value -= between[low.bit_length() - 1]
             pairs ^= low
-        yield parts, value
+        if value > limit[0]:
+            continue
+        part_masks = [0] * ngroups
+        for p, mask in enumerate(masks):
+            part_masks[group_of[p]] |= mask
+        yield frozenset(part_masks), value
 
 
 def _wires(g: Graph, caps):
     """(u, v, scaled capacity) of each vertex pair that edges of positive
-    capacity join, with its parallel edges summed."""
+    capacity join, with its parallel edges summed; and that sum by edge id."""
     joined: dict[tuple[int, int], int] = {}
+    keys = []
     for e, c in zip(g.edges, caps):
+        key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+        keys.append(key)
         if c:
-            key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
             joined[key] = joined.get(key, 0) + c
-    return [(u, v, c) for (u, v), c in joined.items()]
+    return [(u, v, c) for (u, v), c in joined.items()], [joined.get(key, 0) for key in keys]
 
 
 def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
@@ -272,38 +303,38 @@ def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
     if h < k - 1:
         raise ValueError("h must be at least k - 1")
     caps, scale = scaled_capacities(g)
-    wires = _wires(g, caps)
-    for pieces, layout_merges, _ in _layouts(g, tuple(tree), h, k, {}):
-        for masks, value in _layout_cuts(g.n, wires, pieces, layout_merges):
+    wires, weights = _wires(g, caps)
+    total = [sum(caps)]  # no cut is above it, so nothing is skipped
+    for pieces, layout_merges, _ in _layouts(g, tuple(tree), h, k, {}, weights, total):
+        for masks, value in _layout_cuts(g.n, wires, pieces, layout_merges, (), total):
             yield _mask_partition(g.n, masks, Fraction(value, scale))
 
 
-def _enumerate_over_support(g: Graph, trees, h: int, k: int):
-    """({part masks: value}, scale, candidates examined): every distinct
-    candidate over the given trees, with its value as an integer in the
-    scale of ``scaled_capacities(g)``, in the order of the per-tree streams
-    of ``cuts_from_tree``.
-
-    Every merge of a layout counts as a candidate, but only its proper
-    merges, those that keep the ends of each removed edge apart, are
-    scored: any other merge is a cut of the same tree with fewer edges
-    removed, found earlier (see the module docstring).  A piece layout met
-    again, on this tree or another, yields only cuts already found, so its
-    merges are counted and not scored again."""
+def _enumerate_over_support(g: Graph, trees, h: int, k: int, alpha=1):
+    """({part masks: value}, scale, candidates examined) over the given
+    trees: the cuts kept under the running limit floor(alpha * least value
+    scored), each value an integer in the scale of ``scaled_capacities(g)``,
+    and every cut at most the final limit among them (see the module
+    docstring).  Candidates are counted in closed form per f; a piece
+    layout met again is not scored again."""
     caps, scale = scaled_capacities(g)
-    wires = _wires(g, caps)
+    wires, weights = _wires(g, caps)
+    num, den = Fraction(alpha).as_integer_ratio()
+    limit = [sum(caps)]
     merges: dict[int, list] = {}
     seen: set[tuple[int, ...]] = set()
     found: dict[frozenset, int] = {}
     candidates = 0
     for tree in trees:
-        for pieces, layout_merges, removed in _layouts(g, tuple(tree), h, k, merges):
-            candidates += len(layout_merges)
+        for f, layout_merges in _merge_tables(g.n - len(tree), len(tree), h, k, merges):
+            candidates += comb(len(tree), f) * len(layout_merges)
+        for pieces, layout_merges, removed in _layouts(g, tuple(tree), h, k, merges, weights, limit):
             if pieces in seen:
                 continue
             seen.add(pieces)
-            for parts, value in _layout_cuts(g.n, wires, pieces, layout_merges, found, removed):
+            for parts, value in _layout_cuts(g.n, wires, pieces, layout_merges, removed, limit):
                 found[parts] = value
+                limit[0] = min(limit[0], value * num // den)
     return found, scale, candidates
 
 
@@ -324,10 +355,11 @@ def _greedy_support(g: Graph, dual: DualSolution, eps: Fraction):
     return None
 
 
-def _scan(g: Graph, k: int, h: int, eps=None, dual=None):
+def _scan(g: Graph, k: int, h: int, eps=None, dual=None, alpha=1):
     """The scan behind ``min_kcut`` and ``enumerate_approx_kcuts``: every
     cut crossing a tree of a packing in c+z at most h times, h raised to
-    the completeness bound (2k-3 with no eps, 2k-2 with one).
+    the completeness bound (2k-3 with no eps, 2k-2 with one), and at most
+    alpha times the minimum, with the cuts kept before the limit fell.
     Returns ({part masks: value}, scale, candidates examined, h), each
     value an integer in the scale.  A ``dual`` given by the caller is
     scanned instead of one built here.  An eps must satisfy
@@ -378,7 +410,7 @@ def _scan(g: Graph, k: int, h: int, eps=None, dual=None):
         h = max(h, 2 * k - 2)
     else:
         trees, h = dual.packing.support(), max(h, 2 * k - 3)
-    found, scale, candidates = _enumerate_over_support(g, trees, h, k)
+    found, scale, candidates = _enumerate_over_support(g, trees, h, k, alpha)
     if not found:
         raise AssertionError("enumeration found no k-cut")
     return found, scale, candidates, h
@@ -417,7 +449,7 @@ def enumerate_approx_kcuts(g: Graph, k: int, alpha) -> EnumerationReport:
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    found, scale, candidates, h = _scan(g, k, floor(2 * alpha * (k - 1)))
+    found, scale, candidates, h = _scan(g, k, floor(2 * alpha * (k - 1)), alpha=alpha)
     best = min(found.values())
     lam_k = Fraction(best, scale)
     threshold = alpha * lam_k

@@ -383,12 +383,14 @@ def test_disconnected_k_up_to_components(capsys, tmp_path):
         "k": 2, "alpha": "1/1", "h": 0, "min_value": "0/1",
         "threshold": "0/1", "count": 1, "cuts": [zero],
     }
-    # the approximate path already handled this input; its output is kept
+    # the approximate scan counts every merge of its one greedy tree, but
+    # removing the tree's edge costs 3/2, above the first cut's 0, so that
+    # cut is the only one kept
     code, out = run(capsys, "solve", "--k", "2", "--eps", "1/6", "--all", str(path))
     assert code == 0
     assert json.loads(out) == {
         "k": 2, "mode": "approx", "h": 2, "cut": zero,
-        "candidates_examined": 5, "distinct_cuts": 4, "minimizers": [zero],
+        "candidates_examined": 5, "distinct_cuts": 1, "minimizers": [zero],
     }
 
 

@@ -94,7 +94,7 @@ def _zero_cut_graphs(count=24, seed=20261019):
         yield f"p kcut {n} {len(lines)}\n" + "".join(lines)
 
 
-ZERO_CUT_SHA256 = "b8fc701909ad6d2d21aa9326ed9011d7fa8a68e46bcee0cecca2a627d8bd3de7"
+ZERO_CUT_SHA256 = "d4a319bee293426af60a276f0a8778b21062fbafa6bbb616c14155e86cab9de4"
 
 
 def test_kcut_output_pinned_on_zero_capacity_cuts(capsys, monkeypatch):

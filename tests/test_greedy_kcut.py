@@ -18,7 +18,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import min_kcut, oracle_min_kcut, ravi_sinha_cut
+from kcut import Edge, Graph, min_kcut, oracle_min_kcut, ravi_sinha_cut
 from kcut import cuts, packing
 
 from conftest import _planted, _random_connected, assert_recomputed
@@ -126,9 +126,9 @@ def test_approx_k3_scans_few_greedy_trees():
     scanned = []
     real = cuts._enumerate_over_support
 
-    def spy(graph, trees, h, k):
+    def spy(graph, trees, h, k, alpha):
         scanned.append(len(trees))
-        return real(graph, trees, h, k)
+        return real(graph, trees, h, k, alpha)
 
     with mock.patch.object(cuts, "_enumerate_over_support", spy):
         cut, report = min_kcut(g, 3, eps=F(1, 6))
@@ -137,26 +137,25 @@ def test_approx_k3_scans_few_greedy_trees():
 
 
 def test_exact_k3_scores_only_proper_merges():
-    """Each scored merge looks its parts up once in the cuts found so far;
-    perfbench's planted-k3-s4 scores 1,512 merges for 1,357 cuts, where
-    scoring every merge of each new layout took 2,559."""
-    g = _planted(3, 4)
-    lookups = [0]
-
-    class Counting:
-        def __init__(self, found):
-            self.found = found
-
-        def __contains__(self, parts):
-            lookups[0] += 1
-            return parts in self.found
-
+    """Only a proper merge within the running best has its part masks
+    built: its parts keep the two ends of each removed edge apart.  On
+    unit K5 some improper merges are within the limit.  perfbench's
+    planted-k3-s4 scores 55 piece layouts and keeps the 10 cuts it builds;
+    scoring every new layout in full scored 465 and kept 1,357."""
+    k5 = Graph(5, tuple(Edge(u, v, F(1)) for u in range(5) for v in range(u + 1, 5)))
     real = cuts._layout_cuts
+    for g in (k5, _planted(3, 4)):
+        layouts, built = [0], []
 
-    def spy(n, wires, masks, merges, known=(), removed=()):
-        return real(n, wires, masks, merges, Counting(known), removed)
+        def spy(n, wires, masks, merges, removed, limit):
+            layouts[0] += 1
+            for parts, value in real(n, wires, masks, merges, removed, limit):
+                assert not any(m >> u & 1 and m >> v & 1 for m in parts for u, v in removed)
+                built.append(parts)
+                yield parts, value
 
-    with mock.patch.object(cuts, "_layout_cuts", spy):
-        cut, report = min_kcut(g, 3)
-    assert report.distinct_cuts == 1357
-    assert lookups[0] <= 1600
+        with mock.patch.object(cuts, "_layout_cuts", spy):
+            _, report = min_kcut(g, 3)
+    assert report.distinct_cuts == len(built) == 10
+    assert report.candidates_examined == 3630
+    assert layouts[0] <= 60

@@ -1,11 +1,15 @@
-"""The memoized support scan against plain per-tree streams.
+"""The bounded support scan against plain per-tree streams and the oracle.
 
-``_enumerate_over_support`` scores each distinct piece layout once per scan
-and skips merges whose cut it already holds.  Folding the ``cuts_from_tree``
-stream of every tree, keeping each cut's first value, must give the same
-cuts in the same order and the same candidate count.  The tree lists repeat
-trees and mix multiplicative-weights supports with random maximal forests,
-so layouts recur both within a tree and across trees.
+``_enumerate_over_support`` keeps a running limit, floor(alpha * best),
+skips each layout whose removed edges alone cost more, scores each distinct
+piece layout once and keeps only cuts within the limit.  Against the
+``cuts_from_tree`` stream of every tree it must keep every cut within alpha
+of the stream's minimum, keep no value the stream does not give, and count
+the same candidates.  The tree lists repeat trees and mix
+multiplicative-weights supports with random maximal forests, so layouts
+recur both within a tree and across trees.  Graphs of unit and zero
+capacities tie many cuts at the limit, which ``min_kcut`` and
+``enumerate_approx_kcuts`` must keep, as the oracle does.
 
 ``cuts_from_tree`` itself is checked against a brute-force stream that
 takes the components of tree - F from ``component_blocks`` and prices each
@@ -19,11 +23,21 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import Edge, Graph, cuts_from_tree, min_spanning_forest, partition_from_blocks
+from kcut import (
+    Edge,
+    Graph,
+    cuts_from_tree,
+    enumerate_approx_kcuts,
+    min_kcut,
+    min_spanning_forest,
+    partition_from_blocks,
+)
 from kcut.cuts import _enumerate_over_support
-from kcut.graph import component_blocks
-from kcut.oracle import set_partitions
+from kcut.graph import component_blocks, partition_sort_key
+from kcut.oracle import enum_partitions, partition_table, set_partitions
 from kcut.packing import PackConfig, mwu_pack
+
+from conftest import _random_connected
 
 F = Fraction
 
@@ -67,18 +81,23 @@ def _mask_key(partition):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_scans())
-def test_memoized_scan_matches_per_tree_streams(scan):
+@given(_scans(), st.sampled_from([F(1), F(3, 2), F(2)]))
+def test_memoized_scan_matches_per_tree_streams(scan, alpha):
     g, trees, h, k = scan
-    expected: dict[frozenset, Fraction] = {}
+    stream: dict[frozenset, Fraction] = {}
     candidates = 0
     for tree in trees:
         for cut in cuts_from_tree(g, tree, h, k):
             candidates += 1
-            expected.setdefault(_mask_key(cut), cut.crossing_value)
-    found, scale, examined = _enumerate_over_support(g, trees, h, k)
+            stream.setdefault(_mask_key(cut), cut.crossing_value)
+    found, scale, examined = _enumerate_over_support(g, trees, h, k, alpha)
     assert examined == candidates
-    assert [(masks, F(v, scale)) for masks, v in found.items()] == list(expected.items())
+    kept = {masks: F(v, scale) for masks, v in found.items()}
+    assert all(masks in stream and stream[masks] == value for masks, value in kept.items())
+    least = min(stream.values())
+    assert min(kept.values()) == least
+    bar = alpha * least
+    assert {m for m, v in kept.items() if v <= bar} == {m for m, v in stream.items() if v <= bar}
 
 
 def _brute_stream(g, tree, h, k):
@@ -103,3 +122,46 @@ def test_tree_stream_matches_component_brute_force(scan):
     for tree in set(trees):
         stream = [(cut.parts, cut.crossing_value) for cut in cuts_from_tree(g, tree, h, k)]
         assert stream == list(_brute_stream(g, tree, h, k))
+
+
+@st.composite
+def _tied_multigraphs(draw):
+    """n <= 7: a cycle, K_n or a random connected graph, plus parallel
+    copies of its edges, with capacities 1 or 0; so many cuts tie."""
+    n = draw(st.integers(2, 7))
+    shape = draw(st.sampled_from(["cycle", "complete", "random"]))
+    if shape == "cycle":
+        pairs = [(v, (v + 1) % n) for v in range(n)]
+    elif shape == "complete":
+        pairs = list(itertools.combinations(range(n), 2))
+    else:
+        pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        pairs += draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=4))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    caps = st.sampled_from([F(1), F(1), F(1), F(0)])
+    return Graph(n, tuple(Edge(min(p), max(p), draw(caps)) for p in pairs))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_tied_multigraphs())
+def test_bounded_scan_keeps_every_tie_at_the_limit(g):
+    table = partition_table(g)
+    partitions = list(enum_partitions(g))
+    for k in range(2, min(4, g.n) + 1):
+        least, minimizers = table.min_kcut(k)
+        for eps in (None, F(1, 2 * k)):
+            cut, report = min_kcut(g, k, eps=eps)
+            assert cut == least and report.cuts == minimizers, (k, eps)
+        for alpha in (F(1), F(3, 2)):
+            bar = alpha * least.crossing_value
+            within = [p for p in partitions if p.part_count >= k and p.crossing_value <= bar]
+            within.sort(key=lambda p: (p.crossing_value, partition_sort_key(p)))
+            assert enumerate_approx_kcuts(g, k, alpha).cuts == tuple(within), (k, alpha)
+
+
+def test_exact_k4_store_stays_bounded():
+    # the unbounded store held 186,517 cuts; the candidates are counted in closed form
+    g = _random_connected(random.Random(12), 12, 24)
+    cut, report = min_kcut(g, 4)
+    assert report.candidates_examined == 1_071_642
+    assert report.distinct_cuts <= 100
