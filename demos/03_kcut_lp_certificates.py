@@ -40,7 +40,7 @@ def main():
 
     for k in (2, 3, 4):
         primal = lp_primal(psp, k)
-        dual = dual_packing(TT, lp_dual(TT, psp, k))
+        dual = dual_packing(TT, lp_dual(psp, k))
         lag, b = lagrangean_value(psp, k)
         print(f"k = {k}:")
         print(f"  primal x = {[str(v) for v in primal.x]}")
@@ -60,7 +60,7 @@ def main():
         )
         print()
 
-    ip = ideal_packing(TT)
+    ip = ideal_packing(principal_sequence(TT))
     print("ideal packing marginals (load = capacity / level lambda):")
     for eid in range(TT.m):
         print(f"  edge {eid}: level {ip.edge_level[eid]}, marginal load {ip.marginal_load(eid)}")

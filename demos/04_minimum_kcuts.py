@@ -53,8 +53,8 @@ def main():
 
     for k in (2, 4):
         primal = lp_primal(psp, k)
-        rounded = round_lp(g, primal)
-        shores = ravi_sinha_cut(g, psp, k)
+        rounded = round_lp(psp, primal)
+        shores = ravi_sinha_cut(psp, k)
         bound = 2 * (1 - Fraction(1, g.n)) * primal.objective
         print(f"k = {k}: LP value {primal.objective}, bound 2(1-1/n)*LP = {bound}")
         print(f"  rounded LP cut:     value {rounded.cut.crossing_value}  ({show(rounded.cut)})")

@@ -125,7 +125,7 @@ def _cmd_lp(g, args):
     psp = principal_sequence(g)
     k = args.k
     primal = lp_primal(psp, k)
-    dual = lp_dual(g, psp, k)
+    dual = lp_dual(psp, k)
     z = [rational_str(v) for v in dual.z]  # refuse an unprintable z before the column generation
     dual = dual_packing(g, dual)
     lag, lag_b = lagrangean_value(psp, k)
@@ -189,8 +189,9 @@ def _cmd_enumerate(g, args):
 
 
 def _cmd_round(g, args):
-    primal = lp_primal(principal_sequence(g), args.k)
-    result = round_lp(g, primal)
+    psp = principal_sequence(g)
+    primal = lp_primal(psp, args.k)
+    result = round_lp(psp, primal)
     return {
         "k": args.k,
         "lp_value": rational_str(primal.objective),
@@ -202,7 +203,7 @@ def _cmd_round(g, args):
 
 def _cmd_approx(g, args):
     psp = principal_sequence(g)
-    cut = ravi_sinha_cut(g, psp, args.k)
+    cut = ravi_sinha_cut(psp, args.k)
     lp, _ = lagrangean_value(psp, args.k)
     return {"k": args.k, "lp_value": rational_str(lp), "cut": _cut_json(cut)}
 

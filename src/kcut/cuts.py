@@ -41,9 +41,13 @@ proper merge.  Values stay integers in the scale of the capacities,
 through the minimum and the threshold; only a reported cut gets its
 ``Fraction``.
 
-Also here: the LP rounding algorithm (contract the zeros, keep the ones,
-isolate cheap vertices of the fractional residual) and the principal
-sequence 2-approximation (cut the smallest shores of the splitting level).
+The dual comes from ``PrincipalSequence.positive()``, so a component of
+strength 0 is scanned as in the graph less its zero-capacity edges.
+
+Also here, each a function of the principal sequence it is given: the LP
+rounding algorithm (contract the zeros, keep the ones, isolate cheap
+vertices of the fractional residual) and the principal sequence
+2-approximation (cut the smallest shores of the splitting level).
 """
 
 from __future__ import annotations
@@ -124,21 +128,6 @@ def respect_stats(packing: TreePacking, cut_edges, h: int) -> RespectStats:
     weights, _ = _scaled(packing.weights)
     hit = sum([w for ell, w in zip(crossings, weights) if ell <= h])
     return RespectStats(h, cut, crossings, Fraction(hit, sum(weights)))
-
-
-def bell_number(n: int) -> int:
-    row = [1]
-    for _ in range(n):
-        new = [row[-1]]
-        for x in row:
-            new.append(new[-1] + x)
-        row = new
-    return row[0]
-
-
-def merge_pattern_count(h: int) -> int:
-    """Exact number of groupings of h+1 tree pieces into >= 2 groups."""
-    return bell_number(h + 1) - 1
 
 
 def _merges(npieces: int, min_parts: int):
@@ -378,9 +367,9 @@ def _scan(g: Graph, k: int, h: int, eps=None, dual=None, alpha=1):
     every optimal cut groups whole components at value 0, so one maximal
     forest of positive edges is scanned: with no edge removed and h = 0
     when no eps is given, and with one as the one greedy tree that meets
-    the bar 0, with h = 2k-2.  When a component has strength 0, the tail
-    of g's sequence after lambda = 0 is scanned: it is the sequence of g
-    less its zero-capacity edges, which gives every partition g's value.
+    the bar 0, with h = 2k-2.  The dual is read off the sequence's
+    positive part, so a component of strength 0 is scanned in the sequence
+    of g less its zero-capacity edges, which gives every partition g's value.
     """
     check_k(g, k)
     if eps is not None:
@@ -390,12 +379,9 @@ def _scan(g: Graph, k: int, h: int, eps=None, dual=None, alpha=1):
     if k == g.n:
         caps, scale = scaled_capacities(g)
         return {frozenset(1 << v for v in range(g.n)): sum(caps)}, scale, 0, h
-    psp = principal_sequence(g)
-    if psp.levels and psp.levels[0].lam == 0:
-        # on g's vertex and edge ids; its p0 is level 1's partition, not g's components
-        psp = PrincipalSequence(g, psp.levels[0].partition, psp.levels[1:])
+    psp = principal_sequence(g).positive()
     if dual is None:
-        dual = lp_dual(g, psp, k)
+        dual = lp_dual(psp, k)
         if eps is None:
             dual = dual_packing(g, dual)
     approx = eps is not None and bool(psp.levels)  # with no level, no capacity is positive
@@ -428,7 +414,7 @@ def min_kcut(g: Graph, k: int, eps=None, dual=None):
     Either packing is guaranteed to hold every optimal k-cut.  When k is
     at most the number of components the minimum is 0 and the minimizers
     are the groupings of whole components into at least k parts.  A caller
-    that already holds ``dual_packing(g, lp_dual(g, k=k))``, or the same
+    that already holds ``dual_packing(g, lp_dual(psp, k))``, or the same
     dual with the packing of another k at its PSP level, passes it as
     ``dual`` and no column generation runs.
     """
@@ -486,26 +472,28 @@ def _capped_cheapest(items, budgets, count):
     return None
 
 
-def round_lp(g: Graph, primal: PrimalSolution) -> RoundResult:
+def round_lp(psp: PrincipalSequence, primal: PrimalSolution) -> RoundResult:
     """Round an optimal fractional vector to a k-cut within twice (1 - 1/n)
     of its objective: contract x=0 edges, keep x=1 edges, and isolate the
     cheapest capacitated-degree vertices of the fractional residual, at most
     size-1 of them per residual component so each pick adds a part.  x,
     the capacities and the degrees are ints: x over its least common
-    denominator d, the capacities scaled by L."""
+    denominator d, the capacities scaled by L.  The input is certified
+    against the value of ``psp``, the sequence of the graph it cuts."""
+    g = psp.graph
     x, d = _scaled(primal.x)
     if any(v < 0 or v > d for v in x):
         raise ValueError("x must lie in [0, 1]")
     k = primal.k
     zero_blocks = component_blocks(g, exclude_edges=[i for i in range(g.m) if x[i] > 0])
     gc, block_map, kept = contract_partition(g, zero_blocks)
-    frac = [j for j, eid in enumerate(kept) if 0 < x[eid] < d]
+    frac = {j for j, eid in enumerate(kept) if 0 < x[eid] < d}
     ones = [eid for eid in kept if x[eid] == d]
 
     caps, scale = scaled_capacities(g)
     cx = sum(map(mul, caps, x))  # c.x times L d
     objective = Fraction(cx, scale * d)
-    lp_value, _ = lagrangean_value(principal_sequence(g), k)
+    lp_value, _ = lagrangean_value(psp, k)
     certified = objective == lp_value
     bound = Fraction(2 * (g.n - 1) * cx, g.n * scale * d)  # 2 (1 - 1/n) c.x
 
@@ -536,7 +524,7 @@ def round_lp(g: Graph, primal: PrimalSolution) -> RoundResult:
     return RoundResult(components(g, exclude_edges=cutset), certified, bound)
 
 
-def ravi_sinha_cut(g: Graph, psp: PrincipalSequence | None = None, k: int = 2) -> VertexPartition:
+def ravi_sinha_cut(psp: PrincipalSequence, k: int) -> VertexPartition:
     """Combinatorial 2(1-1/n)-approximation from the principal sequence.
 
     Take the first level reaching k parts; when it overshoots, keep the
@@ -547,6 +535,4 @@ def ravi_sinha_cut(g: Graph, psp: PrincipalSequence | None = None, k: int = 2) -
     ones are A_{j-1}, its fractional residual is B_j, and a part's degree
     there is its shore's boundary, so the same shores are picked in the
     same (cost, id) order."""
-    if psp is None:
-        psp = principal_sequence(g)
-    return round_lp(g, lp_primal(psp, k)).cut
+    return round_lp(psp, lp_primal(psp, k)).cut

@@ -12,7 +12,10 @@ alpha = (k - kappa_{j-1}) / (kappa_j - kappa_{j-1}):
   also the Lagrangean bound max_b g(b) + b(k-1), maximized at b = lambda_j.
 
 Disconnected graphs are supported throughout: constraints run over maximal
-forests with right-hand side k - h for h components.
+forests with right-hand side k - h for h components.  So are components of
+strength 0, except by ``ideal_packing``: the dual reads the sequence's
+positive part (``PrincipalSequence.positive``), where h counts the parts of
+the lambda = 0 level.  Each closed form reads the graph off its sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import NamedTuple
 
 from .graph import Graph, _scaled, check_k, component_blocks, contract_partition, scaled_capacities
 from .packing import SaturationError, TreePacking, _column_generation, min_spanning_forest, saturating_pack
-from .strength import PrincipalSequence, principal_sequence
+from .strength import PrincipalSequence
 
 
 class PrimalSolution(NamedTuple):
@@ -71,14 +74,6 @@ class IdealPacking(NamedTuple):
         return tuple(sorted(chosen))
 
 
-def _check_positive_strength(psp: PrincipalSequence) -> None:
-    if psp.levels and psp.levels[0].lam <= 0:
-        raise ValueError(
-            "k-cut LP closed forms require every cut to have positive "
-            "capacity (minimum component strength is 0)"
-        )
-
-
 def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
     """Optimal primal vector: 1 on A_{j-1}, alpha on B_j, 0 elsewhere.
 
@@ -124,8 +119,8 @@ def lagrangean_value(psp: PrincipalSequence, k: int):
     return value, b
 
 
-def ideal_packing(g: Graph, psp: PrincipalSequence | None = None) -> IdealPacking:
-    """One saturating packing per level.
+def ideal_packing(psp: PrincipalSequence) -> IdealPacking:
+    """One saturating packing per level of ``psp``.
 
     Contracting P_i and keeping only the B_i capacities leaves the level's
     split components, each contracted by its minimum-strength partition and
@@ -134,9 +129,12 @@ def ideal_packing(g: Graph, psp: PrincipalSequence | None = None) -> IdealPackin
     kappa_{i-1}), so its saturating packing has value lambda_i and loads
     every B_i edge to capacity.
     """
-    if psp is None:
-        psp = principal_sequence(g)
-    _check_positive_strength(psp)
+    g = psp.graph
+    if psp.levels and psp.levels[0].lam <= 0:
+        raise ValueError(
+            "k-cut LP closed forms require every cut to have positive "
+            "capacity (minimum component strength is 0)"
+        )
     levels = []
     edge_level = [0] * g.m
     for idx, level in enumerate(psp.levels, start=1):
@@ -158,19 +156,18 @@ def ideal_packing(g: Graph, psp: PrincipalSequence | None = None) -> IdealPackin
     return IdealPacking(g, tuple(levels), tuple(edge_level))
 
 
-def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2) -> DualSolution:
+def lp_dual(psp: PrincipalSequence, k: int) -> DualSolution:
     """Optimal dual without its packing: closed-form z and lambda_j, the
     value of an optimal packing in c+z (enough for objective and
-    feasibility checks).  ``dual_packing(g, lp_dual(g, psp, k))`` adds the
+    feasibility checks).  ``dual_packing(g, lp_dual(psp, k))`` adds the
     explicit packing that complementary slackness and cut enumeration
-    need."""
-    if psp is None:
-        psp = principal_sequence(g)
+    need.  It is the dual of ``psp.positive()``, so no lambda is 0."""
+    g = psp.graph
+    psp = psp.positive()
     lag, lam_j = lagrangean_value(psp, k)
     h = psp.kappa0()
     if k <= h:
         return DualSolution(k, (Fraction(0),) * g.m, Fraction(0), 0, Fraction(0), h, None)
-    _check_positive_strength(psp)
     # lambda strictly increases along the sequence: levels 1..j-1 are the
     # ones below lambda_j.
     below = [level for level in psp.levels if level.lam < lam_j]

@@ -17,10 +17,10 @@ call it too.
   rigorous.
 * ``exact_pack``: column generation on one exact simplex tableau that
   grows by each priced forest (``_column_generation``), certified against
-  lambda_1 of the working graph's cached principal sequence.  The column
-  generation certifies nothing itself: ``saturating_pack`` checks
-  saturation and ``lp.lp_dual`` checks lambda_j of the input's sequence,
-  so the dual's c+z graph gets no sequence of its own.
+  lambda_1 of the positive part of the input's cached principal sequence.
+  The column generation certifies nothing itself: ``saturating_pack``
+  checks saturation and ``lp.lp_dual`` checks lambda_j of the input's
+  sequence, so the dual's c+z graph gets no sequence of its own.
 
 ``saturating_pack`` asks for a packing whose loads meet capacity on every
 edge; it exists exactly when the graph is strength-tight, i.e. the packing
@@ -312,9 +312,10 @@ def _column_generation(g: Graph, caps=None) -> TreePacking:
 
 def exact_pack(g: Graph) -> TreePacking:
     """Exact optimal packing, certified against the least component
-    strength: lambda_1 of the working graph's cached PSP."""
+    strength of the working graph: lambda_1 of the positive part of g's
+    sequence."""
     packing = _column_generation(g)
-    expected = principal_sequence(_working_graph(g, None)[0]).levels[0].lam
+    expected = principal_sequence(g).positive().levels[0].lam
     if packing.total_value != expected:
         raise PackingError(f"packing value {packing.total_value} != strength {expected}")
     return packing

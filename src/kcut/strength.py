@@ -108,6 +108,14 @@ class PrincipalSequence(NamedTuple):
     def kappa_at(self, j: int) -> int:
         return self.p0.part_count if j == 0 else self.levels[j - 1].kappa
 
+    def positive(self) -> PrincipalSequence:
+        """The sequence of the graph less its zero-capacity edges, which
+        keeps every partition's value, on the graph's vertex and edge ids:
+        the levels after a lambda = 0 level, with its partition as p0."""
+        if self.levels and self.levels[0].lam == 0:
+            return PrincipalSequence(self.graph, self.levels[0].partition, self.levels[1:])
+        return self
+
 
 def _dilworth_partition(g: Graph, b: Fraction, scaled=None):
     """One Dilworth-truncation sweep minimizing sum_S (-c(E[S]) - b) over
@@ -324,7 +332,7 @@ def strength(g: Graph):
     return lam, VertexPartition(canonical_parts(blocks), lam * (len(blocks) - 1))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def principal_sequence(g: Graph) -> PrincipalSequence:
     """The nested sequence of partitions: level i splits every piece of
     P_{i-1} whose strength is the least, lambda_i, by its finest
@@ -332,7 +340,7 @@ def principal_sequence(g: Graph) -> PrincipalSequence:
 
     Critical values are strictly increasing and the final partition is all
     singletons.  Disconnected graphs are supported; level 0 is the component
-    partition.
+    partition.  The cache keeps the last graph's sequence only.
     """
     scaled = scaled_capacities(g)
     p0 = _scaled_partition(g, component_blocks(g), *scaled)

@@ -72,7 +72,7 @@ def _kcut_and_dual(g: Graph, psp, k: int, packings: dict):
     z, and so the packing in c+z, depend only on k's PSP level j, so
     ``packings`` keeps one packing per level: each level's column
     generation runs once, and k = n reuses the last level's."""
-    dual = lp_dual(g, psp, k)
+    dual = lp_dual(psp, k)
     j = psp.level_for_k(k)
     if j not in packings:
         packings[j] = dual_packing(g, dual).packing
@@ -91,8 +91,9 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
 
     psp = principal_sequence(g)
     sigma, sigma_part = psp.levels[0].lam, psp.levels[0].partition  # g is connected
-    # A zero-capacity cut leaves the k-cut LP closed forms undefined, and
-    # exact_pack packs the positive part; only the oracle rows apply.
+    # A zero-capacity cut leaves the ideal packing undefined and the k=2
+    # dual's packing empty, which the min-max and respect rows read; only
+    # the oracle rows apply.
     degenerate = "strength 0: the LP and packing certificates need every cut positive" if sigma == 0 else ""
     if degenerate:
         _skip(rows, "treepack-minmax", degenerate, certificate=True)
@@ -122,7 +123,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         _skip(rows, "psp-ideal-packing", degenerate, certificate=True)
     else:
         try:
-            ideal_packing(g, psp)
+            ideal_packing(psp)
         except SaturationError as exc:
             _row(rows, "psp-ideal-packing", False, str(exc))
         else:
@@ -213,7 +214,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             _row(rows, f"optimal-cut-respect[{tag}]", witness_ok, f"h={h}")
             _row(rows, f"respect-fraction-bound[{tag}]", qh_ok)
 
-        rounded = round_lp(g, primal)
+        rounded = round_lp(psp, primal)
         bound = 2 * (1 - Fraction(1, n)) * primal.objective
         _row(
             rows,

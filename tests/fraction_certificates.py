@@ -5,7 +5,9 @@ the integer-scaled checks in ``kcut.lp``, ``kcut.cuts`` and
 Each function is the rational version as it stood before those checks
 moved onto integer-scaled vectors, copied unchanged except that the two
 ``TreePacking`` members are module functions here (``packing_loads`` and
-``packing_total_value``), which the call sites read.
+``packing_total_value``), which the call sites read, and that ``lp_dual``
+and ``round_lp`` take the principal sequence, as the library's do, with
+``lp_dual`` reading its positive part.
 ``tests/test_certificate_parity.py`` checks that the library's versions
 return the same verdicts, values and witness strings.
 """
@@ -26,10 +28,9 @@ from kcut.lp import (
     DualVerdict,
     PrimalSolution,
     PrimalVerdict,
-    _check_positive_strength,
 )
 from kcut.packing import TreePacking, min_spanning_forest
-from kcut.strength import PrincipalSequence, principal_sequence
+from kcut.strength import PrincipalSequence
 
 
 def packing_total_value(packing) -> Fraction:
@@ -94,14 +95,24 @@ def lagrangean_value(psp: PrincipalSequence, k: int):
     return value, b
 
 
-def lp_dual(g: Graph, psp: PrincipalSequence | None = None, k: int = 2) -> DualSolution:
+def _check_positive_strength(psp: PrincipalSequence) -> None:
+    """A guard: the positive part that ``lp_dual`` reads has no lambda = 0
+    level, so none of its lambdas is a divisor of 0."""
+    if psp.levels and psp.levels[0].lam <= 0:
+        raise ValueError(
+            "k-cut LP closed forms require every cut to have positive "
+            "capacity (minimum component strength is 0)"
+        )
+
+
+def lp_dual(psp: PrincipalSequence, k: int) -> DualSolution:
     """Optimal dual without its packing: closed-form z and lambda_j, the
     value of an optimal packing in c+z (enough for objective and
-    feasibility checks).  ``dual_packing(g, lp_dual(g, psp, k))`` adds the
-    explicit packing that complementary slackness and cut enumeration
-    need."""
-    if psp is None:
-        psp = principal_sequence(g)
+    feasibility checks), read off the sequence's positive part.
+    ``dual_packing(g, lp_dual(psp, k))`` adds the explicit packing that
+    complementary slackness and cut enumeration need."""
+    g = psp.graph
+    psp = psp.positive()
     lag, lam_j = lagrangean_value(psp, k)
     h = psp.kappa0()
     if k <= h:
@@ -208,11 +219,12 @@ def respect_stats(packing: TreePacking, cut_edges, h: int) -> RespectStats:
     return RespectStats(h, cut, crossings, hit / total)
 
 
-def round_lp(g: Graph, primal: PrimalSolution) -> RoundResult:
+def round_lp(psp: PrincipalSequence, primal: PrimalSolution) -> RoundResult:
     """Round an optimal fractional vector to a k-cut within twice (1 - 1/n)
     of its objective: contract x=0 edges, keep x=1 edges, and isolate the
     cheapest capacitated-degree vertices of the fractional residual, at most
     size-1 of them per residual component so each pick adds a part."""
+    g = psp.graph
     x = [Fraction(v) for v in primal.x]
     if any(v < 0 or v > 1 for v in x):
         raise ValueError("x must lie in [0, 1]")
@@ -223,7 +235,7 @@ def round_lp(g: Graph, primal: PrimalSolution) -> RoundResult:
     ones = [eid for eid in kept if x[eid] == 1]
 
     objective = sum((g.edges[i].cap * x[i] for i in range(g.m)), Fraction(0))
-    lp_value, _ = lagrangean_value(principal_sequence(g), k)
+    lp_value, _ = lagrangean_value(psp, k)
     certified = objective == lp_value
     bound = 2 * (1 - Fraction(1, g.n)) * objective
 

@@ -52,7 +52,7 @@ _DUAL_CACHE = {}
 def explicit_dual(name, g, k):
     key = (name, k)
     if key not in _DUAL_CACHE:
-        _DUAL_CACHE[key] = dual_packing(g, lp_dual(g, principal_sequence(g), k))
+        _DUAL_CACHE[key] = dual_packing(g, lp_dual(principal_sequence(g), k))
     return _DUAL_CACHE[key]
 
 
@@ -112,7 +112,7 @@ def test_criterion_03_lp_triple_equality(tt, c5, k4):
             psp = principal_sequence(g)
             for k in range(2, g.n + 1):
                 primal = lp_primal(psp, k)
-                dual = lp_dual(g, psp, k)
+                dual = lp_dual(psp, k)
                 lag, _ = lagrangean_value(psp, k)
                 assert primal.objective == dual.objective == lag, (name, k)
                 if g.n <= 6:
@@ -156,11 +156,11 @@ def test_criterion_06_rounding_and_smallest_shores():
             for k in range(2, g.n + 1):
                 primal = lp_primal(psp, k)
                 bound = 2 * (1 - F(1, g.n)) * primal.objective
-                rounded = round_lp(g, primal)
+                rounded = round_lp(psp, primal)
                 assert rounded.certified, (name, k)
                 assert rounded.cut.part_count >= k, (name, k)
                 assert rounded.cut.crossing_value <= bound, (name, k)
-                rs = ravi_sinha_cut(g, psp, k)
+                rs = ravi_sinha_cut(psp, k)
                 assert rs.part_count >= k, (name, k)
                 assert rs.crossing_value <= bound, (name, k)
 

@@ -76,9 +76,9 @@ def _compare(g):
         for x in xs:
             status, verdict = _same(lp.verify_primal, ref.verify_primal, g, x, k)
             said.append("primal ok" if verdict.ok else "primal fails")
-            status, rounded = _same(cuts.round_lp, ref.round_lp, g, primal._replace(x=x))
+            status, rounded = _same(cuts.round_lp, ref.round_lp, psp, primal._replace(x=x))
             said.append(rounded if status != "ok" else "rounded")
-        status, dual = _same(lp.lp_dual, ref.lp_dual, g, psp, k)
+        status, dual = _same(lp.lp_dual, ref.lp_dual, psp, k)
         if status != "ok":
             said.append(dual)
             continue
@@ -124,7 +124,14 @@ def test_certificates_match_the_reference_property(g):
 
 
 def test_strength_zero_component_matches_the_reference():
-    # lp_dual refuses a graph with a cut of capacity 0 past its components
+    # both duals read the positive part, the tail after lambda = 0, so each k
+    # gets a dual and every certificate passes
     g = Graph(3, (Edge(0, 1, F(1)), Edge(1, 2, F(0))))
     said = _compare(g)
-    assert said.count("k-cut LP closed forms require every cut to have positive capacity (minimum component strength is 0)") == 2
+    assert not any("positive capacity" in s for s in said)
+    assert "edge 0 overloaded: 2 > 1" in said  # k = 3's doubled packing was checked
+    psp = principal_sequence(g)
+    for k, value in ((2, 0), (3, 1)):
+        dual = lp.dual_packing(g, lp.lp_dual(psp, k))
+        assert dual.objective == value and lp.verify_dual(g, dual).ok, k
+        assert lp.check_complementary_slackness(g, lp.lp_primal(psp, k).x, dual).ok, k

@@ -88,24 +88,25 @@ def test_round_on_strength_zero(capsys, tmp_path):
     assert data["cut"] == {"value": "0/1", "parts": 2, "partition": [[1, 2, 3], [4]]}
 
 
-def test_lp_strength_zero_k_at_most_components(capsys, tmp_path):
-    # two components, one of strength 0: k = 2 groups whole components, so
-    # the zero dual certifies the optimum 0; k = 3 needs the closed form
-    path = tmp_path / "split.graph"
-    path.write_text("p kcut 3 1\ne 2 3 0\n")
-    code, out = run(capsys, "lp", "--k", "2", str(path))
-    data = json.loads(out)
-    assert code == 0
-    assert data["primal"]["value"] == data["dual"]["value"] == "0/1"
-    assert data["lagrangean"] == {"b": "0/1", "value": "0/1"}
-    assert data["certificates"] == {
-        "primal_feasible": True, "dual_feasible": True, "cs": [True, True, True],
-    }
-    code = main(["lp", "--k", "3", str(path)])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error: k-cut LP closed forms require")
-    assert captured.err.count("\n") == 1
+def test_lp_strength_zero_answers_every_k(capsys, tmp_path):
+    # the dual is read off the sequence's positive part, the tail after
+    # lambda = 0: on the path it has two parts, so k = 2 is free; on the
+    # split graph it is the singletons, so every k is
+    cases = (
+        ("p kcut 4 3\ne 1 2 1\ne 2 3 0\ne 3 4 1\n", {2: "0/1", 3: "1/1", 4: "2/1"}),
+        ("p kcut 3 1\ne 2 3 0\n", {2: "0/1", 3: "0/1"}),
+    )
+    for text, values in cases:
+        path = tmp_path / "zero.graph"
+        path.write_text(text)
+        for k, value in values.items():
+            code, out = run(capsys, "lp", "--k", str(k), str(path))
+            data = json.loads(out)
+            assert code == 0, (text, k)
+            assert data["primal"]["value"] == data["dual"]["value"] == data["lagrangean"]["value"] == value
+            assert data["certificates"] == {
+                "primal_feasible": True, "dual_feasible": True, "cs": [True, True, True],
+            }
 
 
 def test_mincut(capsys, tt_file):

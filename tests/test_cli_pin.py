@@ -150,7 +150,7 @@ def _rational_graphs(count=30, seed=2707):
         yield f"p kcut {n} {len(lines)}\n" + "".join(lines)
 
 
-RATIONAL_SHA256 = "0725b1d7fb6b4a30c6f4889326c3b1a29442061e1e66576a1f26d6be02b42a76"
+RATIONAL_SHA256 = "cf90e9241a6aea04d0d3bc262852291c3a45e9ad71fc8a3ad8b780d8ba534228"
 
 
 def test_psp_strength_lp_pinned_on_rational_capacities(capsys, monkeypatch):
@@ -166,7 +166,7 @@ def test_psp_strength_lp_pinned_on_rational_capacities(capsys, monkeypatch):
     assert digest.hexdigest() == RATIONAL_SHA256
 
 
-LP_RATIONAL_SHA256 = "0709129b37defb4f5f9177445a5bdd7a562c96e106bad118bed69b42355fca26"
+LP_RATIONAL_SHA256 = "73e2a3073e8ac77c95f5c8a52fd422094ccdb374580142b11f440d09a9792411"
 
 
 def test_lp_outputs_pinned_on_rational_capacities(capsys, monkeypatch):

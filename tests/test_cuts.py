@@ -31,12 +31,28 @@ from kcut import (
     round_lp,
     verify_primal,
 )
-from kcut.cuts import _capped_cheapest, bell_number, merge_pattern_count
+from kcut.cuts import _capped_cheapest
 from kcut.packing import PackConfig
 
 from conftest import TT_BRIDGE, _random_connected, assert_recomputed, edge_ids_of_partition, full_suite
 
 F = Fraction
+
+
+def bell_number(n: int) -> int:
+    """The number of partitions of n items, by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        new = [row[-1]]
+        for x in row:
+            new.append(new[-1] + x)
+        row = new
+    return row[0]
+
+
+def merge_pattern_count(h: int) -> int:
+    """Exact number of groupings of h+1 tree pieces into >= 2 groups."""
+    return bell_number(h + 1) - 1
 
 
 def test_cuts_from_tree_c5(c5):
@@ -125,7 +141,7 @@ def test_optimal_cut_respect_witnesses():
         for k in range(2, min(g.n, 4) + 1):
             if k == g.n:
                 continue
-            dual = dual_packing(g, lp_dual(g, psp, k))
+            dual = dual_packing(g, lp_dual(psp, k))
             caps = [g.edges[i].cap + dual.z[i] for i in range(g.m)]
             approx = mwu_pack(g, caps, PackConfig(epsilon=F(1, 2 * k)))
             _, oall = oracle_min_kcut(g, k)
@@ -249,7 +265,7 @@ def test_enumeration_count_ceiling():
         k = 2
         report = enumerate_approx_kcuts(g, k, F(3, 2))
         psp = principal_sequence(g)
-        dual = dual_packing(g, lp_dual(g, psp, k))
+        dual = dual_packing(g, lp_dual(psp, k))
         q_min = None
         for cut in report.cuts:
             stats = respect_stats(
@@ -279,7 +295,7 @@ def test_respect_fraction_bound_holds_for_optimal_cuts():
         for k in range(2, min(g.n, 4) + 1):
             if k == g.n:
                 continue
-            dual = dual_packing(g, lp_dual(g, psp, k))
+            dual = dual_packing(g, lp_dual(psp, k))
             _, oall = oracle_min_kcut(g, k)
             for h in range(k - 1, 2 * k):
                 bound = dual_respect_bound(1, k, h, g.n)
@@ -296,13 +312,13 @@ def test_bell_numbers():
 
 
 def test_round_lp_fixtures(tt, c5, k4):
-    r = round_lp(c5, lp_primal(principal_sequence(c5), 2))
+    r = round_lp(principal_sequence(c5), lp_primal(principal_sequence(c5), 2))
     assert r.cut.crossing_value == 2 and r.certified
     assert r.cut.crossing_value == r.bound  # 8/5 * 5/4, the gap met with equality
-    r = round_lp(tt, lp_primal(principal_sequence(tt), 3))
+    r = round_lp(principal_sequence(tt), lp_primal(principal_sequence(tt), 3))
     assert r.cut.crossing_value == 3 and r.cut.part_count >= 3
     assert r.bound == F(25, 6)
-    r = round_lp(k4, lp_primal(principal_sequence(k4), 2))
+    r = round_lp(principal_sequence(k4), lp_primal(principal_sequence(k4), 2))
     assert r.cut.crossing_value == 3 == r.bound
 
 
@@ -310,7 +326,7 @@ def test_round_lp_bound_on_suite():
     for name, g in full_suite()[:16]:
         psp = principal_sequence(g)
         for k in range(2, g.n + 1):
-            r = round_lp(g, lp_primal(psp, k))
+            r = round_lp(psp, lp_primal(psp, k))
             assert r.certified, (name, k)
             assert r.cut.part_count >= k, (name, k)
             assert r.cut.crossing_value <= r.bound, (name, k)
@@ -328,7 +344,7 @@ def test_round_lp_skips_isolated_residual_blobs():
     )
     psp = principal_sequence(g)
     primal = lp_primal(psp, 3)
-    r = round_lp(g, primal)
+    r = round_lp(psp, primal)
     assert r.cut.part_count >= 3
     assert r.cut.crossing_value <= r.bound
 
@@ -342,7 +358,7 @@ def test_round_lp_flags_suboptimal_input(c5):
         2, tuple(min(2 * v, F(1)) for v in primal.x), primal.level_index,
         primal.alpha, 2 * primal.objective,
     )
-    r = round_lp(c5, doubled)
+    r = round_lp(psp, doubled)
     assert not r.certified
     assert r.cut.part_count >= 2
 
@@ -352,16 +368,16 @@ def test_round_lp_rejects_bad_x(c5):
 
     bad = PrimalSolution(2, (F(2),) * 5, 1, F(1), F(10))
     with pytest.raises(ValueError):
-        round_lp(c5, bad)
+        round_lp(principal_sequence(c5), bad)
 
 
 def test_ravi_sinha_fixtures(tt, c5):
     psp = principal_sequence(tt)
-    cut = ravi_sinha_cut(tt, psp, 2)
+    cut = ravi_sinha_cut(psp, 2)
     assert cut.crossing_value == 1 and cut.parts == ((0, 1, 2), (3, 4, 5))
-    cut = ravi_sinha_cut(tt, psp, 3)
+    cut = ravi_sinha_cut(psp, 3)
     assert cut.crossing_value == 3
-    cut = ravi_sinha_cut(c5, principal_sequence(c5), 4)
+    cut = ravi_sinha_cut(principal_sequence(c5), 4)
     assert cut.crossing_value == 4 and cut.part_count >= 4
 
 
@@ -369,7 +385,7 @@ def test_ravi_sinha_bound_on_suite():
     for name, g in full_suite()[:16]:
         psp = principal_sequence(g)
         for k in range(2, g.n + 1):
-            cut = ravi_sinha_cut(g, psp, k)
+            cut = ravi_sinha_cut(psp, k)
             lp, _ = lp_primal(psp, k).objective, None
             assert cut.part_count >= k, (name, k)
             assert cut.crossing_value <= 2 * (1 - F(1, g.n)) * lp, (name, k)
@@ -385,7 +401,7 @@ def test_ravi_sinha_never_spends_choices_on_whole_component():
         "e 3 4 1\n"
     )
     psp = principal_sequence(g)
-    cut = ravi_sinha_cut(g, psp, 5)
+    cut = ravi_sinha_cut(psp, 5)
     assert cut.part_count >= 5
     assert cut.crossing_value <= 2 * (1 - F(1, 6)) * lp_primal(psp, 5).objective
 
@@ -450,7 +466,7 @@ def _multigraphs(draw):
 def test_ravi_sinha_cut_matches_shores_reference_property(g):
     psp = principal_sequence(g)
     for k in range(2, g.n + 1):
-        assert ravi_sinha_cut(g, psp, k) == _shores_reference(g, psp, k), k
+        assert ravi_sinha_cut(psp, k) == _shores_reference(g, psp, k), k
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -465,7 +481,7 @@ def test_strength_zero_primal_and_rounding_property(g):
         primal = lp_primal(psp, k)
         assert primal.objective == oracle_lp_value(g, k), k
         assert verify_primal(g, primal.x, k).ok, k
-        r = round_lp(g, primal)
+        r = round_lp(psp, primal)
         assert r.certified and r.cut.part_count >= k, k
         assert r.cut.crossing_value <= r.bound == 2 * (1 - F(1, g.n)) * primal.objective, k
 

@@ -129,8 +129,8 @@ def test_crossing_equals_half_boundary_sum():
 K_ENTRY_POINTS = {
     "lp_primal": lambda g, k: lp_primal(principal_sequence(g), k),
     "lagrangean_value": lambda g, k: lagrangean_value(principal_sequence(g), k),
-    "lp_dual": lambda g, k: lp_dual(g, principal_sequence(g), k),
-    "ravi_sinha_cut": lambda g, k: ravi_sinha_cut(g, principal_sequence(g), k),
+    "lp_dual": lambda g, k: lp_dual(principal_sequence(g), k),
+    "ravi_sinha_cut": lambda g, k: ravi_sinha_cut(principal_sequence(g), k),
     "min_kcut-exact": lambda g, k: min_kcut(g, k),
     "min_kcut-approx": lambda g, k: min_kcut(g, k, eps=Fraction(1, 2 * k)),
     "enumerate_approx_kcuts": lambda g, k: enumerate_approx_kcuts(g, k, 1),

@@ -18,7 +18,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import Edge, Graph, min_kcut, oracle_min_kcut, ravi_sinha_cut
+from kcut import Edge, Graph, min_kcut, oracle_min_kcut, principal_sequence, ravi_sinha_cut
 from kcut import cuts, packing
 
 from conftest import _planted, _random_connected, assert_recomputed
@@ -91,7 +91,7 @@ def test_greedy_approx_scan_matches_exact_and_oracle_property(g, which):
         assert cut.crossing_value == ocut.crossing_value and {c.parts for c in report.cuts} == minimizers
         (acut, areport), calls = _scans_with_greedy_calls(g, k, eps)
         assert acut == cut and areport.cuts == report.cuts, k
-        rounded = ravi_sinha_cut(g, k=k)  # round_lp's cut of the closed-form optimum
+        rounded = ravi_sinha_cut(principal_sequence(g), k)  # round_lp's cut of the closed-form optimum
         assert_recomputed(g, [ocut, *oall, cut, *report.cuts, rounded])
         assert areport.mode == "approx"
         for dual, trees in calls:

@@ -43,7 +43,7 @@ def _digest(ip) -> str:
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_ideal_packing_pin(name):
-    assert _digest(ideal_packing(GRAPHS[name])) == PINS[name]
+    assert _digest(ideal_packing(principal_sequence(GRAPHS[name]))) == PINS[name]
 
 
 def test_one_saturating_pack_per_level(tt, monkeypatch):
@@ -56,5 +56,5 @@ def test_one_saturating_pack_per_level(tt, monkeypatch):
 
     monkeypatch.setattr(lp_mod, "saturating_pack", counting)
     # TT splits both triangles at level 2, in one call
-    ideal_packing(tt)
+    ideal_packing(principal_sequence(tt))
     assert len(calls) == len(principal_sequence(tt).levels) == 2

@@ -26,6 +26,7 @@ from kcut.oracle import set_partitions
 from kcut.packing import TreePacking
 
 from conftest import TT_BRIDGE, full_suite
+from test_cuts import _disconnected_multigraphs, _strength_zero_multigraphs
 
 F = Fraction
 
@@ -50,14 +51,14 @@ def test_lp_primal_integral_when_k_hits_level(tt):
 
 def test_lp_dual_fixtures(tt, c5, k4):
     psp = principal_sequence(tt)
-    d = lp_dual(tt, psp, 3)
+    d = lp_dual(psp, 3)
     assert d.z[TT_BRIDGE] == F(1, 2)
     assert all(d.z[i] == 0 for i in range(6))
     assert d.total_y == F(3, 2)
     assert d.objective == F(5, 2)
-    d = lp_dual(c5, principal_sequence(c5), 2)
+    d = lp_dual(principal_sequence(c5), 2)
     assert set(d.z) == {F(0)} and d.total_y == F(5, 4) and d.objective == F(5, 4)
-    d = lp_dual(k4, principal_sequence(k4), 4)
+    d = lp_dual(principal_sequence(k4), 4)
     assert set(d.z) == {F(0)} and d.total_y == 2 and d.objective == 6
 
 
@@ -106,21 +107,21 @@ def test_lagrangean_value_against_every_partition_property(g):
 
 
 def test_ideal_packing_fixtures(tt, c5, e1):
-    ip = ideal_packing(tt)
+    ip = ideal_packing(principal_sequence(tt))
     assert [level.total_value for level in ip.levels] == [1, F(3, 2)]
     assert ip.levels[0].support() == ((TT_BRIDGE,),)
     # both triangles split together: each tree spans both, 2 + 2 edges
     assert {len(tree) for tree in ip.levels[1].support()} == {4}
     assert ip.marginal_load(TT_BRIDGE) == 1
     assert ip.marginal_load(0) == F(2, 3)
-    ip = ideal_packing(c5)
+    ip = ideal_packing(principal_sequence(c5))
     assert all(ip.marginal_load(e) == F(4, 5) for e in range(5))
-    ip = ideal_packing(e1)
+    ip = ideal_packing(principal_sequence(e1))
     assert ip.marginal_load(0) == 1
 
 
 def test_ideal_packing_composes_to_forest(tt):
-    ip = ideal_packing(tt)
+    ip = ideal_packing(principal_sequence(tt))
     chosen = ip.compose()
     assert len(chosen) == tt.n - 1
     # a maximal forest: acyclic and spanning
@@ -130,7 +131,7 @@ def test_ideal_packing_composes_to_forest(tt):
 
 
 def test_ideal_packing_levels_are_distributions(tt):
-    ip = ideal_packing(tt)
+    ip = ideal_packing(principal_sequence(tt))
     for level, psp_level in zip(ip.levels, principal_sequence(tt).levels):
         assert level.total_value == psp_level.lam
         loads = level.loads()
@@ -156,7 +157,7 @@ def test_ideal_packing_per_level_property(g, doubled):
         copy = tuple(Edge(e.u + g.n, e.v + g.n, e.cap) for e in g.edges)
         g = Graph(2 * g.n, g.edges + copy)
     psp = principal_sequence(g)
-    ip = ideal_packing(g, psp)
+    ip = ideal_packing(psp)
     assert len(ip.levels) == len(psp.levels)
     for i, (packing, level) in enumerate(zip(ip.levels, psp.levels), start=1):
         assert packing.total_value == level.lam, i
@@ -197,7 +198,7 @@ def test_ideal_packing_on_suite():
         if g.n < 2 or g.m == 0:
             continue
         psp = principal_sequence(g)
-        ip = ideal_packing(g, psp)
+        ip = ideal_packing(psp)
         for level, psp_level in zip(ip.levels, psp.levels):
             assert level.total_value == psp_level.lam, name
             loads = level.loads()
@@ -242,7 +243,7 @@ def test_verify_primal_fixtures(tt, c5, k4):
 
 def test_verify_dual_fixtures(tt, e1):
     psp = principal_sequence(tt)
-    d = dual_packing(tt, lp_dual(tt, psp, 3))
+    d = dual_packing(tt, lp_dual(psp, 3))
     v = verify_dual(tt, d)
     assert v.ok
     loads = d.packing.loads()
@@ -256,7 +257,7 @@ def test_verify_dual_fixtures(tt, e1):
     bad = DualSolution(3, d.z, d.total_y, d.level_index, d.objective, 1, bad_packing)
     v = verify_dual(tt, bad)
     assert not v.ok and v.violations
-    d1 = dual_packing(e1, lp_dual(e1, principal_sequence(e1), 2))
+    d1 = dual_packing(e1, lp_dual(principal_sequence(e1), 2))
     v = verify_dual(e1, d1)
     assert v.ok and d1.packing.loads()[0] == 5
 
@@ -264,12 +265,12 @@ def test_verify_dual_fixtures(tt, e1):
 def test_complementary_slackness_fixtures(tt, c5):
     psp = principal_sequence(tt)
     x = lp_primal(psp, 3).x
-    d = dual_packing(tt, lp_dual(tt, psp, 3))
+    d = dual_packing(tt, lp_dual(psp, 3))
     cs = check_complementary_slackness(tt, x, d)
     assert cs.ok
     # z = 0 for k = 2 makes condition (1) vacuous
     psp5 = principal_sequence(c5)
-    d5 = dual_packing(c5, lp_dual(c5, psp5, 2))
+    d5 = dual_packing(c5, lp_dual(psp5, 2))
     cs5 = check_complementary_slackness(c5, lp_primal(psp5, 2).x, d5)
     assert cs5.ok and all(z == 0 for z in d5.z)
     # perturbing x breaks tightness with a witness
@@ -287,7 +288,7 @@ def test_strong_duality_and_oracle_on_suite():
         psp = principal_sequence(g)
         for k in range(2, g.n + 1):
             primal = lp_primal(psp, k)
-            dual = lp_dual(g, psp, k)
+            dual = lp_dual(psp, k)
             lag, _ = lagrangean_value(psp, k)
             assert primal.objective == dual.objective == lag, (name, k)
             if g.n <= 6:
@@ -299,7 +300,7 @@ def test_certificates_on_suite():
         psp = principal_sequence(g)
         for k in range(2, g.n + 1):
             primal = lp_primal(psp, k)
-            dual = dual_packing(g, lp_dual(g, psp, k))
+            dual = dual_packing(g, lp_dual(psp, k))
             assert verify_primal(g, primal.x, k).ok, (name, k)
             assert verify_dual(g, dual).ok, (name, k)
             assert check_complementary_slackness(g, primal.x, dual).ok, (name, k)
@@ -310,7 +311,7 @@ def test_dual_bound_against_min_kcut():
     for name, g in full_suite()[:14]:
         psp = principal_sequence(g)
         for k in range(2, g.n + 1):
-            dual = lp_dual(g, psp, k)
+            dual = lp_dual(psp, k)
             cut, _ = oracle_min_kcut(g, k)
             lhs = (k - 1) * dual.total_y
             rhs = F(g.n, 2 * (g.n - 1)) * cut.crossing_value + sum(dual.z, F(0))
@@ -323,7 +324,7 @@ def test_support_trees_minimal_crossings():
     for name, g in full_suite()[:10]:
         psp = principal_sequence(g)
         for k in range(2, g.n + 1):
-            dual = dual_packing(g, lp_dual(g, psp, k))
+            dual = dual_packing(g, lp_dual(psp, k))
             j = dual.level_index
             if j == 0:
                 continue
@@ -346,25 +347,32 @@ def test_disconnected_lp():
     assert psp.kappa0() == 2
     p = lp_primal(psp, 3)
     assert p.objective == F(3, 2)
-    d = dual_packing(g, lp_dual(g, psp, 3))
+    d = dual_packing(g, lp_dual(psp, 3))
     assert d.objective == F(3, 2)
     assert oracle_lp_value(g, 3) == F(3, 2)
     assert verify_primal(g, p.x, 3).ok
     assert check_complementary_slackness(g, p.x, d).ok
     # k below the component count is trivial
     assert lp_primal(psp, 2).objective == 0
-    assert lp_dual(g, psp, 2).objective == 0
+    assert lp_dual(psp, 2).objective == 0
 
 
-def test_zero_capacity_cut_rejected():
-    # the dual's z divides by each level's lambda, so a strength-0 graph has
-    # no closed-form dual; the primal divides by none and still answers
+def test_zero_capacity_cut_answered():
+    # the dual's z divides by each level's lambda, so it is read off the
+    # sequence's positive part: the tail after lambda = 0, whose two parts
+    # make k = 2 free; only the ideal packing refuses the graph
     g = parse_graph("p kcut 4 3\ne 1 2 1\ne 2 3 0\ne 3 4 1\n")
     psp = principal_sequence(g)
+    assert psp.positive().kappa0() == 2
+    for k, value in ((2, 0), (3, 1), (4, 2)):
+        primal = lp_primal(psp, k)
+        dual = dual_packing(g, lp_dual(psp, k))
+        assert primal.objective == dual.objective == lagrangean_value(psp, k)[0] == value, k
+        assert value == oracle_lp_value(g, k), k
+        assert verify_primal(g, primal.x, k).ok and verify_dual(g, dual).ok, k
+        assert check_complementary_slackness(g, primal.x, dual).ok, k
     with pytest.raises(ValueError, match="positive capacity"):
-        lp_dual(g, psp, 2)
-    assert lp_primal(psp, 2).objective == 0
-    assert lp_primal(psp, 3).objective == 1
+        ideal_packing(psp)
 
 
 def test_k_out_of_range(tt):
@@ -373,3 +381,19 @@ def test_k_out_of_range(tt):
         lp_primal(psp, 1)
     with pytest.raises(ValueError):
         lp_primal(psp, 7)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_strength_zero_multigraphs(), _disconnected_multigraphs()))
+def test_lp_closed_forms_on_zero_cuts_property(g):
+    """On graphs with several components or one of strength 0, the primal,
+    the dual read off the sequence's positive part and the Lagrangean agree
+    with the oracle at every k, and the explicit dual is certified."""
+    psp = principal_sequence(g)
+    for k in range(2, g.n + 1):
+        primal = lp_primal(psp, k)
+        dual = dual_packing(g, lp_dual(psp, k))
+        assert primal.objective == dual.objective == lagrangean_value(psp, k)[0] == oracle_lp_value(g, k), k
+        assert verify_primal(g, primal.x, k).ok, k
+        assert verify_dual(g, dual).ok, k
+        assert check_complementary_slackness(g, primal.x, dual).ok, k

@@ -166,5 +166,5 @@ def test_mwu_matches_fraction_loop_on_dual_capacities(g, data, eps):
     g = Graph(g.n, tuple(Edge(e.u, e.v, c) for e, c in zip(g.edges, base)))
     psp = principal_sequence(g)
     k = data.draw(st.integers(2, g.n))
-    dual = lp_dual(g, psp, k)
+    dual = lp_dual(psp, k)
     _assert_same_packing(g, [e.cap + z for e, z in zip(g.edges, dual.z)], eps)

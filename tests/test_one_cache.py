@@ -1,7 +1,8 @@
-"""The library memoizes in one place: ``strength.principal_sequence``.  The
-bench clears only the caches it names (``perfbench/harness.py::CACHED``), so
-a cache anywhere else would carry results over from one bench job to the
-next.  A CLI job builds that sequence at most once."""
+"""The library memoizes in one place: ``strength.principal_sequence``, which
+keeps the last graph's sequence only.  The bench clears only the caches it
+names (``perfbench/harness.py::CACHED``), so a cache anywhere else would
+carry results over from one bench job to the next.  A CLI job builds that
+sequence at most once, and the LP closed forms take it from their caller."""
 
 import ast
 import io
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import kcut
 from kcut.cli import main
+from kcut.graph import parse_graph
 from kcut.strength import principal_sequence
 
-from conftest import full_suite
+from conftest import C5_TEXT, K4_TEXT, full_suite
 from test_psp_pin import _text
 
 CACHES = {"lru_cache", "cache"}
@@ -51,6 +53,44 @@ def test_only_principal_sequence_is_cached():
     assert {use[:2] for use in uses} == ALLOWED
 
 
+def test_the_cache_keeps_one_sequence():
+    principal_sequence.cache_clear()
+    principal_sequence(parse_graph(C5_TEXT))
+    principal_sequence(parse_graph(K4_TEXT))
+    assert principal_sequence.cache_info().currsize == 1
+
+
+# the library's readers that build the sequence rather than take it
+CALLERS = {
+    ("cli.py", "_cmd_psp"),
+    ("cli.py", "_cmd_lp"),
+    ("cli.py", "_cmd_round"),
+    ("cli.py", "_cmd_approx"),
+    ("verify.py", "run_verification"),
+    ("cuts.py", "_scan"),
+    ("packing.py", "exact_pack"),
+    ("strength.py", "breakpoints"),
+}
+
+
+def test_principal_sequence_callers():
+    """Each function of kcut that calls ``principal_sequence``; ``lp.py``
+    names it nowhere, since every closed form takes the sequence."""
+    found = set()
+    for path in sorted(Path(kcut.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        if path.name == "lp.py":
+            assert "principal_sequence" not in names
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "principal_sequence":
+                        found.add((path.name, fn.name))
+    assert found == CALLERS
+
+
 def _commands(n):
     """argv of every CLI command but ``oracle``, with k at 2, 3 and n."""
     yield ["strength"]
@@ -69,8 +109,8 @@ ZERO_STRENGTH = "p kcut 4 3\ne 1 2 1\ne 2 3 0\ne 3 4 2\n"
 
 
 def test_each_cli_job_builds_one_principal_sequence(capsys, monkeypatch):
-    """Strength-0 ``solve`` and ``enumerate`` included: they scan the tail
-    of the input's sequence.  ``lp`` refuses that graph, after its sequence."""
+    """Strength-0 ``lp``, ``solve`` and ``enumerate`` included: they read
+    the tail of the input's sequence."""
     graphs = [(name, _text(g)) for name, g in full_suite()] + [("zero", ZERO_STRENGTH)]
     over = []
     for name, text in graphs:
@@ -78,7 +118,7 @@ def test_each_cli_job_builds_one_principal_sequence(capsys, monkeypatch):
         for argv in _commands(n):
             principal_sequence.cache_clear()
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
-            assert main(argv) == (1 if name == "zero" and argv[0] == "lp" else 0), (name, argv)
+            assert main(argv) == 0, (name, argv)
             capsys.readouterr()
             if principal_sequence.cache_info().misses > 1:
                 over.append((name, " ".join(argv), principal_sequence.cache_info().misses))

@@ -21,11 +21,11 @@ from kcut import (
     strength,
 )
 from kcut.graph import component_blocks
-from kcut.cuts import bell_number
 from kcut.oracle import MAX_TIES, ForestLP, oracle_attack_value, partition_sort_key, partition_table
 from kcut.simplex import solve_lp
 
 from conftest import _random_connected, full_suite
+from test_cuts import bell_number
 
 F = Fraction
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}

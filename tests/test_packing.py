@@ -23,6 +23,7 @@ from kcut import (
     oracle_min_kcut,
     oracle_treepack,
     parse_graph,
+    principal_sequence,
     respect_stats,
     saturating_pack,
     strength,
@@ -250,7 +251,7 @@ def test_exact_pack_matches_a_cold_master_per_round(drawn):
     if not connected:
         return
     for k in range(2, g.n + 1):
-        dual = lp_dual(g, k=k)
+        dual = lp_dual(principal_sequence(g), k)
         caps = [e.cap + z for e, z in zip(g.edges, dual.z)]
         packing = dual_packing(g, dual).packing
         assert (packing.trees, packing.weights) == _cold_exact_pack(g, caps)
