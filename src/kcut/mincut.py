@@ -40,8 +40,9 @@ scan of every tree of any packing of value above lambda/3.
 ``greedy_trees``' own cap, and reads its support then: within (1 - eps)
 of the strength, which is at least lambda/2, it is above lambda/3 for
 eps < 1/3 and meets the same bar.  ``global_mincut_detail`` takes that
-cut and builds the same packing to name the witness: the first of its
-support trees that crosses the cut at most twice.
+cut and names the witness in the same packing, built for it unless the
+scan already built it: the first of its support trees that crosses the
+cut at most twice.
 """
 
 from __future__ import annotations
@@ -155,19 +156,13 @@ def min_2respect(g: Graph, tree) -> VertexPartition:
     return _scan_trees(g, [tuple(tree)])
 
 
-def global_mincut(g: Graph) -> VertexPartition:
-    """Global minimum cut: the least 1- or 2-respecting cut of Thorup's
-    greedy trees, scanned in one integer pass with a running best up to
-    the first tree with 3 t c(e*) above c_up load(e*), where every minimum
-    cut 2-respects a scanned tree (see the module docstring).  Should the
-    stream pass its cap first, the support of the multiplicative-weights
-    packing at ``EPS`` is scanned too.  The cut is the least of all, with
-    the canonical tie-break.  When the positive-capacity edges leave
-    several components, it is their partition, of value 0.  Deterministic."""
+def _mincut_and_packing(g: Graph):
+    """``global_mincut``'s cut, with the multiplicative-weights packing it
+    scanned past the greedy stream's cap, or None."""
     check_connected(g, "mincut")
     zero = [i for i in range(g.m) if g.edges[i].cap == 0]
     if len(component_blocks(g, exclude_edges=zero)) > 1:
-        return components(g, exclude_edges=zero)
+        return components(g, exclude_edges=zero), None
     scan = _TreeScan(g)
     degree = [0] * g.n
     for u, v, c in scan.positive:
@@ -177,10 +172,23 @@ def global_mincut(g: Graph) -> VertexPartition:
     for tree, value, load in greedy_trees(g, scan.caps):
         scan.add(tree)
         if 3 * value > min(c_deg, scan.best) * load:
-            return scan.cut()
-    for tree in mwu_pack(g, config=PackConfig(epsilon=EPS)).support():
+            return scan.cut(), None
+    packing = mwu_pack(g, config=PackConfig(epsilon=EPS))
+    for tree in packing.support():
         scan.add(tree)
-    return scan.cut()
+    return scan.cut(), packing
+
+
+def global_mincut(g: Graph) -> VertexPartition:
+    """Global minimum cut: the least 1- or 2-respecting cut of Thorup's
+    greedy trees, scanned in one integer pass with a running best up to
+    the first tree with 3 t c(e*) above c_up load(e*), where every minimum
+    cut 2-respects a scanned tree (see the module docstring).  Should the
+    stream pass its cap first, the support of the multiplicative-weights
+    packing at ``EPS`` is scanned too.  The cut is the least of all, with
+    the canonical tie-break.  When the positive-capacity edges leave
+    several components, it is their partition, of value 0.  Deterministic."""
+    return _mincut_and_packing(g)[0]
 
 
 def global_mincut_detail(g: Graph):
@@ -189,13 +197,15 @@ def global_mincut_detail(g: Graph):
     The cut is ``global_mincut``'s.  The packing is the
     multiplicative-weights one within (1 - ``EPS``) of the strength, which
     exceeds a third of the mincut, so some support tree crosses the cut at
-    most twice: the witness is the index of the first.  A cut of value 0
-    gets no packing: (cut, None, None).  Deterministic.
+    most twice: the witness is the index of the first.  Past the greedy
+    stream's cap it is the packing the cut's scan read, built once.  A cut
+    of value 0 gets no packing: (cut, None, None).  Deterministic.
     """
-    cut = global_mincut(g)
+    cut, packing = _mincut_and_packing(g)
     if cut.crossing_value == 0:
         return cut, None, None
-    packing = mwu_pack(g, config=PackConfig(epsilon=EPS))
+    if packing is None:
+        packing = mwu_pack(g, config=PackConfig(epsilon=EPS))
     crossing = set(crossing_edges(g, cut.block_of(g.n)))
     support = packing.support()
     witness = next((idx for idx, tree in enumerate(support) if len(crossing.intersection(tree)) <= 2), None)

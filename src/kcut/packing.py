@@ -1,20 +1,26 @@
 """Fractional packings of spanning forests under edge capacities.
 
-Three packers share a pricing kernel, ``min_spanning_forest``: Kruskal's
-scan with inline path-halving roots, which stops as soon as the forest
-spans (n - 1 edges).  ``lp.verify_primal`` and the k-cut scan in ``cuts``
-call it too.
+Every forest here comes from one Kruskal kernel, ``_forest``: a scan of
+edge ids in a given order over flat endpoint lists, with inline
+path-halving roots, which stops as soon as the forest spans (n - 1
+edges).  ``min_spanning_forest`` wraps it for a graph and a weight vector;
+the column generation, ``lp.verify_primal`` and the k-cut scan in ``cuts``
+call that.  The two streaming packers build their endpoint lists once per
+call and hand the kernel a new order each round.
 
 * ``greedy_trees``: Thorup's greedy tree packing as a stream of trees, each
-  with the exact value of the packing so far.  Loads are integers and the
-  stream has a cap; each caller (the mincut and approximate k-cut scans)
-  stops it with a test of its own.
+  with the exact value of the packing so far.  Loads are integers, and the
+  edges are sorted on the integer key load * (lcm(caps) / c), which orders
+  them as load/c does, ties included, with no ``Fraction``.  The stream
+  has a cap; each caller (the mincut and approximate k-cut scans) stops it
+  with a test of its own.
 * ``mwu_pack``: a deterministic width-based multiplicative-weights packer
   meeting a (1 - eps) guarantee.  Only the edge weights are floats; a
   round recomputes the lengths w(e)/c(e) of the forest it loaded and no
-  others.  Loads and tree weights are integers on scaled capacities, and
-  one exact rational rescale at the end makes the reported loads and value
-  rigorous.
+  others, by the float expressions a full recomputation would use, so
+  every float and every forest is the same.  Loads and tree weights are
+  integers on scaled capacities, and one exact rational rescale at the end
+  makes the reported loads and value rigorous.
 * ``exact_pack``: column generation on one exact simplex tableau that
   grows by each priced forest (``_column_generation``), certified against
   lambda_1 of the positive part of the input's cached principal sequence.
@@ -108,22 +114,18 @@ class TreePacking(NamedTuple):
         return tuple(t for t, w in zip(self.trees, self.weights) if w.numerator > 0)
 
 
-def min_spanning_forest(g: Graph, edge_weights) -> tuple[int, ...]:
-    """Maximal forest minimizing total weight; ties broken by lowest edge id.
-
-    ``edge_weights`` is a sequence aligned with g.edges (rationals or
-    floats).  A maximal forest has n - h edges for h connected components.
-    Kruskal's scan finds roots inline by path halving and stops once the
+def _forest(n: int, eu, ev, order) -> tuple[int, ...]:
+    """Kruskal's scan of the edge ids in ``order`` over endpoint lists
+    ``eu``, ``ev``: the sorted ids of the edges that join two components.
+    Roots are found inline by path halving, and the scan stops once the
     forest holds n - 1 edges: every later edge would close a cycle.  A
-    disconnected graph never reaches n - 1, so it scans every edge.
-    """
-    order = sorted(range(g.m), key=edge_weights.__getitem__)  # stable: ties by id
-    edges = g.edges
-    parent = list(range(g.n))
+    disconnected graph never reaches n - 1, so it scans every edge."""
+    parent = list(range(n))
     forest = []
-    need = g.n - 1
+    need = n - 1
     for i in order:
-        u, v, _ = edges[i]
+        u = eu[i]
+        v = ev[i]
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -133,7 +135,20 @@ def min_spanning_forest(g: Graph, edge_weights) -> tuple[int, ...]:
             forest.append(i)
             if len(forest) == need:
                 break
-    return tuple(sorted(forest))
+    forest.sort()
+    return tuple(forest)
+
+
+def min_spanning_forest(g: Graph, edge_weights) -> tuple[int, ...]:
+    """Maximal forest minimizing total weight; ties broken by lowest edge id.
+
+    ``edge_weights`` is a sequence aligned with g.edges (rationals or
+    floats).  A maximal forest has n - h edges for h connected components.
+    The scan is the packers' one Kruskal kernel, ``_forest``, over the
+    edges in a stable sort by weight.
+    """
+    order = sorted(range(g.m), key=edge_weights.__getitem__)  # stable: ties by id
+    return _forest(g.n, [e.u for e in g.edges], [e.v for e in g.edges], order)
 
 
 GREEDY_TREES_PER_EDGE = 16
@@ -153,21 +168,30 @@ def greedy_trees(g: Graph, caps):
     (t c(e*), load(e*)).  Stops after ``GREEDY_TREES_PER_EDGE`` trees per
     positive edge: a caller whose bar the stream did not reach by then
     falls back to a packing of its own.
+
+    load/c is kept as the integer load * (L / c), with L the lcm of the
+    positive caps: it is load/c times L, so it orders the edges as load/c
+    does, ties included, and a stable sort of the positive edge ids on it
+    prices each forest as the ``Fraction`` keys would.  The kernel scans
+    g's own edge ids, so no graph of the positive edges is built.
     """
     keep = [i for i, c in enumerate(caps) if c]
-    work = Graph(g.n, tuple(g.edges[i] for i in keep))
-    cap = [caps[i] for i in keep]
-    load = [0] * work.m
-    length = [0] * work.m  # load / cap
-    top = 0  # an edge of the largest load / cap once a tree is packed
+    if not keep:
+        return
+    eu, ev = [e.u for e in g.edges], [e.v for e in g.edges]
+    unit = math.lcm(*[caps[i] for i in keep])
+    step = [unit // c if c else 0 for c in caps]
+    load = [0] * g.m
+    key = [0] * g.m
+    top = keep[0]  # an edge of the largest load / cap once a tree is packed
     for t in range(1, GREEDY_TREES_PER_EDGE * len(keep) + 1):
-        forest = min_spanning_forest(work, length)
+        forest = _forest(g.n, eu, ev, sorted(keep, key=key.__getitem__))  # stable: ties by id
         for i in forest:
             load[i] += 1
-            length[i] = Fraction(load[i], cap[i])
-            if length[i] > length[top]:
+            key[i] += step[i]
+            if key[i] > key[top]:
                 top = i
-        yield tuple(keep[i] for i in forest), t * cap[top], load[top]
+        yield forest, t * caps[top], load[top]
 
 
 def _working_graph(g: Graph, caps):
@@ -196,11 +220,17 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
     weight exceeds m**(1/eps), and the accumulated packing is rescaled by
     the exact maximum relative overload.  The weights are floats; loads and
     accumulated tree weights are integers on ``scaled_capacities``, and
-    ``Fraction``s are built only in the final rescale, one per tree.  A
+    ``Fraction``s are built only in the final rescale, one per distinct
+    accumulated tree weight (trees with equal ones share it).  A
     round changes only the loaded forest's weights, so only their lengths
     w/c are recomputed, by the same float expression: the forests priced
-    are those a full recomputation would give.  Every tree it returns has
-    positive weight, so the packing's support is its tree list.
+    are those a full recomputation would give.  The growth factors
+    1.0 + eps * c_b / c_e of a bottleneck b are computed once, the first
+    time b is the bottleneck, by that same expression, so every weight is
+    the float the per-round product gives.  Forests stay on the working
+    graph's ids until the end: ``keep`` is increasing, so mapping the
+    sorted trees through it once keeps their order.  Every tree it returns
+    has positive weight, so the packing's support is its tree list.
     """
     work, keep, caps_full = _working_graph(g, caps)
     eps = float(config.epsilon)
@@ -216,9 +246,11 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
     cap_q = [e.cap for e in work.edges]
     cap_f = [_float_cap(c) for c in cap_q]
     cap_s, scale = scaled_capacities(work)
+    eu, ev = [e.u for e in work.edges], [e.v for e in work.edges]
     w = [1.0] * m
     raw: dict[tuple[int, ...], int] = {}  # scaled like cap_s
     load = [0] * m  # scaled like cap_s
+    grow: dict[int, list[float]] = {}  # bottleneck -> each edge's weight factor
     max_iter = config.max_iterations
     if max_iter is None:
         max_iter = 16 + int(4 * m * math.log(max(m, 2)) / (eps * eps))
@@ -228,27 +260,32 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
         if iterations >= max_iter:
             raise IterationLimitError(f"no convergence within {max_iter} iterations")
         iterations += 1
-        forest = min_spanning_forest(work, lengths)
+        forest = _forest(work.n, eu, ev, sorted(range(m), key=lengths.__getitem__))  # stable: ties by id
         bottleneck = min(forest, key=cap_s.__getitem__)
         delta = cap_s[bottleneck]
-        key = tuple(keep[i] for i in forest)
-        raw[key] = raw.get(key, 0) + delta
+        raw[forest] = raw.get(forest, 0) + delta
+        factor = grow.get(bottleneck)
+        if factor is None:
+            df = cap_f[bottleneck]
+            factor = grow[bottleneck] = [1.0 + eps * df / c for c in cap_f]
         stop = False
-        df = cap_f[bottleneck]
         for i in forest:
             load[i] += delta
-            w[i] *= 1.0 + eps * df / cap_f[i]
+            w[i] *= factor[i]
             lengths[i] = w[i] / cap_f[i]
             if w[i] > threshold:
                 stop = True
         if stop:
             break
     rho = max(Fraction(load[i], cap_s[i]) for i in range(m))
-    trees = tuple(sorted(raw))
-    # raw / scale / rho as one Fraction, reduced once
-    weights = tuple(Fraction(raw[t] * rho.denominator, scale * rho.numerator) for t in trees)
+    trees = sorted(raw)
+    # raw / scale / rho as one Fraction, reduced once per distinct raw value
+    weight = {r: Fraction(r * rho.denominator, scale * rho.numerator) for r in set(raw.values())}
+    weights = tuple(weight[raw[t]] for t in trees)
+    if m < g.m:  # else keep is the identity
+        trees = [tuple(map(keep.__getitem__, t)) for t in trees]
     caps_used = {keep[i]: cap_q[i] for i in range(m)}
-    return TreePacking(trees, weights, caps_used, approximate=True)
+    return TreePacking(tuple(trees), weights, caps_used, approximate=True)
 
 
 def _float_cap(cap: Fraction) -> float:

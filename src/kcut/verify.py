@@ -69,11 +69,12 @@ def _skip(rows, name, why, certificate=False):
 
 def _kcut_and_dual(g: Graph, psp, k: int, packings: dict):
     """min_kcut's optimal cut and report, and the explicit dual it scanned.
-    z, and so the packing in c+z, depend only on k's PSP level j, so
-    ``packings`` keeps one packing per level: each level's column
-    generation runs once, and k = n reuses the last level's."""
+    z, and so the packing in c+z, depend only on the dual's level j
+    (``dual.level_index``, which also keys ``dual_ok``), so ``packings``
+    keeps one packing per level: each level's column generation runs
+    once, and k = n reuses the last level's."""
     dual = lp_dual(psp, k)
-    j = psp.level_for_k(k)
+    j = dual.level_index
     if j not in packings:
         packings[j] = dual_packing(g, dual).packing
     dual = dual._replace(packing=packings[j])
@@ -100,7 +101,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
     else:
         # At k = 2 the dual has z = 0, so its packing is an optimal packing
         # of g itself; it serves the min-max and 2-respect rows as well.
-        packings = {}  # PSP level -> the explicit dual's packing in c+z
+        packings = {}  # dual.level_index -> the explicit dual's packing in c+z
         k2cut, k2report, k2dual = _kcut_and_dual(g, psp, 2, packings)
         pack = k2dual.packing
         _row(
@@ -152,7 +153,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
 
     mincut = global_mincut(g)
     n = g.n
-    dual_ok = {}  # PSP level -> verify_dual's verdict on its dual
+    dual_ok = {}  # dual.level_index -> verify_dual's verdict on its dual
     for k in ks:
         if not 2 <= k <= g.n:
             continue

@@ -484,3 +484,24 @@ def test_global_mincut_detail_builds_one_packing_on_the_suite(monkeypatch):
         assert len(packings) == (cut.crossing_value > 0), name
         positive = sum(1 for e in g.edges if e.cap > 0)
         assert all(t < GREEDY_TREES_PER_EDGE * positive for t in streams), name
+
+
+def test_global_mincut_detail_past_the_cap_builds_one_packing(monkeypatch):
+    # with no greedy tree the cut's scan reads the packing, and the
+    # witness is named in that same packing: one build per positive cut
+    packings = []
+    real_packing = mincut.mwu_pack
+
+    def counting_packing(*args, **kwargs):
+        packings.append(real_packing(*args, **kwargs))
+        return packings[-1]
+
+    monkeypatch.setattr(mincut, "mwu_pack", counting_packing)
+    monkeypatch.setattr("kcut.packing.GREEDY_TREES_PER_EDGE", 0)
+    for name, g in full_suite():
+        del packings[:]
+        cut, _, packing = global_mincut_detail(g)
+        if cut.crossing_value > 0:
+            assert len(packings) == 1 and packing is packings[0], name
+        else:
+            assert packings == [] and packing is None, name

@@ -1,4 +1,4 @@
-"""``mwu_pack`` against the all-``Fraction`` multiplicative-weights loop.
+"""``mwu_pack`` and ``greedy_trees`` against their all-``Fraction`` loops.
 
 ``mwu_pack`` keeps its loads and accumulated tree weights as integers on
 scaled capacities and builds ``Fraction``s only in the final rescale.  The
@@ -8,21 +8,30 @@ it priced with (sort key ``(weight, id)``).  Both must return the same
 trees, weights and capacities: the float weights that steer the loop are
 computed the same way in both.  The reference forest is also the oracle for
 ``min_spanning_forest``, whose scan stops early and halves paths inline.
+
+``greedy_trees`` sorts its edges on the integer keys load * (lcm / c).
+Its reference is the earlier stream, which sorted on ``Fraction(load, c)``
+and priced on a rebuilt graph of the positive edges, kept verbatim except
+that it prices with the reference forest.
 """
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcut import Edge, Graph, lp_dual, principal_sequence
+from kcut.graph import _scaled
 from kcut.packing import (
+    GREEDY_TREES_PER_EDGE,
     IterationLimitError,
     PackConfig,
     TreePacking,
     _float_cap,
     _working_graph,
+    greedy_trees,
     min_spanning_forest,
     mwu_pack,
 )
@@ -97,6 +106,23 @@ def _reference_mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) 
     return TreePacking(trees, weights, caps_used, approximate=True)
 
 
+def _reference_greedy_trees(g: Graph, caps):
+    keep = [i for i, c in enumerate(caps) if c]
+    work = Graph(g.n, tuple(g.edges[i] for i in keep))
+    cap = [caps[i] for i in keep]
+    load = [0] * work.m
+    length = [0] * work.m  # load / cap
+    top = 0  # an edge of the largest load / cap once a tree is packed
+    for t in range(1, GREEDY_TREES_PER_EDGE * len(keep) + 1):
+        forest = _reference_msf(work, length)
+        for i in forest:
+            load[i] += 1
+            length[i] = Fraction(load[i], cap[i])
+            if length[i] > length[top]:
+                top = i
+        yield tuple(keep[i] for i in forest), t * cap[top], load[top]
+
+
 EPSILONS = st.sampled_from([F(1, 10), F(1, 6), F(1, 20)])
 
 
@@ -168,3 +194,16 @@ def test_mwu_matches_fraction_loop_on_dual_capacities(g, data, eps):
     k = data.draw(st.integers(2, g.n))
     dual = lp_dual(psp, k)
     _assert_same_packing(g, [e.cap + z for e, z in zip(g.edges, dual.z)], eps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_graphs(), st.data(), st.booleans())
+def test_greedy_trees_match_fraction_loop(g, data, scaled):
+    """Integer keys against ``Fraction`` keys over the first 4m trees, on
+    integer or scaled rational capacities, zero entries among them."""
+    if scaled:
+        caps, _ = _scaled(data.draw(st.lists(_COPRIME, min_size=g.m, max_size=g.m)))
+    else:
+        caps = data.draw(st.lists(st.integers(0, 5), min_size=g.m, max_size=g.m))
+    got = list(islice(greedy_trees(g, caps), 4 * g.m))
+    assert got == list(islice(_reference_greedy_trees(g, caps), 4 * g.m))

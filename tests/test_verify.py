@@ -9,7 +9,7 @@ import kcut.lp as lp_mod
 import kcut.oracle as oracle_mod
 import kcut.verify as verify_mod
 from kcut.cli import main
-from kcut.graph import component_blocks
+from kcut.graph import component_blocks, parse_graph
 from kcut.oracle import OracleLimits
 from kcut.simplex import Tableau
 from kcut.strength import principal_sequence
@@ -48,6 +48,19 @@ def test_verify_solves_one_dual_per_level(tt, monkeypatch):
     psp = principal_sequence(tt)
     assert [psp.level_for_k(k) for k in range(2, tt.n + 1)] == [1, 2, 2, 2, 2]
     assert len(calls) == 2
+
+
+def test_verify_keys_packings_by_the_dual_level():
+    # a strength-0 component: the dual counts the positive part's levels,
+    # so its level_index is one below psp.level_for_k(k), and the packing
+    # cache must use the dual's key, as the lp-dual-feasible verdicts do
+    g = parse_graph("p kcut 4 3\ne 1 2 1\ne 2 3 0\ne 3 4 1\n")
+    psp = principal_sequence(g)
+    packings = {}
+    for k in (3, 4):
+        _, _, dual = verify_mod._kcut_and_dual(g, psp, k, packings)
+        assert dual.level_index == psp.level_for_k(k) - 1 == 1
+        assert list(packings) == [1] and dual.packing is packings[1]
 
 
 def test_verify_rows_pin():
