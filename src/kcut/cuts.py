@@ -414,9 +414,9 @@ def min_kcut(g: Graph, k: int, eps=None, dual=None):
     Either packing is guaranteed to hold every optimal k-cut.  When k is
     at most the number of components the minimum is 0 and the minimizers
     are the groupings of whole components into at least k parts.  A caller
-    that already holds ``dual_packing(g, lp_dual(psp, k))``, or the same
-    dual with the packing of another k at its PSP level, passes it as
-    ``dual`` and no column generation runs.
+    that already holds an explicit optimal dual of k, such as
+    ``dual_packing(g, lp_dual(psp, k))`` or ``ideal_dual(ideal, lp_dual(psp,
+    k))``, passes it as ``dual`` and no column generation runs.
     """
     found, scale, candidates, h = _scan(g, k, 0, eps, dual)
     best = min(found.values())

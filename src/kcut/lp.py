@@ -6,10 +6,16 @@ alpha = (k - kappa_{j-1}) / (kappa_j - kappa_{j-1}):
 
 * primal: x = 1 on A_{j-1}, alpha on B_j, 0 elsewhere;
 * dual: z adds (lambda_j/lambda_i - 1) c_e to every B_i edge with i < j, and
-  y scales the ideal tree packing (one saturating packing per level) by
-  lambda_j;
+  y scales the ideal tree packing (one saturating packing per level,
+  coupled into one distribution of spanning trees) by lambda_j;
 * both objectives equal cbar(A_{j-1}) + (k - kappa_{j-1}) lambda_j, which is
   also the Lagrangean bound max_b g(b) + b(k-1), maximized at b = lambda_j.
+
+The dual's packing is made explicit in two ways.  ``ideal_dual`` scales
+the coupled ideal packing (``IdealPacking.compose``), built once for every
+k; ``verify`` reads it.  ``dual_packing`` runs a column generation in c+z,
+whose basic packing ``solve``, ``enumerate`` and ``lp`` read: the ideal
+packing is slow on large strength-tight quotients.
 
 Disconnected graphs are supported throughout: constraints run over maximal
 forests with right-hand side k - h for h components.  So are components of
@@ -21,6 +27,8 @@ the lambda = 0 level.  Each closed form reads the graph off its sequence.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -32,7 +40,7 @@ from .strength import PrincipalSequence
 class PrimalSolution(NamedTuple):
     k: int
     x: tuple[Fraction, ...]
-    level_index: int  # j
+    level_index: int  # j = psp.level_for_k(k), in the input's sequence
     alpha: Fraction
     objective: Fraction
 
@@ -41,10 +49,10 @@ class DualSolution(NamedTuple):
     k: int
     z: tuple[Fraction, ...]
     total_y: Fraction  # sum of packing weights, lambda_j
-    level_index: int
+    level_index: int  # j = psp.level_for_k(k), in the input's sequence
     objective: Fraction
     h: int
-    packing: TreePacking | None  # set by dual_packing
+    packing: TreePacking | None  # set by ideal_dual or dual_packing
 
 
 class IdealPacking(NamedTuple):
@@ -53,7 +61,8 @@ class IdealPacking(NamedTuple):
 
     Level i's packing has value lambda_i and loads every B_i edge to its
     capacity; scaled by 1/lambda_i it is the level's tree distribution, with
-    load c(e)/lambda_i on each B_i edge.  A full support tree is the union
+    load c(e)/lambda_i on each B_i edge.  ``compose`` couples the levels'
+    distributions into one distribution of maximal forests, each the union
     of one support tree from every level.
     """
 
@@ -65,13 +74,49 @@ class IdealPacking(NamedTuple):
         lam = self.levels[self.edge_level[eid] - 1].total_value
         return self.graph.edges[eid].cap / lam
 
-    def compose(self) -> tuple[int, ...]:
-        """Union of the first support tree of every level; always a maximal
-        forest of the graph."""
-        chosen: list[int] = []
-        for packing in self.levels:
-            chosen.extend(packing.support()[0])
-        return tuple(sorted(chosen))
+    def compose(self) -> TreePacking:
+        """The coupling of the levels' tree distributions: a packing of
+        value 1 whose every tree is the union of one tree per level.
+
+        Level i's trees get probabilities w / lambda_i, laid end to end on
+        [0, 1) in tree order.  Cut at every level's cumulative
+        breakpoints, [0, 1) falls into sub-intervals that each lie in one
+        tree's segment at every level.  The union of those trees, one
+        joining the parts of P_i inside each part of P_{i-1} per level, is
+        a maximal forest of the graph, and its weight is the
+        sub-interval's length.  So every level-i tree keeps its
+        probability, every B_i edge carries its marginal load
+        c_e / lambda_i (the packing's ``caps``, met exactly), and there
+        are at most sum_i |support_i| - L + 1 trees, in interval order:
+        the first is the union of every level's first tree."""
+        trees, lengths, d = self._coupling()
+        caps = {}
+        for p in self.levels:
+            lam = p.total_value
+            caps.update((eid, c / lam) for eid, c in p.caps.items())
+        return TreePacking(trees, tuple(Fraction(x, d) for x in lengths), caps)
+
+    def _coupling(self) -> tuple[tuple[tuple[int, ...], ...], list[int], int]:
+        """``compose``'s trees, and each one's sub-interval length as an
+        int over one denominator d, built on ints: level i's weights over
+        their own denominator sum to s_i, so with d = lcm(s_i) a segment
+        of weight w ends at its level's running sum times d / s_i."""
+        ends = []  # per level, the end of each tree's segment, over d
+        for p in self.levels:
+            ws, _ = _scaled(p.weights)
+            ends.append(list(accumulate(ws)))
+        d = lcm(*[e[-1] for e in ends])
+        ends = [[x * (d // e[-1]) for x in e] for e in ends]
+        pick = [0] * len(ends)  # per level, the tree whose segment holds the sub-interval
+        trees, lengths, start = [], [], 0
+        for cut in sorted(set().union(*ends)):
+            trees.append(tuple(sorted(chain.from_iterable(p.trees[t] for p, t in zip(self.levels, pick)))))
+            lengths.append(cut - start)
+            start = cut
+            for i, level_ends in enumerate(ends):
+                if level_ends[pick[i]] == cut:
+                    pick[i] += 1
+        return tuple(trees), lengths, d
 
 
 def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
@@ -159,19 +204,23 @@ def ideal_packing(psp: PrincipalSequence) -> IdealPacking:
 def lp_dual(psp: PrincipalSequence, k: int) -> DualSolution:
     """Optimal dual without its packing: closed-form z and lambda_j, the
     value of an optimal packing in c+z (enough for objective and
-    feasibility checks).  ``dual_packing(g, lp_dual(psp, k))`` adds the
-    explicit packing that complementary slackness and cut enumeration
-    need.  It is the dual of ``psp.positive()``, so no lambda is 0."""
+    feasibility checks).  ``ideal_dual(ideal_packing(psp), lp_dual(psp, k))``
+    or ``dual_packing(g, lp_dual(psp, k))`` adds the explicit packing that
+    complementary slackness and cut enumeration need.  It is the dual of
+    ``psp.positive()``, so no lambda is 0, but its ``level_index`` counts
+    the input's levels, as ``lp_primal``'s does: a lambda = 0 level
+    counts."""
     g = psp.graph
+    check_k(g, k)
+    j = psp.level_for_k(k)
     psp = psp.positive()
     lag, lam_j = lagrangean_value(psp, k)
     h = psp.kappa0()
     if k <= h:
-        return DualSolution(k, (Fraction(0),) * g.m, Fraction(0), 0, Fraction(0), h, None)
-    # lambda strictly increases along the sequence: levels 1..j-1 are the
-    # ones below lambda_j.
+        return DualSolution(k, (Fraction(0),) * g.m, Fraction(0), j, Fraction(0), h, None)
+    # lambda strictly increases along the sequence: the levels below
+    # lambda_j are the ones z raises.
     below = [level for level in psp.levels if level.lam < lam_j]
-    j = len(below) + 1
     z = [Fraction(0)] * g.m
     for level in below:
         ratio = lam_j / level.lam - 1
@@ -182,6 +231,26 @@ def lp_dual(psp: PrincipalSequence, k: int) -> DualSolution:
     if objective != lag:
         raise AssertionError("dual objective mismatch")
     return DualSolution(k, tuple(z), lam_j, j, objective, h, None)
+
+
+def ideal_dual(ideal: IdealPacking, dual: DualSolution) -> DualSolution:
+    """``dual`` made explicit with no column generation: the coupled ideal
+    packing of its sequence (``ideal.compose()``) scaled by lambda_j.  A
+    B_i edge then carries lambda_j c_e / lambda_i, which is c_e + z_e for
+    i < j and at most c_e from level j on, so the packing is feasible in
+    c+z, and its value lambda_j makes it optimal.  ``ideal`` must be the
+    ideal packing of the sequence ``dual`` was read off.  With k at most
+    the number of components the packing is empty."""
+    if dual.k <= dual.h:
+        return dual._replace(packing=TreePacking((), (), {}))
+    lam = dual.total_y
+    if ideal.levels[dual.level_index - 1].total_value != lam:
+        raise ValueError("the dual's lambda_j is not its level's in the ideal packing")
+    trees, lengths, d = ideal._coupling()
+    weights = tuple(Fraction(x * lam.numerator, d * lam.denominator) for x in lengths)
+    edges = ideal.graph.edges
+    caps = {eid: edges[eid].cap + dual.z[eid] for eid in range(len(edges)) if edges[eid].cap}
+    return dual._replace(packing=TreePacking(trees, weights, caps))
 
 
 def dual_packing(g: Graph, dual: DualSolution) -> DualSolution:

@@ -7,6 +7,14 @@ instance exceeds the oracle limits.  One row is not independent: on the
 closed-form optimum the smallest-shores cut is LP rounding of it, so
 ``smallest-shores-bound`` is ``rounding-bound`` without its ``certified``
 test and fails only with it.
+
+Every k's explicit dual is one object: the ideal packing of the principal
+sequence (the ``psp-ideal-packing`` row), coupled into one distribution of
+spanning trees and scaled by k's lambda_j (``lp.ideal_dual``).  No column
+generation runs in c+z.  ``treepack-minmax`` is the k = 2 dual, of value
+sigma by construction, checked feasible.  Should the ideal packing fail,
+every row that reads the dual or the scan of it is skipped with that
+failure as the reason.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .cuts import (
 from .graph import Graph, _scaled, crossing_edges, rational_str
 from .lp import (
     check_complementary_slackness,
-    dual_packing,
+    ideal_dual,
     ideal_packing,
     lagrangean_value,
     lp_dual,
@@ -67,17 +75,11 @@ def _skip(rows, name, why, certificate=False):
     rows.append(CheckRow(name, "skip", why, certificate))
 
 
-def _kcut_and_dual(g: Graph, psp, k: int, packings: dict):
-    """min_kcut's optimal cut and report, and the explicit dual it scanned.
-    z, and so the packing in c+z, depend only on the dual's level j
-    (``dual.level_index``, which also keys ``dual_ok``), so ``packings``
-    keeps one packing per level: each level's column generation runs
-    once, and k = n reuses the last level's."""
-    dual = lp_dual(psp, k)
-    j = dual.level_index
-    if j not in packings:
-        packings[j] = dual_packing(g, dual).packing
-    dual = dual._replace(packing=packings[j])
+def _kcut_and_dual(g: Graph, psp, ideal, k: int):
+    """min_kcut's optimal cut and report, and the explicit dual it scanned:
+    k's closed-form dual made explicit by the coupled ideal packing, so no
+    column generation runs."""
+    dual = ideal_dual(ideal, lp_dual(psp, k))
     best, report = min_kcut(g, k, dual=dual)
     return best, report, dual
 
@@ -96,18 +98,30 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
     # dual's packing empty, which the min-max and respect rows read; only
     # the oracle rows apply.
     degenerate = "strength 0: the LP and packing certificates need every cut positive" if sigma == 0 else ""
-    if degenerate:
-        _skip(rows, "treepack-minmax", degenerate, certificate=True)
+    # The coupled ideal packing, scaled by lambda_j, is the explicit dual of
+    # every k.  Should it fail, every row that reads that dual or its scan
+    # is skipped with the failure as the reason.
+    ideal, no_dual = None, degenerate
+    if not degenerate:
+        try:
+            ideal = ideal_packing(psp)
+        except SaturationError as exc:
+            no_dual = str(exc)
+    dual_ok = {}  # dual.level_index -> verify_dual's verdict on its dual
+    if no_dual:
+        _skip(rows, "treepack-minmax", no_dual, certificate=True)
     else:
-        # At k = 2 the dual has z = 0, so its packing is an optimal packing
-        # of g itself; it serves the min-max and 2-respect rows as well.
-        packings = {}  # dual.level_index -> the explicit dual's packing in c+z
-        k2cut, k2report, k2dual = _kcut_and_dual(g, psp, 2, packings)
+        # At k = 2 the dual has z = 0, so its packing is a packing of g
+        # itself, of value sigma by construction: feasible, beside the
+        # level-1 partition of strength sigma, it certifies the min-max.
+        # It serves the 2-respect rows as well.
+        k2cut, k2report, k2dual = _kcut_and_dual(g, psp, ideal, 2)
         pack = k2dual.packing
+        dual_ok[k2dual.level_index] = verify_dual(g, k2dual).ok
         _row(
             rows,
             "treepack-minmax",
-            pack.total_value == sigma,
+            pack.total_value == sigma and dual_ok[k2dual.level_index],
             f"strength {rational_str(sigma)}, packing value {rational_str(pack.total_value)}",
         )
     # One ForestLP enumerates the spanning forests once and answers every
@@ -123,12 +137,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
     if degenerate:
         _skip(rows, "psp-ideal-packing", degenerate, certificate=True)
     else:
-        try:
-            ideal_packing(psp)
-        except SaturationError as exc:
-            _row(rows, "psp-ideal-packing", False, str(exc))
-        else:
-            _row(rows, "psp-ideal-packing", True, f"{len(psp.levels)} levels")
+        _row(rows, "psp-ideal-packing", ideal is not None, no_dual or f"{len(psp.levels)} levels")
 
     # One partition table answers the strength and every k's minimum k-cut.
     try:
@@ -151,18 +160,18 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             _skip(rows, name, degenerate, certificate=True)
         return rows
 
-    mincut = global_mincut(g)
     n = g.n
-    dual_ok = {}  # dual.level_index -> verify_dual's verdict on its dual
     for k in ks:
         if not 2 <= k <= g.n:
             continue
         tag = f"k={k}"
         primal = lp_primal(psp, k)
-        if k == 2:
+        if no_dual:
+            dual = lp_dual(psp, k)
+        elif k == 2:
             best, report, dual = k2cut, k2report, k2dual
         else:
-            best, report, dual = _kcut_and_dual(g, psp, k, packings)
+            best, report, dual = _kcut_and_dual(g, psp, ideal, k)
         lag, lag_b = lagrangean_value(psp, k)
         _row(
             rows,
@@ -171,49 +180,15 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             f"value {rational_str(lag)} at b={rational_str(lag_b)}",
         )
         pv = verify_primal(g, primal.x, k)
-        # z and the packing depend only on k's level: one check per level
-        if dual.level_index not in dual_ok:
-            dual_ok[dual.level_index] = verify_dual(g, dual).ok
-        cs = check_complementary_slackness(g, primal.x, dual)
         _row(rows, f"lp-primal-feasible[{tag}]", pv.ok)
-        _row(rows, f"lp-dual-feasible[{tag}]", dual_ok[dual.level_index])
-        _row(
-            rows,
-            f"lp-complementary-slackness[{tag}]",
-            cs.ok,
-            "; ".join(cs.witnesses[:3]),
-        )
-
-        z, dz = _scaled(dual.z)
-        _row(
-            rows,
-            f"dual-packing-bound[{tag}]",
-            (k - 1) * dual.total_y
-            >= Fraction(n, 2 * (n - 1)) * best.crossing_value + Fraction(sum(z), dz),
-            f"min {k}-cut {rational_str(best.crossing_value)}",
-        )
-        limit = 2 * (1 - Fraction(1, n))
-        ratio = best.crossing_value / primal.objective if primal.objective else Fraction(0)
-        gap_ok = ratio <= limit
-        note = f"ratio {rational_str(ratio)} vs 2(1-1/n) = {rational_str(limit)}"
-        if ratio == limit:
-            note += " (tight)"
-        _row(rows, f"integrality-gap[{tag}]", gap_ok, note)
-
-        if k < g.n:
-            h = report.h
-            witness_ok = True
-            qh_ok = True
-            qh_bound = dual_respect_bound(1, k, h, n)
-            for cut in report.cuts:
-                eids = crossing_edges(g, cut.block_of(g.n))
-                stats = respect_stats(dual.packing, eids, h)
-                if min(stats.crossings) > h:
-                    witness_ok = False
-                if stats.q_h < qh_bound:
-                    qh_ok = False
-            _row(rows, f"optimal-cut-respect[{tag}]", witness_ok, f"h={h}")
-            _row(rows, f"respect-fraction-bound[{tag}]", qh_ok)
+        if no_dual:
+            names = ["lp-dual-feasible", "lp-complementary-slackness", "dual-packing-bound", "integrality-gap"]
+            if k < n:
+                names += ["optimal-cut-respect", "respect-fraction-bound"]
+            for name in names:
+                _skip(rows, f"{name}[{tag}]", no_dual, certificate=True)
+        else:
+            _dual_rows(rows, g, k, primal, dual, best, report, dual_ok)
 
         rounded = round_lp(psp, primal)
         bound = 2 * (1 - Fraction(1, n)) * primal.objective
@@ -230,8 +205,8 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             f"cut {rational_str(rounded.cut.crossing_value)}",
         )
 
-        if table is None:
-            _skip(rows, f"oracle-min-kcut[{tag}]", partition_limit)
+        if table is None or no_dual:
+            _skip(rows, f"oracle-min-kcut[{tag}]", partition_limit or no_dual)
         else:
             ocut, oall = table.min_kcut(k)
             _row(
@@ -253,7 +228,12 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
                 certificate=False,
             )
 
+    if no_dual:
+        for name in ("global-mincut", "mincut-2respect-fraction"):
+            _skip(rows, name, no_dual, certificate=True)
+        return rows
     # global mincut row + 2-respecting fraction
+    mincut = global_mincut(g)
     _row(
         rows,
         "global-mincut",
@@ -269,3 +249,53 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             q2_ok = False
     _row(rows, "mincut-2respect-fraction", q2_ok)
     return rows
+
+
+def _dual_rows(rows, g: Graph, k: int, primal, dual, best, report, dual_ok: dict) -> None:
+    """k's rows on its explicit dual and the scan of it: feasibility and
+    complementary slackness, the packing bound, the integrality gap, and
+    for k < n the respect rows on every optimal cut."""
+    n = g.n
+    tag = f"k={k}"
+    # z and the packing depend only on k's level: one check per level
+    if dual.level_index not in dual_ok:
+        dual_ok[dual.level_index] = verify_dual(g, dual).ok
+    cs = check_complementary_slackness(g, primal.x, dual)
+    _row(rows, f"lp-dual-feasible[{tag}]", dual_ok[dual.level_index])
+    _row(
+        rows,
+        f"lp-complementary-slackness[{tag}]",
+        cs.ok,
+        "; ".join(cs.witnesses[:3]),
+    )
+
+    z, dz = _scaled(dual.z)
+    _row(
+        rows,
+        f"dual-packing-bound[{tag}]",
+        (k - 1) * dual.total_y
+        >= Fraction(n, 2 * (n - 1)) * best.crossing_value + Fraction(sum(z), dz),
+        f"min {k}-cut {rational_str(best.crossing_value)}",
+    )
+    limit = 2 * (1 - Fraction(1, n))
+    ratio = best.crossing_value / primal.objective if primal.objective else Fraction(0)
+    gap_ok = ratio <= limit
+    note = f"ratio {rational_str(ratio)} vs 2(1-1/n) = {rational_str(limit)}"
+    if ratio == limit:
+        note += " (tight)"
+    _row(rows, f"integrality-gap[{tag}]", gap_ok, note)
+
+    if k < n:
+        h = report.h
+        witness_ok = True
+        qh_ok = True
+        qh_bound = dual_respect_bound(1, k, h, n)
+        for cut in report.cuts:
+            eids = crossing_edges(g, cut.block_of(g.n))
+            stats = respect_stats(dual.packing, eids, h)
+            if min(stats.crossings) > h:
+                witness_ok = False
+            if stats.q_h < qh_bound:
+                qh_ok = False
+        _row(rows, f"optimal-cut-respect[{tag}]", witness_ok, f"h={h}")
+        _row(rows, f"respect-fraction-bound[{tag}]", qh_ok)

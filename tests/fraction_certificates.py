@@ -110,18 +110,19 @@ def lp_dual(psp: PrincipalSequence, k: int) -> DualSolution:
     value of an optimal packing in c+z (enough for objective and
     feasibility checks), read off the sequence's positive part.
     ``dual_packing(g, lp_dual(psp, k))`` adds the explicit packing that
-    complementary slackness and cut enumeration need."""
+    complementary slackness and cut enumeration need.  Its level index
+    counts the input's levels, lambda = 0 included."""
     g = psp.graph
+    lag, lam_j = lagrangean_value(psp.positive(), k)
+    j = psp.level_for_k(k)
     psp = psp.positive()
-    lag, lam_j = lagrangean_value(psp, k)
     h = psp.kappa0()
     if k <= h:
-        return DualSolution(k, (Fraction(0),) * g.m, Fraction(0), 0, Fraction(0), h, None)
+        return DualSolution(k, (Fraction(0),) * g.m, Fraction(0), j, Fraction(0), h, None)
     _check_positive_strength(psp)
-    # lambda strictly increases along the sequence: levels 1..j-1 are the
-    # ones below lambda_j.
+    # lambda strictly increases along the sequence: the levels below
+    # lambda_j are the ones z raises.
     below = [level for level in psp.levels if level.lam < lam_j]
-    j = len(below) + 1
     z = [Fraction(0)] * g.m
     for level in below:
         ratio = lam_j / level.lam - 1

@@ -9,10 +9,12 @@ from kcut import (
     Graph,
     check_complementary_slackness,
     dual_packing,
+    ideal_dual,
     ideal_packing,
     lagrangean_value,
     lp_dual,
     lp_primal,
+    min_kcut,
     oracle_lp_value,
     oracle_min_kcut,
     parse_graph,
@@ -122,7 +124,7 @@ def test_ideal_packing_fixtures(tt, c5, e1):
 
 def test_ideal_packing_composes_to_forest(tt):
     ip = ideal_packing(principal_sequence(tt))
-    chosen = ip.compose()
+    chosen = ip.compose().trees[0]
     assert len(chosen) == tt.n - 1
     # a maximal forest: acyclic and spanning
     from kcut.graph import component_blocks
@@ -181,10 +183,65 @@ def test_ideal_packing_per_level_property(g, doubled):
                         if block[e.u] in reach or block[e.v] in reach:
                             reach |= {block[e.u], block[e.v]}
                 assert reach == parts, (i, comp)
-    chosen = set(ip.compose())
+    chosen = set(ip.compose().trees[0])
     assert len(chosen) == g.n - psp.kappa0()
     rest = set(range(g.m)) - chosen
     assert len(component_blocks(g, exclude_edges=rest)) == psp.kappa0()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_small_multigraphs().filter(_positive_strength), st.booleans())
+def test_ideal_dual_is_an_optimal_dual_at_every_k_property(g, doubled):
+    """The coupled ideal packing scaled by lambda_j is an optimal dual at
+    every k: feasible in c+z, of value lambda_j, complementary to the
+    closed-form primal, with at most sum_i |support_i| - L + 1 maximal
+    forests whose probabilities sum to 1; scanned by ``min_kcut`` it
+    gives the oracle's every minimizer.  Two disjoint copies of g make
+    k at most the number of components possible."""
+    from kcut.graph import component_blocks
+
+    if doubled:
+        copy = tuple(Edge(e.u + g.n, e.v + g.n, e.cap) for e in g.edges)
+        g = Graph(2 * g.n, g.edges + copy)
+    psp = principal_sequence(g)
+    ip = ideal_packing(psp)
+    coupling = ip.compose()
+    assert sum(coupling.weights) == 1
+    assert len(coupling.trees) <= sum(len(p.support()) for p in ip.levels) - len(ip.levels) + 1
+    h = psp.kappa0()
+    for tree in coupling.trees:
+        assert len(tree) == g.n - h
+        assert len(component_blocks(g, exclude_edges=set(range(g.m)) - set(tree))) == h
+    for k in range(2, g.n + 1):
+        primal = lp_primal(psp, k)
+        dual = ideal_dual(ip, lp_dual(psp, k))
+        assert dual.level_index == primal.level_index == psp.level_for_k(k), k
+        assert dual.packing.total_value == dual.total_y, k
+        if k > h:
+            assert dual.packing.trees == coupling.trees, k
+            assert dual.total_y == psp.levels[dual.level_index - 1].lam, k
+        else:
+            assert dual.packing.trees == (), k
+        assert verify_dual(g, dual).ok, k
+        assert check_complementary_slackness(g, primal.x, dual).ok, k
+        if g.n <= 8:
+            _, report = min_kcut(g, k, dual=dual)
+            assert set(report.cuts) == set(oracle_min_kcut(g, k)[1]), k
+
+
+def test_ideal_dual_refuses_another_sequence(tt, c5):
+    # C5's k = 2 dual has lambda_1 = 5/4, TT's level 1 has lambda 1
+    with pytest.raises(ValueError, match="lambda_j"):
+        ideal_dual(ideal_packing(principal_sequence(tt)), lp_dual(principal_sequence(c5), 2))
+
+
+def test_level_index_counts_the_input_levels():
+    # a strength-0 component: the dual reads the positive part's sequence,
+    # but both level indices count the input's levels, lambda = 0 included
+    g = parse_graph("p kcut 4 3\ne 1 2 1\ne 2 3 0\ne 3 4 1\n")
+    psp = principal_sequence(g)
+    for k, j in ((2, 1), (3, 2), (4, 2)):
+        assert lp_primal(psp, k).level_index == lp_dual(psp, k).level_index == psp.level_for_k(k) == j, k
 
 
 def test_ideal_packing_on_suite():

@@ -9,7 +9,7 @@ import kcut.lp as lp_mod
 import kcut.oracle as oracle_mod
 import kcut.verify as verify_mod
 from kcut.cli import main
-from kcut.graph import component_blocks, parse_graph
+from kcut.graph import component_blocks
 from kcut.oracle import OracleLimits
 from kcut.simplex import Tableau
 from kcut.strength import principal_sequence
@@ -20,9 +20,9 @@ from test_psp_pin import _text
 
 
 def _count_certified_packs(monkeypatch):
-    """Count ``lp_dual``'s column generations, patched as ``kcut.lp`` binds
-    the kernel; the ones inside saturating_pack (the psp-ideal-packing row)
-    are left out."""
+    """Count ``dual_packing``'s column generations in c+z, patched as
+    ``kcut.lp`` binds the kernel; the ones inside saturating_pack (the
+    ideal packing's levels) are left out."""
     calls = []
     real = lp_mod._column_generation
 
@@ -34,33 +34,78 @@ def _count_certified_packs(monkeypatch):
     return calls
 
 
-def test_verify_solves_one_dual_per_level(tt, monkeypatch):
-    """The packing in c+z depends only on k's PSP level, so verify runs one
-    column generation per level: TT's k = 2 is at level 1 and k = 3..6 at
-    level 2, and k = n = 6 reuses level 2's packing."""
+def _count_ideal_packings(monkeypatch):
+    calls = []
+    real = verify_mod.ideal_packing
+
+    def counting(psp):
+        calls.append(psp)
+        return real(psp)
+
+    monkeypatch.setattr(verify_mod, "ideal_packing", counting)
+    return calls
+
+
+def test_verify_builds_one_ideal_packing_and_no_dual_column_generation(tt, monkeypatch):
+    """The coupled ideal packing, scaled by lambda_j, is the explicit dual
+    of every k: verify builds it once per job and runs no column
+    generation in c+z, on TT's two levels and on a graph with more."""
     calls = _count_certified_packs(monkeypatch)
-    rows = run_verification(tt, ks=[2, 3])
-    assert all(r.status == "pass" for r in rows)
-    assert len(calls) == 2
-    calls.clear()
-    rows = run_verification(tt)
-    assert all(r.status == "pass" for r in rows)
-    psp = principal_sequence(tt)
-    assert [psp.level_for_k(k) for k in range(2, tt.n + 1)] == [1, 2, 2, 2, 2]
-    assert len(calls) == 2
+    ideals = _count_ideal_packings(monkeypatch)
+    for g, ks in ((tt, [2, 3]), (tt, None), (_random_connected(random.Random(7), 7, 9), None)):
+        ideals.clear()
+        rows = run_verification(g, ks=ks)
+        assert all(r.status == "pass" for r in rows)
+        assert calls == []
+        assert len(ideals) == 1
+    assert len(principal_sequence(g).levels) > 2
 
 
-def test_verify_keys_packings_by_the_dual_level():
-    # a strength-0 component: the dual counts the positive part's levels,
-    # so its level_index is one below psp.level_for_k(k), and the packing
-    # cache must use the dual's key, as the lp-dual-feasible verdicts do
-    g = parse_graph("p kcut 4 3\ne 1 2 1\ne 2 3 0\ne 3 4 1\n")
-    psp = principal_sequence(g)
-    packings = {}
-    for k in (3, 4):
-        _, _, dual = verify_mod._kcut_and_dual(g, psp, k, packings)
-        assert dual.level_index == psp.level_for_k(k) - 1 == 1
-        assert list(packings) == [1] and dual.packing is packings[1]
+def test_treepack_minmax_needs_a_feasible_packing(c5, monkeypatch):
+    """The k = 2 dual has value sigma by construction, so the min-max row
+    also needs it feasible: C5's value 5/4 put on one tree loads its edges
+    past capacity 1, and the row fails with its detail unchanged."""
+    real = verify_mod.ideal_dual
+
+    def one_tree(ideal, dual):
+        dual = real(ideal, dual)
+        packing = dual.packing._replace(trees=dual.packing.trees[:1], weights=(dual.total_y,))
+        return dual._replace(packing=packing)
+
+    monkeypatch.setattr(verify_mod, "ideal_dual", one_tree)
+    row = run_verification(c5, ks=[2])[0]
+    assert (row.name, row.status) == ("treepack-minmax", "fail")
+    assert row.detail == "strength 5/4, packing value 5/4"
+
+
+def test_verify_skips_the_dual_rows_when_the_ideal_packing_fails(tt, monkeypatch):
+    # raise the second critical value so its quotients no longer saturate:
+    # every row that reads the dual or its scan is skipped with the
+    # ideal packing's failure as the reason, and the rest still run
+    real = verify_mod.principal_sequence
+
+    def lying(g):
+        psp = real(g)
+        levels = list(psp.levels)
+        levels[1] = levels[1]._replace(lam=levels[1].lam + 1)
+        return psp._replace(levels=tuple(levels))
+
+    monkeypatch.setattr(verify_mod, "principal_sequence", lying)
+    rows = {r.name: r for r in run_verification(tt, ks=[2])}
+    failure = rows["psp-ideal-packing"]
+    assert failure.status == "fail" and failure.detail.startswith("level 2: saturating value")
+    skipped = {name for name, r in rows.items() if r.status == "skip"}
+    assert skipped == {
+        "treepack-minmax",
+        *(f"{name}[k=2]" for name in (
+            "lp-dual-feasible", "lp-complementary-slackness", "dual-packing-bound", "integrality-gap",
+            "optimal-cut-respect", "respect-fraction-bound", "oracle-min-kcut",
+        )),
+        "global-mincut",
+        "mincut-2respect-fraction",
+    }
+    assert {rows[name].detail for name in skipped} == {failure.detail}
+    assert {r.status for name, r in rows.items() if name not in skipped and r is not failure} == {"pass"}
 
 
 def test_verify_rows_pin():
