@@ -33,8 +33,9 @@ def main():
     print()
 
     print("attack value g(b) = min over partitions of c(E(P)) - b(|P|-1):")
+    psp = principal_sequence(TT)
     # the optimum is unique except at a breakpoint, whose coarsest optimum is its `before`
-    before = {bp.b: bp.before for bp in breakpoints(TT)}
+    before = {bp.b: bp.before for bp in breakpoints(psp)}
     for b in [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)]:
         res = attack(TT, b)
         print(
@@ -44,11 +45,10 @@ def main():
     print()
 
     print("breakpoints of the attack curve (each swaps in a finer optimum):")
-    for bp in breakpoints(TT):
+    for bp in breakpoints(psp):
         print(f"  b={bp.b}:  {show(bp.before)}  ->  {show(bp.after)}")
     print()
 
-    psp = principal_sequence(TT)
     print("principal sequence of partitions (critical value, partition):")
     print(f"  level 0: components = {show(psp.p0)}")
     for i, level in enumerate(psp.levels, 1):

@@ -17,6 +17,7 @@ from kcut import (
     mwu_pack,
     oracle_treepack,
     parse_graph,
+    principal_sequence,
     saturating_pack,
     strength,
 )
@@ -30,7 +31,7 @@ K4 = parse_graph(
 def main():
     for name, g in [("5-cycle", C5), ("complete graph K4", K4)]:
         sigma, _ = strength(g)
-        packing = exact_pack(g)
+        packing = exact_pack(principal_sequence(g))
         print(f"{name}: strength = {sigma}")
         print(f"  exact packing value = {packing.total_value} with {len(packing.trees)} trees:")
         for tree, w in zip(packing.trees, packing.weights):

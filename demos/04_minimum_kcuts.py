@@ -34,7 +34,7 @@ def main():
     print("graph: unit 5-cycle")
     psp = principal_sequence(g)
     for k in (2, 3):
-        cut, report = min_kcut(g, k)
+        cut, report = min_kcut(psp, k)
         print(f"k = {k}: minimum {k}-cut value {cut.crossing_value} "
               f"(h = {report.h}, {report.candidates_examined} candidates, "
               f"{report.distinct_cuts} cuts kept)")
@@ -45,7 +45,7 @@ def main():
         print(f"  oracle agrees: value {ocut.crossing_value}, {len(oall)} minimizers")
         print()
 
-    report = enumerate_approx_kcuts(g, 2, Fraction(3, 2))
+    report = enumerate_approx_kcuts(psp, 2, Fraction(3, 2))
     print(f"cuts within 3/2 of the minimum 2-cut (threshold {report.threshold}):")
     for c in report.cuts:
         print(f"  value {c.crossing_value}: {show(c)}")

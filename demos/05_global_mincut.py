@@ -17,6 +17,7 @@ from kcut import (
     mwu_pack,
     oracle_min_kcut,
     parse_graph,
+    principal_sequence,
     respect_stats,
 )
 
@@ -49,7 +50,7 @@ def main():
         print(f"  tree {list(tree)}: best 1-respecting {one.crossing_value}, best 2-respecting {two.crossing_value}")
     print()
 
-    exact = exact_pack(g)
+    exact = exact_pack(principal_sequence(g))
     block = cut.block_of(g.n)
     cut_edges = [i for i, e in enumerate(g.edges) if block[e.u] != block[e.v]]
     stats = respect_stats(exact, cut_edges, 2)

@@ -114,7 +114,7 @@ def _cmd_psp(g, args):
 
 def _cmd_pack(g, args):
     if args.exact:
-        packing = exact_pack(g)
+        packing = exact_pack(principal_sequence(g))
     else:
         eps = _rational(args.eps, Fraction(1, 10))
         packing = mwu_pack(g, config=PackConfig(epsilon=eps))
@@ -160,7 +160,8 @@ class CertificateFailure(Exception):
 
 
 def _cmd_solve(g, args):
-    cut, report = min_kcut(g, args.k, eps=_rational(args.eps, None))
+    eps = _rational(args.eps, None)
+    cut, report = min_kcut(principal_sequence(g), args.k, eps=eps)
     out = {
         "k": args.k,
         "mode": report.mode,
@@ -176,7 +177,7 @@ def _cmd_solve(g, args):
 
 def _cmd_enumerate(g, args):
     alpha = _rational(args.alpha, Fraction(1))
-    report = enumerate_approx_kcuts(g, args.k, alpha)
+    report = enumerate_approx_kcuts(principal_sequence(g), args.k, alpha)
     return {
         "k": args.k,
         "alpha": rational_str(alpha),

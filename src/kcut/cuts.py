@@ -41,13 +41,15 @@ proper merge.  Values stay integers in the scale of the capacities,
 through the minimum and the threshold; only a reported cut gets its
 ``Fraction``.
 
-The dual comes from ``PrincipalSequence.positive()``, so a component of
-strength 0 is scanned as in the graph less its zero-capacity edges.
+Each scan takes the principal sequence of the graph it cuts and builds
+none.  The dual comes from ``PrincipalSequence.positive()``, so a
+component of strength 0 is scanned as in the graph less its
+zero-capacity edges.
 
-Also here, each a function of the principal sequence it is given: the LP
-rounding algorithm (contract the zeros, keep the ones, isolate cheap
-vertices of the fractional residual) and the principal sequence
-2-approximation (cut the smallest shores of the splitting level).
+Also here, each a function of the sequence it is given: the LP rounding
+algorithm (contract the zeros, keep the ones, isolate cheap vertices of
+the fractional residual) and the principal sequence 2-approximation (cut
+the smallest shores of the splitting level).
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .graph import (
 )
 from .lp import DualSolution, PrimalSolution, dual_packing, lagrangean_value, lp_dual, lp_primal
 from .packing import TreePacking, greedy_trees, min_spanning_forest
-from .strength import PrincipalSequence, principal_sequence
+from .strength import PrincipalSequence
 
 
 class RespectStats(NamedTuple):
@@ -344,15 +346,16 @@ def _greedy_support(g: Graph, dual: DualSolution, eps: Fraction):
     return None
 
 
-def _scan(g: Graph, k: int, h: int, eps=None, dual=None, alpha=1):
+def _scan(psp: PrincipalSequence, k: int, h: int, eps=None, dual=None, alpha=None) -> EnumerationReport:
     """The scan behind ``min_kcut`` and ``enumerate_approx_kcuts``: every
-    cut crossing a tree of a packing in c+z at most h times, h raised to
-    the completeness bound (2k-3 with no eps, 2k-2 with one), and at most
-    alpha times the minimum, with the cuts kept before the limit fell.
-    Returns ({part masks: value}, scale, candidates examined, h), each
-    value an integer in the scale.  A ``dual`` given by the caller is
-    scanned instead of one built here.  An eps must satisfy
-    0 < eps < 1/(2k-1), checked before any work.
+    cut of ``psp.graph`` crossing a tree of a packing in c+z at most h
+    times, h raised to the completeness bound (2k-3 with no eps, 2k-2 with
+    one), and at most alpha times the minimum, with the cuts kept before
+    the limit fell.  Reports the cuts at most alpha times the minimum, by
+    (value, ``partition_sort_key``), with the threshold alpha times the
+    minimum; with no alpha, the minimizers and no threshold.  A
+    ``dual`` given by the caller is scanned instead of one built here.  An
+    eps must satisfy 0 < eps < 1/(2k-1), checked before any work.
 
     With no eps the scan reads the support of the explicit dual's packing,
     ``lp.dual_packing``.  With one it reads the distinct greedy trees up to
@@ -371,41 +374,52 @@ def _scan(g: Graph, k: int, h: int, eps=None, dual=None, alpha=1):
     positive part, so a component of strength 0 is scanned in the sequence
     of g less its zero-capacity edges, which gives every partition g's value.
     """
+    g = psp.graph
     check_k(g, k)
+    mode = "exact" if eps is None else "approx"
+    ratio = 1 if alpha is None else alpha
     if eps is not None:
         eps = Fraction(eps)
         if not 0 < eps < Fraction(1, 2 * k - 1):
             raise ValueError(f"eps must satisfy 0 < eps < 1/(2k-1) = 1/{2 * k - 1}")
     if k == g.n:
         caps, scale = scaled_capacities(g)
-        return {frozenset(1 << v for v in range(g.n)): sum(caps)}, scale, 0, h
-    psp = principal_sequence(g).positive()
-    if dual is None:
-        dual = lp_dual(psp, k)
-        if eps is None:
-            dual = dual_packing(g, dual)
-    approx = eps is not None and bool(psp.levels)  # with no level, no capacity is positive
-    if k <= dual.h:
-        forest = min_spanning_forest(g, [e.cap == 0 for e in g.edges])  # zero edges last
-        trees, h = [tuple(i for i in forest if g.edges[i].cap)], max(h, 2 * k - 2) if approx else 0
-    elif approx:
-        trees = _greedy_support(g, dual, eps)
-        if trees is None:
-            dual = dual_packing(g, dual)
-            trees = dual.packing.support()
-        h = max(h, 2 * k - 2)
+        found, candidates = {frozenset(1 << v for v in range(g.n)): sum(caps)}, 0
     else:
-        trees, h = dual.packing.support(), max(h, 2 * k - 3)
-    found, scale, candidates = _enumerate_over_support(g, trees, h, k, alpha)
-    if not found:
-        raise AssertionError("enumeration found no k-cut")
-    return found, scale, candidates, h
+        psp = psp.positive()
+        if dual is None:
+            dual = lp_dual(psp, k)
+            if eps is None:
+                dual = dual_packing(g, dual)
+        approx = eps is not None and bool(psp.levels)  # with no level, no capacity is positive
+        if k <= dual.h:
+            forest = min_spanning_forest(g, [e.cap == 0 for e in g.edges])  # zero edges last
+            trees, h = [tuple(i for i in forest if g.edges[i].cap)], max(h, 2 * k - 2) if approx else 0
+        elif approx:
+            trees = _greedy_support(g, dual, eps)
+            if trees is None:
+                dual = dual_packing(g, dual)
+                trees = dual.packing.support()
+            h = max(h, 2 * k - 2)
+        else:
+            trees, h = dual.packing.support(), max(h, 2 * k - 3)
+        found, scale, candidates = _enumerate_over_support(g, trees, h, k, ratio)
+        if not found:
+            raise AssertionError("enumeration found no k-cut")
+    best = min(found.values())
+    limit = floor(ratio * best)  # an integer v is at most alpha * best iff at most this
+    keep = [(v, _mask_partition(g.n, masks, Fraction(v, scale))) for masks, v in found.items() if v <= limit]
+    keep.sort(key=lambda vp: (vp[0], partition_sort_key(vp[1])))
+    value = Fraction(best, scale)
+    threshold = None if alpha is None else alpha * value
+    return EnumerationReport(k, h, mode, candidates, len(found), tuple(p for _, p in keep), value, threshold)
 
 
-def min_kcut(g: Graph, k: int, eps=None, dual=None):
-    """Minimum k-cut with full enumeration of the optimal partitions.
+def min_kcut(psp: PrincipalSequence, k: int, eps=None, dual=None):
+    """Minimum k-cut of ``psp.graph`` with full enumeration of the optimal
+    partitions, read off its principal sequence ``psp``.
 
-    Pipeline: principal sequence -> closed-form dual z -> packing in c+z
+    Pipeline: closed-form dual z -> packing in c+z
     (exact column generation, or, given an eps with 0 < eps < 1/(2k-1),
     Thorup's greedy trees up to a packing of value (1 - eps) lambda_j,
     with the exact packing as the fallback past the stream's cap) -> scan
@@ -418,36 +432,19 @@ def min_kcut(g: Graph, k: int, eps=None, dual=None):
     ``dual_packing(g, lp_dual(psp, k))`` or ``ideal_dual(ideal, lp_dual(psp,
     k))``, passes it as ``dual`` and no column generation runs.
     """
-    found, scale, candidates, h = _scan(g, k, 0, eps, dual)
-    best = min(found.values())
-    value = Fraction(best, scale)
-    minimizers = [_mask_partition(g.n, masks, value) for masks, v in found.items() if v == best]
-    cuts = tuple(sorted(minimizers, key=partition_sort_key))
-    mode = "exact" if eps is None else "approx"
-    return cuts[0], EnumerationReport(k, h, mode, candidates, len(found), cuts, value)
+    report = _scan(psp, k, 0, eps, dual)
+    return report.cuts[0], report
 
 
-def enumerate_approx_kcuts(g: Graph, k: int, alpha) -> EnumerationReport:
-    """All distinct cuts with at least k parts and value at most alpha times
-    the minimum k-cut, via the exact dual packing with
+def enumerate_approx_kcuts(psp: PrincipalSequence, k: int, alpha) -> EnumerationReport:
+    """All distinct cuts of ``psp.graph`` with at least k parts and value at
+    most alpha times the minimum k-cut, via the exact dual packing with
     h = floor(2*alpha*(k-1)); complete because every such cut h-respects a
     positive fraction of the packing."""
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    found, scale, candidates, h = _scan(g, k, floor(2 * alpha * (k - 1)), alpha=alpha)
-    best = min(found.values())
-    lam_k = Fraction(best, scale)
-    threshold = alpha * lam_k
-    limit = floor(alpha * best)  # an integer v is at most alpha * best iff at most this
-    keep = [
-        (v, _mask_partition(g.n, masks, Fraction(v, scale)))
-        for masks, v in found.items()
-        if v <= limit
-    ]
-    keep.sort(key=lambda vp: (vp[0], partition_sort_key(vp[1])))
-    cuts = tuple(p for _, p in keep)
-    return EnumerationReport(k, h, "exact", candidates, len(found), cuts, lam_k, threshold)
+    return _scan(psp, k, floor(2 * alpha * (k - 1)), alpha=alpha)
 
 
 class RoundResult(NamedTuple):

@@ -88,8 +88,7 @@ class Edge(NamedTuple):
 class Graph(NamedTuple):
     """Undirected multigraph with nonnegative rational edge capacities.
 
-    Equal and hashed by value, like every record here: ``principal_sequence``
-    caches on it."""
+    Equal and hashed by value, like every record here."""
 
     n: int
     edges: tuple[Edge, ...]

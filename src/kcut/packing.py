@@ -23,7 +23,7 @@ call and hand the kernel a new order each round.
   makes the reported loads and value rigorous.
 * ``exact_pack``: column generation on one exact simplex tableau that
   grows by each priced forest (``_column_generation``), certified against
-  lambda_1 of the positive part of the input's cached principal sequence.
+  lambda_1 of the positive part of the principal sequence it is given.
   The column generation certifies nothing itself: ``saturating_pack``
   checks saturation and ``lp.lp_dual`` checks lambda_j of the input's
   sequence, so the dual's c+z graph gets no sequence of its own.
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .graph import Edge, Graph, _scaled, scaled_capacities
 from .simplex import Tableau, solve_lp  # noqa: F401  perfbench's self-test reads packing.solve_lp
-from .strength import principal_sequence
+from .strength import PrincipalSequence
 from .strength import strength as _strength  # noqa: F401  perfbench's self-test reads packing._strength
 
 
@@ -347,12 +347,12 @@ def _column_generation(g: Graph, caps=None) -> TreePacking:
     )
 
 
-def exact_pack(g: Graph) -> TreePacking:
-    """Exact optimal packing, certified against the least component
-    strength of the working graph: lambda_1 of the positive part of g's
-    sequence."""
-    packing = _column_generation(g)
-    expected = principal_sequence(g).positive().levels[0].lam
+def exact_pack(psp: PrincipalSequence) -> TreePacking:
+    """Exact optimal packing of ``psp.graph``, certified against the least
+    component strength of the working graph: lambda_1 of the positive part
+    of its sequence ``psp``."""
+    packing = _column_generation(psp.graph)
+    expected = psp.positive().levels[0].lam
     if packing.total_value != expected:
         raise PackingError(f"packing value {packing.total_value} != strength {expected}")
     return packing

@@ -27,8 +27,8 @@ sweep's greedy labels sum to the attack value, which certifies that member.
 The strength and the principal sequence come from one search over the
 breakpoints of g (``_splits``), one attack per step on a piece contracted
 by the blocks of a finer optimal partition.  The critical values of the
-sequence are the breakpoints of g, so ``breakpoints`` reads them off the
-cached sequence.  Capacities are scaled to ints once per search, shared by
+sequence are the breakpoints of g, so ``breakpoints`` reads them off a
+given sequence.  Capacities are scaled to ints once per search, shared by
 the sweep and its certificate, so every capacity sum is an int sum.
 """
 
@@ -252,8 +252,8 @@ def attack(g: Graph, b) -> AttackResult:
     return AttackResult(b, value, fine)
 
 
-def breakpoints(g: Graph) -> tuple[Breakpoint, ...]:
-    """All breakpoints of the attack function, read off the principal sequence.
+def breakpoints(psp: PrincipalSequence) -> tuple[Breakpoint, ...]:
+    """All breakpoints of the attack function of ``psp.graph``, read off ``psp``.
 
     The attack function is concave and piecewise linear.  It bends at every
     critical value lambda_i, where the coarsest optimal partition is P_{i-1}
@@ -261,9 +261,9 @@ def breakpoints(g: Graph) -> tuple[Breakpoint, ...]:
     {V} gives way to its components; when lambda_1 = 0 that bend is level 1's.
     A connected graph has at most n - 1 breakpoints.
     """
+    g = psp.graph
     if g.n < 2:
         return ()
-    psp = principal_sequence(g)
     before = partition_from_blocks(g, [range(g.n)])
     found: list[Breakpoint] = []
     if psp.p0.part_count > 1 and not (psp.levels and psp.levels[0].lam == 0):
@@ -340,7 +340,9 @@ def principal_sequence(g: Graph) -> PrincipalSequence:
 
     Critical values are strictly increasing and the final partition is all
     singletons.  Disconnected graphs are supported; level 0 is the component
-    partition.  The cache keeps the last graph's sequence only.
+    partition.  Only the CLI and ``verify`` build it, and every other
+    reader takes it, so no library function relies on a cache hit.  The
+    cache keeps the last graph's sequence only, for the bench to count.
     """
     scaled = scaled_capacities(g)
     p0 = _scaled_partition(g, component_blocks(g), *scaled)

@@ -75,12 +75,12 @@ def _skip(rows, name, why, certificate=False):
     rows.append(CheckRow(name, "skip", why, certificate))
 
 
-def _kcut_and_dual(g: Graph, psp, ideal, k: int):
+def _kcut_and_dual(psp, ideal, k: int):
     """min_kcut's optimal cut and report, and the explicit dual it scanned:
     k's closed-form dual made explicit by the coupled ideal packing, so no
     column generation runs."""
     dual = ideal_dual(ideal, lp_dual(psp, k))
-    best, report = min_kcut(g, k, dual=dual)
+    best, report = min_kcut(psp, k, dual=dual)
     return best, report, dual
 
 
@@ -115,7 +115,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         # itself, of value sigma by construction: feasible, beside the
         # level-1 partition of strength sigma, it certifies the min-max.
         # It serves the 2-respect rows as well.
-        k2cut, k2report, k2dual = _kcut_and_dual(g, psp, ideal, 2)
+        k2cut, k2report, k2dual = _kcut_and_dual(psp, ideal, 2)
         pack = k2dual.packing
         dual_ok[k2dual.level_index] = verify_dual(g, k2dual).ok
         _row(
@@ -171,7 +171,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         elif k == 2:
             best, report, dual = k2cut, k2report, k2dual
         else:
-            best, report, dual = _kcut_and_dual(g, psp, ideal, k)
+            best, report, dual = _kcut_and_dual(psp, ideal, k)
         lag, lag_b = lagrangean_value(psp, k)
         _row(
             rows,

@@ -74,7 +74,7 @@ def test_criterion_01_treepack_minmax_equality():
     with criterion(1, "tree-packing minmax equality", 60):
         for name, g in full_suite():
             sigma, _ = strength(g)
-            packed = exact_pack(g).total_value
+            packed = exact_pack(principal_sequence(g)).total_value
             brute = oracle_treepack(g)
             assert sigma == packed == brute, name
 
@@ -87,7 +87,7 @@ def test_criterion_02_psp_correctness():
         assert psp_tt.kappas() == (2, 6)
         for name, g in full_suite():
             psp = principal_sequence(g)
-            bps = breakpoints(g)
+            bps = breakpoints(psp)
             assert psp.lambdas() == tuple(bp.b for bp in bps), name
             for level, bp in zip(psp.levels, bps):
                 assert level.partition == bp.after, name
@@ -168,14 +168,15 @@ def test_criterion_06_rounding_and_smallest_shores():
 def test_criterion_07_min_kcut_optimality_and_enumeration():
     with criterion(7, "k-cut optimality, full enumeration, respect witnesses", 600):
         for name, g in full_suite():
+            psp = principal_sequence(g)
             for k in range(2, min(g.n, 5) + 1):
-                cut, report = min_kcut(g, k)
+                cut, report = min_kcut(psp, k)
                 ocut, oall = oracle_min_kcut(g, k)
                 assert cut.crossing_value == ocut.crossing_value, (name, k)
                 assert {c.parts for c in report.cuts} == {
                     p.parts for p in oall
                 }, (name, k)
-                approx_cut, _ = min_kcut(g, k, eps=F(1, 2 * k))
+                approx_cut, _ = min_kcut(psp, k, eps=F(1, 2 * k))
                 assert approx_cut.crossing_value == ocut.crossing_value, (name, k)
                 # every oracle-optimal k-cut crosses a support tree <= 2k-3 times
                 dual = explicit_dual(name, g, k)
@@ -193,7 +194,7 @@ def test_criterion_08_mincut_and_respect_fractions():
         for name, g in full_suite():
             cut, argmins = oracle_min_kcut(g, 2)
             assert global_mincut(g).crossing_value == cut.crossing_value, name
-            packing = exact_pack(g)
+            packing = exact_pack(principal_sequence(g))
             for p in argmins:
                 stats = respect_stats(packing, edge_ids_of_partition(g, p), 2)
                 assert stats.q_h >= F(1, 2) + F(1, g.n), name
@@ -219,7 +220,7 @@ def test_criterion_09_approximate_cut_completeness():
                     continue
                 lam_k = oracle_min_kcut(g, k)[0].crossing_value
                 for alpha in (F(1), F(4, 3), F(3, 2)):
-                    report = enumerate_approx_kcuts(g, k, alpha)
+                    report = enumerate_approx_kcuts(principal_sequence(g), k, alpha)
                     threshold = alpha * lam_k
                     assert report.threshold == threshold, (name, k, alpha)
                     expected = {

@@ -89,24 +89,25 @@ def test_cuts_from_tree_rejects_a_cycle(c5):
 
 
 def test_min_kcut_fixtures(tt, c5):
-    cut, report = min_kcut(tt, 2)
+    cut, report = min_kcut(principal_sequence(tt), 2)
     assert cut.crossing_value == 1 and len(report.cuts) == 1
     assert cut.parts == ((0, 1, 2), (3, 4, 5))
-    cut, report = min_kcut(tt, 4)
+    cut, report = min_kcut(principal_sequence(tt), 4)
     assert cut.crossing_value == 4
-    cut, report = min_kcut(c5, 3)
+    cut, report = min_kcut(principal_sequence(c5), 3)
     assert cut.crossing_value == 3 and len(report.cuts) == 10
 
 
 def test_min_kcut_k_equals_n(k4):
-    cut, report = min_kcut(k4, 4)
+    cut, report = min_kcut(principal_sequence(k4), 4)
     assert cut.crossing_value == 6 and cut.part_count == 4
 
 
 def test_min_kcut_matches_oracle_with_full_sets():
     for name, g in full_suite()[:16]:
+        psp = principal_sequence(g)
         for k in range(2, min(g.n, 5) + 1):
-            cut, report = min_kcut(g, k)
+            cut, report = min_kcut(psp, k)
             ocut, oall = oracle_min_kcut(g, k)
             assert cut.crossing_value == ocut.crossing_value, (name, k)
             assert {c.parts for c in report.cuts} == {
@@ -116,9 +117,10 @@ def test_min_kcut_matches_oracle_with_full_sets():
 
 def test_min_kcut_approx_mode():
     for name, g in full_suite()[:10]:
+        psp = principal_sequence(g)
         for k in range(2, min(g.n, 4) + 1):
-            exact_cut, _ = min_kcut(g, k)
-            approx_cut, report = min_kcut(g, k, eps=F(1, 2 * k))
+            exact_cut, _ = min_kcut(psp, k)
+            approx_cut, report = min_kcut(psp, k, eps=F(1, 2 * k))
             assert approx_cut.crossing_value == exact_cut.crossing_value, (name, k)
             if k < g.n:  # k = n short-circuits without packing
                 assert report.h == 2 * k - 2
@@ -126,10 +128,14 @@ def test_min_kcut_approx_mode():
 
 def test_min_kcut_approx_eps_validation(c5):
     # 0 < eps < 1/(2k-1) is checked before any work, k = n included
-    no_work = mock.patch("kcut.cuts.principal_sequence", side_effect=AssertionError("scan began"))
+    psp = principal_sequence(c5)
+    began = AssertionError("scan began")
+    no_work = mock.patch.multiple(
+        "kcut.cuts", lp_dual=mock.Mock(side_effect=began), scaled_capacities=mock.Mock(side_effect=began)
+    )
     for k, eps in [(3, F(1, 4)), (3, F(1, 5)), (3, F(0)), (3, F(-1, 5)), (5, F(1, 9)), (5, F(1)), (5, F(-1))]:
         with no_work, pytest.raises(ValueError, match=rf"^eps must satisfy 0 < eps < 1/\(2k-1\) = 1/{2 * k - 1}$"):
-            min_kcut(c5, k, eps=eps)
+            min_kcut(psp, k, eps=eps)
 
 
 def test_optimal_cut_respect_witnesses():
@@ -159,11 +165,11 @@ def test_optimal_cut_respect_witnesses():
 
 
 def test_enumerate_approx_fixture_counts(tt, c5, k4):
-    report = enumerate_approx_kcuts(c5, 2, 1)
+    report = enumerate_approx_kcuts(principal_sequence(c5), 2, 1)
     assert len(report.cuts) == 10 and report.min_value == 2
-    report = enumerate_approx_kcuts(tt, 2, 1)
+    report = enumerate_approx_kcuts(principal_sequence(tt), 2, 1)
     assert len(report.cuts) == 1
-    report = enumerate_approx_kcuts(k4, 2, F(4, 3))
+    report = enumerate_approx_kcuts(principal_sequence(k4), 2, F(4, 3))
     assert len(report.cuts) == 7
     values = sorted(c.crossing_value for c in report.cuts)
     assert values == [3, 3, 3, 3, 4, 4, 4]
@@ -175,7 +181,7 @@ def test_enumerate_approx_complete_vs_oracle():
             if k > g.n:
                 continue
             for alpha in (F(1), F(4, 3), F(3, 2)):
-                report = enumerate_approx_kcuts(g, k, alpha)
+                report = enumerate_approx_kcuts(principal_sequence(g), k, alpha)
                 threshold = alpha * oracle_min_kcut(g, k)[0].crossing_value
                 expected = {
                     p.parts
@@ -225,15 +231,16 @@ def _strength_zero_multigraphs(draw):
 def _assert_kcuts_match_oracle(g, approx):
     """min_kcut with no eps, and with eps = 1/(2k) when ``approx``, and
     enumerate_approx_kcuts against the oracle for every k."""
+    psp = principal_sequence(g)
     for k in range(2, g.n + 1):
         ocut, oall = oracle_min_kcut(g, k)
         minimizers = {p.parts for p in oall}
         for eps in (None, F(1, 2 * k)) if approx else (None,):
-            cut, report = min_kcut(g, k, eps=eps)
+            cut, report = min_kcut(psp, k, eps=eps)
             assert cut.crossing_value == ocut.crossing_value, (k, eps)
             assert {c.parts for c in report.cuts} == minimizers, (k, eps)
         for alpha in (F(1), F(3, 2)):
-            report = enumerate_approx_kcuts(g, k, alpha)
+            report = enumerate_approx_kcuts(psp, k, alpha)
             assert_recomputed(g, report.cuts)
             assert report.min_value == ocut.crossing_value
             threshold = alpha * ocut.crossing_value
@@ -263,8 +270,8 @@ def test_enumeration_count_ceiling():
     # count; a sanity ceiling, not a target
     for name, g in full_suite()[:8]:
         k = 2
-        report = enumerate_approx_kcuts(g, k, F(3, 2))
         psp = principal_sequence(g)
+        report = enumerate_approx_kcuts(psp, k, F(3, 2))
         dual = dual_packing(g, lp_dual(psp, k))
         q_min = None
         for cut in report.cuts:
@@ -284,7 +291,7 @@ def test_respect_bound_instantiations(e1):
     # pure packing vs the only cut of a single-edge graph
     from kcut import exact_pack
 
-    packing = exact_pack(e1)
+    packing = exact_pack(principal_sequence(e1))
     stats = respect_stats(packing, [0], 1)
     assert stats.crossings == (1,) and stats.q_h == 1
 
@@ -487,7 +494,7 @@ def test_strength_zero_primal_and_rounding_property(g):
 
 
 def test_reports_are_recomputable(tt):
-    cut, report = min_kcut(tt, 3)
+    cut, report = min_kcut(principal_sequence(tt), 3)
     for c in report.cuts:
         assert c.part_count >= 3
         assert partition_from_blocks(tt, c.parts).crossing_value == c.crossing_value
@@ -514,6 +521,6 @@ def test_min_kcut_against_gomory_hu_split(n):
     tree.remove_edges_from((u, v) for u, v, _ in lightest)
     split = partition_from_blocks(g, [sorted(c) for c in nx.connected_components(tree)])
     weight = sum(w for _, _, w in lightest)
-    best, _ = min_kcut(g, k)
+    best, _ = min_kcut(principal_sequence(g), k)
     assert split.part_count == k
     assert best.crossing_value <= split.crossing_value <= weight <= (2 - F(2, k)) * best.crossing_value

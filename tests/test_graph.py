@@ -131,9 +131,9 @@ K_ENTRY_POINTS = {
     "lagrangean_value": lambda g, k: lagrangean_value(principal_sequence(g), k),
     "lp_dual": lambda g, k: lp_dual(principal_sequence(g), k),
     "ravi_sinha_cut": lambda g, k: ravi_sinha_cut(principal_sequence(g), k),
-    "min_kcut-exact": lambda g, k: min_kcut(g, k),
-    "min_kcut-approx": lambda g, k: min_kcut(g, k, eps=Fraction(1, 2 * k)),
-    "enumerate_approx_kcuts": lambda g, k: enumerate_approx_kcuts(g, k, 1),
+    "min_kcut-exact": lambda g, k: min_kcut(principal_sequence(g), k),
+    "min_kcut-approx": lambda g, k: min_kcut(principal_sequence(g), k, eps=Fraction(1, 2 * k)),
+    "enumerate_approx_kcuts": lambda g, k: enumerate_approx_kcuts(principal_sequence(g), k, 1),
     "oracle_min_kcut": lambda g, k: oracle_min_kcut(g, k),
     "oracle_lp_value": lambda g, k: oracle_lp_value(g, k),
 }

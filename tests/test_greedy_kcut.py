@@ -74,7 +74,7 @@ def _scans_with_greedy_calls(g, k, eps):
         return trees
 
     with mock.patch.object(cuts, "_greedy_support", spy):
-        return min_kcut(g, k, eps=eps), calls
+        return min_kcut(principal_sequence(g), k, eps=eps), calls
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -87,7 +87,7 @@ def test_greedy_approx_scan_matches_exact_and_oracle_property(g, which):
         eps = {"1/(2k)": F(1, 2 * k), "1/20": F(1, 20), "1/(2k+1)": F(1, 2 * k + 1)}[which]
         ocut, oall = oracle_min_kcut(g, k)
         minimizers = {p.parts for p in oall}
-        cut, report = min_kcut(g, k)
+        cut, report = min_kcut(principal_sequence(g), k)
         assert cut.crossing_value == ocut.crossing_value and {c.parts for c in report.cuts} == minimizers
         (acut, areport), calls = _scans_with_greedy_calls(g, k, eps)
         assert acut == cut and areport.cuts == report.cuts, k
@@ -131,9 +131,9 @@ def test_approx_k3_scans_few_greedy_trees():
         return real(graph, trees, h, k, alpha)
 
     with mock.patch.object(cuts, "_enumerate_over_support", spy):
-        cut, report = min_kcut(g, 3, eps=F(1, 6))
+        cut, report = min_kcut(principal_sequence(g), 3, eps=F(1, 6))
     assert scanned and scanned[0] <= 10
-    assert report.cuts == min_kcut(g, 3)[1].cuts
+    assert report.cuts == min_kcut(principal_sequence(g), 3)[1].cuts
 
 
 def test_exact_k3_scores_only_proper_merges():
@@ -155,7 +155,7 @@ def test_exact_k3_scores_only_proper_merges():
                 yield parts, value
 
         with mock.patch.object(cuts, "_layout_cuts", spy):
-            _, report = min_kcut(g, 3)
+            _, report = min_kcut(principal_sequence(g), 3)
     assert report.distinct_cuts == len(built) == 10
     assert report.candidates_examined == 3630
     assert layouts[0] <= 60

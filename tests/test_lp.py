@@ -225,7 +225,7 @@ def test_ideal_dual_is_an_optimal_dual_at_every_k_property(g, doubled):
         assert verify_dual(g, dual).ok, k
         assert check_complementary_slackness(g, primal.x, dual).ok, k
         if g.n <= 8:
-            _, report = min_kcut(g, k, dual=dual)
+            _, report = min_kcut(psp, k, dual=dual)
             assert set(report.cuts) == set(oracle_min_kcut(g, k)[1]), k
 
 

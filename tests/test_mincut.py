@@ -24,6 +24,7 @@ from kcut import (
     oracle_min_kcut,
     parse_graph,
     partition_from_blocks,
+    principal_sequence,
     respect_stats,
     spanning_forests,
 )
@@ -115,7 +116,7 @@ def test_global_mincut_matches_oracle_on_suite():
 
 def test_mincut_q2_bound():
     for name, g in full_suite()[:15]:
-        packing = exact_pack(g)
+        packing = exact_pack(principal_sequence(g))
         _, argmins = oracle_min_kcut(g, 2)
         for p in argmins:
             stats = respect_stats(packing, edge_ids_of_partition(g, p), 2)
@@ -127,7 +128,7 @@ def test_approx_mincut_enumeration_complete():
     for name, g in full_suite()[:10]:
         if g.n < 3:
             continue
-        report = enumerate_approx_kcuts(g, 2, F(3, 2))
+        report = enumerate_approx_kcuts(principal_sequence(g), 2, F(3, 2))
         from kcut import enum_partitions
 
         threshold = report.threshold

@@ -1,14 +1,18 @@
 """The library memoizes in one place: ``strength.principal_sequence``, which
 keeps the last graph's sequence only.  The bench clears only the caches it
 names (``perfbench/harness.py::CACHED``), so a cache anywhere else would
-carry results over from one bench job to the next.  A CLI job builds that
-sequence at most once, and the LP closed forms take it from their caller."""
+carry results over from one bench job to the next.  Only the CLI commands
+and ``verify.run_verification`` build that sequence, a CLI job at most
+once, and every other reader takes it from its caller, so no job relies
+on a cache hit."""
 
 import ast
 import io
 from pathlib import Path
 
 import kcut
+import kcut.cli
+import kcut.verify
 from kcut.cli import main
 from kcut.graph import parse_graph
 from kcut.strength import principal_sequence
@@ -60,34 +64,38 @@ def test_the_cache_keeps_one_sequence():
     assert principal_sequence.cache_info().currsize == 1
 
 
-# the library's readers that build the sequence rather than take it
+# the only builders of the sequence: the CLI commands that read it, and verify
 CALLERS = {
     ("cli.py", "_cmd_psp"),
+    ("cli.py", "_cmd_pack"),
     ("cli.py", "_cmd_lp"),
+    ("cli.py", "_cmd_solve"),
+    ("cli.py", "_cmd_enumerate"),
     ("cli.py", "_cmd_round"),
     ("cli.py", "_cmd_approx"),
     ("verify.py", "run_verification"),
-    ("cuts.py", "_scan"),
-    ("packing.py", "exact_pack"),
-    ("strength.py", "breakpoints"),
 }
+# the modules whose readers take the sequence; strength.py only defines it
+TAKERS = {"cuts.py", "lp.py", "mincut.py", "packing.py", "strength.py"}
 
 
 def test_principal_sequence_callers():
-    """Each function of kcut that calls ``principal_sequence``; ``lp.py``
-    names it nowhere, since every closed form takes the sequence."""
+    """Each function of kcut that calls ``principal_sequence``; the modules
+    of ``TAKERS`` name it nowhere, and strength.py defines it."""
     found = set()
     for path in sorted(Path(kcut.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
-        if path.name == "lp.py":
-            assert "principal_sequence" not in names
+        if path.name in TAKERS:
+            assert "principal_sequence" not in names, path.name
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "principal_sequence":
                         found.add((path.name, fn.name))
+        if path.name == "strength.py":
+            assert "principal_sequence" in {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
     assert found == CALLERS
 
 
@@ -109,17 +117,34 @@ ZERO_STRENGTH = "p kcut 4 3\ne 1 2 1\ne 2 3 0\ne 3 4 2\n"
 
 
 def test_each_cli_job_builds_one_principal_sequence(capsys, monkeypatch):
-    """Strength-0 ``lp``, ``solve`` and ``enumerate`` included: they read
-    the tail of the input's sequence."""
+    """With the cache bypassed in both builders, each job calls the builder
+    at most once, touches the cache not at all, and prints what it prints
+    with the cache.  Strength-0 ``lp``, ``solve`` and ``enumerate``
+    included: they read the tail of the input's sequence."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return principal_sequence.__wrapped__(g)
+
     graphs = [(name, _text(g)) for name, g in full_suite()] + [("zero", ZERO_STRENGTH)]
     over = []
     for name, text in graphs:
         n = int(text.split()[2])
         for argv in _commands(n):
-            principal_sequence.cache_clear()
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             assert main(argv) == 0, (name, argv)
-            capsys.readouterr()
-            if principal_sequence.cache_info().misses > 1:
-                over.append((name, " ".join(argv), principal_sequence.cache_info().misses))
+            cached = capsys.readouterr().out
+            principal_sequence.cache_clear()
+            calls.clear()
+            with monkeypatch.context() as bypass:
+                bypass.setattr(kcut.cli, "principal_sequence", counted)
+                bypass.setattr(kcut.verify, "principal_sequence", counted)
+                bypass.setattr("sys.stdin", io.StringIO(text))
+                assert main(argv) == 0, (name, argv)
+            assert capsys.readouterr().out == cached, (name, argv)
+            info = principal_sequence.cache_info()
+            assert info.hits + info.misses == 0, (name, argv)
+            if len(calls) > 1:
+                over.append((name, " ".join(argv), len(calls)))
     assert over == []

@@ -53,12 +53,12 @@ def test_msf_disconnected():
 
 
 def test_exact_pack_fixtures(c5, tt, e1):
-    p = exact_pack(c5)
+    p = exact_pack(principal_sequence(c5))
     assert p.total_value == F(5, 4)
     assert len(p.trees) <= c5.m
-    p = exact_pack(tt)
+    p = exact_pack(principal_sequence(tt))
     assert p.total_value == 1
-    p = exact_pack(e1)
+    p = exact_pack(principal_sequence(e1))
     assert p.total_value == 5 and p.trees == ((0,),) and p.weights == (F(5),)
 
 
@@ -66,12 +66,12 @@ def test_exact_pack_matches_oracle():
     for name, g in full_suite()[:25]:
         if g.m == 0:
             continue
-        assert exact_pack(g).total_value == oracle_treepack(g), name
+        assert exact_pack(principal_sequence(g)).total_value == oracle_treepack(g), name
 
 
 def test_exact_pack_feasible_and_small_support():
     for name, g in full_suite()[:25]:
-        p = exact_pack(g)
+        p = exact_pack(principal_sequence(g))
         assert len(p.trees) <= g.m, name
         loads = p.loads()
         for eid, cap in p.caps.items():
@@ -91,7 +91,7 @@ def test_mwu_contract_on_suite():
     eps = F(1, 10)
     for name, g in full_suite()[:20]:
         packing = mwu_pack(g, config=PackConfig(epsilon=eps))
-        exact = exact_pack(g).total_value
+        exact = exact_pack(principal_sequence(g)).total_value
         assert packing.total_value >= (1 - eps) * exact, name
         loads = packing.loads()
         for eid, cap in packing.caps.items():
@@ -120,7 +120,7 @@ def test_mwu_iteration_cap(c5):
 
 def test_zero_capacity_edges_dropped(tt):
     g = Graph(tt.n, (tt.edges[0]._replace(cap=F(0)),) + tt.edges[1:])
-    packing = exact_pack(g)
+    packing = exact_pack(principal_sequence(g))
     assert all(0 not in t for t in packing.trees)
     assert 0 not in packing.caps
 
@@ -149,7 +149,7 @@ def test_respect_counts_on_suite():
     for name, g in full_suite()[:18]:
         if g.n < 2:
             continue
-        packing = exact_pack(g)
+        packing = exact_pack(principal_sequence(g))
         _, argmins = oracle_min_kcut(g, 2)
         for p in argmins:
             cut_edges = edge_ids_of_partition(g, p)
@@ -174,7 +174,7 @@ def test_exact_pack_certificate_catches_sabotaged_pricing(c5, monkeypatch):
 
     monkeypatch.setattr(packing_mod, "min_spanning_forest", broken)
     with pytest.raises(packing_mod.PackingError):
-        packing_mod.exact_pack(c5)
+        packing_mod.exact_pack(principal_sequence(c5))
 
 
 def test_dual_packing_certificate_catches_sabotaged_pricing(capsys, monkeypatch):
@@ -246,12 +246,13 @@ def test_exact_pack_matches_a_cold_master_per_round(drawn):
     weights under the graph's capacities and, on a connected graph, under
     the c+z capacities of the k-cut dual at every k."""
     g, connected = drawn
-    packing = exact_pack(g)
+    psp = principal_sequence(g)
+    packing = exact_pack(psp)
     assert (packing.trees, packing.weights) == _cold_exact_pack(g)
     if not connected:
         return
     for k in range(2, g.n + 1):
-        dual = lp_dual(principal_sequence(g), k)
+        dual = lp_dual(psp, k)
         caps = [e.cap + z for e, z in zip(g.edges, dual.z)]
         packing = dual_packing(g, dual).packing
         assert (packing.trees, packing.weights) == _cold_exact_pack(g, caps)
@@ -270,7 +271,7 @@ def test_exact_pack_grows_one_tableau(monkeypatch):
     monkeypatch.setattr(packing_mod, "Tableau", Recording)
     monkeypatch.setattr(simplex_mod, "Tableau", Recording)  # inside solve_lp
     k6 = Graph(6, tuple(Edge(u, v, F(1)) for u in range(6) for v in range(u + 1, 6)))
-    packing = exact_pack(k6)
+    packing = exact_pack(principal_sequence(k6))
     assert len(built) == 1
     grown = built.pop().pivots
     assert (packing.trees, packing.weights) == _cold_exact_pack(k6)

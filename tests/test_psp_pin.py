@@ -128,10 +128,10 @@ def _parts(text):
 def test_breakpoints_and_psp_pinned(name):
     g = parse_graph(GRAPHS[name])
     bps, p0, levels = PINS[name]
-    assert [(bp.b, bp.before.parts, bp.after.parts) for bp in breakpoints(g)] == [
+    psp = principal_sequence(g)
+    assert [(bp.b, bp.before.parts, bp.after.parts) for bp in breakpoints(psp)] == [
         (Fraction(b), _parts(before), _parts(after)) for b, before, after in bps
     ]
-    psp = principal_sequence(g)
     assert psp.p0.parts == _parts(p0)
     got = [
         (

@@ -31,6 +31,7 @@ from kcut import (
     min_kcut,
     min_spanning_forest,
     partition_from_blocks,
+    principal_sequence,
 )
 from kcut.cuts import _enumerate_over_support
 from kcut.graph import component_blocks, partition_sort_key
@@ -147,21 +148,22 @@ def _tied_multigraphs(draw):
 def test_bounded_scan_keeps_every_tie_at_the_limit(g):
     table = partition_table(g)
     partitions = list(enum_partitions(g))
+    psp = principal_sequence(g)
     for k in range(2, min(4, g.n) + 1):
         least, minimizers = table.min_kcut(k)
         for eps in (None, F(1, 2 * k)):
-            cut, report = min_kcut(g, k, eps=eps)
+            cut, report = min_kcut(psp, k, eps=eps)
             assert cut == least and report.cuts == minimizers, (k, eps)
         for alpha in (F(1), F(3, 2)):
             bar = alpha * least.crossing_value
             within = [p for p in partitions if p.part_count >= k and p.crossing_value <= bar]
             within.sort(key=lambda p: (p.crossing_value, partition_sort_key(p)))
-            assert enumerate_approx_kcuts(g, k, alpha).cuts == tuple(within), (k, alpha)
+            assert enumerate_approx_kcuts(psp, k, alpha).cuts == tuple(within), (k, alpha)
 
 
 def test_exact_k4_store_stays_bounded():
     # the unbounded store held 186,517 cuts; the candidates are counted in closed form
     g = _random_connected(random.Random(12), 12, 24)
-    cut, report = min_kcut(g, 4)
+    cut, report = min_kcut(principal_sequence(g), 4)
     assert report.candidates_examined == 1_071_642
     assert report.distinct_cuts <= 100

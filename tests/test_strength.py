@@ -82,7 +82,7 @@ def test_attack_fixtures(tt, c5):
 def _coarsest(g, b, res):
     """The coarsest optimal partition at b: the breakpoint's ``before`` at a
     breakpoint, and the unique optimum ``attack`` returns everywhere else."""
-    return {bp.b: bp.before for bp in breakpoints(g)}.get(b, res.argmin_max_parts)
+    return {bp.b: bp.before for bp in breakpoints(principal_sequence(g))}.get(b, res.argmin_max_parts)
 
 
 def test_attack_matches_bruteforce():
@@ -97,21 +97,21 @@ def test_attack_matches_bruteforce():
 
 
 def test_breakpoints_fixtures(tt, c5, e1):
-    bps = breakpoints(tt)
+    bps = breakpoints(principal_sequence(tt))
     assert [bp.b for bp in bps] == [1, F(3, 2)]
     assert bps[0].before.part_count == 1
     assert bps[0].after.parts == ((0, 1, 2), (3, 4, 5))
     assert bps[1].before.parts == ((0, 1, 2), (3, 4, 5))
     assert bps[1].after.part_count == 6
-    bps = breakpoints(c5)
+    bps = breakpoints(principal_sequence(c5))
     assert [bp.b for bp in bps] == [F(5, 4)]
-    bps = breakpoints(e1)
+    bps = breakpoints(principal_sequence(e1))
     assert [bp.b for bp in bps] == [5]
 
 
 def test_breakpoint_structure():
     for name, g in full_suite()[:18]:
-        bps = breakpoints(g)
+        bps = breakpoints(principal_sequence(g))
         assert len(bps) <= g.n - 1, name
         prev = None
         for bp in bps:
@@ -128,7 +128,7 @@ def test_breakpoint_structure():
 
 def test_attack_value_concave_piecewise():
     for name, g in full_suite()[:10]:
-        bps = breakpoints(g)
+        bps = breakpoints(principal_sequence(g))
         samples = [F(0)] + [bp.b for bp in bps] + [bps[-1].b + 1 if bps else F(1)]
         values = [attack(g, b).value for b in samples]
         # g is non-increasing in b
@@ -190,7 +190,7 @@ def _assert_breakpoints_match_oracle(g):
     """At each breakpoint the brute-force extreme argmins are its before and
     after partitions; below, between and above the breakpoints the optimum
     is unique and equals the neighbouring breakpoint's, so none is missing."""
-    bps = breakpoints(g)
+    bps = breakpoints(principal_sequence(g))
     if not bps:
         assert g.n == 1
         return
@@ -650,7 +650,7 @@ def _least_component_strength(g):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_component_multigraphs())
 def test_pack_certificate_is_least_component_strength_property(g):
-    """lambda_1 of the cached PSP, which certifies ``exact_pack``, is the
+    """lambda_1 of the PSP, which certifies ``exact_pack``, is the
     least component strength, and the optimal packing value; the packing
     drops the zero-capacity edges, so it is compared on what remains."""
     if any(len(blk) > 1 for blk in component_blocks(g)):
@@ -659,7 +659,7 @@ def test_pack_certificate_is_least_component_strength_property(g):
     assume(work.m > 0)
     expected = _least_component_strength(work)
     assert principal_sequence(work).levels[0].lam == expected
-    assert exact_pack(g).total_value == expected
+    assert exact_pack(principal_sequence(g)).total_value == expected
 
 
 def _count_calls(monkeypatch, fn):
@@ -682,7 +682,7 @@ def _count_calls(monkeypatch, fn):
 def test_pack_and_verify_call_no_strength(monkeypatch, tt):
     principal_sequence.cache_clear()
     calls = _count_calls(monkeypatch, strength)
-    exact_pack(_random_connected(Random(12), 12, 24))
+    exact_pack(principal_sequence(_random_connected(Random(12), 12, 24)))
     assert calls == []
     run_verification(tt)
     assert calls == []
