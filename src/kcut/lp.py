@@ -69,6 +69,8 @@ class IdealPacking(NamedTuple):
     graph: Graph
     levels: tuple[TreePacking, ...]  # edge ids refer to the graph
     edge_level: tuple[int, ...]  # 1-based level whose B_i contains each edge
+    # compose's trees, and each one's weight as an int over one denominator
+    coupling: tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]
 
     def marginal_load(self, eid: int) -> Fraction:
         lam = self.levels[self.edge_level[eid] - 1].total_value
@@ -89,34 +91,35 @@ class IdealPacking(NamedTuple):
         c_e / lambda_i (the packing's ``caps``, met exactly), and there
         are at most sum_i |support_i| - L + 1 trees, in interval order:
         the first is the union of every level's first tree."""
-        trees, lengths, d = self._coupling()
+        trees, lengths, d = self.coupling
         caps = {}
         for p in self.levels:
             lam = p.total_value
             caps.update((eid, c / lam) for eid, c in p.caps.items())
         return TreePacking(trees, tuple(Fraction(x, d) for x in lengths), caps)
 
-    def _coupling(self) -> tuple[tuple[tuple[int, ...], ...], list[int], int]:
-        """``compose``'s trees, and each one's sub-interval length as an
-        int over one denominator d, built on ints: level i's weights over
-        their own denominator sum to s_i, so with d = lcm(s_i) a segment
-        of weight w ends at its level's running sum times d / s_i."""
-        ends = []  # per level, the end of each tree's segment, over d
-        for p in self.levels:
-            ws, _ = _scaled(p.weights)
-            ends.append(list(accumulate(ws)))
-        d = lcm(*[e[-1] for e in ends])
-        ends = [[x * (d // e[-1]) for x in e] for e in ends]
-        pick = [0] * len(ends)  # per level, the tree whose segment holds the sub-interval
-        trees, lengths, start = [], [], 0
-        for cut in sorted(set().union(*ends)):
-            trees.append(tuple(sorted(chain.from_iterable(p.trees[t] for p, t in zip(self.levels, pick)))))
-            lengths.append(cut - start)
-            start = cut
-            for i, level_ends in enumerate(ends):
-                if level_ends[pick[i]] == cut:
-                    pick[i] += 1
-        return tuple(trees), lengths, d
+
+def _coupling(levels) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """``IdealPacking.compose``'s trees, and each one's sub-interval length
+    as an int over one denominator d, built on ints: level i's weights over
+    their own denominator sum to s_i, so with d = lcm(s_i) a segment of
+    weight w ends at its level's running sum times d / s_i."""
+    ends = []  # per level, the end of each tree's segment, over d
+    for p in levels:
+        ws, _ = _scaled(p.weights)
+        ends.append(list(accumulate(ws)))
+    d = lcm(*[e[-1] for e in ends])
+    ends = [[x * (d // e[-1]) for x in e] for e in ends]
+    pick = [0] * len(ends)  # per level, the tree whose segment holds the sub-interval
+    trees, lengths, start = [], [], 0
+    for cut in sorted(set().union(*ends)):
+        trees.append(tuple(sorted(chain.from_iterable(p.trees[t] for p, t in zip(levels, pick)))))
+        lengths.append(cut - start)
+        start = cut
+        for i, level_ends in enumerate(ends):
+            if level_ends[pick[i]] == cut:
+                pick[i] += 1
+    return tuple(trees), tuple(lengths), d
 
 
 def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
@@ -172,7 +175,8 @@ def ideal_packing(psp: PrincipalSequence) -> IdealPacking:
     so strength-tight at lambda_i, beside isolated vertices.  The union is
     strength-tight at lambda_i too, since c(B_i) = lambda_i (kappa_i -
     kappa_{i-1}), so its saturating packing has value lambda_i and loads
-    every B_i edge to capacity.
+    every B_i edge to capacity.  The levels' coupling is built here, once:
+    ``ideal_dual`` scales it for every k.
     """
     g = psp.graph
     if psp.levels and psp.levels[0].lam <= 0:
@@ -198,7 +202,7 @@ def ideal_packing(psp: PrincipalSequence) -> IdealPacking:
             edge_level[eid] = idx
     if psp.levels and any(lv == 0 for lv in edge_level):
         raise AssertionError("every edge must appear in exactly one level")
-    return IdealPacking(g, tuple(levels), tuple(edge_level))
+    return IdealPacking(g, tuple(levels), tuple(edge_level), _coupling(levels))
 
 
 def lp_dual(psp: PrincipalSequence, k: int) -> DualSolution:
@@ -246,7 +250,7 @@ def ideal_dual(ideal: IdealPacking, dual: DualSolution) -> DualSolution:
     lam = dual.total_y
     if ideal.levels[dual.level_index - 1].total_value != lam:
         raise ValueError("the dual's lambda_j is not its level's in the ideal packing")
-    trees, lengths, d = ideal._coupling()
+    trees, lengths, d = ideal.coupling
     weights = tuple(Fraction(x * lam.numerator, d * lam.denominator) for x in lengths)
     edges = ideal.graph.edges
     caps = {eid: edges[eid].cap + dual.z[eid] for eid in range(len(edges)) if edges[eid].cap}

@@ -6,15 +6,18 @@ Bell(n) set partitions in integer arithmetic, keeping the least crossing
 value of each part count and every partition attaining it.  The packing and
 k-cut relaxation values are exact LPs over the explicitly enumerated
 spanning forests, all on one ``ForestLP`` per graph: it enumerates the
-forests once, solves the packing LP, and re-optimises the same simplex
-tableau for each k, since only the objective depends on k.  The table
-shares only ``scaled_capacities`` with the fast paths, so it is an
+forests once, adds each to one simplex tableau as the sparse column of its
+edge ids, solves the packing LP, and re-optimises the same tableau for
+each k, since only the objective depends on k.  Past the forest limit the
+forests are counted by the matrix-tree theorem and never enumerated.  The
+table shares only ``scaled_capacities`` with the fast paths, so it is an
 independent check on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterator, NamedTuple
 
 from .graph import (
@@ -217,10 +220,22 @@ def oracle_attack_value(g: Graph, b: Fraction, limits: OracleLimits = DEFAULT_LI
 def spanning_forests(g: Graph, limit: int | None = None) -> list[tuple[int, ...]]:
     """All maximal forests (edge-id tuples); a forest has n - h edges.
 
-    Enumerates by include/exclude branching on edge ids with a connectivity
-    pruning test, so every yielded forest is maximal and none repeats.
+    More than ``limit`` of them raise ``OracleLimitError`` before any is
+    enumerated: when C(m, n - h) exceeds the limit, the forests are first
+    counted (``_forest_count``).  Enumerates by include/exclude branching
+    on edge ids with a connectivity pruning test (``_forests``), so every
+    forest is maximal and none repeats.
     """
-    target = g.n - len(component_blocks(g))
+    blocks = component_blocks(g)
+    target = g.n - len(blocks)
+    if limit is not None and comb(g.m, target) > limit and _forest_count(g, blocks) > limit:
+        raise OracleLimitError(f"more than {limit} spanning forests")
+    return _forests(g, target)
+
+
+def _forests(g: Graph, target: int) -> list[tuple[int, ...]]:
+    """``spanning_forests``'s enumeration: every maximal forest (``target``
+    = n - h edges), in lexicographic order of the edge-id tuples."""
     m = g.m
     out: list[tuple[int, ...]] = []
 
@@ -261,14 +276,9 @@ def spanning_forests(g: Graph, limit: int | None = None) -> list[tuple[int, ...]
     stack: list[tuple[int, int | None]] = [(0, None)]
     while stack:
         i, undo = stack.pop()
-        if undo is not None:
-            chosen.pop()
-            parent[undo] = undo
-        else:
+        if undo is None:
             if len(chosen) == target:
                 out.append(tuple(chosen))
-                if limit is not None and len(out) > limit:
-                    raise OracleLimitError(f"more than {limit} spanning forests")
                 continue
             if i == m:
                 continue
@@ -278,26 +288,65 @@ def spanning_forests(g: Graph, limit: int | None = None) -> list[tuple[int, ...]
                 parent[rv] = ru
                 chosen.append(i)
                 stack.append((i, rv))
-                stack.append((i + 1, None))
-                continue
+            # else edge i closes a cycle, so no maximal forest reachable
+            # here uses it: excluding it leaves one reachable
+            stack.append((i + 1, None))
+            continue
+        chosen.pop()
+        parent[undo] = undo
         # exclude edge i iff a maximal forest is still reachable
         if completable(parent, i + 1, target - len(chosen)):
             stack.append((i + 1, None))
     return out
 
 
+def _forest_count(g: Graph, blocks) -> int:
+    """The number of maximal forests of g, whose components are ``blocks``
+    (each ascending), parallel and zero-capacity edges counted: by
+    Kirchhoff's matrix-tree theorem, the product over the components of
+    the determinant of the Laplacian with the first vertex's row and column
+    removed.  A connected graph's reduced Laplacian is positive definite,
+    so Bareiss's fraction-free elimination takes its determinant in exact
+    ints without a pivot search."""
+    at = {}  # vertex -> (component, its row), the first vertex of each dropped
+    for c, block in enumerate(blocks):
+        at.update((v, (c, i)) for i, v in enumerate(block[1:]))
+    laplacians = [[[0] * (len(block) - 1) for _ in block[1:]] for block in blocks]
+    for e in g.edges:
+        for u, v in ((e.u, e.v), (e.v, e.u)):
+            if u != v and u in at:
+                c, i = at[u]
+                row = laplacians[c][i]
+                row[i] += 1
+                if v in at:
+                    row[at[v][1]] -= 1
+    count = 1
+    for a in laplacians:
+        prev = 1
+        for k in range(len(a) - 1):
+            pk, rk = a[k][k], a[k]
+            for ri in a[k + 1 :]:
+                fi = ri[k]
+                for j in range(k + 1, len(a)):
+                    ri[j] = (pk * ri[j] - fi * rk[j]) // prev
+            prev = pk
+        count *= a[-1][-1] if a else 1
+    return count
+
+
 class ForestLP:
     """The exact LPs over every maximal forest of one graph, on one tableau.
 
-    The forests are enumerated once, at the first query, and their 0/1
-    forest-by-edge rows become a ``Tableau`` that first solves the packing
-    LP: max sum y_T with per-edge load at most c.  One z column per edge is
-    then added, and each k re-optimises the packing dual of the k-cut
-    relaxation, max (k-h) sum y_T - sum z_e with per-edge load at most
-    c + z, from the last optimal basis: only the objective changes with k.
-    The tableau keeps the forests as columns apart from its m + 1 wide rows
-    of B^-1, so a pivot costs the same however many forests there are; only
-    the pricing scan reads them.
+    The forests are enumerated once, at the first query, and each enters
+    a ``Tableau`` over the edge rows as a sparse column, its edge ids
+    (``Tableau.add_support``); no forest-by-edge matrix is built.  The
+    tableau first solves the packing LP: max sum y_T with per-edge load at
+    most c.  One z column per edge is then added, and each k re-optimises
+    the packing dual of the k-cut relaxation, max (k-h) sum y_T - sum z_e
+    with per-edge load at most c + z, from the last optimal basis: only the
+    objective changes with k.  The tableau keeps the forests as columns
+    apart from its m + 1 wide rows, so a pivot costs the same however many
+    forests there are; only the pricing scan reads them.
     """
 
     def __init__(self, g: Graph, limits: OracleLimits = DEFAULT_LIMITS):
@@ -312,13 +361,9 @@ class ForestLP:
         if g.m == 0:
             raise ValueError("packing value undefined for edgeless graph")
         forests = spanning_forests(g, self.limits.max_spanning_trees)
-        nt = len(forests)
-        rows = [[0] * nt for _ in range(g.m)]
-        for j, f in enumerate(forests):
-            for eid in f:
-                rows[eid][j] = 1
-        tableau = Tableau(rows, [e.cap for e in g.edges])
-        tableau.set_objective([1] * nt)
+        tableau = Tableau([[] for _ in range(g.m)], [e.cap for e in g.edges])
+        for f in forests:
+            tableau.add_support(f)  # at cost 1: the packing LP's objective
         self._treepack = tableau.solve().value
         for eid in range(g.m):
             tableau.add_column([-1 if i == eid else 0 for i in range(g.m)], -1)
@@ -340,8 +385,8 @@ class ForestLP:
             return Fraction(0)
         self.treepack()
         t = self.tableau  # y per forest, then z per edge
-        t.set_objective([k - self.h] * t.nvar + [-1] * t.added)
-        return self.tableau.solve().value
+        t.set_objective([k - self.h] * (t.added - self.graph.m) + [-1] * self.graph.m)
+        return t.solve().value
 
 
 def oracle_treepack(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Fraction:

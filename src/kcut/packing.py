@@ -22,7 +22,8 @@ call and hand the kernel a new order each round.
   integers on scaled capacities, and one exact rational rescale at the end
   makes the reported loads and value rigorous.
 * ``exact_pack``: column generation on one exact simplex tableau that
-  grows by each priced forest (``_column_generation``), certified against
+  grows by each priced forest, as the sparse column of its edge ids
+  (``_column_generation``), certified against
   lambda_1 of the positive part of the principal sequence it is given.
   The column generation certifies nothing itself: ``saturating_pack``
   checks saturation and ``lp.lp_dual`` checks lambda_j of the input's
@@ -304,8 +305,9 @@ def _column_generation(g: Graph, caps=None) -> TreePacking:
     the value it expects.  The restricted master (exact simplex) prices
     maximal forests under its duals; a forest enters while its dual weight
     is below 1.  The master is one ``Tableau`` over the edge rows, grown by
-    one 0/1 column per forest, the first one included.  Adding a forest
-    touches no row of the tableau, which holds only B^-1 and prices the
+    one column per forest, the first one included, given as its edge ids
+    (``Tableau.add_support``).  Adding a forest touches no row of the
+    tableau, which holds only B^-1 over its determinant and prices the
     forests on demand.  Each solve ends at the vertex that a cold solve of
     the same master from the slack basis reaches, so the packing is the one
     a fresh master per round would give.  Pricing reads the master's duals
@@ -322,10 +324,7 @@ def _column_generation(g: Graph, caps=None) -> TreePacking:
             raise PackingError("pricing repeated a forest; arithmetic bug")
         seen.add(forest)
         columns.append(forest)
-        loads = [0] * work.m
-        for eid in forest:
-            loads[eid] = 1
-        master.add_column(loads, 1)
+        master.add_support(forest)
         # integer duals over one positive denominator order the edges as
         # their Fractions do, so the forests are the same
         duals, den = master.solve_duals()

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcut.oracle as oracle_mod
 from kcut import (
     Edge,
     Graph,
@@ -94,6 +96,65 @@ def test_spanning_forests_are_maximal(tt):
 def test_spanning_forest_limit(k4):
     with pytest.raises(OracleLimitError):
         spanning_forests(k4, limit=10)
+
+
+def _random_multigraph(rng):
+    """Up to 7 vertices and 12 edges: parallels, zero capacities, isolated
+    vertices and several components all occur."""
+    n = rng.randint(1, 7)
+    edges = []
+    for _ in range(rng.randint(0, 12)):
+        u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if u != v:
+            edges.append(Edge(u, v, F(rng.randint(0, 3))))
+    return Graph(n, tuple(edges))
+
+
+def _is_forest(g, eids):
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for eid in eids:
+        ru, rv = find(g.edges[eid].u), find(g.edges[eid].v)
+        if ru == rv:
+            return False
+        parent[rv] = ru
+    return True
+
+
+def test_forest_count_and_order_on_random_multigraphs():
+    """The matrix-tree count equals the enumeration's length, and the
+    enumeration lists every (n - h)-edge forest once, in the lexicographic
+    order of ``combinations``."""
+    rng = random.Random(5)
+    for _ in range(300):
+        g = _random_multigraph(rng)
+        blocks = component_blocks(g)
+        target = g.n - len(blocks)
+        forests = spanning_forests(g)
+        assert forests == [f for f in combinations(range(g.m), target) if _is_forest(g, f)]
+        assert oracle_mod._forest_count(g, blocks) == len(forests)
+
+
+def test_forest_limit_refuses_by_count_without_enumerating(monkeypatch, k4):
+    """Past the limit only the count runs; at the limit the forests are
+    enumerated.  K4 has 16 spanning trees among C(6, 3) = 20 triples."""
+
+    def refuse(g, target):
+        raise AssertionError("forests enumerated")
+
+    monkeypatch.setattr(oracle_mod, "_forests", refuse)
+    with pytest.raises(OracleLimitError, match="more than 15 spanning forests"):
+        spanning_forests(k4, limit=15)
+    g = _random_connected(random.Random(10), 10, 15)
+    with pytest.raises(OracleLimitError, match="more than 20000 spanning forests"):
+        spanning_forests(g, OracleLimits().max_spanning_trees)
+    monkeypatch.undo()
+    assert len(spanning_forests(k4, limit=16)) == 16
 
 
 def test_tutte_nash_williams_on_suite():
@@ -267,7 +328,6 @@ def test_forest_lp_matches_cold_solves(g, rnd):
 def test_forest_lp_checks_k_before_enumerating(monkeypatch):
     """k is range-checked first, and k <= h answers 0 without enumerating, so
     a disconnected graph never reaches the forest limit there."""
-    import kcut.oracle as oracle_mod
 
     def refuse(g, limit=None):
         raise AssertionError("spanning_forests called")

@@ -7,19 +7,26 @@ index).  The pins are the vertices the textbook rational tableau reaches
 under those rules from the slack basis.  Any change to the starting basis,
 the pivot rule or the ratio test shows up here as a different tree set,
 weight vector or dual vector, even when the optimum value is unchanged.
+The pivot and rewind counts of the column generations and of the oracle's
+forest LP are pinned as well, so a change that moves Bland's path fails
+even where no vertex moves.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import kcut.packing as packing_mod
+import kcut.simplex as simplex_mod
 from kcut import Edge, Graph, parse_graph
-from kcut.oracle import spanning_forests
+from kcut.lp import dual_packing, lp_dual
+from kcut.oracle import ForestLP, spanning_forests
 from kcut.packing import exact_pack
 from kcut.strength import principal_sequence
 from kcut.simplex import solve_lp
 
-from conftest import C5_TEXT, TT_TEXT
+from conftest import C5_TEXT, K4_TEXT, TT_TEXT, _planted, _random_connected
 
 F = Fraction
 
@@ -112,3 +119,63 @@ def test_oracle_lp_vertex_pinned(text, x, duals):
     assert res.value == F(5, 2)
     assert [str(v) for v in res.x] == x
     assert [str(v) for v in res.duals] == duals
+
+
+def _recorded_tableaus(monkeypatch):
+    """Every tableau the column generation builds, from now on."""
+    built = []
+
+    class Recording(simplex_mod.Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(packing_mod, "Tableau", Recording)
+    return built
+
+
+# (pivots, rewinds) of exact_pack's one tableau
+EXACT_PACK_PATHS = {
+    "K5": (_complete(5), 26, 3),
+    "K6": (_complete(6), 62, 7),
+    "C12": (_cycle(12), 12, 0),
+    "rand-n16-x16": (_random_connected(random.Random(16), 16, 16), 37, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PACK_PATHS))
+def test_exact_pack_pivot_path_pinned(name, monkeypatch):
+    g, pivots, rewinds = EXACT_PACK_PATHS[name]
+    built = _recorded_tableaus(monkeypatch)
+    exact_pack(principal_sequence(g))
+    assert [(t.pivots, t.rewinds) for t in built] == [(pivots, rewinds)]
+
+
+def test_dual_packing_pivot_path_pinned(monkeypatch):
+    """The c+z column generation of planted-k4-s4 at k = 4."""
+    g = _planted(4, 4)
+    built = _recorded_tableaus(monkeypatch)
+    dual_packing(g, lp_dual(principal_sequence(g), 4))
+    assert [(t.pivots, t.rewinds) for t in built] == [(4, 0)]
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        (TT_TEXT, [(5, 0), (5, 0), (9, 0), (9, 0), (10, 0), (10, 0)]),
+        (C5_TEXT, [(5, 0)] * 5),
+        (K4_TEXT, [(12, 0)] * 4),
+    ],
+    ids=["TT", "C5", "K4"],
+)
+def test_forest_lp_pivot_path_pinned(text, path):
+    """(pivots, rewinds) of the oracle's one tableau after the packing LP,
+    then after each k from 2 to n, as ``verify`` asks them."""
+    g = parse_graph(text)
+    lp = ForestLP(g)
+    lp.treepack()
+    got = [(lp.tableau.pivots, lp.tableau.rewinds)]
+    for k in range(2, g.n + 1):
+        lp.lp_value(k)
+        got.append((lp.tableau.pivots, lp.tableau.rewinds))
+    assert got == path

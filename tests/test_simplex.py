@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -268,6 +269,25 @@ def test_add_column_rewinds_to_the_slack_step_it_changes():
     assert t.pivots == 3 + 1 and cold_t.pivots == 3
 
 
+def test_a_fraction_cost_puts_the_checkpoints_over_a_new_denominator():
+    """The path of the test above keeps a checkpoint before slack 0 enters.
+    A column of cost 1/2 puts the objective over 2 and prices -5/2 there,
+    so it joins at the optimum; the column (1, 1) of cost 3 then prices 1
+    under the checkpoint's rescaled duals and rewinds to it, as the dense
+    tableau does."""
+    rows, rhs = [[1, 0], [1, 1]], [1, 1]
+    both = Tableau(rows, rhs), DenseTableau(rows, rhs)
+    for t in both:
+        t.set_objective([2, 3])
+    _solve_both(*both)
+    for column, cost in [([0, 1], F(1, 2)), ([1, 1], 3)]:
+        for t in both:
+            t.add_column(column, cost)
+        _solve_both(*both)
+    assert both[0].rewinds == 1
+    assert both[0].solve() == solve_lp([2, 3, F(1, 2), 3], [[1, 0, 0, 1], [1, 1, 1, 1]], rhs)
+
+
 def test_add_column_after_set_objective_never_rewinds():
     """``set_objective`` drops the checkpoints and starts a new path at the
     current basis, as in the forest-LP oracle's re-optimisation per k, so
@@ -357,3 +377,108 @@ def test_revised_tableau_pivots_as_the_dense_one_on_the_forest_lp():
             t.set_objective([k - 1] * len(forests) + [-1] * g.m)
         _solve_both(*both)
     assert (len(forests), both[0].pivots) == (209, 50)
+
+
+# -- the fraction-free kernel: one determinant, ints only --------------------
+
+
+def _det(matrix):
+    """The determinant of a square matrix of Fractions, by elimination."""
+    a = [list(map(F, row)) for row in matrix]
+    det = F(1)
+    for k in range(len(a)):
+        r = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if r is None:
+            return F(0)
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [v - f * w for v, w in zip(a[i], a[k])]
+    return det
+
+
+def _assert_one_determinant(t, columns):
+    """``t.det`` is the determinant of the basis, each structural column
+    over the lcm of its entries' denominators, and every number the
+    tableau holds is an int."""
+    m = t.m
+    basis_columns = []
+    for j in t.basis:
+        if j < len(columns):
+            col = list(map(F, columns[j]))
+            d = math.lcm(*(v.denominator for v in col))
+            basis_columns.append([v * d for v in col])
+        else:
+            basis_columns.append([int(i == j - len(columns)) for i in range(m)])
+    assert t.det == _det([list(row) for row in zip(*basis_columns)]) > 0
+    assert type(t.det) is int
+    assert all(type(v) is int for row in t.tab for v in row)
+    for idx, vals, cost, d in t._cols:
+        assert all(type(v) is int for v in idx + (vals or []) + [cost, d])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lps())
+def test_tableau_holds_one_determinant_after_every_solve(lp):
+    c, rows, rhs = lp
+    t = Tableau(rows, rhs)
+    t.set_objective(c)
+    try:
+        t.solve()
+    except LpUnbounded:
+        pass
+    _assert_one_determinant(t, [list(col) for col in zip(*rows)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tableau_runs())
+def test_warm_tableau_holds_one_determinant_after_every_solve(run):
+    """As above, through added columns of Fraction cost, which put the
+    objective over a new denominator, and objectives replaced midway."""
+    rows, rhs, steps = run
+    columns = [list(col) for col in zip(*rows)]
+    t = Tableau(rows, rhs)
+    for step in steps:
+        if step[0] == "add":
+            t.add_column(step[1], step[2])
+            columns.append(step[1])
+        else:
+            t.set_objective(step[1])
+        try:
+            t.solve()
+        except LpUnbounded:
+            pass
+        _assert_one_determinant(t, columns)
+
+
+@st.composite
+def _lps_and_supports(draw):
+    """An LP of ``_lps``, then 0/1 columns to add by their rows."""
+    c, rows, rhs = draw(_lps())
+    supports = st.sets(st.integers(0, len(rows) - 1))
+    return c, rows, rhs, draw(st.lists(supports, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lps_and_supports())
+def test_a_support_enters_as_its_dense_column(lp):
+    """``add_support`` and ``add_column`` of the same 0/1 column take the
+    same pivots and rewinds to the same basis, vertex and duals."""
+    c, rows, rhs, supports = lp
+    sparse, dense = Tableau(rows, rhs), Tableau(rows, rhs)
+    for t in (sparse, dense):
+        t.set_objective(c)
+    for support in supports:
+        sparse.add_support(sorted(support))
+        dense.add_column([int(i in support) for i in range(len(rows))], 1)
+        try:
+            res = sparse.solve()
+        except LpUnbounded:
+            with pytest.raises(LpUnbounded):
+                dense.solve()
+        else:
+            assert dense.solve() == res
+        assert (sparse.basis, sparse.pivots, sparse.rewinds) == (dense.basis, dense.pivots, dense.rewinds)

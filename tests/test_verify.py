@@ -61,6 +61,23 @@ def test_verify_builds_one_ideal_packing_and_no_dual_column_generation(tt, monke
     assert len(principal_sequence(g).levels) > 2
 
 
+def test_verify_couples_the_ideal_packing_once(monkeypatch):
+    """``ideal_dual`` scales the coupling the ideal packing holds: one per
+    job, however many k read it."""
+    calls = []
+    real = lp_mod._coupling
+
+    def counting(levels):
+        calls.append(levels)
+        return real(levels)
+
+    monkeypatch.setattr(lp_mod, "_coupling", counting)
+    g = _random_connected(random.Random(7), 7, 9)
+    rows = run_verification(g)
+    assert all(r.status == "pass" for r in rows)
+    assert len(calls) == 1
+
+
 def test_treepack_minmax_needs_a_feasible_packing(c5, monkeypatch):
     """The k = 2 dual has value sigma by construction, so the min-max row
     also needs it feasible: C5's value 5/4 put on one tree loads its edges
