@@ -28,8 +28,11 @@ The strength and the principal sequence come from one search over the
 breakpoints of g (``_splits``), one attack per step on a piece contracted
 by the blocks of a finer optimal partition.  The critical values of the
 sequence are the breakpoints of g, so ``breakpoints`` reads them off a
-given sequence.  Capacities are scaled to ints once per search, shared by
-the sweep and its certificate, so every capacity sum is an int sum.
+given sequence.  Capacities are scaled to ints once per search: each step
+contracts g's int capacities straight into int lists, with no ``Graph``,
+and attacks them on that one scale, which is as good as the piece's own
+(``_attack_core``).  The sweep and its certificate share it, so every
+capacity sum is an int sum.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from typing import NamedTuple
 
 from .flow import FlowNetwork
 from .graph import (
-    Edge,
     Graph,
     VertexPartition,
     _block_map,
@@ -117,15 +119,18 @@ class PrincipalSequence(NamedTuple):
         return self
 
 
-def _dilworth_partition(g: Graph, b: Fraction, scaled=None):
+def _sweep(n: int, adj, half: list[int], b_s: int):
     """One Dilworth-truncation sweep minimizing sum_S (-c(E[S]) - b) over
-    partitions; returns the blocks of the finest minimizer and the attack
-    value c(E) + b + x(V) from the greedy labels x.
+    partitions of {0..n-1}; returns the blocks of the finest minimizer, as
+    vertex lists, and the greedy labels' sum x(V).
 
-    Inserting vertex j costs one max-flow, whose minimum cuts are the tight
-    sets j may join; merging along the smallest (residual-reachable from j)
-    builds the finest minimizer.  The labels depend only on the flow values,
-    and x(V) is the least partition cost, so the value certifies the blocks.
+    ``adj`` is the adjacency list of (neighbour, edge id) pairs, ``half``
+    each edge's c/2 and ``b_s`` the parameter b, all as ints on one scale
+    S (``_attack_core`` picks it).  Inserting vertex j costs one max-flow,
+    whose minimum cuts are the tight sets j may join; merging along the
+    smallest (residual-reachable from j) builds the finest minimizer.  The
+    labels depend only on the flow values, and x(V) is the least partition
+    cost, so the value c(E) + b + x(V) certifies the blocks.
 
     Step j's label is x_j = min over S ∋ j in {0..j} of f(S) - x(S - j),
     with f(S) = -c(E[S]) - b, and its flow network is the prefix contracted
@@ -143,13 +148,6 @@ def _dilworth_partition(g: Graph, b: Fraction, scaled=None):
     constant sums min(p_B, 0)), and one undirected arc per pair of blocks
     carries their summed half-capacities.
 
-    Every quantity of the sweep is scaled by S = 2·lcm(L, den b), with L the
-    lcm of the capacity denominators, from ``scaled = scaled_capacities(g)``,
-    made once per search, shared by the sweep and its certificate.
-    Half-capacities c/2, b, the half-degrees, potentials, greedy labels and
-    flows are then Python ints, and so is the label sum c(E)·S + b·S + x(V).
-    Minimum cuts are unchanged by the scaling, and only they reach the blocks.
-
     A block is named by the step that made it, so names grow along the
     block order.  Each block keeps its members, its half-degree sum, its
     label sum, its summed half-capacities to the blocks named before it
@@ -160,12 +158,6 @@ def _dilworth_partition(g: Graph, b: Fraction, scaled=None):
     after the blocks it left untouched.  The arc order decides only which
     paths the max-flow augments, not its value or its smallest minimum cut.
     """
-    n = g.n
-    caps, cap_scale = scaled or scaled_capacities(g)
-    scale = 2 * lcm(cap_scale, b.denominator)  # S
-    half = [c * (scale // (2 * cap_scale)) for c in caps]  # c(e)/2·S
-    b_s = b.numerator * (scale // b.denominator)  # b·S
-    adj = g.neighbors()
     members: dict[int, list[int]] = {0: [0]}  # block name -> vertices, in block order
     block_of = [0] * n  # vertex -> its block's name
     hdeg = [0] * n  # block name -> half-degree sum within the prefix {0..j}
@@ -225,31 +217,55 @@ def _dilworth_partition(g: Graph, b: Fraction, scaled=None):
         lower[j] = to_j
         for c in to_j:
             upper[c].add(j)
-    return [set(verts) for verts in members.values()], Fraction(
-        2 * sum(half) + b_s + x_sum, scale
-    )
+    return list(members.values()), x_sum
+
+
+def _attack_core(n: int, ends, caps: list[int], scale: int, b: Fraction):
+    """The attack at b >= 0 on the graph of n vertices whose edge i joins
+    ``ends[i]`` with capacity ``caps[i] / scale``: the canonical parts of
+    its finest optimal partition and the attack value, certified by the
+    parts' int crossing value minus b(|P| - 1) equalling the label sum.
+
+    The sweep is scaled by S = 2·lcm(scale, den b), so c/2, b, the labels
+    and flows, and the label sum c(E)·S + b·S + x(V), are Python ints.
+    Any ``scale`` that makes every capacity an int will do: a multiple of
+    the least one multiplies every network by one positive constant, which
+    moves no augmenting path, minimum cut or block.  So the search passes
+    g's scale for every quotient of g.
+    """
+    unit = 2 * lcm(scale, b.denominator)  # S
+    half = [c * (unit // (2 * scale)) for c in caps]  # c(e)/2·S
+    b_s = b.numerator * (unit // b.denominator)  # b·S
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(ends):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    blocks, x_sum = _sweep(n, adj, half, b_s)
+    label_sum = 2 * sum(half) + b_s + x_sum
+    parts = canonical_parts(blocks)
+    block = _block_map(n, parts)
+    crossing = sum([c for (u, v), c in zip(ends, caps) if block[u] != block[v]])
+    if crossing * (unit // scale) - b_s * (len(parts) - 1) != label_sum:
+        raise AssertionError("finest argmin disagrees with the sweep's label sum")
+    return parts, Fraction(label_sum, unit)
 
 
 def attack(g: Graph, b) -> AttackResult:
     """Exact minimum of c(E(P)) - b(|P|-1) and its finest argmin.
 
     One truncation sweep gives the finest optimal partition, so degenerate
-    ties never require perturbing capacities.  Its value must equal the
-    sweep's label sum; the coarsest optimum differs from it only at a
-    breakpoint, where ``breakpoints`` gives it as ``before``.
+    ties never require perturbing capacities; ``_attack_core`` certifies it
+    against the sweep's label sum.  The coarsest optimum differs from it
+    only at a breakpoint, where ``breakpoints`` gives it as ``before``.
     """
     b = Fraction(b)
     if b < 0:
         raise ValueError("attack parameter must be nonnegative")
     if g.n == 0:
         raise ValueError("empty graph")
-    scaled = scaled_capacities(g)
-    blocks, label_value = _dilworth_partition(g, b, scaled)
-    fine = _scaled_partition(g, blocks, *scaled)
-    value = fine.crossing_value - b * (fine.part_count - 1)
-    if value != label_value:
-        raise AssertionError("finest argmin disagrees with the sweep's label sum")
-    return AttackResult(b, value, fine)
+    caps, scale = scaled_capacities(g)
+    parts, value = _attack_core(g.n, [(e.u, e.v) for e in g.edges], caps, scale, b)
+    return AttackResult(b, value, _scaled_partition(g, parts, caps, scale))
 
 
 def breakpoints(psp: PrincipalSequence) -> tuple[Breakpoint, ...]:
@@ -290,31 +306,27 @@ def _splits(g: Graph, pieces, scaled):
     on with (piece, Q) for the breakpoints up to b, then with each part q
     of Q against R's blocks inside q, since above b the attack splits over
     Q's parts.  Every state has fewer blocks than the one it came from.
-    ``scaled`` is ``scaled_capacities(g)``: c(R) is an int sum over it.
+    ``scaled`` is ``scaled_capacities(g)``: each state's quotient is the
+    int lists of its edges' ends and capacities on that one scale, c(R) is
+    their int sum, and the attack runs on them as they are, since g's scale
+    is a multiple of the quotient's own and so moves no minimum cut.
     """
     caps, scale = scaled
     stack = [[[v] for v in piece] for piece in reversed(pieces) if len(piece) > 1]
     while stack:
         blocks = stack.pop()
-        if len(blocks) == g.n:  # the singletons of a connected g
-            quotient = g
-            c_r = sum(caps)
-        else:
-            block = _block_map(g.n, blocks)
-            edges = []
-            c_r = 0
-            for e, c in zip(g.edges, caps):
-                bu, bv = block[e.u], block[e.v]
-                if bu != bv and bu >= 0 and bv >= 0:
-                    edges.append(Edge(min(bu, bv), max(bu, bv), e.cap))
-                    c_r += c
-            quotient = Graph(len(blocks), tuple(edges))
-        b = Fraction(c_r, scale * (len(blocks) - 1))
-        res = attack(quotient, b)
-        if res.value == 0:
+        block = _block_map(g.n, blocks)
+        q_ends, q_caps = [], []
+        for (u, v, _), c in zip(g.edges, caps):
+            bu, bv = block[u], block[v]
+            if bu != bv and bu >= 0 and bv >= 0:
+                q_ends.append((bu, bv))
+                q_caps.append(c)
+        b = Fraction(sum(q_caps), scale * (len(blocks) - 1))
+        parts, value = _attack_core(len(blocks), q_ends, q_caps, scale, b)
+        if value == 0:
             yield b, blocks
             continue
-        parts = res.argmin_max_parts.parts
         stack.extend([blocks[i] for i in part] for part in reversed(parts) if len(part) > 1)
         stack.append([[v for i in part for v in blocks[i]] for part in parts])
 

@@ -28,13 +28,14 @@ from kcut.graph import (
     _block_map,
     canonical_parts,
     component_blocks,
+    contract_partition,
     induced_subgraph,
     partition_from_blocks,
     scaled_capacities,
     set_partitions,
 )
 from kcut.oracle import enum_partitions, oracle_attack_value
-from kcut.strength import PspLevel, _dilworth_partition
+from kcut.strength import PspLevel, _attack_core, _sweep
 from kcut.verify import run_verification
 
 from conftest import TT_TEXT, _random_connected, edge_ids_of_partition, flow_network, full_suite
@@ -385,20 +386,29 @@ class _EdmondsKarp:
         return frozenset(seen)
 
 
-def _reference_sweep(g, b):
-    """The Dilworth sweep as it stood before the block contraction, the
-    prefix edge list and the pre-flow: every step runs on the whole prefix,
-    one node per vertex, rescans the adjacency of {0..j} for its arcs and
-    runs on ``_EdmondsKarp``.  Returns the finest blocks and the attack value
-    read off the greedy labels: c(E) + b + x(V)."""
-    n = g.n
+def _sweep_inputs(g, b):
+    """``_sweep``'s arguments for g at b, scaled as ``_attack_core`` scales
+    them: n, the adjacency, c/2·S and b·S with S = 2·lcm(L, den b)."""
     caps, cap_scale = scaled_capacities(g)
     scale = 2 * lcm(cap_scale, b.denominator)
     half = [c * (scale // (2 * cap_scale)) for c in caps]
-    b_s = b.numerator * (scale // b.denominator)
+    return g.n, g.neighbors(), half, b.numerator * (scale // b.denominator)
+
+
+def _swept(g, b):
+    """``_sweep``'s blocks, as sets in sweep order, and its label sum x(V)."""
+    blocks, x_sum = _sweep(*_sweep_inputs(g, b))
+    return [set(blk) for blk in blocks], x_sum
+
+
+def _reference_sweep(n, adj, half, b_s):
+    """The Dilworth sweep as it stood before the block contraction, the
+    prefix edge list and the pre-flow, on ``_sweep``'s arguments: every
+    step runs on the whole prefix, one node per vertex, rescans the
+    adjacency of {0..j} for its arcs and runs on ``_EdmondsKarp``.  Returns
+    the finest blocks and the greedy labels' sum x(V)."""
     fine = [{0}]
     x = [-b_s] + [0] * (n - 1)
-    adj = g.neighbors()
     hdeg = [0] * n
     for j in range(1, n):
         for w, eid in adj[j]:
@@ -429,7 +439,7 @@ def _reference_sweep(g, b):
             else:
                 rest.append(blk)
         fine = rest + [merged]
-    return fine, sum((e.cap for e in g.edges), F(0)) + b + F(sum(x), scale)
+    return fine, sum(x)
 
 
 @st.composite
@@ -451,14 +461,14 @@ def _sweep_multigraphs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_sweep_multigraphs())
 def test_sweep_matches_edmonds_karp_sweep_property(g):
-    """The finest blocks and the label-sum value of ``_dilworth_partition``
-    equal those of the reference sweep at b = 0, at every critical value and
+    """The finest blocks and the label sum of ``_sweep`` equal those of the
+    reference sweep at b = 0, at every critical value and
     1/7 either side."""
     bs = {F(0)}
     for lam in principal_sequence(g).lambdas():
         bs |= {lam, lam - F(1, 7), lam + F(1, 7)}
     for b in sorted(b for b in bs if b >= 0):
-        assert _dilworth_partition(g, b) == _reference_sweep(g, b), b
+        assert _swept(g, b) == _reference_sweep(*_sweep_inputs(g, b)), b
 
 
 def _relabelled(n, edges, order):
@@ -519,7 +529,7 @@ def test_contracted_sweep_matches_reference_on_merges_property(g):
     for lam in lams:
         bs |= {lam, lam - F(1, 7), lam + F(1, 7)}
     for b in sorted(b for b in bs if b >= 0):
-        assert _dilworth_partition(g, b) == _reference_sweep(g, b), b
+        assert _swept(g, b) == _reference_sweep(*_sweep_inputs(g, b)), b
 
 
 def test_one_contracted_network_per_step(monkeypatch):
@@ -536,7 +546,7 @@ def test_one_contracted_network_per_step(monkeypatch):
     cases = ((planted, F(1), True), (planted, F(3), True), (k6, F(2), True), (k6, F(3), False))
     for g, b, contracts in cases:
         expected = [
-            len(_dilworth_partition(induced_subgraph(g, range(j))[0], b)[0]) + 2
+            len(_swept(induced_subgraph(g, range(j))[0], b)[0]) + 2
             for j in range(1, g.n)
         ]
         assert (expected != [j + 2 for j in range(1, g.n)]) == contracts
@@ -549,7 +559,7 @@ def test_one_contracted_network_per_step(monkeypatch):
                 return real(self, s, t)
 
             m.setattr(FlowNetwork, "max_flow", counted)
-            _dilworth_partition(g, b)
+            _swept(g, b)
         assert len({id(net) for net in flows}) == len(flows) == g.n - 1
         assert [net.n for net in flows] == expected
 
@@ -693,11 +703,11 @@ def test_lp_k2_attacks_the_whole_graph_once(monkeypatch, capsys):
     g = _random_connected(Random(8), 8, 16)
     text = f"p kcut {g.n} {g.m}\n" + "".join(f"e {e.u + 1} {e.v + 1} {e.cap}\n" for e in g.edges)
     principal_sequence.cache_clear()
-    calls = _count_calls(monkeypatch, importlib.import_module("kcut.strength").attack)
+    calls = _count_calls(monkeypatch, _attack_core)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main(["lp", "--k", "2"]) == 0
     capsys.readouterr()
-    assert sum(h.n == g.n for h, _ in calls) == 1
+    assert sum(n == g.n for n, *_ in calls) == 1
 
 
 def test_lp_k3_attacks_the_whole_graph_once(monkeypatch, capsys):
@@ -705,11 +715,11 @@ def test_lp_k3_attacks_the_whole_graph_once(monkeypatch, capsys):
     its packing is certified against lambda_j of g's PSP, and c + z gets no
     sequence of its own."""
     principal_sequence.cache_clear()
-    calls = _count_calls(monkeypatch, importlib.import_module("kcut.strength").attack)
+    calls = _count_calls(monkeypatch, _attack_core)
     monkeypatch.setattr("sys.stdin", io.StringIO(TT_TEXT))
     assert main(["lp", "--k", "3"]) == 0
     capsys.readouterr()
-    assert sum(h.n == 6 for h, _ in calls) == 1
+    assert sum(n == 6 for n, *_ in calls) == 1
 
 
 def test_psp_runs_one_search(monkeypatch):
@@ -720,16 +730,16 @@ def test_psp_runs_one_search(monkeypatch):
     g = _random_connected(Random(40), 40, 80)
     calls = {"strength": 0, "whole graph": 0}
 
-    def counted_attack(h, b, _real=module.attack):
-        calls["whole graph"] += h.n == g.n
-        return _real(h, b)
+    def counted_core(n, *args, _real=module._attack_core):
+        calls["whole graph"] += n == g.n
+        return _real(n, *args)
 
     def counted_strength(h, _real=module.strength):
         calls["strength"] += 1
         return _real(h)
 
     principal_sequence.cache_clear()
-    monkeypatch.setattr(module, "attack", counted_attack)
+    monkeypatch.setattr(module, "_attack_core", counted_core)
     monkeypatch.setattr(module, "strength", counted_strength)
     principal_sequence(g)
     assert calls == {"strength": 0, "whole graph": 1}
@@ -760,6 +770,67 @@ def test_one_residual_search_per_max_flow(monkeypatch):
     principal_sequence(_random_connected(Random(20), 20, 40))
     assert calls["max_flow"] > 0
     assert calls["residual_reachable"] == calls["max_flow"]
+
+
+# -- one scale per search -------------------------------------------------------
+
+
+@st.composite
+def _graphs_with_blocks(draw):
+    """A multigraph on 2-8 vertices and a partition with a part of two or
+    more.  Each such part is joined by a path of capacities over 7 or 14,
+    every other edge has a capacity over 1-5 or 0, parallels allowed, so
+    that g's common denominator has a factor 7 that its quotient's lacks."""
+    n = draw(st.integers(2, 8))
+    label = draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+    blocks = canonical_parts(
+        [v for v in range(n) if label[v] == i] for i in range(n - 1)
+    )
+    edges = []
+    inner = st.sampled_from([F(1, 7), F(3, 7), F(9, 14)])
+    for part in blocks:
+        for u, v in zip(part, part[1:]):
+            edges.append(Edge(u, v, draw(inner)))
+    caps = st.sampled_from([F(0), F(1), F(2), F(3, 2), F(2, 3), F(5, 4), F(4, 5)])
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    for u, v in draw(st.lists(pairs, max_size=14)):
+        edges.append(Edge(min(u, v), max(u, v), draw(caps)))
+    order = draw(st.permutations(range(len(edges))))
+    return Graph(n, tuple(edges[i] for i in order)), blocks
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_graphs_with_blocks())
+def test_core_on_the_graphs_scale_matches_attack_on_the_quotient_property(case):
+    """``_attack_core`` on a quotient's int capacities, on g's scale as the
+    search passes them, gives the parts and value of ``attack`` on the
+    Fraction quotient that ``contract_partition`` builds, whose own scale
+    differs: at b = 0, 1/11, every breakpoint and 1/11 either side."""
+    g, blocks = case
+    q, _, kept = contract_partition(g, blocks)
+    caps, scale = scaled_capacities(g)
+    assert scaled_capacities(q)[1] != scale
+    ends = [(e.u, e.v) for e in q.edges]
+    q_caps = [caps[i] for i in kept]
+    bs = {F(0), F(1, 11)}
+    for bp in breakpoints(principal_sequence(q)):
+        bs |= {bp.b, bp.b - F(1, 11), bp.b + F(1, 11)}
+    for b in sorted(b for b in bs if b >= 0):
+        res = attack(q, b)
+        assert _attack_core(q.n, ends, q_caps, scale, b) == (res.argmin_max_parts.parts, res.value), b
+
+
+def test_psp_and_strength_scale_capacities_once(monkeypatch):
+    """A breakpoint search scales g's capacities once, for every step's
+    attack, certificate and level partition."""
+    g = _random_connected(Random(40), 40, 80)
+    calls = _count_calls(monkeypatch, scaled_capacities)
+    principal_sequence.cache_clear()
+    principal_sequence(g)
+    assert len(calls) == 1
+    calls.clear()
+    strength(g)
+    assert len(calls) == 1
 
 
 # -- the integer route against edge-by-edge Fraction sums ------------------------
