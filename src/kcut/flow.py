@@ -36,16 +36,6 @@ class FlowNetwork:
         caps.append(cap)
         caps.append(rev_cap)
 
-    def add_undirected(self, u: int, v: int, cap):
-        to, adj, caps = self.to, self.adj, self.cap
-        a = len(to)
-        adj[u].append(a)
-        adj[v].append(a + 1)
-        to.append(v)
-        to.append(u)
-        caps.append(cap)
-        caps.append(cap)
-
     def max_flow(self, s: int, t: int):
         """Value of a maximum s-t flow; the flow stays in the residual
         capacities.  Exact on ints and Fractions alike: on int capacities

@@ -97,20 +97,8 @@ class Graph(NamedTuple):
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self) -> list[list[tuple[int, int]]]:
-        """Adjacency list of (neighbor, edge id) pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            adj[e.u].append((e.v, i))
-            adj[e.v].append((e.u, i))
-        return adj
-
-    @property
-    def component_count(self) -> int:
-        return len(component_blocks(self))
-
     def is_connected(self) -> bool:
-        return self.component_count <= 1
+        return len(component_blocks(self)) <= 1
 
 
 class VertexPartition(NamedTuple):

@@ -191,9 +191,9 @@ def _sweep(n: int, adj, half: list[int], b_s: int):
                 net.add_arc(s, i, -p)
                 const += p
             for c, h in lower[blk].items():
-                net.add_undirected(pos[c], i, h)
+                net.add_arc(pos[c], i, h, h)
         for c, h in to_j.items():
-            net.add_undirected(s, pos[c], h)
+            net.add_arc(s, pos[c], h, h)
         x_j = net.max_flow(s, t) + const - h_j - b_s
         x_sum += x_j
         joined = [names[i] for i in net.residual_reachable(s) if i < s]

@@ -11,10 +11,10 @@ test and fails only with it.
 Every k's explicit dual is one object: the ideal packing of the principal
 sequence (the ``psp-ideal-packing`` row), coupled into one distribution of
 spanning trees and scaled by k's lambda_j (``lp.ideal_dual``).  No column
-generation runs in c+z.  ``treepack-minmax`` is the k = 2 dual, of value
-sigma by construction, checked feasible.  Should the ideal packing fail,
-every row that reads the dual or the scan of it is skipped with that
-failure as the reason.
+generation runs in c+z.  One memo per job builds each k's dual, runs the
+exact k-cut scan on it and checks it feasible once per level; every row
+that reads them reads the memo.  ``treepack-minmax`` is the k = 2 dual, of
+value sigma by construction, checked feasible.
 """
 
 from __future__ import annotations
@@ -75,22 +75,21 @@ def _skip(rows, name, why, certificate=False):
     rows.append(CheckRow(name, "skip", why, certificate))
 
 
-def _kcut_and_dual(psp, ideal, k: int):
-    """min_kcut's optimal cut and report, and the explicit dual it scanned:
-    k's closed-form dual made explicit by the coupled ideal packing, so no
-    column generation runs."""
-    dual = ideal_dual(ideal, lp_dual(psp, k))
-    best, report = min_kcut(psp, k, dual=dual)
-    return best, report, dual
-
-
 def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -> list[CheckRow]:
+    """Every row on g for each k of ks in 2..n (default all), in order:
+    ``treepack-minmax``, ``oracle-treepack``, ``psp-ideal-packing``,
+    ``oracle-strength``; each k's rows tagged ``[k=K]``, k ascending; then
+    ``global-mincut`` and ``mincut-2respect-fraction``.  A skipped row
+    gives its reason as its detail.  At strength 0 no LP or packing
+    certificate applies, and each k is one skipped ``k=K`` row.  Should the
+    ideal packing fail, every row that reads a dual or its scan is skipped
+    with that failure.  Past the oracle limits, the forest-LP rows or the
+    partition-table rows are skipped."""
     if g.n < 2 or not g.is_connected():
         raise ValueError("verify expects a connected graph with n >= 2")
+    n = g.n
     rows: list[CheckRow] = []
-    if ks is None:
-        ks = range(2, g.n + 1)
-    ks = sorted(set(ks))
+    ks = sorted({k for k in (range(2, n + 1) if ks is None else ks) if 2 <= k <= n})
 
     psp = principal_sequence(g)
     sigma, sigma_part = psp.levels[0].lam, psp.levels[0].partition  # g is connected
@@ -98,16 +97,26 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
     # dual's packing empty, which the min-max and respect rows read; only
     # the oracle rows apply.
     degenerate = "strength 0: the LP and packing certificates need every cut positive" if sigma == 0 else ""
-    # The coupled ideal packing, scaled by lambda_j, is the explicit dual of
-    # every k.  Should it fail, every row that reads that dual or its scan
-    # is skipped with the failure as the reason.
+    # The coupled ideal packing, scaled by lambda_j, is every k's explicit dual.
     ideal, no_dual = None, degenerate
     if not degenerate:
         try:
             ideal = ideal_packing(psp)
         except SaturationError as exc:
             no_dual = str(exc)
-    dual_ok = {}  # dual.level_index -> verify_dual's verdict on its dual
+    scans = {}  # k -> scan(k)
+    feasible = {}  # level index -> verify_dual's verdict: z and the packing depend only on the level
+
+    def scan(k):
+        """k's explicit dual, whether it is feasible, and min_kcut's optimal
+        cut and report on it, once per k; no column generation runs."""
+        if k not in scans:
+            dual = ideal_dual(ideal, lp_dual(psp, k))
+            if dual.level_index not in feasible:
+                feasible[dual.level_index] = verify_dual(g, dual).ok
+            scans[k] = dual, feasible[dual.level_index], *min_kcut(psp, k, dual=dual)
+        return scans[k]
+
     if no_dual:
         _skip(rows, "treepack-minmax", no_dual, certificate=True)
     else:
@@ -115,14 +124,12 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         # itself, of value sigma by construction: feasible, beside the
         # level-1 partition of strength sigma, it certifies the min-max.
         # It serves the 2-respect rows as well.
-        k2cut, k2report, k2dual = _kcut_and_dual(psp, ideal, 2)
-        pack = k2dual.packing
-        dual_ok[k2dual.level_index] = verify_dual(g, k2dual).ok
+        dual, dual_feasible, _, _ = scan(2)
         _row(
             rows,
             "treepack-minmax",
-            pack.total_value == sigma and dual_ok[k2dual.level_index],
-            f"strength {rational_str(sigma)}, packing value {rational_str(pack.total_value)}",
+            dual.packing.total_value == sigma and dual_feasible,
+            f"strength {rational_str(sigma)}, packing value {rational_str(dual.packing.total_value)}",
         )
     # One ForestLP enumerates the spanning forests once and answers every
     # forest-LP row; past the forest limit all of those rows are skipped.
@@ -155,23 +162,16 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             certificate=False,
         )
 
-    if degenerate:
-        for name in [f"k={k}" for k in ks if 2 <= k <= g.n] + ["global-mincut", "mincut-2respect-fraction"]:
-            _skip(rows, name, degenerate, certificate=True)
-        return rows
-
-    n = g.n
     for k in ks:
-        if not 2 <= k <= g.n:
-            continue
         tag = f"k={k}"
+        if degenerate:
+            _skip(rows, tag, degenerate, certificate=True)
+            continue
         primal = lp_primal(psp, k)
         if no_dual:
             dual = lp_dual(psp, k)
-        elif k == 2:
-            best, report, dual = k2cut, k2report, k2dual
         else:
-            best, report, dual = _kcut_and_dual(psp, ideal, k)
+            dual, dual_feasible, best, report = scan(k)
         lag, lag_b = lagrangean_value(psp, k)
         _row(
             rows,
@@ -179,8 +179,7 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             primal.objective == dual.objective == lag,
             f"value {rational_str(lag)} at b={rational_str(lag_b)}",
         )
-        pv = verify_primal(g, primal.x, k)
-        _row(rows, f"lp-primal-feasible[{tag}]", pv.ok)
+        _row(rows, f"lp-primal-feasible[{tag}]", verify_primal(g, primal.x, k).ok)
         if no_dual:
             names = ["lp-dual-feasible", "lp-complementary-slackness", "dual-packing-bound", "integrality-gap"]
             if k < n:
@@ -188,7 +187,37 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
             for name in names:
                 _skip(rows, f"{name}[{tag}]", no_dual, certificate=True)
         else:
-            _dual_rows(rows, g, k, primal, dual, best, report, dual_ok)
+            # k's rows on its explicit dual and the scan of it; for k < n
+            # the respect rows read every optimal cut
+            cs = check_complementary_slackness(g, primal.x, dual)
+            _row(rows, f"lp-dual-feasible[{tag}]", dual_feasible)
+            _row(
+                rows,
+                f"lp-complementary-slackness[{tag}]",
+                cs.ok,
+                "; ".join(cs.witnesses[:3]),
+            )
+            z, dz = _scaled(dual.z)
+            _row(
+                rows,
+                f"dual-packing-bound[{tag}]",
+                (k - 1) * dual.total_y
+                >= Fraction(n, 2 * (n - 1)) * best.crossing_value + Fraction(sum(z), dz),
+                f"min {k}-cut {rational_str(best.crossing_value)}",
+            )
+            limit = 2 * (1 - Fraction(1, n))
+            ratio = best.crossing_value / primal.objective if primal.objective else Fraction(0)
+            note = f"ratio {rational_str(ratio)} vs 2(1-1/n) = {rational_str(limit)}"
+            if ratio == limit:
+                note += " (tight)"
+            _row(rows, f"integrality-gap[{tag}]", ratio <= limit, note)
+
+            if k < n:
+                h = report.h
+                stats = [respect_stats(dual.packing, crossing_edges(g, cut.block_of(n)), h) for cut in report.cuts]
+                _row(rows, f"optimal-cut-respect[{tag}]", all(min(s.crossings) <= h for s in stats), f"h={h}")
+                qh_bound = dual_respect_bound(1, k, h, n)
+                _row(rows, f"respect-fraction-bound[{tag}]", all(s.q_h >= qh_bound for s in stats))
 
         rounded = round_lp(psp, primal)
         bound = 2 * (1 - Fraction(1, n)) * primal.objective
@@ -232,70 +261,16 @@ def run_verification(g: Graph, ks=None, limits: OracleLimits = DEFAULT_LIMITS) -
         for name in ("global-mincut", "mincut-2respect-fraction"):
             _skip(rows, name, no_dual, certificate=True)
         return rows
-    # global mincut row + 2-respecting fraction
+    # global mincut row + 2-respecting fraction, on the k = 2 scan
+    dual, _, best, report = scan(2)
     mincut = global_mincut(g)
     _row(
         rows,
         "global-mincut",
-        mincut.crossing_value == k2cut.crossing_value,
+        mincut.crossing_value == best.crossing_value,
         f"value {rational_str(mincut.crossing_value)}",
     )
-    q2_ok = True
     q2_bound = mincut_respect_bound(2, n)
-    for cut in k2report.cuts:
-        eids = crossing_edges(g, cut.block_of(g.n))
-        stats = respect_stats(pack, eids, 2)
-        if stats.q_h < q2_bound:
-            q2_ok = False
-    _row(rows, "mincut-2respect-fraction", q2_ok)
+    stats = [respect_stats(dual.packing, crossing_edges(g, cut.block_of(n)), 2) for cut in report.cuts]
+    _row(rows, "mincut-2respect-fraction", all(s.q_h >= q2_bound for s in stats))
     return rows
-
-
-def _dual_rows(rows, g: Graph, k: int, primal, dual, best, report, dual_ok: dict) -> None:
-    """k's rows on its explicit dual and the scan of it: feasibility and
-    complementary slackness, the packing bound, the integrality gap, and
-    for k < n the respect rows on every optimal cut."""
-    n = g.n
-    tag = f"k={k}"
-    # z and the packing depend only on k's level: one check per level
-    if dual.level_index not in dual_ok:
-        dual_ok[dual.level_index] = verify_dual(g, dual).ok
-    cs = check_complementary_slackness(g, primal.x, dual)
-    _row(rows, f"lp-dual-feasible[{tag}]", dual_ok[dual.level_index])
-    _row(
-        rows,
-        f"lp-complementary-slackness[{tag}]",
-        cs.ok,
-        "; ".join(cs.witnesses[:3]),
-    )
-
-    z, dz = _scaled(dual.z)
-    _row(
-        rows,
-        f"dual-packing-bound[{tag}]",
-        (k - 1) * dual.total_y
-        >= Fraction(n, 2 * (n - 1)) * best.crossing_value + Fraction(sum(z), dz),
-        f"min {k}-cut {rational_str(best.crossing_value)}",
-    )
-    limit = 2 * (1 - Fraction(1, n))
-    ratio = best.crossing_value / primal.objective if primal.objective else Fraction(0)
-    gap_ok = ratio <= limit
-    note = f"ratio {rational_str(ratio)} vs 2(1-1/n) = {rational_str(limit)}"
-    if ratio == limit:
-        note += " (tight)"
-    _row(rows, f"integrality-gap[{tag}]", gap_ok, note)
-
-    if k < n:
-        h = report.h
-        witness_ok = True
-        qh_ok = True
-        qh_bound = dual_respect_bound(1, k, h, n)
-        for cut in report.cuts:
-            eids = crossing_edges(g, cut.block_of(g.n))
-            stats = respect_stats(dual.packing, eids, h)
-            if min(stats.crossings) > h:
-                witness_ok = False
-            if stats.q_h < qh_bound:
-                qh_ok = False
-        _row(rows, f"optimal-cut-respect[{tag}]", witness_ok, f"h={h}")
-        _row(rows, f"respect-fraction-bound[{tag}]", qh_ok)

@@ -150,5 +150,5 @@ def flow_network(g: Graph, caps=None) -> FlowNetwork:
     (aligned with g.edges)."""
     net = FlowNetwork(g.n)
     for e, c in zip(g.edges, caps or [e.cap for e in g.edges]):
-        net.add_undirected(e.u, e.v, c)
+        net.add_arc(e.u, e.v, c, c)
     return net

@@ -1,8 +1,10 @@
 """Every name a library module imports is read in that module, except the
 re-exports that perfbench reads by name and nothing in the library uses.
-``__init__.py`` imports to re-export, so it is not checked.  And every
+``__init__.py`` imports to re-export, so it is not checked.  Every
 private helper the library defines is used by the library, not only by
-tests."""
+tests.  And every public function or method is read by the library or a
+demo, but for a short list of references and test seams, each with its
+reason."""
 
 import ast
 from pathlib import Path
@@ -65,3 +67,48 @@ def test_every_private_helper_is_used_by_the_library():
     helpers = [(module, name, line) for module, tree in trees.items() for name, line in _private_helpers(tree)]
     assert len(helpers) > 10
     assert [helper for helper in helpers if helper[1] not in used] == []
+
+
+# (module, qualified name): why a public function or method no library
+# module or demo reads stays
+UNREAD_PUBLIC = {
+    ("simplex.py", "solve_lp"): "perfbench's tracer wraps it and its self-test checks the re-exports",
+    ("oracle.py", "enum_partitions"): "brute-force reference the tests check the fast paths against",
+    ("oracle.py", "oracle_attack_value"): "brute-force reference the tests check the fast paths against",
+    ("cuts.py", "cuts_from_tree"): "the per-tree stream the scan property test checks",
+    ("graph.py", "induced_subgraph"): "test seam: the tests build blocks of a graph with it",
+    ("lp.py", "IdealPacking.compose"): "test seam: the tests check the coupling against the levels' own trees",
+    ("cli.py", "_Parser.error"): "argparse calls it",
+}
+
+
+def _public_functions(tree):
+    """(qualified name, line) of each public function at module level and
+    each public method of a module-level class, dunder methods aside."""
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for d in defs:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and not d.name.startswith("_"):
+                yield prefix + d.name, d.lineno
+
+
+def test_every_public_function_is_read_by_the_library_or_a_demo():
+    root = Path(kcut.__file__).parent
+    library = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in root.glob("*.py")}
+    demos = [p for p in (root.parent.parent / "demos").glob("*.py")]
+    assert demos
+    read = set()
+    for tree in [*library.values(), *(ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in demos)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    public = [
+        (module, name, line) for module, tree in library.items() for name, line in _public_functions(tree)
+    ]
+    assert len(public) > 50
+    unread = [(module, name, line) for module, name, line in public if name.rsplit(".", 1)[-1] not in read]
+    assert [use for use in unread if use[:2] not in UNREAD_PUBLIC] == []
+    assert {use[:2] for use in unread} == set(UNREAD_PUBLIC)

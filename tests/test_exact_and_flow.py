@@ -182,7 +182,7 @@ def _assert_max_flow_matches_networkx(network):
         if directed:
             net.add_arc(u, v, c, r)
         else:
-            net.add_undirected(u, v, c)
+            net.add_arc(u, v, c, c)
     value, flow = nx.maximum_flow(ref, s, t)
     # residual capacities of networkx's maximum flow; every maximum flow
     # leaves the same smallest minimum cut

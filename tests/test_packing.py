@@ -28,6 +28,7 @@ from kcut import (
     saturating_pack,
     strength,
 )
+from kcut.graph import component_blocks
 from kcut.simplex import solve_lp
 
 from conftest import TT_BRIDGE, TT_TEXT, edge_ids_of_partition, full_suite
@@ -77,7 +78,7 @@ def test_exact_pack_feasible_and_small_support():
         for eid, cap in p.caps.items():
             assert loads[eid] <= cap, name
         for tree in p.trees:
-            assert len(tree) == g.n - g.component_count, name
+            assert len(tree) == g.n - len(component_blocks(g)), name
 
 
 @pytest.mark.parametrize("eps", [F(1, 5), F(1, 10), F(1, 20)])

@@ -392,7 +392,11 @@ def _sweep_inputs(g, b):
     caps, cap_scale = scaled_capacities(g)
     scale = 2 * lcm(cap_scale, b.denominator)
     half = [c * (scale // (2 * cap_scale)) for c in caps]
-    return g.n, g.neighbors(), half, b.numerator * (scale // b.denominator)
+    adj = [[] for _ in range(g.n)]
+    for eid, e in enumerate(g.edges):
+        adj[e.u].append((e.v, eid))
+        adj[e.v].append((e.u, eid))
+    return g.n, adj, half, b.numerator * (scale // b.denominator)
 
 
 def _swept(g, b):

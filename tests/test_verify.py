@@ -9,7 +9,7 @@ import kcut.lp as lp_mod
 import kcut.oracle as oracle_mod
 import kcut.verify as verify_mod
 from kcut.cli import main
-from kcut.graph import component_blocks
+from kcut.graph import component_blocks, parse_graph
 from kcut.oracle import OracleLimits
 from kcut.simplex import Tableau
 from kcut.strength import principal_sequence
@@ -95,10 +95,9 @@ def test_treepack_minmax_needs_a_feasible_packing(c5, monkeypatch):
     assert row.detail == "strength 5/4, packing value 5/4"
 
 
-def test_verify_skips_the_dual_rows_when_the_ideal_packing_fails(tt, monkeypatch):
-    # raise the second critical value so its quotients no longer saturate:
-    # every row that reads the dual or its scan is skipped with the
-    # ideal packing's failure as the reason, and the rest still run
+def _raise_the_second_critical_value(monkeypatch):
+    """verify's sequence with lambda_2 raised by one, so the second level's
+    quotients no longer saturate and the ideal packing fails."""
     real = verify_mod.principal_sequence
 
     def lying(g):
@@ -108,6 +107,12 @@ def test_verify_skips_the_dual_rows_when_the_ideal_packing_fails(tt, monkeypatch
         return psp._replace(levels=tuple(levels))
 
     monkeypatch.setattr(verify_mod, "principal_sequence", lying)
+
+
+def test_verify_skips_the_dual_rows_when_the_ideal_packing_fails(tt, monkeypatch):
+    # every row that reads the dual or its scan is skipped with the
+    # ideal packing's failure as the reason, and the rest still run
+    _raise_the_second_critical_value(monkeypatch)
     rows = {r.name: r for r in run_verification(tt, ks=[2])}
     failure = rows["psp-ideal-packing"]
     assert failure.status == "fail" and failure.detail.startswith("level 2: saturating value")
@@ -133,6 +138,46 @@ def test_verify_rows_pin():
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "44ab824dc1f7ad6c27a9e7c912bd9bc04f8af8e52e81ea99f58a24d602580aae"
     )
+
+
+def _rows_sha256(rows):
+    blob = json.dumps([r.to_json() for r in rows], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# The rows on inputs the other pins leave out: ks unsorted, repeated, out of
+# range or empty, both oracle limits at once, strength 0 with explicit ks
+# (the zero-capacity edge 3-4 is a cut of capacity 0), and the ideal
+# packing's failure at two k of the first level, which the falsified second
+# critical value leaves consistent.  (graph, ks, limits, falsified) ->
+# SHA-256 of the rows, recorded before each k's dual and scan moved into one
+# per-k memo.
+_EDGE_CASE_GRAPH = _random_connected(random.Random(11), 6, 7)
+VERIFY_EDGE_CASES = {
+    "ks-unsorted-repeated-out-of-range": (_EDGE_CASE_GRAPH, [3, 2, 99, 0, 6, 3], OracleLimits(), False),
+    "ks-empty": (_EDGE_CASE_GRAPH, [], OracleLimits(), False),
+    "both-oracle-limits": (_EDGE_CASE_GRAPH, None, OracleLimits(max_n_partitions=5, max_spanning_trees=3), False),
+    "strength-0": (
+        parse_graph("p kcut 4 4\ne 1 2 1\ne 2 3 1\ne 1 3 1\ne 3 4 0\n"), [4, 2, 9, 3], OracleLimits(), False,
+    ),
+    "ideal-packing-fails": (_planted(3, 2), [2, 3], OracleLimits(), True),
+}
+VERIFY_EDGE_CASES_SHA256 = {
+    "ks-unsorted-repeated-out-of-range": "994f90c044b86fb564353283405b57b9e1ed62b558c081513712b8a1b4b711e2",
+    "ks-empty": "17220c3d6e0471f1faff26b96f76810ba39a36c448154d428fed749f9d5ca6d4",
+    "both-oracle-limits": "9cc9a16a55fd878080ed479af97609e94d2ad388a6735c7bdf357db8c9f4b77a",
+    "strength-0": "0e9ef8af1a13254e440e73b88d37c862a23b230bc463e123164f7ed5012b5da2",
+    "ideal-packing-fails": "939e95c2a45ec4f97948534651fbe85182794f27641d6dac7b914563755ae298",
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_EDGE_CASES))
+def test_verify_edge_case_rows_pin(name, monkeypatch):
+    g, ks, limits, falsified = VERIFY_EDGE_CASES[name]
+    if falsified:
+        _raise_the_second_critical_value(monkeypatch)
+    rows = run_verification(g, ks=ks, limits=limits)
+    assert _rows_sha256(rows) == VERIFY_EDGE_CASES_SHA256[name]
 
 
 # The graphs of the benchmark's verify-oracle workload, built from the suite's
