@@ -67,10 +67,9 @@ from .graph import (
     _mask_partition,
     _rooted_forest,
     _scaled,
+    _scaled_partition,
     check_k,
     component_blocks,
-    components,
-    contract_partition,
     partition_sort_key,
     scaled_capacities,
 )
@@ -476,16 +475,18 @@ def round_lp(psp: PrincipalSequence, primal: PrimalSolution) -> RoundResult:
     size-1 of them per residual component so each pick adds a part.  x,
     the capacities and the degrees are ints: x over its least common
     denominator d, the capacities scaled by L.  The input is certified
-    against the value of ``psp``, the sequence of the graph it cuts."""
+    against the value of ``psp``, the sequence of the graph it cuts.  An
+    x=0 block goes by its least vertex, ranked as its contracted id."""
     g = psp.graph
     x, d = _scaled(primal.x)
     if any(v < 0 or v > d for v in x):
         raise ValueError("x must lie in [0, 1]")
     k = primal.k
-    zero_blocks = component_blocks(g, exclude_edges=[i for i in range(g.m) if x[i] > 0])
-    gc, block_map, kept = contract_partition(g, zero_blocks)
-    frac = {j for j, eid in enumerate(kept) if 0 < x[eid] < d}
-    ones = [eid for eid in kept if x[eid] == d]
+    block = [0] * g.n  # vertex -> the least vertex of its x=0 block
+    for blk in component_blocks(g, exclude_edges=[i for i in range(g.m) if x[i] > 0]):
+        for v in blk:
+            block[v] = blk[0]
+    ones = [i for i in range(g.m) if x[i] == d]  # all cut: one inside a block separates nothing
 
     caps, scale = scaled_capacities(g)
     cx = sum(map(mul, caps, x))  # c.x times L d
@@ -494,31 +495,29 @@ def round_lp(psp: PrincipalSequence, primal: PrimalSolution) -> RoundResult:
     certified = objective == lp_value
     bound = Fraction(2 * (g.n - 1) * cx, g.n * scale * d)  # 2 (1 - 1/n) c.x
 
-    res_blocks = component_blocks(gc, exclude_edges=[j for j in range(gc.m) if j not in frac])
-    if len(res_blocks) >= k:
-        cutset = set(ones)
-    else:
-        comp_of = [0] * gc.n
+    res_blocks = component_blocks(g, exclude_edges=ones)
+    cutset = set(ones)
+    if len(res_blocks) < k:
+        ends = [(block[e.u], block[e.v]) for e in g.edges]
+        frac = [i for i in range(g.m) if 0 < x[i] < d and ends[i][0] != ends[i][1]]
+        comp_of = [0] * g.n
+        budgets = []  # per residual component: its blocks, less one
         for ci, blk in enumerate(res_blocks):
             for v in blk:
                 comp_of[v] = ci
-        deg = [0] * gc.n  # scaled by L
-        for j in frac:
-            e = gc.edges[j]
-            deg[e.u] += caps[kept[j]]
-            deg[e.v] += caps[kept[j]]
-        budgets = {ci: len(blk) - 1 for ci, blk in enumerate(res_blocks)}
-        items = [(deg[v], v, comp_of[v]) for v in range(gc.n)]
+            budgets.append(sum([block[v] == v for v in blk]) - 1)
+        deg = [0] * g.n  # per block, scaled by L
+        for i in frac:
+            deg[ends[i][0]] += caps[i]
+            deg[ends[i][1]] += caps[i]
+        items = [(deg[v], v, comp_of[v]) for v in range(g.n) if block[v] == v]
         taken = _capped_cheapest(items, budgets, k - len(res_blocks))
         if taken is None:
             raise ValueError("residual graph too small to reach k parts")
         chosen = {v for _, v, _ in taken}
-        cutset = set(ones)
-        for j in frac:
-            e = gc.edges[j]
-            if e.u in chosen or e.v in chosen:
-                cutset.add(kept[j])
-    return RoundResult(components(g, exclude_edges=cutset), certified, bound)
+        cutset.update([i for i in frac if ends[i][0] in chosen or ends[i][1] in chosen])
+    parts = component_blocks(g, exclude_edges=cutset)
+    return RoundResult(_scaled_partition(g, parts, caps, scale), certified, bound)
 
 
 def ravi_sinha_cut(psp: PrincipalSequence, k: int) -> VertexPartition:

@@ -9,10 +9,11 @@ search: the sweep's networks are small and shallow, and Edmonds-Karp
 would spend one breadth-first search on each of those paths.
 Edmonds-Karp then augments from that flow until no residual path is left.
 
-After ``max_flow`` the set reachable from s in the residual network is the
-smallest source side of a minimum cut.  It is the same for every maximum
-flow (Picard and Queyranne 1980), so it does not depend on which paths were
-augmented, and neither does anything the attack sweep builds on it.
+With the value, ``max_flow`` returns what its last search, the one that
+misses t, reached: the smallest source side of a minimum cut.  It is the
+same for every maximum flow (Picard and Queyranne 1980), so it does not
+depend on which paths were augmented, and neither does anything the attack
+sweep builds on it.
 """
 
 from __future__ import annotations
@@ -37,16 +38,17 @@ class FlowNetwork:
         caps.append(rev_cap)
 
     def max_flow(self, s: int, t: int):
-        """Value of a maximum s-t flow; the flow stays in the residual
-        capacities.  Exact on ints and Fractions alike: on int capacities
-        every step, and the value, stays an int.
+        """``(value, side)``: the value of a maximum s-t flow and the
+        vertices reachable from s in its residual network, as a frozenset.
+        The flow stays in the residual capacities.  Exact on ints and
+        Fractions alike: on int capacities every step, and the value, stays
+        an int.
 
         A pre-flow first saturates, in adjacency order, every residual path
         s->v->t and then every s->u->v->t, each by its bottleneck.
         Edmonds-Karp finishes from that flow, one breadth-first search per
         augmenting path, a direct arc s->t among them.  Which paths carry the
-        flow does not matter: the value is unique, and in every maximum
-        flow the residual network has the same smallest minimum cut.
+        flow does not matter: the value is unique, and so is the side.
         """
         if s == t:
             raise ValueError("s and t must differ")
@@ -97,8 +99,8 @@ class FlowNetwork:
                         queue.append(v)
                 if prev_arc[t] != -1:
                     break
-            if prev_arc[t] == -1:
-                return total
+            if prev_arc[t] == -1:  # the search ran to the end: queue is the side
+                return total, frozenset(queue)
             # bottleneck along the path
             bottleneck = None
             v = t
@@ -114,17 +116,3 @@ class FlowNetwork:
                 cap[a ^ 1] += bottleneck
                 v = to[a ^ 1]
             total = total + bottleneck
-
-    def residual_reachable(self, s: int) -> frozenset[int]:
-        """Vertices with a residual path from s."""
-        adj, to, cap = self.adj, self.to, self.cap
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for a in adj[u]:
-                v = to[a]
-                if not seen[v] and cap[a] > 0:
-                    seen[v] = True
-                    queue.append(v)
-        return frozenset(queue)

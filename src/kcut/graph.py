@@ -310,37 +310,23 @@ def parse_graph(text) -> Graph:
     return Graph(n, tuple(edges))
 
 
-class _DSU:
-    __slots__ = ("parent",)
+def component_blocks(g: Graph, exclude_edges: Iterable[int] = ()) -> list[list[int]]:
+    """Connected components of g with some edges deleted, as raw blocks in
+    the order of their least vertices."""
+    skip = set(exclude_edges)
+    parent = list(range(g.n))
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
+    def find(x: int) -> int:  # path halving
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
         return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def component_blocks(g: Graph, exclude_edges: Iterable[int] = ()) -> list[list[int]]:
-    """Connected components of g with some edges deleted, as raw blocks."""
-    skip = set(exclude_edges)
-    dsu = _DSU(g.n)
     for i, e in enumerate(g.edges):
         if i not in skip:
-            dsu.union(e.u, e.v)
+            parent[find(e.v)] = find(e.u)
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(dsu.find(v), []).append(v)
+        groups.setdefault(find(v), []).append(v)
     return list(groups.values())
 
 

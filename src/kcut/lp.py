@@ -12,7 +12,7 @@ alpha = (k - kappa_{j-1}) / (kappa_j - kappa_{j-1}):
   also the Lagrangean bound max_b g(b) + b(k-1), maximized at b = lambda_j.
 
 The dual's packing is made explicit in two ways.  ``ideal_dual`` scales
-the coupled ideal packing (``IdealPacking.compose``), built once for every
+the coupled ideal packing (``IdealPacking.coupling``), built once for every
 k; ``verify`` reads it.  ``dual_packing`` runs a column generation in c+z,
 whose basic packing ``solve``, ``enumerate`` and ``lp`` read: the ideal
 packing is slow on large strength-tight quotients.
@@ -61,49 +61,40 @@ class IdealPacking(NamedTuple):
 
     Level i's packing has value lambda_i and loads every B_i edge to its
     capacity; scaled by 1/lambda_i it is the level's tree distribution, with
-    load c(e)/lambda_i on each B_i edge.  ``compose`` couples the levels'
-    distributions into one distribution of maximal forests, each the union
-    of one support tree from every level.
+    load c(e)/lambda_i on each B_i edge.  ``coupling`` is the levels'
+    distributions coupled into one distribution of maximal forests, each
+    the union of one support tree from every level (``_coupling``).
     """
 
     graph: Graph
     levels: tuple[TreePacking, ...]  # edge ids refer to the graph
     edge_level: tuple[int, ...]  # 1-based level whose B_i contains each edge
-    # compose's trees, and each one's weight as an int over one denominator
+    # the coupled trees, and each one's weight as an int over one denominator
     coupling: tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]
 
     def marginal_load(self, eid: int) -> Fraction:
         lam = self.levels[self.edge_level[eid] - 1].total_value
         return self.graph.edges[eid].cap / lam
 
-    def compose(self) -> TreePacking:
-        """The coupling of the levels' tree distributions: a packing of
-        value 1 whose every tree is the union of one tree per level.
-
-        Level i's trees get probabilities w / lambda_i, laid end to end on
-        [0, 1) in tree order.  Cut at every level's cumulative
-        breakpoints, [0, 1) falls into sub-intervals that each lie in one
-        tree's segment at every level.  The union of those trees, one
-        joining the parts of P_i inside each part of P_{i-1} per level, is
-        a maximal forest of the graph, and its weight is the
-        sub-interval's length.  So every level-i tree keeps its
-        probability, every B_i edge carries its marginal load
-        c_e / lambda_i (the packing's ``caps``, met exactly), and there
-        are at most sum_i |support_i| - L + 1 trees, in interval order:
-        the first is the union of every level's first tree."""
-        trees, lengths, d = self.coupling
-        caps = {}
-        for p in self.levels:
-            lam = p.total_value
-            caps.update((eid, c / lam) for eid, c in p.caps.items())
-        return TreePacking(trees, tuple(Fraction(x, d) for x in lengths), caps)
-
 
 def _coupling(levels) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-    """``IdealPacking.compose``'s trees, and each one's sub-interval length
-    as an int over one denominator d, built on ints: level i's weights over
-    their own denominator sum to s_i, so with d = lcm(s_i) a segment of
-    weight w ends at its level's running sum times d / s_i."""
+    """The coupling of the levels' tree distributions: the trees of a
+    packing of value 1 whose every tree is the union of one tree per level,
+    and each one's sub-interval length as an int over one denominator d.
+
+    Level i's trees get probabilities w / lambda_i, laid end to end on
+    [0, 1) in tree order.  Cut at every level's cumulative breakpoints,
+    [0, 1) falls into sub-intervals that each lie in one tree's segment at
+    every level.  The union of those trees, one joining the parts of P_i
+    inside each part of P_{i-1} per level, is a maximal forest of the
+    graph, and its weight is the sub-interval's length.  So every level-i
+    tree keeps its probability, every B_i edge carries its marginal load
+    c_e / lambda_i, and there are at most sum_i |support_i| - L + 1 trees,
+    in interval order: the first is the union of every level's first tree.
+
+    Built on ints: level i's weights over their own denominator sum to
+    s_i, so with d = lcm(s_i) a segment of weight w ends at its level's
+    running sum times d / s_i."""
     ends = []  # per level, the end of each tree's segment, over d
     for p in levels:
         ws, _ = _scaled(p.weights)
@@ -239,7 +230,7 @@ def lp_dual(psp: PrincipalSequence, k: int) -> DualSolution:
 
 def ideal_dual(ideal: IdealPacking, dual: DualSolution) -> DualSolution:
     """``dual`` made explicit with no column generation: the coupled ideal
-    packing of its sequence (``ideal.compose()``) scaled by lambda_j.  A
+    packing of its sequence (``ideal.coupling``) scaled by lambda_j.  A
     B_i edge then carries lambda_j c_e / lambda_i, which is c_e + z_e for
     i < j and at most c_e from level j on, so the packing is feasible in
     c+z, and its value lambda_j makes it optimal.  ``ideal`` must be the

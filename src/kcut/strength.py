@@ -194,9 +194,10 @@ def _sweep(n: int, adj, half: list[int], b_s: int):
                 net.add_arc(pos[c], i, h, h)
         for c, h in to_j.items():
             net.add_arc(s, pos[c], h, h)
-        x_j = net.max_flow(s, t) + const - h_j - b_s
+        flow, side = net.max_flow(s, t)
+        x_j = flow + const - h_j - b_s
         x_sum += x_j
-        joined = [names[i] for i in net.residual_reachable(s) if i < s]
+        joined = [names[i] for i in side if i < s]
         members[j] = verts = [j]
         block_of[j] = j
         hdeg[j] = h_j

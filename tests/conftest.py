@@ -152,3 +152,16 @@ def flow_network(g: Graph, caps=None) -> FlowNetwork:
     for e, c in zip(g.edges, caps or [e.cap for e in g.edges]):
         net.add_arc(e.u, e.v, c, c)
     return net
+
+
+def residual_side(net: FlowNetwork, s: int) -> set[int]:
+    """The vertices reachable from s over arcs of positive residual
+    capacity in ``net.cap``, by a breadth-first search of its own."""
+    seen = {s}
+    queue = [s]
+    for u in queue:
+        for a in net.adj[u]:
+            if net.to[a] not in seen and net.cap[a] > 0:
+                seen.add(net.to[a])
+                queue.append(net.to[a])
+    return seen

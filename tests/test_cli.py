@@ -676,7 +676,8 @@ def test_strength_exit_2_on_label_sum_failure(capsys, tt_file, monkeypatch):
     # value the greedy labels contradict
     from kcut.flow import FlowNetwork
 
-    monkeypatch.setattr(FlowNetwork, "residual_reachable", lambda self, s: frozenset({s}))
+    real = FlowNetwork.max_flow
+    monkeypatch.setattr(FlowNetwork, "max_flow", lambda self, s, t: (real(self, s, t)[0], frozenset({s})))
     code = main(["strength", tt_file])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -77,7 +77,6 @@ UNREAD_PUBLIC = {
     ("oracle.py", "oracle_attack_value"): "brute-force reference the tests check the fast paths against",
     ("cuts.py", "cuts_from_tree"): "the per-tree stream the scan property test checks",
     ("graph.py", "induced_subgraph"): "test seam: the tests build blocks of a graph with it",
-    ("lp.py", "IdealPacking.compose"): "test seam: the tests check the coupling against the levels' own trees",
     ("cli.py", "_Parser.error"): "argparse calls it",
 }
 

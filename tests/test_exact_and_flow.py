@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kcut import parse_rational, rational_str
 from kcut.flow import FlowNetwork
 
-from conftest import flow_network
+from conftest import flow_network, residual_side
 
 F = Fraction
 
@@ -91,7 +91,7 @@ def test_rational_str_always_has_denominator():
 def test_max_flow_caps_override(tt):
     caps = [e.cap for e in tt.edges]
     caps[6] = F(10)  # widen the bridge
-    assert flow_network(tt, caps).max_flow(0, 5) == 2  # now limited by the triangle boundaries
+    assert flow_network(tt, caps).max_flow(0, 5)[0] == 2  # now limited by the triangle boundaries
 
 
 def test_flow_network_extreme_min_cuts():
@@ -102,9 +102,8 @@ def test_flow_network_extreme_min_cuts():
     net.add_arc(1, 3, F(1))
     net.add_arc(0, 2, F(2))
     net.add_arc(2, 3, F(3))
-    assert net.max_flow(0, 3) == 3
     # the smallest side: reachable from s
-    assert net.residual_reachable(0) == {0}
+    assert net.max_flow(0, 3) == (3, {0}) and residual_side(net, 0) == {0}
 
 
 _INT_CAPS = st.integers(0, 9)
@@ -191,17 +190,19 @@ def _assert_max_flow_matches_networkx(network):
         for v, f in out.items():
             residual[u, v] -= f
             residual[v, u] += f
-    got = net.max_flow(s, t)
+    got, source_side = net.max_flow(s, t)
     assert got == value
     # every push moved capacity between an arc and its reverse
     residual_pairs = [net.cap[2 * i] + net.cap[2 * i + 1] for i in range(len(arcs))]
     assert residual_pairs == [c + r for _, _, c, r in arcs]
     if all(isinstance(c, int) and isinstance(r, int) for _, _, c, r in arcs):
         assert isinstance(got, int)
-    source_side = net.residual_reachable(s)
-    assert source_side == _search(n, residual, s)
-    assert net.max_flow(s, t) == 0
-    assert net.residual_reachable(s) == source_side
+    assert source_side == residual_side(net, s) == _search(n, residual, s)
+    # the side's cut, taken over the input capacities, is the value
+    assert sum(c for u, v, c, _ in arcs if u in source_side and v not in source_side) + sum(
+        r for u, v, _, r in arcs if v in source_side and u not in source_side
+    ) == value
+    assert net.max_flow(s, t) == (0, source_side)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -225,10 +226,10 @@ def test_preflow_path_cancelled_by_edmonds_karp():
     arcs = [(0, 1), (1, 2), (2, 5), (0, 4), (4, 2), (1, 3), (3, 5)]
     for u, v in arcs:
         net.add_arc(u, v, 1)
-    assert net.max_flow(0, 5) == 2
+    assert net.max_flow(0, 5) == (2, {0})
     flows = {arc: 1 - net.cap[2 * i] for i, arc in enumerate(arcs)}
     assert flows == {(0, 1): 1, (1, 2): 0, (2, 5): 1, (0, 4): 1, (4, 2): 1, (1, 3): 1, (3, 5): 1}
-    assert net.residual_reachable(0) == {0}
+    assert residual_side(net, 0) == {0}
 
 
 def test_max_flow_same_terminals(e1):

@@ -124,7 +124,7 @@ def test_ideal_packing_fixtures(tt, c5, e1):
 
 def test_ideal_packing_composes_to_forest(tt):
     ip = ideal_packing(principal_sequence(tt))
-    chosen = ip.compose().trees[0]
+    chosen = ip.coupling[0][0]
     assert len(chosen) == tt.n - 1
     # a maximal forest: acyclic and spanning
     from kcut.graph import component_blocks
@@ -183,7 +183,7 @@ def test_ideal_packing_per_level_property(g, doubled):
                         if block[e.u] in reach or block[e.v] in reach:
                             reach |= {block[e.u], block[e.v]}
                 assert reach == parts, (i, comp)
-    chosen = set(ip.compose().trees[0])
+    chosen = set(ip.coupling[0][0])
     assert len(chosen) == g.n - psp.kappa0()
     rest = set(range(g.m)) - chosen
     assert len(component_blocks(g, exclude_edges=rest)) == psp.kappa0()
@@ -205,11 +205,11 @@ def test_ideal_dual_is_an_optimal_dual_at_every_k_property(g, doubled):
         g = Graph(2 * g.n, g.edges + copy)
     psp = principal_sequence(g)
     ip = ideal_packing(psp)
-    coupling = ip.compose()
-    assert sum(coupling.weights) == 1
-    assert len(coupling.trees) <= sum(len(p.support()) for p in ip.levels) - len(ip.levels) + 1
+    trees, lengths, d = ip.coupling
+    assert sum(lengths) == d
+    assert len(trees) <= sum(len(p.support()) for p in ip.levels) - len(ip.levels) + 1
     h = psp.kappa0()
-    for tree in coupling.trees:
+    for tree in trees:
         assert len(tree) == g.n - h
         assert len(component_blocks(g, exclude_edges=set(range(g.m)) - set(tree))) == h
     for k in range(2, g.n + 1):
@@ -218,7 +218,7 @@ def test_ideal_dual_is_an_optimal_dual_at_every_k_property(g, doubled):
         assert dual.level_index == primal.level_index == psp.level_for_k(k), k
         assert dual.packing.total_value == dual.total_y, k
         if k > h:
-            assert dual.packing.trees == coupling.trees, k
+            assert dual.packing.trees == trees, k
             assert dual.total_y == psp.levels[dual.level_index - 1].lam, k
         else:
             assert dual.packing.trees == (), k

@@ -38,23 +38,30 @@ from kcut.oracle import enum_partitions, oracle_attack_value
 from kcut.strength import PspLevel, _attack_core, _sweep
 from kcut.verify import run_verification
 
-from conftest import TT_TEXT, _random_connected, edge_ids_of_partition, flow_network, full_suite
+from conftest import (
+    TT_TEXT,
+    _random_connected,
+    edge_ids_of_partition,
+    flow_network,
+    full_suite,
+    residual_side,
+)
 
 F = Fraction
 
 
 def test_max_flow_e1(e1):
     net = flow_network(e1)
-    assert net.max_flow(0, 1) == 5 and net.residual_reachable(0) == {0}
+    assert net.max_flow(0, 1) == (5, {0}) and residual_side(net, 0) == {0}
 
 
 def test_max_flow_tt_bridge(tt):
     net = flow_network(tt)
-    assert net.max_flow(0, 5) == 1 and net.residual_reachable(0) == {0, 1, 2}
+    assert net.max_flow(0, 5) == (1, {0, 1, 2}) and residual_side(net, 0) == {0, 1, 2}
 
 
 def test_max_flow_k4_brute(k4):
-    value = flow_network(k4).max_flow(0, 1)
+    value, _ = flow_network(k4).max_flow(0, 1)
     # brute force over 2-partitions separating the terminals
     best = min(
         p.crossing_value
@@ -66,7 +73,7 @@ def test_max_flow_k4_brute(k4):
 
 def test_max_flow_rational_caps():
     g = parse_graph("p kcut 4 5\ne 1 2 1/3\ne 2 4 1/2\ne 1 3 3/4\ne 3 4 1/5\ne 1 4 2\n")
-    value = flow_network(g).max_flow(0, 3)
+    value, _ = flow_network(g).max_flow(0, 3)
     assert value == F(1, 3) + F(1, 5) + 2
 
 
@@ -755,25 +762,27 @@ def test_psp_runs_one_search(monkeypatch):
 def test_attack_checks_blocks_against_label_sum(tt, monkeypatch):
     # every step's smallest minimum cut becomes the new vertex alone, so the
     # sweep merges nothing while its flows, and so its labels, stay right
-    monkeypatch.setattr(FlowNetwork, "residual_reachable", lambda self, s: frozenset({s}))
+    real = FlowNetwork.max_flow
+    monkeypatch.setattr(FlowNetwork, "max_flow", lambda self, s, t: (real(self, s, t)[0], frozenset({s})))
     with pytest.raises(AssertionError, match="label sum"):
         attack(tt, 1)
 
 
-def test_one_residual_search_per_max_flow(monkeypatch):
-    calls = {"max_flow": 0, "residual_reachable": 0}
-    for name in calls:
-        real = getattr(FlowNetwork, name)
+def test_max_flow_returns_the_residual_side_in_the_sweep(monkeypatch):
+    # every side the sweep reads is the residual reach of s its own search
+    # would find on the network max_flow leaves behind
+    sides = []
+    real = FlowNetwork.max_flow
 
-        def counted(self, *args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(self, *args)
+    def checked(self, s, t):
+        value, side = real(self, s, t)
+        sides.append(side == residual_side(self, s) and isinstance(side, frozenset))
+        return value, side
 
-        monkeypatch.setattr(FlowNetwork, name, counted)
+    monkeypatch.setattr(FlowNetwork, "max_flow", checked)
     principal_sequence.cache_clear()
     principal_sequence(_random_connected(Random(20), 20, 40))
-    assert calls["max_flow"] > 0
-    assert calls["residual_reachable"] == calls["max_flow"]
+    assert sides and all(sides)
 
 
 # -- one scale per search -------------------------------------------------------
