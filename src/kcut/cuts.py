@@ -3,13 +3,28 @@
 A cut whose crossing set inside a tree T is F corresponds to a grouping of
 the components of T - F; enumerating every subset F of at most h tree edges
 and every merge of the pieces therefore reaches every cut that h-respects T.
-With h = 2k-3 against an exact dual packing (h = 2k-2 against any packing
-in c+z of value at least (1-eps) lambda_j, eps < 1/(2k-1)), every optimal
-k-cut h-respects some support tree, so scanning the support is a complete,
-certificate-backed search.  Given an eps, the scan reads the distinct
-trees of Thorup's greedy packing up to the first that reaches that value.
-The same pipeline with h = floor(2*alpha*(k-1)) reaches every
-alpha-approximate cut.
+So a scan is complete over the trees it reads: it finds every cut that
+h-respects one of them.  With h = 2k-3 against an exact dual packing
+(h = 2k-2 against any packing in c+z of value at least (1-eps) lambda_j,
+eps < 1/(2k-1)), every optimal k-cut h-respects some support tree, so
+scanning the support is a complete, certificate-backed search.  Given an
+eps, the scan reads the distinct trees of Thorup's greedy packing up to the
+first that reaches that value.  The same pipeline with
+h = floor(2*alpha*(k-1)) reaches every alpha-approximate cut.
+
+An exact dual's support need not be read in full.  Every maximal forest of
+the positive edges, p0 components, crosses a partition C of at least k
+parts at least k - p0 times, and the packing fits in c+z, so
+sum_T y_T |T & delta(C)| <= c(delta C) + z(E); with LP = (k - p0) sum_T y_T
+- z(E), the trees crossing C more than h times weigh at most
+(c(delta C) - LP) / (h - k + p0 + 1).  A target cut has value at most
+alpha OPT <= alpha U, with U the least value scored so far, so once the
+trees read weigh more than (alpha U - LP) / (h - k + p0 + 1) one of them
+h-respects every target cut.  The support is read heaviest first and the
+scan stops there: after one tree when the best cut found meets the LP
+value, as it often does.
+And when h >= n - p0, every partition h-respects every maximal forest, of
+n - p0 edges, so one forest is scanned and no packing is built at all.
 
 A scan scores only the proper merges of a layout: those that put the two
 ends of every removed edge in different groups.  Any other merge is a cut C
@@ -300,13 +315,16 @@ def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
             yield _mask_partition(g.n, masks, Fraction(value, scale))
 
 
-def _enumerate_over_support(g: Graph, trees, h: int, k: int, alpha=1):
-    """({part masks: value}, scale, candidates examined) over the given
-    trees: the cuts kept under the running limit floor(alpha * least value
+def _enumerate_over_support(g: Graph, trees, h: int, k: int, alpha=1, reach=None):
+    """({part masks: value}, scale, candidates examined) over the trees
+    read: the cuts kept under the running limit floor(alpha * least value
     scored), each value an integer in the scale of ``scaled_capacities(g)``,
     and every cut at most the final limit among them (see the module
     docstring).  Candidates are counted in closed form per f; a piece
-    layout met again is not scored again."""
+    layout met again is not scored again.  ``trees`` are read in order.
+    Given ``reach``, a bound per tree, the scan stops before the next tree
+    once the bound of the last tree read exceeds the running limit, in the
+    capacities' own scale; ``_scan`` says when that loses no cut."""
     caps, scale = scaled_capacities(g)
     wires, weights = _wires(g, caps)
     num, den = Fraction(alpha).as_integer_ratio()
@@ -315,7 +333,7 @@ def _enumerate_over_support(g: Graph, trees, h: int, k: int, alpha=1):
     seen: set[tuple[int, ...]] = set()
     found: dict[frozenset, int] = {}
     candidates = 0
-    for tree in trees:
+    for i, tree in enumerate(trees):
         for f, layout_merges in _merge_tables(g.n - len(tree), len(tree), h, k, merges):
             candidates += comb(len(tree), f) * len(layout_merges)
         for pieces, layout_merges, removed in _layouts(g, tuple(tree), h, k, merges, weights, limit):
@@ -325,6 +343,8 @@ def _enumerate_over_support(g: Graph, trees, h: int, k: int, alpha=1):
             for parts, value in _layout_cuts(g.n, wires, pieces, layout_merges, removed, limit):
                 found[parts] = value
                 limit[0] = min(limit[0], value * num // den)
+        if reach and reach[i] * scale > limit[0]:
+            break
     return found, scale, candidates
 
 
@@ -356,22 +376,34 @@ def _scan(psp: PrincipalSequence, k: int, h: int, eps=None, dual=None, alpha=Non
     ``dual`` given by the caller is scanned instead of one built here.  An
     eps must satisfy 0 < eps < 1/(2k-1), checked before any work.
 
-    With no eps the scan reads the support of the explicit dual's packing,
-    ``lp.dual_packing``.  With one it reads the distinct greedy trees up to
-    the first that brings the greedy packing to (1 - eps) lambda_j, an
-    exact test on integers.  Should the stream pass its cap of
-    ``packing.GREEDY_TREES_PER_EDGE`` trees per positive edge of c+z,
-    whatever eps is, the scan falls back to the explicit dual's packing,
-    which meets every such bar; so no eps leaves the scan open-ended.
+    With no eps the scan reads the support of an exact dual's packing: the
+    caller's, or ``lp.dual_packing``'s.  With one it reads the distinct
+    greedy trees up to the first that brings the greedy packing to
+    (1 - eps) lambda_j, an exact test on integers.  Should the stream pass
+    its cap of ``packing.GREEDY_TREES_PER_EDGE`` trees per positive edge of
+    c+z, whatever eps is, the scan falls back to the exact packing, which
+    meets every such bar; so no eps leaves the scan open-ended.
 
-    k = n scans nothing: the singletons come back with h as given.  When k
-    is at most the number of components the exact packing is empty and
-    every optimal cut groups whole components at value 0, so one maximal
-    forest of positive edges is scanned: with no edge removed and h = 0
-    when no eps is given, and with one as the one greedy tree that meets
-    the bar 0, with h = 2k-2.  The dual is read off the sequence's
-    positive part, so a component of strength 0 is scanned in the sequence
-    of g less its zero-capacity edges, which gives every partition g's value.
+    An exact support is read heaviest first, ties in packing order, and the
+    scan stops before the next tree once S (h - k + p0 + 1) > alpha U - LP,
+    with S the weight read, U the least value scored, LP the dual's
+    objective and p0 its component count ``dual.h``.  Every target cut, of
+    value at most alpha OPT <= alpha U, then h-respects a tree read (see
+    the module docstring), so the report is the full scan's but for
+    ``candidates_examined`` and ``distinct_cuts``.  The greedy trees carry
+    no exact weights, so they are read in full.
+
+    When h >= n - p0 every partition h-respects every maximal forest of the
+    positive edges, so with or without an eps one such forest is scanned,
+    and no packing is built or read; h is reported as raised.  k = n scans
+    nothing: the singletons come back with h as given.  When k is at most
+    the number of components the exact packing is empty and every optimal
+    cut groups whole components at value 0, so the same forest is scanned:
+    with no edge removed and h = 0 when no eps is given, and with one as
+    the one greedy tree that meets the bar 0, with h = 2k-2.  The dual is
+    read off the sequence's positive part, so a component of strength 0 is
+    scanned in the sequence of g less its zero-capacity edges, which gives
+    every partition g's value.
     """
     g = psp.graph
     check_k(g, k)
@@ -388,21 +420,23 @@ def _scan(psp: PrincipalSequence, k: int, h: int, eps=None, dual=None, alpha=Non
         psp = psp.positive()
         if dual is None:
             dual = lp_dual(psp, k)
-            if eps is None:
-                dual = dual_packing(g, dual)
         approx = eps is not None and bool(psp.levels)  # with no level, no capacity is positive
-        if k <= dual.h:
+        h = 0 if k <= dual.h and not approx else max(h, 2 * k - 2 if approx else 2 * k - 3)
+        reach = None
+        if k <= dual.h or h >= g.n - dual.h:  # a maximal forest has n - p0 edges
             forest = min_spanning_forest(g, [e.cap == 0 for e in g.edges])  # zero edges last
-            trees, h = [tuple(i for i in forest if g.edges[i].cap)], max(h, 2 * k - 2) if approx else 0
-        elif approx:
-            trees = _greedy_support(g, dual, eps)
-            if trees is None:
+            trees = [tuple(i for i in forest if g.edges[i].cap)]
+        elif not approx or (trees := _greedy_support(g, dual, eps)) is None:
+            if dual.packing is None:
                 dual = dual_packing(g, dual)
-                trees = dual.packing.support()
-            h = max(h, 2 * k - 2)
-        else:
-            trees, h = dual.packing.support(), max(h, 2 * k - 3)
-        found, scale, candidates = _enumerate_over_support(g, trees, h, k, ratio)
+            support = sorted(
+                [(w, t) for t, w in zip(dual.packing.trees, dual.packing.weights) if w > 0],
+                key=lambda wt: -wt[0],
+            )
+            trees = [t for _, t in support]
+            step = h - k + dual.h + 1
+            reach = [dual.objective + step * s for s in itertools.accumulate(w for w, _ in support)]
+        found, scale, candidates = _enumerate_over_support(g, trees, h, k, ratio, reach)
         if not found:
             raise AssertionError("enumeration found no k-cut")
     best = min(found.values())
@@ -422,24 +456,32 @@ def min_kcut(psp: PrincipalSequence, k: int, eps=None, dual=None):
     (exact column generation, or, given an eps with 0 < eps < 1/(2k-1),
     Thorup's greedy trees up to a packing of value (1 - eps) lambda_j,
     with the exact packing as the fallback past the stream's cap) -> scan
-    every support tree for cuts crossing it at most h times (h = 2k-3
-    exact, 2k-2 with an eps) -> deduplicate and minimize.
-    Either packing is guaranteed to hold every optimal k-cut.  When k is
-    at most the number of components the minimum is 0 and the minimizers
-    are the groupings of whole components into at least k parts.  A caller
-    that already holds an explicit optimal dual of k, such as
-    ``dual_packing(g, lp_dual(psp, k))`` or ``ideal_dual(ideal, lp_dual(psp,
-    k))``, passes it as ``dual`` and no column generation runs.
+    support trees for cuts crossing them at most h times (h = 2k-3
+    exact, 2k-2 with an eps) -> deduplicate and minimize.  Every optimal
+    k-cut h-respects a tree of either packing, and the scan of an exact
+    packing reads its trees heaviest first until the gap between the best
+    cut found and the LP value shows that one tree read h-respects every
+    optimal cut (see ``_scan``).  When h >= n - p0, for p0 components of
+    the positive edges, one maximal forest holds every cut, and no packing
+    is built.  When k is at most the number of components the minimum is 0
+    and the minimizers are the groupings of whole components into at least
+    k parts.  A caller that already holds an explicit optimal dual of k,
+    such as ``dual_packing(g, lp_dual(psp, k))`` or ``ideal_dual(ideal,
+    lp_dual(psp, k))``, passes it as ``dual`` and no column generation
+    runs.
     """
     report = _scan(psp, k, 0, eps, dual)
     return report.cuts[0], report
 
 
 def enumerate_approx_kcuts(psp: PrincipalSequence, k: int, alpha) -> EnumerationReport:
-    """All distinct cuts of ``psp.graph`` with at least k parts and value at
-    most alpha times the minimum k-cut, via the exact dual packing with
+    """All distinct cuts of ``psp.graph`` with at least k parts and value
+    at most alpha times the minimum k-cut, via the exact dual packing with
     h = floor(2*alpha*(k-1)); complete because every such cut h-respects a
-    positive fraction of the packing."""
+    positive fraction of the packing.  The packing's trees are read
+    heaviest first until those read outweigh the trees crossing any such
+    cut more than h times, a weight the gap alpha U - LP bounds (see
+    ``_scan``); and when h >= n - p0 one maximal forest is read instead."""
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")

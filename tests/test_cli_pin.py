@@ -94,7 +94,7 @@ def _zero_cut_graphs(count=24, seed=20261019):
         yield f"p kcut {n} {len(lines)}\n" + "".join(lines)
 
 
-ZERO_CUT_SHA256 = "d4a319bee293426af60a276f0a8778b21062fbafa6bbb616c14155e86cab9de4"
+ZERO_CUT_SHA256 = "2d4f3e4b243db2740e4448c82c8d35219b661d77d260858957ae30646f928bf4"
 
 
 def test_kcut_output_pinned_on_zero_capacity_cuts(capsys, monkeypatch):

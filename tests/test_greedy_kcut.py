@@ -8,9 +8,13 @@ the value bar, and a cap of 0 forces the fallback.
 
 The scan scores only the proper merges of a new piece layout, those that
 keep the two ends of every removed tree edge apart; the work bounds pin
-how few trees and merges that leaves on two of perfbench's graphs.
+how few trees and merges that leaves on two of perfbench's graphs.  It
+reads an exact dual's support heaviest first and stops once the measured
+LP gap allows, and when h >= n - p0 it reads one maximal forest and builds
+no packing; the tree counts pin both.
 """
 
+import io
 import random
 from fractions import Fraction
 from unittest import mock
@@ -18,10 +22,12 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import Edge, Graph, min_kcut, oracle_min_kcut, principal_sequence, ravi_sinha_cut
-from kcut import cuts, packing
+from kcut import Edge, Graph, lp_dual, min_kcut, oracle_min_kcut, principal_sequence, ravi_sinha_cut
+from kcut import cuts, lp, packing
+from kcut.cli import main
 
 from conftest import _planted, _random_connected, assert_recomputed
+from test_psp_pin import _text
 from test_cuts import _disconnected_multigraphs, _strength_zero_multigraphs
 from test_scan_property import _multigraphs
 
@@ -126,9 +132,9 @@ def test_approx_k3_scans_few_greedy_trees():
     scanned = []
     real = cuts._enumerate_over_support
 
-    def spy(graph, trees, h, k, alpha):
+    def spy(graph, trees, h, k, alpha, reach):
         scanned.append(len(trees))
-        return real(graph, trees, h, k, alpha)
+        return real(graph, trees, h, k, alpha, reach)
 
     with mock.patch.object(cuts, "_enumerate_over_support", spy):
         cut, report = min_kcut(principal_sequence(g), 3, eps=F(1, 6))
@@ -140,8 +146,9 @@ def test_exact_k3_scores_only_proper_merges():
     """Only a proper merge within the running best has its part masks
     built: its parts keep the two ends of each removed edge apart.  On
     unit K5 some improper merges are within the limit.  perfbench's
-    planted-k3-s4 scores 55 piece layouts and keeps the 10 cuts it builds;
-    scoring every new layout in full scored 465 and kept 1,357."""
+    planted-k3-s4 reads one of its three support trees, scores 55 piece
+    layouts and keeps the 10 cuts it builds; scoring every new layout in
+    full scored 465 and kept 1,357."""
     k5 = Graph(5, tuple(Edge(u, v, F(1)) for u in range(5) for v in range(u + 1, 5)))
     real = cuts._layout_cuts
     for g in (k5, _planted(3, 4)):
@@ -157,5 +164,57 @@ def test_exact_k3_scores_only_proper_merges():
         with mock.patch.object(cuts, "_layout_cuts", spy):
             _, report = min_kcut(principal_sequence(g), 3)
     assert report.distinct_cuts == len(built) == 10
-    assert report.candidates_examined == 3630
+    assert report.candidates_examined == 1210
     assert layouts[0] <= 60
+
+
+def _work(monkeypatch):
+    """(trees read, column generations) lists, filled by spies on the
+    ``_rooted_forest`` calls made from ``cuts``, one per tree a scan reads,
+    and on ``lp``'s column generation in c+z."""
+    trees, generated = [], []
+    rooted, generate = cuts._rooted_forest, lp._column_generation
+    monkeypatch.setattr(cuts, "_rooted_forest", lambda n, tree, edges: trees.append(tree) or rooted(n, tree, edges))
+    monkeypatch.setattr(lp, "_column_generation", lambda *a: generated.append(a) or generate(*a))
+    return trees, generated
+
+
+def test_scan_stops_on_the_measured_gap(monkeypatch):
+    """planted-k3-s4 at k=3 finds its optimum, 3, in its heaviest support
+    tree, where the LP is 3 too, so it reads 1 of 3 trees; unit K6 at
+    k=3 reads 5 of the 15 trees of its c+z packing."""
+    k6 = Graph(6, tuple(Edge(u, v, F(1)) for u in range(6) for v in range(u + 1, 6)))
+    for g, read in ((_planted(3, 4), 1), (k6, 5)):
+        trees, generated = _work(monkeypatch)
+        min_kcut(principal_sequence(g), 3)
+        assert len(generated) == 1 and len(trees) == read
+
+
+def test_forest_rule_builds_no_packing(monkeypatch, capsys):
+    """When h >= n - p0 every partition h-respects every maximal forest,
+    so one forest is read, with no column generation: perfbench's
+    ``enumerate --k 3 --alpha 3/2`` on rand-n6-x6 (h = 6) and exact
+    ``solve --k 5`` on rand-n7-x9 (h = 7)."""
+    for g, argv in (
+        (_random_connected(random.Random(6), 6, 6), ["enumerate", "--k", "3", "--alpha", "3/2"]),
+        (_random_connected(random.Random(7), 7, 9), ["solve", "--k", "5", "--all"]),
+    ):
+        trees, generated = _work(monkeypatch)
+        monkeypatch.setattr("sys.stdin", io.StringIO(_text(g)))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert generated == [] and len(trees) == 1
+
+
+def test_approx_k5_on_random21_needs_no_fallback(monkeypatch):
+    """The case that once passed the greedy stream's cap: Random(21), n=6,
+    at k=5 and eps=1/20.  The stream now meets its bar within the cap, and
+    under the forest rule (h = 8 >= 5) the scan reads one forest and runs
+    no column generation."""
+    g = _random_connected(random.Random(21), 6, 6)
+    psp = principal_sequence(g)
+    assert cuts._greedy_support(g, lp_dual(psp, 5), F(1, 20)) is not None
+    trees, generated = _work(monkeypatch)
+    _, report = min_kcut(psp, 5, eps=F(1, 20))
+    assert generated == [] and len(trees) == 1
+    assert report.cuts == min_kcut(psp, 5)[1].cuts

@@ -14,11 +14,20 @@ capacities tie many cuts at the limit, which ``min_kcut`` and
 ``cuts_from_tree`` itself is checked against a brute-force stream that
 takes the components of tree - F from ``component_blocks`` and prices each
 merge with ``partition_from_blocks``.
+
+The scan of an exact dual reads its support heaviest first and stops once
+the weight read, S, has S (h - k + p0 + 1) > alpha U - LP.  On multigraphs
+with several components or zero-capacity edges, so that p0 > 1 and the
+forest rule (h >= n - p0) are both met, the exact, coupled-dual and alpha
+scans must keep the oracle's answers; and the trees crossing an optimal cut
+more than h times must weigh at most (OPT - LP) / (h - k + p0 + 1), the
+inequality the stop rests on.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import floor
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,14 +36,18 @@ from kcut import (
     Edge,
     Graph,
     cuts_from_tree,
+    dual_packing,
     enumerate_approx_kcuts,
+    ideal_dual,
+    ideal_packing,
+    lp_dual,
     min_kcut,
     min_spanning_forest,
     partition_from_blocks,
     principal_sequence,
 )
 from kcut.cuts import _enumerate_over_support
-from kcut.graph import component_blocks, partition_sort_key
+from kcut.graph import component_blocks, partition_sort_key, scaled_capacities
 from kcut.oracle import enum_partitions, partition_table, set_partitions
 from kcut.packing import PackConfig, mwu_pack
 
@@ -165,5 +178,88 @@ def test_exact_k4_store_stays_bounded():
     # the unbounded store held 186,517 cuts; the candidates are counted in closed form
     g = _random_connected(random.Random(12), 12, 24)
     cut, report = min_kcut(principal_sequence(g), 4)
-    assert report.candidates_examined == 1_071_642
+    assert report.candidates_examined == 41_217
     assert report.distinct_cuts <= 100
+
+
+@st.composite
+def _split_multigraphs(draw):
+    """n <= 8: up to three groups of vertices, each a cycle, a complete
+    graph or a random tree plus extra edges, with parallel edges among them;
+    capacities are rational, mostly 1 so that cuts tie, and some 0.  Groups
+    are joined by zero-capacity edges or not at all, so the graph of
+    positive edges often has p0 > 1 components."""
+    n = draw(st.integers(3, 8))
+    groups = draw(st.sampled_from([1, 1, 2, 3]))
+    members = [[] for _ in range(groups)]
+    for v in draw(st.permutations(range(n))):
+        members[draw(st.integers(0, groups - 1))].append(v)
+    pairs = []
+    for group in members:
+        shape = draw(st.sampled_from(["cycle", "complete", "tree"]))
+        if shape == "cycle" and len(group) > 2:
+            pairs += [(group[i - 1], group[i]) for i in range(len(group))]
+        elif shape == "complete":
+            pairs += list(itertools.combinations(group, 2))
+        else:
+            pairs += [(group[draw(st.integers(0, i - 1))], group[i]) for i in range(1, len(group))]
+    caps = st.sampled_from([F(1), F(1), F(1), F(2), F(3, 2), F(1, 3), F(0)])
+    edges = [(u, v, draw(caps)) for u, v in pairs]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    for u, v in draw(st.lists(extra, max_size=n)):
+        same = any(u in group and v in group for group in members)
+        edges.append((u, v, draw(caps) if same else F(0)))
+    return Graph(n, tuple(Edge(min(u, v), max(u, v), c) for u, v, c in edges))
+
+
+def _crossings(g, tree, cut):
+    part = {v: i for i, block in enumerate(cut.parts) for v in block}
+    return sum([part[g.edges[eid].u] != part[g.edges[eid].v] for eid in tree])
+
+
+def _every_cut(g):
+    """{part masks: (value, part count)} over every partition of V, the
+    value as a Fraction summed on the capacities scaled to integers."""
+    caps, scale = scaled_capacities(g)
+    out = {}
+    for blocks in set_partitions(list(range(g.n))):
+        part = [0] * g.n
+        for i, block in enumerate(blocks):
+            for v in block:
+                part[v] = i
+        value = sum([c for e, c in zip(g.edges, caps) if part[e.u] != part[e.v]])
+        out[frozenset(sum(1 << v for v in block) for block in blocks)] = F(value, scale), len(blocks)
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_split_multigraphs())
+def test_stopped_scan_keeps_the_oracle_answers(g):
+    table = partition_table(g)
+    every = _every_cut(g)
+    psp = principal_sequence(g)
+    ideal = ideal_packing(psp) if psp.levels and psp.levels[0].lam > 0 else None  # it refuses strength 0
+    for k in range(2, g.n + 1):
+        least, minimizers = table.min_kcut(k)
+        base = lp_dual(psp, k)
+        duals = [None]  # with k <= p0 the packing is empty
+        if k > base.h:
+            duals = [dual_packing(g, base)] + ([ideal_dual(ideal, base)] if ideal else [])
+        for dual in duals:
+            cut, report = min_kcut(psp, k, dual=dual)
+            assert cut == least and report.cuts == minimizers, (k, dual)
+            if dual is None:
+                continue
+            for h in sorted({2 * k - 3, 2 * k - 2, floor(F(5, 2) * (k - 1)), 3 * (k - 1)}):
+                step = h - k + dual.h + 1
+                for opt in minimizers:
+                    trees = zip(dual.packing.trees, dual.packing.weights)
+                    over = sum([w for t, w in trees if _crossings(g, t, opt) > h], F(0))
+                    assert over * step <= opt.crossing_value - dual.objective, (k, h)
+        for alpha in (F(5, 4), F(3, 2)):
+            bar = alpha * least.crossing_value
+            cuts = enumerate_approx_kcuts(psp, k, alpha).cuts
+            assert {_mask_key(c) for c in cuts} == {m for m, (v, p) in every.items() if p >= k and v <= bar}
+            assert len(cuts) == len({_mask_key(c) for c in cuts})
+            assert all(c.crossing_value == every[_mask_key(c)][0] for c in cuts), (k, alpha)
+            assert list(cuts) == sorted(cuts, key=lambda c: (c.crossing_value, partition_sort_key(c)))
