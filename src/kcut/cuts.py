@@ -8,21 +8,24 @@ h-respects one of them.  With h = 2k-3 against an exact dual packing
 (h = 2k-2 against any packing in c+z of value at least (1-eps) lambda_j,
 eps < 1/(2k-1)), every optimal k-cut h-respects some support tree, so
 scanning the support is a complete, certificate-backed search.  Given an
-eps, the scan reads the distinct trees of Thorup's greedy packing up to the
+eps, the scan packs the distinct trees of Thorup's greedy packing up to the
 first that reaches that value.  The same pipeline with
 h = floor(2*alpha*(k-1)) reaches every alpha-approximate cut.
 
-An exact dual's support need not be read in full.  Every maximal forest of
-the positive edges, p0 components, crosses a partition C of at least k
-parts at least k - p0 times, and the packing fits in c+z, so
-sum_T y_T |T & delta(C)| <= c(delta C) + z(E); with LP = (k - p0) sum_T y_T
-- z(E), the trees crossing C more than h times weigh at most
-(c(delta C) - LP) / (h - k + p0 + 1).  A target cut has value at most
-alpha OPT <= alpha U, with U the least value scored so far, so once the
-trees read weigh more than (alpha U - LP) / (h - k + p0 + 1) one of them
-h-respects every target cut.  The support is read heaviest first and the
-scan stops there: after one tree when the best cut found meets the LP
-value, as it often does.
+No packing's support need be read in full.  Let y be any packing in c+z of
+maximal forests of the positive edges of c+z, of value Y: an exact dual,
+or the greedy trees, each weighted c(e*)/load(e*) per time it came up.
+Such a forest has at most p0 components, p0 those of the positive edges
+of c, so it crosses a partition C of at least k parts at least k - p0
+times, and y fits in c+z, so sum_T y_T |T & delta(C)| <= c(delta C) +
+z(E).  With the packing's own LP = (k - p0) Y - z(E), the dual objective
+for an exact dual and at most that for the greedy packing, the trees
+crossing C more than h times weigh at most (c(delta C) - LP) / (h - k +
+p0 + 1).  A target cut has value at most alpha OPT <= alpha U, with U the
+least value scored so far, so once the trees read weigh more than
+(alpha U - LP) / (h - k + p0 + 1) one of them h-respects every target
+cut.  The support is read heaviest first and the scan stops there: after
+one tree when the best cut found meets the LP value, as it often does.
 And when h >= n - p0, every partition h-respects every maximal forest, of
 n - p0 edges, so one forest is scanned and no packing is built at all.
 
@@ -76,7 +79,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .graph import (
-    Edge,
     Graph,
     VertexPartition,
     _mask_partition,
@@ -348,20 +350,24 @@ def _enumerate_over_support(g: Graph, trees, h: int, k: int, alpha=1, reach=None
     return found, scale, candidates
 
 
-def _greedy_support(g: Graph, dual: DualSolution, eps: Fraction):
-    """The distinct trees of Thorup's greedy packing in c+z, in stream order,
-    up to the first that brings the packing's value to (1 - eps) lambda_j;
-    None should the stream pass its cap first.  The test is exact: the
-    value t c(e*)/load(e*) of ``greedy_trees`` against the bar, both on
-    c+z scaled to integers."""
-    work = Graph(g.n, tuple(Edge(e.u, e.v, e.cap + z) for e, z in zip(g.edges, dual.z)))
-    caps, scale = scaled_capacities(work)
+def _greedy_packing(g: Graph, dual: DualSolution, eps: Fraction):
+    """Thorup's greedy packing in c+z as a ``TreePacking``: its distinct
+    trees in stream order, up to the first that brings the packing's value
+    to (1 - eps) lambda_j, each weighted its multiplicity times
+    c(e*)/load(e*), so the weights sum to that value and every load is at
+    most c+z; None should the stream pass its cap first.  The test is
+    exact: the value t c(e*)/load(e*) of ``greedy_trees`` against the bar,
+    both on c+z scaled to integers."""
+    work = [e.cap + z for e, z in zip(g.edges, dual.z)]
+    caps, scale = _scaled(work)
     bar = (1 - eps) * dual.total_y * scale
-    trees: dict[tuple[int, ...], None] = {}
-    for tree, value, load in greedy_trees(work, caps):
-        trees[tree] = None
+    count: dict[tuple[int, ...], int] = {}
+    for t, (tree, value, load) in enumerate(greedy_trees(g, caps), 1):
+        count[tree] = count.get(tree, 0) + 1
         if value * bar.denominator >= bar.numerator * load:
-            return tuple(trees)
+            unit = Fraction(value // t, load * scale)  # c(e*)/load(e*)
+            weights = tuple(m * unit for m in count.values())
+            return TreePacking(tuple(count), weights, {i: c for i, c in enumerate(work) if c}, approximate=True)
     return None
 
 
@@ -377,21 +383,23 @@ def _scan(psp: PrincipalSequence, k: int, h: int, eps=None, dual=None, alpha=Non
     eps must satisfy 0 < eps < 1/(2k-1), checked before any work.
 
     With no eps the scan reads the support of an exact dual's packing: the
-    caller's, or ``lp.dual_packing``'s.  With one it reads the distinct
-    greedy trees up to the first that brings the greedy packing to
-    (1 - eps) lambda_j, an exact test on integers.  Should the stream pass
-    its cap of ``packing.GREEDY_TREES_PER_EDGE`` trees per positive edge of
-    c+z, whatever eps is, the scan falls back to the exact packing, which
-    meets every such bar; so no eps leaves the scan open-ended.
+    caller's, or ``lp.dual_packing``'s.  With one it reads ``_greedy_packing``,
+    the distinct greedy trees up to the first that brings the greedy
+    packing to (1 - eps) lambda_j, an exact test on integers.  Should the
+    stream pass its cap of ``packing.GREEDY_TREES_PER_EDGE`` trees per
+    positive edge of c+z, whatever eps is, the scan falls back to the exact
+    packing, which meets every such bar; so no eps leaves the scan
+    open-ended.
 
-    An exact support is read heaviest first, ties in packing order, and the
-    scan stops before the next tree once S (h - k + p0 + 1) > alpha U - LP,
-    with S the weight read, U the least value scored, LP the dual's
-    objective and p0 its component count ``dual.h``.  Every target cut, of
+    Either packing is read the same way: heaviest first, ties in packing
+    order, stopping before the next tree once S (h - k + p0 + 1) > alpha U
+    - LP, with S the weight read, U the least value scored, p0 the
+    component count ``dual.h`` and LP = (k - p0) Y - z(E) for the
+    packing's value Y: the dual's objective for an exact packing, and at
+    most that for the greedy one.  Every target cut, of
     value at most alpha OPT <= alpha U, then h-respects a tree read (see
     the module docstring), so the report is the full scan's but for
-    ``candidates_examined`` and ``distinct_cuts``.  The greedy trees carry
-    no exact weights, so they are read in full.
+    ``candidates_examined`` and ``distinct_cuts``.
 
     When h >= n - p0 every partition h-respects every maximal forest of the
     positive edges, so with or without an eps one such forest is scanned,
@@ -426,16 +434,20 @@ def _scan(psp: PrincipalSequence, k: int, h: int, eps=None, dual=None, alpha=Non
         if k <= dual.h or h >= g.n - dual.h:  # a maximal forest has n - p0 edges
             forest = min_spanning_forest(g, [e.cap == 0 for e in g.edges])  # zero edges last
             trees = [tuple(i for i in forest if g.edges[i].cap)]
-        elif not approx or (trees := _greedy_support(g, dual, eps)) is None:
-            if dual.packing is None:
-                dual = dual_packing(g, dual)
+        else:
+            packing = _greedy_packing(g, dual, eps) if approx else None
+            if packing is None:
+                if dual.packing is None:
+                    dual = dual_packing(g, dual)
+                packing = dual.packing
             support = sorted(
-                [(w, t) for t, w in zip(dual.packing.trees, dual.packing.weights) if w > 0],
+                [(w, t) for t, w in zip(packing.trees, packing.weights) if w > 0],
                 key=lambda wt: -wt[0],
             )
             trees = [t for _, t in support]
+            lp_value = (k - dual.h) * packing.total_value - sum(dual.z)
             step = h - k + dual.h + 1
-            reach = [dual.objective + step * s for s in itertools.accumulate(w for w, _ in support)]
+            reach = [lp_value + step * s for s in itertools.accumulate(w for w, _ in support)]
         found, scale, candidates = _enumerate_over_support(g, trees, h, k, ratio, reach)
         if not found:
             raise AssertionError("enumeration found no k-cut")
@@ -452,20 +464,21 @@ def min_kcut(psp: PrincipalSequence, k: int, eps=None, dual=None):
     """Minimum k-cut of ``psp.graph`` with full enumeration of the optimal
     partitions, read off its principal sequence ``psp``.
 
-    Pipeline: closed-form dual z -> packing in c+z
-    (exact column generation, or, given an eps with 0 < eps < 1/(2k-1),
-    Thorup's greedy trees up to a packing of value (1 - eps) lambda_j,
-    with the exact packing as the fallback past the stream's cap) -> scan
-    support trees for cuts crossing them at most h times (h = 2k-3
-    exact, 2k-2 with an eps) -> deduplicate and minimize.  Every optimal
-    k-cut h-respects a tree of either packing, and the scan of an exact
-    packing reads its trees heaviest first until the gap between the best
-    cut found and the LP value shows that one tree read h-respects every
-    optimal cut (see ``_scan``).  When h >= n - p0, for p0 components of
-    the positive edges, one maximal forest holds every cut, and no packing
-    is built.  When k is at most the number of components the minimum is 0
-    and the minimizers are the groupings of whole components into at least
-    k parts.  A caller that already holds an explicit optimal dual of k,
+    Pipeline: closed-form dual z -> packing in c+z (exact column
+    generation, or, given an eps with 0 < eps < 1/(2k-1), Thorup's greedy
+    trees up to a packing of value (1 - eps) lambda_j, each weighted its
+    multiplicity times c(e*)/load(e*), with the exact packing as the
+    fallback past the stream's cap) -> scan support trees for cuts
+    crossing them at most h times (h = 2k-3 exact, 2k-2 with an eps) ->
+    deduplicate and minimize.  Every optimal k-cut h-respects a tree of
+    either packing, and the scan reads either packing's trees heaviest
+    first until the gap between the best cut found and the packing's own
+    LP value shows that one tree read h-respects every optimal cut (see
+    ``_scan``).  When h >= n - p0, for p0 components of the positive
+    edges, one maximal forest holds every cut, and no packing is built.
+    When k is at most the number of components the minimum is 0 and the
+    minimizers are the groupings of whole components into at least k
+    parts.  A caller that already holds an explicit optimal dual of k,
     such as ``dual_packing(g, lp_dual(psp, k))`` or ``ideal_dual(ideal,
     lp_dual(psp, k))``, passes it as ``dual`` and no column generation
     runs.

@@ -1,17 +1,18 @@
 """Approximate k-cuts on Thorup's greedy trees, and the work of the scan.
 
-Approximate mode scans the distinct greedy trees in c+z up to the first
-that brings the packing's value to (1 - eps) lambda_j, or, past the
-stream's cap, the exact packing's support.  Either way its minimizers are
-exact mode's and the oracle's.  A plain-Fraction loop checks the trees and
-the value bar, and a cap of 0 forces the fallback.
+Approximate mode packs the distinct greedy trees in c+z up to the first
+that brings the packing's value to (1 - eps) lambda_j, each weighted its
+multiplicity times c(e*)/load(e*), or, past the stream's cap, takes the
+exact packing.  Either way its minimizers are exact mode's and the
+oracle's.  A plain-Fraction loop checks the trees, their weights, the
+value bar and the loads within c+z, and a cap of 0 forces the fallback.
 
 The scan scores only the proper merges of a new piece layout, those that
 keep the two ends of every removed tree edge apart; the work bounds pin
 how few trees and merges that leaves on two of perfbench's graphs.  It
-reads an exact dual's support heaviest first and stops once the measured
-LP gap allows, and when h >= n - p0 it reads one maximal forest and builds
-no packing; the tree counts pin both.
+reads any packing, greedy or exact, heaviest first and stops once the
+measured LP gap allows, and when h >= n - p0 it reads one maximal forest
+and builds no packing; the tree counts pin both.
 """
 
 import io
@@ -36,12 +37,12 @@ F = Fraction
 
 def _greedy_reference(g, caps, bar):
     """Thorup's greedy packing in plain Fractions: (distinct trees in
-    stream order, packing value) at the first tree t with
-    t / max(load/c) >= ``bar``.  Kruskal's scan by (load/c, edge id) with
-    a plain union-find."""
+    stream order, how many times each came up, packing value) at the first
+    tree t with t / max(load/c) >= ``bar``.  Kruskal's scan by (load/c,
+    edge id) with a plain union-find."""
     live = [i for i, c in enumerate(caps) if c > 0]
     load = {i: 0 for i in live}
-    trees = []
+    trees, count = [], []
     t = 0
     while True:
         root = list(range(g.n))
@@ -60,26 +61,28 @@ def _greedy_reference(g, caps, bar):
         tree = tuple(sorted(tree))
         if tree not in trees:
             trees.append(tree)
+            count.append(0)
+        count[trees.index(tree)] += 1
         for i in tree:
             load[i] += 1
         t += 1
         value = t / max(F(load[i]) / caps[i] for i in live)
         if value >= bar:
-            return trees, value
+            return trees, count, value
 
 
 def _scans_with_greedy_calls(g, k, eps):
-    """``min_kcut`` in approximate mode, and the (dual, trees) of each
-    ``_greedy_support`` call it made."""
+    """``min_kcut`` in approximate mode, and the (dual, packing) of each
+    ``_greedy_packing`` call it made."""
     calls = []
-    real = cuts._greedy_support
+    real = cuts._greedy_packing
 
     def spy(graph, dual, e):
-        trees = real(graph, dual, e)
-        calls.append((dual, trees))
-        return trees
+        packed = real(graph, dual, e)
+        calls.append((dual, packed))
+        return packed
 
-    with mock.patch.object(cuts, "_greedy_support", spy):
+    with mock.patch.object(cuts, "_greedy_packing", spy):
         return min_kcut(principal_sequence(g), k, eps=eps), calls
 
 
@@ -100,16 +103,19 @@ def test_greedy_approx_scan_matches_exact_and_oracle_property(g, which):
         rounded = ravi_sinha_cut(principal_sequence(g), k)  # round_lp's cut of the closed-form optimum
         assert_recomputed(g, [ocut, *oall, cut, *report.cuts, rounded])
         assert areport.mode == "approx"
-        for dual, trees in calls:
+        for dual, packed in calls:
             caps = [e.cap + z for e, z in zip(g.edges, dual.z)]
             bar = (1 - eps) * dual.total_y
-            ref_trees, value = _greedy_reference(g, caps, bar)
-            assert trees == tuple(ref_trees), k
-            assert value >= bar
+            ref_trees, count, value = _greedy_reference(g, caps, bar)
+            assert packed.trees == tuple(ref_trees), k
+            unit = value / sum(count)  # c(e*)/load(e*)
+            assert packed.weights == tuple(m * unit for m in count), k
+            assert packed.total_value == value >= bar
+            assert all(load <= caps[i] for i, load in packed.loads().items()), k
         # past the cap, the exact packing's support: the same minimizers
         with mock.patch.object(packing, "GREEDY_TREES_PER_EDGE", 0):
             (fcut, freport), fcalls = _scans_with_greedy_calls(g, k, eps)
-        assert all(trees is None for _, trees in fcalls)
+        assert all(packed is None for _, packed in fcalls)
         assert fcut == cut and freport.cuts == report.cuts, k
 
 
@@ -126,20 +132,15 @@ def test_greedy_stream_stops_at_the_cap():
     assert len(list(packing.greedy_trees(g, caps))) == packing.GREEDY_TREES_PER_EDGE * (g.m - 1)
 
 
-def test_approx_k3_scans_few_greedy_trees():
-    # perfbench's rand-n6-x7: 145 multiplicative-weights support trees, 6 greedy ones
+def test_approx_k3_scans_few_greedy_trees(monkeypatch):
+    # perfbench's rand-n6-x7: 145 multiplicative-weights support trees, 6 greedy ones; 2 are read
     g = _random_connected(random.Random(6), 6, 7)
-    scanned = []
-    real = cuts._enumerate_over_support
-
-    def spy(graph, trees, h, k, alpha, reach):
-        scanned.append(len(trees))
-        return real(graph, trees, h, k, alpha, reach)
-
-    with mock.patch.object(cuts, "_enumerate_over_support", spy):
-        cut, report = min_kcut(principal_sequence(g), 3, eps=F(1, 6))
-    assert scanned and scanned[0] <= 10
-    assert report.cuts == min_kcut(principal_sequence(g), 3)[1].cuts
+    psp = principal_sequence(g)
+    support = cuts._greedy_packing(g, lp_dual(psp, 3), F(1, 6)).support()
+    trees, generated = _work(monkeypatch)
+    _, report = min_kcut(psp, 3, eps=F(1, 6))
+    assert len(support) == 6 and len(trees) == 2 and generated == []
+    assert report.cuts == min_kcut(psp, 3)[1].cuts
 
 
 def test_exact_k3_scores_only_proper_merges():
@@ -182,12 +183,23 @@ def _work(monkeypatch):
 def test_scan_stops_on_the_measured_gap(monkeypatch):
     """planted-k3-s4 at k=3 finds its optimum, 3, in its heaviest support
     tree, where the LP is 3 too, so it reads 1 of 3 trees; unit K6 at
-    k=3 reads 5 of the 15 trees of its c+z packing."""
+    k=3 reads 5 of the 15 trees of its c+z packing.  The greedy packing
+    stops on its own LP: a random graph with 12 vertices at k=4 and
+    eps = 1/8 reads 4 of its 28 greedy trees, 1,111,044 candidates where
+    all 28 gave 7,777,308, and finds exact mode's minimizers."""
     k6 = Graph(6, tuple(Edge(u, v, F(1)) for u in range(6) for v in range(u + 1, 6)))
     for g, read in ((_planted(3, 4), 1), (k6, 5)):
         trees, generated = _work(monkeypatch)
         min_kcut(principal_sequence(g), 3)
         assert len(generated) == 1 and len(trees) == read
+    g = _random_connected(random.Random(12), 12, 24)
+    psp = principal_sequence(g)
+    held = cuts._greedy_packing(g, lp_dual(psp, 4), F(1, 8))
+    trees, generated = _work(monkeypatch)
+    _, report = min_kcut(psp, 4, eps=F(1, 8))
+    assert generated == [] and len(held.trees) == 28 and len(trees) == 4
+    assert report.candidates_examined == 1_111_044
+    assert report.cuts == min_kcut(psp, 4)[1].cuts
 
 
 def test_forest_rule_builds_no_packing(monkeypatch, capsys):
@@ -213,7 +225,7 @@ def test_approx_k5_on_random21_needs_no_fallback(monkeypatch):
     no column generation."""
     g = _random_connected(random.Random(21), 6, 6)
     psp = principal_sequence(g)
-    assert cuts._greedy_support(g, lp_dual(psp, 5), F(1, 20)) is not None
+    assert cuts._greedy_packing(g, lp_dual(psp, 5), F(1, 20)) is not None
     trees, generated = _work(monkeypatch)
     _, report = min_kcut(psp, 5, eps=F(1, 20))
     assert generated == [] and len(trees) == 1

@@ -15,13 +15,15 @@ capacities tie many cuts at the limit, which ``min_kcut`` and
 takes the components of tree - F from ``component_blocks`` and prices each
 merge with ``partition_from_blocks``.
 
-The scan of an exact dual reads its support heaviest first and stops once
-the weight read, S, has S (h - k + p0 + 1) > alpha U - LP.  On multigraphs
-with several components or zero-capacity edges, so that p0 > 1 and the
-forest rule (h >= n - p0) are both met, the exact, coupled-dual and alpha
-scans must keep the oracle's answers; and the trees crossing an optimal cut
-more than h times must weigh at most (OPT - LP) / (h - k + p0 + 1), the
-inequality the stop rests on.
+The scan of a packing in c+z reads its support heaviest first and stops
+once the weight read, S, has S (h - k + p0 + 1) > alpha U - LP, with LP
+the packing's own (k - p0) Y - z(E) for its value Y.  On multigraphs with
+several components or zero-capacity edges, so that p0 > 1 and the forest
+rule (h >= n - p0) are both met, the exact, coupled-dual, greedy (eps) and
+alpha scans must keep the oracle's answers; and the trees crossing an
+optimal cut more than h times must weigh at most (OPT - LP) / (h - k + p0
++ 1) in the exact and the greedy packings, the inequality the stop rests
+on.
 """
 
 import itertools
@@ -46,7 +48,7 @@ from kcut import (
     partition_from_blocks,
     principal_sequence,
 )
-from kcut.cuts import _enumerate_over_support
+from kcut.cuts import _enumerate_over_support, _greedy_packing
 from kcut.graph import component_blocks, partition_sort_key, scaled_capacities
 from kcut.oracle import enum_partitions, partition_table, set_partitions
 from kcut.packing import PackConfig, mwu_pack
@@ -245,17 +247,27 @@ def test_stopped_scan_keeps_the_oracle_answers(g):
         duals = [None]  # with k <= p0 the packing is empty
         if k > base.h:
             duals = [dual_packing(g, base)] + ([ideal_dual(ideal, base)] if ideal else [])
+        packings = []
         for dual in duals:
             cut, report = min_kcut(psp, k, dual=dual)
             assert cut == least and report.cuts == minimizers, (k, dual)
-            if dual is None:
-                continue
+            if dual is not None:
+                assert (k - base.h) * dual.packing.total_value - sum(base.z) == dual.objective
+                packings.append(dual.packing)
+        for eps in (F(1, 2 * k), F(1, 20)):
+            cut, report = min_kcut(psp, k, eps=eps)
+            assert cut == least and report.cuts == minimizers, (k, eps)
+            greedy = _greedy_packing(g, base, eps) if k > base.h else None
+            if greedy is not None:
+                packings.append(greedy)
+        for packing in packings:
+            lp_value = (k - base.h) * packing.total_value - sum(base.z)
             for h in sorted({2 * k - 3, 2 * k - 2, floor(F(5, 2) * (k - 1)), 3 * (k - 1)}):
-                step = h - k + dual.h + 1
+                step = h - k + base.h + 1
                 for opt in minimizers:
-                    trees = zip(dual.packing.trees, dual.packing.weights)
+                    trees = zip(packing.trees, packing.weights)
                     over = sum([w for t, w in trees if _crossings(g, t, opt) > h], F(0))
-                    assert over * step <= opt.crossing_value - dual.objective, (k, h)
+                    assert over * step <= opt.crossing_value - lp_value, (k, h)
         for alpha in (F(5, 4), F(3, 2)):
             bar = alpha * least.crossing_value
             cuts = enumerate_approx_kcuts(psp, k, alpha).cuts
