@@ -550,8 +550,8 @@ def round_lp(psp: PrincipalSequence, primal: PrimalSolution) -> RoundResult:
     certified = objective == lp_value
     bound = Fraction(2 * (g.n - 1) * cx, g.n * scale * d)  # 2 (1 - 1/n) c.x
 
-    res_blocks = component_blocks(g, exclude_edges=ones)
-    cutset = set(ones)
+    # with k or more residual components, the x=1 edges are the cut and these are its parts
+    parts = res_blocks = component_blocks(g, exclude_edges=ones)
     if len(res_blocks) < k:
         ends = [(block[e.u], block[e.v]) for e in g.edges]
         frac = [i for i in range(g.m) if 0 < x[i] < d and ends[i][0] != ends[i][1]]
@@ -570,8 +570,8 @@ def round_lp(psp: PrincipalSequence, primal: PrimalSolution) -> RoundResult:
         if taken is None:
             raise ValueError("residual graph too small to reach k parts")
         chosen = {v for _, v, _ in taken}
-        cutset.update([i for i in frac if ends[i][0] in chosen or ends[i][1] in chosen])
-    parts = component_blocks(g, exclude_edges=cutset)
+        isolated = [i for i in frac if ends[i][0] in chosen or ends[i][1] in chosen]
+        parts = component_blocks(g, exclude_edges=ones + isolated)
     return RoundResult(_scaled_partition(g, parts, caps, scale), certified, bound)
 
 

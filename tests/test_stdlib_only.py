@@ -1,5 +1,5 @@
 """The library imports only the standard library and its own modules;
-networkx and Hypothesis are for the tests.  It does not import
+networkx, Hypothesis and scipy are for the tests.  It does not import
 ``dataclasses`` either: its records are ``typing.NamedTuple`` classes,
 which are several times cheaper than dataclasses to create at import time."""
 

@@ -1,7 +1,11 @@
+import ast
 import hashlib
 import io
 import json
 import random
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +134,34 @@ def test_verify_skips_the_dual_rows_when_the_ideal_packing_fails(tt, monkeypatch
     assert {r.status for name, r in rows.items() if name not in skipped and r is not failure} == {"pass"}
 
 
+def _code_literals(path):
+    """The string constants of a module, docstrings left out; an f-string
+    gives its literal parts."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)) and ast.get_docstring(node) is not None
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+    ]
+
+
+def test_each_row_name_is_written_once(tt):
+    """Every row is one ``check`` with the reason it may be skipped: its
+    name, or the literal head of a per-k name (``lp-dual-feasible[``,
+    ``k=``), is one literal in verify.py."""
+    literals = Counter(_code_literals(Path(verify_mod.__file__)))
+    zero = VERIFY_EDGE_CASES["strength-0"][0]
+    names = {r.name for g in (tt, zero) for r in run_verification(g)}
+    heads = {re.match(r"[^\[=]*[\[=]?", name).group() for name in names}
+    assert len(heads) == 19
+    assert {head: literals[head] for head in heads} == dict.fromkeys(heads, 1)
+
+
 def test_verify_rows_pin():
     # SHA-256 of the rows recorded before the partition table replaced the
     # per-k partition scans; every row, oracle rows included, is unchanged.
@@ -149,9 +181,11 @@ def _rows_sha256(rows):
 # range or empty, both oracle limits at once, strength 0 with explicit ks
 # (the zero-capacity edge 3-4 is a cut of capacity 0), and the ideal
 # packing's failure at two k of the first level, which the falsified second
-# critical value leaves consistent.  (graph, ks, limits, falsified) ->
-# SHA-256 of the rows, recorded before each k's dual and scan moved into one
-# per-k memo.
+# critical value leaves consistent, also past both oracle limits, where
+# ``oracle-min-kcut`` gives the partition limit as its reason.  (graph, ks,
+# limits, falsified) -> SHA-256 of the rows, recorded before each k's dual
+# and scan moved into one per-k memo; the last one before each row became
+# one ``check`` with its skip reason.
 _EDGE_CASE_GRAPH = _random_connected(random.Random(11), 6, 7)
 VERIFY_EDGE_CASES = {
     "ks-unsorted-repeated-out-of-range": (_EDGE_CASE_GRAPH, [3, 2, 99, 0, 6, 3], OracleLimits(), False),
@@ -161,6 +195,9 @@ VERIFY_EDGE_CASES = {
         parse_graph("p kcut 4 4\ne 1 2 1\ne 2 3 1\ne 1 3 1\ne 3 4 0\n"), [4, 2, 9, 3], OracleLimits(), False,
     ),
     "ideal-packing-fails": (_planted(3, 2), [2, 3], OracleLimits(), True),
+    "ideal-packing-fails-past-both-limits": (
+        _planted(3, 2), [2, 3], OracleLimits(max_n_partitions=5, max_spanning_trees=3), True,
+    ),
 }
 VERIFY_EDGE_CASES_SHA256 = {
     "ks-unsorted-repeated-out-of-range": "994f90c044b86fb564353283405b57b9e1ed62b558c081513712b8a1b4b711e2",
@@ -168,6 +205,7 @@ VERIFY_EDGE_CASES_SHA256 = {
     "both-oracle-limits": "9cc9a16a55fd878080ed479af97609e94d2ad388a6735c7bdf357db8c9f4b77a",
     "strength-0": "0e9ef8af1a13254e440e73b88d37c862a23b230bc463e123164f7ed5012b5da2",
     "ideal-packing-fails": "939e95c2a45ec4f97948534651fbe85182794f27641d6dac7b914563755ae298",
+    "ideal-packing-fails-past-both-limits": "a24a838d6cc5fad296d8a9d9b556a5692b3d635f658cab0b350b346e93f6ca2a",
 }
 
 
