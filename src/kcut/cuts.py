@@ -1,4 +1,4 @@
-"""Minimum k-cuts and cut enumeration through trees of dual packings.
+"""Minimum k-cuts and cut enumeration through trees of packings in c+z.
 
 A cut whose crossing set inside a tree T is F corresponds to a grouping of
 the components of T - F; enumerating every subset F of at most h tree edges
@@ -6,11 +6,11 @@ and every merge of the pieces therefore reaches every cut that h-respects T.
 So a scan is complete over the trees it reads: it finds every cut that
 h-respects one of them.  With h = 2k-3 against an exact dual packing
 (h = 2k-2 against any packing in c+z of value at least (1-eps) lambda_j,
-eps < 1/(2k-1)), every optimal k-cut h-respects some support tree, so
-scanning the support is a complete, certificate-backed search.  Given an
-eps, the scan packs the distinct trees of Thorup's greedy packing up to the
-first that reaches that value.  The same pipeline with
-h = floor(2*alpha*(k-1)) reaches every alpha-approximate cut.
+eps < 1/(2k-1)), every optimal k-cut h-respects some support tree; h =
+floor(2*alpha*(k-1)) reaches every alpha-approximate cut.  Unless the
+caller gives a dual, the scan reads Thorup's greedy packing up to a bar
+(that value, or with no eps the one below), and the exact dual only past
+the stream's cap.
 
 No packing's support need be read in full.  Let y be any packing in c+z of
 maximal forests of the positive edges of c+z, of value Y: an exact dual,
@@ -24,8 +24,10 @@ crossing C more than h times weigh at most (c(delta C) - LP) / (h - k +
 p0 + 1).  A target cut has value at most alpha OPT <= alpha U, with U the
 least value scored so far, so once the trees read weigh more than
 (alpha U - LP) / (h - k + p0 + 1) one of them h-respects every target
-cut.  The support is read heaviest first and the scan stops there: after
-one tree when the best cut found meets the LP value, as it often does.
+cut.  So a packing is complete once (h + 1) Y - z(E) > alpha U0, for U0
+the value of any k-cut: the greedy bar with no eps.  The support is read
+heaviest first and the scan stops there: after one tree when the best
+cut found meets the LP value, as it often does.
 And when h >= n - p0, every partition h-respects every maximal forest, of
 n - p0 edges, so one forest is scanned and no packing is built at all.
 
@@ -350,21 +352,22 @@ def _enumerate_over_support(g: Graph, trees, h: int, k: int, alpha=1, reach=None
     return found, scale, candidates
 
 
-def _greedy_packing(g: Graph, dual: DualSolution, eps: Fraction):
+def _greedy_packing(g: Graph, dual: DualSolution, bar: Fraction, strict=False):
     """Thorup's greedy packing in c+z as a ``TreePacking``: its distinct
     trees in stream order, up to the first that brings the packing's value
-    to (1 - eps) lambda_j, each weighted its multiplicity times
-    c(e*)/load(e*), so the weights sum to that value and every load is at
-    most c+z; None should the stream pass its cap first.  The test is
+    to ``bar`` (past it when ``strict``), each weighted its multiplicity
+    times c(e*)/load(e*), so the weights sum to that value and every load
+    is at most c+z; None should the stream pass its cap first.  The test is
     exact: the value t c(e*)/load(e*) of ``greedy_trees`` against the bar,
     both on c+z scaled to integers."""
     work = [e.cap + z for e, z in zip(g.edges, dual.z)]
     caps, scale = _scaled(work)
-    bar = (1 - eps) * dual.total_y * scale
+    bar *= scale
     count: dict[tuple[int, ...], int] = {}
     for t, (tree, value, load) in enumerate(greedy_trees(g, caps), 1):
         count[tree] = count.get(tree, 0) + 1
-        if value * bar.denominator >= bar.numerator * load:
+        over = value * bar.denominator - bar.numerator * load
+        if over > 0 or over == 0 and not strict:
             unit = Fraction(value // t, load * scale)  # c(e*)/load(e*)
             weights = tuple(m * unit for m in count.values())
             return TreePacking(tuple(count), weights, {i: c for i, c in enumerate(work) if c}, approximate=True)
@@ -378,28 +381,25 @@ def _scan(psp: PrincipalSequence, k: int, h: int, eps=None, dual=None, alpha=Non
     one), and at most alpha times the minimum, with the cuts kept before
     the limit fell.  Reports the cuts at most alpha times the minimum, by
     (value, ``partition_sort_key``), with the threshold alpha times the
-    minimum; with no alpha, the minimizers and no threshold.  A
-    ``dual`` given by the caller is scanned instead of one built here.  An
-    eps must satisfy 0 < eps < 1/(2k-1), checked before any work.
+    minimum; with no alpha, the minimizers and no threshold.  An eps must
+    satisfy 0 < eps < 1/(2k-1), checked before any work.
 
-    With no eps the scan reads the support of an exact dual's packing: the
-    caller's, or ``lp.dual_packing``'s.  With one it reads ``_greedy_packing``,
-    the distinct greedy trees up to the first that brings the greedy
-    packing to (1 - eps) lambda_j, an exact test on integers.  Should the
-    stream pass its cap of ``packing.GREEDY_TREES_PER_EDGE`` trees per
-    positive edge of c+z, whatever eps is, the scan falls back to the exact
-    packing, which meets every such bar; so no eps leaves the scan
-    open-ended.
+    With no eps, a caller's explicit ``dual`` (as ``verify`` passes) is
+    read as given.  Otherwise the scan reads ``_greedy_packing``: the
+    distinct greedy trees up to the first that brings the packing's value
+    Y to (1 - eps) lambda_j given an eps, and with none past (alpha U0 +
+    z(E)) / (h + 1), U0 the value of ``ravi_sinha_cut`` on the input's
+    sequence; both tests are exact on integers.  Should the stream pass
+    its cap of ``packing.GREEDY_TREES_PER_EDGE`` trees per positive edge of
+    c+z, the scan falls back to the exact packing (``lp.dual_packing``),
+    complete at every such h; so no scan is open-ended.
 
-    Either packing is read the same way: heaviest first, ties in packing
-    order, stopping before the next tree once S (h - k + p0 + 1) > alpha U
-    - LP, with S the weight read, U the least value scored, p0 the
-    component count ``dual.h`` and LP = (k - p0) Y - z(E) for the
-    packing's value Y: the dual's objective for an exact packing, and at
-    most that for the greedy one.  Every target cut, of
-    value at most alpha OPT <= alpha U, then h-respects a tree read (see
-    the module docstring), so the report is the full scan's but for
-    ``candidates_examined`` and ``distinct_cuts``.
+    Any packing is read heaviest first, ties in packing order, stopping
+    before the next tree once S (h - k + p0 + 1) > alpha U - LP: S the
+    weight read, U the least value scored, p0 = ``dual.h`` and LP = (k -
+    p0) Y - z(E), the dual's objective for an exact packing.  Every target
+    cut then h-respects a tree read (see the module docstring), so only
+    ``candidates_examined`` and ``distinct_cuts`` differ from a full scan.
 
     When h >= n - p0 every partition h-respects every maximal forest of the
     positive edges, so with or without an eps one such forest is scanned,
@@ -425,21 +425,23 @@ def _scan(psp: PrincipalSequence, k: int, h: int, eps=None, dual=None, alpha=Non
         caps, scale = scaled_capacities(g)
         found, candidates = {frozenset(1 << v for v in range(g.n)): sum(caps)}, 0
     else:
-        psp = psp.positive()
+        positive = psp.positive()
         if dual is None:
-            dual = lp_dual(psp, k)
-        approx = eps is not None and bool(psp.levels)  # with no level, no capacity is positive
+            dual = lp_dual(positive, k)
+        approx = eps is not None and bool(positive.levels)  # with no level, no capacity is positive
         h = 0 if k <= dual.h and not approx else max(h, 2 * k - 2 if approx else 2 * k - 3)
         reach = None
         if k <= dual.h or h >= g.n - dual.h:  # a maximal forest has n - p0 edges
             forest = min_spanning_forest(g, [e.cap == 0 for e in g.edges])  # zero edges last
             trees = [tuple(i for i in forest if g.edges[i].cap)]
         else:
-            packing = _greedy_packing(g, dual, eps) if approx else None
-            if packing is None:
-                if dual.packing is None:
-                    dual = dual_packing(g, dual)
-                packing = dual.packing
+            packing = dual.packing
+            if approx or packing is None:
+                if approx:
+                    bar = (1 - eps) * dual.total_y
+                else:  # the whole packing's reach then passes alpha U0 >= alpha OPT
+                    bar = (ratio * ravi_sinha_cut(psp, k).crossing_value + sum(dual.z)) / (h + 1)
+                packing = _greedy_packing(g, dual, bar, not approx) or packing or dual_packing(g, dual).packing
             support = sorted(
                 [(w, t) for t, w in zip(packing.trees, packing.weights) if w > 0],
                 key=lambda wt: -wt[0],
@@ -464,24 +466,20 @@ def min_kcut(psp: PrincipalSequence, k: int, eps=None, dual=None):
     """Minimum k-cut of ``psp.graph`` with full enumeration of the optimal
     partitions, read off its principal sequence ``psp``.
 
-    Pipeline: closed-form dual z -> packing in c+z (exact column
-    generation, or, given an eps with 0 < eps < 1/(2k-1), Thorup's greedy
-    trees up to a packing of value (1 - eps) lambda_j, each weighted its
-    multiplicity times c(e*)/load(e*), with the exact packing as the
-    fallback past the stream's cap) -> scan support trees for cuts
-    crossing them at most h times (h = 2k-3 exact, 2k-2 with an eps) ->
-    deduplicate and minimize.  Every optimal k-cut h-respects a tree of
-    either packing, and the scan reads either packing's trees heaviest
-    first until the gap between the best cut found and the packing's own
-    LP value shows that one tree read h-respects every optimal cut (see
-    ``_scan``).  When h >= n - p0, for p0 components of the positive
-    edges, one maximal forest holds every cut, and no packing is built.
-    When k is at most the number of components the minimum is 0 and the
-    minimizers are the groupings of whole components into at least k
-    parts.  A caller that already holds an explicit optimal dual of k,
-    such as ``dual_packing(g, lp_dual(psp, k))`` or ``ideal_dual(ideal,
-    lp_dual(psp, k))``, passes it as ``dual`` and no column generation
-    runs.
+    Pipeline: closed-form dual z -> Thorup's greedy trees in c+z up to a
+    bar (``_scan``; past the stream's cap, the exact packing by column
+    generation) -> scan the trees for cuts crossing them at most h times
+    (h = 2k-3 exact, 2k-2 with an eps, 0 < eps < 1/(2k-1)) -> deduplicate
+    and minimize.  Every optimal k-cut h-respects a tree of the packing,
+    and the scan reads its trees heaviest first until the gap between the
+    best cut found and the packing's own LP value shows that one tree read
+    h-respects every optimal cut.  When h >= n - p0, for p0 components of
+    the positive edges, one maximal forest holds every cut, and no packing
+    is built.  When k is at most the number of components the minimum is 0
+    and the minimizers are the groupings of whole components into at least
+    k parts.  A caller that already holds an explicit optimal dual of k,
+    such as ``ideal_dual(ideal, lp_dual(psp, k))``, passes it as ``dual``;
+    with no eps its packing is read.
     """
     report = _scan(psp, k, 0, eps, dual)
     return report.cuts[0], report
@@ -489,12 +487,11 @@ def min_kcut(psp: PrincipalSequence, k: int, eps=None, dual=None):
 
 def enumerate_approx_kcuts(psp: PrincipalSequence, k: int, alpha) -> EnumerationReport:
     """All distinct cuts of ``psp.graph`` with at least k parts and value
-    at most alpha times the minimum k-cut, via the exact dual packing with
-    h = floor(2*alpha*(k-1)); complete because every such cut h-respects a
-    positive fraction of the packing.  The packing's trees are read
-    heaviest first until those read outweigh the trees crossing any such
-    cut more than h times, a weight the gap alpha U - LP bounds (see
-    ``_scan``); and when h >= n - p0 one maximal forest is read instead."""
+    at most alpha times the minimum k-cut, with h = floor(2*alpha*(k-1));
+    complete because every such cut h-respects a tree of the packing
+    ``_scan`` reads, heaviest first until the gap alpha U - LP shows that a
+    tree read h-respects every such cut.  When h >= n - p0 one maximal
+    forest is read instead."""
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")

@@ -23,16 +23,31 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import Edge, Graph, lp_dual, min_kcut, oracle_min_kcut, principal_sequence, ravi_sinha_cut
+from kcut import (
+    Edge,
+    Graph,
+    enumerate_approx_kcuts,
+    lp_dual,
+    min_kcut,
+    oracle_min_kcut,
+    principal_sequence,
+    ravi_sinha_cut,
+)
 from kcut import cuts, lp, packing
 from kcut.cli import main
+from kcut.graph import partition_sort_key
+from kcut.oracle import enum_partitions, partition_table
 
 from conftest import _planted, _random_connected, assert_recomputed
 from test_psp_pin import _text
 from test_cuts import _disconnected_multigraphs, _strength_zero_multigraphs
-from test_scan_property import _multigraphs
+from test_scan_property import _eps_packing, _multigraphs
 
 F = Fraction
+
+
+def _unit_complete(n):
+    return Graph(n, tuple(Edge(u, v, F(1)) for u in range(n) for v in range(u + 1, n)))
 
 
 def _greedy_reference(g, caps, bar):
@@ -72,14 +87,14 @@ def _greedy_reference(g, caps, bar):
 
 
 def _scans_with_greedy_calls(g, k, eps):
-    """``min_kcut`` in approximate mode, and the (dual, packing) of each
-    ``_greedy_packing`` call it made."""
+    """``min_kcut`` in approximate mode, and the (dual, bar, strict,
+    packing) of each ``_greedy_packing`` call it made."""
     calls = []
     real = cuts._greedy_packing
 
-    def spy(graph, dual, e):
-        packed = real(graph, dual, e)
-        calls.append((dual, packed))
+    def spy(graph, dual, bar, strict=False):
+        packed = real(graph, dual, bar, strict)
+        calls.append((dual, bar, strict, packed))
         return packed
 
     with mock.patch.object(cuts, "_greedy_packing", spy):
@@ -103,9 +118,9 @@ def test_greedy_approx_scan_matches_exact_and_oracle_property(g, which):
         rounded = ravi_sinha_cut(principal_sequence(g), k)  # round_lp's cut of the closed-form optimum
         assert_recomputed(g, [ocut, *oall, cut, *report.cuts, rounded])
         assert areport.mode == "approx"
-        for dual, packed in calls:
+        for dual, bar, strict, packed in calls:
             caps = [e.cap + z for e, z in zip(g.edges, dual.z)]
-            bar = (1 - eps) * dual.total_y
+            assert bar == (1 - eps) * dual.total_y and not strict, k
             ref_trees, count, value = _greedy_reference(g, caps, bar)
             assert packed.trees == tuple(ref_trees), k
             unit = value / sum(count)  # c(e*)/load(e*)
@@ -115,7 +130,7 @@ def test_greedy_approx_scan_matches_exact_and_oracle_property(g, which):
         # past the cap, the exact packing's support: the same minimizers
         with mock.patch.object(packing, "GREEDY_TREES_PER_EDGE", 0):
             (fcut, freport), fcalls = _scans_with_greedy_calls(g, k, eps)
-        assert all(packed is None for _, packed in fcalls)
+        assert all(packed is None for *_, packed in fcalls)
         assert fcut == cut and freport.cuts == report.cuts, k
 
 
@@ -136,7 +151,7 @@ def test_approx_k3_scans_few_greedy_trees(monkeypatch):
     # perfbench's rand-n6-x7: 145 multiplicative-weights support trees, 6 greedy ones; 2 are read
     g = _random_connected(random.Random(6), 6, 7)
     psp = principal_sequence(g)
-    support = cuts._greedy_packing(g, lp_dual(psp, 3), F(1, 6)).support()
+    support = _eps_packing(g, lp_dual(psp, 3), F(1, 6)).support()
     trees, generated = _work(monkeypatch)
     _, report = min_kcut(psp, 3, eps=F(1, 6))
     assert len(support) == 6 and len(trees) == 2 and generated == []
@@ -181,20 +196,20 @@ def _work(monkeypatch):
 
 
 def test_scan_stops_on_the_measured_gap(monkeypatch):
-    """planted-k3-s4 at k=3 finds its optimum, 3, in its heaviest support
-    tree, where the LP is 3 too, so it reads 1 of 3 trees; unit K6 at
-    k=3 reads 5 of the 15 trees of its c+z packing.  The greedy packing
-    stops on its own LP: a random graph with 12 vertices at k=4 and
-    eps = 1/8 reads 4 of its 28 greedy trees, 1,111,044 candidates where
-    all 28 gave 7,777,308, and finds exact mode's minimizers."""
-    k6 = Graph(6, tuple(Edge(u, v, F(1)) for u in range(6) for v in range(u + 1, 6)))
-    for g, read in ((_planted(3, 4), 1), (k6, 5)):
+    """Exact mode reads the greedy packing, with no column generation:
+    planted-k3-s4 at k=3 finds its optimum, 3, in its one greedy tree, and
+    unit K6 at k=3 reads all 5 of its greedy trees (its exact c+z packing
+    has 15 and 5 of them were read).  The eps packing stops on its own LP
+    too: a random graph with 12 vertices at k=4 and eps = 1/8 reads 4 of
+    its 28 greedy trees, 1,111,044 candidates where all 28 gave 7,777,308,
+    and finds exact mode's minimizers."""
+    for g, read in ((_planted(3, 4), 1), (_unit_complete(6), 5)):
         trees, generated = _work(monkeypatch)
         min_kcut(principal_sequence(g), 3)
-        assert len(generated) == 1 and len(trees) == read
+        assert generated == [] and len(trees) == read
     g = _random_connected(random.Random(12), 12, 24)
     psp = principal_sequence(g)
-    held = cuts._greedy_packing(g, lp_dual(psp, 4), F(1, 8))
+    held = _eps_packing(g, lp_dual(psp, 4), F(1, 8))
     trees, generated = _work(monkeypatch)
     _, report = min_kcut(psp, 4, eps=F(1, 8))
     assert generated == [] and len(held.trees) == 28 and len(trees) == 4
@@ -225,8 +240,50 @@ def test_approx_k5_on_random21_needs_no_fallback(monkeypatch):
     no column generation."""
     g = _random_connected(random.Random(21), 6, 6)
     psp = principal_sequence(g)
-    assert cuts._greedy_packing(g, lp_dual(psp, 5), F(1, 20)) is not None
+    assert _eps_packing(g, lp_dual(psp, 5), F(1, 20)) is not None
     trees, generated = _work(monkeypatch)
     _, report = min_kcut(psp, 5, eps=F(1, 20))
     assert generated == [] and len(trees) == 1
     assert report.cuts == min_kcut(psp, 5)[1].cuts
+
+
+def test_exact_scans_past_the_cap_run_one_column_generation(monkeypatch):
+    """With a cap of 0 the greedy stream yields no tree, so an exact or
+    ``enumerate`` scan with no caller's dual builds the exact dual, with one
+    column generation, and keeps the oracle's answers.  Each (k, alpha)
+    below reads a packing: k > p0 and h < n - p0."""
+    k6 = _unit_complete(6)
+    c8 = Graph(8, tuple(Edge(*sorted((v, (v + 1) % 8)), F(1)) for v in range(8)))
+    g7 = _random_connected(random.Random(7), 7, 9)
+    rational = Graph(g7.n, tuple(e._replace(cap=e.cap / (1 + i % 3)) for i, e in enumerate(g7.edges)))
+    cases = [(k6, 3, None), (k6, 2, F(3, 2)), (c8, 4, None), (c8, 3, F(3, 2)), (g7, 4, None), (rational, 3, None)]
+    cases += [(rational, 2, F(3, 2)), (_planted(2, 4), 3, None), (_planted(2, 4), 3, F(3, 2))]
+    _, generated = _work(monkeypatch)
+    monkeypatch.setattr(packing, "GREEDY_TREES_PER_EDGE", 0)
+    for g, k, alpha in cases:
+        least, minimizers = partition_table(g).min_kcut(k)
+        generated.clear()
+        if alpha is None:
+            cut, report = min_kcut(principal_sequence(g), k)
+            assert cut == least and report.cuts == minimizers, k
+        else:
+            bar = alpha * least.crossing_value
+            within = [p for p in enum_partitions(g) if p.part_count >= k and p.crossing_value <= bar]
+            within.sort(key=lambda p: (p.crossing_value, partition_sort_key(p)))
+            assert enumerate_approx_kcuts(principal_sequence(g), k, alpha).cuts == tuple(within), k
+        assert len(generated) == 1, (k, alpha)
+
+
+def test_perfbench_exact_jobs_run_no_column_generation(monkeypatch, capsys):
+    """perfbench's exact ``solve`` jobs on rand-n7-x9 (k=4), planted-k3-s4
+    and unit K6 (k=3) read the greedy packing, so none runs a column
+    generation in ``lp`` or ``packing``."""
+    generated = []
+    for module in (lp, packing):
+        real = module._column_generation
+        monkeypatch.setattr(module, "_column_generation", lambda *a, real=real: generated.append(a) or real(*a))
+    for g, k in ((_random_connected(random.Random(7), 7, 9), 4), (_planted(3, 4), 3), (_unit_complete(6), 3)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(_text(g)))
+        assert main(["solve", "--k", str(k), "--all"]) == 0
+        capsys.readouterr()
+        assert generated == [], k

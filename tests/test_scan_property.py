@@ -20,10 +20,13 @@ once the weight read, S, has S (h - k + p0 + 1) > alpha U - LP, with LP
 the packing's own (k - p0) Y - z(E) for its value Y.  On multigraphs with
 several components or zero-capacity edges, so that p0 > 1 and the forest
 rule (h >= n - p0) are both met, the exact, coupled-dual, greedy (eps) and
-alpha scans must keep the oracle's answers; and the trees crossing an
-optimal cut more than h times must weigh at most (OPT - LP) / (h - k + p0
-+ 1) in the exact and the greedy packings, the inequality the stop rests
-on.
+alpha scans must keep the oracle's answers, with and without a caller's
+dual; and the trees crossing an optimal cut more than h times must weigh
+at most (OPT - LP) / (h - k + p0 + 1) in the exact and the greedy
+packings, the inequality the stop rests on.  With no caller's dual an
+exact scan packs greedy trees until (2k - 2) Y - z(E) exceeds the value
+of ``ravi_sinha_cut``; at h = 2k - 3 some tree of that packing then
+h-respects each optimal cut.
 """
 
 import itertools
@@ -47,6 +50,7 @@ from kcut import (
     min_spanning_forest,
     partition_from_blocks,
     principal_sequence,
+    ravi_sinha_cut,
 )
 from kcut.cuts import _enumerate_over_support, _greedy_packing
 from kcut.graph import component_blocks, partition_sort_key, scaled_capacities
@@ -90,6 +94,11 @@ def _scans(draw):
     k = draw(st.integers(2, min(4, g.n)))
     h = draw(st.integers(k - 1, 2 * k - 2))
     return g, trees, h, k
+
+
+def _eps_packing(g, dual, eps):
+    """The greedy packing of an eps scan: up to the value (1 - eps) lambda_j."""
+    return _greedy_packing(g, dual, (1 - eps) * dual.total_y)
 
 
 def _mask_key(partition):
@@ -180,7 +189,7 @@ def test_exact_k4_store_stays_bounded():
     # the unbounded store held 186,517 cuts; the candidates are counted in closed form
     g = _random_connected(random.Random(12), 12, 24)
     cut, report = min_kcut(principal_sequence(g), 4)
-    assert report.candidates_examined == 41_217
+    assert report.candidates_examined == 329_736
     assert report.distinct_cuts <= 100
 
 
@@ -244,10 +253,13 @@ def test_stopped_scan_keeps_the_oracle_answers(g):
     for k in range(2, g.n + 1):
         least, minimizers = table.min_kcut(k)
         base = lp_dual(psp, k)
-        duals = [None]  # with k <= p0 the packing is empty
+        duals = [None]  # no caller's dual: the greedy packing, or with k <= p0 none
+        exact_greedy = None
         if k > base.h:
-            duals = [dual_packing(g, base)] + ([ideal_dual(ideal, base)] if ideal else [])
-        packings = []
+            duals += [dual_packing(g, base)] + ([ideal_dual(ideal, base)] if ideal else [])
+            bar = (ravi_sinha_cut(psp, k).crossing_value + sum(base.z)) / (2 * k - 2)
+            exact_greedy = _greedy_packing(g, base, bar, strict=True)
+        packings = [exact_greedy] if exact_greedy else []
         for dual in duals:
             cut, report = min_kcut(psp, k, dual=dual)
             assert cut == least and report.cuts == minimizers, (k, dual)
@@ -257,7 +269,7 @@ def test_stopped_scan_keeps_the_oracle_answers(g):
         for eps in (F(1, 2 * k), F(1, 20)):
             cut, report = min_kcut(psp, k, eps=eps)
             assert cut == least and report.cuts == minimizers, (k, eps)
-            greedy = _greedy_packing(g, base, eps) if k > base.h else None
+            greedy = _eps_packing(g, base, eps) if k > base.h else None
             if greedy is not None:
                 packings.append(greedy)
         for packing in packings:
@@ -268,6 +280,8 @@ def test_stopped_scan_keeps_the_oracle_answers(g):
                     trees = zip(packing.trees, packing.weights)
                     over = sum([w for t, w in trees if _crossings(g, t, opt) > h], F(0))
                     assert over * step <= opt.crossing_value - lp_value, (k, h)
+                    if packing is exact_greedy and h == 2 * k - 3:
+                        assert over < packing.total_value, k  # the strict bar: a tree h-respects opt
         for alpha in (F(5, 4), F(3, 2)):
             bar = alpha * least.crossing_value
             cuts = enumerate_approx_kcuts(psp, k, alpha).cuts
