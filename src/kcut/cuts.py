@@ -43,21 +43,23 @@ the least value scored so far (floor(alpha times it) for
 ``enumerate_approx_kcuts``).  A proper merge cuts every edge joining the
 ends of a removed edge, so its value is at least the layout's bound, the
 sum of those pair capacities.  A set F whose bound is above the limit is
-skipped before its pieces are built, a merge above the limit gets no part
-masks, and only cuts within the limit are kept.  No cut at most the final
-limit is lost: the layout of its crossing set in the first tree it
-h-respects is new there and has a bound at most its value.  So the
+skipped before its pieces are built, a partial merge above the limit is
+not extended, and only cuts within the limit are kept.  No cut at most
+the final limit is lost: the layout of its crossing set in the first tree
+it h-respects is new there and has a bound at most its value.  So the
 minimizers and every alpha-approximate cut are the unbounded scan's; only
 ``distinct_cuts``, the store's size, differs.
 
 Many pairs (tree, F) leave the same pieces, so each distinct piece layout
 is scored once per scan: the capacity between every pair of its pieces is
-summed on integer-scaled capacities, and each merge takes the pairs inside
-its groups off the total.  Every merge of every layout still counts as a
-candidate, in closed form per size of F, so a skipped layout costs
-nothing to count.  The merges of p pieces are listed once per scan, each
-with a bitmask of the piece pairs inside its groups, so one AND tells a
-proper merge.  Values stay integers in the scale of the capacities,
+summed on integer-scaled capacities, and its proper merges are walked
+depth first as restricted growth strings of the pieces.  A piece joins no
+group that holds the other end of one of its removed edges, and each step
+adds the capacity from the piece to the earlier pieces outside its group,
+so no list of merges is built and no improper one is visited.  Every
+merge of every layout still counts as a candidate, in closed form per
+size of F from one row of Stirling numbers, so a skipped layout costs
+nothing to count.  Values stay integers in the scale of the capacities,
 through the minimum and the threshold; only a reported cut gets its
 ``Fraction``.
 
@@ -150,65 +152,23 @@ def respect_stats(packing: TreePacking, cut_edges, h: int) -> RespectStats:
     return RespectStats(h, cut, crossings, Fraction(hit, sum(weights)))
 
 
-def _merges(npieces: int, min_parts: int):
-    """(group count, piece -> group, pairs inside) of every grouping of the
-    pieces into at least ``min_parts`` groups, in ``set_partitions`` order.
-    ``pairs inside`` has bit a * npieces + b set for each two pieces a < b
-    in one group.
-
-    piece -> group is the grouping's restricted growth string, grown piece
-    by piece in lexicographic order, with a stack of the choices made, so
-    that no recursion limit applies; a prefix that cannot reach
-    ``min_parts`` groups even with a new group for every later piece is
-    cut off, so no grouping with too few groups is built.  ``spread`` holds,
-    per group, bit a * npieces for each of its pieces a, so piece i joining
-    a group adds the pairs ``spread << i``."""
-    out = []
-    if not npieces:
-        return out
-    group_of = [0] * npieces
-    spread = [0] * npieces
-    spread[0] = 1
-    placed = []  # (group, its spread before, group count before, pairs before) per piece 1..i-1
-    i, gi, groups, inside = 1, 0, 1, 0  # piece i tries group gi next
-    while True:
-        if i == npieces:
-            if groups >= min_parts:
-                out.append((groups, group_of[:], inside))
-        elif gi <= groups and groups + npieces - i >= min_parts:
-            held = spread[gi]
-            placed.append((gi, held, groups, inside))
-            group_of[i] = gi
-            spread[gi] = held | 1 << i * npieces
-            inside |= held << i
-            if gi == groups:
-                groups += 1
-            i, gi = i + 1, 0
-            continue
-        if not placed:
-            return out
-        gi, held, groups, inside = placed.pop()
-        spread[gi] = held
-        i, gi = i - 1, gi + 1
+def _groupings(npieces: int, min_parts: int) -> list[int]:
+    """For each p = 0..npieces, how many groupings of p pieces have at least
+    ``min_parts`` groups: the tail of row p of the Stirling numbers of the
+    second kind."""
+    row, counts = [1], [int(min_parts <= 0)]  # row: S(p, j) for j = 0..p
+    for _ in range(npieces):
+        row = [j * s + t for j, (s, t) in enumerate(zip(row + [0], [0] + row))]
+        counts.append(sum(row[min_parts:]))
+    return counts
 
 
-def _merge_tables(ncomps: int, nt: int, h: int, min_parts: int, merges):
-    """(f, merges of the pieces) for each f <= h removed edges of a forest
-    of ``ncomps`` components and ``nt`` edges that leaves at least
-    ``min_parts`` pieces; ``merges`` memoizes ``_merges``."""
-    for f in range(max(min_parts - ncomps, 0), min(h, nt) + 1):
-        npieces = ncomps + f
-        if npieces not in merges:
-            merges[npieces] = _merges(npieces, min_parts)
-        yield f, merges[npieces]
-
-
-def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges, weights, limit):
-    """Yield (piece masks, merges of the pieces, removed edges) of tree - F
-    for every subset F of at most h tree edges that leaves at least
-    ``min_parts`` pieces, F by size and then in ``itertools.combinations``
-    order; the removed edges are the (u, v) ends of the edges of F.  F is
-    skipped unbuilt when its edges' ``weights`` sum above ``limit[0]``.
+def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, weights, limit):
+    """Yield (piece masks, removed edges) of tree - F for every subset F of
+    at most h tree edges that leaves at least ``min_parts`` pieces, F by
+    size and then in ``itertools.combinations`` order; the removed edges
+    are the (u, v) ends of the edges of F.  F is skipped unbuilt when its
+    edges' ``weights`` sum above ``limit[0]``.
 
     The pieces are ordered by their smallest vertex, so two subsets leave
     the same pieces iff their mask tuples are equal.  The piece below a
@@ -217,7 +177,7 @@ def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges, we
     comps, below, _ = _rooted_forest(g.n, tree, g.edges)
     ends = {sub: (g.edges[eid].u, g.edges[eid].v) for sub, eid in zip(below, tree)}
     weight = {sub: weights[eid] for sub, eid in zip(below, tree)}
-    for f, layout_merges in _merge_tables(len(comps), len(tree), h, min_parts, merges):
+    for f in range(max(min_parts - len(comps), 0), min(h, len(tree)) + 1):
         for removed in itertools.combinations(below, f):
             if sum([weight[sub] for sub in removed]) > limit[0]:
                 continue
@@ -232,21 +192,23 @@ def _layouts(g: Graph, tree: tuple[int, ...], h: int, min_parts: int, merges, we
                 pieces.append(piece)
             pieces += [c & ~cut_off for c in comps]
             pieces.sort(key=lambda mask: mask & -mask)
-            yield tuple(pieces), layout_merges, [ends[sub] for sub in removed]
+            yield tuple(pieces), [ends[sub] for sub in removed]
 
 
-def _layout_cuts(n: int, wires, masks, merges, removed, limit):
-    """Yield (frozenset of part bitmasks, value) for every merge of one
-    piece layout that keeps the two ends of each ``removed`` edge in
-    different groups and whose value is at most ``limit[0]``, read as the
-    merge comes up.
+def _layout_cuts(n: int, wires, masks, removed, min_parts: int, limit):
+    """Yield (frozenset of part bitmasks, value) for every proper merge of
+    one piece layout into at least ``min_parts`` groups (the two ends of
+    each ``removed`` edge in different groups) of value at most
+    ``limit[0]``, read as it comes up, in ``set_partitions`` order; values
+    are integers in the scale of the capacities of ``_wires``.
 
-    ``wires`` are the (u, v, scaled capacity) triples of ``_wires``, so
-    values are integers in the scale of the capacities.  The capacity between
-    each pair of pieces, and its total, are summed once per layout; a
-    merge's value is the total less the pairs inside its groups, so no
-    such merge is below the capacity between the pieces that removed edges
-    join."""
+    The restricted growth strings of the pieces are grown depth first on a
+    stack, so no recursion limit applies.  Piece i joins group g only when
+    no removed edge joins it to a piece in g, adding the capacity from i to
+    the earlier pieces outside g.  Values only grow, so a prefix above the
+    limit is cut off, as is one that can no longer reach ``min_parts``
+    groups; a layout whose removed edges' piece pairs alone weigh more than
+    the limit is not walked."""
     npieces = len(masks)
     piece_of = [0] * n  # piece 0 holds vertex 0 and whatever no later piece holds
     for p in range(1, npieces):
@@ -255,41 +217,67 @@ def _layout_cuts(n: int, wires, masks, merges, removed, limit):
             low = mask & -mask
             piece_of[low.bit_length() - 1] = p
             mask ^= low
-    apart = 0
-    for u, v in removed:
-        a, b = piece_of[u], piece_of[v]
-        apart |= 1 << (a * npieces + b if a < b else b * npieces + a)
-    between = [0] * (npieces * npieces)
+    between = [0] * (npieces * npieces)  # b * npieces + a: the capacity between pieces a < b
     for u, v, c in wires:
         a, b = piece_of[u], piece_of[v]
         if a < b:
-            between[a * npieces + b] += c
-        elif b < a:
             between[b * npieces + a] += c
-    total = sum(between)
-    held = 0
-    pairs = apart
-    while pairs:
-        low = pairs & -pairs
-        held += between[low.bit_length() - 1]
-        pairs ^= low
-    if held > limit[0]:
+        elif b < a:
+            between[a * npieces + b] += c
+    apart = [0] * npieces  # per piece: the earlier pieces that removed edges join it to, as vertices
+    held = 0  # the pieces of T - F form a forest, so no two removed edges join the same two
+    for u, v in removed:
+        a, b = piece_of[u], piece_of[v]
+        if a > b:
+            a, b = b, a
+        apart[b] |= masks[a]
+        held += between[b * npieces + a]
+    if held > limit[0] or npieces < min_parts:
         return
-    for ngroups, group_of, inside in merges:
-        if inside & apart:
+    if npieces == min_parts or npieces == 1:  # the one grouping: each piece alone
+        total = sum(between)
+        if total <= limit[0]:
+            yield frozenset(masks), total
+        return
+    last = npieces - 1
+    group_of = [0] * npieces
+    parts = [0] * npieces  # each group's vertices, and 0 past the last group
+    parts[0] = masks[0]
+    placed = []  # (group, value before, value in each group) per piece 1..i-1
+    i, gi, groups, value, joins = 1, 0, 1, 0, None  # piece i tries group gi next
+    while True:
+        if joins is None:  # piece i's value in each group, the last a new one
+            row = i * npieces
+            joins = [value + sum(between[row : row + i])] * (groups + 1)
+            if groups + last - i < min_parts:  # every later piece opens a group
+                gi = groups
+            else:
+                for a in range(i):
+                    joins[group_of[a]] -= between[row + a]
+        while gi <= groups and (parts[gi] & apart[i] or joins[gi] > limit[0]):
+            gi += 1
+        if gi <= groups:
+            parts[gi] |= masks[i]
+            if i == last:
+                yield frozenset(parts[: groups + (gi == groups)]), joins[gi]
+                parts[gi] ^= masks[i]
+                gi += 1
+                continue
+            placed.append((gi, value, joins))
+            group_of[i] = gi
+            value = joins[gi]
+            if gi == groups:
+                groups += 1
+            i, gi, joins = i + 1, 0, None
             continue
-        value = total
-        pairs = inside
-        while pairs:
-            low = pairs & -pairs
-            value -= between[low.bit_length() - 1]
-            pairs ^= low
-        if value > limit[0]:
-            continue
-        part_masks = [0] * ngroups
-        for p, mask in enumerate(masks):
-            part_masks[group_of[p]] |= mask
-        yield frozenset(part_masks), value
+        if not placed:
+            return
+        i -= 1
+        gi, value, joins = placed.pop()
+        parts[gi] ^= masks[i]
+        if not parts[gi]:
+            groups -= 1
+        gi += 1
 
 
 def _wires(g: Graph, caps):
@@ -314,8 +302,8 @@ def cuts_from_tree(g: Graph, tree, h: int, k: int = 2):
     caps, scale = scaled_capacities(g)
     wires, weights = _wires(g, caps)
     total = [sum(caps)]  # no cut is above it, so nothing is skipped
-    for pieces, layout_merges, _ in _layouts(g, tuple(tree), h, k, {}, weights, total):
-        for masks, value in _layout_cuts(g.n, wires, pieces, layout_merges, (), total):
+    for pieces, _ in _layouts(g, tuple(tree), h, k, weights, total):
+        for masks, value in _layout_cuts(g.n, wires, pieces, (), k, total):
             yield _mask_partition(g.n, masks, Fraction(value, scale))
 
 
@@ -333,18 +321,18 @@ def _enumerate_over_support(g: Graph, trees, h: int, k: int, alpha=1, reach=None
     wires, weights = _wires(g, caps)
     num, den = Fraction(alpha).as_integer_ratio()
     limit = [sum(caps)]
-    merges: dict[int, list] = {}
     seen: set[tuple[int, ...]] = set()
     found: dict[frozenset, int] = {}
+    groupings = _groupings(g.n, k)
     candidates = 0
     for i, tree in enumerate(trees):
-        for f, layout_merges in _merge_tables(g.n - len(tree), len(tree), h, k, merges):
-            candidates += comb(len(tree), f) * len(layout_merges)
-        for pieces, layout_merges, removed in _layouts(g, tuple(tree), h, k, merges, weights, limit):
+        nt = len(tree)
+        candidates += sum([comb(nt, f) * groupings[g.n - nt + f] for f in range(min(h, nt) + 1)])
+        for pieces, removed in _layouts(g, tuple(tree), h, k, weights, limit):
             if pieces in seen:
                 continue
             seen.add(pieces)
-            for parts, value in _layout_cuts(g.n, wires, pieces, layout_merges, removed, limit):
+            for parts, value in _layout_cuts(g.n, wires, pieces, removed, k, limit):
                 found[parts] = value
                 limit[0] = min(limit[0], value * num // den)
         if reach and reach[i] * scale > limit[0]:

@@ -14,8 +14,9 @@ alpha = (k - kappa_{j-1}) / (kappa_j - kappa_{j-1}):
 The dual's packing is made explicit in two ways.  ``ideal_dual`` scales
 the coupled ideal packing (``IdealPacking.coupling``), built once for every
 k; ``verify`` reads it.  ``dual_packing`` runs a column generation in c+z,
-whose basic packing ``solve``, ``enumerate`` and ``lp`` read: the ideal
-packing is slow on large strength-tight quotients.
+whose basic packing ``lp`` reads, and ``solve`` and ``enumerate`` only past
+the cap of the greedy tree stream they read first (``cuts._scan``): the
+ideal packing is slow on large strength-tight quotients.
 
 Disconnected graphs are supported throughout: constraints run over maximal
 forests with right-hand side k - h for h components.  So are components of
@@ -120,13 +121,15 @@ def lp_primal(psp: PrincipalSequence, k: int) -> PrimalSolution:
     lambda, so a component of strength 0 is allowed."""
     g = psp.graph
     check_k(g, k)
-    if k <= psp.kappa0():
-        return PrimalSolution(k, (Fraction(0),) * g.m, 0, Fraction(0), Fraction(0))
+    x = [Fraction(0)] * g.m
+    if k <= psp.kappa0():  # x = 1 on the zero-capacity edges between the parts of positive()'s p0
+        for eid in psp.a_edges_at(0):
+            x[eid] = Fraction(1)
+        return PrimalSolution(k, tuple(x), 0, Fraction(0), Fraction(0))
     j = psp.level_for_k(k)
     level = psp.levels[j - 1]
     kappa_prev = psp.kappa_at(j - 1)
     alpha = Fraction(k - kappa_prev, level.kappa - kappa_prev)
-    x = [Fraction(0)] * g.m
     for eid in psp.a_edges_at(j - 1):
         x[eid] = Fraction(1)
     for eid in level.b_edges:

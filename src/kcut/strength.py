@@ -105,7 +105,11 @@ class PrincipalSequence(NamedTuple):
         return self.p0 if j == 0 else self.levels[j - 1].partition
 
     def a_edges_at(self, j: int) -> frozenset[int]:
-        return frozenset() if j == 0 else self.levels[j - 1].a_edges
+        """A_j, the edges crossing P_j; A_0 is empty but on ``positive()``,
+        where it holds the zero-capacity edges between the parts of p0."""
+        if j:
+            return self.levels[j - 1].a_edges
+        return frozenset(crossing_edges(self.graph, self.p0.block_of(self.graph.n)))
 
     def kappa_at(self, j: int) -> int:
         return self.p0.part_count if j == 0 else self.levels[j - 1].kappa

@@ -5,13 +5,18 @@ line on stderr, within a wall-clock cap."""
 import contextlib
 import io
 import json
+import random
 import signal
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcut.cli import main
+
+from conftest import _random_connected
+from test_psp_pin import _text
 
 RUN_CAP_S = 10.0  # wall-clock seconds one run may take
 
@@ -93,9 +98,9 @@ def _raise_overrun(signum, frame):
     raise _Overrun
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_commands(), _graph_texts())
-def test_every_run_ends_in_json_or_one_diagnostic_line_property(argv, text):
+def _run(argv, text):
+    """(exit code, stdout, stderr) of one run, stopped by ``_Overrun``
+    past ``RUN_CAP_S``."""
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _raise_overrun)
     signal.setitimer(signal.ITIMER_REAL, RUN_CAP_S)
@@ -105,10 +110,27 @@ def test_every_run_ends_in_json_or_one_diagnostic_line_property(argv, text):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_commands(), _graph_texts())
+def test_every_run_ends_in_json_or_one_diagnostic_line_property(argv, text):
+    code, out, err = _run(argv, text)
     if code == 0:
-        assert err.getvalue() == ""
-        json.loads(out.getvalue())
+        assert err == ""
+        json.loads(out)
     else:
         assert code in (1, 2)
-        assert len(err.getvalue().splitlines()) == 1
-        assert err.getvalue().endswith("\n") and "Traceback" not in err.getvalue()
+        assert len(err.splitlines()) == 1
+        assert err.endswith("\n") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--k", "8"], ["enumerate", "--k", "6", "--alpha", "3/2"]])
+def test_high_k_scans_end_within_the_cap(argv):
+    """At k >= n/2 the forest rule (h >= n - p0) lets a layout's pieces
+    reach every vertex, up to Bell(14) groupings of one layout; the walk
+    over the proper ones still ends in time, with one JSON answer."""
+    code, out, err = _run(argv, _text(_random_connected(random.Random(14), 14, 28)))
+    assert code == 0 and err == ""
+    json.loads(out)

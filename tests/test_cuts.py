@@ -493,6 +493,23 @@ def test_strength_zero_primal_and_rounding_property(g):
         assert r.cut.crossing_value <= r.bound == 2 * (1 - F(1, g.n)) * primal.objective, k
 
 
+@pytest.mark.parametrize("k", range(2, 8))
+def test_positive_sequence_rounds_as_the_input_sequence(k):
+    """The primal of ``positive()`` cuts the zero-capacity edges between
+    the parts of its p0, so rounding and the 2-approximation read it as
+    they read the input's sequence: two unit triangles joined by a 0 edge,
+    with a seventh vertex hung on another."""
+    g = parse_graph("p kcut 7 8\ne 1 2 1\ne 1 3 1\ne 2 3 1\ne 4 5 1\ne 4 6 1\ne 5 6 1\ne 3 4 0\ne 6 7 0\n")
+    psp = principal_sequence(g)
+    pos = psp.positive()
+    primal = lp_primal(pos, k)
+    assert primal.objective == lp_primal(psp, k).objective
+    r = round_lp(pos, primal)
+    assert r.certified and r.cut.part_count >= k
+    assert r.cut.crossing_value == round_lp(psp, lp_primal(psp, k)).cut.crossing_value <= r.bound
+    assert ravi_sinha_cut(pos, k).crossing_value == ravi_sinha_cut(psp, k).crossing_value
+
+
 def test_reports_are_recomputable(tt):
     cut, report = min_kcut(principal_sequence(tt), 3)
     for c in report.cuts:

@@ -12,11 +12,14 @@ keep the two ends of every removed tree edge apart; the work bounds pin
 how few trees and merges that leaves on two of perfbench's graphs.  It
 reads any packing, greedy or exact, heaviest first and stops once the
 measured LP gap allows, and when h >= n - p0 it reads one maximal forest
-and builds no packing; the tree counts pin both.
+and builds no packing; the tree counts pin both.  There, with every tree
+edge removable, a traced peak pins how little the walk over a layout's
+groupings holds.
 """
 
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -170,9 +173,9 @@ def test_exact_k3_scores_only_proper_merges():
     for g in (k5, _planted(3, 4)):
         layouts, built = [0], []
 
-        def spy(n, wires, masks, merges, removed, limit):
+        def spy(n, wires, masks, removed, min_parts, limit):
             layouts[0] += 1
-            for parts, value in real(n, wires, masks, merges, removed, limit):
+            for parts, value in real(n, wires, masks, removed, min_parts, limit):
                 assert not any(m >> u & 1 and m >> v & 1 for m in parts for u, v in removed)
                 built.append(parts)
                 yield parts, value
@@ -182,6 +185,22 @@ def test_exact_k3_scores_only_proper_merges():
     assert report.distinct_cuts == len(built) == 10
     assert report.candidates_examined == 1210
     assert layouts[0] <= 60
+
+
+def test_forest_rule_walk_holds_one_grouping_at_a_time():
+    """At n=10, k=4 and alpha = 3/2 the forest rule (h = 9 = n - 1) scans
+    one spanning tree with every edge removable, so layouts reach ten
+    pieces and Bell(10) groupings; the walk keeps only its stack and the
+    cuts within the limit, under 2 MiB traced peak."""
+    psp = principal_sequence(_random_connected(random.Random(10), 10, 20))
+    tracemalloc.start()
+    try:
+        report = enumerate_approx_kcuts(psp, 4, F(3, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.h == 9 and report.candidates_examined == 431_267
+    assert peak < 2 * 2**20
 
 
 def _work(monkeypatch):

@@ -74,13 +74,13 @@ def milp_min_kcut(g: Graph, k: int, exclude=()) -> Fraction:
     return Fraction(value, scale)
 
 
-VALUES = {(12, 4): 39, (14, 3): 16, (16, 3): 20, (20, 3): 19, (20, 4): 31, (30, 3): 23}
+VALUES = {(12, 4): 39, (14, 3): 16, (14, 8): 116, (16, 3): 20, (20, 3): 19, (20, 4): 31, (30, 3): 23}
 
 
 @pytest.mark.parametrize(
     "n,k,eps",
     [(12, 4, None), (14, 3, None), (16, 3, None), (20, 3, Fraction(1, 6)), (30, 3, Fraction(1, 6))]
-    + [(20, 3, None), (20, 4, None), (30, 3, None)],
+    + [(20, 3, None), (20, 4, None), (30, 3, None), (14, 8, None)],
 )
 def test_min_kcut_matches_the_milp_reference(n, k, eps):
     g = _random_connected(random.Random(n), n, 2 * n)

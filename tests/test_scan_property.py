@@ -31,6 +31,7 @@ h-respects each optimal cut.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import floor
 
@@ -52,7 +53,7 @@ from kcut import (
     principal_sequence,
     ravi_sinha_cut,
 )
-from kcut.cuts import _enumerate_over_support, _greedy_packing
+from kcut.cuts import _enumerate_over_support, _greedy_packing, _groupings, _layout_cuts, _wires
 from kcut.graph import component_blocks, partition_sort_key, scaled_capacities
 from kcut.oracle import enum_partitions, partition_table, set_partitions
 from kcut.packing import PackConfig, mwu_pack
@@ -147,6 +148,51 @@ def test_tree_stream_matches_component_brute_force(scan):
     for tree in set(trees):
         stream = [(cut.parts, cut.crossing_value) for cut in cuts_from_tree(g, tree, h, k)]
         assert stream == list(_brute_stream(g, tree, h, k))
+
+
+def test_groupings_count_the_set_partitions():
+    for p in range(10):
+        blocks = Counter(len(b) for b in set_partitions(list(range(p))))
+        for k in range(p + 2):
+            assert _groupings(9, k)[p] == sum([c for j, c in blocks.items() if j >= k]), (p, k)
+
+
+@st.composite
+def _piece_layouts(draw):
+    """(graph, pieces of tree - F as vertex lists by smallest vertex, the
+    (u, v) ends of the edges of F, least group count) for a random maximal
+    forest and a random subset F of its edges."""
+    g = draw(_multigraphs())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    tree = min_spanning_forest(g, [rng.random() for _ in range(g.m)])
+    removed = draw(st.lists(st.sampled_from(range(len(tree))), unique=True)) if tree else []
+    forest = Graph(g.n, tuple(g.edges[eid] for eid in tree))
+    pieces = sorted(component_blocks(forest, exclude_edges=removed), key=min)
+    ends = [(g.edges[tree[i]].u, g.edges[tree[i]].v) for i in removed]
+    return g, pieces, ends, draw(st.integers(1, len(pieces)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_piece_layouts())
+def test_layout_walk_yields_the_proper_merges_within_the_limit(layout):
+    """With the limit at each value of a proper merge in turn (and below
+    them all), the walk yields exactly the brute-force proper merges at
+    most the limit, in ``set_partitions`` order: every grouping of the
+    pieces into at least the least group count that keeps the two ends
+    of each removed edge apart, priced over every edge."""
+    g, pieces, removed, min_parts = layout
+    caps, _ = scaled_capacities(g)
+    wires, _ = _wires(g, caps)
+    masks = tuple(sum(1 << v for v in piece) for piece in pieces)
+    proper = []
+    for blocks in set_partitions(list(range(len(pieces)))):
+        group = {v: i for i, block in enumerate(blocks) for p in block for v in pieces[p]}
+        if len(blocks) >= min_parts and all(group[u] != group[v] for u, v in removed):
+            value = sum([c for e, c in zip(g.edges, caps) if group[e.u] != group[e.v]])
+            proper.append((frozenset(sum(masks[p] for p in block) for block in blocks), value))
+    for limit in [-1, *sorted({v for _, v in proper})]:
+        walked = list(_layout_cuts(g.n, wires, masks, removed, min_parts, [limit]))
+        assert walked == [(parts, v) for parts, v in proper if v <= limit], limit
 
 
 @st.composite
