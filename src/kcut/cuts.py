@@ -362,12 +362,13 @@ def _greedy_packing(g: Graph, dual: DualSolution, bar: Fraction, strict=False):
     return None
 
 
-def _scan(psp: PrincipalSequence, k: int, h: int, eps=None, dual=None, alpha=None) -> EnumerationReport:
+def _scan(psp: PrincipalSequence, k: int, eps=None, dual=None, alpha=None) -> EnumerationReport:
     """The scan behind ``min_kcut`` and ``enumerate_approx_kcuts``: every
     cut of ``psp.graph`` crossing a tree of a packing in c+z at most h
-    times, h raised to the completeness bound (2k-3 with no eps, 2k-2 with
-    one), and at most alpha times the minimum, with the cuts kept before
-    the limit fell.  Reports the cuts at most alpha times the minimum, by
+    times, h = floor(2 alpha (k-1)) under an alpha and 0 with none, raised
+    to the completeness bound (2k-3 with no eps, 2k-2 with one), and at
+    most alpha times the minimum, with the cuts kept before the limit
+    fell.  Reports the cuts at most alpha times the minimum, by
     (value, ``partition_sort_key``), with the threshold alpha times the
     minimum; with no alpha, the minimizers and no threshold.  An eps must
     satisfy 0 < eps < 1/(2k-1), checked before any work.
@@ -392,7 +393,7 @@ def _scan(psp: PrincipalSequence, k: int, h: int, eps=None, dual=None, alpha=Non
     When h >= n - p0 every partition h-respects every maximal forest of the
     positive edges, so with or without an eps one such forest is scanned,
     and no packing is built or read; h is reported as raised.  k = n scans
-    nothing: the singletons come back with h as given.  When k is at most
+    nothing: the singletons come back with h unraised.  When k is at most
     the number of components the exact packing is empty and every optimal
     cut groups whole components at value 0, so the same forest is scanned:
     with no edge removed and h = 0 when no eps is given, and with one as
@@ -405,6 +406,7 @@ def _scan(psp: PrincipalSequence, k: int, h: int, eps=None, dual=None, alpha=Non
     check_k(g, k)
     mode = "exact" if eps is None else "approx"
     ratio = 1 if alpha is None else alpha
+    h = 0 if alpha is None else floor(2 * alpha * (k - 1))
     if eps is not None:
         eps = Fraction(eps)
         if not 0 < eps < Fraction(1, 2 * k - 1):
@@ -469,7 +471,7 @@ def min_kcut(psp: PrincipalSequence, k: int, eps=None, dual=None):
     such as ``ideal_dual(ideal, lp_dual(psp, k))``, passes it as ``dual``;
     with no eps its packing is read.
     """
-    report = _scan(psp, k, 0, eps, dual)
+    report = _scan(psp, k, eps, dual)
     return report.cuts[0], report
 
 
@@ -483,7 +485,7 @@ def enumerate_approx_kcuts(psp: PrincipalSequence, k: int, alpha) -> Enumeration
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    return _scan(psp, k, floor(2 * alpha * (k - 1)), alpha=alpha)
+    return _scan(psp, k, alpha=alpha)
 
 
 class RoundResult(NamedTuple):

@@ -212,11 +212,6 @@ def oracle_min_kcut(g: Graph, k: int, limits: OracleLimits = DEFAULT_LIMITS):
     return partition_table(g, limits).min_kcut(k)
 
 
-def oracle_attack_value(g: Graph, b: Fraction, limits: OracleLimits = DEFAULT_LIMITS):
-    """min over partitions of c(E(P)) - b(|P|-1), with an extreme argmin pair."""
-    return partition_table(g, limits).attack(b)
-
-
 def spanning_forests(g: Graph, limit: int | None = None) -> list[tuple[int, ...]]:
     """All maximal forests (edge-id tuples); a forest has n - h edges.
 
@@ -361,7 +356,7 @@ class ForestLP:
         if g.m == 0:
             raise ValueError("packing value undefined for edgeless graph")
         forests = spanning_forests(g, self.limits.max_spanning_trees)
-        tableau = Tableau([[] for _ in range(g.m)], [e.cap for e in g.edges])
+        tableau = Tableau([e.cap for e in g.edges])
         for f in forests:
             tableau.add_support(f)  # at cost 1: the packing LP's objective
         self._treepack = tableau.solve().value

@@ -15,10 +15,11 @@ call and hand the kernel a new order each round.
   has a cap; each caller (the mincut and approximate k-cut scans) stops it
   with a test of its own.
 * ``mwu_pack``: a deterministic width-based multiplicative-weights packer
-  meeting a (1 - eps) guarantee.  Only the edge weights are floats; a
-  round recomputes the lengths w(e)/c(e) of the forest it loaded and no
-  others, by the float expressions a full recomputation would use, so
-  every float and every forest is the same.  Loads and tree weights are
+  meeting a (1 - eps) guarantee, in at most m (ceil(ln m / (eps ln(1 +
+  eps))) + 1) rounds on m positive edges.  Only the edge weights are
+  floats; a round recomputes the lengths w(e)/c(e) of the forest it loaded
+  and no others, by the float expressions a full recomputation would use,
+  so every float and every forest is the same.  Loads and tree weights are
   integers on scaled capacities, and one exact rational rescale at the end
   makes the reported loads and value rigorous.
 * ``exact_pack``: column generation on one exact simplex tableau that
@@ -55,13 +56,8 @@ class SaturationError(PackingError):
     """The input graph admits no capacity-saturating packing."""
 
 
-class IterationLimitError(PackingError):
-    """The multiplicative-weights loop hit its iteration cap."""
-
-
 class _PackFields(NamedTuple):
     epsilon: Fraction
-    max_iterations: int | None
 
 
 class PackConfig(_PackFields):
@@ -69,11 +65,11 @@ class PackConfig(_PackFields):
 
     __slots__ = ()
 
-    def __new__(cls, epsilon=Fraction(1, 10), max_iterations: int | None = None):
+    def __new__(cls, epsilon=Fraction(1, 10)):
         eps = Fraction(epsilon)
         if not 0 < eps < Fraction(1, 2):
             raise ValueError("epsilon must lie in (0, 1/2)")
-        return super().__new__(cls, eps, max_iterations)
+        return super().__new__(cls, eps)
 
 
 class TreePacking(NamedTuple):
@@ -219,13 +215,18 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
     the minimum spanning forest under w(e)/c(e) and multiplies the chosen
     edges' weights by (1 + eps * delta / c(e)); the loop stops once any
     weight exceeds m**(1/eps), and the accumulated packing is rescaled by
-    the exact maximum relative overload.  The weights are floats; loads and
-    accumulated tree weights are integers on ``scaled_capacities``, and
-    ``Fraction``s are built only in the final rescale, one per distinct
-    accumulated tree weight (trees with equal ones share it).  A
-    round changes only the loaded forest's weights, so only their lengths
-    w/c are recomputed, by the same float expression: the forests priced
-    are those a full recomputation would give.  The growth factors
+    the exact maximum relative overload.  A round multiplies its
+    bottleneck's weight by fl(1 + eps), its factor being 1 + eps * c_b /
+    c_b, and no weight ever falls, so an edge is the bottleneck at most
+    ceil(ln m / (eps ln(1 + eps))) + 1 times, and the loop ends within m
+    times that many rounds; no cap is needed.  The weights are floats;
+    loads and accumulated tree weights are integers on
+    ``scaled_capacities``, and ``Fraction``s are built only in the final
+    rescale, one per distinct accumulated tree weight (trees with equal
+    ones share it).  A round changes only the loaded forest's weights, so
+    only their lengths w/c are recomputed, by the same float expression:
+    the forests priced are those a full recomputation would give.  The
+    growth factors
     1.0 + eps * c_b / c_e of a bottleneck b are computed once, the first
     time b is the bottleneck, by that same expression, so every weight is
     the float the per-round product gives.  Forests stay on the working
@@ -252,15 +253,9 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
     raw: dict[tuple[int, ...], int] = {}  # scaled like cap_s
     load = [0] * m  # scaled like cap_s
     grow: dict[int, list[float]] = {}  # bottleneck -> each edge's weight factor
-    max_iter = config.max_iterations
-    if max_iter is None:
-        max_iter = 16 + int(4 * m * math.log(max(m, 2)) / (eps * eps))
     lengths = [w[i] / cap_f[i] for i in range(m)]
-    iterations = 0
-    while True:
-        if iterations >= max_iter:
-            raise IterationLimitError(f"no convergence within {max_iter} iterations")
-        iterations += 1
+    stop = False
+    while not stop:
         forest = _forest(work.n, eu, ev, sorted(range(m), key=lengths.__getitem__))  # stable: ties by id
         bottleneck = min(forest, key=cap_s.__getitem__)
         delta = cap_s[bottleneck]
@@ -269,15 +264,12 @@ def mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) -> TreePack
         if factor is None:
             df = cap_f[bottleneck]
             factor = grow[bottleneck] = [1.0 + eps * df / c for c in cap_f]
-        stop = False
         for i in forest:
             load[i] += delta
             w[i] *= factor[i]
             lengths[i] = w[i] / cap_f[i]
             if w[i] > threshold:
                 stop = True
-        if stop:
-            break
     rho = max(Fraction(load[i], cap_s[i]) for i in range(m))
     trees = sorted(raw)
     # raw / scale / rho as one Fraction, reduced once per distinct raw value
@@ -315,7 +307,7 @@ def _column_generation(g: Graph, caps=None) -> TreePacking:
     once, after the last round.
     """
     work, keep, _ = _working_graph(g, caps)
-    master = Tableau([[] for _ in range(work.m)], [e.cap for e in work.edges])
+    master = Tableau([e.cap for e in work.edges])
     forest = min_spanning_forest(work, [1] * work.m)
     columns = []
     seen = set()

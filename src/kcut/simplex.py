@@ -30,19 +30,20 @@ rationals, so the pivots and the vertex are the dense tableau's.
 A ``Tableau`` outlives its solve, for a family of LPs over one feasible
 region.  Adding a column or replacing the objective leaves the right-hand
 side alone, so the basis stays primal feasible and the next solve resumes
-Bland's rule from a basis already reached: a warm start.  Added columns sit
-after the other variables and before the slacks, where ``solve_lp`` would
-put them; a 0/1 column, such as a spanning forest over edge rows, is added
-as its support.  Bland's rule enters the first improving column, so a new
-column can change the path only at a step that entered a slack, or at the
-end.  ``solve`` keeps a checkpoint before each pivot into a slack, and
-``add_column`` goes back to the first checkpoint at which the new column
-has a positive reduced cost.  So a tableau grown by column generation walks
-the pivot path of a cold solve over all of its columns, from that
-checkpoint on, and stops at the same vertex (Bland 1977; Desrosiers and
-Lübbecke 2005 on column generation).  Adding a column touches no row and a
-pivot builds new rows instead of changing one in place, so a checkpoint is
-a shallow copy of the row list.
+Bland's rule from a basis already reached: a warm start.  The tableau
+starts with its rows and no column; every column enters one at a time, at
+an int cost, numbered in order before the slacks (slack i is ``added +
+i``), as ``solve_lp`` adds its variables; a 0/1 column, such as a spanning
+forest over edge rows, is added as its support.  Bland's rule enters the
+first improving column, so a new column can change the path only at a
+step that entered a slack, or at the end.  ``solve`` keeps a checkpoint
+before each pivot into a slack, and ``add_column`` goes back to the first
+checkpoint at which the new column has a positive reduced cost.  So a
+tableau grown by column generation walks the pivot path of a cold solve
+over all of its columns, from that checkpoint on, and stops at the same
+vertex (Bland 1977; Desrosiers and Lübbecke 2005 on column generation).
+Adding a column touches no row and a pivot builds new rows instead of
+changing one in place, so a checkpoint is a shallow copy of the row list.
 """
 
 from __future__ import annotations
@@ -69,24 +70,23 @@ class LpResult(NamedTuple):
 class Tableau:
     """A primal feasible simplex tableau that outlives one solve.
 
-    ``Tableau(rows, rhs)`` starts at the slack basis of rows . x <= rhs with
-    a zero objective.  ``add_column`` adds a variable after the existing
-    ones and before the slacks, ``add_support`` adds a 0/1 one at cost 1 by
-    the rows of its 1s, ``set_objective`` replaces the objective and ``solve`` runs
-    Bland's rule from the current basis.  Every solve ends where Bland's
-    rule would end if it started at the basis of the last ``set_objective``
-    with every current column already there: from the slack basis, where
-    ``solve_lp`` ends on the same LP.  ``basis`` numbers slack i ``nvar +
-    added + i``; ``det`` is the determinant of the basis, each column over
-    the lcm of its entries' denominators, and every row is an int multiple
-    of B^-1 over it.  ``pivots`` counts pivots and ``rewinds`` rewinds,
-    over all solves.
+    ``Tableau(rhs)`` starts at the slack basis of the rows x <= rhs, with
+    no column and a zero objective.  ``add_column`` adds a variable at an
+    int cost after the existing ones and before the slacks, ``add_support``
+    adds a 0/1 one at cost 1 by the rows of its 1s, ``set_objective``
+    replaces the objective and ``solve`` runs Bland's rule from the current
+    basis.  Every solve ends where Bland's rule would end if it started at
+    the basis of the last ``set_objective`` with every current column
+    already there: from the slack basis, where ``solve_lp`` ends on the
+    same LP.  ``basis`` numbers slack i ``added + i``; ``det`` is the
+    determinant of the basis, each column over the lcm of its entries'
+    denominators, and every row is an int multiple of B^-1 over it.
+    ``pivots`` counts pivots and ``rewinds`` rewinds, over all solves.
     """
 
-    def __init__(self, rows, rhs):
-        self.m = m = len(rows)
-        self.nvar = nvar = len(rows[0]) if rows else 0  # columns of the rows
-        self.added = 0  # columns added since, between those and the slacks
+    def __init__(self, rhs):
+        self.m = m = len(rhs)
+        self.added = 0  # columns added, numbered before the slacks
         self.pivots = 0
         self.rewinds = 0
         b, self._rhs_den = _scaled(rhs)
@@ -101,20 +101,17 @@ class Tableau:
         self.tab.append([0] * (m + 1))
         self.det = 1
         self._q = 1  # the objective's denominator
-        self.basis = list(range(nvar, nvar + m))
+        self.basis = list(range(m))
         # (rows, entries or None when all are 1, cost * d over q, d) per column
         self._cols = []
-        for j in range(nvar):
-            idx, vals, d = _column([row[j] for row in rows])
-            self._cols.append((idx, vals, 0, d))
         # (tab, det, basis, added) before each pivot into a slack since the
         # last set_objective; the duals are in the objective row
         self._checkpoints: list[tuple] = []
 
     def add_column(self, coeffs, cost) -> None:
         """Add a variable with constraint coefficients ``coeffs`` (one per
-        row) and objective coefficient ``cost``, nonbasic at 0, after the
-        other variables and before the slacks: where ``solve_lp`` puts it.
+        row) and int objective coefficient ``cost``, nonbasic at 0, after
+        the other variables and before the slacks.
 
         On the path taken since the last ``set_objective`` the new column
         changes only the first step that entered a slack while the column's
@@ -131,47 +128,34 @@ class Tableau:
         self._add(list(rows), None, 1, 1)
 
     def _add(self, idx, vals, cost, d) -> None:
-        if type(cost) is int:
-            cn = cost * d * self._q
-        else:
-            c = Fraction(cost) * d * self._q
-            if c.denominator != 1:
-                self._rescale(c.denominator)
-            cn = c.numerator
+        if type(cost) is not int:
+            raise TypeError(f"column cost {cost!r} is not an int")
+        cn = cost * d * self._q
         for n, (tab, det, basis, added) in enumerate(self._checkpoints):
             get = tab[-1].__getitem__  # -y over det * q
             ya = sum(map(get, idx)) if vals is None else sum(map(mul, map(get, idx), vals))
             if cn * det + ya > 0:
                 del self._checkpoints[n:]
-                at, shift = self.nvar + added, self.added - added
+                shift = self.added - added
                 self.tab, self.det = tab, det
-                self.basis = [j + shift if j >= at else j for j in basis]
+                self.basis = [j + shift if j >= added else j for j in basis]
                 self.rewinds += 1
                 break
         self._cols.append((idx, vals, cn, d))
-        at = self.nvar + self.added  # the first slack
+        at = self.added  # the first slack
         self.basis = [j + (j >= at) for j in self.basis]
         self.added += 1
 
-    def _rescale(self, f) -> None:
-        """Put the objective over q * f: a new column's cost is no multiple
-        of 1 / q.  Every cost and objective row, the checkpoints' too, is
-        multiplied by f."""
-        self._q *= f
-        self._cols = [(idx, vals, f * cn, d) for idx, vals, cn, d in self._cols]
-        for tab in [self.tab] + [ck[0] for ck in self._checkpoints]:
-            tab[-1] = [f * v for v in tab[-1]]
-
     def set_objective(self, c) -> None:
         """Maximize c . x from the current basis; ``c`` has one entry per
-        variable, the columns of the rows first, then the added ones.
+        column, in the order they were added, and may be rational.
 
         The objective row becomes -c_B T over det * q, with minus the value
         of the current vertex, for q the common denominator of the costs of
         the integer columns.  The checkpoints are dropped: the next solve
         starts a new path from this basis.
         """
-        nv = self.nvar + self.added
+        nv = self.added
         if len(c) != nv:
             raise ValueError(f"objective has {len(c)} entries for {nv} variables")
         cost, self._q = _scaled(c)
@@ -192,7 +176,7 @@ class Tableau:
         denominator, so every one is >= 0.  Raises ``LpUnbounded`` when the
         objective has no maximum; the basis is then still feasible."""
         tab, basis, m = self.tab, self.basis, self.m
-        nv = self.nvar + self.added  # the first slack
+        nv = self.added  # the first slack
         while (step := _bland_step(tab, self.det, basis, self._cols, nv)) is not None:
             r, e, f = step
             if e >= nv:
@@ -207,7 +191,7 @@ class Tableau:
         Fractions."""
         duals, dden = self.solve_duals()
         tab, m, cols = self.tab, self.m, self._cols
-        nv = self.nvar + self.added
+        nv = self.added
         xden = self.det * self._rhs_den
         x = [ZERO] * nv
         for i, j in enumerate(self.basis):
@@ -223,14 +207,15 @@ def solve_lp(c, rows, rhs) -> LpResult:
 
     ``rows`` are dense coefficient lists; coefficients are ints, Fractions
     or anything ``Fraction`` accepts.  Bland's rule guarantees termination.
-    Raises ``ValueError`` on a negative right-hand side and ``LpUnbounded``
-    when the objective has no maximum.  See ``Tableau.solve_duals`` for the duals.
+    Raises ``ValueError`` on a negative right-hand side or a row whose
+    length is not the objective's, and ``LpUnbounded`` when the objective
+    has no maximum.  See ``Tableau.solve_duals`` for the duals.
     """
-    t = Tableau(rows, rhs)
-    if not rows:
-        # no rows to count the variables by
-        for cj in c:
-            t.add_column([], cj)
+    if any(len(row) != len(c) for row in rows):
+        raise ValueError(f"every row needs one coefficient per entry of the objective, {len(c)}")
+    t = Tableau(rhs)
+    for j in range(len(c)):
+        t.add_column([row[j] for row in rows], 0)
     t.set_objective(c)
     return t.solve()
 

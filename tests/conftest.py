@@ -5,6 +5,7 @@ import pytest
 
 from kcut import Edge, Graph, parse_graph, partition_from_blocks
 from kcut.flow import FlowNetwork
+from kcut.simplex import Tableau
 
 E1_TEXT = "p kcut 2 1\ne 1 2 5\n"
 
@@ -165,3 +166,12 @@ def residual_side(net: FlowNetwork, s: int) -> set[int]:
                 seen.add(net.to[a])
                 queue.append(net.to[a])
     return seen
+
+
+def tableau_of(rows, rhs) -> Tableau:
+    """A tableau at the slack basis of rows . x <= rhs, zero objective:
+    ``Tableau(rhs)`` with the rows' columns added in order at cost 0."""
+    t = Tableau(rhs)
+    for column in zip(*rows):
+        t.add_column(column, 0)
+    return t

@@ -40,7 +40,7 @@ from kcut import (
 )
 from kcut.cli import _packing_json
 from kcut.cuts import dual_respect_bound
-from kcut.oracle import oracle_attack_value
+from kcut.oracle import partition_table
 
 from conftest import TT_TEXT, edge_ids_of_partition, full_suite
 
@@ -95,7 +95,7 @@ def test_criterion_02_psp_correctness():
                 for b in (level.lam - F(1, 7), level.lam, level.lam + F(1, 7)):
                     if b < 0:
                         continue
-                    brute, _, fine = oracle_attack_value(g, b)
+                    brute, _, fine = partition_table(g).attack(b)
                     line = level.partition.crossing_value - b * (level.kappa - 1)
                     assert line >= brute, name
                     if b == level.lam:

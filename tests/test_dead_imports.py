@@ -4,7 +4,8 @@ re-exports that perfbench reads by name and nothing in the library uses.
 private helper the library defines is used by the library, not only by
 tests.  And every public function or method is read by the library or a
 demo, but for a short list of references and test seams, each with its
-reason."""
+reason.  Every field of a settings record is set by some library or demo
+call."""
 
 import ast
 from pathlib import Path
@@ -74,7 +75,6 @@ def test_every_private_helper_is_used_by_the_library():
 UNREAD_PUBLIC = {
     ("simplex.py", "solve_lp"): "perfbench's tracer wraps it and its self-test checks the re-exports",
     ("oracle.py", "enum_partitions"): "brute-force reference the tests check the fast paths against",
-    ("oracle.py", "oracle_attack_value"): "brute-force reference the tests check the fast paths against",
     ("cuts.py", "cuts_from_tree"): "the per-tree stream the scan property test checks",
     ("graph.py", "induced_subgraph"): "test seam: the tests build blocks of a graph with it",
     ("cli.py", "_Parser.error"): "argparse calls it",
@@ -92,13 +92,19 @@ def _public_functions(tree):
                 yield prefix + d.name, d.lineno
 
 
-def test_every_public_function_is_read_by_the_library_or_a_demo():
+def _library_and_demos():
+    """{file name: parsed module} of the library, and the parsed demos."""
     root = Path(kcut.__file__).parent
     library = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in root.glob("*.py")}
-    demos = [p for p in (root.parent.parent / "demos").glob("*.py")]
+    demos = [ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in (root.parent.parent / "demos").glob("*.py")]
     assert demos
+    return library, demos
+
+
+def test_every_public_function_is_read_by_the_library_or_a_demo():
+    library, demos = _library_and_demos()
     read = set()
-    for tree in [*library.values(), *(ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in demos)]:
+    for tree in [*library.values(), *demos]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -111,3 +117,23 @@ def test_every_public_function_is_read_by_the_library_or_a_demo():
     unread = [(module, name, line) for module, name, line in public if name.rsplit(".", 1)[-1] not in read]
     assert [use for use in unread if use[:2] not in UNREAD_PUBLIC] == []
     assert {use[:2] for use in unread} == set(UNREAD_PUBLIC)
+
+
+def test_every_settings_field_is_set_by_the_library_or_a_demo():
+    """A field only tests set is a no-op setting: each field of
+    ``PackConfig`` and ``OracleLimits`` is passed, by position or by
+    keyword, in some call of the library or a demo."""
+    library, demos = _library_and_demos()
+    records = {cls.__name__: cls._fields for cls in (kcut.PackConfig, kcut.OracleLimits)}
+    passed = {name: set() for name in records}
+    for tree in [*library.values(), *demos]:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in records:
+                passed[name].update(records[name][: len(node.args)])
+                passed[name].update(kw.arg for kw in node.keywords)
+    unset = {name: sorted(set(fields) - passed[name]) for name, fields in records.items()}
+    assert unset == {name: [] for name in records}

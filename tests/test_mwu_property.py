@@ -15,7 +15,6 @@ and priced on a rebuilt graph of the positive edges, kept verbatim except
 that it prices with the reference forest.
 """
 
-import math
 from fractions import Fraction
 from itertools import islice
 
@@ -26,7 +25,6 @@ from kcut import Edge, Graph, lp_dual, principal_sequence
 from kcut.graph import _scaled
 from kcut.packing import (
     GREEDY_TREES_PER_EDGE,
-    IterationLimitError,
     PackConfig,
     TreePacking,
     _float_cap,
@@ -77,14 +75,7 @@ def _reference_mwu_pack(g: Graph, caps=None, config: PackConfig = PackConfig()) 
     w = [1.0] * m
     raw: dict[tuple[int, ...], Fraction] = {}
     load = [Fraction(0)] * m
-    max_iter = config.max_iterations
-    if max_iter is None:
-        max_iter = 16 + int(4 * m * math.log(max(m, 2)) / (eps * eps))
-    iterations = 0
     while True:
-        if iterations >= max_iter:
-            raise IterationLimitError(f"no convergence within {max_iter} iterations")
-        iterations += 1
         lengths = [w[i] / cap_f[i] for i in range(m)]
         forest = _reference_msf(work, lengths)
         delta = min(cap_q[i] for i in forest)

@@ -23,7 +23,7 @@ from kcut import (
     strength,
 )
 from kcut.graph import component_blocks
-from kcut.oracle import MAX_TIES, ForestLP, oracle_attack_value, partition_sort_key, partition_table
+from kcut.oracle import MAX_TIES, ForestLP, partition_sort_key, partition_table
 from kcut.simplex import solve_lp
 
 from conftest import _random_connected, full_suite
@@ -187,7 +187,7 @@ def test_monotone_in_k_and_sandwich():
 
 
 def test_oracle_attack_matches_definition(tt):
-    v, coarse, fine = oracle_attack_value(tt, F(1))
+    v, coarse, fine = partition_table(tt).attack(F(1))
     assert v == 0 and coarse.part_count == 1 and fine.parts == ((0, 1, 2), (3, 4, 5))
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -112,11 +113,26 @@ def test_mwu_rejects_bad_epsilon():
         PackConfig(epsilon=0)
 
 
-def test_mwu_iteration_cap(c5):
-    from kcut import IterationLimitError
+@pytest.mark.parametrize("eps", [F(1, 3), F(1, 10), F(1, 40)])
+def test_mwu_rounds_stay_within_the_bound(eps, monkeypatch):
+    """A round multiplies its bottleneck's weight by fl(1 + eps) and no
+    weight falls, so on m positive edges ``mwu_pack`` prices at most
+    m (ceil(ln m / (eps ln(1 + eps))) + 1) forests before a weight passes
+    m**(1/eps)."""
+    rounds = []
+    real = packing_mod._forest
 
-    with pytest.raises(IterationLimitError):
-        mwu_pack(c5, config=PackConfig(epsilon=F(1, 10), max_iterations=2))
+    def counting(*args):
+        rounds[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(packing_mod, "_forest", counting)
+    e = float(eps)
+    for name, g in full_suite():
+        rounds.append(0)
+        mwu_pack(g, config=PackConfig(epsilon=eps))
+        m = sum(1 for edge in g.edges if edge.cap > 0)
+        assert 0 < rounds[-1] <= m * (math.ceil(math.log(m) / (e * math.log1p(e))) + 1), name
 
 
 def test_zero_capacity_edges_dropped(tt):

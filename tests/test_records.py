@@ -63,6 +63,6 @@ def test_graph_is_equal_and_hash_equal_by_value():
 def test_pack_config_normalises_epsilon():
     config = PackConfig(epsilon=0.25)
     assert type(config.epsilon) is Fraction and config.epsilon == Fraction(1, 4)
-    assert PackConfig() == PackConfig(Fraction(1, 10), None)
+    assert PackConfig() == PackConfig(Fraction(1, 10))
     with pytest.raises(ValueError, match="epsilon must lie in"):
         PackConfig(epsilon=Fraction(1, 2))

@@ -7,9 +7,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kcut.oracle import spanning_forests
-from kcut.simplex import LpUnbounded, Tableau, solve_lp
+from kcut.simplex import LpUnbounded, solve_lp
 
-from conftest import _random_connected
+from conftest import _random_connected, tableau_of
 from dense_tableau import Tableau as DenseTableau
 
 F = Fraction
@@ -44,6 +44,12 @@ def test_negative_rhs_rejected():
     # x >= 1 written as -x <= -1: the slack basis is infeasible
     with pytest.raises(ValueError, match="negative"):
         solve_lp([-1], [[-1]], [-1])
+
+
+def test_row_length_must_match_the_objective():
+    for rows in ([[1, 2]], [[1], [1, 2]]):
+        with pytest.raises(ValueError, match="one coefficient per entry of the objective, 1"):
+            solve_lp([1], rows, [1] * len(rows))
 
 
 def test_degenerate_cycling_guard():
@@ -114,7 +120,8 @@ _mixed = st.one_of(st.integers(-3, 3), _coef)
 @st.composite
 def _tableau_runs(draw):
     """A small LP with b >= 0 and int and Fraction coefficients, then a
-    sequence of steps: ("add", column, cost) or ("objective", c)."""
+    sequence of steps: ("add", column, int cost) or ("objective", c), c
+    rational."""
     nvar = draw(st.integers(0, 3))
     m = draw(st.integers(1, 4))
     rows = draw(st.lists(st.lists(_mixed, min_size=nvar, max_size=nvar), min_size=m, max_size=m))
@@ -122,7 +129,7 @@ def _tableau_runs(draw):
     steps, width = [], nvar
     for _ in range(draw(st.integers(1, 6))):
         if draw(st.booleans()):
-            steps.append(("add", draw(st.lists(_mixed, min_size=m, max_size=m)), draw(_mixed)))
+            steps.append(("add", draw(st.lists(_mixed, min_size=m, max_size=m)), draw(st.integers(-3, 3))))
             width += 1
         else:
             steps.append(("objective", draw(st.lists(_mixed, min_size=width, max_size=width))))
@@ -151,7 +158,7 @@ def test_warm_tableau_matches_cold_solves(run):
     exact certificate, or both report the LP unbounded."""
     rows, rhs, steps = run
     rows = [list(r) for r in rows]
-    t = Tableau(rows, rhs)
+    t = tableau_of(rows, rhs)
     c = [F(0)] * len(rows[0])
     for step in steps:
         if step[0] == "add":
@@ -175,7 +182,7 @@ def test_warm_tableau_matches_cold_solves(run):
 
 
 def test_tableau_counts_pivots_and_checks_the_objective():
-    t = Tableau([[1, 2], [3, 1]], [4, 6])
+    t = tableau_of([[1, 2], [3, 1]], [4, 6])
     t.set_objective([1, 1])
     assert t.solve().value == F(14, 5) and t.pivots == 2
     assert t.solve().value == F(14, 5) and t.pivots == 2  # already optimal
@@ -187,13 +194,15 @@ def test_tableau_counts_pivots_and_checks_the_objective():
 
 # -- column generation on one tableau against cold solves --------------------
 
-_entry = st.one_of(st.sampled_from([0, 1]), st.integers(-3, 3), _coef)
+_cost = st.one_of(st.sampled_from([0, 1]), st.integers(-3, 3))
+_entry = st.one_of(_cost, _coef)
 
 
 @st.composite
 def _column_runs(draw):
     """A small LP with b >= 0 and 0/1, int and Fraction coefficients, its
-    objective, then the columns to add one at a time, each with its cost."""
+    rational objective, then the columns to add one at a time, each with
+    its int cost."""
     nvar = draw(st.integers(0, 3))
     m = draw(st.integers(2, 5))
     rows = draw(st.lists(st.lists(_entry, min_size=nvar, max_size=nvar), min_size=m, max_size=m))
@@ -201,7 +210,7 @@ def _column_runs(draw):
         st.lists(st.one_of(st.integers(0, 3), st.fractions(0, 3, max_denominator=3)), min_size=m, max_size=m)
     )
     c = draw(st.lists(_entry, min_size=nvar, max_size=nvar))
-    column = st.tuples(st.lists(_entry, min_size=m, max_size=m), _entry)
+    column = st.tuples(st.lists(_entry, min_size=m, max_size=m), _cost)
     columns = draw(st.lists(column, min_size=1, max_size=8))
     return rows, rhs, c, columns
 
@@ -209,7 +218,7 @@ def _column_runs(draw):
 def _cold(c, rows, rhs):
     """A tableau solved from the slack basis, as ``solve_lp`` solves it, with
     its result, or None when the LP is unbounded."""
-    t = Tableau(rows, rhs)
+    t = tableau_of(rows, rhs)
     t.set_objective(c)
     try:
         return t, t.solve()
@@ -226,7 +235,7 @@ def test_grown_tableau_ends_where_a_cold_solve_ends(run):
     the cold solves summed."""
     rows, rhs, c, columns = run
     rows, c = [list(r) for r in rows], list(c)
-    t = Tableau(rows, rhs)
+    t = tableau_of(rows, rhs)
     t.set_objective(c)
     cold_pivots = 0
     for step in range(len(columns) + 1):
@@ -257,7 +266,7 @@ def test_add_column_rewinds_to_the_slack_step_it_changes():
     prices 0 there but 1 under (-1, 3), so a cold solve of the three-column
     LP enters it instead of slack 0 and stops at x = (0, 0, 1)."""
     rows, rhs = [[1, 0], [1, 1]], [1, 1]
-    t = Tableau(rows, rhs)
+    t = tableau_of(rows, rhs)
     t.set_objective([2, 3])
     assert t.solve().x == [0, 1] and t.pivots == 3
     t.add_column([1, 1], 3)
@@ -269,23 +278,19 @@ def test_add_column_rewinds_to_the_slack_step_it_changes():
     assert t.pivots == 3 + 1 and cold_t.pivots == 3
 
 
-def test_a_fraction_cost_puts_the_checkpoints_over_a_new_denominator():
-    """The path of the test above keeps a checkpoint before slack 0 enters.
-    A column of cost 1/2 puts the objective over 2 and prices -5/2 there,
-    so it joins at the optimum; the column (1, 1) of cost 3 then prices 1
-    under the checkpoint's rescaled duals and rewinds to it, as the dense
-    tableau does."""
+def test_a_fraction_column_cost_raises_type_error():
+    """A column's cost is an int, even under a rational objective: a
+    ``Fraction`` cost, integral or not, raises before the tableau changes."""
     rows, rhs = [[1, 0], [1, 1]], [1, 1]
-    both = Tableau(rows, rhs), DenseTableau(rows, rhs)
-    for t in both:
-        t.set_objective([2, 3])
-    _solve_both(*both)
-    for column, cost in [([0, 1], F(1, 2)), ([1, 1], 3)]:
-        for t in both:
-            t.add_column(column, cost)
-        _solve_both(*both)
-    assert both[0].rewinds == 1
-    assert both[0].solve() == solve_lp([2, 3, F(1, 2), 3], [[1, 0, 0, 1], [1, 1, 1, 1]], rhs)
+    t = tableau_of(rows, rhs)
+    t.set_objective([2, F(5, 2)])
+    res = t.solve()
+    for cost in (F(1, 2), F(3)):
+        with pytest.raises(TypeError, match="is not an int"):
+            t.add_column([0, 1], cost)
+    assert (t.added, t.rewinds) == (2, 0) and t.solve() == res
+    t.add_column([1, 1], 3)
+    assert t.solve() == solve_lp([2, F(5, 2), 3], [[1, 0, 1], [1, 1, 1]], rhs)
 
 
 def test_add_column_after_set_objective_never_rewinds():
@@ -293,7 +298,7 @@ def test_add_column_after_set_objective_never_rewinds():
     current basis, as in the forest-LP oracle's re-optimisation per k, so
     the column of the test above joins the optimum, where it prices 0, and
     the vertex stays."""
-    t = Tableau([[1, 0], [1, 1]], [1, 1])
+    t = tableau_of([[1, 0], [1, 1]], [1, 1])
     t.set_objective([2, 3])
     t.solve()
     t.set_objective([2, 3])
@@ -323,7 +328,7 @@ def _solve_both(t, dense):
 @given(_lps())
 def test_revised_tableau_pivots_as_the_dense_one_on_cold_solves(lp):
     c, rows, rhs = lp
-    both = Tableau(rows, rhs), DenseTableau(rows, rhs)
+    both = tableau_of(rows, rhs), DenseTableau(rows, rhs)
     for t in both:
         t.set_objective(c)
     _solve_both(*both)
@@ -333,7 +338,7 @@ def test_revised_tableau_pivots_as_the_dense_one_on_cold_solves(lp):
 @given(_tableau_runs())
 def test_revised_tableau_pivots_as_the_dense_one_on_warm_solves(run):
     rows, rhs, steps = run
-    both = Tableau(rows, rhs), DenseTableau(rows, rhs)
+    both = tableau_of(rows, rhs), DenseTableau(rows, rhs)
     for step in steps:
         for t in both:
             if step[0] == "add":
@@ -347,7 +352,7 @@ def test_revised_tableau_pivots_as_the_dense_one_on_warm_solves(run):
 @given(_column_runs())
 def test_revised_tableau_pivots_as_the_dense_one_under_column_generation(run):
     rows, rhs, c, columns = run
-    both = Tableau(rows, rhs), DenseTableau(rows, rhs)
+    both = tableau_of(rows, rhs), DenseTableau(rows, rhs)
     for t in both:
         t.set_objective(c)
     _solve_both(*both)
@@ -365,7 +370,7 @@ def test_revised_tableau_pivots_as_the_dense_one_on_the_forest_lp():
     forests = spanning_forests(g)
     rows = [[int(eid in f) for f in forests] for eid in range(g.m)]
     caps = [e.cap for e in g.edges]
-    both = Tableau(rows, caps), DenseTableau(rows, caps)
+    both = tableau_of(rows, caps), DenseTableau(rows, caps)
     for t in both:
         t.set_objective([1] * len(forests))
     _solve_both(*both)
@@ -424,7 +429,7 @@ def _assert_one_determinant(t, columns):
 @given(_lps())
 def test_tableau_holds_one_determinant_after_every_solve(lp):
     c, rows, rhs = lp
-    t = Tableau(rows, rhs)
+    t = tableau_of(rows, rhs)
     t.set_objective(c)
     try:
         t.solve()
@@ -436,11 +441,11 @@ def test_tableau_holds_one_determinant_after_every_solve(lp):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_tableau_runs())
 def test_warm_tableau_holds_one_determinant_after_every_solve(run):
-    """As above, through added columns of Fraction cost, which put the
-    objective over a new denominator, and objectives replaced midway."""
+    """As above, through added columns of int cost, over the denominator
+    of a rational objective replaced midway."""
     rows, rhs, steps = run
     columns = [list(col) for col in zip(*rows)]
-    t = Tableau(rows, rhs)
+    t = tableau_of(rows, rhs)
     for step in steps:
         if step[0] == "add":
             t.add_column(step[1], step[2])
@@ -468,7 +473,7 @@ def test_a_support_enters_as_its_dense_column(lp):
     """``add_support`` and ``add_column`` of the same 0/1 column take the
     same pivots and rewinds to the same basis, vertex and duals."""
     c, rows, rhs, supports = lp
-    sparse, dense = Tableau(rows, rhs), Tableau(rows, rhs)
+    sparse, dense = tableau_of(rows, rhs), tableau_of(rows, rhs)
     for t in (sparse, dense):
         t.set_objective(c)
     for support in supports:

@@ -34,7 +34,7 @@ from kcut.graph import (
     scaled_capacities,
     set_partitions,
 )
-from kcut.oracle import enum_partitions, oracle_attack_value
+from kcut.oracle import enum_partitions, partition_table
 from kcut.strength import PspLevel, _attack_core, _sweep
 from kcut.verify import run_verification
 
@@ -98,7 +98,7 @@ def test_attack_matches_bruteforce():
     for name, g in full_suite()[:20]:
         for b in bs:
             res = attack(g, b)
-            brute, coarse, fine = oracle_attack_value(g, b)
+            brute, coarse, fine = partition_table(g).attack(b)
             assert res.value == brute, (name, b)
             assert _coarsest(g, b, res) == coarse, (name, b)
             assert res.argmin_max_parts == fine, (name, b)
@@ -204,7 +204,7 @@ def _assert_breakpoints_match_oracle(g):
         return
 
     def extremes(b):
-        _, coarse, fine = oracle_attack_value(g, b)
+        _, coarse, fine = partition_table(g).attack(b)
         return coarse, fine
 
     prev = None
@@ -263,7 +263,7 @@ def test_attack_matches_oracle_property(g):
 def _assert_attack_matches_oracle(g, bs):
     for b in bs:
         res = attack(g, b)
-        brute, coarse, fine = oracle_attack_value(g, b)
+        brute, coarse, fine = partition_table(g).attack(b)
         assert res.value == brute, b
         assert _coarsest(g, b, res) == coarse, b
         assert res.argmin_max_parts == fine, b
@@ -311,7 +311,7 @@ def test_attack_at_psp_critical_values():
                 if b < 0:
                     continue
                 res = attack(g, b)
-                brute, _, _ = oracle_attack_value(g, b)
+                brute, _, _ = partition_table(g).attack(b)
                 assert res.value == brute, (name, b)
 
 

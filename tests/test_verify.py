@@ -15,11 +15,10 @@ import kcut.verify as verify_mod
 from kcut.cli import main
 from kcut.graph import component_blocks, parse_graph
 from kcut.oracle import OracleLimits
-from kcut.simplex import Tableau
 from kcut.strength import principal_sequence
 from kcut.verify import run_verification
 
-from conftest import C5_TEXT, K4_TEXT, TT_TEXT, _planted, _random_connected
+from conftest import C5_TEXT, K4_TEXT, TT_TEXT, _planted, _random_connected, tableau_of
 from test_psp_pin import _text
 
 
@@ -267,7 +266,7 @@ def _cold_pivots(lps, caps):
     """Pivots of one solve from the slack basis per (objective, rows)."""
     total = 0
     for c, rows in lps:
-        t = Tableau(rows, caps)
+        t = tableau_of(rows, caps)
         t.set_objective(c)
         t.solve()
         total += t.pivots
