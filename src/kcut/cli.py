@@ -278,59 +278,77 @@ def _emit(obj, fmt: str) -> str:
     return "\n".join(f"{key}\t{val}" for key, val in rows)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="kcut", description="graph cut toolkit with exact certificates")
-    parser.add_argument("--output", choices=["json", "tsv"], default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_k(p):
+    p.add_argument("--k", type=int, required=True)
 
-    def add(name, fn, pre_positionals=(), **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        for pos_name, pos_kwargs in pre_positionals:
-            p.add_argument(pos_name, **pos_kwargs)
-        p.add_argument("input", nargs="?", help="graph file (default stdin)")
-        p.set_defaults(fn=fn)
-        return p
 
-    add("strength", _cmd_strength, help="exact graph strength")
-    add("psp", _cmd_psp, help="principal sequence of partitions")
-    p = add("pack", _cmd_pack, help="fractional tree packing")
+def _add_pack(p):
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--eps", help="approximation parameter (multiplicative weights)")
     mode.add_argument("--exact", action="store_true", help="exact column generation")
-    p = add("lp", _cmd_lp, help="k-cut LP primal/dual with certificates")
-    p.add_argument("--k", type=int, required=True)
-    p = add("solve", _cmd_solve, help="minimum k-cut with enumeration")
-    p.add_argument("--k", type=int, required=True)
+
+
+def _add_solve(p):
+    _add_k(p)
     p.add_argument(
         "--eps",
         help="scan greedy trees up to a packing within 1-eps of the optimum, "
         "0 < eps < 1/(2k-1); past a cap of trees per edge, the exact packing",
     )
     p.add_argument("--all", action="store_true", help="list every minimizer")
-    p = add("enumerate", _cmd_enumerate, help="all alpha-approximate k-cuts")
-    p.add_argument("--k", type=int, required=True)
+
+
+def _add_enumerate(p):
+    _add_k(p)
     p.add_argument("--alpha", help="approximation ratio (default 1)")
-    p = add("round", _cmd_round, help="round the LP optimum to a k-cut")
-    p.add_argument("--k", type=int, required=True)
-    p = add("approx", _cmd_approx, help="smallest-shores 2-approximation")
-    p.add_argument("--k", type=int, required=True)
-    add("mincut", _cmd_mincut, help="global minimum cut via 2-respecting trees")
-    p = add(
-        "oracle",
-        _cmd_oracle,
-        pre_positionals=[("what", {"choices": ["strength", "kcut", "treepack", "lp"]})],
-        help="brute-force ground truth (small graphs)",
-        epilog="flags go after the graph file: kcut oracle kcut G --k 3",
-    )
+
+
+def _add_oracle(p):
+    p.add_argument("what", choices=["strength", "kcut", "treepack", "lp"])
     p.add_argument("--k", type=int)
     p.add_argument("--max-partitions", type=int, default=12)
     p.add_argument("--max-trees", type=int, default=20000)
-    p = add("verify", _cmd_verify, help="run the full cross-check battery")
-    p.add_argument("--kmax", type=int, help="largest k to verify (default n)")
+    p.epilog = "flags go after the graph file: kcut oracle kcut G --k 3"
+
+
+_COMMANDS = {  # name -> (its run, its help, what adds its arguments ahead of the graph file)
+    "strength": (_cmd_strength, "exact graph strength", None),
+    "psp": (_cmd_psp, "principal sequence of partitions", None),
+    "pack": (_cmd_pack, "fractional tree packing", _add_pack),
+    "lp": (_cmd_lp, "k-cut LP primal/dual with certificates", _add_k),
+    "solve": (_cmd_solve, "minimum k-cut with enumeration", _add_solve),
+    "enumerate": (_cmd_enumerate, "all alpha-approximate k-cuts", _add_enumerate),
+    "round": (_cmd_round, "round the LP optimum to a k-cut", _add_k),
+    "approx": (_cmd_approx, "smallest-shores 2-approximation", _add_k),
+    "mincut": (_cmd_mincut, "global minimum cut via 2-respecting trees", None),
+    "oracle": (_cmd_oracle, "brute-force ground truth (small graphs)", _add_oracle),
+    "verify": (
+        _cmd_verify,
+        "run the full cross-check battery",
+        lambda p: p.add_argument("--kmax", type=int, help="largest k to verify (default n)"),
+    ),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The ``kcut`` parser with every subcommand, or with ``command``'s
+    alone.  argparse hands every word after the command to its subparser,
+    and ``--output`` is in both, so either parses ``kcut COMMAND ...`` to
+    the same namespace or the same error."""
+    parser = _Parser(prog="kcut", description="graph cut toolkit with exact certificates")
+    parser.add_argument("--output", choices=["json", "tsv"], default="json")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, help_text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            if add_arguments:
+                add_arguments(p)
+            p.add_argument("input", nargs="?", help="graph file (default stdin)")
+            p.set_defaults(fn=fn)
     return parser
 
 
-_PARSER = None  # built on the first ``main`` call, not at import
+_PARSERS: dict = {}  # argv[0] if it names a command, else None -> its parser, built on first use
 RATIONAL_FLAGS = ("--eps", "--alpha")
 
 
@@ -349,11 +367,12 @@ def _join_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None  # no words, a flag or a typo: the full parser
+    if command not in _PARSERS:
+        _PARSERS[command] = build_parser(command)
     try:
-        args = _PARSER.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _PARSERS[command].parse_args(argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

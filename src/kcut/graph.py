@@ -170,10 +170,15 @@ def partition_from_blocks(g: Graph, blocks: Iterable[Iterable[int]]) -> VertexPa
 def _scaled_partition(g: Graph, blocks, caps: Sequence[int], scale: int) -> VertexPartition:
     """``partition_from_blocks`` on the caller's ``scaled_capacities(g)``:
     the crossing value is one int sum over ``caps``, divided by ``scale``."""
+    return _scaled_crossing(g, blocks, caps, scale)[0]
+
+
+def _scaled_crossing(g: Graph, blocks, caps: Sequence[int], scale: int):
+    """``_scaled_partition`` and the ids of the edges crossing it."""
     parts = canonical_parts(blocks)
     _check_partition(g, parts)
-    block = _block_map(g.n, parts)
-    return VertexPartition(parts, Fraction(sum([caps[i] for i in crossing_edges(g, block)]), scale))
+    crossing = crossing_edges(g, _block_map(g.n, parts))
+    return VertexPartition(parts, Fraction(sum([caps[i] for i in crossing]), scale)), crossing
 
 
 def partition_sort_key(p: VertexPartition):

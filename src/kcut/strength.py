@@ -17,7 +17,11 @@ T, and f is submodular on intersecting sets; so when a minimum cut of the
 step meets B, its union with B is a minimum cut too.  The contraction thus
 keeps the flow value, and with it the label, and the smallest minimum cut
 of the contracted network is the union of the blocks that the uncontracted
-smallest cut meets: the sweep merges exactly the same blocks.
+smallest cut meets: the sweep merges exactly the same blocks.  The sweep
+keeps one network, a node per block name with two terminal arc slots, and
+builds it anew only at the step after a merge: a step that merges nothing
+appends its vertex as a block, and each step rewrites only the slots of
+the blocks that the new vertex touches.
 
 Ties are handled structurally rather than by perturbing the graph: the
 optimal partitions form a lattice under refinement, and one sweep yields its
@@ -47,6 +51,7 @@ from .graph import (
     Graph,
     VertexPartition,
     _block_map,
+    _scaled_crossing,
     _scaled_partition,
     canonical_parts,
     check_connected,
@@ -147,10 +152,20 @@ def _sweep(n: int, adj, half: list[int], b_s: int):
     and S ∪ B is a minimizer too.  The flow value, and so x_j, is
     unchanged, and the smallest minimum cut of the contracted network is
     the union of the blocks that the uncontracted smallest cut meets, which
-    is exactly what the merge joins.  Block B's terminal arc carries
-    p_B = -hdeg(B) - x(B) (to t if positive, from j if negative, and the
-    constant sums min(p_B, 0)), and one undirected arc per pair of blocks
-    carries their summed half-capacities.
+    is exactly what the merge joins.
+
+    The network has a node per block name, plus s = n for j and t = n + 1.
+    Block B owns two terminal slots, B->t holding max(p_B, 0) and s->B
+    holding max(-p_B, 0) plus the c/2·S of j's edges into B, with
+    p_B = -hdeg(B) - x(B) and the constant summing min(p_B, 0); one
+    undirected arc per pair of blocks carries their summed half-capacities.
+    That is the contracted network with j's arcs to B added to the slot:
+    parallel arcs add, and an arc into s or out of t is on no s-t path and
+    moves neither what s reaches nor any cut.  The sweep keeps ``base``,
+    the capacities before any flow, and each step hands ``max_flow`` a copy
+    with only the slots of j's neighbour blocks rewritten.  A step that
+    merges nothing appends block j's slots and arcs; a merge rebuilds the
+    network at the next step.
 
     A block is named by the step that made it, so names grow along the
     block order.  Each block keeps its members, its half-degree sum, its
@@ -168,9 +183,26 @@ def _sweep(n: int, adj, half: list[int], b_s: int):
     label = [-b_s] + [0] * (n - 1)  # block name -> x(B)
     lower: list[dict[int, int]] = [{} for _ in range(n)]  # name -> {earlier name: c/2·S > 0}
     upper: list[set[int]] = [set() for _ in range(n)]  # name -> later names keeping it in lower
-    pos = [0] * n  # block name -> its node in this step's network
+    slot = [0] * n  # block name -> its arc B->t; s->B is the arc two after it
+    s, t = n, n + 1
+    net = None  # built at the first step and at the step after each merge
     x_sum = -b_s
+
+    def add_block(blk):
+        """Append ``blk``'s two slots and its arcs to ``lower``; return min(p_B, 0)."""
+        slot[blk] = len(net.to)
+        p = -hdeg[blk] - label[blk]
+        net.add_arc(blk, t, p if p > 0 else 0)
+        net.add_arc(s, blk, 0 if p > 0 else -p)
+        for c, h in lower[blk].items():
+            net.add_arc(c, blk, h, h)
+        return 0 if p > 0 else p
+
     for j in range(1, n):
+        if net is None:
+            net = FlowNetwork(n + 2)
+            const = sum([add_block(blk) for blk in members])  # sum of min(p_B, 0)
+            base = net.cap
         h_j = 0
         to_j: dict[int, int] = {}  # block name -> c/2·S of its edges to j
         for w, eid in adj[j]:
@@ -181,27 +213,22 @@ def _sweep(n: int, adj, half: list[int], b_s: int):
                     blk = block_of[w]
                     hdeg[blk] += h
                     to_j[blk] = to_j.get(blk, 0) + h
-        names = list(members)
-        net = FlowNetwork(len(names) + 2)
-        s = len(names)
-        t = s + 1
-        const = 0
-        for i, blk in enumerate(names):
-            pos[blk] = i
+        net.cap = caps = base.copy()
+        for blk, h in to_j.items():
+            a = slot[blk]
             p = -hdeg[blk] - label[blk]
-            if p > 0:
-                net.add_arc(i, t, p)
-            elif p < 0:
-                net.add_arc(s, i, -p)
-                const += p
-            for c, h in lower[blk].items():
-                net.add_arc(pos[c], i, h, h)
-        for c, h in to_j.items():
-            net.add_arc(s, pos[c], h, h)
+            if p > 0:  # p only falls as j's edges come in, so s->B held 0 and still does
+                caps[a] = base[a] = p
+            else:
+                const += base[a + 2] + p  # min(p_B, 0) was -base[a + 2]
+                caps[a] = base[a] = 0
+                base[a + 2] = -p
+            caps[a + 2] = base[a + 2] + h
         flow, side = net.max_flow(s, t)
+        net.cap = base
         x_j = flow + const - h_j - b_s
         x_sum += x_j
-        joined = [names[i] for i in side if i < s]
+        joined = [blk for blk in side if blk < s]
         members[j] = verts = [j]
         block_of[j] = j
         hdeg[j] = h_j
@@ -222,6 +249,10 @@ def _sweep(n: int, adj, half: list[int], b_s: int):
         lower[j] = to_j
         for c in to_j:
             upper[c].add(j)
+        if joined:
+            net = None
+        else:
+            const += add_block(j)
     return list(members.values()), x_sum
 
 
@@ -368,7 +399,7 @@ def principal_sequence(g: Graph) -> PrincipalSequence:
         splits.setdefault(lam, []).append(blocks)
     levels: list[PspLevel] = []
     current = set(p0.parts)
-    a_edges: set[int] = set()
+    a_edges: frozenset[int] = frozenset()
     for lam in sorted(splits):
         pieces = []
         for blocks in splits[lam]:
@@ -376,14 +407,14 @@ def principal_sequence(g: Graph) -> PrincipalSequence:
             pieces.append(piece)
             current.remove(piece)
             current.update(tuple(blk) for blk in blocks)
-        partition = _scaled_partition(g, current, *scaled)
-        a_now = set(crossing_edges(g, partition.block_of(g.n)))
+        partition, crossing = _scaled_crossing(g, current, *scaled)
+        a_now = frozenset(crossing)
         levels.append(
             PspLevel(
                 lam=lam,
                 partition=partition,
-                a_edges=frozenset(a_now),
-                b_edges=frozenset(a_now - a_edges),
+                a_edges=a_now,
+                b_edges=a_now - a_edges,
                 split_components=tuple(sorted(pieces)),
                 kappa=partition.part_count,
             )

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from kcut import cli
 from kcut.cli import main
 
 from conftest import C5_TEXT, K4_TEXT, TT_TEXT
@@ -642,8 +643,9 @@ def test_tsv_output(capsys, tt_file):
 
 
 def test_parser_built_once_gives_fresh_parser_bytes(capsys, monkeypatch, tt_file):
-    """``main`` keeps its parser across calls; a failed parse, a TSV run
-    and the default flags after it must print what a new parser prints."""
+    """``main`` keeps each command's parser across calls; a failed parse,
+    a TSV run and the default flags after it must print what a new parser
+    prints."""
     from kcut import cli
 
     calls = [
@@ -660,15 +662,54 @@ def test_parser_built_once_gives_fresh_parser_bytes(capsys, monkeypatch, tt_file
 
     fresh = []
     for argv in calls:
-        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_PARSERS", {})
         fresh.append(outcome(argv))
     assert [code for code, _, _ in fresh] == [1, 0, 0, 0]
-    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     shared = [outcome(calls[0])]
-    parser = cli._PARSER
+    parser = cli._PARSERS["mincut"]
     shared += [outcome(argv) for argv in calls[1:]]
-    assert cli._PARSER is parser
+    assert cli._PARSERS["mincut"] is parser
     assert shared == fresh
+
+
+_PARITY_ARGV = [
+    ["lp"],  # no --k
+    ["solve", "--k", "two"],
+    ["pack", "--eps", "1/10", "--exact"],
+    ["psp", "a.txt", "b.txt"],
+    ["mincut", "--output", "tsv"],
+    ["enumerate", "--k", "2", "--alpha", "-1", "G"],  # refused after the parse
+    ["enumerate", "--k", "2", "--alpha"],
+    ["oracle"],
+    ["oracle", "bogus"],
+    ["oracle", "kcut", "--max-trees", "many"],
+    ["verify", "--kmax"],
+    ["round", "--k", "2", "--eps", "1/10"],
+    ["strength", "-x"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [[name, "--help"] for name in cli._COMMANDS] + _PARITY_ARGV, ids=lambda argv: " ".join(argv)
+)
+def test_one_command_parser_answers_as_the_full_parser(argv, capsys, monkeypatch, tt_file):
+    """Help and parse errors through the parser of ``argv[0]`` alone give
+    the exit code, stdout and stderr that the full parser gives (G is a
+    graph file)."""
+
+    def outcome(parser):
+        monkeypatch.setattr(cli, "_PARSERS", {argv[0]: parser})
+        try:
+            code = main([tt_file if word == "G" else word for word in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = outcome(cli.build_parser(argv[0]))
+    assert alone == outcome(cli.build_parser())
+    assert alone[0] == (0 if "--help" in argv else 1)
 
 
 def test_strength_exit_2_on_label_sum_failure(capsys, tt_file, monkeypatch):

@@ -217,6 +217,59 @@ def test_short_path_preflow_matches_networkx_property(network):
     _assert_max_flow_matches_networkx(network)
 
 
+@st.composite
+def _sweep_network_changes(draw):
+    """(n, s, t, arcs, changed): an int network on up to 7 nodes with an arc
+    out of s, and the changes that the attack sweep's step network makes
+    to the contracted network, one at a time and all together: an arc out
+    of s split into two parallel arcs, zero-capacity arcs added, and arcs
+    with capacity into s or out of t added, each at a drawn place."""
+    n = draw(st.integers(2, 7))
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    arcs = [(s, draw(node.filter(lambda v: v != s)), draw(_INT_CAPS), 0)]
+    arcs += [(u, v, draw(_INT_CAPS), draw(st.just(0) | _INT_CAPS)) for u, v in draw(st.lists(pair, max_size=3 * n))]
+    arcs = draw(st.permutations(arcs))
+
+    def inserted(base, new_arcs):
+        out = list(base)
+        for arc in new_arcs:
+            out.insert(draw(st.integers(0, len(out))), arc)
+        return out
+
+    i = draw(st.sampled_from([i for i, arc in enumerate(arcs) if arc[0] == s]))
+    u, v, c, r = arcs[i]
+    part = draw(st.integers(0, c))
+    split = inserted(arcs[:i] + [(u, v, part, r)] + arcs[i + 1 :], [(u, v, c - part, 0)])
+    zeros = [(u, v, 0, 0) for u, v in draw(st.lists(pair, min_size=1, max_size=n))]
+    dead_end = st.one_of(
+        st.tuples(node.filter(lambda x: x != s), st.just(s)), st.tuples(st.just(t), node.filter(lambda x: x != t))
+    )
+    dead = [(u, v, draw(st.integers(1, 9)), 0) for u, v in draw(st.lists(dead_end, min_size=1, max_size=n))]
+    changed = [split, inserted(arcs, zeros), inserted(arcs, dead), inserted(split, zeros + dead)]
+    return n, s, t, arcs, changed
+
+
+def _flow(n, arcs, s, t):
+    net = FlowNetwork(n)
+    for u, v, c, r in arcs:
+        net.add_arc(u, v, c, r)
+    return net.max_flow(s, t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sweep_network_changes())
+def test_sweep_network_changes_keep_value_and_side_property(case):
+    """Parallel arcs add, a zero-capacity arc carries nothing, and an arc
+    into s or out of t lies on no s-t path and moves no cut: none of them
+    moves ``max_flow``'s value or its smallest minimum-cut side."""
+    n, s, t, arcs, changed = case
+    want = _flow(n, arcs, s, t)
+    for variant in changed:
+        assert _flow(n, variant, s, t) == want
+
+
 def test_preflow_path_cancelled_by_edmonds_karp():
     # s=0, a=1, b=2, c=3, d=4, t=5.  The pre-flow pushes s->a->b->t first,
     # which takes the only sink arc that s->d->b can reach, and a->c->t is

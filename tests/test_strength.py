@@ -543,9 +543,11 @@ def test_contracted_sweep_matches_reference_on_merges_property(g):
         assert _swept(g, b) == _reference_sweep(*_sweep_inputs(g, b)), b
 
 
-def test_one_contracted_network_per_step(monkeypatch):
-    """Step j runs one max-flow on a network of the prefix's blocks plus j
-    and t: the block count is that of the sweep over {0..j-1} alone."""
+def test_one_network_until_a_merge(monkeypatch):
+    """The sweep builds its network at step 1 and again only at the step
+    after a merge: 1 + (merging steps before the last) networks.  At step
+    j the nodes that hold an arc are the blocks of the sweep over {0..j-1}
+    alone, each named by its last vertex, plus s = n and t = n + 1."""
     rng = Random(2101)
     edges = [(u, v, F(5)) for lo in (0, 4, 8) for u in range(lo, lo + 4) for v in range(u + 1, lo + 4)]
     edges += [(3, 4, F(1)), (7, 8, F(1)), (11, 0, F(1))]
@@ -555,24 +557,30 @@ def test_one_contracted_network_per_step(monkeypatch):
     k6 = Graph(6, tuple(Edge(u, v, F(1)) for u in range(6) for v in range(u + 1, 6)))
     # (graph, b, whether some step runs on fewer nodes than the prefix has)
     cases = ((planted, F(1), True), (planted, F(3), True), (k6, F(2), True), (k6, F(3), False))
+    built_counts = []
     for g, b, contracts in cases:
-        expected = [
-            len(_swept(induced_subgraph(g, range(j))[0], b)[0]) + 2
-            for j in range(1, g.n)
-        ]
-        assert (expected != [j + 2 for j in range(1, g.n)]) == contracts
-        flows = []  # the network of every max_flow call, kept alive
+        prefix = [_swept(induced_subgraph(g, range(j))[0], b)[0] for j in range(1, g.n + 1)]
+        assert any(len(prefix[j - 1]) < j for j in range(1, g.n)) == contracts
+        merges = sum(1 for j in range(1, g.n - 1) if {j} not in prefix[j])  # prefix[j] is {0..j}'s
+        built, nodes = [], []
         with monkeypatch.context() as m:
-            real = FlowNetwork.max_flow
+            real_init, real_flow = FlowNetwork.__init__, FlowNetwork.max_flow
 
-            def counted(self, s, t):
-                flows.append(self)
-                return real(self, s, t)
+            def init(self, n):
+                built.append(self)
+                real_init(self, n)
 
-            m.setattr(FlowNetwork, "max_flow", counted)
+            def flow(self, s, t):
+                nodes.append({u for u in range(self.n) if self.adj[u]})
+                return real_flow(self, s, t)
+
+            m.setattr(FlowNetwork, "__init__", init)
+            m.setattr(FlowNetwork, "max_flow", flow)
             _swept(g, b)
-        assert len({id(net) for net in flows}) == len(flows) == g.n - 1
-        assert [net.n for net in flows] == expected
+        assert len(built) == 1 + merges
+        assert nodes == [{max(blk) for blk in prefix[j - 1]} | {g.n, g.n + 1} for j in range(1, g.n)]
+        built_counts.append(len(built))
+    assert built_counts[-1] == 1 and max(built_counts) > 2
 
 
 # -- the split search against the Dinkelbach route ------------------------------
