@@ -1,19 +1,23 @@
-"""Exact maximum flow / minimum cut: a short-path pre-flow, then shortest
-augmenting paths.
+"""Exact maximum flow / minimum cut from supplies to demands: a one-arc
+pre-flow, then shortest augmenting paths.
 
-Capacities are exact numbers: the attack sweep passes Python ints (its
-capacities scaled to integers once per sweep), and Fractions still work,
-mixed with ints or alone.  ``max_flow`` first pushes flow along every
-residual path of two and of three arcs, in adjacency order, with no
-search: the sweep's networks are small and shallow, and Edmonds-Karp
-would spend one breadth-first search on each of those paths.
-Edmonds-Karp then augments from that flow until no residual path is left.
+A node's excess is its supply when positive and its demand when negative;
+an s-t flow is the case of one supply at s and one demand at t, each
+beyond every cut.  Capacities and excesses are exact numbers: the attack
+sweep passes Python ints (its capacities scaled to integers once per
+sweep), and Fractions still work, mixed with ints or alone.  ``max_flow``
+first sends each supply along every arc straight to a demand, in
+adjacency order, with no search: the sweep's networks are small and
+shallow, and Edmonds-Karp would spend one breadth-first search on each of
+those arcs.  Edmonds-Karp then augments from that flow, every supply left
+a source, until no residual path joins a supply left to a demand left.
 
-With the value, ``max_flow`` returns what its last search, the one that
-misses t, reached: the smallest source side of a minimum cut.  It is the
-same for every maximum flow (Picard and Queyranne 1980), so it does not
-depend on which paths were augmented, and neither does anything the attack
-sweep builds on it.
+What ``max_flow`` returns, the nodes its last search reached from the
+supplies left, is the smallest side of a minimum cut between supplies and
+demands.  It is the same for every maximum flow (Picard and Queyranne
+1980, on the network with a super source and sink), so it does not depend
+on which paths were augmented, and neither does anything the attack sweep
+builds on it.
 """
 
 from __future__ import annotations
@@ -37,82 +41,70 @@ class FlowNetwork:
         caps.append(cap)
         caps.append(rev_cap)
 
-    def max_flow(self, s: int, t: int):
-        """``(value, side)``: the value of a maximum s-t flow and the
-        vertices reachable from s in its residual network, as a frozenset.
-        The flow stays in the residual capacities.  Exact on ints and
-        Fractions alike: on int capacities every step, and the value, stays
-        an int.
+    def max_flow(self, excess: list) -> frozenset:
+        """Route as much flow as the capacities allow from the nodes of
+        positive ``excess`` to the nodes of negative excess, and return the
+        nodes reachable in the residual network from those whose positive
+        excess is left.  ``excess`` ends holding what no path could route,
+        and ``cap`` the residual network, so the amount routed is the
+        supplies before less the supplies after.  Exact on ints and
+        Fractions alike: on int capacities and excesses every step stays an
+        int.
 
-        A pre-flow first saturates, in adjacency order, every residual path
-        s->v->t and then every s->u->v->t, each by its bottleneck.
-        Edmonds-Karp finishes from that flow, one breadth-first search per
-        augmenting path, a direct arc s->t among them.  Which paths carry the
-        flow does not matter: the value is unique, and so is the side.
+        A pre-flow first sends, in adjacency order, each supply along every
+        residual arc to a demand, each time by the least of the supply, the
+        demand and the arc's capacity.  Edmonds-Karp finishes from that
+        flow, one breadth-first search from all the supplies left per
+        augmenting path.  Which paths carry the flow does not matter: the
+        amount routed is unique, and so is the side.
         """
-        if s == t:
-            raise ValueError("s and t must differ")
         adj, to, cap = self.adj, self.to, self.cap
-        into_t: dict[int, list[int]] = {}  # v -> the arcs v->t
-        for a in adj[t]:
-            into_t.setdefault(to[a], []).append(a ^ 1)
-        into_t.pop(t, None)
-        total = 0
-        for a in adj[s]:  # s->v->t
-            for b in into_t.get(to[a], ()):
-                f = min(cap[a], cap[b])
-                if f > 0:
+        sources = [u for u, e in enumerate(excess) if e > 0]
+        for u in sources:  # supply u -> demand v
+            for a in adj[u]:
+                v = to[a]
+                if excess[v] < 0 and cap[a] > 0:
+                    f = min(excess[u], -excess[v], cap[a])
                     cap[a] -= f
                     cap[a ^ 1] += f
-                    cap[b] -= f
-                    cap[b ^ 1] += f
-                    total = total + f
-        for a in adj[s]:  # s->u->v->t, until s->u is saturated
-            u = to[a]
-            if u == t:
-                continue
-            for b in adj[u]:
-                if cap[a] <= 0:
-                    break
-                v = to[b]
-                if v == s or cap[b] <= 0:
-                    continue
-                for c in into_t.get(v, ()):
-                    f = min(cap[a], cap[b], cap[c])
-                    if f > 0:
-                        cap[a] -= f
-                        cap[a ^ 1] += f
-                        cap[b] -= f
-                        cap[b ^ 1] += f
-                        cap[c] -= f
-                        cap[c ^ 1] += f
-                        total = total + f
+                    excess[u] -= f
+                    excess[v] += f
+                    if excess[u] == 0:
+                        break
         while True:
             prev_arc = [-1] * self.n
-            prev_arc[s] = -2
-            queue = [s]  # first in, first out: the loop reads what it appends
+            queue = [u for u in sources if excess[u] > 0]  # first in, first out
+            for u in queue:
+                prev_arc[u] = -2
+            sink = -1
             for u in queue:
                 for a in adj[u]:
                     v = to[a]
                     if prev_arc[v] == -1 and cap[a] > 0:
                         prev_arc[v] = a
                         queue.append(v)
-                if prev_arc[t] != -1:
+                        if excess[v] < 0:
+                            sink = v
+                            break
+                if sink >= 0:
                     break
-            if prev_arc[t] == -1:  # the search ran to the end: queue is the side
-                return total, frozenset(queue)
-            # bottleneck along the path
-            bottleneck = None
-            v = t
-            while v != s:
+            if sink < 0:  # the search ran to the end: queue is the side
+                return frozenset(queue)
+            # bottleneck along the path, the source's supply and the sink's demand
+            bottleneck = -excess[sink]
+            v = sink
+            while prev_arc[v] != -2:
                 a = prev_arc[v]
-                if bottleneck is None or cap[a] < bottleneck:
+                if cap[a] < bottleneck:
                     bottleneck = cap[a]
                 v = to[a ^ 1]
-            v = t
-            while v != s:
+            if excess[v] < bottleneck:
+                bottleneck = excess[v]
+            excess[v] -= bottleneck
+            excess[sink] += bottleneck
+            v = sink
+            while prev_arc[v] != -2:
                 a = prev_arc[v]
                 cap[a] -= bottleneck
                 cap[a ^ 1] += bottleneck
                 v = to[a ^ 1]
-            total = total + bottleneck

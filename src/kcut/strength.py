@@ -8,20 +8,20 @@ The attack value for parameter b is
 Writing c(E(P)) = c(E) - sum of internal capacities, minimizing g(b) is a
 partition minimization of the submodular part-cost f(S) = -c(E[S]) - b and
 is solved exactly by incremental Dilworth truncation: insert vertices one at
-a time, each step one exact min s-t cut in a small auxiliary network.
+a time, each step one exact minimum cut in a small auxiliary network.
 
 That network is the processed prefix contracted by the sweep's current
-blocks, one node per block plus the new vertex and the sink.  Every block B
+blocks, one node per block and nothing else: the new vertex's edges and
+the blocks' labels become each block's supply or demand.  Every block B
 is tight for the greedy labels x, x(B) = f(B), while x(T) <= f(T) for every
 T, and f is submodular on intersecting sets; so when a minimum cut of the
 step meets B, its union with B is a minimum cut too.  The contraction thus
 keeps the flow value, and with it the label, and the smallest minimum cut
 of the contracted network is the union of the blocks that the uncontracted
 smallest cut meets: the sweep merges exactly the same blocks.  The sweep
-keeps one network, a node per block name with two terminal arc slots, and
-builds it anew only at the step after a merge: a step that merges nothing
-appends its vertex as a block, and each step rewrites only the slots of
-the blocks that the new vertex touches.
+keeps one network, a node per block name, and builds it anew only at the
+step after a merge: a step that merges nothing appends its vertex as a
+block, and each step hands the max-flow fresh excesses.
 
 Ties are handled structurally rather than by perturbing the graph: the
 optimal partitions form a lattice under refinement, and one sweep yields its
@@ -137,9 +137,10 @@ def _sweep(n: int, adj, half: list[int], b_s: int):
     each edge's c/2 and ``b_s`` the parameter b, all as ints on one scale
     S (``_attack_core`` picks it).  Inserting vertex j costs one max-flow,
     whose minimum cuts are the tight sets j may join; merging along the
-    smallest (residual-reachable from j) builds the finest minimizer.  The
-    labels depend only on the flow values, and x(V) is the least partition
-    cost, so the value c(E) + b + x(V) certifies the blocks.
+    smallest (residual-reachable from the supply left) builds the finest
+    minimizer.  The labels depend only on the flow values, and x(V) is the
+    least partition cost, so the value c(E) + b + x(V) certifies the
+    blocks.
 
     Step j's label is x_j = min over S ∋ j in {0..j} of f(S) - x(S - j),
     with f(S) = -c(E[S]) - b, and its flow network is the prefix contracted
@@ -154,54 +155,49 @@ def _sweep(n: int, adj, half: list[int], b_s: int):
     the union of the blocks that the uncontracted smallest cut meets, which
     is exactly what the merge joins.
 
-    The network has a node per block name, plus s = n for j and t = n + 1.
-    Block B owns two terminal slots, B->t holding max(p_B, 0) and s->B
-    holding max(-p_B, 0) plus the c/2·S of j's edges into B, with
-    p_B = -hdeg(B) - x(B) and the constant summing min(p_B, 0); one
-    undirected arc per pair of blocks carries their summed half-capacities.
-    That is the contracted network with j's arcs to B added to the slot:
-    parallel arcs add, and an arc into s or out of t is on no s-t path and
-    moves neither what s reaches nor any cut.  The sweep keeps ``base``,
-    the capacities before any flow, and each step hands ``max_flow`` a copy
-    with only the slots of j's neighbour blocks rewritten.  A step that
-    merges nothing appends block j's slots and arcs; a merge rebuilds the
-    network at the next step.
+    The network has a node per block name and nothing else.  Block B's
+    excess is h_B - p_B: h_B is the c/2·S of j's edges into B, and
+    p_B = -hdeg(B) - x(B), hdeg counting those edges too.  One undirected
+    arc per pair of blocks carries their summed half-capacities.  With j
+    as the source s and a sink t, the contracted network holds arcs s->B
+    of h_B + max(-p_B, 0) and B->t of max(p_B, 0); netting each block's
+    two into its excess takes the same sum_B min(h_B, p_B)⁺ off every cut,
+    so the minimum cuts, and the smallest, stay the same.  The s-t flow is
+    that sum plus the amount routed, and x_j is the flow
+    + sum_B min(p_B, 0) - h_j - b·S; since min(h, p) = h - (h - p)⁺,
+        x_j = -(the excess left unrouted) - b·S.
+    The sweep keeps ``base``, the capacities before any flow, and each
+    step hands ``max_flow`` a copy of them.  A step that merges nothing
+    appends block j's arcs; a merge rebuilds the network at the next step.
 
     A block is named by the step that made it, so names grow along the
-    block order.  Each block keeps its members, its half-degree sum, its
-    label sum, its summed half-capacities to the blocks named before it
-    (``lower``, the arcs the network reads) and the later blocks that keep
-    such a sum to it (``upper``).  A step that merges nothing appends j as
-    a block in O(deg j); a merge touches only the joined blocks and their
-    neighbours.  The blocks come back in sweep order, each merged block
-    after the blocks it left untouched.  The arc order decides only which
-    paths the max-flow augments, not its value or its smallest minimum cut.
+    block order.  Each block keeps its members, -p_B = hdeg(B) + x(B)
+    (``rest``, its excess but for h_B), its summed half-capacities to the
+    blocks named before it (``lower``, the arcs the network reads) and the
+    later blocks that keep such a sum to it (``upper``).  A step
+    that merges nothing appends j as a block in O(deg j); a merge touches
+    only the joined blocks and their neighbours.  The blocks come back in
+    sweep order, each merged block after the blocks it left untouched.
+    The arc order decides only which paths the max-flow augments, not
+    what it routes or its smallest minimum cut.
     """
     members: dict[int, list[int]] = {0: [0]}  # block name -> vertices, in block order
     block_of = [0] * n  # vertex -> its block's name
-    hdeg = [0] * n  # block name -> half-degree sum within the prefix {0..j}
-    label = [-b_s] + [0] * (n - 1)  # block name -> x(B)
+    rest = [-b_s] + [0] * (n - 1)  # block name -> hdeg(B) + x(B) within the prefix {0..j}
     lower: list[dict[int, int]] = [{} for _ in range(n)]  # name -> {earlier name: c/2·S > 0}
     upper: list[set[int]] = [set() for _ in range(n)]  # name -> later names keeping it in lower
-    slot = [0] * n  # block name -> its arc B->t; s->B is the arc two after it
-    s, t = n, n + 1
     net = None  # built at the first step and at the step after each merge
     x_sum = -b_s
 
     def add_block(blk):
-        """Append ``blk``'s two slots and its arcs to ``lower``; return min(p_B, 0)."""
-        slot[blk] = len(net.to)
-        p = -hdeg[blk] - label[blk]
-        net.add_arc(blk, t, p if p > 0 else 0)
-        net.add_arc(s, blk, 0 if p > 0 else -p)
         for c, h in lower[blk].items():
             net.add_arc(c, blk, h, h)
-        return 0 if p > 0 else p
 
     for j in range(1, n):
         if net is None:
-            net = FlowNetwork(n + 2)
-            const = sum([add_block(blk) for blk in members])  # sum of min(p_B, 0)
+            net = FlowNetwork(n)
+            for blk in members:
+                add_block(blk)
             base = net.cap
         h_j = 0
         to_j: dict[int, int] = {}  # block name -> c/2·S of its edges to j
@@ -211,48 +207,39 @@ def _sweep(n: int, adj, half: list[int], b_s: int):
                 h_j += h
                 if h > 0:
                     blk = block_of[w]
-                    hdeg[blk] += h
+                    rest[blk] += h
                     to_j[blk] = to_j.get(blk, 0) + h
-        net.cap = caps = base.copy()
+        excess = rest.copy()
         for blk, h in to_j.items():
-            a = slot[blk]
-            p = -hdeg[blk] - label[blk]
-            if p > 0:  # p only falls as j's edges come in, so s->B held 0 and still does
-                caps[a] = base[a] = p
-            else:
-                const += base[a + 2] + p  # min(p_B, 0) was -base[a + 2]
-                caps[a] = base[a] = 0
-                base[a + 2] = -p
-            caps[a + 2] = base[a + 2] + h
-        flow, side = net.max_flow(s, t)
+            excess[blk] += h
+        net.cap = base.copy()
+        side = net.max_flow(excess)
         net.cap = base
-        x_j = flow + const - h_j - b_s
+        x_j = -sum([e for e in excess if e > 0]) - b_s
         x_sum += x_j
-        joined = [blk for blk in side if blk < s]
         members[j] = verts = [j]
         block_of[j] = j
-        hdeg[j] = h_j
-        label[j] = x_j
-        for blk in joined:
+        rest[j] = h_j + x_j
+        for blk in side:
             for v in members.pop(blk):
                 block_of[v] = j
                 verts.append(v)
-            hdeg[j] += hdeg[blk]
-            label[j] += label[blk]
+            rest[j] += rest[blk]
+            rest[blk] = 0  # no block keeps the name, so its node holds no excess
             for c, h in lower[blk].items():
                 upper[c].discard(blk)
                 to_j[c] = to_j.get(c, 0) + h
             for c in upper[blk]:
                 to_j[c] = to_j.get(c, 0) + lower[c].pop(blk)
-        for blk in joined:  # their sums to one another are now inside j's block
+        for blk in side:  # their sums to one another are now inside j's block
             to_j.pop(blk, None)
         lower[j] = to_j
         for c in to_j:
             upper[c].add(j)
-        if joined:
+        if side:
             net = None
         else:
-            const += add_block(j)
+            add_block(j)
     return list(members.values()), x_sum
 
 

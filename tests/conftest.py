@@ -155,11 +155,24 @@ def flow_network(g: Graph, caps=None) -> FlowNetwork:
     return net
 
 
-def residual_side(net: FlowNetwork, s: int) -> set[int]:
-    """The vertices reachable from s over arcs of positive residual
+def st_flow(net: FlowNetwork, s: int, t: int):
+    """``(value, side)`` of a maximum s-t flow, routed in ``net``: its value
+    and the vertices reachable from s in its residual network.  It is
+    ``max_flow`` with a supply at s and a demand at t of the capacities'
+    sum plus one: that is beyond every cut, so some of each is left over."""
+    beyond = sum(net.cap) + 1
+    excess = [0] * net.n
+    excess[s], excess[t] = beyond, -beyond
+    side = net.max_flow(excess)
+    assert excess[s] == -excess[t] > 0 and not any(excess[v] for v in range(net.n) if v not in (s, t))
+    return beyond - excess[s], side
+
+
+def residual_side(net: FlowNetwork, *roots: int) -> set[int]:
+    """The vertices reachable from ``roots`` over arcs of positive residual
     capacity in ``net.cap``, by a breadth-first search of its own."""
-    seen = {s}
-    queue = [s]
+    seen = set(roots)
+    queue = list(roots)
     for u in queue:
         for a in net.adj[u]:
             if net.to[a] not in seen and net.cap[a] > 0:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kcut import parse_rational, rational_str
 from kcut.flow import FlowNetwork
 
-from conftest import flow_network, residual_side
+from conftest import flow_network, residual_side, st_flow
 
 F = Fraction
 
@@ -91,7 +91,7 @@ def test_rational_str_always_has_denominator():
 def test_max_flow_caps_override(tt):
     caps = [e.cap for e in tt.edges]
     caps[6] = F(10)  # widen the bridge
-    assert flow_network(tt, caps).max_flow(0, 5)[0] == 2  # now limited by the triangle boundaries
+    assert st_flow(flow_network(tt, caps), 0, 5)[0] == 2  # now limited by the triangle boundaries
 
 
 def test_flow_network_extreme_min_cuts():
@@ -103,7 +103,7 @@ def test_flow_network_extreme_min_cuts():
     net.add_arc(0, 2, F(2))
     net.add_arc(2, 3, F(3))
     # the smallest side: reachable from s
-    assert net.max_flow(0, 3) == (3, {0}) and residual_side(net, 0) == {0}
+    assert st_flow(net, 0, 3) == (3, {0}) and residual_side(net, 0) == {0}
 
 
 _INT_CAPS = st.integers(0, 9)
@@ -131,10 +131,10 @@ def _flow_networks(draw):
 
 @st.composite
 def _short_path_networks(draw):
-    """Like ``_flow_networks``, but rich in the paths of one to three arcs
-    that ``max_flow`` saturates before its first search: many arcs s->v and
-    v->t, parallel arcs into t, arcs leaving t, arcs back into s, direct s->t
-    arcs and nonzero reverse capacities, in a drawn order."""
+    """Like ``_flow_networks``, but rich in paths of one to three arcs: many
+    arcs s->v and v->t, parallel arcs into t, arcs leaving t, arcs back into
+    s, nonzero reverse capacities, and direct s->t arcs, which ``max_flow``
+    saturates before its first search, in a drawn order."""
     n = draw(st.integers(3, 12))
     s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     mid = st.sampled_from([v for v in range(n) if v not in (s, t)])
@@ -190,7 +190,7 @@ def _assert_max_flow_matches_networkx(network):
         for v, f in out.items():
             residual[u, v] -= f
             residual[v, u] += f
-    got, source_side = net.max_flow(s, t)
+    got, source_side = st_flow(net, s, t)
     assert got == value
     # every push moved capacity between an arc and its reverse
     residual_pairs = [net.cap[2 * i] + net.cap[2 * i + 1] for i in range(len(arcs))]
@@ -202,7 +202,7 @@ def _assert_max_flow_matches_networkx(network):
     assert sum(c for u, v, c, _ in arcs if u in source_side and v not in source_side) + sum(
         r for u, v, _, r in arcs if v in source_side and u not in source_side
     ) == value
-    assert net.max_flow(s, t) == (0, source_side)
+    assert st_flow(net, s, t) == (0, source_side)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -218,19 +218,18 @@ def test_short_path_preflow_matches_networkx_property(network):
 
 
 @st.composite
-def _sweep_network_changes(draw):
-    """(n, s, t, arcs, changed): an int network on up to 7 nodes with an arc
-    out of s, and the changes that the attack sweep's step network makes
-    to the contracted network, one at a time and all together: an arc out
-    of s split into two parallel arcs, zero-capacity arcs added, and arcs
-    with capacity into s or out of t added, each at a drawn place."""
+def _supply_networks(draw):
+    """(n, arcs, supply, demand, changed): an int network on up to 7 nodes,
+    a supply and a demand at each node, zeros and both at one node
+    included, and the arcs changed as the attack sweep's network differs
+    from the contracted one, one way at a time and both: an arc split into
+    two parallel arcs, and zero-capacity arcs added, each at a drawn place."""
     n = draw(st.integers(2, 7))
-    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     node = st.integers(0, n - 1)
     pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
-    arcs = [(s, draw(node.filter(lambda v: v != s)), draw(_INT_CAPS), 0)]
-    arcs += [(u, v, draw(_INT_CAPS), draw(st.just(0) | _INT_CAPS)) for u, v in draw(st.lists(pair, max_size=3 * n))]
-    arcs = draw(st.permutations(arcs))
+    arcs = [(u, v, draw(_INT_CAPS), draw(st.just(0) | _INT_CAPS)) for u, v in draw(st.lists(pair, min_size=1, max_size=3 * n))]
+    supply = draw(st.lists(_INT_CAPS, min_size=n, max_size=n))
+    demand = draw(st.lists(_INT_CAPS, min_size=n, max_size=n))
 
     def inserted(base, new_arcs):
         out = list(base)
@@ -238,36 +237,62 @@ def _sweep_network_changes(draw):
             out.insert(draw(st.integers(0, len(out))), arc)
         return out
 
-    i = draw(st.sampled_from([i for i, arc in enumerate(arcs) if arc[0] == s]))
+    i = draw(st.integers(0, len(arcs) - 1))
     u, v, c, r = arcs[i]
     part = draw(st.integers(0, c))
     split = inserted(arcs[:i] + [(u, v, part, r)] + arcs[i + 1 :], [(u, v, c - part, 0)])
     zeros = [(u, v, 0, 0) for u, v in draw(st.lists(pair, min_size=1, max_size=n))]
-    dead_end = st.one_of(
-        st.tuples(node.filter(lambda x: x != s), st.just(s)), st.tuples(st.just(t), node.filter(lambda x: x != t))
-    )
-    dead = [(u, v, draw(st.integers(1, 9)), 0) for u, v in draw(st.lists(dead_end, min_size=1, max_size=n))]
-    changed = [split, inserted(arcs, zeros), inserted(arcs, dead), inserted(split, zeros + dead)]
-    return n, s, t, arcs, changed
+    return n, arcs, supply, demand, [split, inserted(arcs, zeros), inserted(split, zeros)]
 
 
-def _flow(n, arcs, s, t):
+def _routed(n, arcs, excess):
+    """What ``max_flow`` routes on ``arcs`` from ``excess``, and its side,
+    which is the residual reach of the supplies it leaves."""
     net = FlowNetwork(n)
     for u, v, c, r in arcs:
         net.add_arc(u, v, c, r)
-    return net.max_flow(s, t)
+    start = list(excess)
+    excess = list(excess)
+    side = net.max_flow(excess)
+    # flow leaves only supplies and enters only demands, none past zero
+    assert all(0 <= e <= e0 or e0 <= e <= 0 for e, e0 in zip(excess, start)) and sum(excess) == sum(start)
+    left = [v for v in range(n) if excess[v] > 0]
+    assert side == residual_side(net, *left)
+    return sum(e for e in start if e > 0) - sum(excess[v] for v in left), side
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_sweep_network_changes())
-def test_sweep_network_changes_keep_value_and_side_property(case):
-    """Parallel arcs add, a zero-capacity arc carries nothing, and an arc
-    into s or out of t lies on no s-t path and moves no cut: none of them
-    moves ``max_flow``'s value or its smallest minimum-cut side."""
-    n, s, t, arcs, changed = case
-    want = _flow(n, arcs, s, t)
-    for variant in changed:
-        assert _flow(n, variant, s, t) == want
+@given(_supply_networks())
+def test_supplies_and_demands_match_a_super_source_and_sink_property(case):
+    """``max_flow`` routes what networkx routes from a super source S, with
+    an arc S->v of each supply, to a super sink T, with an arc v->T of each
+    demand, less the sum of min(supply, demand) that netting one node's
+    supply and demand into its excess moves off every cut, and returns the
+    smallest S side less S.  Parallel arcs add and a zero-capacity arc
+    carries nothing, so neither moves the amount or the side."""
+    n, arcs, supply, demand, changed = case
+    source, sink = n, n + 1
+    ref = nx.DiGraph()
+    ref.add_nodes_from(range(n + 2))
+    ends = [(a, b, w) for u, v, c, r in arcs for a, b, w in ((u, v, c), (v, u, r))]
+    ends += [(source, v, supply[v]) for v in range(n)] + [(v, sink, demand[v]) for v in range(n)]
+    for a, b, w in ends:
+        if ref.has_edge(a, b):
+            ref[a][b]["capacity"] += w
+        else:
+            ref.add_edge(a, b, capacity=w)
+    value, flow = nx.maximum_flow(ref, source, sink)
+    residual = {(u, v): c for u, v, c in ref.edges(data="capacity")}
+    for u, out in flow.items():
+        for v, f in out.items():
+            residual[u, v] -= f
+            residual[v, u] = residual.get((v, u), 0) + f
+    want_side = _search(n + 2, residual, source) - {source}
+    netted = sum(min(s, d) for s, d in zip(supply, demand))
+    excess = [s - d for s, d in zip(supply, demand)]
+    for variant in [arcs] + changed:
+        routed, side = _routed(n, variant, excess)
+        assert routed + netted == value and side == want_side
 
 
 def test_preflow_path_cancelled_by_edmonds_karp():
@@ -279,15 +304,10 @@ def test_preflow_path_cancelled_by_edmonds_karp():
     arcs = [(0, 1), (1, 2), (2, 5), (0, 4), (4, 2), (1, 3), (3, 5)]
     for u, v in arcs:
         net.add_arc(u, v, 1)
-    assert net.max_flow(0, 5) == (2, {0})
+    assert st_flow(net, 0, 5) == (2, {0})
     flows = {arc: 1 - net.cap[2 * i] for i, arc in enumerate(arcs)}
     assert flows == {(0, 1): 1, (1, 2): 0, (2, 5): 1, (0, 4): 1, (4, 2): 1, (1, 3): 1, (3, 5): 1}
     assert residual_side(net, 0) == {0}
-
-
-def test_max_flow_same_terminals(e1):
-    with pytest.raises(ValueError):
-        flow_network(e1).max_flow(0, 0)
 
 
 def test_attack_rejects_negative_b(e1):

@@ -45,6 +45,7 @@ from conftest import (
     flow_network,
     full_suite,
     residual_side,
+    st_flow,
 )
 
 F = Fraction
@@ -52,16 +53,16 @@ F = Fraction
 
 def test_max_flow_e1(e1):
     net = flow_network(e1)
-    assert net.max_flow(0, 1) == (5, {0}) and residual_side(net, 0) == {0}
+    assert st_flow(net, 0, 1) == (5, {0}) and residual_side(net, 0) == {0}
 
 
 def test_max_flow_tt_bridge(tt):
     net = flow_network(tt)
-    assert net.max_flow(0, 5) == (1, {0, 1, 2}) and residual_side(net, 0) == {0, 1, 2}
+    assert st_flow(net, 0, 5) == (1, {0, 1, 2}) and residual_side(net, 0) == {0, 1, 2}
 
 
 def test_max_flow_k4_brute(k4):
-    value, _ = flow_network(k4).max_flow(0, 1)
+    value, _ = st_flow(flow_network(k4), 0, 1)
     # brute force over 2-partitions separating the terminals
     best = min(
         p.crossing_value
@@ -73,7 +74,7 @@ def test_max_flow_k4_brute(k4):
 
 def test_max_flow_rational_caps():
     g = parse_graph("p kcut 4 5\ne 1 2 1/3\ne 2 4 1/2\ne 1 3 3/4\ne 3 4 1/5\ne 1 4 2\n")
-    value, _ = flow_network(g).max_flow(0, 3)
+    value, _ = st_flow(flow_network(g), 0, 3)
     assert value == F(1, 3) + F(1, 5) + 2
 
 
@@ -342,7 +343,7 @@ def test_zero_capacity_strength():
 
 
 class _EdmondsKarp:
-    """A plain Edmonds-Karp network with the interface the sweep uses: one
+    """A plain s-t Edmonds-Karp network for the reference sweep: one
     breadth-first search per augmenting path, no pre-flow."""
 
     def __init__(self, n):
@@ -546,8 +547,9 @@ def test_contracted_sweep_matches_reference_on_merges_property(g):
 def test_one_network_until_a_merge(monkeypatch):
     """The sweep builds its network at step 1 and again only at the step
     after a merge: 1 + (merging steps before the last) networks.  At step
-    j the nodes that hold an arc are the blocks of the sweep over {0..j-1}
-    alone, each named by its last vertex, plus s = n and t = n + 1."""
+    j the nodes that hold an arc or an excess are blocks of the sweep over
+    {0..j-1} alone, each named by its last vertex, and every block with an
+    edge to another block holds an arc."""
     rng = Random(2101)
     edges = [(u, v, F(5)) for lo in (0, 4, 8) for u in range(lo, lo + 4) for v in range(u + 1, lo + 4)]
     edges += [(3, 4, F(1)), (7, 8, F(1)), (11, 0, F(1))]
@@ -570,17 +572,43 @@ def test_one_network_until_a_merge(monkeypatch):
                 built.append(self)
                 real_init(self, n)
 
-            def flow(self, s, t):
-                nodes.append({u for u in range(self.n) if self.adj[u]})
-                return real_flow(self, s, t)
+            def flow(self, excess):
+                nodes.append({u for u in range(self.n) if self.adj[u] or excess[u]})
+                return real_flow(self, excess)
 
             m.setattr(FlowNetwork, "__init__", init)
             m.setattr(FlowNetwork, "max_flow", flow)
             _swept(g, b)
         assert len(built) == 1 + merges
-        assert nodes == [{max(blk) for blk in prefix[j - 1]} | {g.n, g.n + 1} for j in range(1, g.n)]
+        assert len(nodes) == g.n - 1
+        for j, held in enumerate(nodes, start=1):
+            inner = [e for e in g.edges if e.u < j and e.v < j]
+            linked = {max(blk) for blk in prefix[j - 1] if any((e.u in blk) != (e.v in blk) for e in inner)}
+            assert linked <= held <= {max(blk) for blk in prefix[j - 1]}
         built_counts.append(len(built))
     assert built_counts[-1] == 1 and max(built_counts) > 2
+
+
+def test_every_sweep_arc_has_capacity(monkeypatch):
+    """The sweep's network holds arcs between blocks only, each with the
+    positive summed half-capacity of their edges, and no unused arc for
+    the searches to visit."""
+    arcs = []
+    real = FlowNetwork.add_arc
+
+    def add_arc(self, u, v, cap, rev_cap=0):
+        arcs.append((cap, rev_cap))
+        real(self, u, v, cap, rev_cap)
+
+    monkeypatch.setattr(FlowNetwork, "add_arc", add_arc)
+    c16 = Graph(16, tuple(Edge(i, (i + 1) % 16, F(1)) for i in range(16)))
+    edges = [(u, v, F(5)) for lo in (0, 4, 8) for u in range(lo, lo + 4) for v in range(u + 1, lo + 4)]
+    edges += [(3, 4, F(1)), (7, 8, F(1)), (11, 0, F(1))]
+    planted = _relabelled(12, edges, [5, 0, 9, 2, 11, 7, 1, 4, 10, 3, 8, 6])
+    for g in (c16, planted):
+        for b in (F(1, 2), F(16, 15), F(3), F(7)):
+            attack(g, b)
+    assert arcs and all(cap > 0 or rev_cap > 0 for cap, rev_cap in arcs)
 
 
 # -- the split search against the Dinkelbach route ------------------------------
@@ -771,21 +799,22 @@ def test_attack_checks_blocks_against_label_sum(tt, monkeypatch):
     # every step's smallest minimum cut becomes the new vertex alone, so the
     # sweep merges nothing while its flows, and so its labels, stay right
     real = FlowNetwork.max_flow
-    monkeypatch.setattr(FlowNetwork, "max_flow", lambda self, s, t: (real(self, s, t)[0], frozenset({s})))
+    monkeypatch.setattr(FlowNetwork, "max_flow", lambda self, excess: real(self, excess) and frozenset())
     with pytest.raises(AssertionError, match="label sum"):
         attack(tt, 1)
 
 
 def test_max_flow_returns_the_residual_side_in_the_sweep(monkeypatch):
-    # every side the sweep reads is the residual reach of s its own search
-    # would find on the network max_flow leaves behind
+    # every side the sweep reads is the residual reach of the supplies left
+    # that its own search would find on the network max_flow leaves behind
     sides = []
     real = FlowNetwork.max_flow
 
-    def checked(self, s, t):
-        value, side = real(self, s, t)
-        sides.append(side == residual_side(self, s) and isinstance(side, frozenset))
-        return value, side
+    def checked(self, excess):
+        side = real(self, excess)
+        left = [v for v in range(self.n) if excess[v] > 0]
+        sides.append(side == residual_side(self, *left) and isinstance(side, frozenset))
+        return side
 
     monkeypatch.setattr(FlowNetwork, "max_flow", checked)
     principal_sequence.cache_clear()
